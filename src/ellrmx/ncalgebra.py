@@ -1,14 +1,15 @@
-"""Shift-twisted free algebra, L-operator ansatz, and RLL defect spans.
+"""L-operator ansatz, RLL defect spans, and their comparison.
 
-The abstract generators carry two coordinate blocks: moving a coefficient
-function leftward past a generator shifts the function's arguments by hbar
-on the coordinates named by the generator's indices.  Coefficients
-therefore stay symbolic (products of theta factors at affine arguments and
-entries of the composite R-matrix on shifted coordinates) until a whole
-expression is frozen at one numeric parameter point.  Frozen defects of
-the exchange relation for the L-ansatz become coefficient vectors over
-ordered two-letter words, compared span-wise against the closed-form
-relation families of :mod:`ellrmx.relations`.
+The ansatz entries are linear in generators labelled (i, j, alpha) with
+theta coefficients.  Moving a coefficient leftward past a generator shifts
+its arguments by hbar on coordinate i of the first block and coordinate j
+of the second.  In a two-letter word the second letter's theta argument
+therefore moves by -1, 0 or +1 hbar, and the right-hand R-matrix's first
+block by the shift of both letters.  The defect of the exchange relation is
+assembled numerically from ansatz coefficients at those three shifts and a
+few shifted R-matrices, as coefficient vectors over ordered two-letter
+words that are compared span-wise against the closed-form relation
+families of :mod:`ellrmx.relations`.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import cmath
 import functools
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -33,8 +34,8 @@ from .elliptic import (
 from .relations import (
     DegenerateRelationError,
     RelationVector,
+    generator_slot,
     slnm_family_coeffs,
-    word_slot,
 )
 from .rmatrix import DynamicalParams, r_slnm
 from .tensor import basis_t
@@ -50,304 +51,7 @@ class LConvention:
     exp_factor: bool = True
 
 
-@dataclass(frozen=True)
-class Generator:
-    """Abstract generator labelled (i, j, alpha).
-
-    Its shift signature adds hbar to coordinate i of the first block and
-    coordinate j of the second; ansatz entry (i, j) therefore houses the
-    generators labelled (j, i).
-    """
-
-    i: int
-    j: int
-    alpha: LatticeIndex
-
-    @property
-    def label(self) -> tuple[int, int, tuple[int, int]]:
-        return (self.i, self.j, self.alpha.pair)
-
-
-def word_shift(
-    word: tuple[Generator, ...], m: int
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Total hbar-shift a coefficient picks up crossing ``word`` leftward."""
-    s1 = [0] * m
-    s2 = [0] * m
-    for g in word:
-        s1[g.i - 1] += 1
-        s2[g.j - 1] += 1
-    return tuple(s1), tuple(s2)
-
-
-@dataclass(frozen=True)
-class ThetaAtom:
-    """theta evaluated at ``const + u1 . q1 + u2 . q2``."""
-
-    const: complex
-    u1: tuple[int, ...]
-    u2: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class RMatrixAtom:
-    """One entry of the composite R-matrix fed by one coordinate block."""
-
-    row: int
-    col: int
-    z: complex
-    block: int
-
-
-@dataclass(frozen=True)
-class ShiftedAtom:
-    """An atom with the accumulated hbar-shift of every coordinate."""
-
-    atom: ThetaAtom | RMatrixAtom
-    s1: tuple[int, ...]
-    s2: tuple[int, ...]
-
-    def shifted(self, d1: tuple[int, ...], d2: tuple[int, ...]) -> "ShiftedAtom":
-        return ShiftedAtom(
-            self.atom,
-            tuple(a + b for a, b in zip(self.s1, d1)),
-            tuple(a + b for a, b in zip(self.s2, d2)),
-        )
-
-
-@dataclass(frozen=True)
-class Deferred:
-    """Product of shifted atoms with a numeric prefactor."""
-
-    const: complex
-    atoms: tuple[ShiftedAtom, ...] = ()
-
-    def times(self, other: "Deferred") -> "Deferred":
-        return Deferred(self.const * other.const, self.atoms + other.atoms)
-
-    def shifted(self, d1: tuple[int, ...], d2: tuple[int, ...]) -> "Deferred":
-        return Deferred(self.const, tuple(a.shifted(d1, d2) for a in self.atoms))
-
-
-@dataclass(frozen=True)
-class Coefficient:
-    """Sum of deferred products; the coefficient record of one word."""
-
-    parts: tuple[Deferred, ...]
-
-    @classmethod
-    def of(cls, value: complex) -> "Coefficient":
-        return cls((Deferred(complex(value)),))
-
-    @classmethod
-    def of_atom(
-        cls, atom: ThetaAtom | RMatrixAtom, m: int, const: complex = 1.0
-    ) -> "Coefficient":
-        zeros = (0,) * m
-        return cls((Deferred(complex(const), (ShiftedAtom(atom, zeros, zeros),)),))
-
-    def plus(self, other: "Coefficient") -> "Coefficient":
-        return Coefficient(self.parts + other.parts)
-
-    def times(self, other: "Coefficient") -> "Coefficient":
-        return Coefficient(
-            tuple(p.times(q) for p in self.parts for q in other.parts)
-        )
-
-    def shifted(self, d1: tuple[int, ...], d2: tuple[int, ...]) -> "Coefficient":
-        return Coefficient(tuple(p.shifted(d1, d2) for p in self.parts))
-
-    def scaled(self, value: complex) -> "Coefficient":
-        return Coefficient(
-            tuple(Deferred(p.const * value, p.atoms) for p in self.parts)
-        )
-
-
-def _atom_value(
-    sa: ShiftedAtom,
-    params: DynamicalParams,
-    n: int,
-    ctx: EllipticContext,
-    cache: dict,
-) -> complex:
-    hit = cache.get(sa)
-    if hit is not None:
-        return hit
-    q1, q2, hbar = params.q1, params.q2, params.hbar
-    a = sa.atom
-    if isinstance(a, ThetaAtom):
-        arg = a.const
-        for k, w in enumerate(a.u1):
-            if w:
-                arg += w * (q1[k] + hbar * sa.s1[k])
-        for k, w in enumerate(a.u2):
-            if w:
-                arg += w * (q2[k] + hbar * sa.s2[k])
-        value = theta(arg, ctx)
-    elif isinstance(a, RMatrixAtom):
-        shift = sa.s1 if a.block == 1 else sa.s2
-        key = ("rmat", a.block, a.z, shift)
-        mat = cache.get(key)
-        if mat is None:
-            base = q1 if a.block == 1 else q2
-            coords = [base[k] + hbar * shift[k] for k in range(len(base))]
-            mat = r_slnm(hbar, a.z, coords, n, ctx)
-            cache[key] = mat
-        value = mat[a.row, a.col]
-    else:
-        raise TypeError(f"unknown atom type {type(a).__name__}")
-    cache[sa] = value
-    return value
-
-
-def _coefficient_value(
-    coeff: Coefficient,
-    params: DynamicalParams,
-    n: int,
-    ctx: EllipticContext,
-    cache: dict,
-) -> tuple[complex, float]:
-    """Value of a coefficient plus its mass (sum of part moduli).
-
-    The mass bounds the roundoff floor: a value far below mass times
-    machine epsilon times the part count is an identical cancellation.
-    """
-    total = 0.0 + 0.0j
-    mass = 0.0
-    for part in coeff.parts:
-        value = part.const
-        for sa in part.atoms:
-            value *= _atom_value(sa, params, n, ctx, cache)
-        total += value
-        mass += abs(value)
-    return total, mass
-
-
-@dataclass(frozen=True)
-class NCSum:
-    """Normal-ordered sum of coefficient-times-word terms, words of length <= 2.
-
-    The product re-normalizes: ``(c1 w1)(c2 w2)`` becomes ``c1 (c2 shifted
-    by the signature of w1)`` on the concatenated word.  Quadratic checks
-    never need longer words, so concatenations past length two raise.
-    """
-
-    m: int
-    n: int
-    terms: Mapping[tuple[Generator, ...], Coefficient]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "terms", dict(self.terms))
-
-    @classmethod
-    def zero(cls, m: int, n: int) -> "NCSum":
-        return cls(m, n, {})
-
-    @classmethod
-    def scalar(cls, m: int, n: int, coeff: Coefficient | complex) -> "NCSum":
-        if not isinstance(coeff, Coefficient):
-            coeff = Coefficient.of(coeff)
-        return cls(m, n, {(): coeff})
-
-    @classmethod
-    def generator(
-        cls, m: int, n: int, gen: Generator, coeff: Coefficient | complex = 1.0
-    ) -> "NCSum":
-        if not isinstance(coeff, Coefficient):
-            coeff = Coefficient.of(coeff)
-        return cls(m, n, {(gen,): coeff})
-
-    def _check(self, other: "NCSum") -> None:
-        if self.m != other.m or self.n != other.n:
-            raise ValueError("mixed algebra sizes")
-
-    def __add__(self, other: "NCSum") -> "NCSum":
-        self._check(other)
-        terms = dict(self.terms)
-        for word, coeff in other.terms.items():
-            prev = terms.get(word)
-            terms[word] = coeff if prev is None else prev.plus(coeff)
-        return NCSum(self.m, self.n, terms)
-
-    def __sub__(self, other: "NCSum") -> "NCSum":
-        return self + other.scaled(-1.0)
-
-    def __mul__(self, other: "NCSum") -> "NCSum":
-        self._check(other)
-        out: dict[tuple[Generator, ...], Coefficient] = {}
-        for w1, c1 in self.terms.items():
-            s1, s2 = word_shift(w1, self.m)
-            for w2, c2 in other.terms.items():
-                word = w1 + w2
-                if len(word) > 2:
-                    raise ValueError(
-                        "words longer than two cannot arise in quadratic checks"
-                    )
-                coeff = c1.times(c2.shifted(s1, s2))
-                prev = out.get(word)
-                out[word] = coeff if prev is None else prev.plus(coeff)
-        return NCSum(self.m, self.n, out)
-
-    def scaled(self, value: complex) -> "NCSum":
-        return NCSum(
-            self.m, self.n, {w: c.scaled(value) for w, c in self.terms.items()}
-        )
-
-    def freeze(
-        self, params: DynamicalParams, ctx: EllipticContext, cache: dict | None = None
-    ) -> dict[tuple[Generator, ...], complex]:
-        """Evaluate every coefficient at the numeric parameter point."""
-        if cache is None:
-            cache = {}
-        return {
-            w: _coefficient_value(c, params, self.n, ctx, cache)[0]
-            for w, c in self.terms.items()
-        }
-
-
-def l_entry(
-    i: int,
-    j: int,
-    z: complex,
-    q: DynamicalParams,
-    n: int,
-    conv: LConvention,
-    ctx: EllipticContext,
-) -> np.ndarray:
-    """Ansatz entry (i, j): an n x n matrix of single-generator sums.
-
-    Each characteristic contributes ``theta(z + q2_i - q1_j + omega_alpha)``
-    times the operator basis element at alpha times the generator (j, i,
-    alpha); with ``conv.exp_factor`` the term also carries
-    ``exp(2 pi i alpha_2 z / n)``.
-    """
-    if q.q2 is None:
-        raise ValueError("the ansatz needs two coordinate blocks")
-    m = q.m
-    if not (1 <= i <= m and 1 <= j <= m):
-        raise ValueError(f"entry ({i}, {j}) out of range for m = {m}")
-    out = np.empty((n, n), dtype=object)
-    for r in range(n):
-        for s in range(n):
-            out[r, s] = NCSum.zero(m, n)
-    u1 = [0] * m
-    u1[j - 1] = -1
-    u2 = [0] * m
-    u2[i - 1] = 1
-    u1t, u2t = tuple(u1), tuple(u2)
-    for alpha in all_indices(n):
-        t_mat = basis_t(alpha)
-        atom = ThetaAtom(z + omega(alpha, ctx), u1t, u2t)
-        pref = cmath.exp(TWO_PI_I * alpha.a2 * z / n) if conv.exp_factor else 1.0
-        gen = Generator(j, i, alpha)
-        for r in range(n):
-            for s in range(n):
-                entry = t_mat[r, s]
-                if entry == 0:
-                    continue
-                coeff = Coefficient.of_atom(atom, m, pref * entry)
-                out[r, s] = out[r, s] + NCSum.generator(m, n, gen, coeff)
-    return out
+SHIFTS = (-1, 0, 1)
 
 
 def l_operator(
@@ -357,14 +61,33 @@ def l_operator(
     conv: LConvention,
     ctx: EllipticContext,
 ) -> np.ndarray:
-    """Full composite-space ansatz: (m n) x (m n) matrix of sums."""
+    """The composite-space ansatz as a table ``C[delta + 1, x, y, a]``.
+
+    ``C[delta + 1, x, y, a]`` is the coefficient of the generator at slot
+    ``a`` in entry (x, y) of the (m n) x (m n) ansatz, for a letter whose
+    coefficient stands shifted by ``delta`` hbar (delta in -1, 0, +1).
+    Entry block (i, j) houses the generators labelled (j, i, alpha) at
+    ``generator_slot(j, i, alpha)``; each carries ``theta(z + q2_i - q1_j +
+    omega_alpha + delta hbar)`` times the operator basis element at alpha,
+    and with ``conv.exp_factor`` also ``exp(2 pi i alpha_2 z / n)``.
+    """
+    if q.q2 is None:
+        raise ValueError("the ansatz needs two coordinate blocks")
     m = q.m
-    d = m * n
-    out = np.empty((d, d), dtype=object)
-    for i in range(1, m + 1):
-        for j in range(1, m + 1):
-            blk = l_entry(i, j, z, q, n, conv, ctx)
-            out[(i - 1) * n : i * n, (j - 1) * n : j * n] = blk
+    out = np.zeros((len(SHIFTS), m * n, m * n, m * m * n * n), dtype=complex)
+    for alpha in all_indices(n):
+        t_mat = basis_t(alpha)
+        w_alpha = omega(alpha, ctx)
+        pref = cmath.exp(TWO_PI_I * alpha.a2 * z / n) if conv.exp_factor else 1.0
+        for i in range(1, m + 1):
+            for j in range(1, m + 1):
+                slot = generator_slot(j, i, alpha.pair, m, n)
+                arg = z + q.q2[i - 1] - q.q1[j - 1] + w_alpha
+                rows = slice((i - 1) * n, i * n)
+                cols = slice((j - 1) * n, j * n)
+                for k, delta in enumerate(SHIFTS):
+                    coeff = pref * theta(arg + delta * q.hbar, ctx)
+                    out[k, rows, cols, slot] = coeff * t_mat
     return out
 
 
@@ -377,15 +100,18 @@ def _defect_table(
     z2: complex,
     conv: LConvention,
     ctx: EllipticContext,
-) -> tuple[dict[tuple[int, int, int, int], np.ndarray], dict[tuple[int, int, int, int], float]]:
-    """Frozen coefficient vectors of every matrix element of the exchange
-    defect: R(z1-z2 | q2) L1 L2 minus L2 L1 R(z1-z2 | q1).
+) -> tuple[np.ndarray, np.ndarray]:
+    """Word vectors of every matrix element of the exchange defect
+    R(z1-z2 | q2) L1(z1) L2(z2) minus L2(z2) L1(z1) R(z1-z2 | q1).
 
-    Keys are composite indices (a_out, b_out, a_in, b_in); values are
-    coefficient vectors over ordered two-letter words.  The companion dict
-    holds the mass (norm of summed part moduli) of each element, the scale
-    against which a defect counts as an identical cancellation.  Results
-    are memoized; callers must treat them as read-only.
+    ``table[ao, bo, ai, bi]`` is the vector over ordered two-letter words
+    (:func:`ellrmx.relations.word_slot` layout) of the element with
+    composite indices (a_out, b_out, a_in, b_in).  In a word (a, a') the
+    second letter's coefficient is shifted by ``[a'.j == a.j] - [a'.i ==
+    a.i]`` hbar, and the right-hand R stands at ``q1 + hbar (e_{a.i} +
+    e_{a'.i})``.  ``mass[ao, bo, ai, bi]`` is the norm over words of the
+    summed term moduli, the scale against which a defect counts as an
+    identical cancellation.  Results are memoized and read-only.
     """
     if params.q2 is None:
         raise ValueError("the exchange relation needs two coordinate blocks")
@@ -396,46 +122,50 @@ def _defect_table(
     z12 = z1 - z2
     la = l_operator(z1, params, n, conv, ctx)
     lb = l_operator(z2, params, n, conv, ctx)
-    r_left = r_slnm(params.hbar, z12, params.q2, n, ctx)
-    prod_ab = np.empty((d, d, d, d), dtype=object)
-    prod_ba = np.empty((d, d, d, d), dtype=object)
-    for x in range(d):
-        for y in range(d):
-            for v in range(d):
-                for w in range(d):
-                    prod_ab[x, y, v, w] = la[x, y] * lb[v, w]
-                    prod_ba[x, y, v, w] = lb[x, y] * la[v, w]
-    cache: dict = {}
-    table: dict[tuple[int, int, int, int], np.ndarray] = {}
-    masses: dict[tuple[int, int, int, int], float] = {}
-    for ao in range(d):
-        for bo in range(d):
-            for ai in range(d):
-                for bi in range(d):
-                    lhs = NCSum.zero(m, n)
-                    for am in range(d):
-                        for bm in range(d):
-                            c = r_left[ao * d + bo, am * d + bm]
-                            if c != 0:
-                                lhs = lhs + prod_ab[am, ai, bm, bi].scaled(c)
-                    rhs = NCSum.zero(m, n)
-                    for am in range(d):
-                        for bm in range(d):
-                            atom = RMatrixAtom(am * d + bm, ai * d + bi, z12, 1)
-                            rhs = rhs + (
-                                prod_ba[bo, bm, ao, am]
-                                * NCSum.scalar(m, n, Coefficient.of_atom(atom, m))
-                            )
-                    coords = np.zeros(g * g, dtype=complex)
-                    mass_sq = 0.0
-                    for word, coeff in (lhs - rhs).terms.items():
-                        value, mass = _coefficient_value(coeff, params, n, ctx, cache)
-                        slot = word_slot((word[0].label, word[1].label), m, n)
-                        coords[slot] += value
-                        mass_sq += mass * mass
-                    table[(ao, bo, ai, bi)] = coords
-                    masses[(ao, bo, ai, bi)] = mass_sq**0.5
-    return table, masses
+    r_left = r_slnm(params.hbar, z12, params.q2, n, ctx).reshape(d, d, d, d)
+    slot_i, slot_j = np.divmod(np.arange(g) // (n * n), m)
+    # index along the SHIFTS axis of the second letter of each word (a, a')
+    second = 1 + (slot_j[:, None] == slot_j) - (slot_i[:, None] == slot_i)
+    table = np.empty((d, d, d, d, g, g), dtype=complex)
+    mass_sq = np.zeros((d, d, d, d))
+    r_right: dict[tuple[int, int], np.ndarray] = {}
+    # Slots sharing a first coordinate index are contiguous; one block of
+    # words per (a.i, a'.i) pair shares the right-hand R.
+    span = g // m
+    for k in range(m):
+        first = slice(k * span, (k + 1) * span)
+        for l in range(m):
+            cols = np.arange(l * span, (l + 1) * span)
+            key = (min(k, l), max(k, l))
+            if key not in r_right:
+                coords = [
+                    v + params.hbar * ((c == k) + (c == l))
+                    for c, v in enumerate(params.q1)
+                ]
+                r_right[key] = r_slnm(params.hbar, z12, coords, n, ctx).reshape(
+                    d, d, d, d
+                )
+            shift = second[first, cols]
+            # operands indexed [ao, bo, am, bm], [am, ai, a], [a, a', bm, bi]
+            lhs = (r_left, la[1, :, :, first], lb[shift, :, :, cols])
+            # operands indexed [bo, bm, a], [a, a', ao, am], [am, bm, ai, bi]
+            rhs = (lb[1, :, :, first], la[shift, :, :, cols], r_right[key])
+            table[..., first, cols] = _contract_lhs(*lhs) - _contract_rhs(*rhs)
+            moduli = _contract_lhs(*map(np.abs, lhs)) + _contract_rhs(*map(np.abs, rhs))
+            mass_sq += np.einsum("ABijab,ABijab->ABij", moduli, moduli)
+    table = table.reshape(d, d, d, d, g * g)
+    mass = np.sqrt(mass_sq)
+    table.setflags(write=False)
+    mass.setflags(write=False)
+    return table, mass
+
+
+def _contract_lhs(r_mat: np.ndarray, first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    return np.einsum("ABxy,xia,abyj->ABijab", r_mat, first, second, optimize=True)
+
+
+def _contract_rhs(first: np.ndarray, second: np.ndarray, r_mat: np.ndarray) -> np.ndarray:
+    return np.einsum("Bya,abAx,xyij->ABijab", first, second, r_mat, optimize=True)
 
 
 def rll_defect(
@@ -449,18 +179,18 @@ def rll_defect(
 ) -> list[RelationVector]:
     """Defect vectors of the exchange relation for the L-ansatz.
 
-    One vector per matrix element of LHS minus RHS, frozen at the numeric
-    point.  Elements whose norm falls below 1e-12 of the largest term mass
-    in the whole table are identical cancellations and are dropped; an
-    exact identity (the 1 x 1 case) gives an empty list.
+    One vector per matrix element of LHS minus RHS, evaluated at the
+    numeric point.  Elements whose norm is at most 1e-12 of their own term
+    mass are identical cancellations and are dropped; an exact identity
+    (the 1 x 1 case) gives an empty list.
     """
-    table, masses = _defect_table(n, m, params, z1, z2, conv, ctx)
-    floor = 1e-12 * max(masses.values(), default=0.0)
-    out = []
-    for key, coords in table.items():
-        if float(np.linalg.norm(coords)) > floor:
-            out.append(RelationVector(f"defect-{key}", m, n, coords))
-    return out
+    table, mass = _defect_table(n, m, params, z1, z2, conv, ctx)
+    keep = np.linalg.norm(table, axis=-1) > 1e-12 * mass
+    return [
+        RelationVector(f"defect-{key}", m, n, table[key])
+        for key in np.ndindex(keep.shape)
+        if keep[key]
+    ]
 
 
 def relation_vectors_reference(

@@ -1,6 +1,6 @@
 """Quadratic relation families attached to the elliptic R-matrices.
 
-Coefficient tables for three presentations of the same algebraic data:
+Closed-form tables for three presentations of the same algebraic data:
 the vertex-type (index-characteristic) exchange relations in bare,
 theta-rescaled, and shifted-parameter normalizations; the coordinate
 exchange relations of the small dynamical algebra; and the composite
@@ -197,8 +197,6 @@ def sklyanin_coeffs_eta(
     eta: complex,
     hbar: complex,
     ctx: EllipticContext,
-    *,
-    crossed_beta0: bool = False,
 ) -> SklyaninRelation:
     """Structure constants in the theta-rescaled, parameter-shifted form.
 
@@ -207,11 +205,6 @@ def sklyanin_coeffs_eta(
     global phase in ``eta - hbar`` (the per-word phases collapse because
     the words all share the integer column sum ``alpha + beta``).  At
     ``eta == hbar`` only the rescaling remains.
-
-    ``crossed_beta0`` flips the sign of gamma inside the first theta
-    prefactor of the beta == 0 branch.  That variant fails the
-    representation check for nonzero alpha and exists only so the failure
-    can be demonstrated; the default follows the word pattern uniformly.
     """
     base = sklyanin_coeffs(alpha, beta, hbar, ctx)
     n = alpha.n
@@ -219,13 +212,10 @@ def sklyanin_coeffs_eta(
         return base
     tau = ctx.tau
     phase = cmath.exp(-TWO_PI_I * (alpha.a2 + beta.a2) * (eta - hbar) / n)
-    beta0 = beta.pair == (0, 0)
     coeffs: dict[LatticeIndex, complex] = {}
     pref_max = 0.0
     for gamma, value in base.coefficients.items():
         first, second = base.word(gamma)
-        if beta0 and crossed_beta0:
-            first = (alpha.a1 + gamma.a1, alpha.a2 + gamma.a2)
         pref = theta(hbar + omega_raw(first[0], first[1], n, tau), ctx) * theta(
             hbar + omega_raw(second[0], second[1], n, tau), ctx
         )

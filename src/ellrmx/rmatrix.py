@@ -20,11 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elliptic import (
-    DELTA_MIN,
     EllipticContext,
     all_indices,
     kronecker_phi,
-    lattice_distance,
     varphi,
 )
 from .tensor import (
@@ -72,46 +70,6 @@ class DynamicalParams:
     def m(self) -> int:
         return len(self.q1)
 
-    def _difference_pool(self) -> list[complex]:
-        diffs = []
-        sets = [self.q1] if self.q2 is None else [self.q1, self.q2]
-        for block in sets:
-            for i in range(len(block)):
-                for j in range(len(block)):
-                    if i != j:
-                        diffs.append(block[i] - block[j])
-        if self.q2 is not None:
-            for a in self.q2:
-                for b in self.q1:
-                    diffs.append(a - b)
-        return diffs
-
-    def validate(self, ctx: EllipticContext, n: int = 1) -> None:
-        """Reject parameter sets whose basic combinations sit near poles.
-
-        Checked: hbar itself, every pairwise coordinate difference, the
-        hbar-shifted copies of each difference, and (for ``n > 1``) the
-        n-fold rescalings entering the mixed scalar of the composite
-        R-matrix.
-        """
-        bad = []
-        scales = (1,) if n == 1 else (1, n)
-        for s in scales:
-            if lattice_distance(s * self.hbar, ctx.tau) < DELTA_MIN:
-                bad.append(("hbar", s * self.hbar))
-        for d in self._difference_pool():
-            for shift in (0.0, self.hbar, -self.hbar):
-                for s in scales:
-                    v = s * (d + shift)
-                    if lattice_distance(v, ctx.tau) < DELTA_MIN:
-                        bad.append(("coordinate difference", v))
-        if bad:
-            kind, v = bad[0]
-            raise ValueError(
-                f"{kind} {v:.6g} within {DELTA_MIN} of the zero lattice "
-                f"({len(bad)} violations)"
-            )
-
 
 @dataclass(frozen=True)
 class IdentityCheck:
@@ -125,37 +83,6 @@ class IdentityCheck:
             raise ValueError(f"negative or non-finite residual {self.residual}")
         if not (self.normalization > 0):
             raise ValueError(f"non-positive normalization {self.normalization}")
-
-
-@dataclass(frozen=True)
-class ResidualReport:
-    """Aggregate of identity evaluations across independent trials."""
-
-    max_residual: float
-    mean_residual: float
-    normalization: float
-    trials: int
-
-    def __post_init__(self) -> None:
-        if not (self.max_residual >= 0 and self.mean_residual >= 0):
-            raise ValueError("residuals must be nonnegative")
-        if not (self.normalization > 0):
-            raise ValueError("normalization must be positive")
-        if self.trials < 1:
-            raise ValueError("at least one trial required")
-
-
-def aggregate_residuals(checks: Sequence[IdentityCheck]) -> ResidualReport:
-    """Combine per-trial checks into a report (max/mean/worst normalization)."""
-    if not checks:
-        raise ValueError("no checks to aggregate")
-    res = [c.residual for c in checks]
-    return ResidualReport(
-        max_residual=max(res),
-        mean_residual=sum(res) / len(res),
-        normalization=max(c.normalization for c in checks),
-        trials=len(checks),
-    )
 
 
 def relative_residual(lhs: np.ndarray, rhs: np.ndarray) -> IdentityCheck:

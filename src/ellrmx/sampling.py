@@ -100,13 +100,6 @@ def within_diffs(block: Sequence[complex]) -> list[complex]:
     ]
 
 
-def cross_diffs(params: DynamicalParams) -> list[complex]:
-    """All second-block minus first-block coordinate differences."""
-    if params.q2 is None:
-        return []
-    return [b - a for b in params.q2 for a in params.q1]
-
-
 def shift_closed(
     values: Iterable[complex], hbar: complex, depth: int
 ) -> list[complex]:

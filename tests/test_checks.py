@@ -89,6 +89,13 @@ class TestSpanChecks:
         assert rep.passed and rep.max_residual < 1e-10
         assert rep.rank == 120
 
+    def test_rll_keeps_rows_above_their_own_mass_floor(self):
+        # Seed 9's second table holds an element of mass ~6.5e14; a floor
+        # scaled by the largest mass in the table dropped 32 genuine rows.
+        run = run_check(CheckConfig(check="rll", seed=9, trials=1))
+        assert run.passed
+        assert run.reports[0].rank == 120
+
     def test_rll_small_sizes_rank(self):
         assert run_one("rll", n=2, m=1, trials=2).rank == 6
         assert run_one("rll", n=1, m=2, trials=2).rank == 6

@@ -1,4 +1,4 @@
-"""Exchange-defect engine: twisted products, ansatz entries, span matching."""
+"""Exchange-defect engine: ansatz coefficients, defect table, span matching."""
 
 import cmath
 
@@ -14,24 +14,24 @@ from ellrmx.elliptic import (
     theta,
 )
 from ellrmx.ncalgebra import (
-    Coefficient,
-    Generator,
     LConvention,
-    NCSum,
-    ThetaAtom,
+    _defect_table,
     component_ratio,
     defect_factorization_check,
-    l_entry,
     l_operator,
     relation_vectors_reference,
     rll_defect,
     span_equal,
     span_gap,
     span_rank,
-    word_shift,
 )
-from ellrmx.relations import RelationVector, slnm_family_coeffs, word_slot
-from ellrmx.rmatrix import DynamicalParams
+from ellrmx.relations import (
+    RelationVector,
+    generator_slot,
+    slnm_family_coeffs,
+    word_slot,
+)
+from ellrmx.rmatrix import DynamicalParams, r_slnm
 from ellrmx.tensor import basis_t
 
 TAU = 0.3 + 0.8j
@@ -65,55 +65,92 @@ def flat_ranks(n: int, m: int) -> int:
     return g * (g - 1) // 2
 
 
+def shifted(q, hbar, *coords):
+    """``q`` with hbar added once per listed 1-based coordinate."""
+    out = list(q)
+    for k in coords:
+        out[k - 1] += hbar
+    return out
+
+
+def letter(z, x, y, label, q1, q2, n, conv):
+    """Coefficient of the generator ``label`` in ansatz entry (x, y), with
+    the coordinate blocks at ``q1`` and ``q2``."""
+    gi, gj, alpha = label
+    (i, r), (j, s) = divmod(x, n), divmod(y, n)
+    t_rs = basis_t(alpha)[r, s]
+    if (gi, gj) != (j + 1, i + 1) or t_rs == 0:
+        return 0.0
+    value = t_rs * theta(z + q2[i] - q1[j] + omega(alpha, CTX), CTX)
+    if conv.exp_factor:
+        value *= cmath.exp(2j * cmath.pi * alpha.a2 * z / n)
+    return value
+
+
+def oracle_element(key, n, m, params, z1, z2, conv):
+    """One defect element, word by word, and its mass.
+
+    A coefficient standing right of a generator (i, j, alpha) sees q1_i and
+    q2_j moved by hbar: the second letter sees the first letter's shift, the
+    right-hand R sees both letters' shifts on q1.
+    """
+    ao, bo, ai, bi = key
+    d = m * n
+    q1, q2, hbar = params.q1, params.q2, params.hbar
+    labels = [
+        (i, j, alpha)
+        for i in range(1, m + 1)
+        for j in range(1, m + 1)
+        for alpha in all_indices(n)
+    ]
+    r_left = r_slnm(hbar, z1 - z2, q2, n, CTX)
+    r_right = {
+        (k, l): r_slnm(hbar, z1 - z2, shifted(q1, hbar, k, l), n, CTX)
+        for k in range(1, m + 1)
+        for l in range(1, m + 1)
+    }
+    g = m * m * n * n
+    row = np.zeros(g * g, dtype=complex)
+    mass = np.zeros(g * g)
+    for a in labels:
+        q1s, q2s = shifted(q1, hbar, a[0]), shifted(q2, hbar, a[1])
+        for b in labels:
+            slot = word_slot(((a[0], a[1], a[2].pair), (b[0], b[1], b[2].pair)), m, n)
+            r_ab = r_right[a[0], b[0]]
+            for am in range(d):
+                for bm in range(d):
+                    lhs = (
+                        r_left[ao * d + bo, am * d + bm]
+                        * letter(z1, am, ai, a, q1, q2, n, conv)
+                        * letter(z2, bm, bi, b, q1s, q2s, n, conv)
+                    )
+                    rhs = (
+                        letter(z2, bo, bm, a, q1, q2, n, conv)
+                        * letter(z1, ao, am, b, q1s, q2s, n, conv)
+                        * r_ab[am * d + bm, ai * d + bi]
+                    )
+                    row[slot] += lhs - rhs
+                    mass[slot] += abs(lhs) + abs(rhs)
+    return row, float(np.linalg.norm(mass))
+
+
 class TestShiftBookkeeping:
-    def test_word_shift_accumulates_per_coordinate(self):
-        word = (
-            Generator(1, 2, LatticeIndex(0, 0, 2)),
-            Generator(1, 1, LatticeIndex(1, 0, 2)),
-        )
-        assert word_shift(word, 2) == ((2, 0), (1, 1))
-
-    def test_empty_word_shifts_nothing(self):
-        assert word_shift((), 3) == ((0, 0, 0), (0, 0, 0))
-
     def test_product_shifts_the_right_coefficient(self):
-        # (c1 g1)(c2 g2) must freeze to c1(q) c2(q + hbar shift of g1)
-        m, n = 2, 2
-        params = params_for(m)
-        g1 = Generator(2, 1, LatticeIndex(0, 1, n))
-        g2 = Generator(1, 1, LatticeIndex(1, 0, n))
-        c1 = Coefficient.of_atom(ThetaAtom(0.37 + 0.21j, (1, 0), (0, 0)), m)
-        c2 = Coefficient.of_atom(ThetaAtom(0.05 + 0.44j, (0, 1), (1, 0)), m)
-        prod = NCSum.generator(m, n, g1, c1) * NCSum.generator(m, n, g2, c2)
-        frozen = prod.freeze(params, CTX)
-        assert set(frozen) == {(g1, g2)}
-        left = theta(0.37 + 0.21j + params.q1[0], CTX)
-        # g1 = (i, j) = (2, 1) shifts q1_2 and q2_1 by hbar
-        right = theta(0.05 + 0.44j + params.q1[1] + HBAR + params.q2[0] + HBAR, CTX)
-        assert frozen[(g1, g2)] == pytest.approx(left * right, rel=1e-13)
-
-    def test_products_beyond_two_letters_raise(self):
-        m, n = 1, 2
-        g = Generator(1, 1, LatticeIndex(0, 0, n))
-        one = NCSum.generator(m, n, g)
-        with pytest.raises(ValueError):
-            (one * one) * one
-
-    def test_mixed_sizes_raise(self):
-        with pytest.raises(ValueError):
-            NCSum.zero(1, 2) + NCSum.zero(2, 2)
-
-    def test_freeze_is_linear(self):
-        m, n = 1, 2
-        params = params_for(m)
-        g = Generator(1, 1, LatticeIndex(1, 1, n))
-        a = NCSum.generator(m, n, g, Coefficient.of_atom(ThetaAtom(0.3, (1,), (0,)), m))
-        b = NCSum.generator(m, n, g, Coefficient.of_atom(ThetaAtom(0.1, (0,), (1,)), m))
-        w = 0.6 - 1.7j
-        combined = (a + b.scaled(w)).freeze(params, CTX)
-        va = a.freeze(params, CTX)[(g,)]
-        vb = b.freeze(params, CTX)[(g,)]
-        assert combined[(g,)] == pytest.approx(va + w * vb, rel=1e-13)
+        rng = np.random.default_rng(7)
+        for n, m in [(2, 1), (1, 2), (2, 2)]:
+            d = m * n
+            params = params_for(m)
+            for conv in (ON, OFF):
+                table, masses = _defect_table(n, m, params, Z1, Z2, conv, CTX)
+                picks = rng.choice(d**4, size=8, replace=False)
+                seen = 0.0
+                for flat in picks:
+                    key = tuple(int(v) for v in np.unravel_index(flat, (d,) * 4))
+                    row, mass = oracle_element(key, n, m, params, Z1, Z2, conv)
+                    assert np.max(np.abs(table[key] - row)) <= 1e-12 * mass, key
+                    assert abs(masses[key] - mass) <= 1e-12 * mass, key
+                    seen = max(seen, mass)
+                assert seen > 0.0
 
 
 class TestAnsatzEntries:
@@ -122,39 +159,38 @@ class TestAnsatzEntries:
         n, m = 2, 2
         params = params_for(m)
         i, j = 2, 1
-        blk = l_entry(i, j, Z1, params, n, conv, CTX)
+        coeffs = l_operator(Z1, params, n, conv, CTX)
         w = params.q2[i - 1] - params.q1[j - 1]
         for r in range(n):
             for s in range(n):
-                frozen = blk[r, s].freeze(params, CTX)
+                entry = coeffs[:, (i - 1) * n + r, (j - 1) * n + s, :]
+                expect = np.zeros_like(entry)
                 for alpha in all_indices(n):
-                    t_rs = basis_t(alpha)[r, s]
-                    gen = Generator(j, i, alpha)
-                    if t_rs == 0:
-                        assert (gen,) not in frozen
-                        continue
-                    expect = theta(Z1 + w + omega(alpha, CTX), CTX) * t_rs
-                    if conv.exp_factor:
-                        expect *= cmath.exp(2j * cmath.pi * alpha.a2 * Z1 / n)
-                    assert frozen[(gen,)] == pytest.approx(expect, rel=1e-13)
+                    slot = generator_slot(j, i, alpha.pair, m, n)
+                    for k, delta in enumerate((-1, 0, 1)):
+                        arg = Z1 + w + omega(alpha, CTX) + delta * HBAR
+                        value = theta(arg, CTX) * basis_t(alpha)[r, s]
+                        if conv.exp_factor:
+                            value *= cmath.exp(2j * cmath.pi * alpha.a2 * Z1 / n)
+                        expect[k, slot] = value
+                assert np.allclose(entry, expect, rtol=1e-13, atol=0.0)
 
     def test_operator_assembles_blocks(self):
+        # entry block (i, j) houses exactly the generators labelled (j, i, alpha)
         n, m = 2, 2
-        params = params_for(m)
-        full = l_operator(Z2, params, n, ON, CTX)
-        assert full.shape == (m * n, m * n)
-        blk = l_entry(2, 1, Z2, params, n, ON, CTX)
-        for r in range(n):
-            for s in range(n):
-                assert full[n + r, s].terms == blk[r, s].terms
+        coeffs = l_operator(Z2, params_for(m), n, ON, CTX)
+        assert coeffs.shape == (3, m * n, m * n, m * m * n * n)
+        for i in range(1, m + 1):
+            for j in range(1, m + 1):
+                block = coeffs[:, (i - 1) * n : i * n, (j - 1) * n : j * n, :]
+                used = set(np.flatnonzero(np.any(block != 0, axis=(0, 1, 2))))
+                housed = {generator_slot(j, i, a.pair, m, n) for a in all_indices(n)}
+                assert used == housed
 
     def test_entry_validation(self):
-        params = params_for(2)
+        single = DynamicalParams.single(params_for(2).q1, HBAR)
         with pytest.raises(ValueError):
-            l_entry(3, 1, Z1, params, 2, ON, CTX)
-        single = DynamicalParams.single(params.q1, HBAR)
-        with pytest.raises(ValueError):
-            l_entry(1, 1, Z1, single, 2, ON, CTX)
+            l_operator(Z1, single, 2, ON, CTX)
 
 
 class TestDefectSpans:

@@ -11,6 +11,7 @@ from ellrmx.elliptic import (
     PoleProximityError,
     all_indices,
     kronecker_phi,
+    omega_raw,
     theta,
 )
 from ellrmx.relations import (
@@ -41,6 +42,25 @@ def cosine_distance(a: np.ndarray, b: np.ndarray) -> float:
     na, nb = np.linalg.norm(a), np.linalg.norm(b)
     inner = abs(np.vdot(a, b))
     return 1.0 - inner / (na * nb)
+
+
+def crossed_beta0_coeffs(alpha, beta, hbar):
+    """Theta-rescaled constants at eta == hbar with the sign of gamma flipped
+    inside the first prefactor, the variant that breaks the beta == 0 branch
+    for nonzero alpha."""
+    base = sklyanin_coeffs(alpha, beta, hbar, CTX)
+    n = alpha.n
+    coeffs = {}
+    pref_max = 0.0
+    for gamma, value in base.coefficients.items():
+        _, second = base.word(gamma)
+        first = (alpha.a1 + gamma.a1, alpha.a2 + gamma.a2)
+        pref = theta(hbar + omega_raw(*first, n, TAU), CTX) * theta(
+            hbar + omega_raw(*second, n, TAU), CTX
+        )
+        pref_max = max(pref_max, abs(pref))
+        coeffs[gamma] = value * pref
+    return SklyaninRelation(alpha, beta, coeffs, base.scale * pref_max)
 
 
 class TestSlots:
@@ -177,9 +197,7 @@ class TestSklyaninTheta:
         alpha = LatticeIndex(1, 0, n)
         beta = LatticeIndex(0, 0, n)
         matched = sklyanin_coeffs_eta(alpha, beta, HBAR, HBAR, CTX)
-        crossed = sklyanin_coeffs_eta(
-            alpha, beta, HBAR, HBAR, CTX, crossed_beta0=True
-        )
+        crossed = crossed_beta0_coeffs(alpha, beta, HBAR)
         assert sklyanin_representation_residual(matched, CTX, hbar=HBAR) <= 1e-9
         assert sklyanin_representation_residual(crossed, CTX, hbar=HBAR) > 1e-3
 
@@ -189,8 +207,6 @@ class TestSklyaninTheta:
         beta = LatticeIndex(0, 1, n)
         bare = sklyanin_coeffs(alpha, beta, HBAR, CTX)
         tilde = sklyanin_coeffs_eta(alpha, beta, HBAR, HBAR, CTX)
-        from ellrmx.elliptic import omega_raw
-
         for gamma, value in bare.coefficients.items():
             first, second = bare.word(gamma)
             pref = theta(HBAR + omega_raw(*first, n, TAU), CTX) * theta(

@@ -25,8 +25,6 @@ from ellrmx.tensor import TensorOperator, permute_components
 from ellrmx.rmatrix import (
     DynamicalParams,
     IdentityCheck,
-    ResidualReport,
-    aggregate_residuals,
     bb_l_operator_rll_residual,
     dybe_residual_felder,
     dybe_residual_slnm,
@@ -302,13 +300,6 @@ class TestShiftedR:
 
 
 class TestParamsAndReports:
-    def test_dynamical_params_validate(self):
-        good = DynamicalParams.single((0.31 + 0.4j, 0.72 + 0.21j), 0.13 + 0.27j)
-        good.validate(CTX)
-        clash = DynamicalParams.single((0.3 + 0.4j, 0.3 + 0.4j + 0.01), 0.13 + 0.27j)
-        with pytest.raises(ValueError):
-            clash.validate(CTX)
-
     def test_pair_constructor_checks_length(self):
         with pytest.raises(ValueError):
             DynamicalParams.pair((0.1,), (0.2, 0.3), 0.05)
@@ -318,20 +309,6 @@ class TestParamsAndReports:
             IdentityCheck(-1.0, 1.0)
         with pytest.raises(ValueError):
             IdentityCheck(0.5, 0.0)
-
-    def test_aggregate(self):
-        checks = [IdentityCheck(1e-12, 2.0), IdentityCheck(3e-12, 5.0)]
-        rep = aggregate_residuals(checks)
-        assert rep.max_residual == 3e-12
-        assert rep.mean_residual == pytest.approx(2e-12)
-        assert rep.normalization == 5.0
-        assert rep.trials == 2
-        with pytest.raises(ValueError):
-            aggregate_residuals([])
-
-    def test_residual_report_validation(self):
-        with pytest.raises(ValueError):
-            ResidualReport(0.1, 0.1, 1.0, 0)
 
     def test_relative_residual_floor(self):
         z = np.zeros((2, 2))

@@ -8,7 +8,6 @@ from ellrmx.sampling import (
     SampleSpec,
     SamplingError,
     admissible,
-    cross_diffs,
     sample_params,
     shift_closed,
     within_diffs,
@@ -103,12 +102,6 @@ class TestHelpers:
         assert within_diffs((1 + 0j,)) == []
         got = within_diffs((1 + 0j, 3 + 0j, 6 + 0j))
         assert got == [-2 + 0j, -5 + 0j, -3 + 0j]
-
-    def test_cross_diffs_needs_two_blocks(self):
-        single = DynamicalParams((0.1 + 0.2j,), None, 0.3j)
-        assert cross_diffs(single) == []
-        both = DynamicalParams((1 + 0j, 2 + 0j), (10 + 0j, 20 + 0j), 0.3j)
-        assert cross_diffs(both) == [9 + 0j, 8 + 0j, 19 + 0j, 18 + 0j]
 
     def test_shift_closed_spans_both_signs(self):
         got = shift_closed([1 + 0j], 0.5 + 0j, 2)
