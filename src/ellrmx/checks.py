@@ -25,6 +25,7 @@ from .elliptic import (
 )
 from .ncalgebra import (
     LConvention,
+    RelationSet,
     defect_factorization_check,
     relation_vectors_reference,
     rll_defect,
@@ -288,7 +289,7 @@ def _rll_trial(
     n, m = cfg.n, cfg.m
     conv = LConvention(exp_factor=cfg.l_exp_factor)
     z1, z2, z3, z4 = zs
-    reference = relation_vectors_reference(n, m, params, ctx)
+    reference = RelationSet.of(relation_vectors_reference(n, m, params, ctx))
     first = rll_defect(n, m, params, z1, z2, conv, ctx)
     second = rll_defect(n, m, params, z3, z4, conv, ctx)
     if not reference and not first and not second:
@@ -325,7 +326,7 @@ def _relations_trial(
     cfg: CheckConfig, params: DynamicalParams, zs: tuple[complex, ...],
     ctx: EllipticContext,
 ) -> tuple[float, int]:
-    vectors = relation_vectors_reference(cfg.n, cfg.m, params, ctx)
+    vectors = RelationSet.of(relation_vectors_reference(cfg.n, cfg.m, params, ctx))
     rank = span_rank(vectors) if vectors else 0
     return float(abs(rank - _flat_rank(cfg.n, cfg.m))), rank
 
@@ -398,8 +399,10 @@ def _tv_trial(
     ctx: EllipticContext,
 ) -> tuple[float, int]:
     m = cfg.m
-    families = relation_vectors_reference(1, m, params, ctx)
-    tv = [r.vector(m) for r in tv_relations(m, params.q1, params.q2, params.hbar, ctx)]
+    families = RelationSet.of(relation_vectors_reference(1, m, params, ctx))
+    tv = RelationSet.of(
+        [r.vector(m) for r in tv_relations(m, params.q1, params.q2, params.hbar, ctx)]
+    )
     reduction = slnm_reduction_residual_n1(params.hbar, zs[0], params.q1, ctx)
     if not families and not tv:
         return reduction, 0

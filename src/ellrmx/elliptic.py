@@ -165,7 +165,9 @@ def theta_d2(u: complex, ctx: EllipticContext) -> complex:
     return _theta_block(u, ctx)[2]
 
 
-def _guard(name: str, value: complex, tau: complex) -> None:
+def guard_denominator(name: str, value: complex, tau: complex) -> None:
+    """Raise :class:`PoleProximityError` if ``value``, a theta argument in
+    a denominator, lies within ``DELTA_MIN`` of the zero lattice."""
     d = lattice_distance(value, tau)
     if d < DELTA_MIN:
         raise PoleProximityError(
@@ -182,8 +184,8 @@ def kronecker_phi(u: complex, x: complex, ctx: EllipticContext) -> complex:
     arguments are guarded against the zero lattice: the numerator may vanish
     (e.g. ``x = -u`` gives an honest zero).
     """
-    _guard("u", u, ctx.tau)
-    _guard("x", x, ctx.tau)
+    guard_denominator("u", u, ctx.tau)
+    guard_denominator("x", x, ctx.tau)
     return ctx.theta_prime0 * theta(u + x, ctx) / (theta(u, ctx) * theta(x, ctx))
 
 
@@ -208,7 +210,7 @@ def eisenstein_e1(z: complex, ctx: EllipticContext) -> complex:
 
     1-periodic; picks up ``-2 pi i`` under a tau shift.
     """
-    _guard("z", z, ctx.tau)
+    guard_denominator("z", z, ctx.tau)
     t0, t1, _ = _theta_block(z, ctx)
     return t1 / t0
 
@@ -219,7 +221,7 @@ def eisenstein_e2(z: complex, ctx: EllipticContext) -> complex:
     Equal to minus the derivative of :func:`eisenstein_e1`; fully elliptic
     and even.
     """
-    _guard("z", z, ctx.tau)
+    guard_denominator("z", z, ctx.tau)
     t0, t1, t2 = _theta_block(z, ctx)
     return (t1 / t0) ** 2 - t2 / t0
 

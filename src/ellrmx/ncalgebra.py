@@ -4,12 +4,12 @@ The ansatz entries are linear in generators labelled (i, j, alpha) with
 theta coefficients.  Moving a coefficient leftward past a generator shifts
 its arguments by hbar on coordinate i of the first block and coordinate j
 of the second.  In a two-letter word the second letter's theta argument
-therefore moves by -1, 0 or +1 hbar, and the right-hand R-matrix's first
-block by the shift of both letters.  The defect of the exchange relation is
-assembled numerically from ansatz coefficients at those three shifts and a
-few shifted R-matrices, as coefficient vectors over ordered two-letter
-words that are compared span-wise against the closed-form relation
-families of :mod:`ellrmx.relations`.
+therefore moves by -1, 0 or +1 hbar.  The defect of the exchange relation
+is assembled numerically from ansatz coefficients at those three shifts and
+two R-matrices, as coefficient vectors over ordered two-letter words.  Each
+set of such vectors becomes a :class:`RelationSet`, decomposed once, whose
+span is compared against the closed-form relation families of
+:mod:`ellrmx.relations` (rank, mutual inclusion, principal angles).
 """
 
 from __future__ import annotations
@@ -22,12 +22,10 @@ from typing import Sequence
 import numpy as np
 
 from .elliptic import (
-    DELTA_MIN,
     EllipticContext,
     LatticeIndex,
-    PoleProximityError,
     all_indices,
-    lattice_distance,
+    guard_denominator,
     omega,
     theta,
 )
@@ -91,7 +89,7 @@ def l_operator(
     return out
 
 
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=2)
 def _defect_table(
     n: int,
     m: int,
@@ -108,10 +106,12 @@ def _defect_table(
     (:func:`ellrmx.relations.word_slot` layout) of the element with
     composite indices (a_out, b_out, a_in, b_in).  In a word (a, a') the
     second letter's coefficient is shifted by ``[a'.j == a.j] - [a'.i ==
-    a.i]`` hbar, and the right-hand R stands at ``q1 + hbar (e_{a.i} +
-    e_{a'.i})``.  ``mass[ao, bo, ai, bi]`` is the norm over words of the
-    summed term moduli, the scale against which a defect counts as an
-    identical cancellation.  Results are memoized and read-only.
+    a.i]`` hbar.  The right-hand R stands at q1: the entries a word meets
+    depend only on ``q1_{a.i} - q1_{a'.i}``, which the word's shift ``hbar
+    (e_{a.i} + e_{a'.i})`` leaves alone.  ``mass[ao, bo, ai, bi]`` is the
+    norm over words of the summed term moduli, the scale against which a
+    defect counts as an identical cancellation.  The two tables of the
+    latest trial are memoized; results are read-only.
     """
     if params.q2 is None:
         raise ValueError("the exchange relation needs two coordinate blocks")
@@ -123,33 +123,24 @@ def _defect_table(
     la = l_operator(z1, params, n, conv, ctx)
     lb = l_operator(z2, params, n, conv, ctx)
     r_left = r_slnm(params.hbar, z12, params.q2, n, ctx).reshape(d, d, d, d)
+    r_right = r_slnm(params.hbar, z12, params.q1, n, ctx).reshape(d, d, d, d)
     slot_i, slot_j = np.divmod(np.arange(g) // (n * n), m)
     # index along the SHIFTS axis of the second letter of each word (a, a')
     second = 1 + (slot_j[:, None] == slot_j) - (slot_i[:, None] == slot_i)
     table = np.empty((d, d, d, d, g, g), dtype=complex)
     mass_sq = np.zeros((d, d, d, d))
-    r_right: dict[tuple[int, int], np.ndarray] = {}
     # Slots sharing a first coordinate index are contiguous; one block of
-    # words per (a.i, a'.i) pair shares the right-hand R.
+    # words per (a.i, a'.i) pair bounds the contraction temporaries.
     span = g // m
     for k in range(m):
         first = slice(k * span, (k + 1) * span)
         for l in range(m):
             cols = np.arange(l * span, (l + 1) * span)
-            key = (min(k, l), max(k, l))
-            if key not in r_right:
-                coords = [
-                    v + params.hbar * ((c == k) + (c == l))
-                    for c, v in enumerate(params.q1)
-                ]
-                r_right[key] = r_slnm(params.hbar, z12, coords, n, ctx).reshape(
-                    d, d, d, d
-                )
             shift = second[first, cols]
             # operands indexed [ao, bo, am, bm], [am, ai, a], [a, a', bm, bi]
             lhs = (r_left, la[1, :, :, first], lb[shift, :, :, cols])
             # operands indexed [bo, bm, a], [a, a', ao, am], [am, bm, ai, bi]
-            rhs = (lb[1, :, :, first], la[shift, :, :, cols], r_right[key])
+            rhs = (lb[1, :, :, first], la[shift, :, :, cols], r_right)
             table[..., first, cols] = _contract_lhs(*lhs) - _contract_rhs(*rhs)
             moduli = _contract_lhs(*map(np.abs, lhs)) + _contract_rhs(*map(np.abs, rhs))
             mass_sq += np.einsum("ABijab,ABijab->ABij", moduli, moduli)
@@ -168,6 +159,54 @@ def _contract_rhs(first: np.ndarray, second: np.ndarray, r_mat: np.ndarray) -> n
     return np.einsum("Bya,abAx,xyij->ABijab", first, second, r_mat, optimize=True)
 
 
+@dataclass(frozen=True, eq=False)
+class RelationSet:
+    """Relation vectors stacked as rows, each normalized to unit length.
+
+    Relations are projectively meaningful, so normalizing keeps the rank
+    threshold honest when vector norms spread over orders of magnitude.
+    The basis of the span comes from one thin SVD, taken on first use and
+    cached.  An empty set is allowed (the 1 x 1 exchange relation is an
+    exact identity) but cannot be compared.
+    """
+
+    rows: np.ndarray
+
+    def __post_init__(self) -> None:
+        rows = np.asarray(self.rows, dtype=complex)
+        norms = np.linalg.norm(rows, axis=1, keepdims=True)
+        if not (np.all(np.isfinite(rows)) and np.all(norms > 0)):
+            raise ValueError("relation rows must be finite and nonzero")
+        rows = rows / norms
+        rows.setflags(write=False)
+        object.__setattr__(self, "rows", rows)
+
+    @classmethod
+    def of(cls, vectors: Sequence[RelationVector]) -> RelationSet:
+        """The set of the given labelled vectors, in order."""
+        dims = {v.coords.size for v in vectors}
+        if len(dims) > 1:
+            raise ValueError(f"mixed vector dimensions {sorted(dims)}")
+        mat = np.array([v.coords for v in vectors], dtype=complex)
+        return cls(mat.reshape(len(vectors), dims.pop() if dims else 0))
+
+    def __len__(self) -> int:
+        return self.rows.shape[0]
+
+    @functools.cached_property
+    def basis(self) -> np.ndarray:
+        """Orthonormal basis (as columns) of the span."""
+        _, sv, vh = np.linalg.svd(self.rows, full_matrices=False)
+        return vh[: _rank(sv)].T
+
+
+def _rank(sv: np.ndarray) -> int:
+    """Rank: the count of singular values above 1e-8 of the largest."""
+    if not sv.size:
+        raise ValueError("empty relation sets cannot be compared")
+    return int(np.sum(sv > 1e-8 * sv[0]))
+
+
 def rll_defect(
     n: int,
     m: int,
@@ -176,21 +215,17 @@ def rll_defect(
     z2: complex,
     conv: LConvention,
     ctx: EllipticContext,
-) -> list[RelationVector]:
+) -> RelationSet:
     """Defect vectors of the exchange relation for the L-ansatz.
 
-    One vector per matrix element of LHS minus RHS, evaluated at the
-    numeric point.  Elements whose norm is at most 1e-12 of their own term
-    mass are identical cancellations and are dropped; an exact identity
-    (the 1 x 1 case) gives an empty list.
+    One row per matrix element of LHS minus RHS, evaluated at the numeric
+    point.  Elements whose norm is at most 1e-12 of their own term mass
+    are identical cancellations and are dropped; an exact identity (the
+    1 x 1 case) gives an empty set.
     """
     table, mass = _defect_table(n, m, params, z1, z2, conv, ctx)
     keep = np.linalg.norm(table, axis=-1) > 1e-12 * mass
-    return [
-        RelationVector(f"defect-{key}", m, n, table[key])
-        for key in np.ndindex(keep.shape)
-        if keep[key]
-    ]
+    return RelationSet(table[keep])
 
 
 def relation_vectors_reference(
@@ -246,53 +281,26 @@ def relation_vectors_reference(
     return [v for v, nv in zip(raw, norms) if nv > floor]
 
 
-def _stack(vectors: Sequence[RelationVector]) -> np.ndarray:
-    """Stack vectors as rows, each normalized to unit length.
-
-    Relations are projectively meaningful, so normalizing keeps the rank
-    threshold honest when vector norms spread over orders of magnitude.
-    """
-    if not vectors:
-        raise ValueError("empty relation sets cannot be compared")
-    dims = {v.coords.size for v in vectors}
-    if len(dims) != 1:
-        raise ValueError(f"mixed vector dimensions {sorted(dims)}")
-    mat = np.array([v.coords for v in vectors])
-    return mat / np.linalg.norm(mat, axis=1, keepdims=True)
+def span_rank(vectors: RelationSet) -> int:
+    """Rank of the set: the width of its basis once one is computed, else
+    counted from a values-only SVD, at half the time and memory."""
+    if "basis" in vectors.__dict__:
+        return vectors.basis.shape[1]
+    return _rank(np.linalg.svd(vectors.rows, compute_uv=False))
 
 
-def _orthonormal_rows(mat: np.ndarray, rel_tol: float = 1e-8) -> np.ndarray:
-    """Orthonormal basis (as columns) of the row space of ``mat``."""
-    _, sv, vh = np.linalg.svd(mat, full_matrices=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return np.zeros((mat.shape[1], 0), dtype=complex)
-    rank = int(np.sum(sv > rel_tol * sv[0]))
-    return vh[:rank].T
-
-
-def span_rank(vectors: Sequence[RelationVector], rel_tol: float = 1e-8) -> int:
-    """Rank of the stacked vectors, singular values cut at ``rel_tol`` of
-    the largest."""
-    sv = np.linalg.svd(_stack(vectors), compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return 0
-    return int(np.sum(sv > rel_tol * sv[0]))
-
-
-def span_equal(
-    a: Sequence[RelationVector], b: Sequence[RelationVector], tol: float
-) -> tuple[bool, float]:
+def span_equal(a: RelationSet, b: RelationSet, tol: float) -> tuple[bool, float]:
     """Mutual-inclusion span test.
 
     Projects every vector of each set onto the span of the other; the
     metric is the worst relative least-squares residual, and the verdict is
     ``metric < tol``.
     """
-    ma, mb = _stack(a), _stack(b)
-    if ma.shape[1] != mb.shape[1]:
+    qa, qb = a.basis, b.basis
+    if qa.shape[0] != qb.shape[0]:
         raise ValueError("vector dimensions differ between the two sets")
     worst = 0.0
-    for rows, basis in ((ma, _orthonormal_rows(mb)), (mb, _orthonormal_rows(ma))):
+    for rows, basis in ((a.rows, qb), (b.rows, qa)):
         v = rows.T
         res = v - basis @ (basis.conj().T @ v)
         num = np.linalg.norm(res, axis=0)
@@ -301,17 +309,14 @@ def span_equal(
     return worst < tol, worst
 
 
-def span_gap(a: Sequence[RelationVector], b: Sequence[RelationVector]) -> float:
+def span_gap(a: RelationSet, b: RelationSet) -> float:
     """Largest principal-angle sine between the two spans (symmetric).
 
     Equals 0 for identical spans and reaches 1 when one span contains a
     direction orthogonal to the other, so rank mismatches surface as gaps
     of order one.
     """
-    qa = _orthonormal_rows(_stack(a))
-    qb = _orthonormal_rows(_stack(b))
-    if qa.shape[1] == 0 or qb.shape[1] == 0:
-        return 0.0 if qa.shape[1] == qb.shape[1] else 1.0
+    qa, qb = a.basis, b.basis
     ga = np.linalg.norm(qa - qb @ (qb.conj().T @ qa), 2)
     gb = np.linalg.norm(qb - qa @ (qa.conj().T @ qb), 2)
     return float(max(ga, gb))
@@ -368,12 +373,8 @@ def component_ratio(
     comp /= n * n
     d_b = z2 + params.q2[i - 1] - params.q1[k - 1] + omega(beta, ctx)
     d_a = z1 + params.q2[i - 1] - params.q1[j - 1] + params.hbar + omega(alpha, ctx)
-    for arg in (d_b, d_a):
-        if lattice_distance(arg, ctx.tau) < DELTA_MIN:
-            raise PoleProximityError(
-                f"prefactor argument {arg:.6g} too close to a theta zero; "
-                "resample the spectral parameters"
-            )
+    guard_denominator("beta prefactor argument", d_b, ctx.tau)
+    guard_denominator("alpha prefactor argument", d_a, ctx.tau)
     div = theta(d_b, ctx) * theta(d_a, ctx)
     if conv.exp_factor:
         div *= cmath.exp(TWO_PI_I * (alpha.a2 * z1 + beta.a2 * z2) / n)

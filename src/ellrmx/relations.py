@@ -19,15 +19,13 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .elliptic import (
-    DELTA_MIN,
     EllipticContext,
     LatticeIndex,
-    PoleProximityError,
     all_indices,
     eisenstein_e1,
     eisenstein_e2,
+    guard_denominator,
     kronecker_phi,
-    lattice_distance,
     omega_raw,
     theta,
 )
@@ -306,13 +304,6 @@ class TVRelation:
         )
 
 
-def _guard_denominator(value: complex, what: str, tau: complex) -> None:
-    if lattice_distance(value, tau) < DELTA_MIN:
-        raise PoleProximityError(
-            f"{what} = {value:.6g} lies within {DELTA_MIN} of the zero lattice"
-        )
-
-
 def tv_relations(
     m: int,
     q1: Sequence[complex],
@@ -348,7 +339,7 @@ def tv_relations(
         for i in range(1, m + 1):
             for j in range(i + 1, m + 1):
                 x = p[i - 1] - p[j - 1]
-                _guard_denominator(x + hbar, "shifted first-set difference", tau)
+                guard_denominator("shifted first-set difference", x + hbar, tau)
                 ratio = theta(x - hbar, ctx) / theta(x + hbar, ctx)
                 out.append(
                     TVRelation(
@@ -367,8 +358,8 @@ def tv_relations(
                         continue
                     x = p[i - 1] - p[k - 1]
                     y = s[j - 1] - s[l - 1]
-                    _guard_denominator(x, "first-set difference", tau)
-                    _guard_denominator(y, "second-set difference", tau)
+                    guard_denominator("first-set difference", x, tau)
+                    guard_denominator("second-set difference", y, tau)
                     front = theta(y - hbar, ctx) / theta(y, ctx)
                     back = theta(x - hbar, ctx) / theta(x, ctx)
                     cross = (

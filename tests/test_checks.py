@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from ellrmx.checks import (
@@ -112,6 +113,22 @@ class TestSpanChecks:
     def test_relations_rank_is_flat_count(self):
         rep = run_one("relations", trials=2)
         assert rep.passed and rep.rank == 120
+
+    @pytest.mark.parametrize("check, calls", [("rll", 3), ("tv-reduce", 2), ("relations", 1)])
+    def test_each_relation_set_is_decomposed_once(self, monkeypatch, check, calls):
+        # rll holds two defect sets and the reference set, tv-reduce the
+        # families and the TV relations: one SVD per set, shared by every
+        # rank, inclusion and gap computed from it.
+        svd = np.linalg.svd
+        seen = []
+
+        def counting(*args, **kwargs):
+            seen.append(args[0].shape)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        run_one(check, trials=1)
+        assert len(seen) == calls, seen
 
 
 class TestReductionChecks:

@@ -259,6 +259,11 @@ class TestEisenstein:
         fd = (eisenstein_e1(z + h, CTX) - eisenstein_e1(z - h, CTX)) / (2 * h)
         assert abs(eisenstein_e2(z, CTX) + fd) <= 1e-6
 
+    def test_pole_guard(self):
+        for fn in (eisenstein_e1, eisenstein_e2):
+            with pytest.raises(PoleProximityError, match=r"z = .* lies .* from the zero"):
+                fn(1.0 + TAU + 0.01, CTX)
+
     def test_e2_elliptic_and_even(self):
         z = 0.26 + 0.44 * TAU
         base = eisenstein_e2(z, CTX)

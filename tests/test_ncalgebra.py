@@ -15,6 +15,7 @@ from ellrmx.elliptic import (
 )
 from ellrmx.ncalgebra import (
     LConvention,
+    RelationSet,
     _defect_table,
     component_ratio,
     defect_factorization_check,
@@ -195,15 +196,15 @@ class TestAnsatzEntries:
 
 class TestDefectSpans:
     def test_scalar_single_site_case_is_an_exact_identity(self):
-        assert rll_defect(1, 1, params_for(1), Z1, Z2, ON, CTX) == []
-        assert rll_defect(1, 1, params_for(1), Z1, Z2, OFF, CTX) == []
+        assert len(rll_defect(1, 1, params_for(1), Z1, Z2, ON, CTX)) == 0
+        assert len(rll_defect(1, 1, params_for(1), Z1, Z2, OFF, CTX)) == 0
 
     @pytest.mark.parametrize("nm", [(2, 1), (1, 2), (2, 2)])
     def test_defect_span_equals_reference_span(self, nm):
         n, m = nm
         params = params_for(m)
         defects = rll_defect(n, m, params, Z1, Z2, ON, CTX)
-        reference = relation_vectors_reference(n, m, params, CTX)
+        reference = RelationSet.of(relation_vectors_reference(n, m, params, CTX))
         ok, metric = span_equal(defects, reference, 1e-8)
         assert ok, f"span mismatch at (n, m) = {nm}: metric {metric:.3e}"
         assert metric < 1e-10
@@ -213,7 +214,7 @@ class TestDefectSpans:
         n, m = nm
         params = params_for(m)
         defects = rll_defect(n, m, params, Z1, Z2, ON, CTX)
-        reference = relation_vectors_reference(n, m, params, CTX)
+        reference = RelationSet.of(relation_vectors_reference(n, m, params, CTX))
         assert span_rank(defects) == flat_ranks(n, m)
         assert span_rank(reference) == flat_ranks(n, m)
 
@@ -223,7 +224,7 @@ class TestDefectSpans:
         n, m = 2, 1
         params = params_for(m)
         defects = rll_defect(n, m, params, Z1, Z2, OFF, CTX)
-        reference = relation_vectors_reference(n, m, params, CTX)
+        reference = RelationSet.of(relation_vectors_reference(n, m, params, CTX))
         assert span_rank(defects) > flat_ranks(n, m)
         ok, metric = span_equal(defects, reference, 1e-8)
         assert not ok
@@ -233,7 +234,7 @@ class TestDefectSpans:
     def test_defect_span_is_independent_of_spectral_parameters(self):
         n, m = 2, 2
         params = params_for(m)
-        reference = relation_vectors_reference(n, m, params, CTX)
+        reference = RelationSet.of(relation_vectors_reference(n, m, params, CTX))
         first = None
         for z1, z2 in Z_SAMPLES:
             defects = rll_defect(n, m, params, z1, z2, ON, CTX)
@@ -346,25 +347,35 @@ class TestSpanHelpers:
 
     def test_empty_sets_cannot_be_compared(self):
         with pytest.raises(ValueError):
-            span_rank([])
+            span_rank(RelationSet.of([]))
         with pytest.raises(ValueError):
-            span_equal([], [self.vec("a", 0)], 1e-8)
+            span_equal(RelationSet.of([]), RelationSet.of([self.vec("a", 0)]), 1e-8)
+
+    def test_non_finite_or_zero_rows_raise(self):
+        rows = np.eye(2, 16, dtype=complex)
+        rows[1, 3] = np.nan
+        with pytest.raises(ValueError):
+            RelationSet(rows)
+        with pytest.raises(ValueError):
+            RelationSet(np.zeros((1, 16), dtype=complex))
 
     def test_mixed_dimensions_raise(self):
         small = RelationVector("s", 1, 1, np.ones(1, dtype=complex))
         with pytest.raises(ValueError):
-            span_rank([self.vec("a", 0), small])
+            span_rank(RelationSet.of([self.vec("a", 0), small]))
 
     def test_gap_vanishes_for_identical_spans(self):
-        a = [self.vec("a", 0), self.vec("b", 1)]
-        b = [self.vec("c", 0, value=2.0 - 1.0j), self.vec("d", 1, value=0.5j)]
+        a = RelationSet.of([self.vec("a", 0), self.vec("b", 1)])
+        b = RelationSet.of(
+            [self.vec("c", 0, value=2.0 - 1.0j), self.vec("d", 1, value=0.5j)]
+        )
         assert span_gap(a, b) < 1e-12
         ok, metric = span_equal(a, b, 1e-8)
         assert ok and metric < 1e-12
 
     def test_gap_reaches_one_for_orthogonal_directions(self):
-        a = [self.vec("a", 0)]
-        b = [self.vec("b", 1)]
+        a = RelationSet.of([self.vec("a", 0)])
+        b = RelationSet.of([self.vec("b", 1)])
         assert span_gap(a, b) == pytest.approx(1.0)
         ok, _ = span_equal(a, b, 1e-8)
         assert not ok
@@ -374,13 +385,22 @@ class TestSpanHelpers:
         coords[0] = 1.0
         coords[1] = 1.0j
         mixed = RelationVector("m", 2, 1, coords)
-        assert span_rank([self.vec("a", 0), self.vec("b", 1), mixed]) == 2
+        vectors = RelationSet.of([self.vec("a", 0), self.vec("b", 1), mixed])
+        assert span_rank(vectors) == 2
+
+    def test_rank_after_a_comparison_is_the_basis_width(self):
+        # A set never compared is ranked from its singular values alone; a
+        # compared one reads its rank off the cached basis.  Both agree.
+        rows = [self.vec("a", 0), self.vec("b", 1), self.vec("c", 0, value=3.0j)]
+        ranked, compared = RelationSet.of(rows), RelationSet.of(rows)
+        assert span_gap(compared, compared) < 1e-12
+        assert span_rank(ranked) == span_rank(compared) == compared.basis.shape[1] == 2
 
     def test_complex_row_space_projection_is_exact(self):
         # Residuals must use the row space itself, not its conjugate.
         n, m = 2, 2
         params = params_for(m)
-        vectors = relation_vectors_reference(n, m, params, CTX)
+        vectors = RelationSet.of(relation_vectors_reference(n, m, params, CTX))
         ok, metric = span_equal(vectors, vectors, 1e-8)
         assert ok and metric < 1e-12
 

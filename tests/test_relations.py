@@ -314,6 +314,14 @@ class TestTVRelations:
         with pytest.raises(PoleProximityError):
             tv_relations(2, q1, Q2, HBAR, CTX)
 
+    def test_pole_guard_on_shifted_and_second_set_differences(self):
+        q1 = (0.2 + 0.3j, 0.2 + 0.3j + HBAR + 0.01)
+        with pytest.raises(PoleProximityError, match="shifted first-set difference"):
+            tv_relations(2, q1, Q2, HBAR, CTX)
+        q2 = (0.31 + 0.63j, 0.31 + 0.63j + 0.01)
+        with pytest.raises(PoleProximityError, match="second-set difference"):
+            tv_relations(2, Q1, q2, HBAR, CTX)
+
 
 class TestFamilyCoefficients:
     def params_n1(self):
