@@ -8,6 +8,7 @@ ones (rll, tv-reduce), whose default tolerance is looser.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 import time
@@ -113,6 +114,10 @@ class CheckConfig:
             raise ConfigError(
                 f"n*m = {self.n * self.m} exceeds the desk-scale bound {MAX_SITES}"
             )
+        if not cmath.isfinite(self.tau):
+            raise ConfigError(f"tau = {self.tau} is not finite")
+        if self.hbar is not None and not cmath.isfinite(self.hbar):
+            raise ConfigError(f"hbar = {self.hbar} is not finite")
         if self.tau.imag < MIN_IM_TAU:
             raise ConfigError(
                 f"Im tau = {self.tau.imag} below the convergence floor {MIN_IM_TAU}"

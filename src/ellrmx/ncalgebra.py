@@ -7,9 +7,12 @@ of the second.  In a two-letter word the second letter's theta argument
 therefore moves by -1, 0 or +1 hbar.  The defect of the exchange relation
 is assembled numerically from ansatz coefficients at those three shifts and
 two R-matrices, as coefficient vectors over ordered two-letter words.  Each
-set of such vectors becomes a :class:`RelationSet`, decomposed once, whose
-span is compared against the closed-form relation families of
-:mod:`ellrmx.relations` (rank, mutual inclusion, principal angles).
+set of such vectors becomes a :class:`RelationSet`, whose span is compared
+against the closed-form relation families of :mod:`ellrmx.relations`
+(rank, mutual inclusion, principal angles).  The relations are graded:
+each vector is exactly zero outside one sector of words, so a set splits
+into independent components with disjoint word supports, and every span
+computation runs on small per-component SVDs.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 import cmath
 import functools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -165,8 +168,11 @@ class RelationSet:
 
     Relations are projectively meaningful, so normalizing keeps the rank
     threshold honest when vector norms spread over orders of magnitude.
-    The basis of the span comes from one thin SVD, taken on first use and
-    cached.  An empty set is allowed (the 1 x 1 exchange relation is an
+    The rows split into the connected components of their nonzero pattern:
+    a component is a set of rows together with the word columns they
+    touch.  Components have disjoint column supports, so the span is the
+    direct sum of theirs; each takes one small thin SVD, on first use, and
+    is cached.  An empty set is allowed (the 1 x 1 exchange relation is an
     exact identity) but cannot be compared.
     """
 
@@ -194,17 +200,63 @@ class RelationSet:
         return self.rows.shape[0]
 
     @functools.cached_property
-    def basis(self) -> np.ndarray:
-        """Orthonormal basis (as columns) of the span."""
-        _, sv, vh = np.linalg.svd(self.rows, full_matrices=False)
-        return vh[: _rank(sv)].T
+    def components(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """(row indices, sorted word columns) of each component, in the
+        order of their first columns.  Rows join by exact nonzeros."""
+        r, c = np.nonzero(self.rows)
+        root = _join_columns(r, c, self.rows.shape[1])
+        first = np.searchsorted(r, np.arange(len(self)))
+        cols = _distinct(c)
+        return tuple(zip(_group_by(root[c[first]]), _group_by(root[cols], cols)))
+
+    @functools.cached_property
+    def bases(self) -> tuple[np.ndarray, ...]:
+        """Orthonormal basis (as columns over the component's words) of the
+        span of each component, cut at 1e-8 of the set's largest singular
+        value; their widths sum to the rank."""
+        svds = [
+            np.linalg.svd(self.rows[np.ix_(rows, cols)], full_matrices=False)[1:]
+            for rows, cols in self.components
+        ]
+        if not svds:
+            raise ValueError("empty relation sets cannot be compared")
+        cutoff = 1e-8 * max(sv[0] for sv, _ in svds)
+        return tuple(vh[: int(np.sum(sv > cutoff))].T for sv, vh in svds)
 
 
-def _rank(sv: np.ndarray) -> int:
-    """Rank: the count of singular values above 1e-8 of the largest."""
-    if not sv.size:
-        raise ValueError("empty relation sets cannot be compared")
-    return int(np.sum(sv > 1e-8 * sv[0]))
+def _join_columns(groups: np.ndarray, cols: np.ndarray, width: int) -> np.ndarray:
+    """Smallest column of the connected component of every column, where
+    the columns of each group (``groups`` sorted, one entry per member
+    column) are connected.  Hooks roots onto smaller ones until no pair
+    of connected columns has two roots."""
+    same = groups[1:] == groups[:-1]
+    u, v = cols[:-1][same], cols[1:][same]
+    root = np.arange(width)
+    while True:
+        while not np.array_equal(up := root[root], root):
+            root = up
+        ru, rv = root[u], root[v]
+        split = ru != rv
+        if not split.any():
+            return root
+        np.minimum.at(root, np.maximum(ru, rv)[split], np.minimum(ru, rv)[split])
+
+
+def _group_by(labels: np.ndarray, items: np.ndarray | None = None) -> list[np.ndarray]:
+    """``items`` (default: their positions) split by label, groups in label
+    order, members in their original order."""
+    if not labels.size:
+        return []
+    order = np.argsort(labels, kind="stable")
+    starts = np.flatnonzero(np.diff(labels[order])) + 1
+    return np.split(order if items is None else items[order], starts)
+
+
+def _distinct(indices: np.ndarray) -> np.ndarray:
+    """Sorted distinct nonnegative indices.  Not ``np.unique``: it imports
+    ``numpy.ma`` on first use, about 0.6 MB of resident memory."""
+    ordered = np.sort(indices)
+    return ordered[np.diff(ordered, prepend=-1) != 0]
 
 
 def rll_defect(
@@ -282,11 +334,50 @@ def relation_vectors_reference(
 
 
 def span_rank(vectors: RelationSet) -> int:
-    """Rank of the set: the width of its basis once one is computed, else
-    counted from a values-only SVD, at half the time and memory."""
-    if "basis" in vectors.__dict__:
-        return vectors.basis.shape[1]
-    return _rank(np.linalg.svd(vectors.rows, compute_uv=False))
+    """Rank of the set: the summed widths of its component bases."""
+    return sum(basis.shape[1] for basis in vectors.bases)
+
+
+_Piece = tuple[np.ndarray, np.ndarray]
+
+
+def _joint_blocks(
+    a: RelationSet, b: RelationSet
+) -> Iterator[tuple[np.ndarray, _Piece, _Piece]]:
+    """The two sets restricted to each joint component of their rows.
+
+    Yields the columns of each connected component of the union of both
+    sets' nonzero patterns, and per set its (rows, basis) there: the row
+    indices of its components inside, and their bases side by side on
+    those columns.  Both spans are the direct sums of these pieces.
+    """
+    pieces = [
+        (side, rows, cols, basis)
+        for side, s in enumerate((a, b))
+        for (rows, cols), basis in zip(s.components, s.bases)
+    ]
+    if a.rows.shape[1] != b.rows.shape[1]:
+        raise ValueError("vector dimensions differ between the two sets")
+    supports = [cols for _, _, cols, _ in pieces]
+    groups = np.repeat(np.arange(len(pieces)), [cols.size for cols in supports])
+    root = _join_columns(groups, np.concatenate(supports), a.rows.shape[1])
+    for members in _group_by(np.array([root[cols[0]] for cols in supports])):
+        inside = [pieces[k] for k in members]
+        block = _distinct(np.concatenate([cols for _, _, cols, _ in inside]))
+        yield block, *(_place(block, [p for p in inside if p[0] == side]) for side in (0, 1))
+
+
+def _place(block: np.ndarray, pieces: list) -> _Piece:
+    """Row indices of the given components, and their bases side by side
+    on the columns of ``block``."""
+    rows = [rows for _, rows, _, _ in pieces]
+    width = sum(q.shape[1] for _, _, _, q in pieces)
+    basis = np.zeros((block.size, width), dtype=complex)
+    at = 0
+    for _, _, cols, q in pieces:
+        basis[np.searchsorted(block, cols), at : at + q.shape[1]] = q
+        at += q.shape[1]
+    return (np.concatenate(rows) if rows else np.zeros(0, dtype=int)), basis
 
 
 def span_equal(a: RelationSet, b: RelationSet, tol: float) -> tuple[bool, float]:
@@ -294,18 +385,19 @@ def span_equal(a: RelationSet, b: RelationSet, tol: float) -> tuple[bool, float]
 
     Projects every vector of each set onto the span of the other; the
     metric is the worst relative least-squares residual, and the verdict is
-    ``metric < tol``.
+    ``metric < tol``.  A row and its projection both lie on the row's
+    joint component, so each projection is taken there.
     """
-    qa, qb = a.basis, b.basis
-    if qa.shape[0] != qb.shape[0]:
-        raise ValueError("vector dimensions differ between the two sets")
     worst = 0.0
-    for rows, basis in ((a.rows, qb), (b.rows, qa)):
-        v = rows.T
-        res = v - basis @ (basis.conj().T @ v)
-        num = np.linalg.norm(res, axis=0)
-        den = np.linalg.norm(v, axis=0)
-        worst = max(worst, float(np.max(num / den)))
+    for block, (rows_a, qa), (rows_b, qb) in _joint_blocks(a, b):
+        for s, rows, basis in ((a, rows_a, qb), (b, rows_b, qa)):
+            if not rows.size:
+                continue
+            v = s.rows[np.ix_(rows, block)]
+            res = v - (v @ basis.conj()) @ basis.T
+            num = np.linalg.norm(res, axis=1)
+            den = np.linalg.norm(v, axis=1)
+            worst = max(worst, float(np.max(num / den)))
     return worst < tol, worst
 
 
@@ -314,12 +406,16 @@ def span_gap(a: RelationSet, b: RelationSet) -> float:
 
     Equals 0 for identical spans and reaches 1 when one span contains a
     direction orthogonal to the other, so rank mismatches surface as gaps
-    of order one.
+    of order one.  Both bases are block diagonal over the joint
+    components, so the 2-norm is the largest over the blocks.
     """
-    qa, qb = a.basis, b.basis
-    ga = np.linalg.norm(qa - qb @ (qb.conj().T @ qa), 2)
-    gb = np.linalg.norm(qb - qa @ (qa.conj().T @ qb), 2)
-    return float(max(ga, gb))
+    gap = 0.0
+    for _, (_, qa), (_, qb) in _joint_blocks(a, b):
+        for q, other in ((qa, qb), (qb, qa)):
+            if q.shape[1]:
+                res = q - other @ (other.conj().T @ q)
+                gap = max(gap, float(np.linalg.norm(res, 2)))
+    return gap
 
 
 def component_ratio(

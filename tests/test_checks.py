@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from ellrmx import checks
 from ellrmx.checks import (
     CHECK_NAMES,
     CheckConfig,
@@ -14,6 +15,7 @@ from ellrmx.checks import (
     run_check,
     run_dict,
 )
+from ellrmx.ncalgebra import RelationSet, span_equal, span_gap, span_rank
 
 FAST = CheckConfig(check="fay", trials=3)
 
@@ -114,21 +116,45 @@ class TestSpanChecks:
         rep = run_one("relations", trials=2)
         assert rep.passed and rep.rank == 120
 
-    @pytest.mark.parametrize("check, calls", [("rll", 3), ("tv-reduce", 2), ("relations", 1)])
-    def test_each_relation_set_is_decomposed_once(self, monkeypatch, check, calls):
+    @pytest.mark.parametrize("check", ["rll", "relations"])
+    def test_three_by_two_rank(self, check):
+        rep = run_one(check, n=3, m=2, trials=1)
+        assert rep.passed and rep.max_residual < 1e-12
+        assert rep.rank == 630
+
+    @pytest.mark.parametrize("check, sets", [("rll", 3), ("tv-reduce", 2), ("relations", 1)])
+    def test_each_relation_set_is_decomposed_once(self, monkeypatch, check, sets):
         # rll holds two defect sets and the reference set, tv-reduce the
-        # families and the TV relations: one SVD per set, shared by every
-        # rank, inclusion and gap computed from it.
+        # families and the TV relations: one SVD per component of each set,
+        # shared by every rank, inclusion and gap computed from it.
         svd = np.linalg.svd
         seen = []
+        compared: dict[int, RelationSet] = {}
 
         def counting(*args, **kwargs):
             seen.append(args[0].shape)
             return svd(*args, **kwargs)
 
+        def recording(fn):
+            def wrapped(*args):
+                compared.update((id(a), a) for a in args if isinstance(a, RelationSet))
+                return fn(*args)
+
+            return wrapped
+
+        for name in ("span_rank", "span_equal", "span_gap"):
+            monkeypatch.setattr(checks, name, recording(getattr(checks, name)))
         monkeypatch.setattr(np.linalg, "svd", counting)
         run_one(check, trials=1)
-        assert len(seen) == calls, seen
+        assert len(compared) == sets
+        assert len(seen) == sum(len(s.components) for s in compared.values()), seen
+        done = len(seen)
+        for a in compared.values():
+            span_rank(a)
+            for b in compared.values():
+                span_equal(a, b, 1e-8)
+                span_gap(a, b)
+        assert len(seen) == done
 
 
 class TestReductionChecks:

@@ -35,6 +35,12 @@ class TestExitCodes:
         proc = run_cli("ybe", "--tau", "0.5,0.1")
         assert proc.returncode == 2
 
+    def test_non_finite_tau_or_hbar_is_two(self):
+        for flag, value in (("--tau", "nan,0.8"), ("--tau", "0.3,inf"), ("--hbar", "nan,0")):
+            proc = run_cli("ybe", flag, value, "--trials", "1")
+            assert proc.returncode == 2, (flag, value, proc.stderr)
+            assert "configuration error" in proc.stderr
+
     def test_sampling_error_is_two(self):
         proc = run_cli("ybe", "--hbar", "0,0", "--trials", "1")
         assert proc.returncode == 2

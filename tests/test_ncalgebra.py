@@ -389,12 +389,13 @@ class TestSpanHelpers:
         assert span_rank(vectors) == 2
 
     def test_rank_after_a_comparison_is_the_basis_width(self):
-        # A set never compared is ranked from its singular values alone; a
-        # compared one reads its rank off the cached basis.  Both agree.
+        # Ranking a fresh set and comparing one both take the component
+        # bases; the rank is their summed width either way.
         rows = [self.vec("a", 0), self.vec("b", 1), self.vec("c", 0, value=3.0j)]
         ranked, compared = RelationSet.of(rows), RelationSet.of(rows)
         assert span_gap(compared, compared) < 1e-12
-        assert span_rank(ranked) == span_rank(compared) == compared.basis.shape[1] == 2
+        width = sum(q.shape[1] for q in compared.bases)
+        assert span_rank(ranked) == span_rank(compared) == width == 2
 
     def test_complex_row_space_projection_is_exact(self):
         # Residuals must use the row space itself, not its conjugate.
@@ -403,6 +404,149 @@ class TestSpanHelpers:
         vectors = RelationSet.of(relation_vectors_reference(n, m, params, CTX))
         ok, metric = span_equal(vectors, vectors, 1e-8)
         assert ok and metric < 1e-12
+
+
+def dense_basis(s: RelationSet) -> np.ndarray:
+    """Orthonormal basis (as columns) of the whole span from one dense SVD."""
+    _, sv, vh = np.linalg.svd(s.rows, full_matrices=False)
+    return vh[: int(np.sum(sv > 1e-8 * sv[0]))].T
+
+
+def dense_equal(a: RelationSet, b: RelationSet) -> float:
+    worst = 0.0
+    for rows, basis in ((a.rows, dense_basis(b)), (b.rows, dense_basis(a))):
+        v = rows.T
+        res = v - basis @ (basis.conj().T @ v)
+        num = np.linalg.norm(res, axis=0)
+        worst = max(worst, float(np.max(num / np.linalg.norm(v, axis=0))))
+    return worst
+
+
+def dense_gap(a: RelationSet, b: RelationSet) -> float:
+    qa, qb = dense_basis(a), dense_basis(b)
+    ga = np.linalg.norm(qa - qb @ (qb.conj().T @ qa), 2)
+    gb = np.linalg.norm(qb - qa @ (qa.conj().T @ qb), 2)
+    return float(max(ga, gb))
+
+
+def block_rows(rng, blocks, per_block, rank, dim=48):
+    """Random complex rows, ``per_block`` in each block of columns, spanning
+    ``rank`` random directions there."""
+    rows = []
+    for cols in blocks:
+        span = rng.normal(size=(rank, len(cols))) + 1j * rng.normal(size=(rank, len(cols)))
+        mix = rng.normal(size=(per_block, rank)) + 1j * rng.normal(size=(per_block, rank))
+        block = np.zeros((per_block, dim), dtype=complex)
+        block[:, cols] = mix @ span
+        rows.append(block)
+    return np.concatenate(rows)
+
+
+class TestDenseOracleParity:
+    """The component-wise span functions against the dense formulas."""
+
+    BLOCKS = [list(range(k, k + 8)) for k in range(0, 48, 8)]
+    HALVES = [list(range(k, k + 4)) for k in range(0, 48, 4)]
+
+    def assert_parity(self, a: RelationSet, b: RelationSet) -> None:
+        for s in (a, b):
+            assert span_rank(s) == dense_basis(s).shape[1]
+        assert span_equal(a, b, 1e-8)[1] == pytest.approx(dense_equal(a, b), abs=1e-12)
+        assert span_gap(a, b) == pytest.approx(dense_gap(a, b), abs=1e-12)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_block_structured_sets(self, seed):
+        rng = np.random.default_rng(seed)
+        rows = block_rows(rng, self.BLOCKS, 5, 3)
+        a = RelationSet(rows)
+        # same span, rows remixed inside each block: metrics at roundoff
+        mix = np.kron(np.eye(len(self.BLOCKS)), np.ones((5, 5)))
+        mix = mix * (rng.normal(size=mix.shape) + 1j * rng.normal(size=mix.shape))
+        same = RelationSet(mix @ rows)
+        self.assert_parity(a, same)
+        assert span_gap(a, same) < 1e-12
+        # unrelated spans of another rank: metrics of order one
+        other = RelationSet(block_rows(rng, self.BLOCKS, 3, 2))
+        self.assert_parity(a, other)
+        assert span_gap(a, other) > 0.1
+        assert len(a.components) == len(self.BLOCKS)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_rows_straddling_blocks(self, seed):
+        rng = np.random.default_rng(10 + seed)
+        rows = block_rows(rng, self.BLOCKS, 4, 2)
+        bridge = np.zeros((2, 48), dtype=complex)
+        bridge[0, [3, 12]] = rng.normal(size=2) + 1j
+        bridge[1, [20, 47]] = 1.0, -2.0j
+        a = RelationSet(np.concatenate([rows, bridge]))
+        assert len(a.components) == len(self.BLOCKS) - 2
+        b = RelationSet(block_rows(rng, self.BLOCKS, 4, 3))
+        self.assert_parity(a, b)
+        self.assert_parity(a, RelationSet(rows))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_partitions_that_differ(self, seed):
+        # b splits each of a's blocks in two; its span lies inside a's.
+        rng = np.random.default_rng(20 + seed)
+        fine = block_rows(rng, self.HALVES, 3, 2)
+        coarse = np.concatenate([fine, block_rows(rng, self.BLOCKS, 2, 2)])
+        a, b = RelationSet(coarse), RelationSet(fine)
+        assert len(a.components) < len(b.components)
+        self.assert_parity(a, b)
+        self.assert_parity(b, a)
+        self.assert_parity(b, RelationSet(fine[::-1]))
+
+    def test_rank_cutoff_is_the_whole_sets(self):
+        # A 100-fold repeated row puts the set's largest singular value at
+        # 10, so a direction at 3.5e-8 in another component falls below
+        # the cutoff although it clears 1e-8 of its own component's.
+        rows = np.zeros((102, 4), dtype=complex)
+        rows[:100, 0] = 1.0
+        rows[100, 1] = 1.0
+        rows[101, 1:3] = 1.0, 5e-8
+        a = RelationSet(rows)
+        assert span_rank(a) == dense_basis(a).shape[1] == 2
+        self.assert_parity(a, RelationSet(np.eye(3, 4, dtype=complex)))
+
+    def test_gap_needs_the_joint_components(self):
+        # Per set, {e0} and {e1} are two components and {e0 + e1} one; only
+        # their union sees the direction e0 - e1 that b lacks.
+        a = RelationSet(np.eye(2, 4, dtype=complex))
+        b = RelationSet(np.array([[1.0, 1.0, 0.0, 0.0]], dtype=complex))
+        assert (len(a.components), len(b.components)) == (2, 1)
+        self.assert_parity(a, b)
+        assert span_gap(a, b) == pytest.approx(1.0)
+        assert span_equal(a, b, 1e-8)[1] == pytest.approx(2**-0.5)
+
+
+class TestSectorDimensions:
+    """Each component of a defect or reference set is one coordinate
+    sector's worth of relations: inside one sector, closed under swapping
+    the two letters, of rank (words - diagonal words) / 2."""
+
+    @staticmethod
+    def sector(word: int, n: int, m: int) -> tuple:
+        g = m * m * n * n
+        (i1, j1), (i2, j2) = (divmod(s // (n * n), m) for s in divmod(word, g))
+        return tuple(sorted((i1, i2))), tuple(sorted((j1, j2)))
+
+    @pytest.mark.parametrize("nm", [(2, 2), (3, 1), (1, 3)])
+    def test_components_are_sector_dimension_counts(self, nm):
+        n, m = nm
+        g = m * m * n * n
+        params = params_for(m)
+        sets = (
+            rll_defect(n, m, params, Z1, Z2, ON, CTX),
+            RelationSet.of(relation_vectors_reference(n, m, params, CTX)),
+        )
+        for s in sets:
+            assert span_rank(s) == flat_ranks(n, m)
+            for (_, cols), basis in zip(s.components, s.bases):
+                assert len({self.sector(int(w), n, m) for w in cols}) == 1
+                first, second = np.divmod(cols, g)
+                assert np.array_equal(np.sort(second * g + first), cols)
+                diagonal = int(np.sum(first == second))
+                assert basis.shape[1] == (cols.size - diagonal) // 2
 
 
 class TestReferenceVectors:
