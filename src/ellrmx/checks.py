@@ -34,12 +34,7 @@ from .ncalgebra import (
     span_gap,
     span_rank,
 )
-from .relations import (
-    sklyanin_coeffs,
-    sklyanin_coeffs_eta,
-    sklyanin_representation_residual,
-    tv_relations,
-)
+from .relations import tv_relations
 from .rmatrix import (
     DynamicalParams,
     bb_l_operator_rll_residual,
@@ -57,6 +52,11 @@ from .sampling import (
     sample_params,
     shift_closed,
     within_diffs,
+)
+from .sklyanin import (
+    sklyanin_coeffs,
+    sklyanin_coeffs_eta,
+    sklyanin_representation_residual,
 )
 
 CHECK_NAMES = (
@@ -294,7 +294,7 @@ def _rll_trial(
     n, m = cfg.n, cfg.m
     conv = LConvention(exp_factor=cfg.l_exp_factor)
     z1, z2, z3, z4 = zs
-    reference = RelationSet.of(relation_vectors_reference(n, m, params, ctx))
+    reference = relation_vectors_reference(n, m, params, ctx)
     first = rll_defect(n, m, params, z1, z2, conv, ctx)
     second = rll_defect(n, m, params, z3, z4, conv, ctx)
     if not reference and not first and not second:
@@ -331,7 +331,7 @@ def _relations_trial(
     cfg: CheckConfig, params: DynamicalParams, zs: tuple[complex, ...],
     ctx: EllipticContext,
 ) -> tuple[float, int]:
-    vectors = RelationSet.of(relation_vectors_reference(cfg.n, cfg.m, params, ctx))
+    vectors = relation_vectors_reference(cfg.n, cfg.m, params, ctx)
     rank = span_rank(vectors) if vectors else 0
     return float(abs(rank - _flat_rank(cfg.n, cfg.m))), rank
 
@@ -378,7 +378,7 @@ def _sklyanin_trial(
         for beta in all_indices(cfg.n):
             basic = sklyanin_coeffs(alpha, beta, hbar, ctx)
             worst = max(worst, sklyanin_representation_residual(basic, ctx))
-            shifted = sklyanin_coeffs_eta(alpha, beta, eta, hbar, ctx)
+            shifted = sklyanin_coeffs_eta(basic, eta, hbar, ctx)
             worst = max(
                 worst,
                 sklyanin_representation_residual(shifted, ctx, hbar=hbar, eta=eta),
@@ -404,7 +404,7 @@ def _tv_trial(
     ctx: EllipticContext,
 ) -> tuple[float, int]:
     m = cfg.m
-    families = RelationSet.of(relation_vectors_reference(1, m, params, ctx))
+    families = relation_vectors_reference(1, m, params, ctx)
     tv = RelationSet.of(
         [r.vector(m) for r in tv_relations(m, params.q1, params.q2, params.hbar, ctx)]
     )

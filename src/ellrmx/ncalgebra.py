@@ -27,19 +27,14 @@ import numpy as np
 from .elliptic import (
     EllipticContext,
     LatticeIndex,
-    all_indices,
     guard_denominator,
     omega,
+    omega_raw,
     theta,
 )
-from .relations import (
-    DegenerateRelationError,
-    RelationVector,
-    generator_slot,
-    slnm_family_coeffs,
-)
+from .relations import RelationVector, family_terms, family_tuples, generator_slot
 from .rmatrix import DynamicalParams, r_slnm
-from .tensor import basis_t
+from .tensor import basis_t, basis_t_raw
 
 TWO_PI_I = 2j * cmath.pi
 
@@ -75,20 +70,23 @@ def l_operator(
     if q.q2 is None:
         raise ValueError("the ansatz needs two coordinate blocks")
     m = q.m
+    a1, a2 = np.divmod(np.arange(n * n), n)
+    # theta argument [delta + 1, alpha, i, j] of the generator (j, i, alpha)
+    args = (
+        (z + np.array(q.q2)[:, None]) - np.array(q.q1)
+        + omega_raw(a1, a2, n, ctx.tau)[:, None, None]
+        + np.array(SHIFTS)[:, None, None, None] * q.hbar
+    )
+    pref = np.exp(TWO_PI_I * a2 * z / n) if conv.exp_factor else np.ones(n * n)
+    coeff = pref[:, None, None] * theta(args, ctx)
+    t_mats = basis_t_raw(a1, a2, n)
     out = np.zeros((len(SHIFTS), m * n, m * n, m * m * n * n), dtype=complex)
-    for alpha in all_indices(n):
-        t_mat = basis_t(alpha)
-        w_alpha = omega(alpha, ctx)
-        pref = cmath.exp(TWO_PI_I * alpha.a2 * z / n) if conv.exp_factor else 1.0
-        for i in range(1, m + 1):
-            for j in range(1, m + 1):
-                slot = generator_slot(j, i, alpha.pair, m, n)
-                arg = z + q.q2[i - 1] - q.q1[j - 1] + w_alpha
-                rows = slice((i - 1) * n, i * n)
-                cols = slice((j - 1) * n, j * n)
-                for k, delta in enumerate(SHIFTS):
-                    coeff = pref * theta(arg + delta * q.hbar, ctx)
-                    out[k, rows, cols, slot] = coeff * t_mat
+    for i in range(1, m + 1):
+        for j in range(1, m + 1):
+            block = coeff[:, :, i - 1, j - 1, None, None] * t_mats
+            rows, cols = slice((i - 1) * n, i * n), slice((j - 1) * n, j * n)
+            slots = generator_slot(j, i, (a1, a2), m, n)
+            out[:, rows, cols, slots] = block.transpose(0, 2, 3, 1)
     return out
 
 
@@ -180,7 +178,7 @@ class RelationSet:
 
     def __post_init__(self) -> None:
         rows = np.asarray(self.rows, dtype=complex)
-        norms = np.linalg.norm(rows, axis=1, keepdims=True)
+        norms = _row_norms(rows)[:, None]
         if not (np.all(np.isfinite(rows)) and np.all(norms > 0)):
             raise ValueError("relation rows must be finite and nonzero")
         rows = rows / norms
@@ -222,6 +220,15 @@ class RelationSet:
             raise ValueError("empty relation sets cannot be compared")
         cutoff = 1e-8 * max(sv[0] for sv, _ in svds)
         return tuple(vh[: int(np.sum(sv > cutoff))].T for sv, vh in svds)
+
+
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """2-norms along the last axis, summed over the real and imaginary
+    views: no temporaries the size of ``rows``."""
+    return np.sqrt(
+        np.einsum("...i,...i->...", rows.real, rows.real)
+        + np.einsum("...i,...i->...", rows.imag, rows.imag)
+    )
 
 
 def _join_columns(groups: np.ndarray, cols: np.ndarray, width: int) -> np.ndarray:
@@ -276,61 +283,48 @@ def rll_defect(
     1 x 1 case) gives an empty set.
     """
     table, mass = _defect_table(n, m, params, z1, z2, conv, ctx)
-    keep = np.linalg.norm(table, axis=-1) > 1e-12 * mass
+    keep = _row_norms(table) > 1e-12 * mass
     return RelationSet(table[keep])
 
 
 def relation_vectors_reference(
     n: int, m: int, params: DynamicalParams, ctx: EllipticContext
-) -> list[RelationVector]:
-    """Reference vectors of the four closed-form relation families.
+) -> RelationSet:
+    """Reference set of the four closed-form relation families of
+    :func:`ellrmx.relations.family_terms`.
 
-    Family 1 runs over every coordinate pair and characteristic pair (only
-    for n >= 2; there are no vertex-type relations at n == 1); families 2-4
-    over their admissible index tuples.  Identically cancelling label
-    combinations are dropped, as are roundoff-sized vectors (norm below
-    1e-9 of the largest).
+    Rows run over family 1 for every (j, i) (only for n >= 2), families 2
+    and 3 in turn for every (i, j, k), and family 4 for every (i, k, j, l),
+    each over every label pair (alpha outer, beta inner).  Identically
+    cancelling label combinations are dropped, as are roundoff-sized
+    vectors (norm at most 1e-9 of the largest).
     """
     if params.q2 is None:
         raise ValueError("the families need two coordinate blocks")
     if params.m != m:
         raise ValueError("coordinate vectors do not match m")
-    chars = all_indices(n)
-    raw: list[RelationVector] = []
+    ia, ib = np.divmod(np.arange(n**4), n * n)
+    pairs = (ia // n, ia % n, ib // n, ib % n)
 
-    def emit(family: int, idx: tuple[int, ...]) -> None:
-        for alpha in chars:
-            for beta in chars:
-                try:
-                    raw.append(
-                        slnm_family_coeffs(family, idx, alpha, beta, params, ctx)
-                    )
-                except DegenerateRelationError:
-                    continue
+    def block(family: int) -> tuple[np.ndarray, np.ndarray]:
+        return family_terms(family, family_tuples(family, m), pairs, n, params, ctx)
 
-    if n > 1:
-        for j in range(1, m + 1):
-            for i in range(1, m + 1):
-                emit(1, (j, i))
-    for i in range(1, m + 1):
-        for j in range(1, m + 1):
-            for k in range(1, m + 1):
-                if j != k:
-                    emit(2, (i, j, k))
-                    emit(3, (i, j, k))
-    for i in range(1, m + 1):
-        for k in range(1, m + 1):
-            if k == i:
-                continue
-            for j in range(1, m + 1):
-                for l in range(1, m + 1):
-                    if l != j:
-                        emit(4, (i, j, k, l))
-    if not raw:
-        return []
-    norms = [float(np.linalg.norm(v.coords)) for v in raw]
-    floor = 1e-9 * max(norms)
-    return [v for v, nv in zip(raw, norms) if nv > floor]
+    blocks = [block(1)] if n > 1 else []
+    if m > 1:
+        # families 2 and 3 take turns over their shared index tuples
+        blocks.append([np.stack(ab, axis=1) for ab in zip(block(2), block(3))])
+        blocks.append(block(4))
+    flat = [[a.reshape(-1, a.shape[-1]) for a in b] for b in blocks]
+    g = m * m * n * n
+    rows = np.zeros((sum(len(v) for v, _ in flat), g * g), dtype=complex)
+    start = 0
+    for values, words in flat:
+        rows[np.arange(start, start + len(values))[:, None], words] = values
+        start += len(values)
+    norms = _row_norms(rows)
+    # a non-finite row keeps every row, and the set rejects it
+    keep = ~(norms <= 1e-9 * norms.max(initial=0.0))
+    return RelationSet(rows[keep])
 
 
 def span_rank(vectors: RelationSet) -> int:

@@ -1,11 +1,10 @@
 """Quadratic relation families attached to the elliptic R-matrices.
 
-Closed-form tables for three presentations of the same algebraic data:
-the vertex-type (index-characteristic) exchange relations in bare,
-theta-rescaled, and shifted-parameter normalizations; the coordinate
-exchange relations of the small dynamical algebra; and the composite
-families on two independent coordinate sets that interpolate between
-them.  Everything here is closed-form bookkeeping evaluated at numeric
+Closed-form relations as vectors over ordered two-letter words: the
+coordinate exchange relations of the small dynamical algebra, and the
+composite families on two independent coordinate sets that interpolate
+between them and the vertex-type relations of :mod:`ellrmx.sklyanin`.
+Everything here is closed-form bookkeeping evaluated at numeric
 parameters.  The defect extraction these families are matched against
 lives in :mod:`ellrmx.ncalgebra`.
 """
@@ -14,6 +13,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from itertools import product
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -21,16 +21,24 @@ import numpy as np
 from .elliptic import (
     EllipticContext,
     LatticeIndex,
-    all_indices,
-    eisenstein_e1,
-    eisenstein_e2,
     guard_denominator,
     kronecker_phi,
     omega_raw,
     theta,
 )
 from .rmatrix import DynamicalParams, mixed_scalar
-from .tensor import basis_t_raw, kappa_raw
+# The sklyanin_* functions are re-exported: bench/tracer.py looks them up
+# here, with the other relation tables.
+from .sklyanin import (
+    bare_constants,
+    characteristics,
+    label_arrays,
+    sklyanin_coeffs,
+    sklyanin_coeffs_eta,
+    sklyanin_representation_residual,
+    theta_prefactors,
+)
+from .tensor import kappa_raw
 
 TWO_PI_I = 2j * cmath.pi
 
@@ -43,13 +51,13 @@ class DegenerateRelationError(ValueError):
     """Raised when a requested relation collapses to the zero vector."""
 
 
-def generator_slot(i: int, j: int, alpha: tuple[int, int], m: int, n: int) -> int:
+def generator_slot(i, j, alpha: tuple, m: int, n: int):
     """Flat position of the generator labelled (i, j, alpha).
 
     Coordinates are 1-based; the characteristic is reduced mod n.  Layout
-    is lexicographic in (i, j, a1, a2).
+    is lexicographic in (i, j, a1, a2).  Integer arrays broadcast.
     """
-    if not (1 <= i <= m and 1 <= j <= m):
+    if not np.all((1 <= np.minimum(i, j)) & (np.maximum(i, j) <= m)):
         raise ValueError(f"coordinate indices ({i}, {j}) out of range for m = {m}")
     return ((i - 1) * m + (j - 1)) * n * n + (alpha[0] % n) * n + (alpha[1] % n)
 
@@ -99,174 +107,6 @@ class RelationVector:
         for word, value in terms.items():
             coords[word_slot(word, m, n)] += value
         return cls(label, m, n, coords)
-
-
-@dataclass(frozen=True)
-class SklyaninRelation:
-    """Structure constants of one vertex-type exchange relation.
-
-    ``coefficients`` maps the summation characteristic gamma to the weight
-    of the word with integer indices ``(alpha - gamma, beta + gamma)``,
-    where the arithmetic is carried out on canonical representatives
-    without reduction (see :meth:`word`).
-
-    ``scale`` records the magnitude of the largest single term that went
-    into assembling the coefficients.  Some label pairs (alpha == beta at
-    even order, for instance) cancel identically, leaving roundoff-sized
-    coefficients; the scale lets consumers recognize those as trivially
-    satisfied instead of dividing noise by noise.
-    """
-
-    alpha: LatticeIndex
-    beta: LatticeIndex
-    coefficients: Mapping[LatticeIndex, complex]
-    scale: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.alpha.n != self.beta.n:
-            raise ValueError("characteristics with mixed moduli")
-        object.__setattr__(self, "coefficients", dict(self.coefficients))
-
-    @property
-    def n(self) -> int:
-        return self.alpha.n
-
-    def word(self, gamma: LatticeIndex) -> tuple[tuple[int, int], tuple[int, int]]:
-        """Unreduced integer index pair of the quadratic word for gamma."""
-        first = (self.alpha.a1 - gamma.a1, self.alpha.a2 - gamma.a2)
-        second = (self.beta.a1 + gamma.a1, self.beta.a2 + gamma.a2)
-        return first, second
-
-
-def sklyanin_coeffs(
-    alpha: LatticeIndex, beta: LatticeIndex, hbar: complex, ctx: EllipticContext
-) -> SklyaninRelation:
-    """Bare structure constants of the exchange relation labelled (alpha, beta).
-
-    For nonzero beta each gamma weighs in with a commutation phase times a
-    four-term combination of first Eisenstein values at hbar-shifted
-    lattice fractions; for beta == 0 the combination is a difference of two
-    second Eisenstein values.  The fractions follow the unreduced integer
-    arithmetic of the word: the first Eisenstein function is only
-    quasi-periodic, so representatives matter.  n == 1 has no relations
-    and yields an empty table.
-    """
-    if alpha.n != beta.n:
-        raise ValueError("characteristics with mixed moduli")
-    n = alpha.n
-    coeffs: dict[LatticeIndex, complex] = {}
-    if n == 1:
-        return SklyaninRelation(alpha, beta, coeffs)
-    tau = ctx.tau
-    a1, a2 = alpha.pair
-    b1, b2 = beta.pair
-    scale = 0.0
-
-    def w(c1: int, c2: int) -> complex:
-        return omega_raw(c1, c2, n, tau)
-
-    if beta.pair != (0, 0):
-        d1, d2 = a1 - b1, a2 - b2
-        for gamma in all_indices(n):
-            g1, g2 = gamma.pair
-            parts = (
-                eisenstein_e1(w(g1, g2) + hbar, ctx),
-                -eisenstein_e1(w(d1 - g1, d2 - g2) + hbar, ctx),
-                eisenstein_e1(w(a1 - g1, a2 - g2) + hbar, ctx),
-                -eisenstein_e1(w(b1 + g1, b2 + g2) + hbar, ctx),
-            )
-            scale = max(scale, *(abs(p) for p in parts))
-            coeffs[gamma] = kappa_raw(gamma.pair, (d1, d2), n) * sum(parts)
-    else:
-        for gamma in all_indices(n):
-            g1, g2 = gamma.pair
-            parts = (
-                eisenstein_e2(w(g1, g2) + hbar, ctx),
-                -eisenstein_e2(w(a1 - g1, a2 - g2) + hbar, ctx),
-            )
-            scale = max(scale, *(abs(p) for p in parts))
-            coeffs[gamma] = kappa_raw(gamma.pair, alpha.pair, n) * sum(parts)
-    return SklyaninRelation(alpha, beta, coeffs, scale)
-
-
-def sklyanin_coeffs_eta(
-    alpha: LatticeIndex,
-    beta: LatticeIndex,
-    eta: complex,
-    hbar: complex,
-    ctx: EllipticContext,
-) -> SklyaninRelation:
-    """Structure constants in the theta-rescaled, parameter-shifted form.
-
-    Each bare coefficient picks up two theta factors at the hbar-shifted
-    fractions of its own word, and the whole relation carries a single
-    global phase in ``eta - hbar`` (the per-word phases collapse because
-    the words all share the integer column sum ``alpha + beta``).  At
-    ``eta == hbar`` only the rescaling remains.
-    """
-    base = sklyanin_coeffs(alpha, beta, hbar, ctx)
-    n = alpha.n
-    if n == 1:
-        return base
-    tau = ctx.tau
-    phase = cmath.exp(-TWO_PI_I * (alpha.a2 + beta.a2) * (eta - hbar) / n)
-    coeffs: dict[LatticeIndex, complex] = {}
-    pref_max = 0.0
-    for gamma, value in base.coefficients.items():
-        first, second = base.word(gamma)
-        pref = theta(hbar + omega_raw(first[0], first[1], n, tau), ctx) * theta(
-            hbar + omega_raw(second[0], second[1], n, tau), ctx
-        )
-        pref_max = max(pref_max, abs(pref))
-        coeffs[gamma] = value * pref * phase
-    return SklyaninRelation(alpha, beta, coeffs, base.scale * pref_max)
-
-
-def sklyanin_representation_residual(
-    rel: SklyaninRelation,
-    ctx: EllipticContext,
-    *,
-    hbar: complex | None = None,
-    eta: complex | None = None,
-) -> float:
-    """Normalized norm of the relation evaluated in the basis representation.
-
-    A generator with integer index d acts as the operator basis element at
-    -d.  With ``hbar`` given each factor is divided by ``theta(hbar +
-    omega_d)`` (the rescaled generators matching the theta-prefactor
-    coefficients); with ``eta`` also given each factor carries the
-    shifted-parameter phase.  The norm is divided by the sum of the term
-    bounds or by the assembly scale, whichever is larger, so both a clean
-    annihilation and an identically-cancelled relation come out at roughly
-    machine epsilon.  Empty relations give 0.
-    """
-    if eta is not None and hbar is None:
-        raise ValueError("the shifted-parameter form requires hbar")
-    n = rel.n
-    if not rel.coefficients:
-        return 0.0
-    tau = ctx.tau
-
-    def rep(d: tuple[int, int]) -> np.ndarray:
-        mat = basis_t_raw(-d[0], -d[1], n)
-        if hbar is not None:
-            mat = mat / theta(hbar + omega_raw(d[0], d[1], n, tau), ctx)
-        if eta is not None:
-            mat = mat * cmath.exp(TWO_PI_I * d[1] * (eta - hbar) / n)
-        return mat
-
-    acc = np.zeros((n, n), dtype=complex)
-    mass = 0.0
-    for gamma, value in rel.coefficients.items():
-        first, second = rel.word(gamma)
-        m1 = rep(first)
-        m2 = rep(second)
-        acc += value * (m1 @ m2)
-        mass += abs(value) * float(np.linalg.norm(m1)) * float(np.linalg.norm(m2))
-    den = max(mass, rel.scale)
-    if den == 0.0:
-        return 0.0
-    return float(np.linalg.norm(acc)) / den
 
 
 _TV_KINDS = ("commuting-pair", "same-second-index", "mixed")
@@ -382,8 +222,8 @@ def tv_relations(
 
 
 def label_reduction_factor(
-    raw: tuple[int, int], w: complex, n: int, ctx: EllipticContext
-) -> tuple[tuple[int, int], complex]:
+    raw: tuple, w, n: int, ctx: EllipticContext
+) -> tuple[tuple, complex]:
     """Canonical cell and identification factor for a raw characteristic.
 
     A generator with index pair (a, b) enters the linear ansatz through
@@ -393,21 +233,120 @@ def label_reduction_factor(
     steps of n in either direction, so a raw-labelled generator equals the
     canonical-labelled one times the factor returned here.  Relation sums
     over shifted labels must apply it before coordinates of distinct raw
-    labels landing in the same cell may be merged.
+    labels landing in the same cell may be merged.  The components of
+    ``raw`` may be integer arrays and ``w`` an array; they broadcast.
     """
     a1, a2 = raw
     r1, r2 = a1 % n, a2 % n
     k1 = (a1 - r1) // n
     k2 = (a2 - r2) // n
-    if k1 == 0 and k2 == 0:
-        return (r1, r2), 1.0 + 0.0j
     om = omega_raw(r1, r2, n, ctx.tau)
-    growth = ((-1) ** (k1 + k2)) * cmath.exp(
+    growth = (1 - 2 * ((k1 + k2) % 2)) * np.exp(
         1j * cmath.pi * (k1 * r2 + k2 * r1 + n * k1 * k2)
         - 1j * cmath.pi * ctx.tau * k2 * k2
         - TWO_PI_I * k2 * (w + om)
     )
     return (r1, r2), 1.0 / growth
+
+
+def family_terms(
+    family: int,
+    idx: Sequence[tuple[int, ...]],
+    pairs: tuple,
+    n: int,
+    params: DynamicalParams,
+    ctx: EllipticContext,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients and word columns (:func:`word_slot` layout) of the
+    composite-family relations at the 1-based index tuples ``idx`` and the
+    label pairs (a1, a2, b1, b2), integer arrays of shape (P,).
+
+    Families:
+
+    1. both generators share the coordinate pair (j, i); the relation is
+       the shifted-parameter vertex-type exchange at ``eta = q2_i - q1_j``,
+       which the generators' own coordinate shifts leave invariant (only
+       for n >= 2: there are no vertex-type relations at n == 1);
+    2. shared second coordinate i, distinct first coordinates j != k;
+    3. shared first coordinate i, distinct second coordinates j != k;
+    4. no shared coordinate role: i != k in the second set, j != l in the
+       first.
+
+    Both arrays are shaped (tuples, P, terms), and a relation's terms sit
+    on distinct words.  Word labels are reduced to the canonical cell with
+    :func:`label_reduction_factor`, so the relations are expressed over
+    canonical generators.  Cross terms carrying the diagonal-diagonal
+    scalar use :func:`ellrmx.rmatrix.mixed_scalar`, matching the composite
+    R-matrix.  Each kernel runs once over the whole grid.
+    """
+    m, hbar, tau = params.m, params.hbar, ctx.tau
+    p, s = np.array(params.q1), np.array(params.q2)
+    cols = [v[:, None, None] for v in np.array(idx).T]
+    a1, a2, b1, b2 = (v[:, None] for v in pairs)
+    alpha, beta = (a1, a2), (b1, b2)
+    g1, g2 = characteristics(n)
+    kap = kappa_raw((g1, g2), alpha, n) * kappa_raw(beta, (g1, g2), n)
+    at_g = omega_raw(g1, g2, n, tau)
+    shift = omega_raw(b1 + g1 - a1, b2 + g2 - a2, n, tau)
+    extra = []  # (coefficient, first letter, second letter) off the gamma sum
+    if family == 1:
+        j, i = cols
+        value = (
+            bare_constants(pairs, hbar, n, ctx)[0]
+            * theta_prefactors(pairs, hbar, n, ctx)
+            * np.exp(-TWO_PI_I * (a2 + b2) * (s[i - 1] - p[j - 1] - hbar) / n)
+        )
+        letters = (j, i), (j, i)
+    elif family == 2:
+        i, j, k = cols
+        x = p[j - 1] - p[k - 1]
+        value = kap * kronecker_phi(hbar + at_g, x + shift, ctx)
+        letters = (j, i), (k, i)
+        extra.append((-mixed_scalar(hbar, x, n, ctx), (k, i, beta), (j, i, alpha)))
+    elif family == 3:
+        i, j, k = cols
+        x = s[j - 1] - s[k - 1]
+        u = hbar + omega_raw(a1 - b1 - g1, a2 - b2 - g2, n, tau)
+        value = kap * kronecker_phi(u, -x - at_g, ctx)
+        letters = (i, k), (i, j)
+        extra.append((-mixed_scalar(hbar, x, n, ctx), (i, j, alpha), (i, k, beta)))
+    else:
+        i, j, k, l = cols
+        x, y = s[i - 1] - s[k - 1], p[j - 1] - p[l - 1]
+        value = kap * kronecker_phi(x + at_g, y + shift, ctx)
+        letters = (j, k), (l, i)
+        extra.append((-mixed_scalar(hbar, y, n, ctx), (l, k, beta), (j, i, alpha)))
+        extra.append((mixed_scalar(hbar, x, n, ctx), (j, i, alpha), (l, k, beta)))
+    # A generator (c, d, .) sits at the coordinate difference q2_d - q1_c.
+    # The identification factors are coefficient functions standing left of
+    # the whole word, so the second letter's factor sees coordinates already
+    # shifted by the first letter's signature.
+    (c1, d1), (c2, d2) = letters
+    w1 = s[d1 - 1] - p[c1 - 1]
+    w2 = s[d2 - 1] - p[c2 - 1] + hbar * (1 * (d2 == d1) - (c2 == c1))
+    lab1, x1 = label_reduction_factor((a1 - g1, a2 - g2), w1, n, ctx)
+    lab2, x2 = label_reduction_factor((b1 + g1, b2 + g2), w2, n, ctx)
+    g = m * m * n * n
+    shape = (len(idx), pairs[0].size)
+    values, words = [], []
+    for v, w1, w2 in [(value * x1 * x2, (c1, d1, lab1), (c2, d2, lab2)), *extra]:
+        w = generator_slot(*w1, m, n) * g + generator_slot(*w2, m, n)
+        values.append(np.broadcast_to(v, shape + v.shape[2:]))
+        words.append(np.broadcast_to(w, shape + w.shape[2:]))
+    return np.concatenate(values, axis=-1), np.concatenate(words, axis=-1)
+
+
+def family_tuples(family: int, m: int) -> list[tuple[int, ...]]:
+    """The admissible 1-based index tuples of a composite family (see
+    :func:`family_terms`), in the reference row order."""
+    r = range(1, m + 1)
+    if family == 1:
+        return list(product(r, r))
+    if family in (2, 3):
+        return [t for t in product(r, r, r) if t[1] != t[2]]
+    if family == 4:
+        return [(i, j, k, l) for i, k, j, l in product(r, r, r, r) if i != k and j != l]
+    raise ValueError(f"unknown family {family}")
 
 
 def slnm_family_coeffs(
@@ -418,142 +357,26 @@ def slnm_family_coeffs(
     params: DynamicalParams,
     ctx: EllipticContext,
 ) -> RelationVector:
-    """One composite-family relation as a vector over ordered words.
+    """One composite-family relation (see :func:`family_terms`) as a vector
+    over ordered words.
 
-    Families:
-
-    1. both generators share the coordinate pair (j, i); the relation is
-       the shifted-parameter vertex-type exchange at ``eta = q2_i - q1_j``,
-       which the generators' own coordinate shifts leave invariant;
-    2. shared second coordinate i, distinct first coordinates j != k;
-    3. shared first coordinate i, distinct second coordinates j != k;
-    4. no shared coordinate role: i != k in the second set, j != l in the
-       first.
-
-    Word labels are reduced to the canonical cell with
-    :func:`label_reduction_factor`, so the vector is expressed over
-    canonical generators.  Cross terms carrying the diagonal-diagonal
-    scalar use :func:`ellrmx.rmatrix.mixed_scalar`, matching the composite
-    R-matrix.  Index clashes raise ValueError; batch builders skip those
-    combinations instead of emitting zero rows.
+    Family 1 takes the coordinate pair (j, i), families 2 and 3 the indices
+    (i, j, k) and family 4 (i, j, k, l).  Index clashes raise ValueError;
+    an identically vanishing relation raises
+    :class:`DegenerateRelationError`.
     """
-    if alpha.n != beta.n:
-        raise ValueError("characteristics with mixed moduli")
+    pairs = label_arrays(alpha, beta)
     n = alpha.n
     if params.q2 is None:
         raise ValueError("composite families need two coordinate sets")
     m = params.m
-    hbar = params.hbar
-    p, s = params.q1, params.q2
-    tau = ctx.tau
     idx = tuple(int(v) for v in indices)
-    for v in idx:
-        if not 1 <= v <= m:
-            raise ValueError(f"coordinate index {v} out of range for m = {m}")
-    a1, a2 = alpha.pair
-    b1, b2 = beta.pair
-    label = f"family{family}-{idx}-a{alpha.pair}-b{beta.pair}"
-    terms: dict[Word, complex] = {}
-
-    def add(word: Word, value: complex) -> None:
-        terms[word] = terms.get(word, 0.0) + value
-
-    def add_raw(
-        ij1: tuple[int, int],
-        raw1: tuple[int, int],
-        w1: complex,
-        ij2: tuple[int, int],
-        raw2: tuple[int, int],
-        w2: complex,
-        value: complex,
-    ) -> None:
-        # The identification factors are coefficient functions standing left
-        # of the whole word, so the second letter's factor sees coordinates
-        # already shifted by the first letter's signature.
-        w2 = w2 + hbar * ((ij2[1] == ij1[1]) - (ij2[0] == ij1[0]))
-        lab1, x1 = label_reduction_factor(raw1, w1, n, ctx)
-        lab2, x2 = label_reduction_factor(raw2, w2, n, ctx)
-        add(((ij1[0], ij1[1], lab1), (ij2[0], ij2[1], lab2)), value * x1 * x2)
-
-    def kap(g1: int, g2: int) -> complex:
-        return kappa_raw((g1, g2), alpha.pair, n) * kappa_raw(beta.pair, (g1, g2), n)
-
-    if family == 1:
-        if len(idx) != 2:
-            raise ValueError("family 1 takes a coordinate pair (j, i)")
-        j, i = idx
-        eta = s[i - 1] - p[j - 1]
-        rel = sklyanin_coeffs_eta(alpha, beta, eta, hbar, ctx)
-        if not rel.coefficients:
-            raise ValueError("no vertex-type relations at n = 1")
-        for gamma, value in rel.coefficients.items():
-            first, second = rel.word(gamma)
-            add_raw((j, i), first, eta, (j, i), second, eta, value)
-    elif family == 2:
-        if len(idx) != 3:
-            raise ValueError("family 2 takes indices (i, j, k)")
-        i, j, k = idx
-        if j == k:
-            raise ValueError("family 2 needs distinct first coordinates j != k")
-        x = p[j - 1] - p[k - 1]
-        w1 = s[i - 1] - p[j - 1]
-        w2 = s[i - 1] - p[k - 1]
-        for gamma in all_indices(n):
-            g1, g2 = gamma.pair
-            value = kap(g1, g2) * kronecker_phi(
-                hbar + omega_raw(g1, g2, n, tau),
-                x + omega_raw(b1 + g1 - a1, b2 + g2 - a2, n, tau),
-                ctx,
-            )
-            add_raw(
-                (j, i), (a1 - g1, a2 - g2), w1,
-                (k, i), (b1 + g1, b2 + g2), w2, value,
-            )
-        add(((k, i, beta.pair), (j, i, alpha.pair)), -mixed_scalar(hbar, x, n, ctx))
-    elif family == 3:
-        if len(idx) != 3:
-            raise ValueError("family 3 takes indices (i, j, k)")
-        i, j, k = idx
-        if j == k:
-            raise ValueError("family 3 needs distinct second coordinates j != k")
-        x = s[j - 1] - s[k - 1]
-        w1 = s[k - 1] - p[i - 1]
-        w2 = s[j - 1] - p[i - 1]
-        for gamma in all_indices(n):
-            g1, g2 = gamma.pair
-            value = kap(g1, g2) * kronecker_phi(
-                hbar + omega_raw(a1 - b1 - g1, a2 - b2 - g2, n, tau),
-                -x - omega_raw(g1, g2, n, tau),
-                ctx,
-            )
-            add_raw(
-                (i, k), (a1 - g1, a2 - g2), w1,
-                (i, j), (b1 + g1, b2 + g2), w2, value,
-            )
-        add(((i, j, alpha.pair), (i, k, beta.pair)), -mixed_scalar(hbar, x, n, ctx))
-    elif family == 4:
-        if len(idx) != 4:
-            raise ValueError("family 4 takes indices (i, j, k, l)")
-        i, j, k, l = idx
-        if i == k or j == l:
-            raise ValueError("family 4 needs i != k and j != l")
-        x = s[i - 1] - s[k - 1]
-        y = p[j - 1] - p[l - 1]
-        w1 = s[k - 1] - p[j - 1]
-        w2 = s[i - 1] - p[l - 1]
-        for gamma in all_indices(n):
-            g1, g2 = gamma.pair
-            value = kap(g1, g2) * kronecker_phi(
-                x + omega_raw(g1, g2, n, tau),
-                y + omega_raw(b1 + g1 - a1, b2 + g2 - a2, n, tau),
-                ctx,
-            )
-            add_raw(
-                (j, k), (a1 - g1, a2 - g2), w1,
-                (l, i), (b1 + g1, b2 + g2), w2, value,
-            )
-        add(((l, k, beta.pair), (j, i, alpha.pair)), -mixed_scalar(hbar, y, n, ctx))
-        add(((j, i, alpha.pair), (l, k, beta.pair)), mixed_scalar(hbar, x, n, ctx))
-    else:
-        raise ValueError(f"unknown family {family}")
-    return RelationVector.from_terms(terms, m, n, label)
+    if idx not in family_tuples(family, m):
+        raise ValueError(f"family {family} does not take the indices {idx} at m = {m}")
+    if family == 1 and n == 1:
+        raise ValueError("no vertex-type relations at n = 1")
+    values, words = family_terms(family, [idx], pairs, n, params, ctx)
+    g = m * m * n * n
+    coords = np.zeros(g * g, dtype=complex)
+    coords[words.ravel()] = values.ravel()
+    return RelationVector(f"family{family}-{idx}-a{alpha.pair}-b{beta.pair}", m, n, coords)

@@ -19,12 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elliptic import (
-    EllipticContext,
-    all_indices,
-    kronecker_phi,
-    varphi,
-)
+from .elliptic import EllipticContext, kronecker_phi, varphi
 from .tensor import (
     TensorOperator,
     basis_t_raw,
@@ -76,19 +71,16 @@ class IdentityCheck:
     """Outcome of a single identity evaluation."""
 
     residual: float
-    normalization: float
 
     def __post_init__(self) -> None:
         if not (self.residual >= 0):
             raise ValueError(f"negative or non-finite residual {self.residual}")
-        if not (self.normalization > 0):
-            raise ValueError(f"non-positive normalization {self.normalization}")
 
 
 def relative_residual(lhs: np.ndarray, rhs: np.ndarray) -> IdentityCheck:
     """Frobenius defect of ``lhs == rhs`` scaled by the larger side (floor 1)."""
     norm = max(np.linalg.norm(lhs), np.linalg.norm(rhs), 1.0)
-    return IdentityCheck(float(np.linalg.norm(lhs - rhs) / norm), float(norm))
+    return IdentityCheck(float(np.linalg.norm(lhs - rhs) / norm))
 
 
 def r_bb(hbar: complex, u: complex, n: int, ctx: EllipticContext) -> np.ndarray:
@@ -99,12 +91,12 @@ def r_bb(hbar: complex, u: complex, n: int, ctx: EllipticContext) -> np.ndarray:
     representative; the product of the sign picked up by each factor under a
     representative change cancels, so each term is well defined.
     """
-    out = np.zeros((n * n, n * n), dtype=complex)
-    for a in all_indices(n):
-        coeff = varphi(a.a1, a.a2, u, hbar, n, ctx)
-        pair = np.kron(basis_t_raw(a.a1, a.a2, n), basis_t_raw(-a.a1, -a.a2, n))
-        out += coeff * pair
-    return out
+    a1, a2 = np.divmod(np.arange(n * n), n)
+    coeff = varphi(a1, a2, u, hbar, n, ctx)
+    # kron(T_a, T_-a) for every a, indexed [a, i, k, j, l]
+    first = basis_t_raw(a1, a2, n)[:, :, None, :, None]
+    pairs = first * basis_t_raw(-a1, -a2, n)[:, None, :, None, :]
+    return (coeff[:, None, None, None, None] * pairs).sum(axis=0).reshape(n * n, n * n)
 
 
 def r_felder(hbar: complex, u: complex, q: Sequence[complex], ctx: EllipticContext) -> np.ndarray:
@@ -115,23 +107,20 @@ def r_felder(hbar: complex, u: complex, q: Sequence[complex], ctx: EllipticConte
     kernel at ``(hbar, -difference)``.
     """
     m = len(q)
-    out = np.zeros((m * m, m * m), dtype=complex)
-    phi_uh = kronecker_phi(u, hbar, ctx)
-    for i in range(1, m + 1):
-        eii = matrix_unit(i, i, m)
-        out += phi_uh * np.kron(eii, eii)
-    for i in range(1, m + 1):
-        for j in range(1, m + 1):
-            if i == j:
-                continue
-            qij = q[i - 1] - q[j - 1]
-            out += kronecker_phi(u, qij, ctx) * np.kron(
-                matrix_unit(i, j, m), matrix_unit(j, i, m)
-            )
-            out += kronecker_phi(hbar, -qij, ctx) * np.kron(
-                matrix_unit(i, i, m), matrix_unit(j, j, m)
-            )
-    return out
+    i, j = np.nonzero(~np.eye(m, dtype=bool))
+    qa = np.array(q, dtype=complex)
+    qij = qa[i] - qa[j]
+    k = len(qij)
+    phi = kronecker_phi(
+        np.repeat([u, u, hbar], [1, k, k]), np.concatenate([[hbar], qij, -qij]), ctx
+    )
+    # entry [i, i', j, j'] of E_ii (x) E_ii, E_ij (x) E_ji and E_ii (x) E_jj
+    out = np.zeros((m, m, m, m), dtype=complex)
+    diag = np.arange(m)
+    out[diag, diag, diag, diag] = phi[0]
+    out[i, j, j, i] = phi[1 : k + 1]
+    out[i, j, i, j] = phi[k + 1 :]
+    return out.reshape(m * m, m * m)
 
 
 def mixed_scalar(hbar: complex, x: complex, n: int, ctx: EllipticContext) -> complex:

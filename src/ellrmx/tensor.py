@@ -75,13 +75,27 @@ def _t_matrix_part(a1r: int, a2r: int, n: int) -> np.ndarray:
     return mat
 
 
-def basis_t_raw(a1: int, a2: int, n: int) -> np.ndarray:
+@lru_cache(maxsize=None)
+def _t_parts(n: int) -> np.ndarray:
+    """Every ``Q^r1 Lambda^r2`` at once, indexed ``[r1, r2]``."""
+    parts = np.array([[_t_matrix_part(r1, r2, n) for r2 in range(n)] for r1 in range(n)])
+    parts.flags.writeable = False
+    return parts
+
+
+def basis_t_raw(a1, a2, n: int) -> np.ndarray:
     """Phased clock-shift product ``exp(i pi a1 a2 / n) Q^a1 Lambda^a2``.
 
     Defined for arbitrary integer characteristics; the phase uses the raw
     product, so different representatives of the same residue class differ
-    by a sign (see the module docstring).
+    by a sign (see the module docstring).  Integer arrays of
+    characteristics give the stack of matrices, indexed by their
+    broadcast shape, equal entry for entry to the scalar form.
     """
+    if isinstance(a1, np.ndarray) or isinstance(a2, np.ndarray):
+        a1, a2 = np.broadcast_arrays(a1, a2)
+        phase = np.exp(1j * (math.pi * a1 * a2 / n))
+        return phase[..., None, None] * _t_parts(n)[a1 % n, a2 % n]
     phase = cmath.exp(1j * math.pi * a1 * a2 / n)
     return phase * _t_matrix_part(a1 % n, a2 % n, n)
 
@@ -91,13 +105,17 @@ def basis_t(alpha: LatticeIndex) -> np.ndarray:
     return basis_t_raw(alpha.a1, alpha.a2, alpha.n)
 
 
-def kappa_raw(a: tuple[int, int], b: tuple[int, int], n: int) -> complex:
+def kappa_raw(a: tuple, b: tuple, n: int):
     """Structure constant ``exp((pi i / n)(b1 a2 - b2 a1))``.
 
     ``basis_t_raw(a) @ basis_t_raw(b) = kappa_raw(a, b) * basis_t_raw(a + b)``
-    with the componentwise integer sum on the right.
+    with the componentwise integer sum on the right.  Components may be
+    integer arrays; they broadcast.
     """
-    return cmath.exp(1j * math.pi * (b[0] * a[1] - b[1] * a[0]) / n)
+    k = b[0] * a[1] - b[1] * a[0]
+    if isinstance(k, np.ndarray):
+        return np.exp(1j * (math.pi * k / n))
+    return cmath.exp(1j * math.pi * k / n)
 
 
 def kappa(alpha: LatticeIndex, beta: LatticeIndex) -> complex:

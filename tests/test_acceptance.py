@@ -28,7 +28,6 @@ from ellrmx.elliptic import (
 )
 from ellrmx.ncalgebra import (
     LConvention,
-    RelationSet,
     component_ratio,
     defect_factorization_check,
     relation_vectors_reference,
@@ -212,7 +211,7 @@ def test_criterion_08_rll_relation_equivalence():
             m=m, two_sets=True, z_count=2 * pairs, expressions=rll_exprs(n)
         )
         params, zs = sample_params([108, n, m], spec, CTX)
-        reference = RelationSet.of(relation_vectors_reference(n, m, params, CTX))
+        reference = relation_vectors_reference(n, m, params, CTX)
         defects = [
             rll_defect(n, m, params, zs[i], zs[i + 1], ON, CTX)
             for i in range(0, 2 * pairs, 2)

@@ -12,6 +12,10 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import ellrmx.elliptic as elliptic
 
 from ellrmx.elliptic import (
     DELTA_MIN,
@@ -19,6 +23,7 @@ from ellrmx.elliptic import (
     LatticeIndex,
     PoleProximityError,
     all_indices,
+    guard_denominator,
     eisenstein_e1,
     eisenstein_e2,
     fay_coincident_residual,
@@ -334,3 +339,113 @@ class TestLatticeDistance:
         near = lattice_distance(0.03 + 0.01j, TAU)
         far = lattice_distance(0.5 + 0.5 * TAU, TAU)
         assert near < DELTA_MIN < far
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        st.floats(-4, 4, allow_nan=False),
+        st.floats(-4, 4, allow_nan=False),
+        st.sampled_from([TAU, 5.3 + 0.3j]),
+    )
+    def test_upper_bound_on_the_true_distance(self, a, b, tau):
+        z = a + b * tau
+        m, n = np.meshgrid(np.arange(-6, 7), np.arange(-6, 7))
+        nearest = np.min(np.abs(z - (round(a) + m) - (round(b) + n) * tau))
+        assert lattice_distance(z, tau) >= nearest - 1e-12
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(
+        st.lists(
+            st.complex_numbers(max_magnitude=50, allow_nan=False, allow_infinity=False),
+            max_size=20,
+        ),
+        st.sampled_from([TAU, 5.3 + 0.3j]),
+    )
+    def test_array_form_is_bit_identical(self, values, tau):
+        # Guard decisions, and so null trials, must not depend on the form.
+        got = lattice_distance(np.array(values, dtype=complex), tau)
+        assert got.tolist() == [lattice_distance(complex(v), tau) for v in values]
+
+
+def kernel_cases(ctx):
+    """(name, array form, scalar form) of every array-capable kernel."""
+    h = 0.21 + 0.13j
+    return [
+        ("theta", lambda z: theta(z, ctx), lambda z: theta(z, ctx)),
+        ("theta_d1", lambda z: theta_d1(z, ctx), lambda z: theta_d1(z, ctx)),
+        ("theta_d2", lambda z: theta_d2(z, ctx), lambda z: theta_d2(z, ctx)),
+        ("e1", lambda z: eisenstein_e1(z, ctx), lambda z: eisenstein_e1(z, ctx)),
+        ("e2", lambda z: eisenstein_e2(z, ctx), lambda z: eisenstein_e2(z, ctx)),
+        ("phi", lambda z: kronecker_phi(z, z[::-1], ctx),
+         lambda z, w: kronecker_phi(z, w, ctx)),
+        ("varphi", lambda z: varphi(1, 2, z, h, 3, ctx),
+         lambda z: varphi(1, 2, z, h, 3, ctx)),
+    ]
+
+
+class TestArrayKernels:
+    """Array arguments against the scalar path, entry by entry."""
+
+    @staticmethod
+    def points(tau, shape, seed=0):
+        rng = np.random.default_rng(seed)
+        size = int(np.prod(shape))
+        z = rng.uniform(-1.5, 1.5, 4 * size) + tau * rng.uniform(-1.5, 1.5, 4 * size)
+        z = z[lattice_distance(z, tau) >= DELTA_MIN]
+        z = z[lattice_distance(z[::-1], tau) >= DELTA_MIN]  # phi's second argument
+        return z[:size].reshape(shape)
+
+    @pytest.mark.parametrize("tau", [TAU, 5.3 + 0.3j])
+    @pytest.mark.parametrize("shape", [(), (0,), (7, 5)])
+    def test_entries_match_the_scalar_form(self, tau, shape):
+        ctx = EllipticContext(tau)
+        z = self.points(tau, shape)
+        flat = z.ravel()
+        for name, array_form, scalar_form in kernel_cases(ctx):
+            got = np.asarray(array_form(z.ravel()).reshape(shape) if name == "phi"
+                             else array_form(z))
+            assert got.shape == shape, name
+            if name == "phi":
+                pairs = zip(flat, flat[::-1])
+                want = [scalar_form(complex(a), complex(b)) for a, b in pairs]
+            else:
+                want = [scalar_form(complex(v)) for v in flat]
+            want = np.array(want, dtype=complex).reshape(shape)
+            assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want)), name
+
+    def test_scalars_give_python_complex(self):
+        z = 0.31 + 0.47j
+        for name, _, scalar_form in kernel_cases(CTX):
+            value = scalar_form(z, 0.2 + 0.1j) if name == "phi" else scalar_form(z)
+            assert type(value) is complex, name
+        assert type(lattice_distance(z, TAU)) is float
+
+    def test_series_runs_once_per_distinct_argument(self, monkeypatch):
+        seen = []
+        outer = np.multiply.outer
+
+        class Spy:
+            @staticmethod
+            def outer(a, b):
+                seen.append(len(a))
+                return outer(a, b)
+
+        monkeypatch.setattr(elliptic.np, "multiply", Spy)
+        z = np.array([[0.2 + 0.3j, 0.4 + 0.1j], [0.2 + 0.3j, 0.2 + 0.3j]])
+        assert theta(z, CTX)[1, 1] == theta(z, CTX)[0, 0]
+        assert seen == [2, 2]
+
+    def test_chunks_cover_every_argument(self, monkeypatch):
+        monkeypatch.setattr(elliptic, "_CHUNK", 3)
+        z = self.points(TAU, (11,), seed=4)
+        want = [theta(complex(v), CTX) for v in z]
+        np.testing.assert_allclose(theta(z, CTX), want, rtol=1e-12, atol=0)
+
+    def test_guard_names_the_first_offending_entry(self):
+        z = np.array([[0.4 + 0.3j, 0.3 + 0.2j], [1.0 + 0.01j, 0.02 + 0.0j]])
+        with pytest.raises(PoleProximityError, match=r"x\[1, 0\] = 1\+0\.01j lies 0\.01 "):
+            guard_denominator("x", z, TAU)
+        guard_denominator("x", z[0], TAU)
+        with pytest.raises(PoleProximityError, match=r"u\[2\]"):
+            kronecker_phi(np.array([0.3, 0.4, TAU + 0.01]), 0.2 + 0.1j, CTX)
+        with pytest.raises(PoleProximityError, match=r"z\[1, 0\]"):
+            eisenstein_e1(z, CTX)

@@ -1,34 +1,49 @@
-"""Relation-family coefficient tables: representation and reduction checks."""
+"""Relation-family coefficient tables: representation and reduction checks.
+
+The array builds are compared with a scalar oracle kept in this file: the
+pair-by-pair, word-by-word construction of the Sklyanin constants and of
+the composite families, one kernel call per coefficient.
+"""
 
 import cmath
 
 import numpy as np
 import pytest
 
+from ellrmx.checks import CheckConfig, _relations_spec, _trial_seed
 from ellrmx.elliptic import (
     EllipticContext,
     LatticeIndex,
     PoleProximityError,
     all_indices,
+    eisenstein_e1,
+    eisenstein_e2,
     kronecker_phi,
     omega_raw,
     theta,
 )
+from ellrmx.ncalgebra import relation_vectors_reference
 from ellrmx.relations import (
     DegenerateRelationError,
     RelationVector,
-    SklyaninRelation,
     TVRelation,
+    family_terms,
+    family_tuples,
     generator_slot,
     label_reduction_factor,
-    sklyanin_coeffs,
-    sklyanin_coeffs_eta,
-    sklyanin_representation_residual,
     slnm_family_coeffs,
     tv_relations,
     word_slot,
 )
-from ellrmx.rmatrix import DynamicalParams
+from ellrmx.rmatrix import DynamicalParams, mixed_scalar
+from ellrmx.sampling import sample_params
+from ellrmx.sklyanin import (
+    SklyaninRelation,
+    sklyanin_coeffs,
+    sklyanin_coeffs_eta,
+    sklyanin_representation_residual,
+)
+from ellrmx.tensor import kappa_raw
 
 TAU = 0.3 + 0.8j
 CTX = EllipticContext(TAU)
@@ -44,6 +59,175 @@ def cosine_distance(a: np.ndarray, b: np.ndarray) -> float:
     return 1.0 - inner / (na * nb)
 
 
+def word_of(rel, gamma):
+    """Unreduced integer index pair ``(alpha - gamma, beta + gamma)`` of the
+    word a Sklyanin coefficient stands on."""
+    first = (rel.alpha.a1 - gamma.a1, rel.alpha.a2 - gamma.a2)
+    second = (rel.beta.a1 + gamma.a1, rel.beta.a2 + gamma.a2)
+    return first, second
+
+
+# --- scalar oracle -------------------------------------------------------
+
+
+def oracle_sklyanin(alpha, beta, hbar, ctx):
+    """Bare Sklyanin constants, one Eisenstein call per term."""
+    n = alpha.n
+    coeffs, scale = {}, 0.0
+    if n == 1:
+        return SklyaninRelation(alpha, beta, coeffs)
+    (a1, a2), (b1, b2) = alpha.pair, beta.pair
+    d1, d2 = a1 - b1, a2 - b2
+    for gamma in all_indices(n):
+        g1, g2 = gamma.pair
+        raws = [(g1, g2), (d1 - g1, d2 - g2), (a1 - g1, a2 - g2), (b1 + g1, b2 + g2)]
+        fn, signs = eisenstein_e1, (1, -1, 1, -1)
+        if beta.pair == (0, 0):
+            fn, signs, raws = eisenstein_e2, (1, -1), [(g1, g2), (a1 - g1, a2 - g2)]
+        parts = [
+            sg * fn(omega_raw(*c, n, ctx.tau) + hbar, ctx) for sg, c in zip(signs, raws)
+        ]
+        scale = max(scale, *(abs(v) for v in parts))
+        coeffs[gamma] = kappa_raw(gamma.pair, (d1, d2), n) * sum(parts)
+    return SklyaninRelation(alpha, beta, coeffs, scale)
+
+
+def oracle_sklyanin_eta(alpha, beta, eta, hbar, ctx):
+    base = oracle_sklyanin(alpha, beta, hbar, ctx)
+    n = alpha.n
+    if n == 1:
+        return base
+    phase = cmath.exp(-2j * cmath.pi * (alpha.a2 + beta.a2) * (eta - hbar) / n)
+    coeffs, pref_max = {}, 0.0
+    for gamma, value in base.coefficients.items():
+        first, second = word_of(base, gamma)
+        pref = theta(hbar + omega_raw(*first, n, ctx.tau), ctx) * theta(
+            hbar + omega_raw(*second, n, ctx.tau), ctx
+        )
+        pref_max = max(pref_max, abs(pref))
+        coeffs[gamma] = value * pref * phase
+    return SklyaninRelation(alpha, beta, coeffs, base.scale * pref_max)
+
+
+def oracle_label(raw, w, n, ctx):
+    a1, a2 = raw
+    r1, r2 = a1 % n, a2 % n
+    k1, k2 = (a1 - r1) // n, (a2 - r2) // n
+    if k1 == 0 and k2 == 0:
+        return (r1, r2), 1.0 + 0.0j
+    om = omega_raw(r1, r2, n, ctx.tau)
+    growth = ((-1) ** (k1 + k2)) * cmath.exp(
+        1j * cmath.pi * (k1 * r2 + k2 * r1 + n * k1 * k2)
+        - 1j * cmath.pi * ctx.tau * k2 * k2
+        - 2j * cmath.pi * k2 * (w + om)
+    )
+    return (r1, r2), 1.0 / growth
+
+
+def oracle_family(family, idx, alpha, beta, params, ctx):
+    """One composite-family relation as a dict of words, term by term."""
+    n, hbar, tau = alpha.n, params.hbar, ctx.tau
+    p, s = params.q1, params.q2
+    (a1, a2), (b1, b2) = alpha.pair, beta.pair
+    terms = {}
+
+    def add(word, value):
+        terms[word] = terms.get(word, 0.0) + value
+
+    def add_raw(ij1, raw1, w1, ij2, raw2, w2, value):
+        w2 = w2 + hbar * ((ij2[1] == ij1[1]) - (ij2[0] == ij1[0]))
+        lab1, x1 = oracle_label(raw1, w1, n, ctx)
+        lab2, x2 = oracle_label(raw2, w2, n, ctx)
+        add(((ij1[0], ij1[1], lab1), (ij2[0], ij2[1], lab2)), value * x1 * x2)
+
+    def kap(g1, g2):
+        return kappa_raw((g1, g2), alpha.pair, n) * kappa_raw(beta.pair, (g1, g2), n)
+
+    def w(c1, c2):
+        return omega_raw(c1, c2, n, tau)
+
+    if family == 1:
+        j, i = idx
+        eta = s[i - 1] - p[j - 1]
+        rel = oracle_sklyanin_eta(alpha, beta, eta, hbar, ctx)
+        for gamma, value in rel.coefficients.items():
+            first, second = word_of(rel, gamma)
+            add_raw((j, i), first, eta, (j, i), second, eta, value)
+        return terms
+    if family == 2:
+        i, j, k = idx
+        x = p[j - 1] - p[k - 1]
+        letters, ws = ((j, i), (k, i)), (s[i - 1] - p[j - 1], s[i - 1] - p[k - 1])
+        args = lambda g1, g2: (hbar + w(g1, g2), x + w(b1 + g1 - a1, b2 + g2 - a2))
+        extra = [(((k, i, beta.pair), (j, i, alpha.pair)), -mixed_scalar(hbar, x, n, ctx))]
+    elif family == 3:
+        i, j, k = idx
+        x = s[j - 1] - s[k - 1]
+        letters, ws = ((i, k), (i, j)), (s[k - 1] - p[i - 1], s[j - 1] - p[i - 1])
+        args = lambda g1, g2: (hbar + w(a1 - b1 - g1, a2 - b2 - g2), -x - w(g1, g2))
+        extra = [(((i, j, alpha.pair), (i, k, beta.pair)), -mixed_scalar(hbar, x, n, ctx))]
+    else:
+        i, j, k, l = idx
+        x, y = s[i - 1] - s[k - 1], p[j - 1] - p[l - 1]
+        letters, ws = ((j, k), (l, i)), (s[k - 1] - p[j - 1], s[i - 1] - p[l - 1])
+        args = lambda g1, g2: (x + w(g1, g2), y + w(b1 + g1 - a1, b2 + g2 - a2))
+        extra = [
+            (((l, k, beta.pair), (j, i, alpha.pair)), -mixed_scalar(hbar, y, n, ctx)),
+            (((j, i, alpha.pair), (l, k, beta.pair)), mixed_scalar(hbar, x, n, ctx)),
+        ]
+    for gamma in all_indices(n):
+        g1, g2 = gamma.pair
+        value = kap(g1, g2) * kronecker_phi(*args(g1, g2), ctx)
+        first, second = (a1 - g1, a2 - g2), (b1 + g1, b2 + g2)
+        add_raw(letters[0], first, ws[0], letters[1], second, ws[1], value)
+    for word_, value in extra:
+        add(word_, value)
+    return terms
+
+
+def oracle_reference(n, m, params, ctx):
+    """Unit rows of the reference set, relation by relation: zero relations
+    and those at most 1e-9 of the largest norm are dropped."""
+    g = m * m * n * n
+    r = range(1, m + 1)
+    order = [(1, (j, i)) for j in r for i in r] if n > 1 else []
+    for i in r:
+        for j in r:
+            for k in r:
+                if j != k:
+                    order += [(2, (i, j, k)), (3, (i, j, k))]
+    for i in r:
+        for k in r:
+            for j in r:
+                for l in r:
+                    if k != i and l != j:
+                        order.append((4, (i, j, k, l)))
+    rows = []
+    for family, idx in order:
+        for alpha in all_indices(n):
+            for beta in all_indices(n):
+                row = np.zeros(g * g, dtype=complex)
+                for w, v in oracle_family(family, idx, alpha, beta, params, ctx).items():
+                    row[word_slot(w, m, n)] += v
+                if np.any(row):
+                    rows.append(row)
+    rows = np.array(rows).reshape(len(rows), g * g)
+    norms = np.linalg.norm(rows, axis=1)
+    keep = norms > 1e-9 * norms.max(initial=0.0)
+    return rows[keep] / norms[keep, None]
+
+
+def bare_at(alpha, beta):
+    return sklyanin_coeffs(alpha, beta, HBAR, CTX)
+
+
+def trial_params(seed, n, m, tau=TAU):
+    """The parameters of trial 0 of the ``relations`` check at this seed."""
+    cfg = CheckConfig(check="relations", n=n, m=m, tau=tau)
+    spec, ctx = _relations_spec(cfg), EllipticContext(tau)
+    return sample_params(_trial_seed(seed, "relations", 0), spec, ctx)[0]
+
+
 def crossed_beta0_coeffs(alpha, beta, hbar):
     """Theta-rescaled constants at eta == hbar with the sign of gamma flipped
     inside the first prefactor, the variant that breaks the beta == 0 branch
@@ -53,7 +237,7 @@ def crossed_beta0_coeffs(alpha, beta, hbar):
     coeffs = {}
     pref_max = 0.0
     for gamma, value in base.coefficients.items():
-        _, second = base.word(gamma)
+        _, second = word_of(base, gamma)
         first = (alpha.a1 + gamma.a1, alpha.a2 + gamma.a2)
         pref = theta(hbar + omega_raw(*first, n, TAU), CTX) * theta(
             hbar + omega_raw(*second, n, TAU), CTX
@@ -173,7 +357,7 @@ class TestSklyaninTheta:
         worst = 0.0
         for alpha in all_indices(n):
             for beta in all_indices(n):
-                rel = sklyanin_coeffs_eta(alpha, beta, HBAR, HBAR, CTX)
+                rel = sklyanin_coeffs_eta(bare_at(alpha, beta), HBAR, HBAR, CTX)
                 worst = max(
                     worst, sklyanin_representation_residual(rel, CTX, hbar=HBAR)
                 )
@@ -185,7 +369,7 @@ class TestSklyaninTheta:
         worst = 0.0
         for alpha in all_indices(n):
             for beta in all_indices(n):
-                rel = sklyanin_coeffs_eta(alpha, beta, eta, HBAR, CTX)
+                rel = sklyanin_coeffs_eta(bare_at(alpha, beta), eta, HBAR, CTX)
                 worst = max(
                     worst,
                     sklyanin_representation_residual(rel, CTX, hbar=HBAR, eta=eta),
@@ -196,7 +380,7 @@ class TestSklyaninTheta:
         n = 2
         alpha = LatticeIndex(1, 0, n)
         beta = LatticeIndex(0, 0, n)
-        matched = sklyanin_coeffs_eta(alpha, beta, HBAR, HBAR, CTX)
+        matched = sklyanin_coeffs_eta(bare_at(alpha, beta), HBAR, HBAR, CTX)
         crossed = crossed_beta0_coeffs(alpha, beta, HBAR)
         assert sklyanin_representation_residual(matched, CTX, hbar=HBAR) <= 1e-9
         assert sklyanin_representation_residual(crossed, CTX, hbar=HBAR) > 1e-3
@@ -206,9 +390,9 @@ class TestSklyaninTheta:
         alpha = LatticeIndex(1, 1, n)
         beta = LatticeIndex(0, 1, n)
         bare = sklyanin_coeffs(alpha, beta, HBAR, CTX)
-        tilde = sklyanin_coeffs_eta(alpha, beta, HBAR, HBAR, CTX)
+        tilde = sklyanin_coeffs_eta(bare_at(alpha, beta), HBAR, HBAR, CTX)
         for gamma, value in bare.coefficients.items():
-            first, second = bare.word(gamma)
+            first, second = word_of(bare, gamma)
             pref = theta(HBAR + omega_raw(*first, n, TAU), CTX) * theta(
                 HBAR + omega_raw(*second, n, TAU), CTX
             )
@@ -219,8 +403,8 @@ class TestSklyaninTheta:
         alpha = LatticeIndex(2, 1, n)
         beta = LatticeIndex(1, 2, n)
         eta = 0.44 - 0.18j
-        at_hbar = sklyanin_coeffs_eta(alpha, beta, HBAR, HBAR, CTX)
-        shifted = sklyanin_coeffs_eta(alpha, beta, eta, HBAR, CTX)
+        at_hbar = sklyanin_coeffs_eta(bare_at(alpha, beta), HBAR, HBAR, CTX)
+        shifted = sklyanin_coeffs_eta(bare_at(alpha, beta), eta, HBAR, CTX)
         phase = cmath.exp(
             -2j * cmath.pi * (alpha.a2 + beta.a2) * (eta - HBAR) / n
         )
@@ -370,9 +554,9 @@ class TestFamilyCoefficients:
         j, i = 1, 2
         eta = Q2[i - 1] - Q1[j - 1]
         vec = slnm_family_coeffs(1, (j, i), alpha, beta, params, CTX)
-        rel = sklyanin_coeffs_eta(alpha, beta, eta, HBAR, CTX)
+        rel = sklyanin_coeffs_eta(bare_at(alpha, beta), eta, HBAR, CTX)
         for gamma, value in rel.coefficients.items():
-            first, second = rel.word(gamma)
+            first, second = word_of(rel, gamma)
             lab1, x1 = label_reduction_factor(first, eta, n, CTX)
             lab2, x2 = label_reduction_factor(second, eta, n, CTX)
             word = ((j, i, lab1), (j, i, lab2))
@@ -411,3 +595,92 @@ class TestFamilyCoefficients:
         one = LatticeIndex(0, 0, 1)
         with pytest.raises(ValueError):
             slnm_family_coeffs(1, (1, 2), one, one, self.params_n1(), CTX)
+
+
+class TestArrayBuildParity:
+    """The array builds against the scalar oracle at the top of this file.
+
+    Coefficients are compared relative to the largest entry of their row
+    or relation: entries that are exact cancellations in the Sklyanin sums
+    come out as roundoff in both builds, and only their scale is defined.
+    """
+
+    @pytest.mark.parametrize("seed", [0, 9])
+    @pytest.mark.parametrize("nm", [(2, 2), (2, 3), (3, 2), (4, 1), (1, 4)])
+    def test_reference_rows_match_the_oracle(self, nm, seed):
+        n, m = nm
+        params = trial_params(seed, n, m)
+        got = relation_vectors_reference(n, m, params, CTX).rows
+        want = oracle_reference(n, m, params, CTX)
+        assert got.shape == want.shape
+        scale = np.abs(want).max(axis=1, keepdims=True)
+        assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+    def test_pole_guards_trip_on_the_same_draws(self):
+        tau = 5.3 + 0.3j
+        ctx = EllipticContext(tau)
+        tripped = []
+        for seed in range(10):
+            params = trial_params(seed, 2, 2, tau)
+            outcome = []
+            for build in (relation_vectors_reference, oracle_reference):
+                try:
+                    build(2, 2, params, ctx)
+                    outcome.append(False)
+                except PoleProximityError:
+                    outcome.append(True)
+            assert outcome[0] == outcome[1], seed
+            tripped.append(outcome[0])
+        assert any(tripped) and not all(tripped)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_sklyanin_constants_match_the_oracle(self, n):
+        eta = 0.37 + 0.29j
+        for alpha in all_indices(n):
+            for beta in all_indices(n):
+                base = sklyanin_coeffs(alpha, beta, HBAR, CTX)
+                pairs = [
+                    (base, oracle_sklyanin(alpha, beta, HBAR, CTX)),
+                    (
+                        sklyanin_coeffs_eta(base, eta, HBAR, CTX),
+                        oracle_sklyanin_eta(alpha, beta, eta, HBAR, CTX),
+                    ),
+                ]
+                for got, want in pairs:
+                    assert list(got.coefficients) == list(want.coefficients)
+                    a = np.array(list(got.coefficients.values()))
+                    b = np.array(list(want.coefficients.values()))
+                    assert np.all(np.abs(a - b) <= 1e-12 * want.scale)
+                    assert got.scale == pytest.approx(want.scale, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_one_vector_view_matches_the_oracle(self, n):
+        params = DynamicalParams.pair(Q1, Q2, HBAR)
+        for family in ((1,) if n > 1 else ()) + (2, 3, 4):
+            for idx in family_tuples(family, 2):
+                got, want = [], []
+                for alpha in all_indices(n):
+                    for beta in all_indices(n):
+                        terms = oracle_family(family, idx, alpha, beta, params, CTX)
+                        row = np.zeros(4 ** 2 * n**4, dtype=complex)
+                        for w, v in terms.items():
+                            row[word_slot(w, 2, n)] += v
+                        want.append(row)
+                        try:
+                            vec = slnm_family_coeffs(family, idx, alpha, beta, params, CTX)
+                            got.append(vec.coords)
+                        except DegenerateRelationError:
+                            got.append(np.zeros_like(row))
+                got, want = np.array(got), np.array(want)
+                assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want).max())
+
+    @pytest.mark.parametrize("nm", [(2, 2), (3, 2), (1, 3)])
+    def test_terms_of_a_relation_sit_on_distinct_words(self, nm):
+        n, m = nm
+        ia, ib = np.divmod(np.arange(n**4), n * n)
+        pairs = (ia // n, ia % n, ib // n, ib % n)
+        for family in ((1,) if n > 1 else ()) + (2, 3, 4):
+            idx = family_tuples(family, m)
+            _, words = family_terms(family, idx, pairs, n, trial_params(0, n, m), CTX)
+            assert words.shape[:2] == (len(idx), n**4)
+            assert np.all(np.diff(np.sort(words, axis=-1), axis=-1) > 0)

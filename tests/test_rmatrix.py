@@ -20,8 +20,9 @@ from ellrmx.elliptic import (
     kronecker_phi,
     lattice_distance,
     omega,
+    varphi,
 )
-from ellrmx.tensor import TensorOperator, permute_components
+from ellrmx.tensor import TensorOperator, basis_t_raw, matrix_unit, permute_components
 from ellrmx.rmatrix import (
     DynamicalParams,
     IdentityCheck,
@@ -119,6 +120,17 @@ class TestRbbAgainstOracle:
         t_red = basis_t_raw(2, 2, 3)
         assert np.max(np.abs(t + t_red)) <= 1e-13  # opposite signs
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_matches_the_characteristic_loop(self, n):
+        hbar, u = 0.21 + 0.13j, 0.37 + 0.29j
+        want = sum(
+            varphi(a.a1, a.a2, u, hbar, n, CTX)
+            * np.kron(basis_t_raw(a.a1, a.a2, n), basis_t_raw(-a.a1, -a.a2, n))
+            for a in all_indices(n)
+        )
+        got = r_bb(hbar, u, n, CTX)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
 
 class TestYbe:
     @pytest.mark.parametrize("n", [2, 3])
@@ -213,6 +225,24 @@ class TestFelder:
         check = dybe_residual_felder(hbar, z[0], z[1], z[2], q, CTX)
         assert check.residual <= 1e-9
 
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_matches_the_matrix_unit_loop(self, m):
+        hbar, u = 0.21 + 0.13j, 0.37 + 0.29j
+        q = (0.13 + 0.09j, 0.58 + 0.41j, 0.77 + 0.33j)[:m]
+        want = np.zeros((m * m, m * m), dtype=complex)
+        for i in range(1, m + 1):
+            eii = matrix_unit(i, i, m)
+            want += kronecker_phi(u, hbar, CTX) * np.kron(eii, eii)
+            for j in range(1, m + 1):
+                if i != j:
+                    qij = q[i - 1] - q[j - 1]
+                    eij, eji = matrix_unit(i, j, m), matrix_unit(j, i, m)
+                    want += kronecker_phi(u, qij, CTX) * np.kron(eij, eji)
+                    ejj = matrix_unit(j, j, m)
+                    want += kronecker_phi(hbar, -qij, CTX) * np.kron(eii, ejj)
+        got = r_felder(hbar, u, q, CTX)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
     def test_zero_weight(self):
         rng = np.random.default_rng(113)
         hbar, q, z = sample_point_set(rng, 3, 1)
@@ -306,12 +336,9 @@ class TestParamsAndReports:
 
     def test_identity_check_validation(self):
         with pytest.raises(ValueError):
-            IdentityCheck(-1.0, 1.0)
-        with pytest.raises(ValueError):
-            IdentityCheck(0.5, 0.0)
+            IdentityCheck(-1.0)
 
     def test_relative_residual_floor(self):
         z = np.zeros((2, 2))
         check = relative_residual(z, z)
         assert check.residual == 0.0
-        assert check.normalization == 1.0
