@@ -6,8 +6,9 @@
 These cases sit outside the tier-1 suite (``testpaths``) and outside the
 benchmark's ``bench/`` directory.  Each times one layer on fixed inputs at
 the default tau: one scalar theta, theta over 1,000 arguments, the
-reference relation set at (n, m) = (2, 2), and one ``sklyanin-rep`` trial
-at n = 3.  Kernels that take only scalars are timed entry by entry, so the
+reference relation set at (n, m) = (2, 2), one ``sklyanin-rep`` trial at
+n = 3, one ``r_slnm`` at (n, m) = (3, 2) and one ``dybe-slnm`` trial at
+(3, 2).  Kernels that take only scalars are timed entry by entry, so the
 same file runs on commits from before array arguments.
 """
 
@@ -18,10 +19,13 @@ from ellrmx.checks import (
     _relations_spec,
     _sklyanin_spec,
     _sklyanin_trial,
+    _slnm_spec,
+    _slnm_trial,
     _trial_seed,
 )
 from ellrmx.elliptic import EllipticContext, theta
 from ellrmx.ncalgebra import relation_vectors_reference
+from ellrmx.rmatrix import r_slnm
 from ellrmx.sampling import sample_params
 
 CTX = EllipticContext(0.3 + 0.8j)
@@ -57,3 +61,13 @@ def test_relation_vectors_reference_2x2(benchmark):
 def test_sklyanin_rep_trial_n3(benchmark):
     cfg, params, zs = trial_draw("sklyanin-rep", _sklyanin_spec, 3)
     benchmark(_sklyanin_trial, cfg, params, zs, CTX)
+
+
+def test_r_slnm_3x2(benchmark):
+    _, params, zs = trial_draw("dybe-slnm", _slnm_spec, 3, 2)
+    benchmark(r_slnm, params.hbar, zs[0] - zs[1], params.q1, 3, CTX)
+
+
+def test_dybe_slnm_trial_3x2(benchmark):
+    cfg, params, zs = trial_draw("dybe-slnm", _slnm_spec, 3, 2)
+    benchmark(_slnm_trial, cfg, params, zs, CTX)

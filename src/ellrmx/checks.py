@@ -19,7 +19,6 @@ from .elliptic import (
     EllipticContext,
     LatticeIndex,
     PoleProximityError,
-    all_indices,
     fay_coincident_residual,
     fay_pair_residual,
     fay_residual,
@@ -54,6 +53,7 @@ from .sampling import (
     within_diffs,
 )
 from .sklyanin import (
+    label_pair_chunks,
     sklyanin_coeffs,
     sklyanin_coeffs_eta,
     sklyanin_representation_residual,
@@ -374,16 +374,15 @@ def _sklyanin_trial(
     hbar = params.hbar
     eta = zs[0]
     worst = 0.0
-    for alpha in all_indices(cfg.n):
-        for beta in all_indices(cfg.n):
-            basic = sklyanin_coeffs(alpha, beta, hbar, ctx)
-            worst = max(worst, sklyanin_representation_residual(basic, ctx))
-            shifted = sklyanin_coeffs_eta(basic, eta, hbar, ctx)
-            worst = max(
-                worst,
-                sklyanin_representation_residual(shifted, ctx, hbar=hbar, eta=eta),
-            )
-    return worst, None
+    for alphas, betas in label_pair_chunks(cfg.n):
+        basic = sklyanin_coeffs(alphas, betas, hbar, ctx)
+        shifted = sklyanin_coeffs_eta(basic, eta, hbar, ctx)
+        worst = max(
+            worst,
+            sklyanin_representation_residual(basic, ctx).max(),
+            sklyanin_representation_residual(shifted, ctx, hbar=hbar, eta=eta).max(),
+        )
+    return float(worst), None
 
 
 def _tv_spec(cfg: CheckConfig) -> SampleSpec:

@@ -284,6 +284,8 @@ def rll_defect(
     """
     table, mass = _defect_table(n, m, params, z1, z2, conv, ctx)
     keep = _row_norms(table) > 1e-12 * mass
+    if keep.all():
+        return RelationSet(table.reshape(-1, table.shape[-1]))
     return RelationSet(table[keep])
 
 
@@ -324,7 +326,7 @@ def relation_vectors_reference(
     norms = _row_norms(rows)
     # a non-finite row keeps every row, and the set rejects it
     keep = ~(norms <= 1e-9 * norms.max(initial=0.0))
-    return RelationSet(rows[keep])
+    return RelationSet(rows if keep.all() else rows[keep])
 
 
 def span_rank(vectors: RelationSet) -> int:

@@ -365,7 +365,7 @@ def slnm_family_coeffs(
     an identically vanishing relation raises
     :class:`DegenerateRelationError`.
     """
-    pairs = label_arrays(alpha, beta)
+    pairs = label_arrays((alpha,), (beta,))
     n = alpha.n
     if params.q2 is None:
         raise ValueError("composite families need two coordinate sets")

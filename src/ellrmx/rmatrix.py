@@ -20,13 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elliptic import EllipticContext, kronecker_phi, varphi
-from .tensor import (
-    TensorOperator,
-    basis_t_raw,
-    embed_matrix,
-    matrix_unit,
-    permute_components,
-)
+from .tensor import basis_t_raw, embed_matrix, matrix_unit
 
 QVector = tuple[complex, ...]
 
@@ -91,12 +85,18 @@ def r_bb(hbar: complex, u: complex, n: int, ctx: EllipticContext) -> np.ndarray:
     representative; the product of the sign picked up by each factor under a
     representative change cancels, so each term is well defined.
     """
+    return _bb_blocks(np.array([hbar], dtype=complex), u, n, ctx)[0].reshape(n * n, n * n)
+
+
+def _bb_blocks(x: np.ndarray, u: complex, n: int, ctx: EllipticContext) -> np.ndarray:
+    """:func:`r_bb` at every Planck parameter of the 1-d array ``x``, as
+    ``[x, i1, i2, j1, j2]`` (row i1 i2, column j1 j2), from one kernel call."""
     a1, a2 = np.divmod(np.arange(n * n), n)
-    coeff = varphi(a1, a2, u, hbar, n, ctx)
+    coeff = varphi(a1, a2, u, x[:, None], n, ctx)
     # kron(T_a, T_-a) for every a, indexed [a, i, k, j, l]
     first = basis_t_raw(a1, a2, n)[:, :, None, :, None]
     pairs = first * basis_t_raw(-a1, -a2, n)[:, None, :, None, :]
-    return (coeff[:, None, None, None, None] * pairs).sum(axis=0).reshape(n * n, n * n)
+    return (coeff[:, :, None, None, None, None] * pairs).sum(axis=1)
 
 
 def r_felder(hbar: complex, u: complex, q: Sequence[complex], ctx: EllipticContext) -> np.ndarray:
@@ -127,7 +127,8 @@ def mixed_scalar(hbar: complex, x: complex, n: int, ctx: EllipticContext) -> com
     """Diagonal-diagonal coefficient of the composite R-matrix: ``n phi(n hbar, -n x)``.
 
     Reduces to the plain mixed coefficient ``phi(hbar, -x)`` at ``n == 1``;
-    see :func:`r_slnm` for why the n-fold rescaling is forced.
+    see :func:`r_slnm` for why the n-fold rescaling is forced.  Arrays
+    broadcast.
     """
     return n * kronecker_phi(n * hbar, -n * x, ctx)
 
@@ -137,9 +138,10 @@ def r_slnm(
 ) -> np.ndarray:
     """Composite R-matrix on (C^M x C^N)^2 in canonical site order.
 
-    Assembled in the grouping (M, M, N, N) where the two M-factors come
-    first, then conjugated into site order (M, N, M, N): each site is one
-    M-factor followed by its N-factor.
+    Site order is (M, N, M, N): each site is one M-factor followed by its
+    N-factor.  Every block is scattered straight into place; the vertex
+    blocks come from one kernel call over hbar and all coordinate
+    differences, the mixed scalars from another.
 
     Diagonal coordinate pairs carry the full vertex block, exchange pairs
     carry it at the coordinate difference, and diagonal-diagonal pairs carry
@@ -152,28 +154,23 @@ def r_slnm(
     coordinate-only R-matrix.
     """
     m = len(q)
-    dim_block = m * m * n * n
-    ab12 = np.zeros((dim_block, dim_block), dtype=complex)
-    rbb_h = r_bb(hbar, u, n, ctx)
-    eye_nn = np.eye(n * n, dtype=complex)
-    for i in range(1, m + 1):
-        eii = matrix_unit(i, i, m)
-        ab12 += np.kron(np.kron(eii, eii), rbb_h)
-    for i in range(1, m + 1):
-        for j in range(1, m + 1):
-            if i == j:
-                continue
-            qij = q[i - 1] - q[j - 1]
-            ab12 += np.kron(
-                np.kron(matrix_unit(i, j, m), matrix_unit(j, i, m)),
-                r_bb(qij, u, n, ctx),
-            )
-            ab12 += mixed_scalar(hbar, qij, n, ctx) * np.kron(
-                np.kron(matrix_unit(i, i, m), matrix_unit(j, j, m)), eye_nn
-            )
-    op = TensorOperator((m, m, n, n), ab12)
-    # factors (M_a, M_b, N_1, N_2) -> (M_a, N_1, M_b, N_2)
-    return permute_components(op, (1, 3, 2, 4)).data
+    i, j = np.nonzero(~np.eye(m, dtype=bool))
+    qa = np.array(q, dtype=complex)
+    qij = qa[i] - qa[j]
+    blocks = _bb_blocks(np.concatenate([[hbar], qij]), u, n, ctx)
+    # hbar as an array too, so that m == 1 guards no unused argument
+    mixed = mixed_scalar(np.full(qij.shape, hbar), qij, n, ctx)
+    # entry [Ma, N1, Mb, N2, Ma', N1', Mb', N2'] of the diagonal blocks
+    # E_ii (x) E_ii (x) R, exchange blocks E_ij (x) E_ji (x) R(qij) and
+    # diagonal-diagonal scalars E_ii (x) E_jj (x) 1
+    out = np.zeros((m, n) * 4, dtype=complex)
+    diag = np.arange(m)
+    out[diag, :, diag, :, diag, :, diag, :] = blocks[0]
+    out[i, :, j, :, j, :, i, :] = blocks[1:]
+    identity = np.eye(n * n).reshape((n,) * 4)
+    out[i, :, j, :, i, :, j, :] = mixed[:, None, None, None, None] * identity
+    dim = m * m * n * n
+    return out.reshape(dim, dim)
 
 
 def weight_projectors(m: int, n: int = 1) -> list[np.ndarray]:

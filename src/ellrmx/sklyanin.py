@@ -4,14 +4,15 @@ Each relation is labelled by a characteristic pair (alpha, beta) and sums
 over a third characteristic gamma.  Its constants come in a bare form
 (first or second Eisenstein values at hbar-shifted lattice fractions) and
 a theta-rescaled, shifted-parameter form; both are built as arrays over
-gamma, and for many label pairs at once by the composite families of
-:mod:`ellrmx.relations`.  The finite-dimensional basis representation
-checks them.
+gamma and over many label pairs at once, here and by the composite
+families of :mod:`ellrmx.relations`.  The finite-dimensional basis
+representation checks them, for many pairs at once as stacked matrices.
 """
 
 from __future__ import annotations
 
 import cmath
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -23,12 +24,18 @@ from .elliptic import (
     all_indices,
     eisenstein_e1,
     eisenstein_e2,
+    guard_denominator,
     omega_raw,
     theta,
 )
 from .tensor import basis_t_raw, kappa_raw
 
 TWO_PI_I = 2j * cmath.pi
+
+#: Basis-matrix entries (pairs x gammas x n x n) that one representation
+#: residual stacks, per letter; bounds its complex temporaries to a few
+#: megabytes at every n, where all n^4 pairs at once would take O(n^8).
+_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -62,17 +69,53 @@ class SklyaninRelation:
         return self.alpha.n
 
 
+@dataclass(frozen=True, eq=False)
+class SklyaninTable:
+    """Structure constants of many exchange relations, one row per label pair.
+
+    Row p is the relation labelled by entry p of ``pairs``, the (a1, a2,
+    b1, b2) integer arrays of the array builders: column k holds the
+    weight of the k-th summation characteristic gamma, in the order of
+    :func:`characteristics`, and ``scale[p]`` is the row's assembly scale
+    (see :class:`SklyaninRelation`).  At n == 1 there are no relations and
+    the table has no columns.
+    """
+
+    n: int
+    pairs: tuple[np.ndarray, ...]
+    values: np.ndarray
+    scale: np.ndarray
+
+    def relation(self, p: int) -> SklyaninRelation:
+        """Row ``p`` as one relation."""
+        n = self.n
+        a1, a2, b1, b2 = (int(v[p]) for v in self.pairs)
+        values = dict(zip(all_indices(n), self.values[p].tolist()))
+        alpha, beta = LatticeIndex(a1, a2, n), LatticeIndex(b1, b2, n)
+        return SklyaninRelation(alpha, beta, values, float(self.scale[p]))
+
+
+def _one_row(rel: SklyaninRelation) -> SklyaninTable:
+    values = [rel.coefficients.get(g, 0j) for g in all_indices(rel.n)]
+    pairs = label_arrays((rel.alpha,), (rel.beta,))
+    return SklyaninTable(rel.n, pairs, np.array([values], dtype=complex), np.array([rel.scale]))
+
+
 def characteristics(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The ``n^2`` canonical characteristics as integer arrays, in the
     row-major order of :func:`ellrmx.elliptic.all_indices`."""
     return np.divmod(np.arange(n * n), n)
 
 
-def label_arrays(alpha: LatticeIndex, beta: LatticeIndex) -> tuple[np.ndarray, ...]:
-    """One label pair as the (a1, a2, b1, b2) arrays of the array builders."""
-    if alpha.n != beta.n:
+def label_arrays(alpha, beta) -> tuple[np.ndarray, ...]:
+    """Equal-length sequences of characteristics, read as label pairs, as
+    the (a1, a2, b1, b2) integer arrays of the array builders."""
+    if len(alpha) != len(beta):
+        raise ValueError("label sequences of different lengths")
+    if len({v.n for v in (*alpha, *beta)}) > 1:
         raise ValueError("characteristics with mixed moduli")
-    return tuple(np.array([v]) for v in (*alpha.pair, *beta.pair))
+    labels = np.array([a.pair + b.pair for a, b in zip(alpha, beta)], dtype=int)
+    return tuple(labels.reshape(-1, 4).T)
 
 
 def bare_constants(pairs: tuple, hbar: complex, n: int, ctx: EllipticContext):
@@ -113,18 +156,22 @@ def bare_constants(pairs: tuple, hbar: complex, n: int, ctx: EllipticContext):
 def theta_prefactors(pairs: tuple, hbar: complex, n: int, ctx: EllipticContext):
     """``theta(hbar + omega(alpha - gamma)) theta(hbar + omega(beta + gamma))``
     as ``[pair, gamma]``, in unreduced integer arithmetic."""
-    g1, g2 = characteristics(n)
-    a1, a2, b1, b2 = (v[:, None] for v in pairs)
-    c1 = np.stack(np.broadcast_arrays(a1 - g1, b1 + g1))
-    c2 = np.stack(np.broadcast_arrays(a2 - g2, b2 + g2))
-    first, second = theta(hbar + omega_raw(c1, c2, n, ctx.tau), ctx)
+    first, second = theta(hbar + omega_raw(*_letters(pairs, n), n, ctx.tau), ctx)
     return first * second
 
 
-def sklyanin_coeffs(
-    alpha: LatticeIndex, beta: LatticeIndex, hbar: complex, ctx: EllipticContext
-) -> SklyaninRelation:
-    """Bare structure constants of the exchange relation labelled (alpha, beta).
+def _letters(pairs: tuple, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Unreduced integer indices (d1, d2) of both letters of every word,
+    ``(alpha - gamma, beta + gamma)``, each stacked ``[letter, pair, gamma]``."""
+    g1, g2 = characteristics(n)
+    a1, a2, b1, b2 = (v[:, None] for v in pairs)
+    d1 = np.stack(np.broadcast_arrays(a1 - g1, b1 + g1))
+    d2 = np.stack(np.broadcast_arrays(a2 - g2, b2 + g2))
+    return d1, d2
+
+
+def sklyanin_coeffs(alpha, beta, hbar: complex, ctx: EllipticContext):
+    """Bare structure constants of the exchange relations labelled (alpha, beta).
 
     For nonzero beta each gamma weighs in with a commutation phase times a
     four-term combination of first Eisenstein values at hbar-shifted
@@ -133,48 +180,54 @@ def sklyanin_coeffs(
     arithmetic of the word: the first Eisenstein function is only
     quasi-periodic, so representatives matter.  n == 1 has no relations
     and yields an empty table.
+
+    ``alpha`` and ``beta`` are one characteristic each, giving a
+    :class:`SklyaninRelation`, or equal-length sequences of them, giving a
+    :class:`SklyaninTable` with one row per position.
     """
+    if isinstance(alpha, LatticeIndex):
+        return sklyanin_coeffs((alpha,), (beta,), hbar, ctx).relation(0)
     pairs = label_arrays(alpha, beta)
-    n = alpha.n
+    n = alpha[0].n
     if n == 1:
-        return SklyaninRelation(alpha, beta, {})
-    coeffs, scale = bare_constants(pairs, hbar, n, ctx)
-    gammas = all_indices(n)
-    values = dict(zip(gammas, coeffs[0].tolist()))
-    return SklyaninRelation(alpha, beta, values, float(scale[0]))
+        empty = np.zeros((len(alpha), 0), dtype=complex)
+        return SklyaninTable(n, pairs, empty, np.zeros(len(alpha)))
+    return SklyaninTable(n, pairs, *bare_constants(pairs, hbar, n, ctx))
 
 
-def sklyanin_coeffs_eta(
-    base: SklyaninRelation, eta: complex, hbar: complex, ctx: EllipticContext
-) -> SklyaninRelation:
+def sklyanin_coeffs_eta(base, eta: complex, hbar: complex, ctx: EllipticContext):
     """Structure constants in the theta-rescaled, parameter-shifted form,
-    from the bare relation ``base`` at the same ``hbar``.
+    from the bare relations ``base`` (a :class:`SklyaninRelation` or a
+    :class:`SklyaninTable`, returned in kind) at the same ``hbar``.
 
     Each bare coefficient picks up two theta factors at the hbar-shifted
-    fractions of its own word, and the whole relation carries a single
-    global phase in ``eta - hbar`` (the per-word phases collapse because
-    the words all share the integer column sum ``alpha + beta``).  At
+    fractions of its own word, and each relation carries a single global
+    phase in ``eta - hbar`` (the per-word phases collapse because the
+    words all share the integer column sum ``alpha + beta``).  At
     ``eta == hbar`` only the rescaling remains.
     """
-    alpha, beta, n = base.alpha, base.beta, base.n
-    if n == 1:
+    if base.n == 1:
         return base
-    pref = theta_prefactors(label_arrays(alpha, beta), hbar, n, ctx)[0]
-    phase = cmath.exp(-TWO_PI_I * (alpha.a2 + beta.a2) * (eta - hbar) / n)
-    gammas = all_indices(n)
-    values = np.array([base.coefficients[g] for g in gammas]) * pref * phase
-    scale = base.scale * float(np.abs(pref).max())
-    return SklyaninRelation(alpha, beta, dict(zip(gammas, values.tolist())), scale)
+    if isinstance(base, SklyaninRelation):
+        return sklyanin_coeffs_eta(_one_row(base), eta, hbar, ctx).relation(0)
+    pairs = base.pairs
+    pref = theta_prefactors(pairs, hbar, base.n, ctx)
+    phase = np.exp(-TWO_PI_I * (pairs[1] + pairs[3]) * (eta - hbar) / base.n)
+    values = base.values * pref * phase[:, None]
+    scale = base.scale * np.abs(pref).max(axis=1)
+    return SklyaninTable(base.n, pairs, values, scale)
 
 
 def sklyanin_representation_residual(
-    rel: SklyaninRelation,
+    rel,
     ctx: EllipticContext,
     *,
     hbar: complex | None = None,
     eta: complex | None = None,
-) -> float:
-    """Normalized norm of the relation evaluated in the basis representation.
+):
+    """Normalized norm of the relations evaluated in the basis representation:
+    a float for a :class:`SklyaninRelation`, an array with one entry per
+    row for a :class:`SklyaninTable`.
 
     A generator with integer index d acts as the operator basis element at
     -d.  With ``hbar`` given each factor is divided by ``theta(hbar +
@@ -187,22 +240,38 @@ def sklyanin_representation_residual(
     """
     if eta is not None and hbar is None:
         raise ValueError("the shifted-parameter form requires hbar")
-    n = rel.n
-    if not rel.coefficients:
-        return 0.0
-    g1, g2 = np.array([g.pair for g in rel.coefficients]).T
-    values = np.array(list(rel.coefficients.values()))
-    # integer indices of both letters of every word, stacked [letter, gamma]
-    d1 = np.stack([rel.alpha.a1 - g1, rel.beta.a1 + g1])
-    d2 = np.stack([rel.alpha.a2 - g2, rel.beta.a2 + g2])
+    if isinstance(rel, SklyaninRelation):
+        if not rel.coefficients:
+            return 0.0
+        table = _one_row(rel)
+        return float(sklyanin_representation_residual(table, ctx, hbar=hbar, eta=eta)[0])
+    n, values = rel.n, rel.values
+    if not values.size:
+        return np.zeros(len(values))
+    d1, d2 = _letters(rel.pairs, n)
     reps = basis_t_raw(-d1, -d2, n)
     if hbar is not None:
-        reps = reps / theta(hbar + omega_raw(d1, d2, n, ctx.tau), ctx)[..., None, None]
+        args = hbar + omega_raw(d1, d2, n, ctx.tau)
+        guard_denominator("hbar + omega_d", args, ctx.tau)
+        reps /= theta(args, ctx)[..., None, None]
     if eta is not None:
-        reps = reps * np.exp(TWO_PI_I * d2 * (eta - hbar) / n)[..., None, None]
-    acc = (values[:, None, None] * (reps[0] @ reps[1])).sum(axis=0)
-    norms = np.linalg.norm(reps, axis=(2, 3))
-    den = max(float(np.sum(np.abs(values) * norms[0] * norms[1])), rel.scale)
-    if den == 0.0:
-        return 0.0
-    return float(np.linalg.norm(acc)) / den
+        reps *= np.exp(TWO_PI_I * d2 * (eta - hbar) / n)[..., None, None]
+    acc = (values[..., None, None] * (reps[0] @ reps[1])).sum(axis=1)
+    norms = np.linalg.norm(reps, axis=(-2, -1))
+    den = np.maximum(np.sum(np.abs(values) * norms[0] * norms[1], axis=1), rel.scale)
+    num = np.linalg.norm(acc, axis=(-2, -1))
+    return np.divide(num, den, out=np.zeros_like(num), where=den != 0.0)
+
+
+def label_pair_chunks(n: int) -> Iterator[tuple[tuple[LatticeIndex, ...], ...]]:
+    """All ``n^4`` label pairs (alpha outer, beta inner, both in the order
+    of :func:`ellrmx.elliptic.all_indices`) as (alphas, betas) chunks.
+
+    A chunk holds at most ``_CHUNK`` basis-matrix entries of the
+    representation residual, ``n^4`` per pair, and at least one pair.
+    """
+    labels = all_indices(n)
+    pairs = [(alpha, beta) for alpha in labels for beta in labels]
+    size = max(1, _CHUNK // n**4)
+    for start in range(0, len(pairs), size):
+        yield tuple(zip(*pairs[start : start + size]))

@@ -2,15 +2,24 @@
 
 The array builds are compared with a scalar oracle kept in this file: the
 pair-by-pair, word-by-word construction of the Sklyanin constants and of
-the composite families, one kernel call per coefficient.
+the composite families, one kernel call per coefficient, and the
+``sklyanin-rep`` trial as a loop over label pairs.
 """
 
 import cmath
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from ellrmx.checks import CheckConfig, _relations_spec, _trial_seed
+from ellrmx import sklyanin
+from ellrmx.checks import (
+    CheckConfig,
+    _relations_spec,
+    _sklyanin_spec,
+    _sklyanin_trial,
+    _trial_seed,
+)
 from ellrmx.elliptic import (
     EllipticContext,
     LatticeIndex,
@@ -39,11 +48,16 @@ from ellrmx.rmatrix import DynamicalParams, mixed_scalar
 from ellrmx.sampling import sample_params
 from ellrmx.sklyanin import (
     SklyaninRelation,
+    SklyaninTable,
+    bare_constants,
+    label_arrays,
+    label_pair_chunks,
     sklyanin_coeffs,
     sklyanin_coeffs_eta,
     sklyanin_representation_residual,
+    theta_prefactors,
 )
-from ellrmx.tensor import kappa_raw
+from ellrmx.tensor import basis_t_raw, kappa_raw
 
 TAU = 0.3 + 0.8j
 CTX = EllipticContext(TAU)
@@ -107,6 +121,59 @@ def oracle_sklyanin_eta(alpha, beta, eta, hbar, ctx):
         pref_max = max(pref_max, abs(pref))
         coeffs[gamma] = value * pref * phase
     return SklyaninRelation(alpha, beta, coeffs, base.scale * pref_max)
+
+
+def oracle_residual(rel, ctx, hbar=None, eta=None):
+    """One relation in the basis representation, both letters of every
+    word stacked: the one-pair form of the representation residual."""
+    n = rel.n
+    if not rel.coefficients:
+        return 0.0
+    g1, g2 = np.array([g.pair for g in rel.coefficients]).T
+    values = np.array(list(rel.coefficients.values()))
+    d1 = np.stack([rel.alpha.a1 - g1, rel.beta.a1 + g1])
+    d2 = np.stack([rel.alpha.a2 - g2, rel.beta.a2 + g2])
+    reps = basis_t_raw(-d1, -d2, n)
+    if hbar is not None:
+        reps = reps / theta(hbar + omega_raw(d1, d2, n, ctx.tau), ctx)[..., None, None]
+    if eta is not None:
+        reps = reps * np.exp(2j * np.pi * d2 * (eta - hbar) / n)[..., None, None]
+    acc = (values[:, None, None] * (reps[0] @ reps[1])).sum(axis=0)
+    norms = np.linalg.norm(reps, axis=(2, 3))
+    den = max(float(np.sum(np.abs(values) * norms[0] * norms[1])), rel.scale)
+    if den == 0.0:
+        return 0.0
+    return float(np.linalg.norm(acc)) / den
+
+
+def pair_by_pair_trial(n, hbar, eta, ctx):
+    """The ``sklyanin-rep`` trial one label pair at a time, each pair's
+    constants from a one-pair array build: the largest residual of the
+    bare and the shifted relations."""
+    gammas = all_indices(n)
+    worst = 0.0
+    for alpha in gammas:
+        for beta in gammas:
+            pairs = label_arrays((alpha,), (beta,))
+            coeffs, scale = bare_constants(pairs, hbar, n, ctx)
+            bare = SklyaninRelation(
+                alpha, beta, dict(zip(gammas, coeffs[0].tolist())), float(scale[0])
+            )
+            pref = theta_prefactors(pairs, hbar, n, ctx)[0]
+            phase = cmath.exp(-2j * cmath.pi * (alpha.a2 + beta.a2) * (eta - hbar) / n)
+            values = coeffs[0] * pref * phase
+            shifted = SklyaninRelation(
+                alpha,
+                beta,
+                dict(zip(gammas, values.tolist())),
+                float(scale[0]) * float(np.abs(pref).max()),
+            )
+            worst = max(
+                worst,
+                oracle_residual(bare, ctx),
+                oracle_residual(shifted, ctx, hbar, eta),
+            )
+    return worst
 
 
 def oracle_label(raw, w, n, ctx):
@@ -431,6 +498,123 @@ class TestSklyaninTheta:
         )
         with pytest.raises(ValueError):
             sklyanin_representation_residual(rel, CTX, eta=0.3)
+
+
+def sklyanin_draw(seed, n, tau=TAU):
+    """The parameters of trial 0 of the ``sklyanin-rep`` check at this seed."""
+    cfg = CheckConfig(check="sklyanin-rep", n=n, m=1, tau=tau)
+    params, zs = sample_params(
+        _trial_seed(seed, "sklyanin-rep", 0), _sklyanin_spec(cfg), EllipticContext(tau)
+    )
+    return cfg, params, zs
+
+
+def chunk_residuals(n, hbar, eta):
+    """Every pair's bare and shifted residual, chunk by chunk."""
+    bare, shifted = [], []
+    for alphas, betas in label_pair_chunks(n):
+        table = sklyanin_coeffs(alphas, betas, hbar, CTX)
+        bare.append(sklyanin_representation_residual(table, CTX))
+        table = sklyanin_coeffs_eta(table, eta, hbar, CTX)
+        shifted.append(sklyanin_representation_residual(table, CTX, hbar=hbar, eta=eta))
+    return np.concatenate(bare), np.concatenate(shifted)
+
+
+class TestSklyaninTable:
+    """Many label pairs at once against the pair-by-pair oracle."""
+
+    @pytest.mark.parametrize("tau", [TAU, 5.3 + 0.3j])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_trial_matches_the_pair_by_pair_loop(self, n, tau):
+        ctx = EllipticContext(tau)
+        for seed in range(10):
+            cfg, params, zs = sklyanin_draw(seed, n, tau)
+            outcome = []
+            for trial in (
+                lambda: _sklyanin_trial(cfg, params, zs, ctx)[0],
+                lambda: pair_by_pair_trial(n, params.hbar, zs[0], ctx),
+            ):
+                try:
+                    outcome.append(trial())
+                except PoleProximityError:
+                    outcome.append(None)
+            got, want = outcome
+            assert (got is None) == (want is None), seed
+            if got is not None:
+                assert abs(got - want) <= 1e-15, seed
+
+    def test_rows_are_the_one_pair_relations(self):
+        n = 3
+        labels = all_indices(n)
+        alphas, betas = labels[::2], labels[::-2]
+        table = sklyanin_coeffs(alphas, betas, HBAR, CTX)
+        assert isinstance(table, SklyaninTable)
+        eta = 0.37 + 0.29j
+        shifted = sklyanin_coeffs_eta(table, eta, HBAR, CTX)
+        residuals = sklyanin_representation_residual(shifted, CTX, hbar=HBAR, eta=eta)
+        for p, (alpha, beta) in enumerate(zip(alphas, betas)):
+            one = sklyanin_coeffs(alpha, beta, HBAR, CTX)
+            assert table.relation(p) == one
+            one = sklyanin_coeffs_eta(one, eta, HBAR, CTX)
+            assert shifted.relation(p) == one
+            assert residuals[p] == sklyanin_representation_residual(
+                one, CTX, hbar=HBAR, eta=eta
+            )
+
+    def test_n1_table_is_empty(self):
+        one = LatticeIndex(0, 0, 1)
+        table = sklyanin_coeffs([one, one], [one, one], HBAR, CTX)
+        assert table.values.shape == (2, 0)
+        assert table.relation(1).coefficients == {}
+        assert sklyanin_coeffs_eta(table, 0.3, HBAR, CTX) is table
+        assert sklyanin_representation_residual(table, CTX).tolist() == [0.0, 0.0]
+
+    def test_mismatched_labels_raise(self):
+        a2, a3 = LatticeIndex(0, 1, 2), LatticeIndex(0, 1, 3)
+        with pytest.raises(ValueError):
+            sklyanin_coeffs([a2, a2], [a2, a3], HBAR, CTX)
+        with pytest.raises(ValueError):
+            sklyanin_coeffs([a2, a2], [a2], HBAR, CTX)
+
+    def test_chunks_cover_every_pair_once_in_order(self, monkeypatch):
+        monkeypatch.setattr(sklyanin, "_CHUNK", 7 * 3**4)
+        chunks = list(label_pair_chunks(3))
+        assert [len(alphas) for alphas, _ in chunks] == [7] * 11 + [4]
+        flat = [pair for alphas, betas in chunks for pair in zip(alphas, betas)]
+        labels = all_indices(3)
+        assert flat == [(alpha, beta) for alpha in labels for beta in labels]
+
+    def test_uneven_chunks_give_identical_results(self, monkeypatch):
+        n = 3
+        cfg, params, zs = sklyanin_draw(0, n)
+        whole = chunk_residuals(n, params.hbar, zs[0])
+        trial = _sklyanin_trial(cfg, params, zs, CTX)
+        assert len(list(label_pair_chunks(n))) == 1
+        monkeypatch.setattr(sklyanin, "_CHUNK", 7 * n**4)
+        assert len(list(label_pair_chunks(n))) == 12
+        for got, want in zip(chunk_residuals(n, params.hbar, zs[0]), whole):
+            assert np.array_equal(got, want)
+        assert _sklyanin_trial(cfg, params, zs, CTX) == trial
+
+    def test_trial_temporaries_stay_bounded(self):
+        # all 1296 pairs at n = 6 at once would stack 54 MB per letter
+        cfg, params, zs = sklyanin_draw(42, 6)
+        tracemalloc.start()
+        try:
+            residual, _ = _sklyanin_trial(cfg, params, zs, CTX)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert residual <= 1e-9
+        assert peak <= 16 * 2**20
+
+    def test_residual_guards_its_theta_denominators(self):
+        # gamma == alpha, column 2, puts the first letter at index 0, so
+        # hbar itself divides
+        n = 2
+        rel = sklyanin_coeffs(LatticeIndex(1, 0, n), LatticeIndex(0, 1, n), HBAR, CTX)
+        with pytest.raises(PoleProximityError, match=r"hbar \+ omega_d\[0, 0, 2\]"):
+            sklyanin_representation_residual(rel, CTX, hbar=0.01 + 0.01j)
 
 
 class TestTVRelations:

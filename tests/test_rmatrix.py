@@ -132,6 +132,26 @@ class TestRbbAgainstOracle:
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+def kron_r_slnm(hbar, u, q, n, ctx):
+    """The composite matrix as a sum of Kronecker products in the grouping
+    (M, M, N, N), conjugated into site order (M, N, M, N) afterwards."""
+    m = len(q)
+    ab12 = np.zeros((m * m * n * n,) * 2, dtype=complex)
+    eye_nn = np.eye(n * n, dtype=complex)
+    for i in range(1, m + 1):
+        eii = matrix_unit(i, i, m)
+        ab12 += np.kron(np.kron(eii, eii), r_bb(hbar, u, n, ctx))
+        for j in range(1, m + 1):
+            if i == j:
+                continue
+            qij = q[i - 1] - q[j - 1]
+            exchange = np.kron(matrix_unit(i, j, m), matrix_unit(j, i, m))
+            ab12 += np.kron(exchange, r_bb(qij, u, n, ctx))
+            scalar = n * kronecker_phi(n * hbar, -n * qij, ctx)
+            ab12 += scalar * np.kron(np.kron(eii, matrix_unit(j, j, m)), eye_nn)
+    return permute_components(TensorOperator((m, m, n, n), ab12), (1, 3, 2, 4)).data
+
+
 class TestYbe:
     @pytest.mark.parametrize("n", [2, 3])
     def test_vertex_ybe(self, n):
@@ -273,6 +293,14 @@ class TestSlnm:
         hbar, q, z = sample_point_set(rng, m, n)
         check = dybe_residual_slnm(hbar, z[0], z[1], z[2], q, n, CTX)
         assert check.residual <= 1e-9
+
+    @pytest.mark.parametrize("n,m", [(3, 2), (2, 3), (1, 3), (3, 1), (2, 1)])
+    def test_matches_the_kronecker_sum(self, n, m):
+        rng = np.random.default_rng(130 + 10 * n + m)
+        hbar, q, z = sample_point_set(rng, m, n)
+        want = kron_r_slnm(hbar, z[0] - z[1], q, n, CTX)
+        got = r_slnm(hbar, z[0] - z[1], q, n, CTX)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_mixed_scalar_rescaling(self):
         # The diagonal-diagonal coordinate block is n*phi(n*hbar, -n*qij)
