@@ -6,10 +6,12 @@
 These cases sit outside the tier-1 suite (``testpaths``) and outside the
 benchmark's ``bench/`` directory.  Each times one layer on fixed inputs at
 the default tau: one scalar theta, theta over 1,000 arguments, the
-reference relation set at (n, m) = (2, 2), one ``sklyanin-rep`` trial at
-n = 3, one ``r_slnm`` at (n, m) = (3, 2) and one ``dybe-slnm`` trial at
-(3, 2).  Kernels that take only scalars are timed entry by entry, so the
-same file runs on commits from before array arguments.
+reference relation set at (n, m) = (2, 2) and (2, 4), one defect set
+(``rll_defect``, its table rebuilt every round) at (2, 3), one
+``sklyanin-rep`` trial at n = 3, one ``r_slnm`` at (n, m) = (3, 2) and one
+``dybe-slnm`` trial at (3, 2).  Kernels that take only scalars are timed
+entry by entry, so the same file runs on commits from before array
+arguments.
 """
 
 import numpy as np
@@ -17,6 +19,7 @@ import numpy as np
 from ellrmx.checks import (
     CheckConfig,
     _relations_spec,
+    _rll_spec,
     _sklyanin_spec,
     _sklyanin_trial,
     _slnm_spec,
@@ -24,7 +27,7 @@ from ellrmx.checks import (
     _trial_seed,
 )
 from ellrmx.elliptic import EllipticContext, theta
-from ellrmx.ncalgebra import relation_vectors_reference
+from ellrmx.ncalgebra import LConvention, _defect_table, relation_vectors_reference, rll_defect
 from ellrmx.rmatrix import r_slnm
 from ellrmx.sampling import sample_params
 
@@ -56,6 +59,21 @@ def test_theta_1000_arguments(benchmark):
 def test_relation_vectors_reference_2x2(benchmark):
     _, params, _ = trial_draw("relations", _relations_spec, 2, 2)
     benchmark(relation_vectors_reference, 2, 2, params, CTX)
+
+
+def test_relation_vectors_reference_2x4(benchmark):
+    _, params, _ = trial_draw("relations", _relations_spec, 2, 4)
+    benchmark(relation_vectors_reference, 2, 4, params, CTX)
+
+
+def test_rll_defect_2x3(benchmark):
+    _, params, zs = trial_draw("rll", _rll_spec, 2, 3)
+
+    def build():
+        _defect_table.cache_clear()
+        return rll_defect(2, 3, params, zs[0], zs[1], LConvention(), CTX)
+
+    benchmark(build)
 
 
 def test_sklyanin_rep_trial_n3(benchmark):

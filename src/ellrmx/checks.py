@@ -29,6 +29,7 @@ from .ncalgebra import (
     defect_factorization_check,
     relation_vectors_reference,
     rll_defect,
+    rll_trial_bytes,
     span_equal,
     span_gap,
     span_rank,
@@ -79,6 +80,7 @@ DEFAULT_SEED = 42
 RESIDUAL_TOL = 1e-9
 SPAN_TOL = 1e-8
 MAX_SITES = 12
+RLL_MEMORY = 1 << 30
 MIN_IM_TAU = 0.3
 
 
@@ -113,6 +115,12 @@ class CheckConfig:
         if self.n * self.m > MAX_SITES:
             raise ConfigError(
                 f"n*m = {self.n * self.m} exceeds the desk-scale bound {MAX_SITES}"
+            )
+        need = rll_trial_bytes(self.n, self.m)
+        if self.check in ("rll", "all") and need > RLL_MEMORY:
+            raise ConfigError(
+                f"an rll trial at n={self.n} m={self.m} would take about"
+                f" {need / 2**30:.1f} GB, over the {RLL_MEMORY / 2**30:.0f} GB bound"
             )
         if not cmath.isfinite(self.tau):
             raise ConfigError(f"tau = {self.tau} is not finite")

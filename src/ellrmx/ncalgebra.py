@@ -1,4 +1,4 @@
-"""L-operator ansatz, RLL defect spans, and their comparison.
+"""L-operator ansatz, RLL defect relations, and the reference relations.
 
 The ansatz entries are linear in generators labelled (i, j, alpha) with
 theta coefficients.  Moving a coefficient leftward past a generator shifts
@@ -6,13 +6,12 @@ its arguments by hbar on coordinate i of the first block and coordinate j
 of the second.  In a two-letter word the second letter's theta argument
 therefore moves by -1, 0 or +1 hbar.  The defect of the exchange relation
 is assembled numerically from ansatz coefficients at those three shifts and
-two R-matrices, as coefficient vectors over ordered two-letter words.  Each
-set of such vectors becomes a :class:`RelationSet`, whose span is compared
-against the closed-form relation families of :mod:`ellrmx.relations`
-(rank, mutual inclusion, principal angles).  The relations are graded:
-each vector is exactly zero outside one sector of words, so a set splits
-into independent components with disjoint word supports, and every span
-computation runs on small per-component SVDs.
+two R-matrices, as coefficient vectors over ordered two-letter words.  The
+relations are graded, so almost every coefficient is zero: each set is
+built and held as its nonzero terms only, becomes a
+:class:`ellrmx.spans.RelationSet`, and is compared there against the
+closed-form relation families of :mod:`ellrmx.relations` (rank, mutual
+inclusion, principal angles).
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from __future__ import annotations
 import cmath
 import functools
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -32,8 +31,11 @@ from .elliptic import (
     omega_raw,
     theta,
 )
-from .relations import RelationVector, family_terms, family_tuples, generator_slot
+from .relations import family_terms, family_tuples, generator_slot
 from .rmatrix import DynamicalParams, r_slnm
+# The span functions are re-exported: bench/tracer.py looks them up here,
+# with the defect and reference builds they compare.
+from .spans import RelationSet, span_equal, span_gap, span_rank, term_norms
 from .tensor import basis_t, basis_t_raw
 
 TWO_PI_I = 2j * cmath.pi
@@ -90,6 +92,12 @@ def l_operator(
     return out
 
 
+# Entries of one contraction temporary: the rows of a block of words are
+# taken a few a_out indices at a time, so that no temporary outgrows this,
+# or one a_out's worth where that is larger.
+_CHUNK = 1 << 21
+
+
 @functools.lru_cache(maxsize=2)
 def _defect_table(
     n: int,
@@ -99,20 +107,23 @@ def _defect_table(
     z2: complex,
     conv: LConvention,
     ctx: EllipticContext,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Word vectors of every matrix element of the exchange defect
-    R(z1-z2 | q2) L1(z1) L2(z2) minus L2(z2) L1(z1) R(z1-z2 | q1).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Nonzero word coefficients of every matrix element of the exchange
+    defect R(z1-z2 | q2) L1(z1) L2(z2) minus L2(z2) L1(z1) R(z1-z2 | q1).
 
-    ``table[ao, bo, ai, bi]`` is the vector over ordered two-letter words
-    (:func:`ellrmx.relations.word_slot` layout) of the element with
-    composite indices (a_out, b_out, a_in, b_in).  In a word (a, a') the
-    second letter's coefficient is shifted by ``[a'.j == a.j] - [a'.i ==
-    a.i]`` hbar.  The right-hand R stands at q1: the entries a word meets
-    depend only on ``q1_{a.i} - q1_{a'.i}``, which the word's shift ``hbar
-    (e_{a.i} + e_{a'.i})`` leaves alone.  ``mass[ao, bo, ai, bi]`` is the
-    norm over words of the summed term moduli, the scale against which a
-    defect counts as an identical cancellation.  The two tables of the
-    latest trial are memoized; results are read-only.
+    Returns ``(rows, words, values, mass)``, the terms sorted by (row,
+    word).  The element with composite indices (a_out, b_out, a_in, b_in)
+    is the row ``((ao d + bo) d + ai) d + bi``; over ordered two-letter
+    words (:func:`ellrmx.relations.word_slot` layout) it has ``values[k]``
+    on ``words[k]`` where ``rows[k]`` is that row, and exact zeros
+    elsewhere.  In a word (a, a') the second letter's coefficient is
+    shifted by ``[a'.j == a.j] - [a'.i == a.i]`` hbar.  The right-hand R
+    stands at q1: the entries a word meets depend only on ``q1_{a.i} -
+    q1_{a'.i}``, which the word's shift ``hbar (e_{a.i} + e_{a'.i})``
+    leaves alone.  ``mass[ao, bo, ai, bi]`` is the norm over words of the
+    summed term moduli, the scale against which a defect counts as an
+    identical cancellation.  The two tables of the latest trial are
+    memoized; results are read-only.
     """
     if params.q2 is None:
         raise ValueError("the exchange relation needs two coordinate blocks")
@@ -126,30 +137,63 @@ def _defect_table(
     r_left = r_slnm(params.hbar, z12, params.q2, n, ctx).reshape(d, d, d, d)
     r_right = r_slnm(params.hbar, z12, params.q1, n, ctx).reshape(d, d, d, d)
     slot_i, slot_j = np.divmod(np.arange(g) // (n * n), m)
-    # index along the SHIFTS axis of the second letter of each word (a, a')
-    second = 1 + (slot_j[:, None] == slot_j) - (slot_i[:, None] == slot_i)
-    table = np.empty((d, d, d, d, g, g), dtype=complex)
     mass_sq = np.zeros((d, d, d, d))
-    # Slots sharing a first coordinate index are contiguous; one block of
-    # words per (a.i, a'.i) pair bounds the contraction temporaries.
+    chunks = []
+    # Rows run a_out first: a few a_out at a time, and one block of words
+    # per (a.i, a'.i) pair (slots sharing a first coordinate index are
+    # contiguous), bound the contraction temporaries.  Each block keeps
+    # only its nonzeros, and each run of rows is sorted on its own.
     span = g // m
-    for k in range(m):
-        first = slice(k * span, (k + 1) * span)
-        for l in range(m):
-            cols = np.arange(l * span, (l + 1) * span)
-            shift = second[first, cols]
-            # operands indexed [ao, bo, am, bm], [am, ai, a], [a, a', bm, bi]
-            lhs = (r_left, la[1, :, :, first], lb[shift, :, :, cols])
-            # operands indexed [bo, bm, a], [a, a', ao, am], [am, bm, ai, bi]
-            rhs = (lb[1, :, :, first], la[shift, :, :, cols], r_right)
-            table[..., first, cols] = _contract_lhs(*lhs) - _contract_rhs(*rhs)
-            moduli = _contract_lhs(*map(np.abs, lhs)) + _contract_rhs(*map(np.abs, rhs))
-            mass_sq += np.einsum("ABijab,ABijab->ABij", moduli, moduli)
-    table = table.reshape(d, d, d, d, g * g)
-    mass = np.sqrt(mass_sq)
-    table.setflags(write=False)
-    mass.setflags(write=False)
-    return table, mass
+    step = max(1, _CHUNK // (d**3 * span * span))
+    for lo in range(0, d, step):
+        out = slice(lo, lo + step)
+        terms = []
+        for k in range(m):
+            first = slice(k * span, (k + 1) * span)
+            for l in range(m):
+                cols = np.arange(l * span, (l + 1) * span)
+                # index along the SHIFTS axis of the second letter of each
+                # word (a, a')
+                shift = (
+                    1
+                    + (slot_j[first, None] == slot_j[cols])
+                    - (slot_i[first, None] == slot_i[cols])
+                )
+                # operands indexed [ao, bo, am, bm], [am, ai, a], [a, a', bm, bi]
+                lhs = (r_left[out], la[1, :, :, first], lb[shift, :, :, cols])
+                # operands indexed [bo, bm, a], [a, a', ao, am], [am, bm, ai, bi]
+                rhs = (lb[1, :, :, first], la[shift, :, :, cols][:, :, out], r_right)
+                block = _contract_lhs(*lhs).ravel()
+                block -= _contract_rhs(*rhs).ravel()
+                at = np.flatnonzero(block)
+                row, a, b = np.unravel_index(at, (block.size // span**2, span, span))
+                terms.append((lo * d**3 + row, (k * span + a) * g + l * span + b, block[at]))
+                del block  # freed before the moduli contractions
+                moduli = _contract_lhs(*map(np.abs, lhs)) + _contract_rhs(*map(np.abs, rhs))
+                mass_sq[out] += np.einsum("ABijab,ABijab->ABij", moduli, moduli)
+        rows, words, values = map(np.concatenate, zip(*terms))
+        order = np.argsort(rows * (g * g) + words)
+        chunks.append((rows[order], words[order], values[order]))
+    table = *map(np.concatenate, zip(*chunks)), np.sqrt(mass_sq)
+    for arr in table:
+        arr.setflags(write=False)
+    return table
+
+
+def rll_trial_bytes(n: int, m: int) -> int:
+    """Predicted peak memory of one ``rll`` trial at (n, m), in bytes.
+
+    A defect element has nonzeros on about n^3 words (on every word of its
+    component at m == 1), so a table holds about d^4 n^3 terms.  A trial
+    keeps two tables and their two blocked sets, and sorting and blocking
+    the terms of one takes about as much again.  Beyond the interpreter
+    and the contraction temporaries, peak RSS came to 165 to 285 bytes per
+    d^4 n^3 at (n, m) = (3, 3), (3, 4), (4, 3), (5, 2) and (8, 1); 300
+    bounds them.  The temporaries are complex, at most three alive, each
+    the size of one run of rows of one block of words.
+    """
+    d, span = m * n, m * n * n
+    return 300 * d**4 * n**3 + 48 * max(_CHUNK, d**3 * span * span)
 
 
 def _contract_lhs(r_mat: np.ndarray, first: np.ndarray, second: np.ndarray) -> np.ndarray:
@@ -160,68 +204,6 @@ def _contract_rhs(first: np.ndarray, second: np.ndarray, r_mat: np.ndarray) -> n
     return np.einsum("Bya,abAx,xyij->ABijab", first, second, r_mat, optimize=True)
 
 
-@dataclass(frozen=True, eq=False)
-class RelationSet:
-    """Relation vectors stacked as rows, each normalized to unit length.
-
-    Relations are projectively meaningful, so normalizing keeps the rank
-    threshold honest when vector norms spread over orders of magnitude.
-    The rows split into the connected components of their nonzero pattern:
-    a component is a set of rows together with the word columns they
-    touch.  Components have disjoint column supports, so the span is the
-    direct sum of theirs; each takes one small thin SVD, on first use, and
-    is cached.  An empty set is allowed (the 1 x 1 exchange relation is an
-    exact identity) but cannot be compared.
-    """
-
-    rows: np.ndarray
-
-    def __post_init__(self) -> None:
-        rows = np.asarray(self.rows, dtype=complex)
-        norms = _row_norms(rows)[:, None]
-        if not (np.all(np.isfinite(rows)) and np.all(norms > 0)):
-            raise ValueError("relation rows must be finite and nonzero")
-        rows = rows / norms
-        rows.setflags(write=False)
-        object.__setattr__(self, "rows", rows)
-
-    @classmethod
-    def of(cls, vectors: Sequence[RelationVector]) -> RelationSet:
-        """The set of the given labelled vectors, in order."""
-        dims = {v.coords.size for v in vectors}
-        if len(dims) > 1:
-            raise ValueError(f"mixed vector dimensions {sorted(dims)}")
-        mat = np.array([v.coords for v in vectors], dtype=complex)
-        return cls(mat.reshape(len(vectors), dims.pop() if dims else 0))
-
-    def __len__(self) -> int:
-        return self.rows.shape[0]
-
-    @functools.cached_property
-    def components(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """(row indices, sorted word columns) of each component, in the
-        order of their first columns.  Rows join by exact nonzeros."""
-        r, c = np.nonzero(self.rows)
-        root = _join_columns(r, c, self.rows.shape[1])
-        first = np.searchsorted(r, np.arange(len(self)))
-        cols = _distinct(c)
-        return tuple(zip(_group_by(root[c[first]]), _group_by(root[cols], cols)))
-
-    @functools.cached_property
-    def bases(self) -> tuple[np.ndarray, ...]:
-        """Orthonormal basis (as columns over the component's words) of the
-        span of each component, cut at 1e-8 of the set's largest singular
-        value; their widths sum to the rank."""
-        svds = [
-            np.linalg.svd(self.rows[np.ix_(rows, cols)], full_matrices=False)[1:]
-            for rows, cols in self.components
-        ]
-        if not svds:
-            raise ValueError("empty relation sets cannot be compared")
-        cutoff = 1e-8 * max(sv[0] for sv, _ in svds)
-        return tuple(vh[: int(np.sum(sv > cutoff))].T for sv, vh in svds)
-
-
 def _row_norms(rows: np.ndarray) -> np.ndarray:
     """2-norms along the last axis, summed over the real and imaginary
     views: no temporaries the size of ``rows``."""
@@ -229,41 +211,6 @@ def _row_norms(rows: np.ndarray) -> np.ndarray:
         np.einsum("...i,...i->...", rows.real, rows.real)
         + np.einsum("...i,...i->...", rows.imag, rows.imag)
     )
-
-
-def _join_columns(groups: np.ndarray, cols: np.ndarray, width: int) -> np.ndarray:
-    """Smallest column of the connected component of every column, where
-    the columns of each group (``groups`` sorted, one entry per member
-    column) are connected.  Hooks roots onto smaller ones until no pair
-    of connected columns has two roots."""
-    same = groups[1:] == groups[:-1]
-    u, v = cols[:-1][same], cols[1:][same]
-    root = np.arange(width)
-    while True:
-        while not np.array_equal(up := root[root], root):
-            root = up
-        ru, rv = root[u], root[v]
-        split = ru != rv
-        if not split.any():
-            return root
-        np.minimum.at(root, np.maximum(ru, rv)[split], np.minimum(ru, rv)[split])
-
-
-def _group_by(labels: np.ndarray, items: np.ndarray | None = None) -> list[np.ndarray]:
-    """``items`` (default: their positions) split by label, groups in label
-    order, members in their original order."""
-    if not labels.size:
-        return []
-    order = np.argsort(labels, kind="stable")
-    starts = np.flatnonzero(np.diff(labels[order])) + 1
-    return np.split(order if items is None else items[order], starts)
-
-
-def _distinct(indices: np.ndarray) -> np.ndarray:
-    """Sorted distinct nonnegative indices.  Not ``np.unique``: it imports
-    ``numpy.ma`` on first use, about 0.6 MB of resident memory."""
-    ordered = np.sort(indices)
-    return ordered[np.diff(ordered, prepend=-1) != 0]
 
 
 def rll_defect(
@@ -282,11 +229,21 @@ def rll_defect(
     are identical cancellations and are dropped; an exact identity (the
     1 x 1 case) gives an empty set.
     """
-    table, mass = _defect_table(n, m, params, z1, z2, conv, ctx)
-    keep = _row_norms(table) > 1e-12 * mass
-    if keep.all():
-        return RelationSet(table.reshape(-1, table.shape[-1]))
-    return RelationSet(table[keep])
+    rows, words, values, mass = _defect_table(n, m, params, z1, z2, conv, ctx)
+    keep = term_norms(rows, values, mass.size) > 1e-12 * mass.ravel()
+    return _kept_rows(keep, rows, words, values, (m * m * n * n) ** 2)
+
+
+def _kept_rows(
+    keep: np.ndarray, rows: np.ndarray, words: np.ndarray, values: np.ndarray, width: int
+) -> RelationSet:
+    """The set of the rows marked in ``keep``, in order, from the terms of
+    every row."""
+    kept = keep[rows]
+    renumber = np.cumsum(keep) - 1
+    return RelationSet.from_terms(
+        renumber[rows[kept]], words[kept], values[kept], int(keep.sum()), width
+    )
 
 
 def relation_vectors_reference(
@@ -317,101 +274,16 @@ def relation_vectors_reference(
         blocks.append([np.stack(ab, axis=1) for ab in zip(block(2), block(3))])
         blocks.append(block(4))
     flat = [[a.reshape(-1, a.shape[-1]) for a in b] for b in blocks]
-    g = m * m * n * n
-    rows = np.zeros((sum(len(v) for v, _ in flat), g * g), dtype=complex)
-    start = 0
-    for values, words in flat:
-        rows[np.arange(start, start + len(values))[:, None], words] = values
-        start += len(values)
-    norms = _row_norms(rows)
+    norms = np.concatenate([np.zeros(0)] + [_row_norms(values) for values, _ in flat])
     # a non-finite row keeps every row, and the set rejects it
     keep = ~(norms <= 1e-9 * norms.max(initial=0.0))
-    return RelationSet(rows if keep.all() else rows[keep])
-
-
-def span_rank(vectors: RelationSet) -> int:
-    """Rank of the set: the summed widths of its component bases."""
-    return sum(basis.shape[1] for basis in vectors.bases)
-
-
-_Piece = tuple[np.ndarray, np.ndarray]
-
-
-def _joint_blocks(
-    a: RelationSet, b: RelationSet
-) -> Iterator[tuple[np.ndarray, _Piece, _Piece]]:
-    """The two sets restricted to each joint component of their rows.
-
-    Yields the columns of each connected component of the union of both
-    sets' nonzero patterns, and per set its (rows, basis) there: the row
-    indices of its components inside, and their bases side by side on
-    those columns.  Both spans are the direct sums of these pieces.
-    """
-    pieces = [
-        (side, rows, cols, basis)
-        for side, s in enumerate((a, b))
-        for (rows, cols), basis in zip(s.components, s.bases)
-    ]
-    if a.rows.shape[1] != b.rows.shape[1]:
-        raise ValueError("vector dimensions differ between the two sets")
-    supports = [cols for _, _, cols, _ in pieces]
-    groups = np.repeat(np.arange(len(pieces)), [cols.size for cols in supports])
-    root = _join_columns(groups, np.concatenate(supports), a.rows.shape[1])
-    for members in _group_by(np.array([root[cols[0]] for cols in supports])):
-        inside = [pieces[k] for k in members]
-        block = _distinct(np.concatenate([cols for _, _, cols, _ in inside]))
-        yield block, *(_place(block, [p for p in inside if p[0] == side]) for side in (0, 1))
-
-
-def _place(block: np.ndarray, pieces: list) -> _Piece:
-    """Row indices of the given components, and their bases side by side
-    on the columns of ``block``."""
-    rows = [rows for _, rows, _, _ in pieces]
-    width = sum(q.shape[1] for _, _, _, q in pieces)
-    basis = np.zeros((block.size, width), dtype=complex)
-    at = 0
-    for _, _, cols, q in pieces:
-        basis[np.searchsorted(block, cols), at : at + q.shape[1]] = q
-        at += q.shape[1]
-    return (np.concatenate(rows) if rows else np.zeros(0, dtype=int)), basis
-
-
-def span_equal(a: RelationSet, b: RelationSet, tol: float) -> tuple[bool, float]:
-    """Mutual-inclusion span test.
-
-    Projects every vector of each set onto the span of the other; the
-    metric is the worst relative least-squares residual, and the verdict is
-    ``metric < tol``.  A row and its projection both lie on the row's
-    joint component, so each projection is taken there.
-    """
-    worst = 0.0
-    for block, (rows_a, qa), (rows_b, qb) in _joint_blocks(a, b):
-        for s, rows, basis in ((a, rows_a, qb), (b, rows_b, qa)):
-            if not rows.size:
-                continue
-            v = s.rows[np.ix_(rows, block)]
-            res = v - (v @ basis.conj()) @ basis.T
-            num = np.linalg.norm(res, axis=1)
-            den = np.linalg.norm(v, axis=1)
-            worst = max(worst, float(np.max(num / den)))
-    return worst < tol, worst
-
-
-def span_gap(a: RelationSet, b: RelationSet) -> float:
-    """Largest principal-angle sine between the two spans (symmetric).
-
-    Equals 0 for identical spans and reaches 1 when one span contains a
-    direction orthogonal to the other, so rank mismatches surface as gaps
-    of order one.  Both bases are block diagonal over the joint
-    components, so the 2-norm is the largest over the blocks.
-    """
-    gap = 0.0
-    for _, (_, qa), (_, qb) in _joint_blocks(a, b):
-        for q, other in ((qa, qb), (qb, qa)):
-            if q.shape[1]:
-                res = q - other @ (other.conj().T @ q)
-                gap = max(gap, float(np.linalg.norm(res, 2)))
-    return gap
+    # each row of a family block has as many terms as the block has columns
+    rows = np.repeat(np.arange(norms.size), [v.shape[1] for v, _ in flat for _ in v])
+    words, values = (
+        np.concatenate([np.zeros(0, dtype=dtype)] + [b[k].ravel() for b in flat])
+        for k, dtype in ((1, int), (0, complex))
+    )
+    return _kept_rows(keep, rows, words, values, (m * m * n * n) ** 2)
 
 
 def component_ratio(
@@ -440,7 +312,8 @@ def component_ratio(
     n = alpha.n
     if j == k:
         raise ValueError("needs distinct first-block indices j != k")
-    table, _ = _defect_table(n, m, params, z1, z2, conv, ctx)
+    rows, words, values, _ = _defect_table(n, m, params, z1, z2, conv, ctx)
+    d = m * n
     g = m * m * n * n
     ta = basis_t(alpha)
     tb = basis_t(beta)
@@ -461,7 +334,9 @@ def component_ratio(
                         (j - 1) * n + r_in,
                         (k - 1) * n + s_in,
                     )
-                    comp += wa * wb * table[key]
+                    row = np.ravel_multi_index(key, (d,) * 4)
+                    lo, hi = np.searchsorted(rows, (row, row + 1))
+                    comp[words[lo:hi]] += wa * wb * values[lo:hi]
     comp /= n * n
     d_b = z2 + params.q2[i - 1] - params.q1[k - 1] + omega(beta, ctx)
     d_a = z1 + params.q2[i - 1] - params.q1[j - 1] + params.hbar + omega(alpha, ctx)

@@ -71,42 +71,58 @@ def word_slot(word: Word, m: int, n: int) -> int:
 
 @dataclass(frozen=True)
 class RelationVector:
-    """One quadratic relation as a coefficient vector over ordered words.
+    """One quadratic relation as its terms over ordered words.
 
-    ``coords[word_slot(w, m, n)]`` is the coefficient of the word ``w``;
+    ``values[k]`` is the coefficient of the word at ``words[k]``
+    (:func:`word_slot` layout); every other word has coefficient zero, and
     the relation asserts that the weighted sum of words vanishes.  The
-    vector must be finite with at least one nonzero entry.
+    terms are finite with at least one nonzero, on distinct words; they
+    are kept sorted by word, read-only.
     """
 
     label: str
     m: int
     n: int
-    coords: np.ndarray
+    words: np.ndarray
+    values: np.ndarray
 
     def __post_init__(self) -> None:
-        g = self.m * self.m * self.n * self.n
-        arr = np.asarray(self.coords, dtype=complex)
-        if arr.shape != (g * g,):
+        words = np.asarray(self.words, dtype=int)
+        values = np.asarray(self.values, dtype=complex)
+        if words.ndim != 1 or words.shape != values.shape:
             raise ValueError(
-                f"relation {self.label!r}: expected {g * g} coordinates, got {arr.shape}"
+                f"relation {self.label!r}: {words.shape} words for {values.shape} values"
             )
-        if not np.all(np.isfinite(arr)):
+        if not np.all((0 <= words) & (words < self.width)):
+            raise ValueError(f"relation {self.label!r}: word outside the {self.width} words")
+        if not np.all(np.isfinite(values)):
             raise ValueError(f"relation {self.label!r} has non-finite coefficients")
-        if not np.any(arr):
+        order = np.argsort(words)
+        words, values = words[order], values[order]
+        if np.any(np.diff(words) == 0):
+            raise ValueError(f"relation {self.label!r} repeats a word")
+        if not np.any(values):
             raise DegenerateRelationError(f"relation {self.label!r} is identically zero")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "coords", arr)
+        for name, arr in (("words", words), ("values", values)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+
+    @property
+    def width(self) -> int:
+        """Number of ordered words: the square of the generator count."""
+        return (self.m * self.m * self.n * self.n) ** 2
 
     @classmethod
     def from_terms(
         cls, terms: Mapping[Word, complex], m: int, n: int, label: str
     ) -> "RelationVector":
-        g = m * m * n * n
-        coords = np.zeros(g * g, dtype=complex)
+        """The relation with the given word coefficients; words that land on
+        one slot add up."""
+        coeffs: dict[int, complex] = {}
         for word, value in terms.items():
-            coords[word_slot(word, m, n)] += value
-        return cls(label, m, n, coords)
+            slot = word_slot(word, m, n)
+            coeffs[slot] = coeffs.get(slot, 0) + value
+        return cls(label, m, n, list(coeffs), list(coeffs.values()))
 
 
 _TV_KINDS = ("commuting-pair", "same-second-index", "mixed")
@@ -376,7 +392,5 @@ def slnm_family_coeffs(
     if family == 1 and n == 1:
         raise ValueError("no vertex-type relations at n = 1")
     values, words = family_terms(family, [idx], pairs, n, params, ctx)
-    g = m * m * n * n
-    coords = np.zeros(g * g, dtype=complex)
-    coords[words.ravel()] = values.ravel()
-    return RelationVector(f"family{family}-{idx}-a{alpha.pair}-b{beta.pair}", m, n, coords)
+    label = f"family{family}-{idx}-a{alpha.pair}-b{beta.pair}"
+    return RelationVector(label, m, n, words.ravel(), values.ravel())

@@ -37,6 +37,19 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="exceeds"):
             CheckConfig(check="ybe", n=5, m=3).validate()
 
+    def test_rll_memory_bound(self):
+        # Two defect tables of about d^4 n^3 terms each, blocked sets and
+        # contraction temporaries: (8, 1) and (4, 3) take about half a GB,
+        # (6, 2) and (9, 1) to (12, 1) would pass 1 GB.
+        for n, m in ((8, 1), (4, 3), (5, 2), (3, 4), (2, 6), (1, 12)):
+            for check in ("rll", "all"):
+                CheckConfig(check=check, n=n, m=m).validate()
+        for n, m in ((6, 2), (9, 1), (10, 1), (12, 1)):
+            for check in ("rll", "all"):
+                with pytest.raises(ConfigError, match="1 GB"):
+                    CheckConfig(check=check, n=n, m=m).validate()
+            CheckConfig(check="relations", n=n, m=m).validate()
+
     def test_tau_floor_enforced(self):
         with pytest.raises(ConfigError, match="convergence floor"):
             CheckConfig(check="ybe", tau=0.5 + 0.1j).validate()

@@ -31,6 +31,20 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert "configuration error" in proc.stderr
 
+    def test_rll_past_its_memory_bound_is_two(self):
+        for n, m in (("6", "2"), ("12", "1")):
+            for check in ("rll", "all"):
+                proc = run_cli(check, "--n", n, "--m", m, "--trials", "1")
+                assert proc.returncode == 2, (check, n, m)
+                assert "configuration error" in proc.stderr and "1 GB" in proc.stderr
+                assert "Traceback" not in proc.stderr
+
+    def test_largest_tv_reduce_runs(self):
+        # 10,296 relations over 20,736 words, held as their terms
+        proc = run_cli("tv-reduce", "--n", "1", "--m", "12", "--trials", "1")
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_shallow_tau_is_two(self):
         proc = run_cli("ybe", "--tau", "0.5,0.1")
         assert proc.returncode == 2
