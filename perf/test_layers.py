@@ -6,12 +6,13 @@
 These cases sit outside the tier-1 suite (``testpaths``) and outside the
 benchmark's ``bench/`` directory.  Each times one layer on fixed inputs at
 the default tau: one scalar theta, theta over 1,000 arguments, the
-reference relation set at (n, m) = (2, 2) and (2, 4), one defect set
-(``rll_defect``, its table rebuilt every round) at (2, 3), one
-``sklyanin-rep`` trial at n = 3, one ``r_slnm`` at (n, m) = (3, 2) and one
-``dybe-slnm`` trial at (3, 2).  Kernels that take only scalars are timed
-entry by entry, so the same file runs on commits from before array
-arguments.
+reference relation set at (n, m) = (2, 2), (2, 4) and (6, 1), the
+coordinate-exchange set at m = 4, one defect set (``rll_defect``, its
+table rebuilt every round) at (2, 3), one ``sklyanin-rep`` trial at n = 3,
+one ``r_slnm`` at (n, m) = (3, 2) and one ``dybe-slnm`` trial at (3, 2).
+Kernels that take only scalars are timed entry by entry, and labelled
+coordinate-exchange relations are gathered into a set, so the same file
+runs on commits from before array arguments and relation sets.
 """
 
 import numpy as np
@@ -25,9 +26,17 @@ from ellrmx.checks import (
     _slnm_spec,
     _slnm_trial,
     _trial_seed,
+    _tv_spec,
 )
 from ellrmx.elliptic import EllipticContext, theta
-from ellrmx.ncalgebra import LConvention, _defect_table, relation_vectors_reference, rll_defect
+from ellrmx.ncalgebra import (
+    LConvention,
+    RelationSet,
+    _defect_table,
+    relation_vectors_reference,
+    rll_defect,
+)
+from ellrmx.relations import tv_relations
 from ellrmx.rmatrix import r_slnm
 from ellrmx.sampling import sample_params
 
@@ -64,6 +73,23 @@ def test_relation_vectors_reference_2x2(benchmark):
 def test_relation_vectors_reference_2x4(benchmark):
     _, params, _ = trial_draw("relations", _relations_spec, 2, 4)
     benchmark(relation_vectors_reference, 2, 4, params, CTX)
+
+
+def test_relation_vectors_reference_6x1(benchmark):
+    _, params, _ = trial_draw("relations", _relations_spec, 6, 1)
+    benchmark(relation_vectors_reference, 6, 1, params, CTX)
+
+
+def test_tv_relations_m4(benchmark):
+    _, params, _ = trial_draw("tv-reduce", _tv_spec, 1, 4)
+
+    def build():
+        tv = tv_relations(4, params.q1, params.q2, params.hbar, CTX)
+        if isinstance(tv, RelationSet):
+            return tv
+        return RelationSet.of([r.vector(4) for r in tv])
+
+    benchmark(build)
 
 
 def test_rll_defect_2x3(benchmark):

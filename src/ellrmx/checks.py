@@ -25,7 +25,6 @@ from .elliptic import (
 )
 from .ncalgebra import (
     LConvention,
-    RelationSet,
     defect_factorization_check,
     relation_vectors_reference,
     rll_defect,
@@ -382,8 +381,9 @@ def _sklyanin_trial(
     hbar = params.hbar
     eta = zs[0]
     worst = 0.0
-    for alphas, betas in label_pair_chunks(cfg.n):
-        basic = sklyanin_coeffs(alphas, betas, hbar, ctx)
+    # the residual stacks n^2 basis matrices of n^2 entries per pair
+    for pairs in label_pair_chunks(cfg.n, cfg.n**4):
+        basic = sklyanin_coeffs(pairs, cfg.n, hbar, ctx)
         shifted = sklyanin_coeffs_eta(basic, eta, hbar, ctx)
         worst = max(
             worst,
@@ -412,9 +412,7 @@ def _tv_trial(
 ) -> tuple[float, int]:
     m = cfg.m
     families = relation_vectors_reference(1, m, params, ctx)
-    tv = RelationSet.of(
-        [r.vector(m) for r in tv_relations(m, params.q1, params.q2, params.hbar, ctx)]
-    )
+    tv = tv_relations(m, params.q1, params.q2, params.hbar, ctx)
     reduction = slnm_reduction_residual_n1(params.hbar, zs[0], params.q1, ctx)
     if not families and not tv:
         return reduction, 0

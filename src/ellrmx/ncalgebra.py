@@ -33,6 +33,7 @@ from .elliptic import (
 )
 from .relations import family_terms, family_tuples, generator_slot
 from .rmatrix import DynamicalParams, r_slnm
+from .sklyanin import label_pair_chunks
 # The span functions are re-exported: bench/tracer.py looks them up here,
 # with the defect and reference builds they compare.
 from .spans import RelationSet, span_equal, span_gap, span_rank, term_norms
@@ -114,7 +115,7 @@ def _defect_table(
     Returns ``(rows, words, values, mass)``, the terms sorted by (row,
     word).  The element with composite indices (a_out, b_out, a_in, b_in)
     is the row ``((ao d + bo) d + ai) d + bi``; over ordered two-letter
-    words (:func:`ellrmx.relations.word_slot` layout) it has ``values[k]``
+    words (:func:`ellrmx.relations.generator_slot` layout) it has ``values[k]``
     on ``words[k]`` where ``rows[k]`` is that row, and exact zeros
     elsewhere.  In a word (a, a') the second letter's coefficient is
     shifted by ``[a'.j == a.j] - [a'.i == a.i]`` hbar.  The right-hand R
@@ -254,29 +255,36 @@ def relation_vectors_reference(
 
     Rows run over family 1 for every (j, i) (only for n >= 2), families 2
     and 3 in turn for every (i, j, k), and family 4 for every (i, k, j, l),
-    each over every label pair (alpha outer, beta inner).  Identically
-    cancelling label combinations are dropped, as are roundoff-sized
-    vectors (norm at most 1e-9 of the largest).
+    each over every label pair (alpha outer, beta inner).  Relations that
+    are exactly zero are dropped: a family-1 relation whose Sklyanin
+    constants cancel against their own assembly scale comes out that way,
+    and the other families are single products.  Family 1 is built a chunk
+    of label pairs at a time.
     """
     if params.q2 is None:
         raise ValueError("the families need two coordinate blocks")
     if params.m != m:
         raise ValueError("coordinate vectors do not match m")
-    ia, ib = np.divmod(np.arange(n**4), n * n)
-    pairs = (ia // n, ia % n, ib // n, ib % n)
 
-    def block(family: int) -> tuple[np.ndarray, np.ndarray]:
+    def block(family: int, pairs: tuple) -> tuple[np.ndarray, np.ndarray]:
         return family_terms(family, family_tuples(family, m), pairs, n, params, ctx)
 
-    blocks = [block(1)] if n > 1 else []
+    blocks = []
+    if n > 1:
+        # family 1 holds m^2 n^2 terms per label pair
+        chunks = [block(1, pairs) for pairs in label_pair_chunks(n, m * m * n * n)]
+        blocks.append([np.concatenate(part, axis=1) for part in zip(*chunks)])
     if m > 1:
+        ia, ib = np.divmod(np.arange(n**4), n * n)
+        pairs = (ia // n, ia % n, ib // n, ib % n)
         # families 2 and 3 take turns over their shared index tuples
-        blocks.append([np.stack(ab, axis=1) for ab in zip(block(2), block(3))])
-        blocks.append(block(4))
+        pair23 = zip(block(2, pairs), block(3, pairs))
+        blocks.append([np.stack(ab, axis=1) for ab in pair23])
+        blocks.append(block(4, pairs))
     flat = [[a.reshape(-1, a.shape[-1]) for a in b] for b in blocks]
     norms = np.concatenate([np.zeros(0)] + [_row_norms(values) for values, _ in flat])
-    # a non-finite row keeps every row, and the set rejects it
-    keep = ~(norms <= 1e-9 * norms.max(initial=0.0))
+    # a non-finite row is kept, and the set rejects it
+    keep = norms != 0.0
     # each row of a family block has as many terms as the block has columns
     rows = np.repeat(np.arange(norms.size), [v.shape[1] for v, _ in flat for _ in v])
     words, values = (

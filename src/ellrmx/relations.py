@@ -12,9 +12,8 @@ lives in :mod:`ellrmx.ncalgebra`.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 from itertools import product
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -38,126 +37,23 @@ from .sklyanin import (
     sklyanin_representation_residual,
     theta_prefactors,
 )
+from .spans import RelationSet
 from .tensor import kappa_raw
 
 TWO_PI_I = 2j * cmath.pi
-
-# Ordered two-letter word: ((i, j, (a1, a2)), (k, l, (a1, a2))) with 1-based
-# coordinate indices and canonical characteristics.
-Word = tuple[tuple[int, int, tuple[int, int]], tuple[int, int, tuple[int, int]]]
-
-
-class DegenerateRelationError(ValueError):
-    """Raised when a requested relation collapses to the zero vector."""
 
 
 def generator_slot(i, j, alpha: tuple, m: int, n: int):
     """Flat position of the generator labelled (i, j, alpha).
 
     Coordinates are 1-based; the characteristic is reduced mod n.  Layout
-    is lexicographic in (i, j, a1, a2).  Integer arrays broadcast.
+    is lexicographic in (i, j, a1, a2).  Integer arrays broadcast.  Over
+    the ``g = m^2 n^2`` generators, the ordered two-letter word (first,
+    second) sits at column ``first * g + second`` of the ``g^2`` words.
     """
     if not np.all((1 <= np.minimum(i, j)) & (np.maximum(i, j) <= m)):
         raise ValueError(f"coordinate indices ({i}, {j}) out of range for m = {m}")
     return ((i - 1) * m + (j - 1)) * n * n + (alpha[0] % n) * n + (alpha[1] % n)
-
-
-def word_slot(word: Word, m: int, n: int) -> int:
-    """Flat position of an ordered two-letter word in the tensor-square basis."""
-    (i, j, a), (k, l, b) = word
-    g = m * m * n * n
-    return generator_slot(i, j, a, m, n) * g + generator_slot(k, l, b, m, n)
-
-
-@dataclass(frozen=True)
-class RelationVector:
-    """One quadratic relation as its terms over ordered words.
-
-    ``values[k]`` is the coefficient of the word at ``words[k]``
-    (:func:`word_slot` layout); every other word has coefficient zero, and
-    the relation asserts that the weighted sum of words vanishes.  The
-    terms are finite with at least one nonzero, on distinct words; they
-    are kept sorted by word, read-only.
-    """
-
-    label: str
-    m: int
-    n: int
-    words: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        words = np.asarray(self.words, dtype=int)
-        values = np.asarray(self.values, dtype=complex)
-        if words.ndim != 1 or words.shape != values.shape:
-            raise ValueError(
-                f"relation {self.label!r}: {words.shape} words for {values.shape} values"
-            )
-        if not np.all((0 <= words) & (words < self.width)):
-            raise ValueError(f"relation {self.label!r}: word outside the {self.width} words")
-        if not np.all(np.isfinite(values)):
-            raise ValueError(f"relation {self.label!r} has non-finite coefficients")
-        order = np.argsort(words)
-        words, values = words[order], values[order]
-        if np.any(np.diff(words) == 0):
-            raise ValueError(f"relation {self.label!r} repeats a word")
-        if not np.any(values):
-            raise DegenerateRelationError(f"relation {self.label!r} is identically zero")
-        for name, arr in (("words", words), ("values", values)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-    @property
-    def width(self) -> int:
-        """Number of ordered words: the square of the generator count."""
-        return (self.m * self.m * self.n * self.n) ** 2
-
-    @classmethod
-    def from_terms(
-        cls, terms: Mapping[Word, complex], m: int, n: int, label: str
-    ) -> "RelationVector":
-        """The relation with the given word coefficients; words that land on
-        one slot add up."""
-        coeffs: dict[int, complex] = {}
-        for word, value in terms.items():
-            slot = word_slot(word, m, n)
-            coeffs[slot] = coeffs.get(slot, 0) + value
-        return cls(label, m, n, list(coeffs), list(coeffs.values()))
-
-
-_TV_KINDS = ("commuting-pair", "same-second-index", "mixed")
-
-
-@dataclass(frozen=True)
-class TVRelation:
-    """One coordinate-exchange relation on the scalar (n == 1) generators.
-
-    ``kind`` is one of ``"commuting-pair"`` (shared first coordinate),
-    ``"same-second-index"`` (theta-ratio exchange across the first
-    coordinates), or ``"mixed"`` (three-word relation moving both
-    coordinates).  ``terms`` maps ordered coordinate words
-    ``((i, j), (k, l))`` to coefficients.
-    """
-
-    kind: str
-    indices: tuple[int, ...]
-    terms: Mapping[tuple[tuple[int, int], tuple[int, int]], complex]
-
-    def __post_init__(self) -> None:
-        if self.kind not in _TV_KINDS:
-            raise ValueError(f"unknown relation kind {self.kind!r}")
-        object.__setattr__(self, "indices", tuple(int(v) for v in self.indices))
-        object.__setattr__(self, "terms", dict(self.terms))
-
-    def vector(self, m: int) -> RelationVector:
-        zero = (0, 0)
-        words: dict[Word, complex] = {
-            ((i, j, zero), (k, l, zero)): value
-            for ((i, j), (k, l)), value in self.terms.items()
-        }
-        return RelationVector.from_terms(
-            words, m, 1, f"tv-{self.kind}-{self.indices}"
-        )
 
 
 def tv_relations(
@@ -166,44 +62,35 @@ def tv_relations(
     q2: Sequence[complex],
     hbar: complex,
     ctx: EllipticContext,
-) -> list[TVRelation]:
-    """All coordinate-exchange relations for an m-point coordinate pair.
+) -> RelationSet:
+    """All coordinate-exchange relations for an m-point coordinate pair, as
+    rows over the ordered words of the scalar (n == 1) generators.
 
-    Emitted per kind: one commuting pair for each (i; j < k), one
-    theta-ratio exchange for each (k; i < j) (the reversed pair is the
-    same relation with inverted ratio), and one mixed relation for each
+    Rows run over three kinds in turn: one commuting pair for each (i; j <
+    k), one theta-ratio exchange for each (k; i < j) (the reversed pair is
+    the same relation with inverted ratio), and one mixed relation for each
     ordered (i != k, j != l).  Degenerate index combinations are skipped
-    rather than emitted as zero rows, so m == 1 gives an empty list.
+    rather than emitted as zero rows, so m == 1 gives an empty set.
     """
     if len(q1) != m or len(q2) != m:
         raise ValueError("coordinate vectors must have length m")
     p = tuple(complex(v) for v in q1)
     s = tuple(complex(v) for v in q2)
     tau = ctx.tau
-    out: list[TVRelation] = []
+    # each relation as its terms (i, j, k, l, coefficient of the word
+    # ((i, j), (k, l)))
+    out: list[tuple[tuple, ...]] = []
     for i in range(1, m + 1):
         for j in range(1, m + 1):
             for k in range(j + 1, m + 1):
-                out.append(
-                    TVRelation(
-                        "commuting-pair",
-                        (i, j, k),
-                        {((i, j), (i, k)): 1.0, ((i, k), (i, j)): -1.0},
-                    )
-                )
+                out.append(((i, j, i, k, 1.0), (i, k, i, j, -1.0)))
     for k in range(1, m + 1):
         for i in range(1, m + 1):
             for j in range(i + 1, m + 1):
                 x = p[i - 1] - p[j - 1]
                 guard_denominator("shifted first-set difference", x + hbar, tau)
                 ratio = theta(x - hbar, ctx) / theta(x + hbar, ctx)
-                out.append(
-                    TVRelation(
-                        "same-second-index",
-                        (i, j, k),
-                        {((i, k), (j, k)): 1.0, ((j, k), (i, k)): -ratio},
-                    )
-                )
+                out.append(((i, k, j, k, 1.0), (j, k, i, k, -ratio)))
     for i in range(1, m + 1):
         for k in range(1, m + 1):
             if k == i:
@@ -224,17 +111,15 @@ def tv_relations(
                         / (theta(x, ctx) * theta(y, ctx))
                     )
                     out.append(
-                        TVRelation(
-                            "mixed",
-                            (i, j, k, l),
-                            {
-                                ((i, j), (k, l)): front,
-                                ((k, l), (i, j)): -back,
-                                ((i, l), (k, j)): cross,
-                            },
-                        )
+                        ((i, j, k, l, front), (k, l, i, j, -back), (i, l, k, j, cross))
                     )
-    return out
+    terms = [term for relation in out for term in relation]
+    i, j, k, l = np.array([t[:4] for t in terms], dtype=int).reshape(-1, 4).T
+    g = m * m
+    words = generator_slot(i, j, (0, 0), m, 1) * g + generator_slot(k, l, (0, 0), m, 1)
+    rows = np.repeat(np.arange(len(out)), [len(r) for r in out])
+    values = np.array([t[4] for t in terms], dtype=complex)
+    return RelationSet.from_terms(rows, words, values, len(out), g * g)
 
 
 def label_reduction_factor(
@@ -273,7 +158,7 @@ def family_terms(
     params: DynamicalParams,
     ctx: EllipticContext,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficients and word columns (:func:`word_slot` layout) of the
+    """Coefficients and word columns (:func:`generator_slot` layout) of the
     composite-family relations at the 1-based index tuples ``idx`` and the
     label pairs (a1, a2, b1, b2), integer arrays of shape (P,).
 
@@ -282,7 +167,10 @@ def family_terms(
     1. both generators share the coordinate pair (j, i); the relation is
        the shifted-parameter vertex-type exchange at ``eta = q2_i - q1_j``,
        which the generators' own coordinate shifts leave invariant (only
-       for n >= 2: there are no vertex-type relations at n == 1);
+       for n >= 2: there are no vertex-type relations at n == 1).  A label
+       pair whose bare constants all cancel to at most 1e-9 of their
+       assembly scale is an identity, and its relations come out exactly
+       zero;
     2. shared second coordinate i, distinct first coordinates j != k;
     3. shared first coordinate i, distinct second coordinates j != k;
     4. no shared coordinate role: i != k in the second set, j != l in the
@@ -307,11 +195,14 @@ def family_terms(
     extra = []  # (coefficient, first letter, second letter) off the gamma sum
     if family == 1:
         j, i = cols
-        value = (
-            bare_constants(pairs, hbar, n, ctx)[0]
-            * theta_prefactors(pairs, hbar, n, ctx)
-            * np.exp(-TWO_PI_I * (a2 + b2) * (s[i - 1] - p[j - 1] - hbar) / n)
-        )
+        bare, scale = bare_constants(pairs, hbar, n, ctx)
+        bare[np.abs(bare).max(axis=1) <= 1e-9 * scale] = 0.0
+        # named, so that numpy never multiplies in place into a temporary
+        # (which can swap the operands): the bits then do not depend on
+        # how many label pairs one call takes
+        pref = theta_prefactors(pairs, hbar, n, ctx)
+        phase = np.exp(-TWO_PI_I * (a2 + b2) * (s[i - 1] - p[j - 1] - hbar) / n)
+        value = bare * pref * phase
         letters = (j, i), (j, i)
     elif family == 2:
         i, j, k = cols
@@ -372,14 +263,12 @@ def slnm_family_coeffs(
     beta: LatticeIndex,
     params: DynamicalParams,
     ctx: EllipticContext,
-) -> RelationVector:
-    """One composite-family relation (see :func:`family_terms`) as a vector
-    over ordered words.
+) -> tuple[np.ndarray, np.ndarray]:
+    """One composite-family relation (see :func:`family_terms`) as its
+    terms: the word columns and their coefficients.
 
     Family 1 takes the coordinate pair (j, i), families 2 and 3 the indices
-    (i, j, k) and family 4 (i, j, k, l).  Index clashes raise ValueError;
-    an identically vanishing relation raises
-    :class:`DegenerateRelationError`.
+    (i, j, k) and family 4 (i, j, k, l).  Index clashes raise ValueError.
     """
     pairs = label_arrays((alpha,), (beta,))
     n = alpha.n
@@ -392,5 +281,4 @@ def slnm_family_coeffs(
     if family == 1 and n == 1:
         raise ValueError("no vertex-type relations at n = 1")
     values, words = family_terms(family, [idx], pairs, n, params, ctx)
-    label = f"family{family}-{idx}-a{alpha.pair}-b{beta.pair}"
-    return RelationVector(label, m, n, words.ravel(), values.ravel())
+    return words.ravel(), values.ravel()

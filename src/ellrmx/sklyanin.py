@@ -14,14 +14,11 @@ from __future__ import annotations
 import cmath
 from collections.abc import Iterator
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
 from .elliptic import (
     EllipticContext,
-    LatticeIndex,
-    all_indices,
     eisenstein_e1,
     eisenstein_e2,
     guard_denominator,
@@ -32,41 +29,11 @@ from .tensor import basis_t_raw, kappa_raw
 
 TWO_PI_I = 2j * cmath.pi
 
-#: Basis-matrix entries (pairs x gammas x n x n) that one representation
-#: residual stacks, per letter; bounds its complex temporaries to a few
-#: megabytes at every n, where all n^4 pairs at once would take O(n^8).
+#: Array entries that one chunk of label pairs stacks (see
+#: :func:`label_pair_chunks`); bounds the complex temporaries of a chunk to
+#: a few megabytes at every n, where all n^4 pairs at once would take
+#: O(n^8) in the representation residual.
 _CHUNK = 1 << 16
-
-
-@dataclass(frozen=True)
-class SklyaninRelation:
-    """Structure constants of one vertex-type exchange relation.
-
-    ``coefficients`` maps the summation characteristic gamma to the weight
-    of the word with integer indices ``(alpha - gamma, beta + gamma)``,
-    where the arithmetic is carried out on canonical representatives
-    without reduction.
-
-    ``scale`` records the magnitude of the largest single term that went
-    into assembling the coefficients.  Some label pairs (alpha == beta at
-    even order, for instance) cancel identically, leaving roundoff-sized
-    coefficients; the scale lets consumers recognize those as trivially
-    satisfied instead of dividing noise by noise.
-    """
-
-    alpha: LatticeIndex
-    beta: LatticeIndex
-    coefficients: Mapping[LatticeIndex, complex]
-    scale: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.alpha.n != self.beta.n:
-            raise ValueError("characteristics with mixed moduli")
-        object.__setattr__(self, "coefficients", dict(self.coefficients))
-
-    @property
-    def n(self) -> int:
-        return self.alpha.n
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,29 +43,18 @@ class SklyaninTable:
     Row p is the relation labelled by entry p of ``pairs``, the (a1, a2,
     b1, b2) integer arrays of the array builders: column k holds the
     weight of the k-th summation characteristic gamma, in the order of
-    :func:`characteristics`, and ``scale[p]`` is the row's assembly scale
-    (see :class:`SklyaninRelation`).  At n == 1 there are no relations and
-    the table has no columns.
+    :func:`characteristics`, and ``scale[p]`` is the row's assembly scale:
+    the magnitude of the largest single term that went into it.  Some
+    label pairs (alpha == beta at even order, for instance) cancel
+    identically, leaving roundoff-sized constants; the scale lets consumers
+    recognize those as trivially satisfied instead of dividing noise by
+    noise.  At n == 1 there are no relations and the table has no columns.
     """
 
     n: int
     pairs: tuple[np.ndarray, ...]
     values: np.ndarray
     scale: np.ndarray
-
-    def relation(self, p: int) -> SklyaninRelation:
-        """Row ``p`` as one relation."""
-        n = self.n
-        a1, a2, b1, b2 = (int(v[p]) for v in self.pairs)
-        values = dict(zip(all_indices(n), self.values[p].tolist()))
-        alpha, beta = LatticeIndex(a1, a2, n), LatticeIndex(b1, b2, n)
-        return SklyaninRelation(alpha, beta, values, float(self.scale[p]))
-
-
-def _one_row(rel: SklyaninRelation) -> SklyaninTable:
-    values = [rel.coefficients.get(g, 0j) for g in all_indices(rel.n)]
-    pairs = label_arrays((rel.alpha,), (rel.beta,))
-    return SklyaninTable(rel.n, pairs, np.array([values], dtype=complex), np.array([rel.scale]))
 
 
 def characteristics(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -170,35 +126,30 @@ def _letters(pairs: tuple, n: int) -> tuple[np.ndarray, np.ndarray]:
     return d1, d2
 
 
-def sklyanin_coeffs(alpha, beta, hbar: complex, ctx: EllipticContext):
-    """Bare structure constants of the exchange relations labelled (alpha, beta).
+def sklyanin_coeffs(pairs: tuple, n: int, hbar: complex, ctx: EllipticContext):
+    """Bare structure constants of the exchange relations labelled by the
+    pairs (a1, a2, b1, b2), integer arrays of canonical characteristics, as
+    a :class:`SklyaninTable` with one row per pair.
 
     For nonzero beta each gamma weighs in with a commutation phase times a
     four-term combination of first Eisenstein values at hbar-shifted
     lattice fractions; for beta == 0 the combination is a difference of two
     second Eisenstein values.  The fractions follow the unreduced integer
     arithmetic of the word: the first Eisenstein function is only
-    quasi-periodic, so representatives matter.  n == 1 has no relations
-    and yields an empty table.
-
-    ``alpha`` and ``beta`` are one characteristic each, giving a
-    :class:`SklyaninRelation`, or equal-length sequences of them, giving a
-    :class:`SklyaninTable` with one row per position.
+    quasi-periodic, so representatives matter.  n == 1 has no relations and
+    yields an empty table.
     """
-    if isinstance(alpha, LatticeIndex):
-        return sklyanin_coeffs((alpha,), (beta,), hbar, ctx).relation(0)
-    pairs = label_arrays(alpha, beta)
-    n = alpha[0].n
     if n == 1:
-        empty = np.zeros((len(alpha), 0), dtype=complex)
-        return SklyaninTable(n, pairs, empty, np.zeros(len(alpha)))
+        size = pairs[0].size
+        return SklyaninTable(n, pairs, np.zeros((size, 0), dtype=complex), np.zeros(size))
     return SklyaninTable(n, pairs, *bare_constants(pairs, hbar, n, ctx))
 
 
-def sklyanin_coeffs_eta(base, eta: complex, hbar: complex, ctx: EllipticContext):
+def sklyanin_coeffs_eta(
+    base: SklyaninTable, eta: complex, hbar: complex, ctx: EllipticContext
+) -> SklyaninTable:
     """Structure constants in the theta-rescaled, parameter-shifted form,
-    from the bare relations ``base`` (a :class:`SklyaninRelation` or a
-    :class:`SklyaninTable`, returned in kind) at the same ``hbar``.
+    from the bare relations ``base`` at the same ``hbar``.
 
     Each bare coefficient picks up two theta factors at the hbar-shifted
     fractions of its own word, and each relation carries a single global
@@ -208,8 +159,6 @@ def sklyanin_coeffs_eta(base, eta: complex, hbar: complex, ctx: EllipticContext)
     """
     if base.n == 1:
         return base
-    if isinstance(base, SklyaninRelation):
-        return sklyanin_coeffs_eta(_one_row(base), eta, hbar, ctx).relation(0)
     pairs = base.pairs
     pref = theta_prefactors(pairs, hbar, base.n, ctx)
     phase = np.exp(-TWO_PI_I * (pairs[1] + pairs[3]) * (eta - hbar) / base.n)
@@ -219,15 +168,14 @@ def sklyanin_coeffs_eta(base, eta: complex, hbar: complex, ctx: EllipticContext)
 
 
 def sklyanin_representation_residual(
-    rel,
+    rel: SklyaninTable,
     ctx: EllipticContext,
     *,
     hbar: complex | None = None,
     eta: complex | None = None,
-):
-    """Normalized norm of the relations evaluated in the basis representation:
-    a float for a :class:`SklyaninRelation`, an array with one entry per
-    row for a :class:`SklyaninTable`.
+) -> np.ndarray:
+    """Normalized norm of the relations evaluated in the basis representation,
+    one entry per row of the table.
 
     A generator with integer index d acts as the operator basis element at
     -d.  With ``hbar`` given each factor is divided by ``theta(hbar +
@@ -240,11 +188,6 @@ def sklyanin_representation_residual(
     """
     if eta is not None and hbar is None:
         raise ValueError("the shifted-parameter form requires hbar")
-    if isinstance(rel, SklyaninRelation):
-        if not rel.coefficients:
-            return 0.0
-        table = _one_row(rel)
-        return float(sklyanin_representation_residual(table, ctx, hbar=hbar, eta=eta)[0])
     n, values = rel.n, rel.values
     if not values.size:
         return np.zeros(len(values))
@@ -263,15 +206,14 @@ def sklyanin_representation_residual(
     return np.divide(num, den, out=np.zeros_like(num), where=den != 0.0)
 
 
-def label_pair_chunks(n: int) -> Iterator[tuple[tuple[LatticeIndex, ...], ...]]:
+def label_pair_chunks(n: int, per_pair: int) -> Iterator[tuple[np.ndarray, ...]]:
     """All ``n^4`` label pairs (alpha outer, beta inner, both in the order
-    of :func:`ellrmx.elliptic.all_indices`) as (alphas, betas) chunks.
+    of :func:`characteristics`) as chunks of (a1, a2, b1, b2) integer arrays.
 
-    A chunk holds at most ``_CHUNK`` basis-matrix entries of the
-    representation residual, ``n^4`` per pair, and at least one pair.
+    A chunk holds at most ``_CHUNK`` array entries, ``per_pair`` for each
+    of its pairs, and at least one pair.
     """
-    labels = all_indices(n)
-    pairs = [(alpha, beta) for alpha in labels for beta in labels]
-    size = max(1, _CHUNK // n**4)
-    for start in range(0, len(pairs), size):
-        yield tuple(zip(*pairs[start : start + size]))
+    size = max(1, _CHUNK // per_pair)
+    for start in range(0, n**4, size):
+        alpha, beta = np.divmod(np.arange(start, min(start + size, n**4)), n * n)
+        yield (*np.divmod(alpha, n), *np.divmod(beta, n))

@@ -6,21 +6,18 @@ words.  A set of them therefore splits into the connected components of
 its nonzero pattern, with disjoint word supports.  A :class:`RelationSet`
 keeps only those components, each as a small dense block, so that no
 array runs over all words; the rank, mutual inclusion and principal
-angles of two spans all come from one small SVD per component.
+angles of two spans all come from one small SVD per component.  Every
+relation set is built from its (row, word, value) terms with
+:meth:`RelationSet.from_terms`.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
-
-from .relations import RelationVector
-
-_NO_WORDS = np.zeros(0, dtype=int)
-_NO_VALUES = np.zeros(0, dtype=complex)
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,9 +47,18 @@ class RelationSet:
     ) -> RelationSet:
         """The ``size`` relations over ``width`` words in which row
         ``rows[k]`` has the coefficient ``values[k]`` on word ``words[k]``.
-        The (row, word) pairs are distinct, in any order.  Rows join
-        components by exact nonzeros."""
+        The (row, word) pairs are distinct, in any order, and every row is
+        finite with a nonzero term.  Rows join components by exact
+        nonzeros."""
+        rows, words = np.asarray(rows, dtype=int), np.asarray(words, dtype=int)
         values = np.asarray(values, dtype=complex)
+        if rows.ndim != 1 or not rows.shape == words.shape == values.shape:
+            raise ValueError(
+                f"{rows.shape} rows, {words.shape} words and {values.shape} values"
+            )
+        for name, index, bound in (("row", rows, size), ("word", words, width)):
+            if index.size and not (0 <= index.min() and index.max() < bound):
+                raise ValueError(f"a {name} index outside the {bound} {name}s")
         key = rows * width + words
         if not np.all(np.diff(key) > 0):
             order = np.argsort(key)
@@ -88,17 +94,6 @@ class RelationSet:
             buffer[s:e].reshape(h, w) for s, e, h, w in zip(starts, ends, heights, widths)
         )
         return cls(size, width, tuple(zip(row_groups, (cols[c] for c in col_groups))), blocks)
-
-    @classmethod
-    def of(cls, vectors: Sequence[RelationVector]) -> RelationSet:
-        """The set of the given labelled vectors, in order."""
-        widths = {v.width for v in vectors}
-        if len(widths) > 1:
-            raise ValueError(f"mixed vector dimensions {sorted(widths)}")
-        rows = np.repeat(np.arange(len(vectors)), [v.words.size for v in vectors])
-        words = np.concatenate([_NO_WORDS] + [v.words for v in vectors])
-        values = np.concatenate([_NO_VALUES] + [v.values for v in vectors])
-        return cls.from_terms(rows, words, values, len(vectors), widths.pop() if widths else 0)
 
     def __len__(self) -> int:
         return self.size

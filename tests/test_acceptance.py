@@ -51,10 +51,11 @@ CTX = EllipticContext(TAU)
 ON = LConvention(exp_factor=True)
 
 
-def coords(vec) -> np.ndarray:
-    """A relation vector over all of its words."""
-    out = np.zeros(vec.width, dtype=complex)
-    out[vec.words] = vec.values
+def coords(terms, width: int) -> np.ndarray:
+    """A relation, given as its (words, values) terms, over all words."""
+    words, values = terms
+    out = np.zeros(width, dtype=complex)
+    out[words] = values
     return out
 
 
@@ -257,7 +258,7 @@ def test_criterion_09_defect_factorization():
             )
             assert spread < 1e-9, f"{idx}/{a}: z-variation {spread:.3e}"
             comp = component_ratio(*idx, alpha, beta, params, *z_samples[0], ON, CTX)
-            fam = coords(slnm_family_coeffs(2, idx, alpha, beta, params, CTX))
+            fam = coords(slnm_family_coeffs(2, idx, alpha, beta, params, CTX), (m * n) ** 4)
             support = np.abs(fam) > 1e-12 * np.max(np.abs(fam))
             ratios = comp[support] / fam[support]
             center = ratios.mean()

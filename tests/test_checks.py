@@ -129,6 +129,13 @@ class TestSpanChecks:
         rep = run_one("relations", trials=2)
         assert rep.passed and rep.rank == 120
 
+    def test_relations_keep_small_rows_beside_large_ones(self):
+        # At (6, 2) the family row norms span about 20 orders of magnitude
+        # (seed 42); a cut relative to the largest row dropped 1459 valid
+        # relations.
+        rep = run_one("relations", n=6, m=2, trials=1)
+        assert rep.passed and rep.rank == 10296
+
     @pytest.mark.parametrize("check", ["rll", "relations"])
     def test_three_by_two_rank(self, check):
         rep = run_one(check, n=3, m=2, trials=1)

@@ -29,12 +29,10 @@ from ellrmx.ncalgebra import (
     span_rank,
 )
 from ellrmx.relations import (
-    RelationVector,
     family_terms,
     family_tuples,
     generator_slot,
     slnm_family_coeffs,
-    word_slot,
 )
 from ellrmx.rmatrix import DynamicalParams, r_slnm
 from ellrmx.sampling import sample_params
@@ -94,10 +92,19 @@ def dense_rows(s: RelationSet) -> np.ndarray:
     return rows
 
 
-def coords(vec: RelationVector) -> np.ndarray:
-    """A relation vector over all of its words."""
-    out = np.zeros(vec.width, dtype=complex)
-    out[vec.words] = vec.values
+def word_slot(word, m: int, n: int) -> int:
+    """Flat position of an ordered two-letter word ((i, j, alpha), (k, l,
+    beta)) in the tensor-square basis."""
+    (i, j, a), (k, l, b) = word
+    g = m * m * n * n
+    return generator_slot(i, j, a, m, n) * g + generator_slot(k, l, b, m, n)
+
+
+def family_row(family, idx, alpha, beta, params) -> np.ndarray:
+    """One composite-family relation over all of its words."""
+    words, values = slnm_family_coeffs(family, idx, alpha, beta, params, CTX)
+    out = np.zeros((params.m**2 * alpha.n**2) ** 2, dtype=complex)
+    out[words] = values
     return out
 
 
@@ -334,7 +341,7 @@ class TestFactorization:
         beta = LatticeIndex(0, 1, n)
         z1, z2 = Z_SAMPLES[0]
         comp = component_ratio(*idx, alpha, beta, params, z1, z2, ON, CTX)
-        fam = coords(slnm_family_coeffs(2, idx, alpha, beta, params, CTX))
+        fam = family_row(2, idx, alpha, beta, params)
         support = np.abs(fam) > 1e-12 * np.max(np.abs(fam))
         ratios = comp[support] / fam[support]
         center = ratios.mean()
@@ -378,14 +385,16 @@ class TestFactorization:
 
 
 class TestSpanHelpers:
-    def vec(self, label, hot, value=1.0):
-        return RelationVector(label, 2, 1, [hot], [value])
+    def vec(self, hot, value=1.0, width=16):
+        """A relation with one term, as a dense row."""
+        return np.eye(1, width, hot, dtype=complex)[0] * value
 
     def test_empty_sets_cannot_be_compared(self):
+        empty = dense_set(np.zeros((0, 16)))
         with pytest.raises(ValueError):
-            span_rank(RelationSet.of([]))
+            span_rank(empty)
         with pytest.raises(ValueError):
-            span_equal(RelationSet.of([]), RelationSet.of([self.vec("a", 0)]), 1e-8)
+            span_equal(empty, dense_set([self.vec(0)]), 1e-8)
 
     def test_non_finite_or_zero_rows_raise(self):
         rows = np.eye(2, 16, dtype=complex)
@@ -396,36 +405,35 @@ class TestSpanHelpers:
             dense_set(np.zeros((1, 16), dtype=complex))
 
     def test_mixed_dimensions_raise(self):
-        small = RelationVector("s", 1, 1, [0], [1.0])
-        with pytest.raises(ValueError):
-            span_rank(RelationSet.of([self.vec("a", 0), small]))
+        small = dense_set([self.vec(0, width=1)])
+        for compare in (lambda a, b: span_equal(a, b, 1e-8), span_gap):
+            with pytest.raises(ValueError, match="dimensions differ"):
+                compare(dense_set([self.vec(0)]), small)
 
     def test_gap_vanishes_for_identical_spans(self):
-        a = RelationSet.of([self.vec("a", 0), self.vec("b", 1)])
-        b = RelationSet.of(
-            [self.vec("c", 0, value=2.0 - 1.0j), self.vec("d", 1, value=0.5j)]
-        )
+        a = dense_set([self.vec(0), self.vec(1)])
+        b = dense_set([self.vec(0, value=2.0 - 1.0j), self.vec(1, value=0.5j)])
         assert span_gap(a, b) < 1e-12
         ok, metric = span_equal(a, b, 1e-8)
         assert ok and metric < 1e-12
 
     def test_gap_reaches_one_for_orthogonal_directions(self):
-        a = RelationSet.of([self.vec("a", 0)])
-        b = RelationSet.of([self.vec("b", 1)])
+        a = dense_set([self.vec(0)])
+        b = dense_set([self.vec(1)])
         assert span_gap(a, b) == pytest.approx(1.0)
         ok, _ = span_equal(a, b, 1e-8)
         assert not ok
 
     def test_rank_ignores_dependent_rows(self):
-        mixed = RelationVector("m", 2, 1, [0, 1], [1.0, 1.0j])
-        vectors = RelationSet.of([self.vec("a", 0), self.vec("b", 1), mixed])
+        mixed = self.vec(0) + self.vec(1, value=1.0j)
+        vectors = dense_set([self.vec(0), self.vec(1), mixed])
         assert span_rank(vectors) == 2
 
     def test_rank_after_a_comparison_is_the_basis_width(self):
         # Ranking a fresh set and comparing one both take the component
         # bases; the rank is their summed width either way.
-        rows = [self.vec("a", 0), self.vec("b", 1), self.vec("c", 0, value=3.0j)]
-        ranked, compared = RelationSet.of(rows), RelationSet.of(rows)
+        rows = [self.vec(0), self.vec(1), self.vec(0, value=3.0j)]
+        ranked, compared = dense_set(rows), dense_set(rows)
         assert span_gap(compared, compared) < 1e-12
         width = sum(q.shape[1] for q in compared.bases)
         assert span_rank(ranked) == span_rank(compared) == width == 2

@@ -1,13 +1,16 @@
 """Relation-family coefficient tables: representation and reduction checks.
 
 The array builds are compared with a scalar oracle kept in this file: the
-pair-by-pair, word-by-word construction of the Sklyanin constants and of
-the composite families, one kernel call per coefficient, and the
-``sklyanin-rep`` trial as a loop over label pairs.
+pair-by-pair, word-by-word construction of the Sklyanin constants, of the
+composite families and of the coordinate-exchange relations, one kernel
+call per coefficient, each relation a labelled object over symbolic words;
+and the ``sklyanin-rep`` trial as a loop over label pairs.
 """
 
 import cmath
 import tracemalloc
+from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 import pytest
@@ -19,6 +22,7 @@ from ellrmx.checks import (
     _sklyanin_spec,
     _sklyanin_trial,
     _trial_seed,
+    _tv_spec,
 )
 from ellrmx.elliptic import (
     EllipticContext,
@@ -27,27 +31,23 @@ from ellrmx.elliptic import (
     all_indices,
     eisenstein_e1,
     eisenstein_e2,
+    guard_denominator,
     kronecker_phi,
     omega_raw,
     theta,
 )
 from ellrmx.ncalgebra import relation_vectors_reference
 from ellrmx.relations import (
-    DegenerateRelationError,
-    RelationVector,
-    TVRelation,
     family_terms,
     family_tuples,
     generator_slot,
     label_reduction_factor,
     slnm_family_coeffs,
     tv_relations,
-    word_slot,
 )
 from ellrmx.rmatrix import DynamicalParams, mixed_scalar
 from ellrmx.sampling import sample_params
 from ellrmx.sklyanin import (
-    SklyaninRelation,
     SklyaninTable,
     bare_constants,
     label_arrays,
@@ -57,6 +57,7 @@ from ellrmx.sklyanin import (
     sklyanin_representation_residual,
     theta_prefactors,
 )
+from ellrmx.spans import RelationSet, span_rank
 from ellrmx.tensor import basis_t_raw, kappa_raw
 
 TAU = 0.3 + 0.8j
@@ -67,11 +68,31 @@ Q1 = (0.13 + 0.09j, 0.58 + 0.41j)
 Q2 = (0.31 + 0.63j, 0.05 + 0.27j)
 
 
-def coords(vec: RelationVector) -> np.ndarray:
+def coords(vec) -> np.ndarray:
     """A relation vector over all of its words."""
     out = np.zeros(vec.width, dtype=complex)
     out[vec.words] = vec.values
     return out
+
+
+def family_row(family, idx, alpha, beta, params, ctx=CTX) -> np.ndarray:
+    """One composite-family relation over all of its words."""
+    words, values = slnm_family_coeffs(family, idx, alpha, beta, params, ctx)
+    out = np.zeros((params.m**2 * alpha.n**2) ** 2, dtype=complex)
+    out[words] = values
+    return out
+
+
+def same_sets(a, b) -> bool:
+    """Whether two relation sets agree bit for bit: components and blocks."""
+    return (
+        (a.size, a.width, len(a.components)) == (b.size, b.width, len(b.components))
+        and all(
+            np.array_equal(ra, rb) and np.array_equal(ca, cb)
+            for (ra, ca), (rb, cb) in zip(a.components, b.components)
+        )
+        and all(np.array_equal(x, y) for x, y in zip(a.blocks, b.blocks))
+    )
 
 
 def dense_rows(s) -> np.ndarray:
@@ -97,6 +118,162 @@ def word_of(rel, gamma):
 
 
 # --- scalar oracle -------------------------------------------------------
+
+# Ordered two-letter word: ((i, j, (a1, a2)), (k, l, (a1, a2))) with 1-based
+# coordinate indices and canonical characteristics.
+
+
+def word_slot(word, m: int, n: int) -> int:
+    """Flat position of an ordered two-letter word in the tensor-square basis."""
+    (i, j, a), (k, l, b) = word
+    g = m * m * n * n
+    return generator_slot(i, j, a, m, n) * g + generator_slot(k, l, b, m, n)
+
+
+@dataclass(frozen=True)
+class RelationVector:
+    """One labelled relation as its terms over ordered words, sorted by word
+    (:func:`word_slot` layout); every other word has coefficient zero."""
+
+    label: str
+    m: int
+    n: int
+    words: np.ndarray
+    values: np.ndarray
+
+    @property
+    def width(self) -> int:
+        return (self.m * self.m * self.n * self.n) ** 2
+
+    @classmethod
+    def from_terms(cls, terms, m, n, label) -> "RelationVector":
+        """The relation with the given word coefficients; words that land on
+        one slot add up."""
+        coeffs: dict[int, complex] = {}
+        for word, value in terms.items():
+            slot = word_slot(word, m, n)
+            coeffs[slot] = coeffs.get(slot, 0) + value
+        words = np.array(list(coeffs), dtype=int)
+        values = np.array(list(coeffs.values()), dtype=complex)
+        order = np.argsort(words)
+        return cls(label, m, n, words[order], values[order])
+
+
+def set_of(vectors) -> RelationSet:
+    """The set of the given labelled vectors, in order."""
+    rows = np.repeat(np.arange(len(vectors)), [v.words.size for v in vectors])
+    words = np.concatenate([np.zeros(0, dtype=int)] + [v.words for v in vectors])
+    values = np.concatenate([np.zeros(0, dtype=complex)] + [v.values for v in vectors])
+    width = vectors[0].width if vectors else 0
+    return RelationSet.from_terms(rows, words, values, len(vectors), width)
+
+
+@dataclass(frozen=True)
+class TVRelation:
+    """One coordinate-exchange relation on the scalar (n == 1) generators:
+    its kind, its index tuple, and its coefficients on ordered coordinate
+    words ``((i, j), (k, l))``."""
+
+    kind: str
+    indices: tuple[int, ...]
+    terms: Mapping[tuple[tuple[int, int], tuple[int, int]], complex]
+
+    def vector(self, m: int) -> RelationVector:
+        zero = (0, 0)
+        words = {
+            ((i, j, zero), (k, l, zero)): value
+            for ((i, j), (k, l)), value in self.terms.items()
+        }
+        return RelationVector.from_terms(words, m, 1, f"tv-{self.kind}-{self.indices}")
+
+
+def oracle_tv_relations(m, q1, q2, hbar, ctx) -> list[TVRelation]:
+    """The coordinate-exchange relations one labelled relation at a time,
+    with the same scalar kernel calls in the same order as the set build."""
+    p = tuple(complex(v) for v in q1)
+    s = tuple(complex(v) for v in q2)
+    tau = ctx.tau
+    out: list[TVRelation] = []
+    for i in range(1, m + 1):
+        for j in range(1, m + 1):
+            for k in range(j + 1, m + 1):
+                terms = {((i, j), (i, k)): 1.0, ((i, k), (i, j)): -1.0}
+                out.append(TVRelation("commuting-pair", (i, j, k), terms))
+    for k in range(1, m + 1):
+        for i in range(1, m + 1):
+            for j in range(i + 1, m + 1):
+                x = p[i - 1] - p[j - 1]
+                guard_denominator("shifted first-set difference", x + hbar, tau)
+                ratio = theta(x - hbar, ctx) / theta(x + hbar, ctx)
+                terms = {((i, k), (j, k)): 1.0, ((j, k), (i, k)): -ratio}
+                out.append(TVRelation("same-second-index", (i, j, k), terms))
+    for i in range(1, m + 1):
+        for k in range(1, m + 1):
+            if k == i:
+                continue
+            for j in range(1, m + 1):
+                for l in range(1, m + 1):
+                    if l == j:
+                        continue
+                    x = p[i - 1] - p[k - 1]
+                    y = s[j - 1] - s[l - 1]
+                    guard_denominator("first-set difference", x, tau)
+                    guard_denominator("second-set difference", y, tau)
+                    front = theta(y - hbar, ctx) / theta(y, ctx)
+                    back = theta(x - hbar, ctx) / theta(x, ctx)
+                    cross = (
+                        theta(hbar, ctx)
+                        * theta(x + y, ctx)
+                        / (theta(x, ctx) * theta(y, ctx))
+                    )
+                    terms = {
+                        ((i, j), (k, l)): front,
+                        ((k, l), (i, j)): -back,
+                        ((i, l), (k, j)): cross,
+                    }
+                    out.append(TVRelation("mixed", (i, j, k, l), terms))
+    return out
+
+
+@dataclass(frozen=True)
+class SklyaninRelation:
+    """Structure constants of one vertex-type exchange relation.
+
+    ``coefficients`` maps the summation characteristic gamma to the weight
+    of the word with integer indices ``(alpha - gamma, beta + gamma)``;
+    ``scale`` is the magnitude of the largest single term that went into
+    them.
+    """
+
+    alpha: LatticeIndex
+    beta: LatticeIndex
+    coefficients: Mapping[LatticeIndex, complex]
+    scale: float = 0.0
+
+    @property
+    def n(self) -> int:
+        return self.alpha.n
+
+
+def relation_of(table: SklyaninTable, p: int = 0) -> SklyaninRelation:
+    """Row ``p`` of a table as one relation."""
+    n = table.n
+    a1, a2, b1, b2 = (int(v[p]) for v in table.pairs)
+    values = dict(zip(all_indices(n), table.values[p].tolist()))
+    alpha, beta = LatticeIndex(a1, a2, n), LatticeIndex(b1, b2, n)
+    return SklyaninRelation(alpha, beta, values, float(table.scale[p]))
+
+
+def table_of(rel: SklyaninRelation) -> SklyaninTable:
+    """One relation as a one-row table."""
+    values = np.array([[rel.coefficients.get(g, 0j) for g in all_indices(rel.n)]], complex)
+    pairs = label_arrays((rel.alpha,), (rel.beta,))
+    return SklyaninTable(rel.n, pairs, values, np.array([rel.scale]))
+
+
+def residual_of(rel: SklyaninRelation, ctx=CTX, **kwargs) -> float:
+    """The representation residual of one relation."""
+    return float(sklyanin_representation_residual(table_of(rel), ctx, **kwargs)[0])
 
 
 def oracle_sklyanin(alpha, beta, hbar, ctx):
@@ -268,8 +445,9 @@ def oracle_family(family, idx, alpha, beta, params, ctx):
 
 
 def oracle_reference(n, m, params, ctx):
-    """Unit rows of the reference set, relation by relation: zero relations
-    and those at most 1e-9 of the largest norm are dropped."""
+    """Unit rows of the reference set, relation by relation.  Family-1
+    relations whose bare constants cancel to 1e-9 of their own scale are
+    dropped, as are relations that are exactly zero."""
     g = m * m * n * n
     r = range(1, m + 1)
     order = [(1, (j, i)) for j in r for i in r] if n > 1 else []
@@ -288,19 +466,28 @@ def oracle_reference(n, m, params, ctx):
     for family, idx in order:
         for alpha in all_indices(n):
             for beta in all_indices(n):
+                if family == 1:
+                    bare = oracle_sklyanin(alpha, beta, params.hbar, ctx)
+                    if max(map(abs, bare.coefficients.values())) <= 1e-9 * bare.scale:
+                        continue
                 row = np.zeros(g * g, dtype=complex)
                 for w, v in oracle_family(family, idx, alpha, beta, params, ctx).items():
                     row[word_slot(w, m, n)] += v
                 if np.any(row):
                     rows.append(row)
     rows = np.array(rows).reshape(len(rows), g * g)
-    norms = np.linalg.norm(rows, axis=1)
-    keep = norms > 1e-9 * norms.max(initial=0.0)
-    return rows[keep] / norms[keep, None]
+    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
 
 
-def bare_at(alpha, beta):
-    return sklyanin_coeffs(alpha, beta, HBAR, CTX)
+def bare_at(alpha, beta, hbar=HBAR):
+    """The bare constants of one label pair, as a one-row table."""
+    return sklyanin_coeffs(label_arrays((alpha,), (beta,)), alpha.n, hbar, CTX)
+
+
+def all_pairs(n):
+    """All n^4 label pairs as (a1, a2, b1, b2) integer arrays, alpha outer."""
+    alpha, beta = np.divmod(np.arange(n**4), n * n)
+    return (*np.divmod(alpha, n), *np.divmod(beta, n))
 
 
 def trial_params(seed, n, m, tau=TAU):
@@ -314,7 +501,7 @@ def crossed_beta0_coeffs(alpha, beta, hbar):
     """Theta-rescaled constants at eta == hbar with the sign of gamma flipped
     inside the first prefactor, the variant that breaks the beta == 0 branch
     for nonzero alpha."""
-    base = sklyanin_coeffs(alpha, beta, hbar, CTX)
+    base = relation_of(bare_at(alpha, beta, hbar))
     n = alpha.n
     coeffs = {}
     pref_max = 0.0
@@ -361,63 +548,64 @@ class TestSlots:
 
 
 class TestRelationVector:
+    """Relations as terms, through :meth:`RelationSet.from_terms`."""
+
     def test_from_terms_accumulates(self):
         word_a = ((1, 1, (0, 0)), (1, 2, (0, 0)))
         word_b = ((1, 2, (0, 0)), (1, 1, (0, 0)))
-        vec = RelationVector.from_terms(
-            {word_a: 1.5, word_b: -2.0}, 2, 1, "demo"
-        )
+        vec = RelationVector.from_terms({word_a: 1.5, word_b: -2.0}, 2, 1, "demo")
         assert coords(vec)[word_slot(word_a, 2, 1)] == 1.5
         assert coords(vec)[word_slot(word_b, 2, 1)] == -2.0
-        assert not vec.words.flags.writeable
-        assert not vec.values.flags.writeable
+        # the set takes the terms in any order, and holds the unit row
+        rows = np.zeros(2, dtype=int)
+        s = RelationSet.from_terms(rows, vec.words[::-1], vec.values[::-1], 1, 16)
+        assert np.array_equal(dense_rows(s)[0], coords(vec) / 2.5)
+        assert not s.blocks[0].flags.writeable
 
     def test_zero_vector_rejected(self):
-        with pytest.raises(DegenerateRelationError):
-            RelationVector("null", 1, 1, [0], [0.0])
+        with pytest.raises(ValueError, match="finite and nonzero"):
+            RelationSet.from_terms(np.array([0]), np.array([0]), np.array([0j]), 1, 1)
 
     def test_nonfinite_rejected(self):
-        with pytest.raises(ValueError):
-            RelationVector("bad", 2, 1, [0, 3], [1.0, complex("nan")])
+        values = np.array([1.0, complex("nan")])
+        with pytest.raises(ValueError, match="finite and nonzero"):
+            RelationSet.from_terms(np.array([0, 0]), np.array([0, 3]), values, 1, 16)
 
     def test_wrong_length_rejected(self):
-        with pytest.raises(ValueError):
-            RelationVector("short", 2, 1, np.arange(5), np.ones(4, dtype=complex))
-        with pytest.raises(ValueError):
-            RelationVector("outside", 2, 1, [16], [1.0])
-        with pytest.raises(ValueError):
-            RelationVector("repeated", 2, 1, [3, 3], [1.0, 2.0])
+        ones = np.ones(4, dtype=complex)
+        with pytest.raises(ValueError, match="values"):
+            RelationSet.from_terms(np.zeros(5, dtype=int), np.arange(5), ones, 1, 16)
+        with pytest.raises(ValueError, match="word index outside the 16 words"):
+            RelationSet.from_terms(np.array([0]), np.array([20]), ones[:1], 1, 16)
+        with pytest.raises(ValueError, match="row index outside the 1 rows"):
+            RelationSet.from_terms(np.array([1]), np.array([3]), ones[:1], 1, 16)
+        with pytest.raises(ValueError, match="repeats a word"):
+            RelationSet.from_terms(np.array([0, 0]), np.array([3, 3]), ones[:2], 1, 16)
 
 
 class TestSklyaninBare:
     @pytest.mark.parametrize("n", [2, 3])
     def test_representation_annihilates_every_pair(self, n):
-        worst = 0.0
-        nontrivial = 0
-        for alpha in all_indices(n):
-            for beta in all_indices(n):
-                rel = sklyanin_coeffs(alpha, beta, HBAR, CTX)
-                if sum(abs(v) for v in rel.coefficients.values()) > 1e-8:
-                    nontrivial += 1
-                worst = max(worst, sklyanin_representation_residual(rel, CTX))
-        assert worst <= 1e-9
+        table = sklyanin_coeffs(all_pairs(n), n, HBAR, CTX)
+        nontrivial = int(np.sum(np.abs(table.values).sum(axis=1) > 1e-8))
+        assert sklyanin_representation_residual(table, CTX).max() <= 1e-9
         assert nontrivial >= n**4 // 2
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_beta_zero_alpha_zero_antisymmetry(self, n):
         zero = LatticeIndex(0, 0, n)
-        rel = sklyanin_coeffs(zero, zero, HBAR, CTX)
+        rel = relation_of(bare_at(zero, zero))
         ref = max(abs(v) for v in rel.coefficients.values())
         for gamma, value in rel.coefficients.items():
             assert abs(rel.coefficients[-gamma] + value) <= 1e-10 * max(ref, 1.0)
 
     def test_n1_is_empty(self):
         one = LatticeIndex(0, 0, 1)
-        assert sklyanin_coeffs(one, one, HBAR, CTX).coefficients == {}
+        assert relation_of(bare_at(one, one)).coefficients == {}
 
     def test_mixed_moduli_raise(self):
         with pytest.raises(ValueError):
-            sklyanin_coeffs(LatticeIndex(0, 1, 2), LatticeIndex(0, 1, 3), HBAR, CTX)
+            bare_at(LatticeIndex(0, 1, 2), LatticeIndex(0, 1, 3))
 
     def test_coefficients_vary_smoothly_in_hbar(self):
         hb = 0.23 + 0.2j
@@ -427,8 +615,8 @@ class TestSklyaninBare:
             (LatticeIndex(1, 1, n), LatticeIndex(0, 0, n)),
         ]
         for alpha, beta in pairs:
-            base = sklyanin_coeffs(alpha, beta, hb, CTX)
-            bumped = sklyanin_coeffs(alpha, beta, hb + 1e-8, CTX)
+            base = relation_of(bare_at(alpha, beta, hb))
+            bumped = relation_of(bare_at(alpha, beta, hb + 1e-8))
             ref = max(abs(v) for v in base.coefficients.values())
             delta = max(
                 abs(bumped.coefficients[g] - v) for g, v in base.coefficients.items()
@@ -439,27 +627,19 @@ class TestSklyaninBare:
 class TestSklyaninTheta:
     @pytest.mark.parametrize("n", [2, 3])
     def test_rescaled_representation(self, n):
-        worst = 0.0
-        for alpha in all_indices(n):
-            for beta in all_indices(n):
-                rel = sklyanin_coeffs_eta(bare_at(alpha, beta), HBAR, HBAR, CTX)
-                worst = max(
-                    worst, sklyanin_representation_residual(rel, CTX, hbar=HBAR)
-                )
-        assert worst <= 1e-9
+        table = sklyanin_coeffs_eta(
+            sklyanin_coeffs(all_pairs(n), n, HBAR, CTX), HBAR, HBAR, CTX
+        )
+        assert sklyanin_representation_residual(table, CTX, hbar=HBAR).max() <= 1e-9
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_shifted_parameter_representation(self, n):
         eta = 0.37 + 0.29j
-        worst = 0.0
-        for alpha in all_indices(n):
-            for beta in all_indices(n):
-                rel = sklyanin_coeffs_eta(bare_at(alpha, beta), eta, HBAR, CTX)
-                worst = max(
-                    worst,
-                    sklyanin_representation_residual(rel, CTX, hbar=HBAR, eta=eta),
-                )
-        assert worst <= 1e-9
+        table = sklyanin_coeffs_eta(
+            sklyanin_coeffs(all_pairs(n), n, HBAR, CTX), eta, HBAR, CTX
+        )
+        residual = sklyanin_representation_residual(table, CTX, hbar=HBAR, eta=eta)
+        assert residual.max() <= 1e-9
 
     def test_crossed_beta0_variant_fails_the_representation(self):
         n = 2
@@ -467,15 +647,15 @@ class TestSklyaninTheta:
         beta = LatticeIndex(0, 0, n)
         matched = sklyanin_coeffs_eta(bare_at(alpha, beta), HBAR, HBAR, CTX)
         crossed = crossed_beta0_coeffs(alpha, beta, HBAR)
-        assert sklyanin_representation_residual(matched, CTX, hbar=HBAR) <= 1e-9
-        assert sklyanin_representation_residual(crossed, CTX, hbar=HBAR) > 1e-3
+        assert sklyanin_representation_residual(matched, CTX, hbar=HBAR)[0] <= 1e-9
+        assert residual_of(crossed, hbar=HBAR) > 1e-3
 
     def test_eta_form_is_bare_times_prefactors_at_eta_equal_hbar(self):
         n = 2
         alpha = LatticeIndex(1, 1, n)
         beta = LatticeIndex(0, 1, n)
-        bare = sklyanin_coeffs(alpha, beta, HBAR, CTX)
-        tilde = sklyanin_coeffs_eta(bare_at(alpha, beta), HBAR, HBAR, CTX)
+        bare = relation_of(bare_at(alpha, beta))
+        tilde = relation_of(sklyanin_coeffs_eta(bare_at(alpha, beta), HBAR, HBAR, CTX))
         for gamma, value in bare.coefficients.items():
             first, second = word_of(bare, gamma)
             pref = theta(HBAR + omega_raw(*first, n, TAU), CTX) * theta(
@@ -488,8 +668,8 @@ class TestSklyaninTheta:
         alpha = LatticeIndex(2, 1, n)
         beta = LatticeIndex(1, 2, n)
         eta = 0.44 - 0.18j
-        at_hbar = sklyanin_coeffs_eta(bare_at(alpha, beta), HBAR, HBAR, CTX)
-        shifted = sklyanin_coeffs_eta(bare_at(alpha, beta), eta, HBAR, CTX)
+        at_hbar = relation_of(sklyanin_coeffs_eta(bare_at(alpha, beta), HBAR, HBAR, CTX))
+        shifted = relation_of(sklyanin_coeffs_eta(bare_at(alpha, beta), eta, HBAR, CTX))
         phase = cmath.exp(
             -2j * cmath.pi * (alpha.a2 + beta.a2) * (eta - HBAR) / n
         )
@@ -502,20 +682,16 @@ class TestSklyaninTheta:
         n = 2
         alpha = LatticeIndex(1, 0, n)
         beta = LatticeIndex(0, 1, n)
-        rel = sklyanin_coeffs(alpha, beta, HBAR, CTX)
-        scaled = SklyaninRelation(
-            alpha, beta, {g: (7 - 3j) * v for g, v in rel.coefficients.items()}
-        )
-        a = sklyanin_representation_residual(rel, CTX)
-        b = sklyanin_representation_residual(scaled, CTX)
+        table = bare_at(alpha, beta)
+        scaled = SklyaninTable(n, table.pairs, (7 - 3j) * table.values, np.zeros(1))
+        a = sklyanin_representation_residual(table, CTX)[0]
+        b = sklyanin_representation_residual(scaled, CTX)[0]
         assert a == pytest.approx(b, rel=1e-12)
 
     def test_eta_without_hbar_raises(self):
-        rel = sklyanin_coeffs(
-            LatticeIndex(1, 0, 2), LatticeIndex(0, 1, 2), HBAR, CTX
-        )
+        table = bare_at(LatticeIndex(1, 0, 2), LatticeIndex(0, 1, 2))
         with pytest.raises(ValueError):
-            sklyanin_representation_residual(rel, CTX, eta=0.3)
+            sklyanin_representation_residual(table, CTX, eta=0.3)
 
 
 def sklyanin_draw(seed, n, tau=TAU):
@@ -530,8 +706,8 @@ def sklyanin_draw(seed, n, tau=TAU):
 def chunk_residuals(n, hbar, eta):
     """Every pair's bare and shifted residual, chunk by chunk."""
     bare, shifted = [], []
-    for alphas, betas in label_pair_chunks(n):
-        table = sklyanin_coeffs(alphas, betas, hbar, CTX)
+    for pairs in label_pair_chunks(n, n**4):
+        table = sklyanin_coeffs(pairs, n, hbar, CTX)
         bare.append(sklyanin_representation_residual(table, CTX))
         table = sklyanin_coeffs_eta(table, eta, hbar, CTX)
         shifted.append(sklyanin_representation_residual(table, CTX, hbar=hbar, eta=eta))
@@ -565,51 +741,53 @@ class TestSklyaninTable:
         n = 3
         labels = all_indices(n)
         alphas, betas = labels[::2], labels[::-2]
-        table = sklyanin_coeffs(alphas, betas, HBAR, CTX)
-        assert isinstance(table, SklyaninTable)
+        table = sklyanin_coeffs(label_arrays(alphas, betas), n, HBAR, CTX)
         eta = 0.37 + 0.29j
         shifted = sklyanin_coeffs_eta(table, eta, HBAR, CTX)
         residuals = sklyanin_representation_residual(shifted, CTX, hbar=HBAR, eta=eta)
         for p, (alpha, beta) in enumerate(zip(alphas, betas)):
-            one = sklyanin_coeffs(alpha, beta, HBAR, CTX)
-            assert table.relation(p) == one
-            one = sklyanin_coeffs_eta(one, eta, HBAR, CTX)
-            assert shifted.relation(p) == one
+            for whole, one in (
+                (table, bare_at(alpha, beta)),
+                (shifted, sklyanin_coeffs_eta(bare_at(alpha, beta), eta, HBAR, CTX)),
+            ):
+                assert [v[p] for v in whole.pairs] == [v[0] for v in one.pairs]
+                assert np.array_equal(whole.values[p], one.values[0])
+                assert whole.scale[p] == one.scale[0]
             assert residuals[p] == sklyanin_representation_residual(
                 one, CTX, hbar=HBAR, eta=eta
-            )
+            )[0]
 
     def test_n1_table_is_empty(self):
         one = LatticeIndex(0, 0, 1)
-        table = sklyanin_coeffs([one, one], [one, one], HBAR, CTX)
+        table = sklyanin_coeffs(label_arrays([one, one], [one, one]), 1, HBAR, CTX)
         assert table.values.shape == (2, 0)
-        assert table.relation(1).coefficients == {}
+        assert relation_of(table, 1).coefficients == {}
         assert sklyanin_coeffs_eta(table, 0.3, HBAR, CTX) is table
         assert sklyanin_representation_residual(table, CTX).tolist() == [0.0, 0.0]
 
     def test_mismatched_labels_raise(self):
         a2, a3 = LatticeIndex(0, 1, 2), LatticeIndex(0, 1, 3)
         with pytest.raises(ValueError):
-            sklyanin_coeffs([a2, a2], [a2, a3], HBAR, CTX)
+            label_arrays([a2, a2], [a2, a3])
         with pytest.raises(ValueError):
-            sklyanin_coeffs([a2, a2], [a2], HBAR, CTX)
+            label_arrays([a2, a2], [a2])
 
     def test_chunks_cover_every_pair_once_in_order(self, monkeypatch):
         monkeypatch.setattr(sklyanin, "_CHUNK", 7 * 3**4)
-        chunks = list(label_pair_chunks(3))
-        assert [len(alphas) for alphas, _ in chunks] == [7] * 11 + [4]
-        flat = [pair for alphas, betas in chunks for pair in zip(alphas, betas)]
+        chunks = list(label_pair_chunks(3, 3**4))
+        assert [pairs[0].size for pairs in chunks] == [7] * 11 + [4]
+        flat = [tuple(map(int, pair)) for pairs in chunks for pair in zip(*pairs)]
         labels = all_indices(3)
-        assert flat == [(alpha, beta) for alpha in labels for beta in labels]
+        assert flat == [alpha.pair + beta.pair for alpha in labels for beta in labels]
 
     def test_uneven_chunks_give_identical_results(self, monkeypatch):
         n = 3
         cfg, params, zs = sklyanin_draw(0, n)
         whole = chunk_residuals(n, params.hbar, zs[0])
         trial = _sklyanin_trial(cfg, params, zs, CTX)
-        assert len(list(label_pair_chunks(n))) == 1
+        assert len(list(label_pair_chunks(n, n**4))) == 1
         monkeypatch.setattr(sklyanin, "_CHUNK", 7 * n**4)
-        assert len(list(label_pair_chunks(n))) == 12
+        assert len(list(label_pair_chunks(n, n**4))) == 12
         for got, want in zip(chunk_residuals(n, params.hbar, zs[0]), whole):
             assert np.array_equal(got, want)
         assert _sklyanin_trial(cfg, params, zs, CTX) == trial
@@ -630,32 +808,72 @@ class TestSklyaninTable:
         # gamma == alpha, column 2, puts the first letter at index 0, so
         # hbar itself divides
         n = 2
-        rel = sklyanin_coeffs(LatticeIndex(1, 0, n), LatticeIndex(0, 1, n), HBAR, CTX)
+        table = bare_at(LatticeIndex(1, 0, n), LatticeIndex(0, 1, n))
         with pytest.raises(PoleProximityError, match=r"hbar \+ omega_d\[0, 0, 2\]"):
-            sklyanin_representation_residual(rel, CTX, hbar=0.01 + 0.01j)
+            sklyanin_representation_residual(table, CTX, hbar=0.01 + 0.01j)
+
+
+def kinds_of(rels) -> dict[str, int]:
+    kinds: dict[str, int] = {}
+    for rel in rels:
+        kinds[rel.kind] = kinds.get(rel.kind, 0) + 1
+    return kinds
+
+
+def tv_draw(seed, m, tau):
+    """The parameters of trial 0 of the ``tv-reduce`` check at this seed."""
+    cfg = CheckConfig(check="tv-reduce", n=1, m=m, tau=tau)
+    return sample_params(
+        _trial_seed(seed, "tv-reduce", 0), _tv_spec(cfg), EllipticContext(tau)
+    )[0]
 
 
 class TestTVRelations:
+    """The set build against the labelled oracle relations."""
+
     def test_counts_and_kinds(self):
-        rels = tv_relations(2, Q1, Q2, HBAR, CTX)
-        kinds = {}
-        for rel in rels:
-            kinds[rel.kind] = kinds.get(rel.kind, 0) + 1
-        assert kinds == {"commuting-pair": 2, "same-second-index": 2, "mixed": 4}
+        rels = oracle_tv_relations(2, Q1, Q2, HBAR, CTX)
+        assert kinds_of(rels) == {"commuting-pair": 2, "same-second-index": 2, "mixed": 4}
+        assert len(tv_relations(2, Q1, Q2, HBAR, CTX)) == 8
 
         q1 = (0.11 + 0.07j, 0.43 + 0.36j, 0.74 + 0.68j)
         q2 = (0.29 + 0.55j, 0.61 + 0.22j, 0.07 + 0.49j)
-        rels3 = tv_relations(3, q1, q2, HBAR, CTX)
-        kinds3 = {}
-        for rel in rels3:
-            kinds3[rel.kind] = kinds3.get(rel.kind, 0) + 1
-        assert kinds3 == {"commuting-pair": 9, "same-second-index": 9, "mixed": 36}
+        rels3 = oracle_tv_relations(3, q1, q2, HBAR, CTX)
+        assert kinds_of(rels3) == {"commuting-pair": 9, "same-second-index": 9, "mixed": 36}
+        assert len(tv_relations(3, q1, q2, HBAR, CTX)) == 54
 
     def test_m1_is_empty(self):
-        assert tv_relations(1, (0.2 + 0.3j,), (0.4 + 0.5j,), HBAR, CTX) == []
+        tv = tv_relations(1, (0.2 + 0.3j,), (0.4 + 0.5j,), HBAR, CTX)
+        assert len(tv) == 0 and not tv.components
+        assert oracle_tv_relations(1, (0.2 + 0.3j,), (0.4 + 0.5j,), HBAR, CTX) == []
+
+    @pytest.mark.parametrize("tau", [TAU, 5.3 + 0.3j])
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_set_matches_the_oracle_bit_for_bit(self, m, tau):
+        ctx = EllipticContext(tau)
+        built = 0
+        for seed in range(3):
+            params = tv_draw(seed, m, tau)
+            outcome = []
+            args = (m, params.q1, params.q2, params.hbar, ctx)
+            for build in (
+                lambda: tv_relations(*args),
+                lambda: set_of([r.vector(m) for r in oracle_tv_relations(*args)]),
+            ):
+                try:
+                    outcome.append(build())
+                except PoleProximityError:
+                    outcome.append(None)
+            got, want = outcome
+            assert (got is None) == (want is None), seed
+            if got is not None:
+                built += 1
+                assert same_sets(got, want), seed
+                assert span_rank(got) == span_rank(want)
+        assert built
 
     def test_theta_ratio_coefficient(self):
-        rels = tv_relations(2, Q1, Q2, HBAR, CTX)
+        rels = oracle_tv_relations(2, Q1, Q2, HBAR, CTX)
         rel = next(
             r
             for r in rels
@@ -667,7 +885,7 @@ class TestTVRelations:
         assert rel.terms[((1, 1), (2, 1))] == 1.0
 
     def test_mixed_coefficients(self):
-        rels = tv_relations(2, Q1, Q2, HBAR, CTX)
+        rels = oracle_tv_relations(2, Q1, Q2, HBAR, CTX)
         rel = next(r for r in rels if r.kind == "mixed" and r.indices == (1, 1, 2, 2))
         x = Q1[0] - Q1[1]
         y = Q2[0] - Q2[1]
@@ -683,7 +901,7 @@ class TestTVRelations:
         )
 
     def test_reversed_mixed_tuples_add_no_rank(self):
-        rels = tv_relations(2, Q1, Q2, HBAR, CTX)
+        rels = oracle_tv_relations(2, Q1, Q2, HBAR, CTX)
         mixed = [coords(r.vector(2)) for r in rels if r.kind == "mixed"]
         half = [
             coords(r.vector(2))
@@ -713,40 +931,32 @@ class TestFamilyCoefficients:
     def params_n1(self):
         return DynamicalParams.pair(Q1, Q2, HBAR)
 
+    def tv(self, kind, indices):
+        return next(
+            r
+            for r in oracle_tv_relations(2, Q1, Q2, HBAR, CTX)
+            if r.kind == kind and r.indices == indices
+        )
+
     def test_family2_reduces_to_theta_ratio_exchange(self):
         one = LatticeIndex(0, 0, 1)
-        params = self.params_n1()
-        vec = slnm_family_coeffs(2, (1, 1, 2), one, one, params, CTX)
-        tv = next(
-            r
-            for r in tv_relations(2, Q1, Q2, HBAR, CTX)
-            if r.kind == "same-second-index" and r.indices == (1, 2, 1)
-        )
-        assert cosine_distance(coords(vec), coords(tv.vector(2))) <= 1e-12
+        row = family_row(2, (1, 1, 2), one, one, self.params_n1())
+        tv = self.tv("same-second-index", (1, 2, 1))
+        assert cosine_distance(row, coords(tv.vector(2))) <= 1e-12
 
     def test_family3_reduces_to_commuting_pair(self):
         one = LatticeIndex(0, 0, 1)
-        params = self.params_n1()
-        vec = slnm_family_coeffs(3, (1, 1, 2), one, one, params, CTX)
-        tv = next(
-            r
-            for r in tv_relations(2, Q1, Q2, HBAR, CTX)
-            if r.kind == "commuting-pair" and r.indices == (1, 1, 2)
-        )
-        assert cosine_distance(coords(vec), coords(tv.vector(2))) <= 1e-12
+        row = family_row(3, (1, 1, 2), one, one, self.params_n1())
+        tv = self.tv("commuting-pair", (1, 1, 2))
+        assert cosine_distance(row, coords(tv.vector(2))) <= 1e-12
 
     @pytest.mark.parametrize("indices", [(1, 1, 2, 2), (1, 2, 2, 1)])
     def test_family4_reduces_to_mixed(self, indices):
         one = LatticeIndex(0, 0, 1)
-        params = self.params_n1()
         i, j, k, l = indices
-        vec = slnm_family_coeffs(4, indices, one, one, params, CTX)
-        tv = next(
-            r
-            for r in tv_relations(2, Q1, Q2, HBAR, CTX)
-            if r.kind == "mixed" and r.indices == (j, i, l, k)
-        )
-        assert cosine_distance(coords(vec), coords(tv.vector(2))) <= 1e-12
+        row = family_row(4, indices, one, one, self.params_n1())
+        tv = self.tv("mixed", (j, i, l, k))
+        assert cosine_distance(row, coords(tv.vector(2))) <= 1e-12
 
     def test_family1_places_eta_coefficients_on_words(self):
         n = 2
@@ -755,26 +965,23 @@ class TestFamilyCoefficients:
         params = self.params_n1()
         j, i = 1, 2
         eta = Q2[i - 1] - Q1[j - 1]
-        vec = slnm_family_coeffs(1, (j, i), alpha, beta, params, CTX)
-        rel = sklyanin_coeffs_eta(bare_at(alpha, beta), eta, HBAR, CTX)
+        row = family_row(1, (j, i), alpha, beta, params)
+        rel = relation_of(sklyanin_coeffs_eta(bare_at(alpha, beta), eta, HBAR, CTX))
         for gamma, value in rel.coefficients.items():
             first, second = word_of(rel, gamma)
             lab1, x1 = label_reduction_factor(first, eta, n, CTX)
             lab2, x2 = label_reduction_factor(second, eta, n, CTX)
             word = ((j, i, lab1), (j, i, lab2))
             expected = value * x1 * x2
-            assert coords(vec)[word_slot(word, 2, n)] == pytest.approx(
-                expected, rel=1e-12
-            )
+            assert row[word_slot(word, 2, n)] == pytest.approx(expected, rel=1e-12)
 
     def test_family2_n1_coefficient_values(self):
         one = LatticeIndex(0, 0, 1)
-        params = self.params_n1()
-        vec = slnm_family_coeffs(2, (2, 1, 2), one, one, params, CTX)
+        row = family_row(2, (2, 1, 2), one, one, self.params_n1())
         x = Q1[0] - Q1[1]
         zero = (0, 0)
-        lead = coords(vec)[word_slot(((1, 2, zero), (2, 2, zero)), 2, 1)]
-        cross = coords(vec)[word_slot(((2, 2, zero), (1, 2, zero)), 2, 1)]
+        lead = row[word_slot(((1, 2, zero), (2, 2, zero)), 2, 1)]
+        cross = row[word_slot(((2, 2, zero), (1, 2, zero)), 2, 1)]
         assert lead == pytest.approx(kronecker_phi(HBAR, x, CTX), rel=1e-12)
         assert cross == pytest.approx(-kronecker_phi(HBAR, -x, CTX), rel=1e-12)
 
@@ -840,11 +1047,11 @@ class TestArrayBuildParity:
         eta = 0.37 + 0.29j
         for alpha in all_indices(n):
             for beta in all_indices(n):
-                base = sklyanin_coeffs(alpha, beta, HBAR, CTX)
+                base = bare_at(alpha, beta)
                 pairs = [
-                    (base, oracle_sklyanin(alpha, beta, HBAR, CTX)),
+                    (relation_of(base), oracle_sklyanin(alpha, beta, HBAR, CTX)),
                     (
-                        sklyanin_coeffs_eta(base, eta, HBAR, CTX),
+                        relation_of(sklyanin_coeffs_eta(base, eta, HBAR, CTX)),
                         oracle_sklyanin_eta(alpha, beta, eta, HBAR, CTX),
                     ),
                 ]
@@ -868,11 +1075,7 @@ class TestArrayBuildParity:
                         for w, v in terms.items():
                             row[word_slot(w, 2, n)] += v
                         want.append(row)
-                        try:
-                            vec = slnm_family_coeffs(family, idx, alpha, beta, params, CTX)
-                            got.append(coords(vec))
-                        except DegenerateRelationError:
-                            got.append(np.zeros_like(row))
+                        got.append(family_row(family, idx, alpha, beta, params))
                 got, want = np.array(got), np.array(want)
                 assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want).max())
 
@@ -886,3 +1089,25 @@ class TestArrayBuildParity:
             _, words = family_terms(family, idx, pairs, n, trial_params(0, n, m), CTX)
             assert words.shape[:2] == (len(idx), n**4)
             assert np.all(np.diff(np.sort(words, axis=-1), axis=-1) > 0)
+
+    def test_family_one_chunks_give_identical_rows(self, monkeypatch):
+        n, m = 3, 2
+        params = trial_params(0, n, m)
+        whole = relation_vectors_reference(n, m, params, CTX)
+        # 7 of the 81 label pairs per chunk, m^2 n^2 terms each
+        monkeypatch.setattr(sklyanin, "_CHUNK", 7 * m * m * n * n)
+        assert len(list(label_pair_chunks(n, m * m * n * n))) == 12
+        assert same_sets(relation_vectors_reference(n, m, params, CTX), whole)
+
+    def test_family_one_temporaries_stay_bounded(self):
+        # all 2401 pairs at (7, 1) at once peak at about 51 MB traced
+        n, m = 7, 1
+        params = trial_params(42, n, m)
+        tracemalloc.start()
+        try:
+            vectors = relation_vectors_reference(n, m, params, CTX)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(vectors) == n**4
+        assert peak <= 40 * 2**20
