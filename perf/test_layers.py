@@ -9,7 +9,8 @@ the default tau: one scalar theta, theta over 1,000 arguments, the
 reference relation set at (n, m) = (2, 2), (2, 4) and (6, 1), the
 coordinate-exchange set at m = 4, one defect set (``rll_defect``, its
 table rebuilt every round) at (2, 3), one ``sklyanin-rep`` trial at n = 3,
-one ``r_slnm`` at (n, m) = (3, 2) and one ``dybe-slnm`` trial at (3, 2).
+one ``r_slnm`` at (n, m) = (3, 2), one ``dybe-slnm`` trial at (3, 2) and
+(3, 3), one ``dybe-felder`` trial at m = 3 and one ``ybe`` trial at n = 4.
 Kernels that take only scalars are timed entry by entry, and labelled
 coordinate-exchange relations are gathered into a set, so the same file
 runs on commits from before array arguments and relation sets.
@@ -19,6 +20,8 @@ import numpy as np
 
 from ellrmx.checks import (
     CheckConfig,
+    _felder_spec,
+    _felder_trial,
     _relations_spec,
     _rll_spec,
     _sklyanin_spec,
@@ -27,6 +30,8 @@ from ellrmx.checks import (
     _slnm_trial,
     _trial_seed,
     _tv_spec,
+    _ybe_spec,
+    _ybe_trial,
 )
 from ellrmx.elliptic import EllipticContext, theta
 from ellrmx.ncalgebra import (
@@ -115,3 +120,18 @@ def test_r_slnm_3x2(benchmark):
 def test_dybe_slnm_trial_3x2(benchmark):
     cfg, params, zs = trial_draw("dybe-slnm", _slnm_spec, 3, 2)
     benchmark(_slnm_trial, cfg, params, zs, CTX)
+
+
+def test_dybe_slnm_trial_3x3(benchmark):
+    cfg, params, zs = trial_draw("dybe-slnm", _slnm_spec, 3, 3)
+    benchmark(_slnm_trial, cfg, params, zs, CTX)
+
+
+def test_dybe_felder_trial_m3(benchmark):
+    cfg, params, zs = trial_draw("dybe-felder", _felder_spec, 1, 3)
+    benchmark(_felder_trial, cfg, params, zs, CTX)
+
+
+def test_ybe_trial_n4(benchmark):
+    cfg, params, zs = trial_draw("ybe", _ybe_spec, 4)
+    benchmark(_ybe_trial, cfg, params, zs, CTX)

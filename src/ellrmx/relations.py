@@ -193,13 +193,13 @@ def family_terms(
     at_g = omega_raw(g1, g2, n, tau)
     shift = omega_raw(b1 + g1 - a1, b2 + g2 - a2, n, tau)
     extra = []  # (coefficient, first letter, second letter) off the gamma sum
+    # Kernel results are named, so that numpy never multiplies in place into
+    # a temporary (which can swap the operands): the bits then do not depend
+    # on how many label pairs or index tuples one call takes.
     if family == 1:
         j, i = cols
         bare, scale = bare_constants(pairs, hbar, n, ctx)
         bare[np.abs(bare).max(axis=1) <= 1e-9 * scale] = 0.0
-        # named, so that numpy never multiplies in place into a temporary
-        # (which can swap the operands): the bits then do not depend on
-        # how many label pairs one call takes
         pref = theta_prefactors(pairs, hbar, n, ctx)
         phase = np.exp(-TWO_PI_I * (a2 + b2) * (s[i - 1] - p[j - 1] - hbar) / n)
         value = bare * pref * phase
@@ -207,20 +207,23 @@ def family_terms(
     elif family == 2:
         i, j, k = cols
         x = p[j - 1] - p[k - 1]
-        value = kap * kronecker_phi(hbar + at_g, x + shift, ctx)
+        phi = kronecker_phi(hbar + at_g, x + shift, ctx)
+        value = kap * phi
         letters = (j, i), (k, i)
         extra.append((-mixed_scalar(hbar, x, n, ctx), (k, i, beta), (j, i, alpha)))
     elif family == 3:
         i, j, k = cols
         x = s[j - 1] - s[k - 1]
         u = hbar + omega_raw(a1 - b1 - g1, a2 - b2 - g2, n, tau)
-        value = kap * kronecker_phi(u, -x - at_g, ctx)
+        phi = kronecker_phi(u, -x - at_g, ctx)
+        value = kap * phi
         letters = (i, k), (i, j)
         extra.append((-mixed_scalar(hbar, x, n, ctx), (i, j, alpha), (i, k, beta)))
     else:
         i, j, k, l = cols
         x, y = s[i - 1] - s[k - 1], p[j - 1] - p[l - 1]
-        value = kap * kronecker_phi(x + at_g, y + shift, ctx)
+        phi = kronecker_phi(x + at_g, y + shift, ctx)
+        value = kap * phi
         letters = (j, k), (l, i)
         extra.append((-mixed_scalar(hbar, y, n, ctx), (l, k, beta), (j, i, alpha)))
         extra.append((mixed_scalar(hbar, x, n, ctx), (j, i, alpha), (l, k, beta)))

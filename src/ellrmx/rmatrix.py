@@ -6,21 +6,24 @@ vector q of dynamical coordinates through matrix units.  The composite
 R-matrix interleaves both structures on (C^M x C^N)^2; its canonical site
 ordering places each M-factor immediately before its N-factor partner.
 
-Dynamical shifts q -> q - hbar e_k inside a product are realized as finite
-sums over weight projectors on the shifted tensor slot: conjugating by the
-shift exponential acts diagonally on weight components, so the conjugated
-operator is exactly sum_k R(q - hbar e_k) (x) P_k.
+Every builder also takes a 1-d array of spectral parameters, with one
+coordinate vector per entry, and builds the whole stack from one kernel
+call.  Dynamical shifts q -> q - hbar e_k inside a product act diagonally
+on the weight components of the shifted site, so a shifted factor is
+``sum_k R(q - hbar e_k) (x) P_k``: the M-weight of the spectator site's
+index picks the matrix.  The exchange residuals apply every factor site by
+site and never embed one into the three-site space.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .elliptic import EllipticContext, kronecker_phi, varphi
-from .tensor import basis_t_raw, embed_matrix, matrix_unit
+from .tensor import basis_t_raw, matrix_unit
 
 QVector = tuple[complex, ...]
 
@@ -77,50 +80,56 @@ def relative_residual(lhs: np.ndarray, rhs: np.ndarray) -> IdentityCheck:
     return IdentityCheck(float(np.linalg.norm(lhs - rhs) / norm))
 
 
-def r_bb(hbar: complex, u: complex, n: int, ctx: EllipticContext) -> np.ndarray:
+def r_bb(hbar: complex, u, n: int, ctx: EllipticContext) -> np.ndarray:
     """Vertex R-matrix on C^n x C^n: characteristic sum of twisted kernels
-    against basis pairs T_alpha (x) T_{-alpha}.
+    against basis pairs T_alpha (x) T_{-alpha}.  A 1-d array of ``u`` gives
+    the stack of matrices.
 
     The second basis factor uses the *integer* negation of the canonical
     representative; the product of the sign picked up by each factor under a
     representative change cancels, so each term is well defined.
     """
-    return _bb_blocks(np.array([hbar], dtype=complex), u, n, ctx)[0].reshape(n * n, n * n)
+    blocks = _bb_blocks(np.array([hbar], dtype=complex), np.asarray(u)[..., None], n, ctx)
+    return blocks.reshape(np.shape(u) + (n * n, n * n))
 
 
-def _bb_blocks(x: np.ndarray, u: complex, n: int, ctx: EllipticContext) -> np.ndarray:
-    """:func:`r_bb` at every Planck parameter of the 1-d array ``x``, as
-    ``[x, i1, i2, j1, j2]`` (row i1 i2, column j1 j2), from one kernel call."""
+def _bb_blocks(x: np.ndarray, u: np.ndarray, n: int, ctx: EllipticContext) -> np.ndarray:
+    """:func:`r_bb` at the Planck parameters ``x`` and the spectral
+    parameters ``u``, which broadcast, as ``[..., i1, i2, j1, j2]`` (row
+    i1 i2, column j1 j2), from one kernel call."""
     a1, a2 = np.divmod(np.arange(n * n), n)
-    coeff = varphi(a1, a2, u, x[:, None], n, ctx)
+    coeff = varphi(a1, a2, u[..., None], x[..., None], n, ctx)
     # kron(T_a, T_-a) for every a, indexed [a, i, k, j, l]
     first = basis_t_raw(a1, a2, n)[:, :, None, :, None]
     pairs = first * basis_t_raw(-a1, -a2, n)[:, None, :, None, :]
-    return (coeff[:, :, None, None, None, None] * pairs).sum(axis=1)
+    return (coeff[..., None, None, None, None] * pairs).sum(axis=-5)
 
 
-def r_felder(hbar: complex, u: complex, q: Sequence[complex], ctx: EllipticContext) -> np.ndarray:
-    """Dynamical R-matrix on C^M x C^M for coordinates ``q``.
+def r_felder(hbar: complex, u, q, ctx: EllipticContext) -> np.ndarray:
+    """Dynamical R-matrix on C^M x C^M for coordinates ``q``; a 1-d array
+    of ``u`` with a (K, M) array of ``q`` gives the K matrices.
 
     Diagonal pairs carry the kernel at ``(u, hbar)``, exchange pairs the
     kernel at the coordinate difference, and diagonal-diagonal pairs the
     kernel at ``(hbar, -difference)``.
     """
-    m = len(q)
+    u, q = np.asarray(u), np.asarray(q, dtype=complex)
+    m = q.shape[-1]
     i, j = np.nonzero(~np.eye(m, dtype=bool))
-    qa = np.array(q, dtype=complex)
-    qij = qa[i] - qa[j]
-    k = len(qij)
+    qij = q[..., i] - q[..., j]
+    k = len(i)
     phi = kronecker_phi(
-        np.repeat([u, u, hbar], [1, k, k]), np.concatenate([[hbar], qij, -qij]), ctx
-    )
+        np.repeat(np.stack(np.broadcast_arrays(u, u, hbar), axis=-1), [1, k, k], axis=-1),
+        np.concatenate([np.full(u.shape + (1,), hbar), qij, -qij], axis=-1),
+        ctx,
+    ).reshape(-1, 1 + 2 * k)
     # entry [i, i', j, j'] of E_ii (x) E_ii, E_ij (x) E_ji and E_ii (x) E_jj
-    out = np.zeros((m, m, m, m), dtype=complex)
-    diag = np.arange(m)
-    out[diag, diag, diag, diag] = phi[0]
-    out[i, j, j, i] = phi[1 : k + 1]
-    out[i, j, i, j] = phi[k + 1 :]
-    return out.reshape(m * m, m * m)
+    out = np.zeros((len(phi), m, m, m, m), dtype=complex)
+    at, diag = np.arange(len(phi))[:, None], np.arange(m)
+    out[at, diag, diag, diag, diag] = phi[:, :1]
+    out[at, i, j, j, i] = phi[:, 1 : k + 1]
+    out[at, i, j, i, j] = phi[:, k + 1 :]
+    return out.reshape(u.shape + (m * m, m * m))
 
 
 def mixed_scalar(hbar: complex, x: complex, n: int, ctx: EllipticContext) -> complex:
@@ -133,10 +142,9 @@ def mixed_scalar(hbar: complex, x: complex, n: int, ctx: EllipticContext) -> com
     return n * kronecker_phi(n * hbar, -n * x, ctx)
 
 
-def r_slnm(
-    hbar: complex, u: complex, q: Sequence[complex], n: int, ctx: EllipticContext
-) -> np.ndarray:
-    """Composite R-matrix on (C^M x C^N)^2 in canonical site order.
+def r_slnm(hbar: complex, u, q, n: int, ctx: EllipticContext) -> np.ndarray:
+    """Composite R-matrix on (C^M x C^N)^2 in canonical site order; a 1-d
+    array of ``u`` with a (K, M) array of ``q`` gives the K matrices.
 
     Site order is (M, N, M, N): each site is one M-factor followed by its
     N-factor.  Every block is scattered straight into place; the vertex
@@ -153,63 +161,82 @@ def r_slnm(
     At ``n == 1`` the scalar is the plain mixed coefficient of the
     coordinate-only R-matrix.
     """
-    m = len(q)
+    u, q = np.asarray(u), np.asarray(q, dtype=complex)
+    m = q.shape[-1]
     i, j = np.nonzero(~np.eye(m, dtype=bool))
-    qa = np.array(q, dtype=complex)
-    qij = qa[i] - qa[j]
-    blocks = _bb_blocks(np.concatenate([[hbar], qij]), u, n, ctx)
+    qij = q[..., i] - q[..., j]
+    x = np.concatenate([np.full(u.shape + (1,), hbar, dtype=complex), qij], axis=-1)
+    blocks = _bb_blocks(x, u[..., None], n, ctx).reshape(-1, len(i) + 1, n, n, n, n)
     # hbar as an array too, so that m == 1 guards no unused argument
     mixed = mixed_scalar(np.full(qij.shape, hbar), qij, n, ctx)
     # entry [Ma, N1, Mb, N2, Ma', N1', Mb', N2'] of the diagonal blocks
     # E_ii (x) E_ii (x) R, exchange blocks E_ij (x) E_ji (x) R(qij) and
     # diagonal-diagonal scalars E_ii (x) E_jj (x) 1
-    out = np.zeros((m, n) * 4, dtype=complex)
-    diag = np.arange(m)
-    out[diag, :, diag, :, diag, :, diag, :] = blocks[0]
-    out[i, :, j, :, j, :, i, :] = blocks[1:]
+    out = np.zeros((len(blocks),) + (m, n) * 4, dtype=complex)
+    at, diag = np.arange(len(blocks))[:, None], np.arange(m)
+    out[at, diag, :, diag, :, diag, :, diag, :] = blocks[:, :1]
+    out[at, i, :, j, :, j, :, i, :] = blocks[:, 1:]
     identity = np.eye(n * n).reshape((n,) * 4)
-    out[i, :, j, :, i, :, j, :] = mixed[:, None, None, None, None] * identity
+    out[at, i, :, j, :, i, :, j, :] = mixed.reshape(len(out), -1, 1, 1, 1, 1) * identity
     dim = m * m * n * n
-    return out.reshape(dim, dim)
+    return out.reshape(u.shape + (dim, dim))
 
 
-def weight_projectors(m: int, n: int = 1) -> list[np.ndarray]:
-    """Projectors onto the M-weight components of one site (C^M or C^M x C^N)."""
-    eye_n = np.eye(n, dtype=complex)
-    return [np.kron(matrix_unit(k, k, m), eye_n) for k in range(1, m + 1)]
+def _exchange_sides(
+    r: np.ndarray, shifted: np.ndarray, weight: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Both sides of ``R12 S13 R23 = S23 R13 S12`` on three sites of dimension d.
 
-
-def shifted_r(
-    builder: Callable[[QVector], np.ndarray],
-    q: Sequence[complex],
-    hbar: complex,
-    projectors: Sequence[np.ndarray],
-) -> np.ndarray:
-    """Weight-resolved dynamical shift: ``sum_k builder(q - hbar e_k) (x) P_k``.
-
-    The result acts on (builder's two sites, shift site) in that factor
-    order; the caller embeds it with the matching slot triple.
+    ``r`` stacks the two-site matrices R12, R13 and R23 (rows and columns
+    ordered first site, second site).  A shifted factor S applies
+    ``shifted[p, w]``, pair p's matrix, where the index of the third,
+    spectating site has weight w; ``weight`` maps a site index to its
+    weight.  S13 R23 and R13 S12 are batched over the spectator index, so
+    no factor is embedded in the (d^3 x d^3) space.  Both sides come back
+    indexed [a, b, c, a', b', c'] (row a b c, column a' b' c'); the right
+    side is a transposed view.
     """
-    out = None
-    for k, proj in enumerate(projectors):
-        qk = tuple(v - hbar if i == k else v for i, v in enumerate(q))
-        term = np.kron(builder(qk), proj)
-        out = term if out is None else out + term
-    return out
+    d = len(weight)
+    r12, r13, r23 = r.reshape(3, d, d, d, d)
+    s12, s13, s23 = shifted[:, weight].reshape(3, d, d, d, d, d)
+    # S13 R23 as [b, a, c, a', b', c'], then R12 with its columns as (b, a)
+    x = np.matmul(s13.reshape(d, d**3, d), r23.reshape(d, d, d * d))
+    lhs = r12.transpose(0, 1, 3, 2).reshape(d * d, d * d) @ x.reshape(d * d, d**4)
+    del x
+    # R13 S12 as [c', a, c, b, a', b'], then S23 with its columns as (c, b)
+    y = np.matmul(r13.transpose(3, 0, 1, 2).reshape(d, d * d, d), s12.reshape(d, d, d**3))
+    rhs = np.matmul(
+        s23.transpose(0, 1, 2, 4, 3).reshape(d, d * d, d * d), y.reshape(d, d, d * d, d * d)
+    )
+    return lhs.reshape((d,) * 6), rhs.reshape((d,) * 6).transpose(1, 2, 3, 4, 5, 0)
 
 
-def _three_site(op: np.ndarray, slots: tuple[int, ...], site_dim: int) -> np.ndarray:
-    return embed_matrix(op, slots, (site_dim, site_dim, site_dim))
+def _triple_points(
+    hbar: complex, z1: complex, z2: complex, z3: complex, q: Sequence[complex]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Spectral parameters and coordinates of every factor of a dynamical
+    triple, for one stacked build: the pairs 12, 13 and 23, each at ``q``
+    and then at ``q - hbar e_k`` for every k."""
+    m = len(q)
+    qs = np.tile(np.array(q, dtype=complex), (m + 1, 1))
+    qs[np.arange(1, m + 1), np.arange(m)] -= hbar
+    return np.repeat([z1 - z2, z1 - z3, z2 - z3], m + 1), np.tile(qs, (3, 1))
+
+
+def _dynamical_sides(stack: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_exchange_sides` of a stack built at :func:`_triple_points`,
+    on sites whose M-weight is the index divided by ``n``."""
+    m = len(stack) // 3 - 1
+    stack = stack.reshape(3, m + 1, *stack.shape[1:])
+    return _exchange_sides(stack[:, 0], stack[:, 1:], np.arange(m * n) // n)
 
 
 def ybe_residual(
     hbar: complex, z1: complex, z2: complex, z3: complex, n: int, ctx: EllipticContext
 ) -> IdentityCheck:
     """Defect of the triple exchange relation for the vertex R-matrix."""
-    r12 = _three_site(r_bb(hbar, z1 - z2, n, ctx), (1, 2), n)
-    r13 = _three_site(r_bb(hbar, z1 - z3, n, ctx), (1, 3), n)
-    r23 = _three_site(r_bb(hbar, z2 - z3, n, ctx), (2, 3), n)
-    return relative_residual(r12 @ r13 @ r23, r23 @ r13 @ r12)
+    r = r_bb(hbar, np.array([z1 - z2, z1 - z3, z2 - z3]), n, ctx)
+    return relative_residual(*_exchange_sides(r, r[:, None], np.zeros(n, dtype=int)))
 
 
 def dybe_residual_felder(
@@ -225,13 +252,8 @@ def dybe_residual_felder(
     Shifted insertions place the weight projector on the spectating site:
     the middle factor on the left, the outer factors on the right.
     """
-    m = len(q)
-    proj = weight_projectors(m)
-
-    def r(u: complex, qq: Sequence[complex]) -> np.ndarray:
-        return r_felder(hbar, u, qq, ctx)
-
-    return _dynamical_triple(r, q, hbar, proj, m, z1, z2, z3)
+    stack = r_felder(hbar, *_triple_points(hbar, z1, z2, z3, q), ctx)
+    return relative_residual(*_dynamical_sides(stack, 1))
 
 
 def dybe_residual_slnm(
@@ -244,38 +266,8 @@ def dybe_residual_slnm(
     ctx: EllipticContext,
 ) -> IdentityCheck:
     """Defect of the dynamical triple exchange relation on composite sites."""
-    m = len(q)
-    proj = weight_projectors(m, n)
-
-    def r(u: complex, qq: Sequence[complex]) -> np.ndarray:
-        return r_slnm(hbar, u, qq, n, ctx)
-
-    return _dynamical_triple(r, q, hbar, proj, m * n, z1, z2, z3)
-
-
-def _dynamical_triple(
-    r: Callable[[complex, QVector], np.ndarray],
-    q: Sequence[complex],
-    hbar: complex,
-    proj: Sequence[np.ndarray],
-    site_dim: int,
-    z1: complex,
-    z2: complex,
-    z3: complex,
-) -> IdentityCheck:
-    q = tuple(q)
-    z12, z13, z23 = z1 - z2, z1 - z3, z2 - z3
-    lhs = (
-        _three_site(r(z12, q), (1, 2), site_dim)
-        @ _three_site(shifted_r(lambda qq: r(z13, qq), q, hbar, proj), (1, 3, 2), site_dim)
-        @ _three_site(r(z23, q), (2, 3), site_dim)
-    )
-    rhs = (
-        _three_site(shifted_r(lambda qq: r(z23, qq), q, hbar, proj), (2, 3, 1), site_dim)
-        @ _three_site(r(z13, q), (1, 3), site_dim)
-        @ _three_site(shifted_r(lambda qq: r(z12, qq), q, hbar, proj), (1, 2, 3), site_dim)
-    )
-    return relative_residual(lhs, rhs)
+    stack = r_slnm(hbar, *_triple_points(hbar, z1, z2, z3, q), n, ctx)
+    return relative_residual(*_dynamical_sides(stack, n))
 
 
 def zero_weight_residual(
@@ -307,42 +299,23 @@ def bb_l_operator_rll_residual(
     hbar: complex, z1: complex, z2: complex, n: int, ctx: EllipticContext
 ) -> IdentityCheck:
     """Defect of the exchange relation with the vertex R-matrix reused as a
-    matrix L-operator on a third site: L_a(z) = R_{a3}(hbar, z)."""
-    r12 = _three_site(r_bb(hbar, z1 - z2, n, ctx), (1, 2), n)
-    l1 = _three_site(r_bb(hbar, z1, n, ctx), (1, 3), n)
-    l2 = _three_site(r_bb(hbar, z2, n, ctx), (2, 3), n)
-    return relative_residual(r12 @ l1 @ l2, l2 @ l1 @ r12)
+    matrix L-operator on a third site, L_a(z) = R_{a3}(hbar, z): the triple
+    relation at z3 = 0."""
+    return ybe_residual(hbar, z1, z2, 0, n, ctx)
 
 
 def felder_dynamical_l_residual(
     hbar: complex, z1: complex, z2: complex, q: Sequence[complex], ctx: EllipticContext
 ) -> IdentityCheck:
     """Defect of the dynamical exchange relation with the dynamical R-matrix
-    reused as its own L-operator on a third site.
+    reused as its own L-operator on a third site: the triple relation at
+    z3 = 0.
 
     With L_a(z|q) = R_{a3}(hbar, z|q) the relation reads
     ``R_12(z12|q) L_1(z1|q - hbar^(2)) L_2(z2|q) =
     L_2(z2|q - hbar^(1)) L_1(z1|q) R_12(z12|q - hbar^(3))``.
     """
-    m = len(q)
-    proj = weight_projectors(m)
-    q = tuple(q)
-
-    def l_op(z: complex, qq: Sequence[complex]) -> np.ndarray:
-        return r_felder(hbar, z, qq, ctx)
-
-    z12 = z1 - z2
-    lhs = (
-        _three_site(r_felder(hbar, z12, q, ctx), (1, 2), m)
-        @ _three_site(shifted_r(lambda qq: l_op(z1, qq), q, hbar, proj), (1, 3, 2), m)
-        @ _three_site(l_op(z2, q), (2, 3), m)
-    )
-    rhs = (
-        _three_site(shifted_r(lambda qq: l_op(z2, qq), q, hbar, proj), (2, 3, 1), m)
-        @ _three_site(l_op(z1, q), (1, 3), m)
-        @ _three_site(shifted_r(lambda qq: r_felder(hbar, z12, qq, ctx), q, hbar, proj), (1, 2, 3), m)
-    )
-    return relative_residual(lhs, rhs)
+    return dybe_residual_felder(hbar, z1, z2, 0, q, ctx)
 
 
 def slnm_reduction_residual_m1(

@@ -1099,6 +1099,24 @@ class TestArrayBuildParity:
         assert len(list(label_pair_chunks(n, m * m * n * n))) == 12
         assert same_sets(relation_vectors_reference(n, m, params, CTX), whole)
 
+    @pytest.mark.parametrize("family", [2, 3, 4])
+    def test_family_digits_do_not_depend_on_the_grid_size(self, family):
+        # At (3, 4) each family's kernel result passes 256 KB, where numpy
+        # may multiply in place into a temporary with the operands swapped.
+        n, m = 3, 4
+        params = trial_params(0, n, m)
+        idx = family_tuples(family, m)
+        ia, ib = np.divmod(np.arange(n**4), n * n)
+        pairs = (ia // n, ia % n, ib // n, ib % n)
+        assert len(idx) * n**6 * 16 >= 256 * 1024
+        whole, words = family_terms(family, idx, pairs, n, params, CTX)
+        for t, p in [(0, slice(0, 3)), (len(idx) - 1, slice(40, 41))]:
+            part, part_words = family_terms(
+                family, idx[t : t + 1], tuple(v[p] for v in pairs), n, params, CTX
+            )
+            assert np.array_equal(part[0], whole[t, p])
+            assert np.array_equal(part_words[0], words[t, p])
+
     def test_family_one_temporaries_stay_bounded(self):
         # all 2401 pairs at (7, 1) at once peak at about 51 MB traced
         n, m = 7, 1

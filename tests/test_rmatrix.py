@@ -8,6 +8,7 @@ exhaustive trial counts live in the acceptance suite.
 
 import cmath
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -16,28 +17,37 @@ import pytest
 from ellrmx.elliptic import (
     DELTA_MIN,
     EllipticContext,
+    PoleProximityError,
     all_indices,
     kronecker_phi,
     lattice_distance,
     omega,
     varphi,
 )
-from ellrmx.tensor import TensorOperator, basis_t_raw, matrix_unit, permute_components
+from ellrmx.tensor import (
+    TensorOperator,
+    basis_t_raw,
+    embed_matrix,
+    matrix_unit,
+    permute_components,
+)
 from ellrmx.rmatrix import (
     DynamicalParams,
     IdentityCheck,
+    _dynamical_sides,
+    _exchange_sides,
+    _triple_points,
     bb_l_operator_rll_residual,
     dybe_residual_felder,
     dybe_residual_slnm,
     felder_dynamical_l_residual,
+    mixed_scalar,
     r_bb,
     r_felder,
     r_slnm,
     relative_residual,
-    shifted_r,
     slnm_reduction_residual_m1,
     slnm_reduction_residual_n1,
-    weight_projectors,
     ybe_residual,
     zero_weight_residual,
 )
@@ -332,6 +342,144 @@ class TestSlnm:
         assert np.max(np.abs(block - rv)) <= 1e-12 * max(1.0, np.max(np.abs(rv)))
 
 
+# The scalar builders as they were before the stacked builds, and the dense
+# three-site path: every factor embedded in (C^d)^3, shifted factors as
+# Kronecker sums over weight projectors, four (d^3 x d^3) products a side.
+
+
+def scalar_bb_blocks(x, u, n, ctx):
+    a1, a2 = np.divmod(np.arange(n * n), n)
+    coeff = varphi(a1, a2, u, x[:, None], n, ctx)
+    first = basis_t_raw(a1, a2, n)[:, :, None, :, None]
+    pairs = first * basis_t_raw(-a1, -a2, n)[:, None, :, None, :]
+    return (coeff[:, :, None, None, None, None] * pairs).sum(axis=1)
+
+
+def scalar_r_bb(hbar, u, n, ctx):
+    return scalar_bb_blocks(np.array([hbar], dtype=complex), u, n, ctx)[0].reshape(n * n, n * n)
+
+
+def scalar_r_felder(hbar, u, q, ctx):
+    m = len(q)
+    i, j = np.nonzero(~np.eye(m, dtype=bool))
+    qa = np.array(q, dtype=complex)
+    qij = qa[i] - qa[j]
+    k = len(qij)
+    phi = kronecker_phi(
+        np.repeat([u, u, hbar], [1, k, k]), np.concatenate([[hbar], qij, -qij]), ctx
+    )
+    out = np.zeros((m, m, m, m), dtype=complex)
+    diag = np.arange(m)
+    out[diag, diag, diag, diag] = phi[0]
+    out[i, j, j, i] = phi[1 : k + 1]
+    out[i, j, i, j] = phi[k + 1 :]
+    return out.reshape(m * m, m * m)
+
+
+def scalar_r_slnm(hbar, u, q, n, ctx):
+    m = len(q)
+    i, j = np.nonzero(~np.eye(m, dtype=bool))
+    qa = np.array(q, dtype=complex)
+    qij = qa[i] - qa[j]
+    blocks = scalar_bb_blocks(np.concatenate([[hbar], qij]), u, n, ctx)
+    mixed = mixed_scalar(np.full(qij.shape, hbar), qij, n, ctx)
+    out = np.zeros((m, n) * 4, dtype=complex)
+    diag = np.arange(m)
+    out[diag, :, diag, :, diag, :, diag, :] = blocks[0]
+    out[i, :, j, :, j, :, i, :] = blocks[1:]
+    identity = np.eye(n * n).reshape((n,) * 4)
+    out[i, :, j, :, i, :, j, :] = mixed[:, None, None, None, None] * identity
+    dim = m * m * n * n
+    return out.reshape(dim, dim)
+
+
+def weight_projectors(m, n=1):
+    """Projectors onto the M-weight components of one site (C^M or C^M x C^N)."""
+    eye_n = np.eye(n, dtype=complex)
+    return [np.kron(matrix_unit(k, k, m), eye_n) for k in range(1, m + 1)]
+
+
+def shifted_r(builder, q, hbar, projectors):
+    """Weight-resolved dynamical shift ``sum_k builder(q - hbar e_k) (x) P_k``,
+    acting on (builder's two sites, shift site) in that factor order."""
+    out = None
+    for k, proj in enumerate(projectors):
+        qk = tuple(v - hbar if i == k else v for i, v in enumerate(q))
+        term = np.kron(builder(qk), proj)
+        out = term if out is None else out + term
+    return out
+
+
+def three_site(op, slots, d):
+    return embed_matrix(op, slots, (d, d, d))
+
+
+def dense_sides(kind, hbar, z, q, n, ctx):
+    """Both sides of the triple relation of ``kind`` ("ybe", "felder" or
+    "slnm") as dense (d^3 x d^3) products."""
+    z12, z13, z23 = z[0] - z[1], z[0] - z[2], z[1] - z[2]
+    if kind == "ybe":
+        r12, r13, r23 = (
+            three_site(scalar_r_bb(hbar, u, n, ctx), slots, n)
+            for u, slots in ((z12, (1, 2)), (z13, (1, 3)), (z23, (2, 3)))
+        )
+        return r12 @ r13 @ r23, r23 @ r13 @ r12
+    m = len(q)
+    if kind == "felder":
+        d, proj = m, weight_projectors(m)
+        r = lambda u, qq: scalar_r_felder(hbar, u, qq, ctx)
+    else:
+        d, proj = m * n, weight_projectors(m, n)
+        r = lambda u, qq: scalar_r_slnm(hbar, u, qq, n, ctx)
+    q = tuple(q)
+    lhs = (
+        three_site(r(z12, q), (1, 2), d)
+        @ three_site(shifted_r(lambda qq: r(z13, qq), q, hbar, proj), (1, 3, 2), d)
+        @ three_site(r(z23, q), (2, 3), d)
+    )
+    rhs = (
+        three_site(shifted_r(lambda qq: r(z23, qq), q, hbar, proj), (2, 3, 1), d)
+        @ three_site(r(z13, q), (1, 3), d)
+        @ three_site(shifted_r(lambda qq: r(z12, qq), q, hbar, proj), (1, 2, 3), d)
+    )
+    return lhs, rhs
+
+
+def site_local_sides(kind, hbar, z, q, n, ctx):
+    """Both sides as the residuals compute them, one stacked build each."""
+    if kind == "ybe":
+        r = r_bb(hbar, np.array([z[0] - z[1], z[0] - z[2], z[1] - z[2]]), n, ctx)
+        return _exchange_sides(r, r[:, None], np.zeros(n, dtype=int))
+    if kind == "felder":
+        return _dynamical_sides(r_felder(hbar, *_triple_points(hbar, *z, q), ctx), 1)
+    return _dynamical_sides(r_slnm(hbar, *_triple_points(hbar, *z, q), n, ctx), n)
+
+
+def residual_of(kind, hbar, z, q, n, ctx):
+    if kind == "ybe":
+        return ybe_residual(hbar, *z, n, ctx)
+    if kind == "felder":
+        return dybe_residual_felder(hbar, *z, q, ctx)
+    return dybe_residual_slnm(hbar, *z, q, n, ctx)
+
+
+def raises_pole(fn):
+    try:
+        fn()
+    except PoleProximityError:
+        return True
+    return False
+
+
+SKEW = 5.3 + 0.3j
+SIDE_SIZES = [(1, 1), (2, 1), (1, 3), (2, 2), (3, 2), (2, 3)]
+SIDE_CASES = (
+    [("slnm", n, m) for n, m in SIDE_SIZES]
+    + [("felder", 1, m) for m in (1, 2, 3)]
+    + [("ybe", n, 1) for n in (2, 3, 4)]
+)
+
+
 class TestShiftedR:
     def test_zero_shift(self):
         rng = np.random.default_rng(131)
@@ -355,6 +503,142 @@ class TestShiftedR:
         proj = weight_projectors(3, 2)
         total = sum(proj)
         assert np.array_equal(total, np.eye(6))
+
+
+class TestSiteLocalSides:
+    @pytest.mark.parametrize("tau", [TAU, SKEW])
+    @pytest.mark.parametrize("kind,n,m", SIDE_CASES)
+    def test_sides_match_the_dense_oracle(self, kind, n, m, tau):
+        ctx = EllipticContext(tau)
+        rng = np.random.default_rng(200 + 10 * n + m)
+        hbar, q, z = sample_point_set(rng, m, n, tau=tau)
+        d = n if kind == "ybe" else m * n
+        got = site_local_sides(kind, hbar, z, q, n, ctx)
+        want = dense_sides(kind, hbar, z, q, n, ctx)
+        for side, dense in zip(got, want):
+            side = side.reshape(d**3, d**3)
+            assert np.linalg.norm(side - dense) <= 1e-14 * np.linalg.norm(dense)
+        assert relative_residual(*want).residual <= 1e-12
+        check = residual_of(kind, hbar, z, q, n, ctx)
+        assert check == relative_residual(*got)
+
+    @pytest.mark.parametrize(
+        "kind,n,m", [("ybe", 2, 1), ("ybe", 3, 1), ("felder", 1, 2), ("felder", 1, 3)]
+    )
+    def test_own_l_residuals_are_the_triple_at_zero(self, kind, n, m):
+        rng = np.random.default_rng(230 + n + m)
+        hbar, q, z = sample_point_set(rng, m, n)
+        z0 = (z[0], z[1], 0)
+        dense = relative_residual(*dense_sides(kind, hbar, z0, q, n, CTX)).residual
+        if kind == "ybe":
+            got = bb_l_operator_rll_residual(hbar, z[0], z[1], n, CTX)
+        else:
+            got = felder_dynamical_l_residual(hbar, z[0], z[1], q, CTX)
+        assert got == residual_of(kind, hbar, z0, q, n, CTX)
+        assert abs(got.residual - dense) <= 1e-15
+
+    @pytest.mark.parametrize(
+        "kind,n,m", [("slnm", 2, 2), ("slnm", 1, 1), ("felder", 1, 2), ("ybe", 3, 1)]
+    )
+    def test_guards_trip_exactly_where_the_dense_builds_do(self, kind, n, m):
+        # Unfiltered draws at a skewed tau, one argument each time put
+        # within 0.1 of a lattice point: about half of them trip a guard.
+        ctx = EllipticContext(SKEW)
+        rng = np.random.default_rng(240 + 10 * n + m)
+        outcomes = set()
+        for _ in range(40):
+            hbar, q = draw(rng, SKEW), [draw(rng, SKEW) for _ in range(m)]
+            z = [draw(rng, SKEW) for _ in range(3)]
+            near = rng.integers(-1, 2) + rng.integers(-1, 2) * SKEW
+            near += 0.1 * rng.uniform() * cmath.exp(2j * math.pi * rng.uniform())
+            which = rng.integers(3)
+            if which == 0:
+                hbar = near
+            elif which == 1 or m == 1:
+                z[2] = z[rng.integers(2)] - near
+            else:
+                q[-1] = q[0] - near
+            old = raises_pole(lambda: dense_sides(kind, hbar, z, q, n, ctx))
+            new = raises_pole(lambda: residual_of(kind, hbar, z, q, n, ctx))
+            assert new == old
+            outcomes.add(old)
+        assert outcomes == {True, False}
+
+
+def safe_draws(rng, count, width, n):
+    """``count`` rows of ``width`` draws whose first entries, whose
+    differences, their n-fold multiples and their shifts by the n-th
+    lattice fractions all keep clear of the lattice."""
+    omegas = np.array([omega(a, CTX) for a in all_indices(n)])
+    rows = []
+    while len(rows) < count:
+        shape = (4 * count, width)
+        cand = rng.uniform(0, 1, shape) + (0.1 + 0.8 * rng.uniform(size=shape)) * TAU
+        diffs = (cand[:, :, None] - cand[:, None, :])[:, ~np.eye(width, dtype=bool)]
+        near = [diffs[..., None] + omegas, n * diffs, cand[:, :1]]
+        dist = [lattice_distance(v, TAU).reshape(len(cand), -1).min(axis=1) for v in near]
+        ok = np.all(np.array(dist) >= DELTA_MIN, axis=0)
+        rows.extend(cand[ok])
+    return np.array(rows[:count])
+
+
+class TestStackedBuilds:
+    @pytest.mark.parametrize("n,m", SIDE_SIZES)
+    def test_one_item_builds_match_the_scalar_builds_bit_for_bit(self, n, m):
+        rng = np.random.default_rng(250 + 10 * n + m)
+        hbar, q, z = sample_point_set(rng, m, n)
+        u = z[0] - z[1]
+        for got, want in (
+            (r_slnm(hbar, u, q, n, CTX), scalar_r_slnm(hbar, u, q, n, CTX)),
+            (r_felder(hbar, u, q, CTX), scalar_r_felder(hbar, u, q, CTX)),
+            (r_bb(hbar, u, n, CTX), scalar_r_bb(hbar, u, n, CTX)),
+        ):
+            assert got.shape == want.shape and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n,m", SIDE_SIZES)
+    def test_stacked_build_matches_the_loop_bit_for_bit(self, n, m):
+        rng = np.random.default_rng(260 + 10 * n + m)
+        hbar, q, z = sample_point_set(rng, m, n)
+        us, qs = _triple_points(hbar, *z, q)
+        assert us.shape == (3 * (m + 1),) and qs.shape == (3 * (m + 1), m)
+        pairs = list(zip(us, map(tuple, qs)))
+        assert np.array_equal(
+            r_slnm(hbar, us, qs, n, CTX), [r_slnm(hbar, u, row, n, CTX) for u, row in pairs]
+        )
+        assert np.array_equal(
+            r_felder(hbar, us, qs, CTX), [r_felder(hbar, u, row, CTX) for u, row in pairs]
+        )
+        assert np.array_equal(r_bb(hbar, us, n, CTX), [r_bb(hbar, u, n, CTX) for u in us])
+
+    def test_large_stacks_match_one_item_builds_bit_for_bit(self):
+        # Stacks long enough that every kernel array passes 256 KB, where
+        # numpy may multiply in place into a temporary.
+        rng = np.random.default_rng(270)
+        hbar = 0.21 + 0.43 * TAU
+        rows = safe_draws(rng, 8300, 3, 2)
+        us, qs = rows[:, 0], rows[:, 1:]
+        picks = [0, 1, 4150, 8299]
+        slnm = r_slnm(hbar, us, qs, 1, CTX)
+        felder = r_felder(hbar, us, qs, CTX)
+        bb = r_bb(hbar, us, 2, CTX)
+        for p in picks:
+            assert np.array_equal(slnm[p], r_slnm(hbar, us[p], tuple(qs[p]), 1, CTX))
+            assert np.array_equal(felder[p], r_felder(hbar, us[p], tuple(qs[p]), CTX))
+            assert np.array_equal(bb[p], r_bb(hbar, us[p], 2, CTX))
+
+    @pytest.mark.parametrize("n,m,bound_mib", [(3, 2, 3.57), (3, 3, 40.9)])
+    def test_dybe_slnm_peaks_below_the_dense_path(self, n, m, bound_mib):
+        # The bounds are the dense path's traced peaks at the same sizes.
+        rng = np.random.default_rng(280 + m)
+        hbar, q, z = sample_point_set(rng, m, n)
+        dybe_residual_slnm(hbar, *z, q, n, CTX)  # fill the caches first
+        tracemalloc.start()
+        try:
+            dybe_residual_slnm(hbar, *z, q, n, CTX)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound_mib * 2**20
 
 
 class TestParamsAndReports:
