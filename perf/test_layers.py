@@ -5,7 +5,8 @@
 
 These cases sit outside the tier-1 suite (``testpaths``) and outside the
 benchmark's ``bench/`` directory.  Each times one layer on fixed inputs at
-the default tau: one scalar theta, theta over 1,000 arguments, the
+the default tau: theta at one argument (a 0-d call, or a scalar call on
+commits that still have a scalar path), theta over 1,000 arguments, the
 reference relation set at (n, m) = (2, 2), (2, 4) and (6, 1), the
 coordinate-exchange set at m = 4, one defect set (``rll_defect``, its
 table rebuilt every round) at (2, 3), one ``sklyanin-rep`` trial at n = 3,

@@ -104,7 +104,6 @@ class CheckConfig:
     seed: int = DEFAULT_SEED
     tol: float | None = None
     l_exp_factor: bool = True
-    out: str | None = None
 
     def validate(self) -> None:
         if self.check not in CHECK_NAMES and self.check != "all":

@@ -109,8 +109,10 @@ def _summary_lines(run: RunReport) -> list[str]:
         else:
             stats = f"max {rep.max_residual:.3e}  mean {rep.mean_residual:.3e}"
         rank = f"  rank {rep.rank}" if rep.rank is not None else ""
+        nulls = len(rep.residuals) - len(rep.finite)
+        null = f"  ({nulls} of {len(rep.residuals)} trials null)" if nulls else ""
         lines.append(
-            f"  {rep.check:<13s} {verdict}  {stats}{rank}  "
+            f"  {rep.check:<13s} {verdict}  {stats}{rank}{null}  "
             f"({rep.runtime_ms:.0f} ms, n={rep.n} m={rep.m}, tol {rep.tol:g})"
         )
     overall = "PASS" if run.passed else "FAIL"
@@ -131,7 +133,6 @@ def main(argv: list[str] | None = None) -> int:
         seed=args.seed,
         tol=args.tol,
         l_exp_factor=args.l_exp_factor == "on",
-        out=str(args.out) if args.out is not None else None,
     )
     try:
         run = run_check(cfg)

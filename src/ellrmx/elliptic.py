@@ -7,16 +7,19 @@ reduced to the fundamental cell before summation; the quasi-periodicity factor
 (including the correction terms it induces on derivatives) restores the value
 at the original point.
 
-Every kernel accepts a Python scalar or a numpy array of arguments.  A scalar
-returns a Python complex (a float for :func:`lattice_distance`) along a
-scalar path; an array returns an array of the broadcast shape.  An array
-evaluation sums the series once per distinct argument, in bounded chunks, and
-its pole guards check every entry and name the first offending one.
+Every kernel takes numpy arrays of arguments, and every argument takes the
+same array path: a 0-d argument (a Python or numpy scalar) returns a numpy
+scalar, an instance of complex (of float for :func:`lattice_distance`), and
+an array returns an array of the broadcast shape.  The series is summed once
+per distinct argument, in bounded chunks, and the pole guards check every
+entry and name the first offending one.  The kernels compute on flat arrays
+and shape their result last: numpy rounds a product of two complex scalars
+differently from its array loops, so a 0-d call could otherwise differ from
+the same entry of an array call.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -40,14 +43,11 @@ def lattice_distance(z, tau: complex):
     to the nearest integer; the result is the distance to that lattice
     point.  It is exact when the rounded point is the nearest one, and
     otherwise overestimates: at tau = 0.3+0.8i that happens for about an
-    eighth of uniform points, by up to about 0.23.  An array returns the
-    same floats, bit for bit, as the scalar form applied entrywise.
+    eighth of uniform points, by up to about 0.23.  Only real arithmetic is
+    used, so an entry's distance does not depend on the shape of ``z``.
     """
     b = z.imag / tau.imag
     a = z.real - b * tau.real
-    if not isinstance(z, np.ndarray):
-        return abs((a - round(a)) + (b - round(b)) * tau)
-    # The scalar form's complex arithmetic, spelled out in real parts.
     db = b - np.rint(b)
     return np.hypot((a - np.rint(a)) + db * tau.real, db * tau.imag)
 
@@ -141,50 +141,45 @@ def _dedup(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.array(list(first), dtype=complex), np.array(inverse, dtype=np.intp)
 
 
-def _theta_block(u, ctx: EllipticContext):
-    """Theta and its first two u-derivatives at ``u``, via argument reduction.
+def _theta_block(u, ctx: EllipticContext) -> tuple[np.ndarray, ...]:
+    """Theta and its first two u-derivatives at the entries of ``u``, each
+    as a flat array, via argument reduction.
 
     The reduced point feeds the truncated sum; quasi-periodicity contributes
     the exponential factor and, through its u-dependence, the lower-order
-    correction terms in the derivative formulas.  An array is evaluated
-    once per distinct entry.
+    correction terms in the derivative formulas.  The series runs once per
+    distinct entry.  Every product is taken between named arrays, so that
+    numpy never multiplies in place into a temporary (which can swap the
+    operands): an entry's bits then do not depend on how many arguments
+    one call takes.
     """
     tau = ctx.tau
     freq, w0, w1, w2 = ctx._series
-    if not isinstance(u, np.ndarray):
-        n = round(u.imag / tau.imag)
-        m = round((u - n * tau).real)
-        u_red = u - m - n * tau
-        phase = freq * u_red
+    points, inverse = _dedup(np.asarray(u, dtype=complex).ravel())
+    n = np.rint(points.imag / tau.imag)
+    m = np.rint((points - n * tau).real)
+    u_red = points - m - n * tau
+    t0, t1, t2 = np.empty((3, points.size), dtype=complex)
+    for start in range(0, points.size, _CHUNK):
+        chunk = slice(start, start + _CHUNK)
+        phase = np.multiply.outer(u_red[chunk], freq)
         s = np.sin(phase)
-        t0 = complex(np.dot(w0, s))
-        t1 = complex(np.dot(w1, np.cos(phase)))
-        t2 = complex(np.dot(w2, s))
-        if m == 0 and n == 0:
-            return t0, t1, t2
-        fac = cmath.exp(-1j * math.pi * tau * n * n - TWO_PI_I * n * u_red)
-        if (m + n) % 2:
-            fac = -fac
-    else:
-        points, inverse = _dedup(np.asarray(u, dtype=complex).ravel())
-        n = np.rint(points.imag / tau.imag)
-        m = np.rint((points - n * tau).real)
-        u_red = points - m - n * tau
-        t0, t1, t2 = np.empty((3, points.size), dtype=complex)
-        for start in range(0, points.size, _CHUNK):
-            chunk = slice(start, start + _CHUNK)
-            phase = np.multiply.outer(u_red[chunk], freq)
-            s = np.sin(phase)
-            t0[chunk] = (w0 * s).sum(axis=-1)
-            t1[chunk] = (w1 * np.cos(phase)).sum(axis=-1)
-            t2[chunk] = (w2 * s).sum(axis=-1)
-        fac = np.exp(-1j * math.pi * tau * n * n - TWO_PI_I * n * u_red)
-        np.negative(fac, out=fac, where=(m + n) % 2 == 1)
+        t0[chunk] = (w0 * s).sum(axis=-1)
+        t2[chunk] = (w2 * s).sum(axis=-1)
+        # the cosines overwrite the sines, which are no longer needed
+        t1[chunk] = (w1 * np.cos(phase, out=s)).sum(axis=-1)
+    fac = np.exp(-1j * math.pi * tau * n * n - TWO_PI_I * n * u_red)
+    np.negative(fac, out=fac, where=(m + n) % 2 == 1)
     w = TWO_PI_I * n
-    block = fac * t0, fac * (t1 - w * t0), fac * (t2 - 2 * w * t1 + w * w * t0)
-    if not isinstance(u, np.ndarray):
-        return block
-    return tuple(v[inverse].reshape(u.shape) for v in block)
+    d1 = t1 - w * t0
+    d2 = t2 - 2 * w * t1 + w * w * t0
+    return tuple((fac * v)[inverse] for v in (t0, d1, d2))
+
+
+def _shaped(values: np.ndarray, like):
+    """Flat kernel values in the shape of ``like``: a numpy scalar for a
+    0-d ``like``."""
+    return values.reshape(np.shape(like))[()]
 
 
 def theta(u, ctx: EllipticContext):
@@ -194,37 +189,36 @@ def theta(u, ctx: EllipticContext):
     quasi-periodicity ``theta(u + m + n tau) =
     (-1)^{m+n} exp(-i pi tau n^2 - 2 pi i n u) theta(u)``.
     """
-    return _theta_block(u, ctx)[0]
+    return _shaped(_theta_block(u, ctx)[0], u)
 
 
 def theta_d1(u, ctx: EllipticContext):
     """First derivative of :func:`theta` with respect to ``u``."""
-    return _theta_block(u, ctx)[1]
+    return _shaped(_theta_block(u, ctx)[1], u)
 
 
 def theta_d2(u, ctx: EllipticContext):
     """Second derivative of :func:`theta` with respect to ``u``."""
-    return _theta_block(u, ctx)[2]
+    return _shaped(_theta_block(u, ctx)[2], u)
 
 
 def guard_denominator(name: str, value, tau: complex) -> None:
     """Raise :class:`PoleProximityError` if ``value``, a theta argument in
-    a denominator, lies within ``DELTA_MIN`` of the zero lattice.  For an
-    array every entry is checked, and the message names the first
+    a denominator, lies within ``DELTA_MIN`` of the zero lattice.  Every
+    entry of an array is checked, and the message names the first
     offending one by its index."""
+    value = np.asarray(value)
     d = lattice_distance(value, tau)
-    if isinstance(value, np.ndarray):
-        bad = np.flatnonzero(d < DELTA_MIN)
-        if not bad.size:
-            return
-        at = np.unravel_index(bad[0], d.shape)
+    bad = np.flatnonzero(d < DELTA_MIN)
+    if not bad.size:
+        return
+    at = np.unravel_index(bad[0], value.shape)
+    if at:
         name = f"{name}[{', '.join(str(int(i)) for i in at)}]"
-        value, d = complex(value[at]), float(d[at])
-    if d < DELTA_MIN:
-        raise PoleProximityError(
-            f"{name} = {value:.6g} lies {d:.3g} from the zero lattice "
-            f"(minimum {DELTA_MIN})"
-        )
+    raise PoleProximityError(
+        f"{name} = {complex(value[at]):.6g} lies {float(d[at]):.3g} from the "
+        f"zero lattice (minimum {DELTA_MIN})"
+    )
 
 
 def kronecker_phi(u, x, ctx: EllipticContext):
@@ -237,20 +231,16 @@ def kronecker_phi(u, x, ctx: EllipticContext):
     """
     guard_denominator("u", u, ctx.tau)
     guard_denominator("x", x, ctx.tau)
-    if isinstance(u, np.ndarray) or isinstance(x, np.ndarray):
-        t = theta(np.stack(np.broadcast_arrays(u + x, u, x)), ctx)
-        return ctx.theta_prime0 * t[0] / (t[1] * t[2])
-    return ctx.theta_prime0 * theta(u + x, ctx) / (theta(u, ctx) * theta(x, ctx))
+    u, x = np.broadcast_arrays(u, x)
+    t = theta(np.stack([u + x, u, x]).reshape(3, -1), ctx)
+    return _shaped(ctx.theta_prime0 * t[0] / (t[1] * t[2]), u)
 
 
 def omega_raw(a1, a2, n: int, tau: complex):
     """Lattice fraction ``(a1 + a2 tau) / n`` for integer characteristics
-    (integers or integer arrays, which broadcast)."""
-    if isinstance(a1, np.ndarray) or isinstance(a2, np.ndarray):
-        # Part by part, as Python divides a complex by an integer: numpy's
-        # complex division would multiply by 1/n and round differently.
-        return (a1 + a2 * tau.real) / n + 1j * (a2 * tau.imag / n)
-    return (a1 + a2 * tau) / n
+    (integers or integer arrays, which broadcast); the real and imaginary
+    parts are divided by n separately."""
+    return (a1 + a2 * tau.real) / n + 1j * (a2 * tau.imag / n)
 
 
 def varphi(a1, a2, u, x, n: int, ctx: EllipticContext):
@@ -261,9 +251,11 @@ def varphi(a1, a2, u, x, n: int, ctx: EllipticContext):
     it a legitimate function of a discrete characteristic.  Arrays of
     characteristics or arguments broadcast.
     """
-    twist = TWO_PI_I * a2 * u / n
-    twist = np.exp(twist) if isinstance(twist, np.ndarray) else cmath.exp(twist)
-    return kronecker_phi(u, x + omega_raw(a1, a2, n, ctx.tau), ctx) * twist
+    # u as an array and the product as a ufunc call, so that 0-d arguments
+    # take numpy's array loops (see the module docstring)
+    twist = np.exp(TWO_PI_I * a2 * np.asarray(u) / n)
+    phi = kronecker_phi(u, x + omega_raw(a1, a2, n, ctx.tau), ctx)
+    return np.multiply(phi, twist)
 
 
 def eisenstein_e1(z, ctx: EllipticContext):
@@ -273,7 +265,7 @@ def eisenstein_e1(z, ctx: EllipticContext):
     """
     guard_denominator("z", z, ctx.tau)
     t0, t1, _ = _theta_block(z, ctx)
-    return t1 / t0
+    return _shaped(t1 / t0, z)
 
 
 def eisenstein_e2(z, ctx: EllipticContext):
@@ -284,7 +276,7 @@ def eisenstein_e2(z, ctx: EllipticContext):
     """
     guard_denominator("z", z, ctx.tau)
     t0, t1, t2 = _theta_block(z, ctx)
-    return (t1 / t0) ** 2 - t2 / t0
+    return _shaped((t1 / t0) ** 2 - t2 / t0, z)
 
 
 def fay_residual(z: complex, w: complex, x: complex, y: complex, ctx: EllipticContext) -> float:
@@ -294,9 +286,12 @@ def fay_residual(z: complex, w: complex, x: complex, y: complex, ctx: EllipticCo
     ``phi(z-w,x) phi(w,x+y) + phi(w-z,y) phi(z,x+y)``; the defect is divided
     by the largest of the three term magnitudes (and 1).
     """
-    lhs = kronecker_phi(z, x, ctx) * kronecker_phi(w, y, ctx)
-    t1 = kronecker_phi(z - w, x, ctx) * kronecker_phi(w, x + y, ctx)
-    t2 = kronecker_phi(w - z, y, ctx) * kronecker_phi(z, x + y, ctx)
+    phi = kronecker_phi(
+        np.array([z, w, z - w, w, w - z, z]),
+        np.array([x, y, x, x + y, y, x + y]),
+        ctx,
+    )
+    lhs, t1, t2 = phi[::2] * phi[1::2]
     scale = max(abs(lhs), abs(t1), abs(t2), 1.0)
     return abs(lhs - t1 - t2) / scale
 
@@ -307,13 +302,10 @@ def fay_coincident_residual(z: complex, x: complex, y: complex, ctx: EllipticCon
     ``phi(z,x) phi(z,y)`` should equal
     ``phi(z,x+y) (E1(z) + E1(x) + E1(y) - E1(x+y+z))``.
     """
-    lhs = kronecker_phi(z, x, ctx) * kronecker_phi(z, y, ctx)
-    rhs = kronecker_phi(z, x + y, ctx) * (
-        eisenstein_e1(z, ctx)
-        + eisenstein_e1(x, ctx)
-        + eisenstein_e1(y, ctx)
-        - eisenstein_e1(x + y + z, ctx)
-    )
+    phi = kronecker_phi(z, np.array([x, y, x + y]), ctx)
+    e1 = eisenstein_e1(np.array([z, x, y, x + y + z]), ctx)
+    lhs = phi[0] * phi[1]
+    rhs = phi[2] * (e1[0] + e1[1] + e1[2] - e1[3])
     scale = max(abs(lhs), abs(rhs), 1.0)
     return abs(lhs - rhs) / scale
 
@@ -321,8 +313,10 @@ def fay_coincident_residual(z: complex, x: complex, y: complex, ctx: EllipticCon
 def fay_pair_residual(z: complex, x: complex, ctx: EllipticContext) -> float:
     """Normalized defect of the fully degenerate form: ``phi(z,x) phi(z,-x)``
     against ``E2(z) - E2(x)``."""
-    lhs = kronecker_phi(z, x, ctx) * kronecker_phi(z, -x, ctx)
-    rhs = eisenstein_e2(z, ctx) - eisenstein_e2(x, ctx)
+    phi = kronecker_phi(z, np.array([x, -x]), ctx)
+    e2 = eisenstein_e2(np.array([z, x]), ctx)
+    lhs = phi[0] * phi[1]
+    rhs = e2[0] - e2[1]
     scale = max(abs(lhs), abs(rhs), 1.0)
     return abs(lhs - rhs) / scale
 

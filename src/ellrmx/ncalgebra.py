@@ -348,9 +348,10 @@ def component_ratio(
     comp /= n * n
     d_b = z2 + params.q2[i - 1] - params.q1[k - 1] + omega(beta, ctx)
     d_a = z1 + params.q2[i - 1] - params.q1[j - 1] + params.hbar + omega(alpha, ctx)
-    guard_denominator("beta prefactor argument", d_b, ctx.tau)
-    guard_denominator("alpha prefactor argument", d_a, ctx.tau)
-    div = theta(d_b, ctx) * theta(d_a, ctx)
+    args = np.array([d_b, d_a])
+    guard_denominator("(beta, alpha) prefactor argument", args, ctx.tau)
+    th_b, th_a = theta(args, ctx)
+    div = th_b * th_a
     if conv.exp_factor:
         div *= cmath.exp(TWO_PI_I * (alpha.a2 * z1 + beta.a2 * z2) / n)
     return comp / div

@@ -74,52 +74,50 @@ def tv_relations(
     """
     if len(q1) != m or len(q2) != m:
         raise ValueError("coordinate vectors must have length m")
-    p = tuple(complex(v) for v in q1)
-    s = tuple(complex(v) for v in q2)
+    p = np.array(q1, dtype=complex)
+    s = np.array(q2, dtype=complex)
     tau = ctx.tau
-    # each relation as its terms (i, j, k, l, coefficient of the word
-    # ((i, j), (k, l)))
-    out: list[tuple[tuple, ...]] = []
-    for i in range(1, m + 1):
-        for j in range(1, m + 1):
-            for k in range(j + 1, m + 1):
-                out.append(((i, j, i, k, 1.0), (i, k, i, j, -1.0)))
-    for k in range(1, m + 1):
-        for i in range(1, m + 1):
-            for j in range(i + 1, m + 1):
-                x = p[i - 1] - p[j - 1]
-                guard_denominator("shifted first-set difference", x + hbar, tau)
-                ratio = theta(x - hbar, ctx) / theta(x + hbar, ctx)
-                out.append(((i, k, j, k, 1.0), (j, k, i, k, -ratio)))
-    for i in range(1, m + 1):
-        for k in range(1, m + 1):
-            if k == i:
-                continue
-            for j in range(1, m + 1):
-                for l in range(1, m + 1):
-                    if l == j:
-                        continue
-                    x = p[i - 1] - p[k - 1]
-                    y = s[j - 1] - s[l - 1]
-                    guard_denominator("first-set difference", x, tau)
-                    guard_denominator("second-set difference", y, tau)
-                    front = theta(y - hbar, ctx) / theta(y, ctx)
-                    back = theta(x - hbar, ctx) / theta(x, ctx)
-                    cross = (
-                        theta(hbar, ctx)
-                        * theta(x + y, ctx)
-                        / (theta(x, ctx) * theta(y, ctx))
-                    )
-                    out.append(
-                        ((i, j, k, l, front), (k, l, i, j, -back), (i, l, k, j, cross))
-                    )
-    terms = [term for relation in out for term in relation]
-    i, j, k, l = np.array([t[:4] for t in terms], dtype=int).reshape(-1, 4).T
+    # 1-based index tuples in loop order, the first axis varying slowest
+    grid3 = np.indices((m,) * 3).reshape(3, -1) + 1
+    grid4 = np.indices((m,) * 4).reshape(4, -1) + 1
+    # (i; j < k) for the commuting pairs, (k; i < j) for the exchanges
+    a, b, c = grid3[:, grid3[1] < grid3[2]]
+    i, k, j, l = grid4[:, (grid4[0] != grid4[1]) & (grid4[2] != grid4[3])]
+    x2 = p[b - 1] - p[c - 1]
+    x, y = p[i - 1] - p[k - 1], s[j - 1] - s[l - 1]
+    guard_denominator("shifted first-set difference", x2 + hbar, tau)
+    guard_denominator("first-set difference", x, tau)
+    guard_denominator("second-set difference", y, tau)
+    args = [x2 - hbar, x2 + hbar, y - hbar, y, x - hbar, x, x + y, np.array([hbar])]
+    cuts = np.cumsum([v.size for v in args])[:-1]
+    th_x2m, th_x2p, th_ym, th_y, th_xm, th_x, th_xy, th_h = np.split(
+        theta(np.concatenate(args), ctx), cuts
+    )
+    ratio = th_x2m / th_x2p
+    front, back = th_ym / th_y, th_xm / th_x
+    cross = th_h * th_xy / (th_x * th_y)
+    rows = np.arange(a.size)
+    mixed = np.arange(i.size) + 2 * a.size
+    # each kind of term as (rows, letters (i, j, k, l) of its word
+    # ((i, j), (k, l)), coefficients)
+    terms = [
+        (rows, (a, b, a, c), 1.0),
+        (rows, (a, c, a, b), -1.0),
+        (rows + a.size, (b, a, c, a), 1.0),
+        (rows + a.size, (c, a, b, a), -ratio),
+        (mixed, (i, j, k, l), front),
+        (mixed, (k, l, i, j), -back),
+        (mixed, (i, l, k, j), cross),
+    ]
+    i1, j1, i2, j2 = np.concatenate([np.stack(w) for _, w, _ in terms], axis=1)
     g = m * m
-    words = generator_slot(i, j, (0, 0), m, 1) * g + generator_slot(k, l, (0, 0), m, 1)
-    rows = np.repeat(np.arange(len(out)), [len(r) for r in out])
-    values = np.array([t[4] for t in terms], dtype=complex)
-    return RelationSet.from_terms(rows, words, values, len(out), g * g)
+    return RelationSet.from_terms(
+        np.concatenate([r for r, _, _ in terms]),
+        generator_slot(i1, j1, (0, 0), m, 1) * g + generator_slot(i2, j2, (0, 0), m, 1),
+        np.concatenate([np.broadcast_to(v, r.shape) for r, _, v in terms]),
+        2 * a.size + i.size,
+        g * g,
+    )
 
 
 def label_reduction_factor(

@@ -60,10 +60,10 @@ def admissible(
     """Whether every constrained expression clears the safety distance."""
     if spec.expressions is None:
         return True
-    for expr, scale in spec.expressions(params, zs):
-        if lattice_distance(scale * expr, ctx.tau) < scale * DELTA_MIN:
-            return False
-    return True
+    pairs = list(spec.expressions(params, zs))
+    scaled = np.array([scale * expr for expr, scale in pairs], dtype=complex)
+    floor = np.array([scale * DELTA_MIN for _, scale in pairs])
+    return not np.any(lattice_distance(scaled, ctx.tau) < floor)
 
 
 def sample_params(

@@ -8,7 +8,9 @@ multiplication law below holds exactly for unreduced integer sums.  (With
 components reduced before forming the product label, no choice of phases can
 satisfy the law; the sign defect is an irremovable 2-cocycle.  Reduction only
 changes the basis element by the sign ``(-1)^{n c1 c2 + a1 c2 + a2 c1}``
-when shifting by ``n*(c1, c2)``.)
+when shifting by ``n*(c1, c2)``.)  The basis and the structure constants
+take integers or integer arrays of characteristics alike, through one array
+expression.
 
 TensorOperator carries a dense matrix on an ordered product of labeled
 spaces; ``embed`` and ``permute_components`` move operators between slot
@@ -18,7 +20,6 @@ subscript notation (R_12 acts on slots 1 and 2).
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
@@ -67,18 +68,10 @@ def lambda_shift(n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _t_matrix_part(a1r: int, a2r: int, n: int) -> np.ndarray:
-    mat = np.linalg.matrix_power(_clock_master(n), a1r) @ np.linalg.matrix_power(
-        _shift_master(n), a2r
-    )
-    mat.flags.writeable = False
-    return mat
-
-
-@lru_cache(maxsize=None)
 def _t_parts(n: int) -> np.ndarray:
     """Every ``Q^r1 Lambda^r2`` at once, indexed ``[r1, r2]``."""
-    parts = np.array([[_t_matrix_part(r1, r2, n) for r2 in range(n)] for r1 in range(n)])
+    q, lam, power = _clock_master(n), _shift_master(n), np.linalg.matrix_power
+    parts = np.array([[power(q, r1) @ power(lam, r2) for r2 in range(n)] for r1 in range(n)])
     parts.flags.writeable = False
     return parts
 
@@ -90,14 +83,11 @@ def basis_t_raw(a1, a2, n: int) -> np.ndarray:
     product, so different representatives of the same residue class differ
     by a sign (see the module docstring).  Integer arrays of
     characteristics give the stack of matrices, indexed by their
-    broadcast shape, equal entry for entry to the scalar form.
+    broadcast shape.
     """
-    if isinstance(a1, np.ndarray) or isinstance(a2, np.ndarray):
-        a1, a2 = np.broadcast_arrays(a1, a2)
-        phase = np.exp(1j * (math.pi * a1 * a2 / n))
-        return phase[..., None, None] * _t_parts(n)[a1 % n, a2 % n]
-    phase = cmath.exp(1j * math.pi * a1 * a2 / n)
-    return phase * _t_matrix_part(a1 % n, a2 % n, n)
+    a1, a2 = np.broadcast_arrays(a1, a2)
+    phase = np.exp(1j * (math.pi * a1 * a2 / n))
+    return phase[..., None, None] * _t_parts(n)[a1 % n, a2 % n]
 
 
 def basis_t(alpha: LatticeIndex) -> np.ndarray:
@@ -113,9 +103,7 @@ def kappa_raw(a: tuple, b: tuple, n: int):
     integer arrays; they broadcast.
     """
     k = b[0] * a[1] - b[1] * a[0]
-    if isinstance(k, np.ndarray):
-        return np.exp(1j * (math.pi * k / n))
-    return cmath.exp(1j * math.pi * k / n)
+    return np.exp(1j * (math.pi * k / n))
 
 
 def kappa(alpha: LatticeIndex, beta: LatticeIndex) -> complex:

@@ -102,3 +102,18 @@ class TestReports:
         proc = run_cli("bb-reduce", "--n", "3", "--m", "2", "--trials", "2")
         assert proc.returncode == 0
         assert "n=3 m=1" in proc.stdout
+
+    def test_summary_counts_null_trials(self, tmp_path):
+        # At the skewed tau, trial 0 of ybe at seed 42 trips a pole guard.
+        out = tmp_path / "report.json"
+        proc = run_cli("ybe", "--tau", "5.3,0.3", "--trials", "2", "--out", str(out))
+        assert proc.returncode == 1
+        assert "FAIL" in proc.stdout and "(1 of 2 trials null)" in proc.stdout
+        (rep,) = json.loads(out.read_text())["checks"]
+        assert rep["residuals"][0] is None and rep["residuals"][1] is not None
+        assert set(rep) == {
+            "check", "n", "m", "tol", "residuals", "max_residual",
+            "mean_residual", "rank", "pass", "runtime_ms",
+        }
+        proc = run_cli("fay", "--trials", "2")
+        assert "trials null" not in proc.stdout

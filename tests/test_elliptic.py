@@ -367,7 +367,7 @@ class TestLatticeDistance:
 
 
 def kernel_cases(ctx):
-    """(name, array form, scalar form) of every array-capable kernel."""
+    """(name, array form, 0-d form) of every kernel."""
     h = 0.21 + 0.13j
     return [
         ("theta", lambda z: theta(z, ctx), lambda z: theta(z, ctx)),
@@ -383,7 +383,7 @@ def kernel_cases(ctx):
 
 
 class TestArrayKernels:
-    """Array arguments against the scalar path, entry by entry."""
+    """Array arguments against 0-d arguments, entry by entry."""
 
     @staticmethod
     def points(tau, shape, seed=0):
@@ -410,14 +410,30 @@ class TestArrayKernels:
             else:
                 want = [scalar_form(complex(v)) for v in flat]
             want = np.array(want, dtype=complex).reshape(shape)
-            assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want)), name
+            assert np.array_equal(got, want), name
 
     def test_scalars_give_python_complex(self):
+        # A 0-d argument gives a numpy scalar, which is a Python complex
+        # (a float for the lattice distance).
         z = 0.31 + 0.47j
         for name, _, scalar_form in kernel_cases(CTX):
             value = scalar_form(z, 0.2 + 0.1j) if name == "phi" else scalar_form(z)
-            assert type(value) is complex, name
-        assert type(lattice_distance(z, TAU)) is float
+            assert isinstance(value, complex) and np.ndim(value) == 0, name
+        assert isinstance(lattice_distance(z, TAU), float)
+
+    @pytest.mark.parametrize("size", [1000, 200])
+    def test_one_call_matches_sliced_calls_bit_for_bit(self, size):
+        # Large calls must not round differently from small ones (numpy
+        # multiplies in place into large temporaries, swapping operands).
+        rng = np.random.default_rng(11)
+        z = rng.uniform(-2, 2, 20_000) + TAU * rng.uniform(-2, 2, 20_000)
+        z = z[lattice_distance(z, TAU) >= DELTA_MIN]
+        for fn in (theta, theta_d1, theta_d2, eisenstein_e1, eisenstein_e2):
+            whole = fn(z, CTX)
+            parts = np.concatenate(
+                [fn(z[i:i + size], CTX) for i in range(0, z.size, size)]
+            )
+            assert np.array_equal(whole, parts), fn.__name__
 
     def test_series_runs_once_per_distinct_argument(self, monkeypatch):
         seen = []
@@ -438,7 +454,7 @@ class TestArrayKernels:
         monkeypatch.setattr(elliptic, "_CHUNK", 3)
         z = self.points(TAU, (11,), seed=4)
         want = [theta(complex(v), CTX) for v in z]
-        np.testing.assert_allclose(theta(z, CTX), want, rtol=1e-12, atol=0)
+        np.testing.assert_array_equal(theta(z, CTX), want)
 
     def test_guard_names_the_first_offending_entry(self):
         z = np.array([[0.4 + 0.3j, 0.3 + 0.2j], [1.0 + 0.01j, 0.02 + 0.0j]])

@@ -189,10 +189,18 @@ class TVRelation:
 
 def oracle_tv_relations(m, q1, q2, hbar, ctx) -> list[TVRelation]:
     """The coordinate-exchange relations one labelled relation at a time,
-    with the same scalar kernel calls in the same order as the set build."""
+    with the same coefficient formulas as the set build.
+
+    Each theta value is a one-entry array, so that its products run
+    numpy's array loops as in the set build: numpy's scalar arithmetic
+    rounds complex products differently."""
     p = tuple(complex(v) for v in q1)
     s = tuple(complex(v) for v in q2)
     tau = ctx.tau
+
+    def th(u):
+        return theta(np.array([u]), ctx)
+
     out: list[TVRelation] = []
     for i in range(1, m + 1):
         for j in range(1, m + 1):
@@ -204,8 +212,8 @@ def oracle_tv_relations(m, q1, q2, hbar, ctx) -> list[TVRelation]:
             for j in range(i + 1, m + 1):
                 x = p[i - 1] - p[j - 1]
                 guard_denominator("shifted first-set difference", x + hbar, tau)
-                ratio = theta(x - hbar, ctx) / theta(x + hbar, ctx)
-                terms = {((i, k), (j, k)): 1.0, ((j, k), (i, k)): -ratio}
+                ratio = th(x - hbar) / th(x + hbar)
+                terms = {((i, k), (j, k)): 1.0, ((j, k), (i, k)): -ratio[0]}
                 out.append(TVRelation("same-second-index", (i, j, k), terms))
     for i in range(1, m + 1):
         for k in range(1, m + 1):
@@ -219,17 +227,13 @@ def oracle_tv_relations(m, q1, q2, hbar, ctx) -> list[TVRelation]:
                     y = s[j - 1] - s[l - 1]
                     guard_denominator("first-set difference", x, tau)
                     guard_denominator("second-set difference", y, tau)
-                    front = theta(y - hbar, ctx) / theta(y, ctx)
-                    back = theta(x - hbar, ctx) / theta(x, ctx)
-                    cross = (
-                        theta(hbar, ctx)
-                        * theta(x + y, ctx)
-                        / (theta(x, ctx) * theta(y, ctx))
-                    )
+                    front = th(y - hbar) / th(y)
+                    back = th(x - hbar) / th(x)
+                    cross = th(hbar) * th(x + y) / (th(x) * th(y))
                     terms = {
-                        ((i, j), (k, l)): front,
-                        ((k, l), (i, j)): -back,
-                        ((i, l), (k, j)): cross,
+                        ((i, j), (k, l)): front[0],
+                        ((k, l), (i, j)): -back[0],
+                        ((i, l), (k, j)): cross[0],
                     }
                     out.append(TVRelation("mixed", (i, j, k, l), terms))
     return out

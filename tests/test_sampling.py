@@ -2,6 +2,8 @@
 
 import pytest
 
+from ellrmx import sampling
+from ellrmx.checks import CHECK_NAMES, _RUNNERS, CheckConfig, _effective_config
 from ellrmx.elliptic import DELTA_MIN, EllipticContext, lattice_distance
 from ellrmx.rmatrix import DynamicalParams
 from ellrmx.sampling import (
@@ -95,6 +97,38 @@ class TestConstraints:
         spec = SampleSpec(m=1, hbar=0j, expressions=lambda p, z: [(p.hbar, 1)])
         with pytest.raises(SamplingError):
             sample_params(0, spec, CTX)
+
+
+def oracle_admissible(spec, params, zs, ctx):
+    """One lattice distance per expression, stopping at the first that
+    fails: :func:`admissible` as a loop."""
+    if spec.expressions is None:
+        return True
+    for expr, scale in spec.expressions(params, zs):
+        if lattice_distance(scale * expr, ctx.tau) < scale * DELTA_MIN:
+            return False
+    return True
+
+
+class TestAdmissibleOracle:
+    @staticmethod
+    def draws(spec, ctx):
+        out = []
+        for seed in range(50):
+            try:
+                out.append(sample_params(seed, spec, ctx))
+            except SamplingError:
+                out.append(None)
+        return out
+
+    @pytest.mark.parametrize("tau", [TAU, 5.3 + 0.3j])
+    @pytest.mark.parametrize("check", CHECK_NAMES)
+    def test_draws_match_the_per_expression_loop(self, check, tau, monkeypatch):
+        ctx = EllipticContext(tau)
+        spec = _RUNNERS[check][0](_effective_config(CheckConfig(check, tau=tau), check))
+        got = self.draws(spec, ctx)
+        monkeypatch.setattr(sampling, "admissible", oracle_admissible)
+        assert got == self.draws(spec, ctx)
 
 
 class TestHelpers:
