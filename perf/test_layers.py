@@ -9,9 +9,10 @@ the default tau: theta at one argument (a 0-d call, or a scalar call on
 commits that still have a scalar path), theta over 1,000 arguments, the
 reference relation set at (n, m) = (2, 2), (2, 4) and (6, 1), the
 coordinate-exchange set at m = 4, one defect set (``rll_defect``, its
-table rebuilt every round) at (2, 3), one ``sklyanin-rep`` trial at n = 3,
-one ``r_slnm`` at (n, m) = (3, 2), one ``dybe-slnm`` trial at (3, 2) and
-(3, 3), one ``dybe-felder`` trial at m = 3 and one ``ybe`` trial at n = 4.
+table rebuilt every round) at (2, 3), one defect table (``_defect_table``)
+at (3, 3), one ``sklyanin-rep`` trial at n = 3, one ``r_slnm`` at (n, m) =
+(3, 2), one ``dybe-slnm`` trial at (3, 2) and (3, 3), one ``dybe-felder``
+trial at m = 3 and one ``ybe`` trial at n = 4.
 Kernels that take only scalars are timed entry by entry, and labelled
 coordinate-exchange relations are gathered into a set, so the same file
 runs on commits from before array arguments and relation sets.
@@ -104,6 +105,16 @@ def test_rll_defect_2x3(benchmark):
     def build():
         _defect_table.cache_clear()
         return rll_defect(2, 3, params, zs[0], zs[1], LConvention(), CTX)
+
+    benchmark(build)
+
+
+def test_defect_table_3x3(benchmark):
+    _, params, zs = trial_draw("rll", _rll_spec, 3, 3)
+
+    def build():
+        _defect_table.cache_clear()
+        return _defect_table(3, 3, params, zs[0], zs[1], LConvention(), CTX)
 
     benchmark(build)
 

@@ -6,9 +6,11 @@ its arguments by hbar on coordinate i of the first block and coordinate j
 of the second.  In a two-letter word the second letter's theta argument
 therefore moves by -1, 0 or +1 hbar.  The defect of the exchange relation
 is assembled numerically from ansatz coefficients at those three shifts and
-two R-matrices, as coefficient vectors over ordered two-letter words.  The
-relations are graded, so almost every coefficient is zero: each set is
-built and held as its nonzero terms only, becomes a
+two R-matrices, as coefficient vectors over ordered two-letter words: each
+word of a defect element is one product on each side, gathered over the
+nonzeros of the four factors, and the scale of each element comes from the
+same pass.  The relations are graded, so almost every coefficient is zero:
+each set is built and held as its nonzero terms only, becomes a
 :class:`ellrmx.spans.RelationSet`, and is compared there against the
 closed-form relation families of :mod:`ellrmx.relations` (rank, mutual
 inclusion, principal angles).
@@ -93,10 +95,10 @@ def l_operator(
     return out
 
 
-# Entries of one contraction temporary: the rows of a block of words are
-# taken a few a_out indices at a time, so that no temporary outgrows this,
-# or one a_out's worth where that is larger.
-_CHUNK = 1 << 21
+# Products of one gather, a side: the rows are taken a few a_out indices at
+# a time, so that no run of rows holds more, or one a_out's worth where that
+# is larger.
+_CHUNK = 1 << 16
 
 
 @functools.lru_cache(maxsize=2)
@@ -121,10 +123,20 @@ def _defect_table(
     shifted by ``[a'.j == a.j] - [a'.i == a.i]`` hbar.  The right-hand R
     stands at q1: the entries a word meets depend only on ``q1_{a.i} -
     q1_{a'.i}``, which the word's shift ``hbar (e_{a.i} + e_{a'.i})``
-    leaves alone.  ``mass[ao, bo, ai, bi]`` is the norm over words of the
-    summed term moduli, the scale against which a defect counts as an
-    identical cancellation.  The two tables of the latest trial are
-    memoized; results are read-only.
+    leaves alone.
+
+    An entry of L holds a few generators, and each generator stands in
+    one entry per row and per column, so a word of an element meets one
+    product on each side.  The table is gathered over the nonzeros of the
+    four factors, as the numbers have them: each nonzero (ao, bo, am, bm)
+    of the left R times the L1 entries of row am and the L2 entries of row
+    bm; each nonzero (am, bm, ai, bi) of the right R times the L2 entries
+    of column bm and the L1 entries of column am.  Products are summed by
+    (row, word), and only exact zeros are dropped.  ``mass[ao, bo, ai,
+    bi]`` is the norm over words of the summed product moduli, taken in the
+    same pass: the scale against which a defect counts as an identical
+    cancellation.  The two tables of the latest trial are memoized;
+    results are read-only.
     """
     if params.q2 is None:
         raise ValueError("the exchange relation needs two coordinate blocks")
@@ -138,47 +150,80 @@ def _defect_table(
     r_left = r_slnm(params.hbar, z12, params.q2, n, ctx).reshape(d, d, d, d)
     r_right = r_slnm(params.hbar, z12, params.q1, n, ctx).reshape(d, d, d, d)
     slot_i, slot_j = np.divmod(np.arange(g) // (n * n), m)
-    mass_sq = np.zeros((d, d, d, d))
+    # index along the SHIFTS axis of the second letter of each word (a, a')
+    shift = 1 + (slot_j[:, None] == slot_j) - (slot_i[:, None] == slot_i)
+    left = np.nonzero(r_left)
+    right = np.nonzero(r_right)
+    a_rows, b_rows, b_cols = _entries(la, 0), _entries(lb, 0), _entries(lb, 1)
+    key_shape = (d, d, d, d, g, g)
+    # products a side per a_out
+    per_row = len(left[0]) * a_rows[0].shape[1] * b_rows[0].shape[1] // d
+    step = max(1, _CHUNK // max(1, per_row))
+    # the left R's nonzeros run a_out first
+    bounds = np.searchsorted(left[0], np.arange(0, d + step, step))
+    mass_sq = np.zeros(d**4)
     chunks = []
-    # Rows run a_out first: a few a_out at a time, and one block of words
-    # per (a.i, a'.i) pair (slots sharing a first coordinate index are
-    # contiguous), bound the contraction temporaries.  Each block keeps
-    # only its nonzeros, and each run of rows is sorted on its own.
-    span = g // m
-    step = max(1, _CHUNK // (d**3 * span * span))
-    for lo in range(0, d, step):
-        out = slice(lo, lo + step)
-        terms = []
-        for k in range(m):
-            first = slice(k * span, (k + 1) * span)
-            for l in range(m):
-                cols = np.arange(l * span, (l + 1) * span)
-                # index along the SHIFTS axis of the second letter of each
-                # word (a, a')
-                shift = (
-                    1
-                    + (slot_j[first, None] == slot_j[cols])
-                    - (slot_i[first, None] == slot_i[cols])
-                )
-                # operands indexed [ao, bo, am, bm], [am, ai, a], [a, a', bm, bi]
-                lhs = (r_left[out], la[1, :, :, first], lb[shift, :, :, cols])
-                # operands indexed [bo, bm, a], [a, a', ao, am], [am, bm, ai, bi]
-                rhs = (lb[1, :, :, first], la[shift, :, :, cols][:, :, out], r_right)
-                block = _contract_lhs(*lhs).ravel()
-                block -= _contract_rhs(*rhs).ravel()
-                at = np.flatnonzero(block)
-                row, a, b = np.unravel_index(at, (block.size // span**2, span, span))
-                terms.append((lo * d**3 + row, (k * span + a) * g + l * span + b, block[at]))
-                del block  # freed before the moduli contractions
-                moduli = _contract_lhs(*map(np.abs, lhs)) + _contract_rhs(*map(np.abs, rhs))
-                mass_sq[out] += np.einsum("ABijab,ABijab->ABij", moduli, moduli)
-        rows, words, values = map(np.concatenate, zip(*terms))
-        order = np.argsort(rows * (g * g) + words)
-        chunks.append((rows[order], words[order], values[order]))
-    table = *map(np.concatenate, zip(*chunks)), np.sqrt(mass_sq)
+    for lo, start, stop in zip(range(0, d, step), bounds, bounds[1:]):
+        # [t, k, k'] pairs left R nonzero t with L1 entry k of its row am
+        # and L2 entry k' of its row bm
+        ao, bo, am, bm = (v[start:stop] for v in left)
+        ai, a, ok_a = (v[am][:, :, None] for v in a_rows)
+        bi, b, ok_b = (v[bm][:, None] for v in b_rows)
+        ao, bo, am, bm = (v[:, None, None] for v in (ao, bo, am, bm))
+        head = r_left[ao, bo, am, bm] * la[1, am, ai, a]
+        tail = lb[shift[a, b], bm, bi, b]
+        ok = ok_a & ok_b
+        lhs = np.ravel_multi_index((ao, bo, ai, bi, a, b), key_shape)[ok], (head * tail)[ok]
+        # [t, k, k'] pairs right R nonzero t with L2 entry k of its column
+        # bm and L1 entry k' of its column am, in rows lo to lo + step
+        am, bm, ai, bi = right
+        bo, a, ok_b = (v[bm][:, :, None] for v in b_cols)
+        ao, b, ok_a = (v[am][:, None] for v in _entries(la[:, lo : lo + step], 1))
+        ao += lo
+        am, bm, ai, bi = (v[:, None, None] for v in right)
+        head = lb[1, bo, bm, a]
+        tail = la[shift[a, b], ao, am, b]
+        ok = ok_b & ok_a
+        rhs = (
+            np.ravel_multi_index((ao, bo, ai, bi, a, b), key_shape)[ok],
+            -(head * tail * r_right[am, bm, ai, bi])[ok],
+        )
+        # left terms first: a word's value is then lhs - rhs, summed in order
+        keys, values = (np.concatenate(pair) for pair in zip(lhs, rhs))
+        order = np.argsort(keys, kind="stable")
+        keys, values = keys[order], values[order]
+        first = np.flatnonzero(np.diff(keys, prepend=-1))
+        keys, moduli = keys[first], np.add.reduceat(np.abs(values), first)
+        values = np.add.reduceat(values, first)
+        rows, words = np.divmod(keys, g * g)
+        mass_sq += np.bincount(rows, weights=moduli * moduli, minlength=d**4)
+        nonzero = values != 0
+        chunks.append((rows[nonzero], words[nonzero], values[nonzero]))
+    table = *map(np.concatenate, zip(*chunks)), np.sqrt(mass_sq).reshape((d,) * 4)
     for arr in table:
         arr.setflags(write=False)
     return table
+
+
+def _entries(l_table: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The nonzero (entry, generator) pairs of an ansatz table ``C[delta +
+    1, x, y, a]``, nonzero at any shift, grouped by row x (axis 0) or
+    column y (axis 1).
+
+    Returns arrays indexed [index along ``axis``, k]: the other index of
+    the k-th pair's entry, its generator slot, and whether the k-th pair
+    exists (groups are padded to the longest one).
+    """
+    nonzero = np.any(l_table != 0, axis=0)
+    if axis:
+        nonzero = nonzero.transpose(1, 0, 2)
+    group, other, slot = np.nonzero(nonzero)
+    counts = np.bincount(group, minlength=len(nonzero))
+    at = np.arange(len(group)) - np.repeat(np.cumsum(counts) - counts, counts)
+    others, slots = np.zeros((2, len(nonzero), counts.max(initial=0)), dtype=int)
+    ok = np.zeros(others.shape, dtype=bool)
+    others[group, at], slots[group, at], ok[group, at] = other, slot, True
+    return others, slots, ok
 
 
 def rll_trial_bytes(n: int, m: int) -> int:
@@ -187,22 +232,17 @@ def rll_trial_bytes(n: int, m: int) -> int:
     A defect element has nonzeros on about n^3 words (on every word of its
     component at m == 1), so a table holds about d^4 n^3 terms.  A trial
     keeps two tables and their two blocked sets, and sorting and blocking
-    the terms of one takes about as much again.  Beyond the interpreter
-    and the contraction temporaries, peak RSS came to 165 to 285 bytes per
-    d^4 n^3 at (n, m) = (3, 3), (3, 4), (4, 3), (5, 2) and (8, 1); 300
-    bounds them.  The temporaries are complex, at most three alive, each
-    the size of one run of rows of one block of words.
+    the terms of one takes about as much again.  The gather's temporaries
+    took about 200 bytes per product a side, for one run of rows: at most
+    ``_CHUNK`` products a side, or one a_out's d^3 n^3 and the products of
+    the mixed R entries (256 bytes bounds both).  The reference set and
+    the span workspaces took up to 40 MB more at (2, 6) and (1, 12), where
+    the tables are small; 64 MB bounds that.  Beyond the interpreter,
+    these two and that allowance, peak RSS came to 150 to 270 bytes per
+    d^4 n^3 at (n, m) = (3, 4), (4, 3), (5, 2) and (8, 1); 300 bounds them.
     """
-    d, span = m * n, m * n * n
-    return 300 * d**4 * n**3 + 48 * max(_CHUNK, d**3 * span * span)
-
-
-def _contract_lhs(r_mat: np.ndarray, first: np.ndarray, second: np.ndarray) -> np.ndarray:
-    return np.einsum("ABxy,xia,abyj->ABijab", r_mat, first, second, optimize=True)
-
-
-def _contract_rhs(first: np.ndarray, second: np.ndarray, r_mat: np.ndarray) -> np.ndarray:
-    return np.einsum("Bya,abAx,xyij->ABijab", first, second, r_mat, optimize=True)
+    d = m * n
+    return 300 * d**4 * n**3 + 256 * max(_CHUNK, d**3 * n**3) + (64 << 20)
 
 
 def _row_norms(rows: np.ndarray) -> np.ndarray:

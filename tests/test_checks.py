@@ -39,8 +39,8 @@ class TestConfigValidation:
 
     def test_rll_memory_bound(self):
         # Two defect tables of about d^4 n^3 terms each, blocked sets and
-        # contraction temporaries: (8, 1) and (4, 3) take about half a GB,
-        # (6, 2) and (9, 1) to (12, 1) would pass 1 GB.
+        # the temporaries of one run of gathered rows: (8, 1) and (4, 3) take
+        # about 0.45 GB, (6, 2) and (9, 1) to (12, 1) would pass 1 GB.
         for n, m in ((8, 1), (4, 3), (5, 2), (3, 4), (2, 6), (1, 12)):
             for check in ("rll", "all"):
                 CheckConfig(check=check, n=n, m=m).validate()
@@ -141,6 +141,10 @@ class TestSpanChecks:
         rep = run_one(check, n=3, m=2, trials=1)
         assert rep.passed and rep.max_residual < 1e-12
         assert rep.rank == 630
+
+    def test_rll_three_by_three_rank(self):
+        rep = run_one("rll", n=3, m=3, trials=1)
+        assert rep.passed and rep.rank == 3240
 
     @pytest.mark.parametrize("check, sets", [("rll", 3), ("tv-reduce", 2), ("relations", 1)])
     def test_each_relation_set_is_decomposed_once(self, monkeypatch, check, sets):

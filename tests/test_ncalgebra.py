@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from ellrmx import ncalgebra
 from ellrmx.checks import CheckConfig, _relations_spec, _rll_spec, _rll_trial, _trial_seed
 from ellrmx.elliptic import (
     EllipticContext,
@@ -628,18 +629,20 @@ class TestReferenceVectors:
             relation_vectors_reference(2, 2, single, CTX)
 
 
-def dense_defect_table(n, m, params, z1, z2, conv, ctx):
+def dense_defect_table(n, m, params, z1, z2, conv, ctx, r_matrix=r_slnm):
     """The dense defect table ``table[ao, bo, ai, bi]`` over all g^2 words,
-    and the masses: the same contractions as the sparse build, with every
-    block of words written into one d^4 x g^2 array."""
+    the masses, and where the term moduli are nonzero: einsum contractions
+    of the dense operands, one block of words per (a.i, a'.i) pair,
+    written into one d^4 x g^2 array."""
     d, g = m * n, m * m * n * n
     la = l_operator(z1, params, n, conv, ctx)
     lb = l_operator(z2, params, n, conv, ctx)
-    r_left = r_slnm(params.hbar, z1 - z2, params.q2, n, ctx).reshape(d, d, d, d)
-    r_right = r_slnm(params.hbar, z1 - z2, params.q1, n, ctx).reshape(d, d, d, d)
+    r_left = r_matrix(params.hbar, z1 - z2, params.q2, n, ctx).reshape(d, d, d, d)
+    r_right = r_matrix(params.hbar, z1 - z2, params.q1, n, ctx).reshape(d, d, d, d)
     slot_i, slot_j = np.divmod(np.arange(g) // (n * n), m)
     second = 1 + (slot_j[:, None] == slot_j) - (slot_i[:, None] == slot_i)
     table = np.empty((d, d, d, d, g, g), dtype=complex)
+    support = np.empty(table.shape, dtype=bool)
     mass_sq = np.zeros((d, d, d, d))
     span = g // m
 
@@ -658,8 +661,10 @@ def dense_defect_table(n, m, params, z1, z2, conv, ctx):
             right = (lb[1, :, :, first], la[shift, :, :, cols], r_right)
             table[..., first, cols] = lhs(*left) - rhs(*right)
             moduli = lhs(*map(np.abs, left)) + rhs(*map(np.abs, right))
+            support[..., first, cols] = moduli != 0
             mass_sq += np.einsum("ABijab,ABijab->ABij", moduli, moduli)
-    return table.reshape(d, d, d, d, g * g), np.sqrt(mass_sq)
+    flat = (d, d, d, d, g * g)
+    return table.reshape(flat), np.sqrt(mass_sq), support.reshape(flat)
 
 
 def dense_norms(rows):
@@ -787,9 +792,27 @@ def trips(build, args) -> bool:
     return False
 
 
+def assert_gathered_matches(sparse, oracle):
+    """The gathered table against the dense one.  The gather associates each
+    triple product differently from the contractions, so values agree to
+    1e-12 of their row's mass and masses to 1e-12 relative; every gathered
+    term stands on a word the oracle's moduli reach.  Returns the gathered
+    table expanded over all words."""
+    table, mass, support = oracle
+    rows, words, values, got_mass = sparse
+    got = np.zeros(table.shape, dtype=complex)
+    flat = got.reshape(-1, table.shape[-1])
+    flat[rows, words] = values
+    assert np.all(np.abs(got - table) <= 1e-12 * mass[..., None])
+    assert np.all(np.abs(got_mass - mass) <= 1e-12 * mass)
+    assert np.all(support.reshape(flat.shape)[rows, words])
+    return got
+
+
 class TestSparseParity:
-    """The sparse defect table and blocked sets against the dense table and
-    the dense set: same values, kept rows, components, ranks and metrics."""
+    """The gathered defect table and blocked sets against the dense table
+    and the dense set: same values to roundoff, then the same kept rows,
+    components, ranks and metrics."""
 
     @pytest.mark.parametrize("tau", [0.3 + 0.8j, 5.3 + 0.3j], ids=["default", "skew"])
     @pytest.mark.parametrize("conv", [ON, OFF], ids=["exp-on", "exp-off"])
@@ -807,7 +830,7 @@ class TestSparseParity:
                 (dense_reference, relation_vectors_reference, (n, m, params, ctx)),
             )
             try:
-                table, mass = dense_defect_table(*builds[0][2])
+                oracle = dense_defect_table(*builds[0][2])
                 dense_ref = dense_reference(*builds[1][2])
                 break
             except PoleProximityError:
@@ -815,14 +838,10 @@ class TestSparseParity:
                     assert trips(dense, args) == trips(sparse, args)
         else:
             pytest.fail("no draw clear of the pole guards")
-        d = m * n
         sparse = _defect_table(n, m, params, zs[0], zs[1], conv, ctx)
-        got = np.zeros(table.shape, dtype=complex).reshape(d**4, -1)
-        got[sparse[0], sparse[1]] = sparse[2]
-        assert np.array_equal(got, table.reshape(d**4, -1))
-        assert np.array_equal(sparse[3], mass)
-        keep = dense_norms(table) > 1e-12 * mass
-        dense = DenseSet(table[keep])
+        got = assert_gathered_matches(sparse, oracle)
+        keep = dense_norms(got) > 1e-12 * sparse[3]
+        dense = DenseSet(got[keep])
         defects = rll_defect(n, m, params, zs[0], zs[1], conv, ctx)
         assert np.array_equal(dense_rows(defects), dense.rows)
         reference = relation_vectors_reference(n, m, params, ctx)
@@ -836,6 +855,46 @@ class TestSparseParity:
         assert abs(metric - dense_span_equal(dense, dense_ref)) <= 1e-15
         gap = span_gap(defects, reference)
         assert abs(gap - dense_span_gap(dense, dense_ref)) <= 1e-15
+
+    @pytest.mark.parametrize("nm", [(2, 3), (4, 1)])
+    def test_one_a_out_at_a_time_gives_the_same_table(self, monkeypatch, nm):
+        n, m = nm
+        params = params_for(m)
+        _defect_table.cache_clear()
+        whole = _defect_table(n, m, params, Z1, Z2, ON, CTX)
+        monkeypatch.setattr(ncalgebra, "_CHUNK", 1)
+        _defect_table.cache_clear()
+        runs = _defect_table(n, m, params, Z1, Z2, ON, CTX)
+        _defect_table.cache_clear()
+        for a, b in zip(whole, runs):
+            assert np.array_equal(a, b)
+
+    def test_leaked_r_entry_is_gathered_and_fails_the_trial(self, monkeypatch):
+        # One entry outside R's weight-conserving pattern: composite row
+        # (0, 0) to column (0, 1) moves the N-weight from 0 to 1.  The gather
+        # reads the nonzeros off the numbers, so the leak reaches the table
+        # as it reaches the dense contraction, and the defect span no
+        # longer matches the reference.
+        n, m = 2, 2
+        cfg = CheckConfig(check="rll", n=n, m=m)
+        params, zs = sample_params(_trial_seed(42, "rll", 0), _rll_spec(cfg), CTX)
+
+        def leaky(*args):
+            r = r_slnm(*args)
+            assert r[0, 1] == 0
+            r[0, 1] = 0.5
+            return r
+
+        monkeypatch.setattr(ncalgebra, "r_slnm", leaky)
+        _defect_table.cache_clear()
+        try:
+            sparse = _defect_table(n, m, params, zs[0], zs[1], ON, CTX)
+            oracle = dense_defect_table(n, m, params, zs[0], zs[1], ON, CTX, r_matrix=leaky)
+            assert_gathered_matches(sparse, oracle)
+            residual, _ = _rll_trial(cfg, params, zs, CTX)
+        finally:
+            _defect_table.cache_clear()
+        assert residual > cfg.effective_tol("rll")
 
 
 def traced_peak(fn, *args) -> int:
@@ -854,11 +913,12 @@ class TestMemory:
 
     def test_rll_trial_at_two_by_three(self):
         # One dense defect table is 27 MB here, and a trial held four such
-        # tables and sets (130 MB); the blocked trial peaks near 12 MB.
+        # tables and sets (130 MB); contracting blocks of words peaked near
+        # 12 MB, the gathered trial near 4.6 MB.
         cfg = CheckConfig(check="rll", n=2, m=3)
         params, zs = sample_params(_trial_seed(42, "rll", 0), _rll_spec(cfg), CTX)
         _defect_table.cache_clear()
-        assert traced_peak(_rll_trial, cfg, params, zs, CTX) <= 20 * 2**20
+        assert traced_peak(_rll_trial, cfg, params, zs, CTX) <= 8 * 2**20
 
     def test_reference_set_at_two_by_four(self):
         # the 4032 dense rows alone took 264 MB (761 MB peak); the terms
