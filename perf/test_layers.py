@@ -37,7 +37,6 @@ from ellrmx.checks import (
 )
 from ellrmx.elliptic import EllipticContext, theta
 from ellrmx.ncalgebra import (
-    LConvention,
     RelationSet,
     _defect_table,
     relation_vectors_reference,
@@ -104,7 +103,7 @@ def test_rll_defect_2x3(benchmark):
 
     def build():
         _defect_table.cache_clear()
-        return rll_defect(2, 3, params, zs[0], zs[1], LConvention(), CTX)
+        return rll_defect(2, 3, params, zs[0], zs[1], CTX)
 
     benchmark(build)
 
@@ -114,7 +113,7 @@ def test_defect_table_3x3(benchmark):
 
     def build():
         _defect_table.cache_clear()
-        return _defect_table(3, 3, params, zs[0], zs[1], LConvention(), CTX)
+        return _defect_table(3, 3, params, zs[0], zs[1], CTX)
 
     benchmark(build)
 

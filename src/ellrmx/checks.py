@@ -16,6 +16,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Iterator
 
 from .elliptic import (
+    MIN_IM_TAU,
     EllipticContext,
     LatticeIndex,
     PoleProximityError,
@@ -24,7 +25,6 @@ from .elliptic import (
     fay_residual,
 )
 from .ncalgebra import (
-    LConvention,
     defect_factorization_check,
     relation_vectors_reference,
     rll_defect,
@@ -80,7 +80,6 @@ RESIDUAL_TOL = 1e-9
 SPAN_TOL = 1e-8
 MAX_SITES = 12
 RLL_MEMORY = 1 << 30
-MIN_IM_TAU = 0.3
 
 
 class ConfigError(ValueError):
@@ -103,7 +102,6 @@ class CheckConfig:
     trials: int = DEFAULT_TRIALS
     seed: int = DEFAULT_SEED
     tol: float | None = None
-    l_exp_factor: bool = True
 
     def validate(self) -> None:
         if self.check not in CHECK_NAMES and self.check != "all":
@@ -298,11 +296,10 @@ def _rll_trial(
     ctx: EllipticContext,
 ) -> tuple[float, int]:
     n, m = cfg.n, cfg.m
-    conv = LConvention(exp_factor=cfg.l_exp_factor)
     z1, z2, z3, z4 = zs
     reference = relation_vectors_reference(n, m, params, ctx)
-    first = rll_defect(n, m, params, z1, z2, conv, ctx)
-    second = rll_defect(n, m, params, z3, z4, conv, ctx)
+    first = rll_defect(n, m, params, z1, z2, ctx)
+    second = rll_defect(n, m, params, z3, z4, ctx)
     if not reference and not first and not second:
         return 0.0, 0
     if not reference or not first or not second:
@@ -315,7 +312,7 @@ def _rll_trial(
     if m >= 2:
         alpha, beta = _factor_labels(n)
         variation = defect_factorization_check(
-            1, 1, 2, alpha, beta, params, [(z1, z2), (z3, z4)], conv, ctx
+            1, 1, 2, alpha, beta, params, [(z1, z2), (z3, z4)], ctx
         )
         worst = max(worst, variation)
     return worst, span_rank(first)
@@ -547,7 +544,6 @@ def run_dict(run: RunReport) -> dict:
             "trials": cfg.trials,
             "seed": cfg.seed,
             "tol": cfg.tol,
-            "l_exp_factor": cfg.l_exp_factor,
         },
         "generator": GENERATOR_NAME,
         "checks": [report_dict(rep) for rep in run.reports],

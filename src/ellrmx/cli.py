@@ -84,12 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="override tolerance (default 1e-9 residual, 1e-8 span)",
     )
     parser.add_argument(
-        "--l-exp-factor",
-        choices=("on", "off"),
-        default="on",
-        help="include the exponential factor in the L-ansatz entries",
-    )
-    parser.add_argument(
         "--out", type=Path, default=None, help="write a canonical JSON report here"
     )
     return parser
@@ -132,7 +126,6 @@ def main(argv: list[str] | None = None) -> int:
         trials=args.trials,
         seed=args.seed,
         tol=args.tol,
-        l_exp_factor=args.l_exp_factor == "on",
     )
     try:
         run = run_check(cfg)

@@ -1,11 +1,11 @@
 """Odd Jacobi theta function, Kronecker function and Eisenstein expressions.
 
-Everything is computed from one rapidly convergent half-integer sum.  A frozen
-EllipticContext pins the lattice parameter tau and the truncation order, and
-caches the series weights so repeated evaluations stay cheap.  Arguments are
-reduced to the fundamental cell before summation; the quasi-periodicity factor
-(including the correction terms it induces on derivatives) restores the value
-at the original point.
+Everything is computed from one rapidly convergent half-integer sum, cut
+after ``TRUNC_K`` terms.  A frozen EllipticContext pins the lattice parameter
+tau and caches the series weights so repeated evaluations stay cheap.
+Arguments are reduced to the fundamental cell before summation; the
+quasi-periodicity factor (including the correction terms it induces on
+derivatives) restores the value at the original point.
 
 Every kernel takes numpy arrays of arguments, and every argument takes the
 same array path: a 0-d argument (a Python or numpy scalar) returns a numpy
@@ -31,6 +31,15 @@ TWO_PI_I = 2j * math.pi
 #: Minimum distance from the zero lattice allowed in denominators.
 DELTA_MIN = 0.05
 
+#: Smallest supported ``Im tau``: the convergence floor of the theta series.
+MIN_IM_TAU = 0.3
+
+#: Number of terms kept in the half-integer theta sum.
+TRUNC_K = 30
+
+#: Bound the truncation tail must satisfy on the reduced-argument band.
+TAIL_TOL = 1e-12
+
 
 class PoleProximityError(ValueError):
     """An evaluation point sits too close to a lattice translate of a pole."""
@@ -54,36 +63,30 @@ def lattice_distance(z, tau: complex):
 
 @dataclass(frozen=True)
 class EllipticContext:
-    """Fixed lattice parameter plus series truncation for theta evaluations.
+    """Fixed lattice parameter for theta evaluations.
 
     Parameters
     ----------
     tau : complex
-        Lattice parameter, ``Im tau >= 0.3``.
-    trunc_k : int
-        Number of terms kept in the half-integer theta sum.
-    tol : float
-        Upper bound the truncation tail must satisfy on the reduced-argument
-        band; violating it raises at construction time.
+        Lattice parameter, ``Im tau >= MIN_IM_TAU``.  The series keeps
+        ``TRUNC_K`` terms; a tau at which their dropped tail could exceed
+        ``TAIL_TOL`` on the reduced-argument band raises at construction.
     """
 
     tau: complex
-    trunc_k: int = 30
-    tol: float = 1e-12
 
     def __post_init__(self) -> None:
         t = complex(self.tau)
         if not (math.isfinite(t.real) and math.isfinite(t.imag)):
             raise ValueError("tau must be finite")
-        if t.imag < 0.3:
-            raise ValueError(f"Im tau = {t.imag:g} below the supported band (>= 0.3)")
-        object.__setattr__(self, "tau", t)
-        if self.trunc_k < 5:
-            raise ValueError("trunc_k too small for a certified tail")
-        if self.tail_bound > self.tol:
+        if t.imag < MIN_IM_TAU:
             raise ValueError(
-                f"truncation tail {self.tail_bound:.3e} exceeds tol {self.tol:.3e}; "
-                "raise trunc_k"
+                f"Im tau = {t.imag:g} below the supported band (>= {MIN_IM_TAU})"
+            )
+        object.__setattr__(self, "tau", t)
+        if self.tail_bound > TAIL_TOL:
+            raise ValueError(
+                f"truncation tail {self.tail_bound:.3e} exceeds {TAIL_TOL:.3e}"
             )
 
     @cached_property
@@ -101,7 +104,7 @@ class EllipticContext:
         than geometrically, so the first dropped term times a geometric
         slack factor bounds the whole tail.
         """
-        k = self.trunc_k
+        k = TRUNC_K
         y = self.tau.imag
         log_term = (
             -math.pi * y * (k + 0.5) ** 2
@@ -117,7 +120,7 @@ class EllipticContext:
         """Per-term data for the truncated sum: frequency, and the weights
         of the sines (theta), cosines (first derivative) and sines again
         (second derivative)."""
-        k = np.arange(self.trunc_k)
+        k = np.arange(TRUNC_K)
         base = (-1.0) ** k * np.exp(1j * math.pi * self.tau * (k + 0.5) ** 2)
         freq = (2 * k + 1) * math.pi
         return freq, 2.0 * base, 2.0 * (base * freq), -2.0 * (base * freq**2)
@@ -129,7 +132,7 @@ class EllipticContext:
 
 
 #: Distinct arguments summed at once by an array evaluation; bounds its
-#: (arguments x trunc_k) complex temporaries to a few megabytes.
+#: (arguments x TRUNC_K) complex temporaries to a few megabytes.
 _CHUNK = 4096
 
 
@@ -326,9 +329,8 @@ class LatticeIndex:
     """Characteristic ``(a1, a2)`` modulo ``n``, stored on canonical
     representatives in ``{0, ..., n-1}``.
 
-    Arithmetic (`+`, `-`, negation) reduces back to canonical form.  Code
-    that needs unreduced integer combinations (the operator basis does, see
-    :func:`ellrmx.tensor.basis_t_raw`) works with the raw components
+    Code that combines characteristics (the operator basis does, see
+    :func:`ellrmx.tensor.basis_t_raw`) works with the raw integer components
     directly instead of through this type.
     """
 
@@ -342,21 +344,6 @@ class LatticeIndex:
         object.__setattr__(self, "a1", self.a1 % self.n)
         object.__setattr__(self, "a2", self.a2 % self.n)
 
-    def _check(self, other: "LatticeIndex") -> None:
-        if self.n != other.n:
-            raise ValueError(f"mixed moduli {self.n} and {other.n}")
-
-    def __add__(self, other: "LatticeIndex") -> "LatticeIndex":
-        self._check(other)
-        return LatticeIndex(self.a1 + other.a1, self.a2 + other.a2, self.n)
-
-    def __sub__(self, other: "LatticeIndex") -> "LatticeIndex":
-        self._check(other)
-        return LatticeIndex(self.a1 - other.a1, self.a2 - other.a2, self.n)
-
-    def __neg__(self) -> "LatticeIndex":
-        return LatticeIndex(-self.a1, -self.a2, self.n)
-
     @property
     def pair(self) -> tuple[int, int]:
         return (self.a1, self.a2)
@@ -365,8 +352,3 @@ class LatticeIndex:
 def omega(alpha: LatticeIndex, ctx: EllipticContext) -> complex:
     """Lattice fraction attached to a canonical characteristic."""
     return omega_raw(alpha.a1, alpha.a2, alpha.n, ctx.tau)
-
-
-def all_indices(n: int) -> list[LatticeIndex]:
-    """All ``n^2`` canonical characteristics, row-major."""
-    return [LatticeIndex(a1, a2, n) for a1 in range(n) for a2 in range(n)]

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import cmath
 import functools
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -43,15 +42,6 @@ from .tensor import basis_t, basis_t_raw
 
 TWO_PI_I = 2j * cmath.pi
 
-
-@dataclass(frozen=True)
-class LConvention:
-    """Ansatz convention: whether each L-term carries the exponential
-    ``exp(2 pi i a2 z / n)`` alongside its theta coefficient."""
-
-    exp_factor: bool = True
-
-
 SHIFTS = (-1, 0, 1)
 
 
@@ -59,7 +49,6 @@ def l_operator(
     z: complex,
     q: DynamicalParams,
     n: int,
-    conv: LConvention,
     ctx: EllipticContext,
 ) -> np.ndarray:
     """The composite-space ansatz as a table ``C[delta + 1, x, y, a]``.
@@ -68,9 +57,11 @@ def l_operator(
     ``a`` in entry (x, y) of the (m n) x (m n) ansatz, for a letter whose
     coefficient stands shifted by ``delta`` hbar (delta in -1, 0, +1).
     Entry block (i, j) houses the generators labelled (j, i, alpha) at
-    ``generator_slot(j, i, alpha)``; each carries ``theta(z + q2_i - q1_j +
-    omega_alpha + delta hbar)`` times the operator basis element at alpha,
-    and with ``conv.exp_factor`` also ``exp(2 pi i alpha_2 z / n)``.
+    ``generator_slot(j, i, alpha)``; each carries ``exp(2 pi i alpha_2 z /
+    n) theta(z + q2_i - q1_j + omega_alpha + delta hbar)`` times the
+    operator basis element at alpha.  The exponential is the factor of the
+    nontrivial characteristic class: without it the exchange relation does
+    not close.
     """
     if q.q2 is None:
         raise ValueError("the ansatz needs two coordinate blocks")
@@ -82,8 +73,7 @@ def l_operator(
         + omega_raw(a1, a2, n, ctx.tau)[:, None, None]
         + np.array(SHIFTS)[:, None, None, None] * q.hbar
     )
-    pref = np.exp(TWO_PI_I * a2 * z / n) if conv.exp_factor else np.ones(n * n)
-    coeff = pref[:, None, None] * theta(args, ctx)
+    coeff = np.exp(TWO_PI_I * a2 * z / n)[:, None, None] * theta(args, ctx)
     t_mats = basis_t_raw(a1, a2, n)
     out = np.zeros((len(SHIFTS), m * n, m * n, m * m * n * n), dtype=complex)
     for i in range(1, m + 1):
@@ -108,7 +98,6 @@ def _defect_table(
     params: DynamicalParams,
     z1: complex,
     z2: complex,
-    conv: LConvention,
     ctx: EllipticContext,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Nonzero word coefficients of every matrix element of the exchange
@@ -145,8 +134,8 @@ def _defect_table(
     d = m * n
     g = m * m * n * n
     z12 = z1 - z2
-    la = l_operator(z1, params, n, conv, ctx)
-    lb = l_operator(z2, params, n, conv, ctx)
+    la = l_operator(z1, params, n, ctx)
+    lb = l_operator(z2, params, n, ctx)
     r_left = r_slnm(params.hbar, z12, params.q2, n, ctx).reshape(d, d, d, d)
     r_right = r_slnm(params.hbar, z12, params.q1, n, ctx).reshape(d, d, d, d)
     slot_i, slot_j = np.divmod(np.arange(g) // (n * n), m)
@@ -245,22 +234,12 @@ def rll_trial_bytes(n: int, m: int) -> int:
     return 300 * d**4 * n**3 + 256 * max(_CHUNK, d**3 * n**3) + (64 << 20)
 
 
-def _row_norms(rows: np.ndarray) -> np.ndarray:
-    """2-norms along the last axis, summed over the real and imaginary
-    views: no temporaries the size of ``rows``."""
-    return np.sqrt(
-        np.einsum("...i,...i->...", rows.real, rows.real)
-        + np.einsum("...i,...i->...", rows.imag, rows.imag)
-    )
-
-
 def rll_defect(
     n: int,
     m: int,
     params: DynamicalParams,
     z1: complex,
     z2: complex,
-    conv: LConvention,
     ctx: EllipticContext,
 ) -> RelationSet:
     """Defect vectors of the exchange relation for the L-ansatz.
@@ -270,7 +249,7 @@ def rll_defect(
     are identical cancellations and are dropped; an exact identity (the
     1 x 1 case) gives an empty set.
     """
-    rows, words, values, mass = _defect_table(n, m, params, z1, z2, conv, ctx)
+    rows, words, values, mass = _defect_table(n, m, params, z1, z2, ctx)
     keep = term_norms(rows, values, mass.size) > 1e-12 * mass.ravel()
     return _kept_rows(keep, rows, words, values, (m * m * n * n) ** 2)
 
@@ -322,15 +301,15 @@ def relation_vectors_reference(
         blocks.append([np.stack(ab, axis=1) for ab in pair23])
         blocks.append(block(4, pairs))
     flat = [[a.reshape(-1, a.shape[-1]) for a in b] for b in blocks]
-    norms = np.concatenate([np.zeros(0)] + [_row_norms(values) for values, _ in flat])
-    # a non-finite row is kept, and the set rejects it
-    keep = norms != 0.0
+    size = sum(len(values) for values, _ in flat)
     # each row of a family block has as many terms as the block has columns
-    rows = np.repeat(np.arange(norms.size), [v.shape[1] for v, _ in flat for _ in v])
+    rows = np.repeat(np.arange(size), [v.shape[1] for v, _ in flat for _ in v])
     words, values = (
         np.concatenate([np.zeros(0, dtype=dtype)] + [b[k].ravel() for b in flat])
         for k, dtype in ((1, int), (0, complex))
     )
+    # a non-finite row is kept, and the set rejects it
+    keep = term_norms(rows, values, size) != 0.0
     return _kept_rows(keep, rows, words, values, (m * m * n * n) ** 2)
 
 
@@ -343,7 +322,6 @@ def component_ratio(
     params: DynamicalParams,
     z1: complex,
     z2: complex,
-    conv: LConvention,
     ctx: EllipticContext,
 ) -> np.ndarray:
     """Defect component with first-block steps i->j (one auxiliary space)
@@ -352,15 +330,15 @@ def component_ratio(
 
     The divisor is the product of the two letters' coefficient functions:
     ``theta(z2 + q2_i - q1_k + omega_beta) * theta(z1 + q2_i - q1_j + hbar
-    + omega_alpha)`` together with their exponential factors when the
-    convention carries them.  If the extraction is consistent the result
+    + omega_alpha)`` times their exponential factors ``exp(2 pi i (alpha_2
+    z1 + beta_2 z2) / n)``.  If the extraction is consistent the result
     does not depend on (z1, z2).
     """
     m = params.m
     n = alpha.n
     if j == k:
         raise ValueError("needs distinct first-block indices j != k")
-    rows, words, values, _ = _defect_table(n, m, params, z1, z2, conv, ctx)
+    rows, words, values, _ = _defect_table(n, m, params, z1, z2, ctx)
     d = m * n
     g = m * m * n * n
     ta = basis_t(alpha)
@@ -391,10 +369,8 @@ def component_ratio(
     args = np.array([d_b, d_a])
     guard_denominator("(beta, alpha) prefactor argument", args, ctx.tau)
     th_b, th_a = theta(args, ctx)
-    div = th_b * th_a
-    if conv.exp_factor:
-        div *= cmath.exp(TWO_PI_I * (alpha.a2 * z1 + beta.a2 * z2) / n)
-    return comp / div
+    twist = cmath.exp(TWO_PI_I * (alpha.a2 * z1 + beta.a2 * z2) / n)
+    return comp / (th_b * th_a * twist)
 
 
 def defect_factorization_check(
@@ -405,7 +381,6 @@ def defect_factorization_check(
     beta: LatticeIndex,
     params: DynamicalParams,
     z_samples: Sequence[tuple[complex, complex]],
-    conv: LConvention,
     ctx: EllipticContext,
 ) -> float | None:
     """Worst relative variation of :func:`component_ratio` across z-samples.
@@ -420,7 +395,7 @@ def defect_factorization_check(
     if len(z_samples) < 2:
         raise ValueError("need at least two z-samples")
     ratios = [
-        component_ratio(i, j, k, alpha, beta, params, z1, z2, conv, ctx)
+        component_ratio(i, j, k, alpha, beta, params, z1, z2, ctx)
         for z1, z2 in z_samples
     ]
     ref = ratios[0]

@@ -48,16 +48,6 @@ class DynamicalParams:
             object.__setattr__(self, "q2", tuple(complex(v) for v in self.q2))
         object.__setattr__(self, "hbar", complex(self.hbar))
 
-    @classmethod
-    def single(cls, q: Sequence[complex], hbar: complex) -> "DynamicalParams":
-        return cls(tuple(q), None, hbar)
-
-    @classmethod
-    def pair(
-        cls, q1: Sequence[complex], q2: Sequence[complex], hbar: complex
-    ) -> "DynamicalParams":
-        return cls(tuple(q1), tuple(q2), hbar)
-
     @property
     def m(self) -> int:
         return len(self.q1)

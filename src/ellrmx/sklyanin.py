@@ -58,8 +58,8 @@ class SklyaninTable:
 
 
 def characteristics(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The ``n^2`` canonical characteristics as integer arrays, in the
-    row-major order of :func:`ellrmx.elliptic.all_indices`."""
+    """The ``n^2`` canonical characteristics ``(a1, a2)`` as integer
+    arrays, row-major: ``a1`` outer, ``a2`` inner."""
     return np.divmod(np.arange(n * n), n)
 
 

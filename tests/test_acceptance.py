@@ -27,7 +27,6 @@ from ellrmx.elliptic import (
     theta,
 )
 from ellrmx.ncalgebra import (
-    LConvention,
     component_ratio,
     defect_factorization_check,
     relation_vectors_reference,
@@ -48,7 +47,6 @@ from ellrmx.tensor import basis_t_raw, kappa_raw
 
 TAU = 0.3 + 0.8j
 CTX = EllipticContext(TAU)
-ON = LConvention(exp_factor=True)
 
 
 def coords(terms, width: int) -> np.ndarray:
@@ -221,7 +219,7 @@ def test_criterion_08_rll_relation_equivalence():
         params, zs = sample_params([108, n, m], spec, CTX)
         reference = relation_vectors_reference(n, m, params, CTX)
         defects = [
-            rll_defect(n, m, params, zs[i], zs[i + 1], ON, CTX)
+            rll_defect(n, m, params, zs[i], zs[i + 1], CTX)
             for i in range(0, 2 * pairs, 2)
         ]
         for d in defects:
@@ -254,10 +252,10 @@ def test_criterion_09_defect_factorization():
         for a in ((0, 0), (0, 1), (1, 1)):
             alpha = LatticeIndex(a[0], a[1], n)
             spread = defect_factorization_check(
-                *idx, alpha, beta, params, z_samples, ON, CTX
+                *idx, alpha, beta, params, z_samples, CTX
             )
             assert spread < 1e-9, f"{idx}/{a}: z-variation {spread:.3e}"
-            comp = component_ratio(*idx, alpha, beta, params, *z_samples[0], ON, CTX)
+            comp = component_ratio(*idx, alpha, beta, params, *z_samples[0], CTX)
             fam = coords(slnm_family_coeffs(2, idx, alpha, beta, params, CTX), (m * n) ** 4)
             support = np.abs(fam) > 1e-12 * np.max(np.abs(fam))
             ratios = comp[support] / fam[support]
@@ -305,9 +303,7 @@ def test_criterion_12_cli_determinism_and_exit_codes(tmp_path):
     assert data["schema"] == "ellrmx-report/1" and data["pass"] is True
     assert len(data["checks"]) == 9
 
-    failing = run_cli(
-        "rll", "--n", "2", "--m", "1", "--trials", "1", "--l-exp-factor", "off"
-    )
+    failing = run_cli("fay", "--trials", "1", "--tol", "1e-30")
     assert failing.returncode == 1
     config_err = run_cli("ybe", "--n", "5", "--m", "3")
     assert config_err.returncode == 2

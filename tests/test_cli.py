@@ -20,9 +20,7 @@ class TestExitCodes:
         assert "pass" in proc.stdout and "overall: PASS" in proc.stdout
 
     def test_failure_is_one(self):
-        proc = run_cli(
-            "rll", "--n", "2", "--m", "1", "--trials", "1", "--l-exp-factor", "off"
-        )
+        proc = run_cli("fay", "--trials", "1", "--tol", "1e-30")
         assert proc.returncode == 1
         assert "overall: FAIL" in proc.stdout
 

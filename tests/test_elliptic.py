@@ -22,7 +22,6 @@ from ellrmx.elliptic import (
     EllipticContext,
     LatticeIndex,
     PoleProximityError,
-    all_indices,
     guard_denominator,
     eisenstein_e1,
     eisenstein_e2,
@@ -37,6 +36,7 @@ from ellrmx.elliptic import (
     theta_d2,
     varphi,
 )
+from support import all_indices
 
 TAU = 0.3 + 0.8j
 CTX = EllipticContext(TAU)
@@ -169,12 +169,14 @@ class TestContextValidation:
         with pytest.raises(ValueError):
             EllipticContext(complex("nan") + 1j)
 
-    def test_rejects_insufficient_truncation(self):
-        with pytest.raises(ValueError):
-            EllipticContext(0.3j, trunc_k=5)
+    def test_rejects_insufficient_truncation(self, monkeypatch):
+        # no tau above the floor trips the tail check at TRUNC_K = 30
+        monkeypatch.setattr(elliptic, "TRUNC_K", 5)
+        with pytest.raises(ValueError, match="truncation tail"):
+            EllipticContext(0.3j)
 
     def test_tail_bound_within_tol(self):
-        assert CTX.tail_bound <= CTX.tol
+        assert CTX.tail_bound <= elliptic.TAIL_TOL
         assert EllipticContext(0.3j).tail_bound <= 1e-12
 
 
@@ -307,15 +309,11 @@ class TestLatticeIndex:
         assert a.pair == (2, 2)
 
     def test_arithmetic(self):
-        a = LatticeIndex(1, 2, 3)
-        b = LatticeIndex(2, 2, 3)
-        assert (a + b).pair == (0, 1)
-        assert (a - b).pair == (2, 0)
-        assert (-a).pair == (2, 1)
-
-    def test_mixed_moduli_rejected(self):
-        with pytest.raises(ValueError):
-            LatticeIndex(0, 0, 2) + LatticeIndex(0, 0, 3)
+        # combinations are taken on the raw components and reduced on
+        # construction
+        assert LatticeIndex(1 + 2, 2 + 2, 3).pair == (0, 1)
+        assert LatticeIndex(1 - 2, 2 - 2, 3).pair == (2, 0)
+        assert LatticeIndex(-1, -2, 3).pair == (2, 1)
 
     def test_omega_value(self):
         ctx = EllipticContext(1j)

@@ -18,7 +18,6 @@ from ellrmx.elliptic import (
     DELTA_MIN,
     EllipticContext,
     PoleProximityError,
-    all_indices,
     kronecker_phi,
     lattice_distance,
     omega,
@@ -51,6 +50,7 @@ from ellrmx.rmatrix import (
     ybe_residual,
     zero_weight_residual,
 )
+from support import all_indices
 
 TAU = 0.3 + 0.8j
 CTX = EllipticContext(TAU)
@@ -644,7 +644,7 @@ class TestStackedBuilds:
 class TestParamsAndReports:
     def test_pair_constructor_checks_length(self):
         with pytest.raises(ValueError):
-            DynamicalParams.pair((0.1,), (0.2, 0.3), 0.05)
+            DynamicalParams((0.1,), (0.2, 0.3), 0.05)
 
     def test_identity_check_validation(self):
         with pytest.raises(ValueError):

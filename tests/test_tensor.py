@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from ellrmx.elliptic import LatticeIndex, all_indices
+from ellrmx.elliptic import LatticeIndex
 from ellrmx.tensor import (
     TensorOperator,
     basis_t,
@@ -26,6 +26,7 @@ from ellrmx.tensor import (
     permute_components,
     q_clock,
 )
+from support import all_indices
 
 
 class TestMatrixUnit:
