@@ -10,9 +10,9 @@ commits that still have a scalar path), theta over 1,000 arguments, the
 reference relation set at (n, m) = (2, 2), (2, 4) and (6, 1), the
 coordinate-exchange set at m = 4, one defect set (``rll_defect``, its
 table rebuilt every round) at (2, 3), one defect table (``_defect_table``)
-at (3, 3), one ``sklyanin-rep`` trial at n = 3, one ``r_slnm`` at (n, m) =
-(3, 2), one ``dybe-slnm`` trial at (3, 2) and (3, 3), one ``dybe-felder``
-trial at m = 3 and one ``ybe`` trial at n = 4.
+at (3, 3), one ``sklyanin-rep`` trial at n = 3 and at n = 6, one
+``r_slnm`` at (n, m) = (3, 2), one ``dybe-slnm`` trial at (3, 2) and
+(3, 3), one ``dybe-felder`` trial at m = 3 and one ``ybe`` trial at n = 4.
 Kernels that take only scalars are timed entry by entry, and labelled
 coordinate-exchange relations are gathered into a set, so the same file
 runs on commits from before array arguments and relation sets.
@@ -120,6 +120,11 @@ def test_defect_table_3x3(benchmark):
 
 def test_sklyanin_rep_trial_n3(benchmark):
     cfg, params, zs = trial_draw("sklyanin-rep", _sklyanin_spec, 3)
+    benchmark(_sklyanin_trial, cfg, params, zs, CTX)
+
+
+def test_sklyanin_rep_trial_n6(benchmark):
+    cfg, params, zs = trial_draw("sklyanin-rep", _sklyanin_spec, 6)
     benchmark(_sklyanin_trial, cfg, params, zs, CTX)
 
 

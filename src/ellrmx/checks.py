@@ -377,14 +377,14 @@ def _sklyanin_trial(
     hbar = params.hbar
     eta = zs[0]
     worst = 0.0
-    # the residual stacks n^2 basis matrices of n^2 entries per pair
-    for pairs in label_pair_chunks(cfg.n, cfg.n**4):
+    # the bare constants stack four Eisenstein letters over n^2 gammas per pair
+    for pairs in label_pair_chunks(cfg.n, 4 * cfg.n**2):
         basic = sklyanin_coeffs(pairs, cfg.n, hbar, ctx)
         shifted = sklyanin_coeffs_eta(basic, eta, hbar, ctx)
         worst = max(
             worst,
             sklyanin_representation_residual(basic, ctx).max(),
-            sklyanin_representation_residual(shifted, ctx, hbar=hbar, eta=eta).max(),
+            sklyanin_representation_residual(shifted, ctx, shift=(hbar, eta)).max(),
         )
     return float(worst), None
 

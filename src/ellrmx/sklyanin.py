@@ -6,7 +6,7 @@ over a third characteristic gamma.  Its constants come in a bare form
 a theta-rescaled, shifted-parameter form; both are built as arrays over
 gamma and over many label pairs at once, here and by the composite
 families of :mod:`ellrmx.relations`.  The finite-dimensional basis
-representation checks them, for many pairs at once as stacked matrices.
+representation checks them, for many pairs at once, without matrices.
 """
 
 from __future__ import annotations
@@ -25,14 +25,14 @@ from .elliptic import (
     omega_raw,
     theta,
 )
-from .tensor import basis_t_raw, kappa_raw
+from .tensor import kappa_raw
 
 TWO_PI_I = 2j * cmath.pi
 
 #: Array entries that one chunk of label pairs stacks (see
 #: :func:`label_pair_chunks`); bounds the complex temporaries of a chunk to
 #: a few megabytes at every n, where all n^4 pairs at once would take
-#: O(n^8) in the representation residual.
+#: O(n^6) per array in the Eisenstein letter stacks of the constants.
 _CHUNK = 1 << 16
 
 
@@ -171,38 +171,36 @@ def sklyanin_representation_residual(
     rel: SklyaninTable,
     ctx: EllipticContext,
     *,
-    hbar: complex | None = None,
-    eta: complex | None = None,
+    shift: tuple[complex, complex] | None = None,
 ) -> np.ndarray:
     """Normalized norm of the relations evaluated in the basis representation,
     one entry per row of the table.
 
-    A generator with integer index d acts as the operator basis element at
-    -d.  With ``hbar`` given each factor is divided by ``theta(hbar +
-    omega_d)`` (the rescaled generators matching the theta-prefactor
-    coefficients); with ``eta`` also given each factor carries the
-    shifted-parameter phase.  The norm is divided by the sum of the term
+    A generator with integer index d acts as the basis element ``T(-d)``;
+    given ``shift = (hbar, eta)`` it is divided by ``theta(hbar + omega_d)``
+    and carries the shifted-parameter phase (1 at ``eta == hbar``).  By
+    ``T(a) T(b) = kappa_raw(a, b) T(a + b)`` every word is a phase times
+    the one unitary ``T(-(alpha + beta))`` of Frobenius norm ``sqrt(n)``,
+    so no matrix is formed.  The norm is divided by the sum of the term
     bounds or by the assembly scale, whichever is larger, so both a clean
     annihilation and an identically-cancelled relation come out at roughly
     machine epsilon.  Empty relations give 0.
     """
-    if eta is not None and hbar is None:
-        raise ValueError("the shifted-parameter form requires hbar")
     n, values = rel.n, rel.values
     if not values.size:
         return np.zeros(len(values))
     d1, d2 = _letters(rel.pairs, n)
-    reps = basis_t_raw(-d1, -d2, n)
-    if hbar is not None:
+    terms = values * kappa_raw((-d1[0], -d2[0]), (-d1[1], -d2[1]), n)
+    bounds = np.abs(values)
+    if shift is not None:
+        hbar, eta = shift
         args = hbar + omega_raw(d1, d2, n, ctx.tau)
         guard_denominator("hbar + omega_d", args, ctx.tau)
-        reps /= theta(args, ctx)[..., None, None]
-    if eta is not None:
-        reps *= np.exp(TWO_PI_I * d2 * (eta - hbar) / n)[..., None, None]
-    acc = (values[..., None, None] * (reps[0] @ reps[1])).sum(axis=1)
-    norms = np.linalg.norm(reps, axis=(-2, -1))
-    den = np.maximum(np.sum(np.abs(values) * norms[0] * norms[1], axis=1), rel.scale)
-    num = np.linalg.norm(acc, axis=(-2, -1))
+        factors = np.exp(TWO_PI_I * d2 * (eta - hbar) / n) / theta(args, ctx)
+        terms *= factors[0] * factors[1]
+        bounds *= np.abs(factors[0]) * np.abs(factors[1])
+    num = np.sqrt(n) * np.abs(terms.sum(axis=1))
+    den = np.maximum(n * bounds.sum(axis=1), rel.scale)
     return np.divide(num, den, out=np.zeros_like(num), where=den != 0.0)
 
 

@@ -250,8 +250,8 @@ class TestAllAndReports:
     @pytest.mark.parametrize(
         ("tau", "digest"),
         [
-            (0.3 + 0.8j, "dede55fa8a7a136ca321daa2234cd84d93a187c6ad3887e926ec68de0bc6685b"),
-            (5.3 + 0.3j, "d0b2c114d3efe2e4bc9e05ae1443e9c1ce35d7dd182eec264f5025bfc963c40a"),
+            (0.3 + 0.8j, "73d6fdc6c6bc5e94777a898ef1dc37c157a8343f0aa3654c703d7e35e0b20bfe"),
+            (5.3 + 0.3j, "10adf3fa83653dd44c6cfd6bb53d773af0c3412fc904afa256c0ffc775daba2f"),
         ],
         ids=["default-tau", "skew-tau"],
     )

@@ -319,7 +319,7 @@ def oracle_sklyanin_eta(alpha, beta, eta, hbar, ctx):
     return SklyaninRelation(alpha, beta, coeffs, base.scale * pref_max)
 
 
-def oracle_residual(rel, ctx, hbar=None, eta=None):
+def oracle_residual(rel, ctx, shift=None):
     """One relation in the basis representation, both letters of every
     word stacked: the one-pair form of the representation residual."""
     n = rel.n
@@ -330,9 +330,9 @@ def oracle_residual(rel, ctx, hbar=None, eta=None):
     d1 = np.stack([rel.alpha.a1 - g1, rel.beta.a1 + g1])
     d2 = np.stack([rel.alpha.a2 - g2, rel.beta.a2 + g2])
     reps = basis_t_raw(-d1, -d2, n)
-    if hbar is not None:
+    if shift is not None:
+        hbar, eta = shift
         reps = reps / theta(hbar + omega_raw(d1, d2, n, ctx.tau), ctx)[..., None, None]
-    if eta is not None:
         reps = reps * np.exp(2j * np.pi * d2 * (eta - hbar) / n)[..., None, None]
     acc = (values[:, None, None] * (reps[0] @ reps[1])).sum(axis=0)
     norms = np.linalg.norm(reps, axis=(2, 3))
@@ -367,7 +367,7 @@ def pair_by_pair_trial(n, hbar, eta, ctx):
             worst = max(
                 worst,
                 oracle_residual(bare, ctx),
-                oracle_residual(shifted, ctx, hbar, eta),
+                oracle_residual(shifted, ctx, (hbar, eta)),
             )
     return worst
 
@@ -635,7 +635,8 @@ class TestSklyaninTheta:
         table = sklyanin_coeffs_eta(
             sklyanin_coeffs(all_pairs(n), n, HBAR, CTX), HBAR, HBAR, CTX
         )
-        assert sklyanin_representation_residual(table, CTX, hbar=HBAR).max() <= 1e-9
+        residual = sklyanin_representation_residual(table, CTX, shift=(HBAR, HBAR))
+        assert residual.max() <= 1e-9
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_shifted_parameter_representation(self, n):
@@ -643,7 +644,7 @@ class TestSklyaninTheta:
         table = sklyanin_coeffs_eta(
             sklyanin_coeffs(all_pairs(n), n, HBAR, CTX), eta, HBAR, CTX
         )
-        residual = sklyanin_representation_residual(table, CTX, hbar=HBAR, eta=eta)
+        residual = sklyanin_representation_residual(table, CTX, shift=(HBAR, eta))
         assert residual.max() <= 1e-9
 
     def test_crossed_beta0_variant_fails_the_representation(self):
@@ -652,8 +653,9 @@ class TestSklyaninTheta:
         beta = LatticeIndex(0, 0, n)
         matched = sklyanin_coeffs_eta(bare_at(alpha, beta), HBAR, HBAR, CTX)
         crossed = crossed_beta0_coeffs(alpha, beta, HBAR)
-        assert sklyanin_representation_residual(matched, CTX, hbar=HBAR)[0] <= 1e-9
-        assert residual_of(crossed, hbar=HBAR) > 1e-3
+        at_hbar = (HBAR, HBAR)
+        assert sklyanin_representation_residual(matched, CTX, shift=at_hbar)[0] <= 1e-9
+        assert residual_of(crossed, shift=at_hbar) > 1e-3
 
     def test_eta_form_is_bare_times_prefactors_at_eta_equal_hbar(self):
         n = 2
@@ -693,11 +695,6 @@ class TestSklyaninTheta:
         b = sklyanin_representation_residual(scaled, CTX)[0]
         assert a == pytest.approx(b, rel=1e-12)
 
-    def test_eta_without_hbar_raises(self):
-        table = bare_at(LatticeIndex(1, 0, 2), LatticeIndex(0, 1, 2))
-        with pytest.raises(ValueError):
-            sklyanin_representation_residual(table, CTX, eta=0.3)
-
 
 def sklyanin_draw(seed, n, tau=TAU):
     """The parameters of trial 0 of the ``sklyanin-rep`` check at this seed."""
@@ -711,11 +708,11 @@ def sklyanin_draw(seed, n, tau=TAU):
 def chunk_residuals(n, hbar, eta):
     """Every pair's bare and shifted residual, chunk by chunk."""
     bare, shifted = [], []
-    for pairs in label_pair_chunks(n, n**4):
+    for pairs in label_pair_chunks(n, 4 * n**2):
         table = sklyanin_coeffs(pairs, n, hbar, CTX)
         bare.append(sklyanin_representation_residual(table, CTX))
         table = sklyanin_coeffs_eta(table, eta, hbar, CTX)
-        shifted.append(sklyanin_representation_residual(table, CTX, hbar=hbar, eta=eta))
+        shifted.append(sklyanin_representation_residual(table, CTX, shift=(hbar, eta)))
     return np.concatenate(bare), np.concatenate(shifted)
 
 
@@ -723,10 +720,10 @@ class TestSklyaninTable:
     """Many label pairs at once against the pair-by-pair oracle."""
 
     @pytest.mark.parametrize("tau", [TAU, 5.3 + 0.3j])
-    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("n", [2, 3, 4, 6])
     def test_trial_matches_the_pair_by_pair_loop(self, n, tau):
         ctx = EllipticContext(tau)
-        for seed in range(10):
+        for seed in range(10 if n < 6 else 2):
             cfg, params, zs = sklyanin_draw(seed, n, tau)
             outcome = []
             for trial in (
@@ -749,7 +746,7 @@ class TestSklyaninTable:
         table = sklyanin_coeffs(label_arrays(alphas, betas), n, HBAR, CTX)
         eta = 0.37 + 0.29j
         shifted = sklyanin_coeffs_eta(table, eta, HBAR, CTX)
-        residuals = sklyanin_representation_residual(shifted, CTX, hbar=HBAR, eta=eta)
+        residuals = sklyanin_representation_residual(shifted, CTX, shift=(HBAR, eta))
         for p, (alpha, beta) in enumerate(zip(alphas, betas)):
             for whole, one in (
                 (table, bare_at(alpha, beta)),
@@ -759,7 +756,7 @@ class TestSklyaninTable:
                 assert np.array_equal(whole.values[p], one.values[0])
                 assert whole.scale[p] == one.scale[0]
             assert residuals[p] == sklyanin_representation_residual(
-                one, CTX, hbar=HBAR, eta=eta
+                one, CTX, shift=(HBAR, eta)
             )[0]
 
     def test_n1_table_is_empty(self):
@@ -790,24 +787,49 @@ class TestSklyaninTable:
         cfg, params, zs = sklyanin_draw(0, n)
         whole = chunk_residuals(n, params.hbar, zs[0])
         trial = _sklyanin_trial(cfg, params, zs, CTX)
-        assert len(list(label_pair_chunks(n, n**4))) == 1
-        monkeypatch.setattr(sklyanin, "_CHUNK", 7 * n**4)
-        assert len(list(label_pair_chunks(n, n**4))) == 12
+        assert len(list(label_pair_chunks(n, 4 * n**2))) == 1
+        monkeypatch.setattr(sklyanin, "_CHUNK", 7 * 4 * n**2)
+        assert len(list(label_pair_chunks(n, 4 * n**2))) == 12
         for got, want in zip(chunk_residuals(n, params.hbar, zs[0]), whole):
             assert np.array_equal(got, want)
         assert _sklyanin_trial(cfg, params, zs, CTX) == trial
 
+    def test_row_residuals_match_the_oracle_at_n8(self):
+        n = 8
+        _, params, zs = sklyanin_draw(42, n)
+        hbar, eta = params.hbar, zs[0]
+        pairs = tuple(v[::64] for v in all_pairs(n))
+        bare = sklyanin_coeffs(pairs, n, hbar, CTX)
+        shifted = sklyanin_coeffs_eta(bare, eta, hbar, CTX)
+        for table, shift in ((bare, None), (shifted, (hbar, eta))):
+            got = sklyanin_representation_residual(table, CTX, shift=shift)
+            want = [
+                oracle_residual(relation_of(table, p), CTX, shift) for p in range(64)
+            ]
+            assert np.abs(got - want).max() <= 1e-15
+        # coefficients that do not cancel pin the normalization, not only zero
+        rng = np.random.default_rng(0)
+        values = rng.normal(size=(64, n * n, 2)) @ np.array([1, 1j])
+        noise = SklyaninTable(n, pairs, values, np.zeros(64))
+        for shift in (None, (hbar, eta)):
+            got = sklyanin_representation_residual(noise, CTX, shift=shift)
+            want = [
+                oracle_residual(relation_of(noise, p), CTX, shift) for p in range(64)
+            ]
+            assert np.allclose(got, want, rtol=1e-12, atol=0)
+
     def test_trial_temporaries_stay_bounded(self):
-        # all 1296 pairs at n = 6 at once would stack 54 MB per letter
-        cfg, params, zs = sklyanin_draw(42, 6)
-        tracemalloc.start()
-        try:
-            residual, _ = _sklyanin_trial(cfg, params, zs, CTX)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert residual <= 1e-9
-        assert peak <= 16 * 2**20
+        # all 1296 pairs at n = 6 in one chunk would peak at about 19 MB traced
+        for n in (6, 8):
+            cfg, params, zs = sklyanin_draw(42, n)
+            tracemalloc.start()
+            try:
+                residual, _ = _sklyanin_trial(cfg, params, zs, CTX)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert residual <= 1e-9, n
+            assert peak <= 16 * 2**20, n
 
     def test_residual_guards_its_theta_denominators(self):
         # gamma == alpha, column 2, puts the first letter at index 0, so
@@ -815,7 +837,7 @@ class TestSklyaninTable:
         n = 2
         table = bare_at(LatticeIndex(1, 0, n), LatticeIndex(0, 1, n))
         with pytest.raises(PoleProximityError, match=r"hbar \+ omega_d\[0, 0, 2\]"):
-            sklyanin_representation_residual(table, CTX, hbar=0.01 + 0.01j)
+            sklyanin_representation_residual(table, CTX, shift=(0.01 + 0.01j,) * 2)
 
 
 def kinds_of(rels) -> dict[str, int]:
