@@ -7,13 +7,15 @@ These cases sit outside the tier-1 suite (``testpaths``) and outside the
 benchmark's ``bench/`` directory.  Each times one layer on fixed inputs at
 the default tau: theta at one argument (a 0-d call, or a scalar call on
 commits that still have a scalar path), theta over 1,000 arguments, the
-reference relation set at (n, m) = (2, 2), (2, 4) and (6, 1), the
-coordinate-exchange set at m = 4, one defect set (``rll_defect``, its
-table rebuilt every round) at (2, 3), one defect table (``_defect_table``)
-at (3, 3), one ``sklyanin-rep`` trial at n = 3 and at n = 6, one
-``r_slnm`` at (n, m) = (3, 2), one ``dybe-slnm`` trial at (3, 2) and
-(3, 3), one ``dybe-felder`` trial at m = 3 and one ``ybe`` trial at n = 4.
-Kernels that take only scalars are timed entry by entry, and labelled
+Kronecker kernel over 5 argument pairs (a 15-argument theta stack), the
+second Eisenstein function over 1,000 arguments, the reference relation
+set at (n, m) = (2, 2), (2, 4) and (6, 1), the coordinate-exchange set at
+m = 4, one defect set (``rll_defect``, its table rebuilt every round) at
+(2, 3), one defect table (``_defect_table``) at (3, 3), one
+``sklyanin-rep`` trial at n = 3, 6 and 8, one ``r_slnm`` at
+(n, m) = (3, 2), one ``dybe-slnm`` trial at (3, 2) and (3, 3), one
+``dybe-felder`` trial at m = 3 and one ``ybe`` trial at n = 4.  Kernels
+that take only scalars are timed entry by entry, and labelled
 coordinate-exchange relations are gathered into a set, so the same file
 runs on commits from before array arguments and relation sets.
 """
@@ -35,7 +37,7 @@ from ellrmx.checks import (
     _ybe_spec,
     _ybe_trial,
 )
-from ellrmx.elliptic import EllipticContext, theta
+from ellrmx.elliptic import EllipticContext, eisenstein_e2, kronecker_phi, theta
 from ellrmx.ncalgebra import (
     RelationSet,
     _defect_table,
@@ -69,6 +71,18 @@ def test_theta_1000_arguments(benchmark):
         benchmark(lambda: [theta(complex(v), CTX) for v in z])
         return
     benchmark(theta, z, CTX)
+
+
+def test_kronecker_phi_15_argument_stack(benchmark):
+    rng = np.random.default_rng(SEED)
+    u, x = rng.uniform(0.1, 0.9, (2, 5)) + CTX.tau * rng.uniform(0.1, 0.9, (2, 5))
+    benchmark(kronecker_phi, u, x, CTX)
+
+
+def test_eisenstein_e2_1000_arguments(benchmark):
+    rng = np.random.default_rng(SEED)
+    z = rng.uniform(0.1, 0.9, 1000) + CTX.tau * rng.uniform(0.1, 0.9, 1000)
+    benchmark(eisenstein_e2, z, CTX)
 
 
 def test_relation_vectors_reference_2x2(benchmark):
@@ -125,6 +139,11 @@ def test_sklyanin_rep_trial_n3(benchmark):
 
 def test_sklyanin_rep_trial_n6(benchmark):
     cfg, params, zs = trial_draw("sklyanin-rep", _sklyanin_spec, 6)
+    benchmark(_sklyanin_trial, cfg, params, zs, CTX)
+
+
+def test_sklyanin_rep_trial_n8(benchmark):
+    cfg, params, zs = trial_draw("sklyanin-rep", _sklyanin_spec, 8)
     benchmark(_sklyanin_trial, cfg, params, zs, CTX)
 
 

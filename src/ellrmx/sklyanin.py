@@ -88,9 +88,8 @@ def bare_constants(pairs: tuple, hbar: complex, n: int, ctx: EllipticContext):
     scale = np.empty(zero.size)
 
     def at(fn, pick, *letters):
-        shape = (int(pick.sum()), g1.size)
-        args = [np.broadcast_to(hbar + omega_raw(*c, n, ctx.tau), shape) for c in letters]
-        e = fn(np.stack(args), ctx)
+        d1, d2 = (np.stack(np.broadcast_arrays(*c)) for c in zip(*letters))
+        e = _at_letters(fn, d1, d2, hbar, n, ctx)
         scale[pick] = np.abs(e).max(axis=(0, 2))
         return e
 
@@ -112,8 +111,29 @@ def bare_constants(pairs: tuple, hbar: complex, n: int, ctx: EllipticContext):
 def theta_prefactors(pairs: tuple, hbar: complex, n: int, ctx: EllipticContext):
     """``theta(hbar + omega(alpha - gamma)) theta(hbar + omega(beta + gamma))``
     as ``[pair, gamma]``, in unreduced integer arithmetic."""
-    first, second = theta(hbar + omega_raw(*_letters(pairs, n), n, ctx.tau), ctx)
+    first, second = _at_letters(theta, *_letters(pairs, n), hbar, n, ctx)
     return first * second
+
+
+def _at_letters(kernel, d1, d2, hbar: complex, n: int, ctx: EllipticContext):
+    """``kernel(hbar + omega_raw(d1, d2, n, tau))`` over integer letter
+    arrays of one shape, evaluated once per distinct unreduced letter.
+
+    The letters are small integer pairs that repeat across words and label
+    pairs, so a flag table over their bounding box finds the distinct ones
+    far faster than deduplicating complex arguments.  They stay unreduced,
+    because the first Eisenstein function is only quasi-periodic.  A kernel
+    entry does not depend on its batch, so the gathered values equal a
+    direct call bit for bit.
+    """
+    lo1, lo2 = d1.min(initial=0), d2.min(initial=0)
+    width = d2.max(initial=0) - lo2 + 1
+    key = (d1 - lo1) * width + (d2 - lo2)
+    seen = np.zeros((d1.max(initial=0) - lo1 + 1) * width, dtype=bool)
+    seen[key] = True
+    c1, c2 = np.divmod(np.flatnonzero(seen), width)
+    values = kernel(hbar + omega_raw(c1 + lo1, c2 + lo2, n, ctx.tau), ctx)
+    return values[(np.cumsum(seen) - 1)[key]]
 
 
 def _letters(pairs: tuple, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -196,7 +216,8 @@ def sklyanin_representation_residual(
         hbar, eta = shift
         args = hbar + omega_raw(d1, d2, n, ctx.tau)
         guard_denominator("hbar + omega_d", args, ctx.tau)
-        factors = np.exp(TWO_PI_I * d2 * (eta - hbar) / n) / theta(args, ctx)
+        theta_d = _at_letters(theta, d1, d2, hbar, n, ctx)
+        factors = np.exp(TWO_PI_I * d2 * (eta - hbar) / n) / theta_d
         terms *= factors[0] * factors[1]
         bounds *= np.abs(factors[0]) * np.abs(factors[1])
     num = np.sqrt(n) * np.abs(terms.sum(axis=1))

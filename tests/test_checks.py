@@ -250,7 +250,7 @@ class TestAllAndReports:
     @pytest.mark.parametrize(
         ("tau", "digest"),
         [
-            (0.3 + 0.8j, "73d6fdc6c6bc5e94777a898ef1dc37c157a8343f0aa3654c703d7e35e0b20bfe"),
+            (0.3 + 0.8j, "799fdd73de7e7a47c0fe33534255e9dd75019497398c6a08451b13ab1701b937"),
             (5.3 + 0.3j, "10adf3fa83653dd44c6cfd6bb53d773af0c3412fc904afa256c0ffc775daba2f"),
         ],
         ids=["default-tau", "skew-tau"],

@@ -36,7 +36,7 @@ from ellrmx.elliptic import (
     theta_d2,
     varphi,
 )
-from support import all_indices
+from support import all_indices, theta_series_30
 
 TAU = 0.3 + 0.8j
 CTX = EllipticContext(TAU)
@@ -169,15 +169,27 @@ class TestContextValidation:
         with pytest.raises(ValueError):
             EllipticContext(complex("nan") + 1j)
 
-    def test_rejects_insufficient_truncation(self, monkeypatch):
-        # no tau above the floor trips the tail check at TRUNC_K = 30
-        monkeypatch.setattr(elliptic, "TRUNC_K", 5)
-        with pytest.raises(ValueError, match="truncation tail"):
-            EllipticContext(0.3j)
-
     def test_tail_bound_within_tol(self):
-        assert CTX.tail_bound <= elliptic.TAIL_TOL
-        assert EllipticContext(0.3j).tail_bound <= 1e-12
+        for ctx in (CTX, EllipticContext(0.3j), EllipticContext(5.3 + 0.3j)):
+            assert ctx.tail_bound(ctx.terms) <= elliptic.TAIL_TOL
+
+    @pytest.mark.parametrize(("tau", "terms"), [(0.3j, 8), (0.3 + 0.8j, 5), (5.3 + 0.3j, 8)])
+    def test_term_count_is_minimal(self, tau, terms):
+        ctx = EllipticContext(tau)
+        assert ctx.terms == terms
+        assert ctx.tail_bound(terms) <= elliptic.TAIL_TOL < ctx.tail_bound(terms - 1)
+
+    @pytest.mark.parametrize("tau", [0.3j, 0.3 + 0.8j, 5.3 + 0.3j, 2j])
+    def test_series_matches_the_30_term_sum(self, tau):
+        ctx = EllipticContext(tau)
+        rng = np.random.default_rng(3)
+        z = rng.uniform(0, 1, 400) + tau * rng.uniform(-0.5, 0.5, 400)
+        z = z[lattice_distance(z, tau) >= DELTA_MIN][:150]
+        shifts = np.array([m + n * tau for m in (-2, 0, 3) for n in (-2, -1, 0, 1, 2)])
+        points = np.concatenate([z, (z[:10, None] + shifts).ravel()])
+        for fn, want in zip((theta, theta_d1, theta_d2), theta_series_30(points, tau)):
+            got = fn(points, ctx)
+            assert np.all(np.abs(got - want) <= 1e-15 * np.maximum(1.0, np.abs(want))), fn.__name__
 
 
 class TestKroneckerPhi:
@@ -426,12 +438,23 @@ class TestArrayKernels:
         rng = np.random.default_rng(11)
         z = rng.uniform(-2, 2, 20_000) + TAU * rng.uniform(-2, 2, 20_000)
         z = z[lattice_distance(z, TAU) >= DELTA_MIN]
-        for fn in (theta, theta_d1, theta_d2, eisenstein_e1, eisenstein_e2):
-            whole = fn(z, CTX)
+        for fn in (theta, theta_d1, theta_d2, eisenstein_e1, eisenstein_e2, kronecker_phi):
+            args = (z, z[::-1]) if fn is kronecker_phi else (z,)
+            whole = fn(*args, CTX)
             parts = np.concatenate(
-                [fn(z[i:i + size], CTX) for i in range(0, z.size, size)]
+                [fn(*(a[i:i + size] for a in args), CTX) for i in range(0, z.size, size)]
             )
             assert np.array_equal(whole, parts), fn.__name__
+
+    @pytest.mark.parametrize("tau", [TAU, 5.3 + 0.3j])
+    def test_lower_orders_match_the_all_orders_block_bit_for_bit(self, tau):
+        # theta and theta' skip the higher series, not change their arithmetic
+        ctx = EllipticContext(tau)
+        z = self.points(tau, (300,), seed=5)
+        t0, t1, _ = elliptic._theta_block(z, ctx, 2)
+        assert np.array_equal(theta(z, ctx), t0)
+        assert np.array_equal(theta_d1(z, ctx), t1)
+        assert np.array_equal(eisenstein_e1(z, ctx), t1 / t0)
 
     def test_series_runs_once_per_distinct_argument(self, monkeypatch):
         seen = []

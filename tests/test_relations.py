@@ -794,6 +794,35 @@ class TestSklyaninTable:
             assert np.array_equal(got, want)
         assert _sklyanin_trial(cfg, params, zs, CTX) == trial
 
+    def test_distinct_letters_give_the_bits_of_every_letter(self, monkeypatch):
+        # each kernel runs once per distinct integer letter, then gathers
+        n = 4
+        _, params, zs = sklyanin_draw(0, n)
+        hbar, eta = params.hbar, zs[0]
+        pairs = next(label_pair_chunks(n, 4 * n**2))
+
+        def outputs():
+            table = sklyanin_coeffs(pairs, n, hbar, CTX)
+            shifted = sklyanin_coeffs_eta(table, eta, hbar, CTX)
+            residual = sklyanin_representation_residual(shifted, CTX, shift=(hbar, eta))
+            return table.values, table.scale, shifted.values, shifted.scale, residual
+
+        sizes = []
+        for name in ("eisenstein_e1", "eisenstein_e2", "theta"):
+            kernel = getattr(sklyanin, name)
+            spy = lambda z, ctx, kernel=kernel: sizes.append(z.size) or kernel(z, ctx)
+            monkeypatch.setattr(sklyanin, name, spy)
+        distinct = outputs()
+        # letter components lie in [-(2n - 2), 2n - 2]
+        assert len(sizes) == 4 and max(sizes) <= (4 * n - 3) ** 2
+        monkeypatch.setattr(
+            sklyanin,
+            "_at_letters",
+            lambda kernel, d1, d2, hbar, n, ctx: kernel(hbar + omega_raw(d1, d2, n, ctx.tau), ctx),
+        )
+        for got, want in zip(distinct, outputs()):
+            assert np.array_equal(got, want)
+
     def test_row_residuals_match_the_oracle_at_n8(self):
         n = 8
         _, params, zs = sklyanin_draw(42, n)
