@@ -14,29 +14,22 @@ m = 4, one defect set (``rll_defect``, its table rebuilt every round) at
 (2, 3), one defect table (``_defect_table``) at (3, 3), one
 ``sklyanin-rep`` trial at n = 3, 6 and 8, one ``r_slnm`` at
 (n, m) = (3, 2), one ``dybe-slnm`` trial at (3, 2) and (3, 3), one
-``dybe-felder`` trial at m = 3 and one ``ybe`` trial at n = 4.  Kernels
-that take only scalars are timed entry by entry, and labelled
-coordinate-exchange relations are gathered into a set, so the same file
-runs on commits from before array arguments and relation sets.
+``dybe-felder`` trial at m = 3 and one ``ybe`` trial at n = 4.  Two cases
+run a whole check through ``run_single`` at tau = 5.3+0.3i, where the
+trials of ``relations`` and ``tv-reduce`` are evaluated together: ten
+``relations`` trials at (2, 2) and ten ``tv-reduce`` trials at m = 2.
+Trials are drawn and run through the check's runner (``_RUNNERS``), which
+takes a list of draws, or on commits from before that interface, takes
+one draw.  Kernels that take only scalars are timed entry by entry, and
+labelled coordinate-exchange relations are gathered into a set, so the
+same file runs on commits from before array arguments and relation sets.
 """
+
+import inspect
 
 import numpy as np
 
-from ellrmx.checks import (
-    CheckConfig,
-    _felder_spec,
-    _felder_trial,
-    _relations_spec,
-    _rll_spec,
-    _sklyanin_spec,
-    _sklyanin_trial,
-    _slnm_spec,
-    _slnm_trial,
-    _trial_seed,
-    _tv_spec,
-    _ybe_spec,
-    _ybe_trial,
-)
+from ellrmx.checks import _RUNNERS, CheckConfig, _trial_seed, run_single
 from ellrmx.elliptic import EllipticContext, eisenstein_e2, kronecker_phi, theta
 from ellrmx.ncalgebra import (
     RelationSet,
@@ -49,13 +42,24 @@ from ellrmx.rmatrix import r_slnm
 from ellrmx.sampling import sample_params
 
 CTX = EllipticContext(0.3 + 0.8j)
+SKEW_CTX = EllipticContext(5.3 + 0.3j)
 SEED = 42
 
 
-def trial_draw(check, spec, n, m=1):
+def trial_draw(check, n, m=1):
     cfg = CheckConfig(check=check, n=n, m=m)
-    params, zs = sample_params(_trial_seed(SEED, check, 0), spec(cfg), CTX)
+    spec = _RUNNERS[check][0](cfg)
+    params, zs = sample_params(_trial_seed(SEED, check, 0), spec, CTX)
     return cfg, params, zs
+
+
+def one_trial(check, n, m=1):
+    """Trial 0 of a check as a call without arguments."""
+    cfg, params, zs = trial_draw(check, n, m)
+    run = _RUNNERS[check][1]
+    if len(inspect.signature(run).parameters) == 4:
+        return lambda: run(cfg, params, zs, CTX)
+    return lambda: run(cfg, [(params, zs)], CTX)
 
 
 def test_theta_scalar(benchmark):
@@ -86,22 +90,22 @@ def test_eisenstein_e2_1000_arguments(benchmark):
 
 
 def test_relation_vectors_reference_2x2(benchmark):
-    _, params, _ = trial_draw("relations", _relations_spec, 2, 2)
+    _, params, _ = trial_draw("relations", 2, 2)
     benchmark(relation_vectors_reference, 2, 2, params, CTX)
 
 
 def test_relation_vectors_reference_2x4(benchmark):
-    _, params, _ = trial_draw("relations", _relations_spec, 2, 4)
+    _, params, _ = trial_draw("relations", 2, 4)
     benchmark(relation_vectors_reference, 2, 4, params, CTX)
 
 
 def test_relation_vectors_reference_6x1(benchmark):
-    _, params, _ = trial_draw("relations", _relations_spec, 6, 1)
+    _, params, _ = trial_draw("relations", 6, 1)
     benchmark(relation_vectors_reference, 6, 1, params, CTX)
 
 
 def test_tv_relations_m4(benchmark):
-    _, params, _ = trial_draw("tv-reduce", _tv_spec, 1, 4)
+    _, params, _ = trial_draw("tv-reduce", 1, 4)
 
     def build():
         tv = tv_relations(4, params.q1, params.q2, params.hbar, CTX)
@@ -113,7 +117,7 @@ def test_tv_relations_m4(benchmark):
 
 
 def test_rll_defect_2x3(benchmark):
-    _, params, zs = trial_draw("rll", _rll_spec, 2, 3)
+    _, params, zs = trial_draw("rll", 2, 3)
 
     def build():
         _defect_table.cache_clear()
@@ -123,7 +127,7 @@ def test_rll_defect_2x3(benchmark):
 
 
 def test_defect_table_3x3(benchmark):
-    _, params, zs = trial_draw("rll", _rll_spec, 3, 3)
+    _, params, zs = trial_draw("rll", 3, 3)
 
     def build():
         _defect_table.cache_clear()
@@ -133,40 +137,43 @@ def test_defect_table_3x3(benchmark):
 
 
 def test_sklyanin_rep_trial_n3(benchmark):
-    cfg, params, zs = trial_draw("sklyanin-rep", _sklyanin_spec, 3)
-    benchmark(_sklyanin_trial, cfg, params, zs, CTX)
+    benchmark(one_trial("sklyanin-rep", 3))
 
 
 def test_sklyanin_rep_trial_n6(benchmark):
-    cfg, params, zs = trial_draw("sklyanin-rep", _sklyanin_spec, 6)
-    benchmark(_sklyanin_trial, cfg, params, zs, CTX)
+    benchmark(one_trial("sklyanin-rep", 6))
 
 
 def test_sklyanin_rep_trial_n8(benchmark):
-    cfg, params, zs = trial_draw("sklyanin-rep", _sklyanin_spec, 8)
-    benchmark(_sklyanin_trial, cfg, params, zs, CTX)
+    benchmark(one_trial("sklyanin-rep", 8))
 
 
 def test_r_slnm_3x2(benchmark):
-    _, params, zs = trial_draw("dybe-slnm", _slnm_spec, 3, 2)
+    _, params, zs = trial_draw("dybe-slnm", 3, 2)
     benchmark(r_slnm, params.hbar, zs[0] - zs[1], params.q1, 3, CTX)
 
 
 def test_dybe_slnm_trial_3x2(benchmark):
-    cfg, params, zs = trial_draw("dybe-slnm", _slnm_spec, 3, 2)
-    benchmark(_slnm_trial, cfg, params, zs, CTX)
+    benchmark(one_trial("dybe-slnm", 3, 2))
 
 
 def test_dybe_slnm_trial_3x3(benchmark):
-    cfg, params, zs = trial_draw("dybe-slnm", _slnm_spec, 3, 3)
-    benchmark(_slnm_trial, cfg, params, zs, CTX)
+    benchmark(one_trial("dybe-slnm", 3, 3))
 
 
 def test_dybe_felder_trial_m3(benchmark):
-    cfg, params, zs = trial_draw("dybe-felder", _felder_spec, 1, 3)
-    benchmark(_felder_trial, cfg, params, zs, CTX)
+    benchmark(one_trial("dybe-felder", 1, 3))
 
 
 def test_ybe_trial_n4(benchmark):
-    cfg, params, zs = trial_draw("ybe", _ybe_spec, 4)
-    benchmark(_ybe_trial, cfg, params, zs, CTX)
+    benchmark(one_trial("ybe", 4))
+
+
+def test_relations_ten_trials_2x2_skew_tau(benchmark):
+    cfg = CheckConfig(check="relations", n=2, m=2, tau=SKEW_CTX.tau, trials=10)
+    benchmark(run_single, cfg, "relations", SKEW_CTX)
+
+
+def test_tv_reduce_ten_trials_m2_skew_tau(benchmark):
+    cfg = CheckConfig(check="tv-reduce", m=2, tau=SKEW_CTX.tau, trials=10)
+    benchmark(run_single, cfg, "tv-reduce", SKEW_CTX)

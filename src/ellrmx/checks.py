@@ -2,6 +2,8 @@
 
 Each named check draws its own pole-free parameters per trial, evaluates
 the corresponding identities, and aggregates residuals into a report.
+The ``relations`` and ``tv-reduce`` checks evaluate batches of trials
+together; no trial's outcome depends on the others in its batch.
 Checks are judged against a residual tolerance except for the span-level
 ones (rll, tv-reduce), whose default tolerance is looser.
 """
@@ -13,7 +15,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, replace
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from .elliptic import (
     MIN_IM_TAU,
@@ -26,6 +28,7 @@ from .elliptic import (
 )
 from .ncalgebra import (
     defect_factorization_check,
+    reference_terms,
     relation_vectors_reference,
     rll_defect,
     rll_trial_bytes,
@@ -192,8 +195,12 @@ def _trial_seed(seed: int, check: str, trial: int) -> list[int]:
     return [seed & 0xFFFFFFFFFFFFFFFF, CHECK_NAMES.index(check), trial]
 
 
-# Per-check trial runners.  Each returns (residual, rank-or-None); the
-# sample spec declares the denominators the evaluations will touch.
+# Per-check sample specs and evaluations.  A trial function returns
+# (residual, rank-or-None); the runners of relations and tv-reduce return
+# one such pair per draw of a batch.  The sample spec declares the
+# denominators the evaluations will touch.
+
+Draw = tuple[DynamicalParams, tuple[complex, ...]]
 
 
 def _ybe_spec(cfg: CheckConfig) -> SampleSpec:
@@ -330,13 +337,16 @@ def _relations_spec(cfg: CheckConfig) -> SampleSpec:
     return SampleSpec(m=cfg.m, two_sets=True, hbar=cfg.hbar, expressions=exprs)
 
 
-def _relations_trial(
-    cfg: CheckConfig, params: DynamicalParams, zs: tuple[complex, ...],
-    ctx: EllipticContext,
-) -> tuple[float, int]:
-    vectors = relation_vectors_reference(cfg.n, cfg.m, params, ctx)
-    rank = span_rank(vectors) if vectors else 0
-    return float(abs(rank - _flat_rank(cfg.n, cfg.m))), rank
+def _relations_run(
+    cfg: CheckConfig, draws: list[Draw], ctx: EllipticContext
+) -> list[tuple[float, int]]:
+    sets = relation_vectors_reference(cfg.n, cfg.m, [params for params, _ in draws], ctx)
+    ranks = iter(span_rank([s for s in sets if s]))
+    out = []
+    for vectors in sets:
+        rank = next(ranks) if vectors else 0
+        out.append((float(abs(rank - _flat_rank(cfg.n, cfg.m))), rank))
+    return out
 
 
 def _fay_spec(cfg: CheckConfig) -> SampleSpec:
@@ -402,20 +412,28 @@ def _tv_spec(cfg: CheckConfig) -> SampleSpec:
     )
 
 
-def _tv_trial(
-    cfg: CheckConfig, params: DynamicalParams, zs: tuple[complex, ...],
-    ctx: EllipticContext,
-) -> tuple[float, int]:
-    m = cfg.m
-    families = relation_vectors_reference(1, m, params, ctx)
-    tv = tv_relations(m, params.q1, params.q2, params.hbar, ctx)
-    reduction = slnm_reduction_residual_n1(params.hbar, zs[0], params.q1, ctx)
-    if not families and not tv:
-        return reduction, 0
-    if not families or not tv:
-        return 1.0, span_rank(families) if families else 0
-    metric = span_equal(families, tv, SPAN_TOL)[1]
-    return max(metric, reduction), span_rank(families)
+def _tv_run(
+    cfg: CheckConfig, draws: list[Draw], ctx: EllipticContext
+) -> list[tuple[float, int]]:
+    batch = [params for params, _ in draws]
+    q1, hbar = [p.q1 for p in batch], [p.hbar for p in batch]
+    families = relation_vectors_reference(1, cfg.m, batch, ctx)
+    tv = tv_relations(cfg.m, q1, [p.q2 for p in batch], hbar, ctx)
+    reductions = slnm_reduction_residual_n1(hbar, [zs[0] for _, zs in draws], q1, ctx)
+    both = [t for t, (f, r) in enumerate(zip(families, tv)) if f and r]
+    metrics = span_equal([families[t] for t in both], [tv[t] for t in both], SPAN_TOL)
+    metric = dict(zip(both, (value for _, value in metrics)))
+    ranks = iter(span_rank([f for f in families if f]))
+    out = []
+    for t, (f, r, reduction) in enumerate(zip(families, tv, reductions)):
+        rank = next(ranks) if f else 0
+        if not f and not r:
+            out.append((float(reduction), 0))
+        elif not f or not r:
+            out.append((1.0, rank))
+        else:
+            out.append((max(metric[t], float(reduction)), rank))
+    return out
 
 
 def _bb_spec(cfg: CheckConfig) -> SampleSpec:
@@ -440,18 +458,75 @@ TrialFn = Callable[
     [CheckConfig, DynamicalParams, tuple[complex, ...], EllipticContext],
     tuple[float, int | None],
 ]
+RunFn = Callable[[CheckConfig, list[Draw], EllipticContext], list[tuple[float, int | None]]]
 
-_RUNNERS: dict[str, tuple[Callable[[CheckConfig], SampleSpec], TrialFn]] = {
-    "ybe": (_ybe_spec, _ybe_trial),
-    "dybe-felder": (_felder_spec, _felder_trial),
-    "dybe-slnm": (_slnm_spec, _slnm_trial),
-    "rll": (_rll_spec, _rll_trial),
-    "relations": (_relations_spec, _relations_trial),
-    "fay": (_fay_spec, _fay_trial),
-    "sklyanin-rep": (_sklyanin_spec, _sklyanin_trial),
-    "tv-reduce": (_tv_spec, _tv_trial),
-    "bb-reduce": (_bb_spec, _bb_trial),
+
+def _each(trial: TrialFn) -> RunFn:
+    """A runner that evaluates the draws one trial at a time."""
+
+    def run(cfg: CheckConfig, draws: list[Draw], ctx: EllipticContext) -> list:
+        return [trial(cfg, params, zs, ctx) for params, zs in draws]
+
+    return run
+
+
+def _reference_terms(cfg: CheckConfig) -> int:
+    return reference_terms(cfg.n, cfg.m)
+
+
+class Runner(NamedTuple):
+    """How a check draws and evaluates its trials.
+
+    ``run`` maps a list of draws to their (residual, rank-or-None)
+    outcomes, in order.  ``trial_terms`` sizes one trial of a runner that
+    evaluates its draws together (see :func:`batch_size`); without it every
+    batch holds one trial.
+    """
+
+    spec: Callable[[CheckConfig], SampleSpec]
+    run: RunFn
+    trial_terms: Callable[[CheckConfig], int] | None = None
+
+
+_RUNNERS: dict[str, Runner] = {
+    "ybe": Runner(_ybe_spec, _each(_ybe_trial)),
+    "dybe-felder": Runner(_felder_spec, _each(_felder_trial)),
+    "dybe-slnm": Runner(_slnm_spec, _each(_slnm_trial)),
+    "rll": Runner(_rll_spec, _each(_rll_trial)),
+    "relations": Runner(_relations_spec, _relations_run, _reference_terms),
+    "fay": Runner(_fay_spec, _each(_fay_trial)),
+    "sklyanin-rep": Runner(_sklyanin_spec, _each(_sklyanin_trial)),
+    "tv-reduce": Runner(_tv_spec, _tv_run, _reference_terms),
+    "bb-reduce": Runner(_bb_spec, _each(_bb_trial)),
 }
+
+#: Relation terms that one batch of trials builds together; bounds a
+#: batch's temporaries as ``label_pair_chunks`` bounds a chunk's.  A trial
+#: larger than this runs alone.
+_BATCH_TERMS = 1 << 16
+
+
+def batch_size(cfg: CheckConfig, check: str) -> int:
+    """Trials that one call of the check's runner takes, at the check's
+    effective configuration."""
+    terms = _RUNNERS[check].trial_terms
+    return 1 if terms is None else max(1, _BATCH_TERMS // max(1, terms(cfg)))
+
+
+def _outcomes(
+    run: RunFn, cfg: CheckConfig, draws: list[Draw], ctx: EllipticContext
+) -> list[tuple[float, int | None] | None]:
+    """The runner's outcomes of a batch, None for a trial that raises
+    :class:`PoleProximityError`.  A batch that raises is split in halves
+    until the failing trials stand alone, so that the same trials fail as
+    one at a time."""
+    try:
+        return run(cfg, draws, ctx)
+    except PoleProximityError:
+        if len(draws) == 1:
+            return [None]
+        half = len(draws) // 2
+        return _outcomes(run, cfg, draws[:half], ctx) + _outcomes(run, cfg, draws[half:], ctx)
 
 
 def _effective_config(cfg: CheckConfig, check: str) -> CheckConfig:
@@ -464,23 +539,29 @@ def _effective_config(cfg: CheckConfig, check: str) -> CheckConfig:
 
 
 def run_single(cfg: CheckConfig, check: str, ctx: EllipticContext) -> CheckReport:
-    """Execute one named check for the configured number of trials."""
+    """Execute one named check for the configured number of trials.
+
+    Every trial is drawn from its own seeded stream; the runner then takes
+    the draws in batches of :func:`batch_size`.
+    """
     eff = _effective_config(cfg, check)
-    make_spec, trial_fn = _RUNNERS[check]
-    spec = make_spec(eff)
+    runner = _RUNNERS[check]
+    spec = runner.spec(eff)
     start = time.perf_counter()
+    draws = [
+        sample_params(_trial_seed(eff.seed, check, t), spec, ctx) for t in range(eff.trials)
+    ]
+    size = batch_size(eff, check)
+    outcomes = []
+    for at in range(0, len(draws), size):
+        outcomes += _outcomes(runner.run, eff, draws[at : at + size], ctx)
     residuals: list[float | None] = []
     rank: int | None = None
-    for t in range(eff.trials):
-        params, zs = sample_params(_trial_seed(eff.seed, check, t), spec, ctx)
-        try:
-            residual, trial_rank = trial_fn(eff, params, zs, ctx)
-        except PoleProximityError:
+    for outcome in outcomes:
+        if outcome is None or not math.isfinite(outcome[0]):
             residuals.append(None)
             continue
-        if not math.isfinite(residual):
-            residuals.append(None)
-            continue
+        residual, trial_rank = outcome
         residuals.append(float(residual))
         if rank is None and trial_rank is not None:
             rank = int(trial_rank)

@@ -37,7 +37,7 @@ from .rmatrix import DynamicalParams, r_slnm
 from .sklyanin import label_pair_chunks
 # The span functions are re-exported: bench/tracer.py looks them up here,
 # with the defect and reference builds they compare.
-from .spans import RelationSet, span_equal, span_gap, span_rank, term_norms
+from .spans import RelationSet, same_rows, span_equal, span_gap, span_rank, term_norms
 from .tensor import basis_t, basis_t_raw
 
 TWO_PI_I = 2j * cmath.pi
@@ -256,19 +256,31 @@ def rll_defect(
 
 def _kept_rows(
     keep: np.ndarray, rows: np.ndarray, words: np.ndarray, values: np.ndarray, width: int
-) -> RelationSet:
+) -> RelationSet | tuple[RelationSet, ...]:
     """The set of the rows marked in ``keep``, in order, from the terms of
-    every row."""
+    every row; values of shape (T, K) give the T trials' sets."""
+    if keep.all():
+        return RelationSet.from_terms(rows, words, values, keep.size, width)
     kept = keep[rows]
     renumber = np.cumsum(keep) - 1
     return RelationSet.from_terms(
-        renumber[rows[kept]], words[kept], values[kept], int(keep.sum()), width
+        renumber[rows[kept]], words[kept], values[..., kept], int(keep.sum()), width
     )
 
 
+def reference_terms(n: int, m: int) -> int:
+    """Number of terms in one reference set at (n, m) (see
+    :func:`relation_vectors_reference`), before exact zeros are dropped."""
+    count = {1: n * n if n > 1 else 0, 2: n * n + 1, 3: n * n + 1, 4: n * n + 2}
+    return n**4 * sum(len(family_tuples(f, m)) * count[f] for f in count)
+
+
 def relation_vectors_reference(
-    n: int, m: int, params: DynamicalParams, ctx: EllipticContext
-) -> RelationSet:
+    n: int,
+    m: int,
+    params: DynamicalParams | Sequence[DynamicalParams],
+    ctx: EllipticContext,
+) -> RelationSet | tuple[RelationSet, ...]:
     """Reference set of the four closed-form relation families of
     :func:`ellrmx.relations.family_terms`.
 
@@ -279,38 +291,56 @@ def relation_vectors_reference(
     constants cancel against their own assembly scale comes out that way,
     and the other families are single products.  Family 1 is built a chunk
     of label pairs at a time.
+
+    Given a sequence of parameter sets, the sets of all those trials are
+    built together, and trials that drop the same rows share one build of
+    the set layout (see :meth:`ellrmx.spans.RelationSet.from_terms`).
     """
-    if params.q2 is None:
-        raise ValueError("the families need two coordinate blocks")
-    if params.m != m:
-        raise ValueError("coordinate vectors do not match m")
+    batch = [params] if isinstance(params, DynamicalParams) else list(params)
+    for trial in batch:
+        if trial.q2 is None:
+            raise ValueError("the families need two coordinate blocks")
+        if trial.m != m:
+            raise ValueError("coordinate vectors do not match m")
 
     def block(family: int, pairs: tuple) -> tuple[np.ndarray, np.ndarray]:
-        return family_terms(family, family_tuples(family, m), pairs, n, params, ctx)
+        return family_terms(family, family_tuples(family, m), pairs, n, batch, ctx)
 
+    # coefficients run [trial, ..., pair, term], words [..., pair, term]
     blocks = []
     if n > 1:
-        # family 1 holds m^2 n^2 terms per label pair
-        chunks = [block(1, pairs) for pairs in label_pair_chunks(n, m * m * n * n)]
-        blocks.append([np.concatenate(part, axis=1) for part in zip(*chunks)])
+        # family 1 holds m^2 n^2 terms per label pair and trial
+        per_pair = len(batch) * m * m * n * n
+        chunks = [block(1, pairs) for pairs in label_pair_chunks(n, per_pair)]
+        blocks.append([np.concatenate(part, axis=-2) for part in zip(*chunks)])
     if m > 1:
         ia, ib = np.divmod(np.arange(n**4), n * n)
         pairs = (ia // n, ia % n, ib // n, ib % n)
         # families 2 and 3 take turns over their shared index tuples
         pair23 = zip(block(2, pairs), block(3, pairs))
-        blocks.append([np.stack(ab, axis=1) for ab in pair23])
+        blocks.append([np.stack(ab, axis=-3) for ab in pair23])
         blocks.append(block(4, pairs))
-    flat = [[a.reshape(-1, a.shape[-1]) for a in b] for b in blocks]
-    size = sum(len(values) for values, _ in flat)
+    trials = len(batch)
+    words = [w.reshape(-1, w.shape[-1]) for _, w in blocks]
+    size = sum(len(w) for w in words)
     # each row of a family block has as many terms as the block has columns
-    rows = np.repeat(np.arange(size), [v.shape[1] for v, _ in flat for _ in v])
-    words, values = (
-        np.concatenate([np.zeros(0, dtype=dtype)] + [b[k].ravel() for b in flat])
-        for k, dtype in ((1, int), (0, complex))
+    rows = np.repeat(np.arange(size), [w.shape[1] for w in words for _ in w])
+    words = np.concatenate([np.zeros(0, dtype=int)] + [w.ravel() for w in words])
+    values = np.concatenate(
+        [np.zeros((trials, 0), dtype=complex)] + [v.reshape(trials, -1) for v, _ in blocks],
+        axis=-1,
     )
+    del blocks
     # a non-finite row is kept, and the set rejects it
     keep = term_norms(rows, values, size) != 0.0
-    return _kept_rows(keep, rows, words, values, (m * m * n * n) ** 2)
+    sets: list[RelationSet] = [None] * trials
+    groups = same_rows(keep)
+    for members, kept in groups:
+        part = values if len(groups) == 1 else values[members]
+        built = _kept_rows(kept, rows, words, part, (m * m * n * n) ** 2)
+        for t, vectors in zip(members, built):
+            sets[t] = vectors
+    return sets[0] if isinstance(params, DynamicalParams) else tuple(sets)
 
 
 def component_ratio(

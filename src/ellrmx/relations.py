@@ -58,11 +58,11 @@ def generator_slot(i, j, alpha: tuple, m: int, n: int):
 
 def tv_relations(
     m: int,
-    q1: Sequence[complex],
-    q2: Sequence[complex],
-    hbar: complex,
+    q1,
+    q2,
+    hbar,
     ctx: EllipticContext,
-) -> RelationSet:
+) -> RelationSet | tuple[RelationSet, ...]:
     """All coordinate-exchange relations for an m-point coordinate pair, as
     rows over the ordered words of the scalar (n == 1) generators.
 
@@ -71,11 +71,15 @@ def tv_relations(
     the same relation with inverted ratio), and one mixed relation for each
     ordered (i != k, j != l).  Degenerate index combinations are skipped
     rather than emitted as zero rows, so m == 1 gives an empty set.
+
+    Coordinates of shape (T, m) and T values of ``hbar`` give the T
+    trials' sets, built together.
     """
-    if len(q1) != m or len(q2) != m:
+    p = np.asarray(q1, dtype=complex)
+    s = np.asarray(q2, dtype=complex)
+    if p.shape[-1:] != (m,) or s.shape != p.shape:
         raise ValueError("coordinate vectors must have length m")
-    p = np.array(q1, dtype=complex)
-    s = np.array(q2, dtype=complex)
+    h = np.asarray(hbar, dtype=complex)[..., None]
     tau = ctx.tau
     # 1-based index tuples in loop order, the first axis varying slowest
     grid3 = np.indices((m,) * 3).reshape(3, -1) + 1
@@ -83,15 +87,15 @@ def tv_relations(
     # (i; j < k) for the commuting pairs, (k; i < j) for the exchanges
     a, b, c = grid3[:, grid3[1] < grid3[2]]
     i, k, j, l = grid4[:, (grid4[0] != grid4[1]) & (grid4[2] != grid4[3])]
-    x2 = p[b - 1] - p[c - 1]
-    x, y = p[i - 1] - p[k - 1], s[j - 1] - s[l - 1]
-    guard_denominator("shifted first-set difference", x2 + hbar, tau)
+    x2 = p[..., b - 1] - p[..., c - 1]
+    x, y = p[..., i - 1] - p[..., k - 1], s[..., j - 1] - s[..., l - 1]
+    guard_denominator("shifted first-set difference", x2 + h, tau)
     guard_denominator("first-set difference", x, tau)
     guard_denominator("second-set difference", y, tau)
-    args = [x2 - hbar, x2 + hbar, y - hbar, y, x - hbar, x, x + y, np.array([hbar])]
-    cuts = np.cumsum([v.size for v in args])[:-1]
+    args = [x2 - h, x2 + h, y - h, y, x - h, x, x + y, h]
+    cuts = np.cumsum([v.shape[-1] for v in args])[:-1]
     th_x2m, th_x2p, th_ym, th_y, th_xm, th_x, th_xy, th_h = np.split(
-        theta(np.concatenate(args), ctx), cuts
+        theta(np.concatenate(args, axis=-1), ctx), cuts, axis=-1
     )
     ratio = th_x2m / th_x2p
     front, back = th_ym / th_y, th_xm / th_x
@@ -111,10 +115,11 @@ def tv_relations(
     ]
     i1, j1, i2, j2 = np.concatenate([np.stack(w) for _, w, _ in terms], axis=1)
     g = m * m
+    lead = p.shape[:-1]
     return RelationSet.from_terms(
         np.concatenate([r for r, _, _ in terms]),
         generator_slot(i1, j1, (0, 0), m, 1) * g + generator_slot(i2, j2, (0, 0), m, 1),
-        np.concatenate([np.broadcast_to(v, r.shape) for r, _, v in terms]),
+        np.concatenate([np.broadcast_to(v, lead + r.shape) for r, _, v in terms], axis=-1),
         2 * a.size + i.size,
         g * g,
     )
@@ -139,13 +144,14 @@ def label_reduction_factor(
     r1, r2 = a1 % n, a2 % n
     k1 = (a1 - r1) // n
     k2 = (a2 - r2) // n
-    om = omega_raw(r1, r2, n, ctx.tau)
-    growth = (1 - 2 * ((k1 + k2) % 2)) * np.exp(
+    shifted = w + omega_raw(r1, r2, n, ctx.tau)
+    power = np.exp(
         1j * cmath.pi * (k1 * r2 + k2 * r1 + n * k1 * k2)
         - 1j * cmath.pi * ctx.tau * k2 * k2
-        - TWO_PI_I * k2 * (w + om)
+        - TWO_PI_I * k2 * shifted
     )
-    return (r1, r2), 1.0 / growth
+    sign = 1 - 2 * ((k1 + k2) % 2)
+    return (r1, r2), 1.0 / (sign * power)
 
 
 def family_terms(
@@ -153,7 +159,7 @@ def family_terms(
     idx: Sequence[tuple[int, ...]],
     pairs: tuple,
     n: int,
-    params: DynamicalParams,
+    params: DynamicalParams | Sequence[DynamicalParams],
     ctx: EllipticContext,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Coefficients and word columns (:func:`generator_slot` layout) of the
@@ -175,14 +181,21 @@ def family_terms(
        first.
 
     Both arrays are shaped (tuples, P, terms), and a relation's terms sit
-    on distinct words.  Word labels are reduced to the canonical cell with
-    :func:`label_reduction_factor`, so the relations are expressed over
-    canonical generators.  Cross terms carrying the diagonal-diagonal
-    scalar use :func:`ellrmx.rmatrix.mixed_scalar`, matching the composite
-    R-matrix.  Each kernel runs once over the whole grid.
+    on distinct words.  Given a sequence of T parameter sets, the
+    coefficients gain a leading trial axis; the words depend on no
+    parameter and are shared.  Word labels are reduced to the canonical
+    cell with :func:`label_reduction_factor`, so the relations are
+    expressed over canonical generators.  Cross terms carrying the
+    diagonal-diagonal scalar use :func:`ellrmx.rmatrix.mixed_scalar`,
+    matching the composite R-matrix.  Each kernel runs once over the whole
+    grid and every trial.
     """
-    m, hbar, tau = params.m, params.hbar, ctx.tau
-    p, s = np.array(params.q1), np.array(params.q2)
+    batch = [params] if isinstance(params, DynamicalParams) else list(params)
+    m, tau = batch[0].m, ctx.tau
+    hbar = np.array([b.hbar for b in batch])
+    p, s = np.array([b.q1 for b in batch]), np.array([b.q2 for b in batch])
+    # trial-dependent arrays run [trial, tuple, pair, term]
+    h = hbar[:, None, None, None]
     cols = [v[:, None, None] for v in np.array(idx).T]
     a1, a2, b1, b2 = (v[:, None] for v in pairs)
     alpha, beta = (a1, a2), (b1, b2)
@@ -191,47 +204,50 @@ def family_terms(
     at_g = omega_raw(g1, g2, n, tau)
     shift = omega_raw(b1 + g1 - a1, b2 + g2 - a2, n, tau)
     extra = []  # (coefficient, first letter, second letter) off the gamma sum
-    # Kernel results are named, so that numpy never multiplies in place into
-    # a temporary (which can swap the operands): the bits then do not depend
-    # on how many label pairs or index tuples one call takes.
+    # Kernel results and sums are named, so that numpy never multiplies in
+    # place into a temporary (which can swap the operands): the bits then
+    # do not depend on how many trials, label pairs or index tuples one
+    # call takes.
     if family == 1:
         j, i = cols
         bare, scale = bare_constants(pairs, hbar, n, ctx)
-        bare[np.abs(bare).max(axis=1) <= 1e-9 * scale] = 0.0
+        bare[np.abs(bare).max(axis=-1) <= 1e-9 * scale] = 0.0
         pref = theta_prefactors(pairs, hbar, n, ctx)
-        phase = np.exp(-TWO_PI_I * (a2 + b2) * (s[i - 1] - p[j - 1] - hbar) / n)
-        value = bare * pref * phase
+        arg = s[:, i - 1] - p[:, j - 1] - h
+        phase = np.exp(-TWO_PI_I * (a2 + b2) * arg / n)
+        constants = bare * pref
+        value = constants[:, None] * phase
         letters = (j, i), (j, i)
     elif family == 2:
         i, j, k = cols
-        x = p[j - 1] - p[k - 1]
-        phi = kronecker_phi(hbar + at_g, x + shift, ctx)
+        x = p[:, j - 1] - p[:, k - 1]
+        phi = kronecker_phi(h + at_g, x + shift, ctx)
         value = kap * phi
         letters = (j, i), (k, i)
-        extra.append((-mixed_scalar(hbar, x, n, ctx), (k, i, beta), (j, i, alpha)))
+        extra.append((-mixed_scalar(h, x, n, ctx), (k, i, beta), (j, i, alpha)))
     elif family == 3:
         i, j, k = cols
-        x = s[j - 1] - s[k - 1]
-        u = hbar + omega_raw(a1 - b1 - g1, a2 - b2 - g2, n, tau)
+        x = s[:, j - 1] - s[:, k - 1]
+        u = h + omega_raw(a1 - b1 - g1, a2 - b2 - g2, n, tau)
         phi = kronecker_phi(u, -x - at_g, ctx)
         value = kap * phi
         letters = (i, k), (i, j)
-        extra.append((-mixed_scalar(hbar, x, n, ctx), (i, j, alpha), (i, k, beta)))
+        extra.append((-mixed_scalar(h, x, n, ctx), (i, j, alpha), (i, k, beta)))
     else:
         i, j, k, l = cols
-        x, y = s[i - 1] - s[k - 1], p[j - 1] - p[l - 1]
+        x, y = s[:, i - 1] - s[:, k - 1], p[:, j - 1] - p[:, l - 1]
         phi = kronecker_phi(x + at_g, y + shift, ctx)
         value = kap * phi
         letters = (j, k), (l, i)
-        extra.append((-mixed_scalar(hbar, y, n, ctx), (l, k, beta), (j, i, alpha)))
-        extra.append((mixed_scalar(hbar, x, n, ctx), (j, i, alpha), (l, k, beta)))
+        extra.append((-mixed_scalar(h, y, n, ctx), (l, k, beta), (j, i, alpha)))
+        extra.append((mixed_scalar(h, x, n, ctx), (j, i, alpha), (l, k, beta)))
     # A generator (c, d, .) sits at the coordinate difference q2_d - q1_c.
     # The identification factors are coefficient functions standing left of
     # the whole word, so the second letter's factor sees coordinates already
     # shifted by the first letter's signature.
     (c1, d1), (c2, d2) = letters
-    w1 = s[d1 - 1] - p[c1 - 1]
-    w2 = s[d2 - 1] - p[c2 - 1] + hbar * (1 * (d2 == d1) - (c2 == c1))
+    w1 = s[:, d1 - 1] - p[:, c1 - 1]
+    w2 = s[:, d2 - 1] - p[:, c2 - 1] + h * (1 * (d2 == d1) - (c2 == c1))
     lab1, x1 = label_reduction_factor((a1 - g1, a2 - g2), w1, n, ctx)
     lab2, x2 = label_reduction_factor((b1 + g1, b2 + g2), w2, n, ctx)
     g = m * m * n * n
@@ -239,9 +255,11 @@ def family_terms(
     values, words = [], []
     for v, w1, w2 in [(value * x1 * x2, (c1, d1, lab1), (c2, d2, lab2)), *extra]:
         w = generator_slot(*w1, m, n) * g + generator_slot(*w2, m, n)
-        values.append(np.broadcast_to(v, shape + v.shape[2:]))
-        words.append(np.broadcast_to(w, shape + w.shape[2:]))
-    return np.concatenate(values, axis=-1), np.concatenate(words, axis=-1)
+        values.append(np.broadcast_to(v, (len(batch),) + shape + v.shape[-1:]))
+        words.append(np.broadcast_to(w, shape + w.shape[-1:]))
+    values = np.concatenate(values, axis=-1)
+    words = np.concatenate(words, axis=-1)
+    return (values[0] if isinstance(params, DynamicalParams) else values), words
 
 
 def family_tuples(family: int, m: int) -> list[tuple[int, ...]]:

@@ -95,9 +95,10 @@ def _bb_blocks(x: np.ndarray, u: np.ndarray, n: int, ctx: EllipticContext) -> np
     return (coeff[..., None, None, None, None] * pairs).sum(axis=-5)
 
 
-def r_felder(hbar: complex, u, q, ctx: EllipticContext) -> np.ndarray:
+def r_felder(hbar, u, q, ctx: EllipticContext) -> np.ndarray:
     """Dynamical R-matrix on C^M x C^M for coordinates ``q``; a 1-d array
-    of ``u`` with a (K, M) array of ``q`` gives the K matrices.
+    of ``u`` with a (K, M) array of ``q`` gives the K matrices, and
+    ``hbar`` may be an array of ``u``'s shape.
 
     Diagonal pairs carry the kernel at ``(u, hbar)``, exchange pairs the
     kernel at the coordinate difference, and diagonal-diagonal pairs the
@@ -110,7 +111,7 @@ def r_felder(hbar: complex, u, q, ctx: EllipticContext) -> np.ndarray:
     k = len(i)
     phi = kronecker_phi(
         np.repeat(np.stack(np.broadcast_arrays(u, u, hbar), axis=-1), [1, k, k], axis=-1),
-        np.concatenate([np.full(u.shape + (1,), hbar), qij, -qij], axis=-1),
+        np.concatenate([_column(hbar, u.shape), qij, -qij], axis=-1),
         ctx,
     ).reshape(-1, 1 + 2 * k)
     # entry [i, i', j, j'] of E_ii (x) E_ii, E_ij (x) E_ji and E_ii (x) E_jj
@@ -120,6 +121,12 @@ def r_felder(hbar: complex, u, q, ctx: EllipticContext) -> np.ndarray:
     out[at, i, j, j, i] = phi[:, 1 : k + 1]
     out[at, i, j, i, j] = phi[:, k + 1 :]
     return out.reshape(u.shape + (m * m, m * m))
+
+
+def _column(hbar, shape: tuple[int, ...]) -> np.ndarray:
+    """``hbar`` (a scalar, or an array of ``shape``) as a complex array of
+    ``shape + (1,)``."""
+    return np.broadcast_to(np.asarray(hbar, dtype=complex)[..., None], shape + (1,))
 
 
 def mixed_scalar(hbar: complex, x: complex, n: int, ctx: EllipticContext) -> complex:
@@ -132,9 +139,10 @@ def mixed_scalar(hbar: complex, x: complex, n: int, ctx: EllipticContext) -> com
     return n * kronecker_phi(n * hbar, -n * x, ctx)
 
 
-def r_slnm(hbar: complex, u, q, n: int, ctx: EllipticContext) -> np.ndarray:
+def r_slnm(hbar, u, q, n: int, ctx: EllipticContext) -> np.ndarray:
     """Composite R-matrix on (C^M x C^N)^2 in canonical site order; a 1-d
-    array of ``u`` with a (K, M) array of ``q`` gives the K matrices.
+    array of ``u`` with a (K, M) array of ``q`` gives the K matrices, and
+    ``hbar`` may be an array of ``u``'s shape.
 
     Site order is (M, N, M, N): each site is one M-factor followed by its
     N-factor.  Every block is scattered straight into place; the vertex
@@ -155,10 +163,11 @@ def r_slnm(hbar: complex, u, q, n: int, ctx: EllipticContext) -> np.ndarray:
     m = q.shape[-1]
     i, j = np.nonzero(~np.eye(m, dtype=bool))
     qij = q[..., i] - q[..., j]
-    x = np.concatenate([np.full(u.shape + (1,), hbar, dtype=complex), qij], axis=-1)
+    column = _column(hbar, u.shape)
+    x = np.concatenate([column, qij], axis=-1)
     blocks = _bb_blocks(x, u[..., None], n, ctx).reshape(-1, len(i) + 1, n, n, n, n)
     # hbar as an array too, so that m == 1 guards no unused argument
-    mixed = mixed_scalar(np.full(qij.shape, hbar), qij, n, ctx)
+    mixed = mixed_scalar(np.broadcast_to(column, qij.shape), qij, n, ctx)
     # entry [Ma, N1, Mb, N2, Ma', N1', Mb', N2'] of the diagonal blocks
     # E_ii (x) E_ii (x) R, exchange blocks E_ij (x) E_ji (x) R(qij) and
     # diagonal-diagonal scalars E_ii (x) E_jj (x) 1
@@ -317,10 +326,11 @@ def slnm_reduction_residual_m1(
     return float(np.max(np.abs(a - b)))
 
 
-def slnm_reduction_residual_n1(
-    hbar: complex, u: complex, q: Sequence[complex], ctx: EllipticContext
-) -> float:
-    """Elementwise gap between the composite matrix at N=1 and the dynamical one."""
+def slnm_reduction_residual_n1(hbar, u, q, ctx: EllipticContext):
+    """Elementwise gap between the composite matrix at N=1 and the dynamical
+    one.  A 1-d array of ``u``, with ``hbar`` of its shape and a (K, M)
+    array of ``q``, gives the K trials' gaps."""
     a = r_slnm(hbar, u, q, 1, ctx)
     b = r_felder(hbar, u, q, ctx)
-    return float(np.max(np.abs(a - b)))
+    gap = np.max(np.abs(a - b), axis=(-2, -1))
+    return gap if np.ndim(u) else float(gap)

@@ -18,10 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elliptic import (
+    DELTA_MIN,
     EllipticContext,
     eisenstein_e1,
     eisenstein_e2,
     guard_denominator,
+    lattice_distance,
     omega_raw,
     theta,
 )
@@ -74,25 +76,29 @@ def label_arrays(alpha, beta) -> tuple[np.ndarray, ...]:
     return tuple(labels.reshape(-1, 4).T)
 
 
-def bare_constants(pairs: tuple, hbar: complex, n: int, ctx: EllipticContext):
+def bare_constants(pairs: tuple, hbar, n: int, ctx: EllipticContext):
     """Bare constants ``[pair, gamma]`` of the label pairs (a1, a2, b1, b2),
     integer arrays of shape (P,), and each pair's largest term modulus.
+    An array of ``hbar`` (one per trial) adds its axes in front of both.
 
     Pairs with beta == 0 meet only the second Eisenstein function and the
     others only the first; each sees exactly the arguments its pairs use,
     so its pole guard trips where a pair-by-pair build would.
     """
     g1, g2 = characteristics(n)
+    lead = np.shape(hbar)
     zero = (pairs[2] == 0) & (pairs[3] == 0)
-    coeffs = np.empty((zero.size, g1.size), dtype=complex)
-    scale = np.empty(zero.size)
+    coeffs = np.empty(lead + (zero.size, g1.size), dtype=complex)
+    scale = np.empty(lead + (zero.size,))
 
     def at(fn, pick, *letters):
         d1, d2 = (np.stack(np.broadcast_arrays(*c)) for c in zip(*letters))
         e = _at_letters(fn, d1, d2, hbar, n, ctx)
-        scale[pick] = np.abs(e).max(axis=(0, 2))
-        return e
+        scale[..., pick] = np.abs(e).max(axis=(-3, -1))
+        return np.moveaxis(e, -3, 0)
 
+    # the sums are named, so that numpy never multiplies in place into a
+    # temporary (which can swap the operands): see family_terms
     if (pick := ~zero).any():
         a1, a2, b1, b2 = (v[pick, None] for v in pairs)
         d1, d2 = a1 - b1, a2 - b2
@@ -100,31 +106,46 @@ def bare_constants(pairs: tuple, hbar: complex, n: int, ctx: EllipticContext):
             eisenstein_e1, pick,
             (g1, g2), (d1 - g1, d2 - g2), (a1 - g1, a2 - g2), (b1 + g1, b2 + g2),
         )
-        coeffs[pick] = kappa_raw((g1, g2), (d1, d2), n) * (e[0] - e[1] + e[2] - e[3])
+        total = e[0] - e[1] + e[2] - e[3]
+        coeffs[..., pick, :] = kappa_raw((g1, g2), (d1, d2), n) * total
     if (pick := zero).any():
         a1, a2 = (v[pick, None] for v in pairs[:2])
         e = at(eisenstein_e2, pick, (g1, g2), (a1 - g1, a2 - g2))
-        coeffs[pick] = kappa_raw((g1, g2), (a1, a2), n) * (e[0] - e[1])
+        total = e[0] - e[1]
+        coeffs[..., pick, :] = kappa_raw((g1, g2), (a1, a2), n) * total
     return coeffs, scale
 
 
-def theta_prefactors(pairs: tuple, hbar: complex, n: int, ctx: EllipticContext):
+def theta_prefactors(pairs: tuple, hbar, n: int, ctx: EllipticContext):
     """``theta(hbar + omega(alpha - gamma)) theta(hbar + omega(beta + gamma))``
-    as ``[pair, gamma]``, in unreduced integer arithmetic."""
-    first, second = _at_letters(theta, *_letters(pairs, n), hbar, n, ctx)
+    as ``[pair, gamma]``, in unreduced integer arithmetic.  An array of
+    ``hbar`` adds its axes in front."""
+    letters = _at_letters(theta, *_letters(pairs, n), hbar, n, ctx)
+    first, second = np.moveaxis(letters, -3, 0)
     return first * second
 
 
-def _at_letters(kernel, d1, d2, hbar: complex, n: int, ctx: EllipticContext):
+def _at_letters(kernel, d1, d2, hbar, n: int, ctx: EllipticContext):
     """``kernel(hbar + omega_raw(d1, d2, n, tau))`` over integer letter
-    arrays of one shape, evaluated once per distinct unreduced letter.
+    arrays of one shape, evaluated once per distinct unreduced letter (and
+    per entry of an array of ``hbar``, whose axes come first).
+
+    The letters stay unreduced, because the first Eisenstein function is
+    only quasi-periodic.  A kernel entry does not depend on its batch, so
+    the gathered values equal a direct call bit for bit.
+    """
+    c1, c2, inverse = _distinct_letters(d1, d2)
+    at = np.asarray(hbar)[..., None] + omega_raw(c1, c2, n, ctx.tau)
+    return kernel(at, ctx)[..., inverse]
+
+
+def _distinct_letters(d1, d2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct integer letters (c1, c2) among the letters (d1, d2),
+    and the position of each letter among them.
 
     The letters are small integer pairs that repeat across words and label
     pairs, so a flag table over their bounding box finds the distinct ones
-    far faster than deduplicating complex arguments.  They stay unreduced,
-    because the first Eisenstein function is only quasi-periodic.  A kernel
-    entry does not depend on its batch, so the gathered values equal a
-    direct call bit for bit.
+    far faster than deduplicating complex arguments.
     """
     lo1, lo2 = d1.min(initial=0), d2.min(initial=0)
     width = d2.max(initial=0) - lo2 + 1
@@ -132,8 +153,7 @@ def _at_letters(kernel, d1, d2, hbar: complex, n: int, ctx: EllipticContext):
     seen = np.zeros((d1.max(initial=0) - lo1 + 1) * width, dtype=bool)
     seen[key] = True
     c1, c2 = np.divmod(np.flatnonzero(seen), width)
-    values = kernel(hbar + omega_raw(c1 + lo1, c2 + lo2, n, ctx.tau), ctx)
-    return values[(np.cumsum(seen) - 1)[key]]
+    return c1 + lo1, c2 + lo2, (np.cumsum(seen) - 1)[key]
 
 
 def _letters(pairs: tuple, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -214,8 +234,11 @@ def sklyanin_representation_residual(
     bounds = np.abs(values)
     if shift is not None:
         hbar, eta = shift
-        args = hbar + omega_raw(d1, d2, n, ctx.tau)
-        guard_denominator("hbar + omega_d", args, ctx.tau)
+        # the distinct letters are guarded; if one fails, the guard over
+        # every letter names the first offending one by its index
+        c1, c2, _ = _distinct_letters(d1, d2)
+        if np.any(lattice_distance(hbar + omega_raw(c1, c2, n, ctx.tau), ctx.tau) < DELTA_MIN):
+            guard_denominator("hbar + omega_d", hbar + omega_raw(d1, d2, n, ctx.tau), ctx.tau)
         theta_d = _at_letters(theta, d1, d2, hbar, n, ctx)
         factors = np.exp(TWO_PI_I * d2 * (eta - hbar) / n) / theta_d
         terms *= factors[0] * factors[1]

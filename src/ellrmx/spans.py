@@ -6,16 +6,19 @@ words.  A set of them therefore splits into the connected components of
 its nonzero pattern, with disjoint word supports.  A :class:`RelationSet`
 keeps only those components, each as a small dense block, so that no
 array runs over all words; the rank, mutual inclusion and principal
-angles of two spans all come from one small SVD per component.  Every
-relation set is built from its (row, word, value) terms with
-:meth:`RelationSet.from_terms`.
+angles of two spans all come from one small SVD per component.  The span
+functions stack those SVDs, one LAPACK call per block shape across every
+component of every set they are given.  Every relation set is built from
+its (row, word, value) terms with :meth:`RelationSet.from_terms`, the
+sets of many trials of the same terms together.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -44,15 +47,22 @@ class RelationSet:
     @classmethod
     def from_terms(
         cls, rows: np.ndarray, words: np.ndarray, values: np.ndarray, size: int, width: int
-    ) -> RelationSet:
+    ) -> RelationSet | tuple[RelationSet, ...]:
         """The ``size`` relations over ``width`` words in which row
         ``rows[k]`` has the coefficient ``values[k]`` on word ``words[k]``.
         The (row, word) pairs are distinct, in any order, and every row is
         finite with a nonzero term.  Rows join components by exact
-        nonzeros."""
+        nonzeros.
+
+        ``values`` of shape (T, K) holds T trials of the same terms and
+        gives a tuple of T sets.  Trials with the same nonzero pattern
+        share one layout: its components are found once, and each trial's
+        blocks are views of its own row of one buffer.
+        """
         rows, words = np.asarray(rows, dtype=int), np.asarray(words, dtype=int)
         values = np.asarray(values, dtype=complex)
-        if rows.ndim != 1 or not rows.shape == words.shape == values.shape:
+        stack = values if values.ndim == 2 else values[None]
+        if rows.ndim != 1 or not rows.shape == words.shape == stack.shape[1:]:
             raise ValueError(
                 f"{rows.shape} rows, {words.shape} words and {values.shape} values"
             )
@@ -60,40 +70,33 @@ class RelationSet:
             if index.size and not (0 <= index.min() and index.max() < bound):
                 raise ValueError(f"a {name} index outside the {bound} {name}s")
         key = rows * width + words
-        if not np.all(np.diff(key) > 0):
+        sort = not np.all(np.diff(key) > 0)
+        if sort:
             order = np.argsort(key)
             if np.any(np.diff(key[order]) == 0):
                 raise ValueError("a relation repeats a word")
-            rows, words, values = rows[order], words[order], values[order]
+            rows, words, stack = rows[order], words[order], stack[:, order]
         del key
-        norms = term_norms(rows, values, size)
-        if not (np.all(np.isfinite(values)) and np.all(norms > 0)):
+        norms = term_norms(rows, stack, size)
+        if not (np.all(np.isfinite(stack)) and np.all(norms > 0)):
             raise ValueError("relation rows must be finite and nonzero")
-        values = values / norms[rows]
-        nonzero = values != 0
-        if not nonzero.all():
-            rows, words, values = rows[nonzero], words[nonzero], values[nonzero]
-        cols, at, root = _join_columns(rows, words)
-        label = np.searchsorted(_distinct(root), root)
-        row_groups = _group_by(label[at[np.searchsorted(rows, np.arange(size))]])
-        col_groups = _group_by(label)
-        row_in, col_in = np.zeros(size, dtype=int), np.zeros(cols.size, dtype=int)
-        for r, c in zip(row_groups, col_groups):
-            row_in[r], col_in[c] = np.arange(r.size), np.arange(c.size)
-        # every block is a view of one buffer
-        heights = np.array([r.size for r in row_groups], dtype=int)
-        widths = np.array([c.size for c in col_groups], dtype=int)
-        ends = np.cumsum(heights * widths)
-        starts = ends - heights * widths
-        own = label[at]
-        cell = starts[own] + row_in[rows] * widths[own] + col_in[at]
-        buffer = np.zeros(ends[-1] if ends.size else 0, dtype=complex)
-        buffer[cell] = values
-        buffer.setflags(write=False)
-        blocks = tuple(
-            buffer[s:e].reshape(h, w) for s, e, h, w in zip(starts, ends, heights, widths)
-        )
-        return cls(size, width, tuple(zip(row_groups, (cols[c] for c in col_groups))), blocks)
+        # a sorted stack is a copy, normalized in place
+        stack = np.divide(stack, norms[:, rows], out=stack if sort else None)
+        sets: list[RelationSet] = [None] * len(stack)
+        for trials, nonzero in same_rows(stack != 0):
+            components, cell, shapes = _layout(rows[nonzero], words[nonzero], size)
+            # every block of a trial is a view of its row of one buffer
+            ends = np.cumsum([h * w for h, w in shapes], dtype=int)
+            buffer = np.zeros((trials.size, ends[-1] if ends.size else 0), dtype=complex)
+            for own, t in zip(buffer, trials):
+                own[cell] = stack[t, nonzero]
+            buffer.setflags(write=False)
+            for own, t in zip(buffer, trials):
+                blocks = tuple(
+                    own[e - h * w : e].reshape(h, w) for e, (h, w) in zip(ends, shapes)
+                )
+                sets[t] = cls(size, width, components, blocks)
+        return tuple(sets) if values.ndim == 2 else sets[0]
 
     def __len__(self) -> int:
         return self.size
@@ -103,32 +106,127 @@ class RelationSet:
         """Orthonormal basis (as columns over the component's words) of the
         span of each component, cut at 1e-8 of the set's largest singular
         value; their widths sum to the rank."""
-        svds = [_svd(block) for block in self.blocks]
-        if not svds:
-            raise ValueError("empty relation sets cannot be compared")
-        cutoff = 1e-8 * max(sv[0] for sv, _ in svds)
-        return tuple(vh[: int(np.sum(sv > cutoff))].T.copy() for sv, vh in svds)
+        return _cut_bases(_svds(self.blocks, vectors=True))
 
 
 def term_norms(rows: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
-    """2-norms of the ``size`` rows whose terms are given.  They are summed
-    in term order, so terms sorted by word give, bit for bit, the norms of
-    the dense rows."""
+    """2-norms of the ``size`` rows whose terms are given, over any leading
+    (trial) axes of ``values``.  They are summed in term order, so terms
+    sorted by word give, bit for bit, the norms of the dense rows."""
+    lead = values.shape[:-1]
+    flat = values.reshape(math.prod(lead), rows.size)
+    bins = (rows + size * np.arange(len(flat))[:, None]).ravel()
+    total = len(flat) * size
+    real, imag = flat.real, flat.imag
     return np.sqrt(
-        np.bincount(rows, values.real * values.real, size)
-        + np.bincount(rows, values.imag * values.imag, size)
-    )
+        np.bincount(bins, (real * real).ravel(), total)
+        + np.bincount(bins, (imag * imag).ravel(), total)
+    ).reshape(lead + (size,))
 
 
-def _svd(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Singular values and right singular vectors (as rows) of a block.
-    LAPACK's divide-and-conquer SVD can fail to converge on a block and
-    not on its adjoint, whose left vectors are the block's right ones."""
+def same_rows(table: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The distinct rows of a 2-d boolean table, each with the indices of
+    the rows equal to it, in order of first appearance."""
+    groups: dict[bytes, list[int]] = {}
+    for t, row in enumerate(table):
+        groups.setdefault(row.tobytes(), []).append(t)
+    return [(np.array(ts), table[ts[0]]) for ts in groups.values()]
+
+
+def _layout(
+    rows: np.ndarray, words: np.ndarray, size: int
+) -> tuple[tuple, np.ndarray, list[tuple[int, int]]]:
+    """Components of the nonzero pattern of terms sorted by (row, word),
+    every row among them: the (rows, sorted word columns) of each, in the
+    order of their first columns; the position of every term in a buffer
+    that holds the components' dense blocks one after another; and the
+    blocks' (height, width)."""
+    cols, at, root = _join_columns(rows, words)
+    label = np.searchsorted(_distinct(root), root)
+    row_groups = _group_by(label[at[np.searchsorted(rows, np.arange(size))]])
+    col_groups = _group_by(label)
+    row_in, col_in = np.zeros(size, dtype=int), np.zeros(cols.size, dtype=int)
+    for r, c in zip(row_groups, col_groups):
+        row_in[r], col_in[c] = np.arange(r.size), np.arange(c.size)
+    heights = np.array([r.size for r in row_groups], dtype=int)
+    widths = np.array([c.size for c in col_groups], dtype=int)
+    starts = np.cumsum(heights * widths) - heights * widths
+    own = label[at]
+    cell = starts[own] + row_in[rows] * widths[own] + col_in[at]
+    components = tuple(zip(row_groups, (cols[c] for c in col_groups)))
+    return components, cell, list(zip(heights.tolist(), widths.tolist()))
+
+
+#: Bytes of blocks that one stacked SVD call takes; a larger block goes
+#: alone.  Bounds the copy that stacking makes.
+_STACK = 1 << 20
+
+
+def _svds(blocks: Sequence[np.ndarray], vectors: bool) -> list:
+    """Singular values of each block, with its right singular vectors (as
+    rows) if ``vectors``, in block order: one LAPACK call per block shape
+    and per ``_STACK`` bytes of blocks.  A stacked call factors each block
+    exactly as a call on the block alone would."""
+    out: list = [None] * len(blocks)
+    by_shape: dict[tuple[int, ...], list[int]] = {}
+    for k, block in enumerate(blocks):
+        by_shape.setdefault(block.shape, []).append(k)
+    for shape, members in by_shape.items():
+        step = max(1, _STACK // (16 * shape[0] * shape[1]))
+        for start in range(0, len(members), step):
+            part = members[start : start + step]
+            stack = np.stack([blocks[k] for k in part]) if len(part) > 1 else blocks[part[0]][None]
+            for k, result in zip(part, _svd(stack, vectors)):
+                out[k] = result
+    return out
+
+
+def _svd(stack: np.ndarray, vectors: bool) -> list:
+    """:func:`_svds` of a stack of blocks of one shape.  LAPACK's
+    divide-and-conquer SVD can fail to converge on a block and not on its
+    adjoint, whose left vectors are the block's right ones; a stack that
+    fails is taken a block at a time."""
     try:
-        return np.linalg.svd(block, full_matrices=False)[1:]
+        result = np.linalg.svd(stack, full_matrices=False, compute_uv=vectors)
     except np.linalg.LinAlgError:
-        u, sv, _ = np.linalg.svd(block.conj().T, full_matrices=False)
-        return sv, u.conj().T
+        if len(stack) > 1:
+            return [r for block in stack for r in _svd(block[None], vectors)]
+        adjoint = stack.conj().swapaxes(1, 2)
+        if not vectors:
+            return list(np.linalg.svd(adjoint, compute_uv=False))
+        u, sv, _ = np.linalg.svd(adjoint, full_matrices=False)
+        return [(sv[0], u[0].conj().T)]
+    return list(zip(*result[1:])) if vectors else list(result)
+
+
+def _cutoff(values: Sequence[np.ndarray]) -> float:
+    """The rank cutoff of a set whose blocks have these singular values."""
+    if not values:
+        raise ValueError("empty relation sets cannot be compared")
+    return 1e-8 * max(sv[0] for sv in values)
+
+
+def _cut_bases(svds: list) -> tuple[np.ndarray, ...]:
+    """The component bases of a set from its blocks' :func:`_svds`."""
+    cutoff = _cutoff([sv for sv, _ in svds])
+    return tuple(vh[: int(np.sum(sv > cutoff))].T.copy() for sv, vh in svds)
+
+
+def _per_set(sets: Sequence[RelationSet], results: list) -> Iterator[list]:
+    """Results listed block by block over the sets, split by set."""
+    at = 0
+    for s in sets:
+        yield results[at : at + len(s.blocks)]
+        at += len(s.blocks)
+
+
+def _fill_bases(sets: Sequence[RelationSet]) -> None:
+    """Computes the bases of every set that has none yet, with the SVDs of
+    all their blocks stacked together."""
+    todo = list({id(s): s for s in sets if "bases" not in vars(s)}.values())
+    svds = _svds([b for s in todo for b in s.blocks], vectors=True)
+    for s, own in zip(todo, _per_set(todo, svds)):
+        vars(s)["bases"] = _cut_bases(own)
 
 
 def _join_columns(
@@ -174,66 +272,102 @@ def _distinct(indices: np.ndarray) -> np.ndarray:
     return ordered[np.diff(ordered, prepend=-1) != 0]
 
 
-def span_rank(vectors: RelationSet) -> int:
-    """Rank of the set: the summed widths of its component bases."""
-    return sum(basis.shape[1] for basis in vectors.bases)
+def span_rank(vectors: RelationSet | Sequence[RelationSet]) -> int | list[int]:
+    """Rank of the set: the summed widths of its component bases.  Given a
+    sequence of sets, their ranks.  Sets without bases yet are ranked from
+    singular values alone, stacked across all their blocks."""
+    sets = [vectors] if isinstance(vectors, RelationSet) else list(vectors)
+    todo = [s for s in sets if "bases" not in vars(s)]
+    values = _per_set(todo, _svds([b for s in todo for b in s.blocks], vectors=False))
+    ranks = []
+    for s in sets:
+        if "bases" in vars(s):
+            ranks.append(sum(q.shape[1] for q in s.bases))
+            continue
+        own = next(values)
+        cutoff = _cutoff(own)
+        ranks.append(sum(int(np.sum(sv > cutoff)) for sv in own))
+    return ranks[0] if isinstance(vectors, RelationSet) else ranks
 
 
-def _joint_blocks(a: RelationSet, b: RelationSet) -> Iterator[tuple[np.ndarray, list, list]]:
-    """The two sets restricted to each joint component of their rows.
+def _joint_layout(a: RelationSet, b: RelationSet) -> list[tuple[int, list, list]]:
+    """The joint components of two sets' rows, from their layouts alone.
 
-    Yields the columns of each connected component of the union of both
-    sets' nonzero patterns, and per set the (columns, block, basis) of its
-    components inside.  Both spans are the direct sums of these pieces.
+    For each connected component of the union of both sets' nonzero
+    patterns: its number of word columns and, per set, the (component
+    index, positions of the component's columns among the joint ones) of
+    its components inside.  Both spans are the direct sums of these pieces.
     """
-    pieces = [
-        (side, cols, block, basis)
-        for side, s in enumerate((a, b))
-        for (_, cols), block, basis in zip(s.components, s.blocks, s.bases)
-    ]
     if a.width != b.width:
         raise ValueError("vector dimensions differ between the two sets")
-    sizes = np.array([cols.size for _, cols, _, _ in pieces])
+    pieces = [
+        (side, k, cols)
+        for side, s in enumerate((a, b))
+        for k, (_, cols) in enumerate(s.components)
+    ]
+    sizes = np.array([cols.size for _, _, cols in pieces])
     groups = np.repeat(np.arange(len(pieces)), sizes)
-    cols, at, root = _join_columns(groups, np.concatenate([p[1] for p in pieces]))
+    cols, at, root = _join_columns(groups, np.concatenate([p[2] for p in pieces]))
     label = root[at[np.cumsum(sizes) - sizes]]
+    layout = []
     for members, joint in zip(_group_by(label), _group_by(root, cols)):
         inside = [pieces[k] for k in members]
-        yield joint, *([p[1:] for p in inside if p[0] == side] for side in (0, 1))
+        layout.append((joint.size, *(
+            [(k, np.searchsorted(joint, c)) for s, k, c in inside if s == side] for side in (0, 1)
+        )))
+    return layout
 
 
-def _place(joint: np.ndarray, pieces: list) -> np.ndarray:
-    """Matrices whose rows run over the word columns of each (columns,
-    matrix) piece, side by side, with their rows moved onto the columns of
-    ``joint``."""
-    out = np.zeros((joint.size, sum(q.shape[1] for _, q in pieces)), dtype=complex)
+def _place(width: int, pieces: list) -> np.ndarray:
+    """Matrices whose rows run over the word columns of a joint component,
+    side by side: each (positions, matrix) piece has its rows moved to
+    those positions among the ``width`` joint columns."""
+    out = np.zeros((width, sum(q.shape[1] for _, q in pieces)), dtype=complex)
     at = 0
-    for cols, q in pieces:
-        out[np.searchsorted(joint, cols), at : at + q.shape[1]] = q
+    for rows, q in pieces:
+        out[rows, at : at + q.shape[1]] = q
         at += q.shape[1]
     return out
 
 
-def span_equal(a: RelationSet, b: RelationSet, tol: float) -> tuple[bool, float]:
+def span_equal(
+    a: RelationSet | Sequence[RelationSet], b: RelationSet | Sequence[RelationSet], tol: float
+) -> tuple[bool, float] | list[tuple[bool, float]]:
     """Mutual-inclusion span test.
 
     Projects every vector of each set onto the span of the other; the
     metric is the worst relative least-squares residual, and the verdict is
     ``metric < tol``.  A row and its projection both lie on the row's
-    joint component, so each projection is taken there.
+    joint component, so each projection is taken there.  Given two
+    sequences of sets, the test of each pair: the SVDs of all their blocks
+    are stacked together, and pairs of sets with the same layouts share
+    their joint components.
     """
-    worst = 0.0
-    for joint, pa, pb in _joint_blocks(a, b):
-        for mine, other in ((pa, pb), (pb, pa)):
-            if not mine:
-                continue
-            v = np.ascontiguousarray(_place(joint, [(c, rows.T) for c, rows, _ in mine]).T)
-            basis = _place(joint, [(c, q) for c, _, q in other])
-            res = v - (v @ basis.conj()) @ basis.T
-            num = np.linalg.norm(res, axis=1)
-            den = np.linalg.norm(v, axis=1)
-            worst = max(worst, float(np.max(num / den)))
-    return worst < tol, worst
+    single = isinstance(a, RelationSet)
+    pairs = [(a, b)] if single else list(zip(a, b, strict=True))
+    _fill_bases([s for pair in pairs for s in pair])
+    layouts: dict[tuple[int, int], list] = {}
+    out = []
+    for x, y in pairs:
+        key = id(x.components), id(y.components)
+        if key not in layouts:
+            layouts[key] = _joint_layout(x, y)
+        worst = 0.0
+        for width, pa, pb in layouts[key]:
+            for mine, other, sets in ((pa, pb, (x, y)), (pb, pa, (y, x))):
+                if not mine:
+                    continue
+                own, far = sets
+                v = np.ascontiguousarray(
+                    _place(width, [(c, own.blocks[k].T) for k, c in mine]).T
+                )
+                basis = _place(width, [(c, far.bases[k]) for k, c in other])
+                res = v - (v @ basis.conj()) @ basis.T
+                num = np.linalg.norm(res, axis=1)
+                den = np.linalg.norm(v, axis=1)
+                worst = max(worst, float(np.max(num / den)))
+        out.append((worst < tol, worst))
+    return out[0] if single else out
 
 
 def span_gap(a: RelationSet, b: RelationSet) -> float:
@@ -244,9 +378,10 @@ def span_gap(a: RelationSet, b: RelationSet) -> float:
     of order one.  Both bases are block diagonal over the joint
     components, so the 2-norm is the largest over the blocks.
     """
+    _fill_bases([a, b])
     gap = 0.0
-    for joint, pa, pb in _joint_blocks(a, b):
-        qa, qb = (_place(joint, [(c, q) for c, _, q in p]) for p in (pa, pb))
+    for width, pa, pb in _joint_layout(a, b):
+        qa, qb = (_place(width, [(c, s.bases[k]) for k, c in p]) for p, s in ((pa, a), (pb, b)))
         for q, other in ((qa, qb), (qb, qa)):
             if q.shape[1]:
                 res = q - other @ (other.conj().T @ q)

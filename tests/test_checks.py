@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -16,7 +17,15 @@ from ellrmx.checks import (
     run_check,
     run_dict,
 )
-from ellrmx.ncalgebra import RelationSet, span_equal, span_gap, span_rank
+from ellrmx.elliptic import EllipticContext
+from ellrmx.ncalgebra import (
+    RelationSet,
+    relation_vectors_reference,
+    span_equal,
+    span_gap,
+    span_rank,
+)
+from ellrmx.sampling import sample_params
 
 FAST = CheckConfig(check="fay", trials=3)
 
@@ -150,19 +159,24 @@ class TestSpanChecks:
     @pytest.mark.parametrize("check, sets", [("rll", 3), ("tv-reduce", 2), ("relations", 1)])
     def test_each_relation_set_is_decomposed_once(self, monkeypatch, check, sets):
         # rll holds two defect sets and the reference set, tv-reduce the
-        # families and the TV relations: one SVD per component of each set,
-        # shared by every rank, inclusion and gap computed from it.
+        # families and the TV relations: every component block of each set
+        # is factored once, in stacked SVD calls, and every rank, inclusion
+        # and gap is computed from that.  relations reads only the rank, so
+        # its blocks give singular values alone.
+        vectors = check != "relations"
         svd = np.linalg.svd
         seen = []
         compared: dict[int, RelationSet] = {}
 
-        def counting(*args, **kwargs):
-            seen.append(args[0].shape)
-            return svd(*args, **kwargs)
+        def counting(a, *args, **kwargs):
+            seen.append((a.shape, kwargs.get("compute_uv", True)))
+            return svd(a, *args, **kwargs)
 
         def recording(fn):
             def wrapped(*args):
-                compared.update((id(a), a) for a in args if isinstance(a, RelationSet))
+                for a in args:
+                    group = a if isinstance(a, (list, tuple)) else [a]
+                    compared.update((id(s), s) for s in group if isinstance(s, RelationSet))
                 return fn(*args)
 
             return wrapped
@@ -172,7 +186,11 @@ class TestSpanChecks:
         monkeypatch.setattr(np.linalg, "svd", counting)
         run_one(check, trials=1)
         assert len(compared) == sets
-        assert len(seen) == sum(len(s.components) for s in compared.values()), seen
+        factored = sum(math.prod(shape[:-2]) for shape, _ in seen)
+        assert factored == sum(len(s.components) for s in compared.values()), seen
+        assert {uv for _, uv in seen} == {vectors}
+        if not vectors:
+            return
         done = len(seen)
         for a in compared.values():
             span_rank(a)
@@ -180,6 +198,69 @@ class TestSpanChecks:
                 span_equal(a, b, 1e-8)
                 span_gap(a, b)
         assert len(seen) == done
+
+
+def draws_of(check: str, count: int, **kw) -> tuple[CheckConfig, list, EllipticContext]:
+    """The effective config, the first ``count`` draws and the context of a
+    check, as ``run_single`` makes them."""
+    cfg = checks._effective_config(CheckConfig(check=check, **kw), check)
+    ctx = EllipticContext(cfg.tau)
+    spec = checks._RUNNERS[check].spec(cfg)
+    seeds = (checks._trial_seed(cfg.seed, check, t) for t in range(count))
+    return cfg, [sample_params(seed, spec, ctx) for seed in seeds], ctx
+
+
+def same_bits(a: RelationSet, b: RelationSet) -> bool:
+    return (
+        len(a.blocks) == len(b.blocks)
+        and all(
+            np.array_equal(ra, rb) and np.array_equal(ca, cb)
+            for (ra, ca), (rb, cb) in zip(a.components, b.components)
+        )
+        and all(np.array_equal(x.view(float), y.view(float)) for x, y in zip(a.blocks, b.blocks))
+    )
+
+
+class TestTrialBatches:
+    def test_batched_relations_equal_single_trials_bit_for_bit(self):
+        # At (3, 2) ten trials make family-1 coefficient arrays of 0.47 MB,
+        # past the 256 KB from which numpy may multiply into a temporary in
+        # place; the builds take every product between named arrays.
+        cfg, draws, ctx = draws_of("relations", 10, n=3, m=2)
+        assert checks.batch_size(cfg, "relations") < 10
+        run = checks._RUNNERS["relations"].run
+        assert run(cfg, draws, ctx) == [run(cfg, [d], ctx)[0] for d in draws]
+        params = [p for p, _ in draws]
+        batch = relation_vectors_reference(3, 2, params, ctx)
+        assert all(
+            same_bits(b, relation_vectors_reference(3, 2, p, ctx)) for b, p in zip(batch, params)
+        )
+
+    @pytest.mark.parametrize("tau", [0.3 + 0.8j, 5.3 + 0.3j], ids=["default-tau", "skew-tau"])
+    @pytest.mark.parametrize(
+        "check, n, m",
+        [("relations", 2, 2), ("relations", 3, 2), ("tv-reduce", 1, 2), ("tv-reduce", 1, 3)],
+    )
+    def test_reports_equal_batches_of_one(self, monkeypatch, check, n, m, tau):
+        cfg = CheckConfig(check=check, n=n, m=m, tau=tau, trials=10)
+        batched = render_json(run_check(cfg))
+        assert checks.batch_size(checks._effective_config(cfg, check), check) > 1
+        monkeypatch.setattr(checks, "_BATCH_TERMS", 1)
+        assert render_json(run_check(cfg)) == batched
+
+    def test_pole_trials_are_split_out_of_their_batch(self):
+        # One batch of 5 holds trials 5 and 6, and another trial 13; every
+        # other trial keeps the rank and residual it has on its own.
+        rep = run_one("relations", n=3, m=2, tau=5.3 + 0.3j, trials=20)
+        assert checks.batch_size(CheckConfig("relations", n=3, m=2), "relations") == 5
+        assert [t for t, r in enumerate(rep.residuals) if r is None] == [5, 6, 13]
+        assert set(rep.finite) == {0.0} and rep.rank == 630
+
+    def test_a_large_trial_runs_alone(self):
+        assert checks.batch_size(CheckConfig("relations", n=6, m=2), "relations") == 1
+        assert checks.batch_size(CheckConfig("relations", n=2, m=2), "relations") >= 10
+        assert checks.batch_size(CheckConfig("tv-reduce", n=1, m=2), "tv-reduce") >= 10
+        assert checks.batch_size(CheckConfig("rll", n=2, m=2), "rll") == 1
 
 
 class TestReductionChecks:

@@ -2,6 +2,7 @@
 
 import cmath
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -427,21 +428,70 @@ class TestSpanHelpers:
 
     def test_basis_survives_an_svd_that_does_not_converge(self, monkeypatch):
         # LAPACK's divide-and-conquer SVD failed on one 512 x 512 defect
-        # block at (n, m) = (8, 1), seed 42, and not on its adjoint.
-        rows = block_rows(np.random.default_rng(3), [list(range(12))], 9, 4, dim=12)
-        stuck, fresh = dense_set(rows), dense_set(rows)
+        # block at (n, m) = (8, 1), seed 42, and not on its adjoint.  Here
+        # the stacked call over both blocks fails, then the first block
+        # alone; its adjoint and the second block go through.
+        rng = np.random.default_rng(3)
+        rows = block_rows(rng, [list(range(12)), list(range(12, 24))], 9, 4, dim=24)
+        svd = np.linalg.svd
+        for vectors in (True, False):
+            stuck, fresh = dense_set(rows), dense_set(rows)
+            calls = []
+
+            def failing(a, *args, **kwargs):
+                calls.append(a.shape)
+                if len(calls) <= 2:
+                    raise np.linalg.LinAlgError("SVD did not converge")
+                return svd(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, "svd", failing)
+            got = stuck.bases if vectors else span_rank(stuck)
+            monkeypatch.setattr(np.linalg, "svd", svd)
+            assert calls == [(2, 9, 12), (1, 9, 12), (1, 12, 9), (1, 9, 12)]
+            if not vectors:
+                assert got == span_rank(fresh) == 8
+                continue
+            for q, want in zip(got, fresh.bases):
+                assert q.shape == want.shape == (12, 4)
+                assert np.allclose(q @ q.conj().T, want @ want.conj().T, atol=1e-12)
+            assert span_equal(stuck, fresh, 1e-8)[1] < 1e-12
+
+    def test_sequences_give_each_sets_results_from_stacked_svds(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        blocks = [list(range(k, k + 8)) for k in range(0, 48, 8)]
+        rows = [block_rows(rng, blocks, 5, rank) for rank in (2, 3, 3)]
+        other = [block_rows(rng, blocks, 4, 3) for _ in rows]
+        ranks = [span_rank(dense_set(r)) for r in rows]
+        metrics = [span_equal(dense_set(r), dense_set(o), 1e-8) for r, o in zip(rows, other)]
+        shapes = []
         svd = np.linalg.svd
 
-        def failing(a, *args, **kwargs):
-            if a is stuck.blocks[0]:
-                raise np.linalg.LinAlgError("SVD did not converge")
+        def counting(a, *args, **kwargs):
+            shapes.append(a.shape)
             return svd(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "svd", failing)
-        (q,), (want,) = stuck.bases, fresh.bases
-        assert q.shape == want.shape == (12, 4)
-        assert np.allclose(q @ q.conj().T, want @ want.conj().T, atol=1e-12)
-        assert span_equal(stuck, fresh, 1e-8)[1] < 1e-12
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        # every block of every set, 5 x 8 or 4 x 8: one call per shape
+        assert span_rank([dense_set(r) for r in rows]) == ranks == [12, 18, 18]
+        assert shapes == [(18, 5, 8)]
+        got = span_equal([dense_set(r) for r in rows], [dense_set(o) for o in other], 1e-8)
+        assert got == metrics
+        assert shapes[1:] == [(18, 5, 8), (18, 4, 8)]
+
+    def test_trials_share_a_layout_only_where_their_zeros_agree(self):
+        # three trials of the same terms; the second has an exact zero that
+        # splits a component in two
+        rows, words = np.array([0, 0, 1, 1, 2]), np.array([0, 1, 1, 2, 3])
+        values = np.array(
+            [[1, 2j, 3, 4, 5], [1, 2j, 0, 4, 5], [6, 7, 8j, 9, 1]], dtype=complex
+        )
+        sets = RelationSet.from_terms(rows, words, values, 3, 4)
+        alone = [RelationSet.from_terms(rows, words, v, 3, 4) for v in values]
+        assert [len(s.components) for s in sets] == [2, 3, 2]
+        assert sets[0].components is sets[2].components
+        for got, want in zip(sets, alone):
+            assert np.array_equal(dense_rows(got), dense_rows(want))
+            assert [b.shape for b in got.blocks] == [b.shape for b in want.blocks]
 
     def test_complex_row_space_projection_is_exact(self):
         # Residuals must use the row space itself, not its conjugate.
@@ -613,6 +663,30 @@ class TestReferenceVectors:
         single = DynamicalParams(params_for(2).q1, None, HBAR)
         with pytest.raises(ValueError):
             relation_vectors_reference(2, 2, single, CTX)
+
+
+    def test_trials_that_drop_other_rows_get_their_own_layout(self, monkeypatch):
+        # Trial 1 loses its first relation: it is built apart from trials 0
+        # and 2, and every trial equals its own build bit for bit.
+        params = [params_for(2), replace(params_for(2), hbar=0.17 + 0.21j), params_for(2)]
+        family_terms = ncalgebra.family_terms
+
+        def dropping(family, idx, pairs, n, batch, ctx):
+            values, words = family_terms(family, idx, pairs, n, batch, ctx)
+            if family == 2:
+                values = values.copy()
+                for t, p in enumerate(batch):
+                    if p.hbar == params[1].hbar:
+                        values[t, 0, 0] = 0.0
+            return values, words
+
+        monkeypatch.setattr(ncalgebra, "family_terms", dropping)
+        built = relation_vectors_reference(2, 2, params, CTX)
+        alone = [relation_vectors_reference(2, 2, [p], CTX)[0] for p in params]
+        assert [len(s) for s in built] == [len(s) for s in alone] == [240, 239, 240]
+        assert built[0].components is built[2].components is not built[1].components
+        for got, want in zip(built, alone):
+            assert np.array_equal(dense_rows(got), dense_rows(want))
 
 
 def dense_defect_table(n, m, params, z1, z2, ctx, r_matrix=r_slnm):

@@ -868,6 +868,40 @@ class TestSklyaninTable:
         with pytest.raises(PoleProximityError, match=r"hbar \+ omega_d\[0, 0, 2\]"):
             sklyanin_representation_residual(table, CTX, shift=(0.01 + 0.01j,) * 2)
 
+    def test_residual_guards_distinct_letters_and_names_the_first_bad_one(self, monkeypatch):
+        # The guard sees each distinct letter once; a failure names the
+        # first offending letter of the [letter, pair, gamma] array, in the
+        # words a guard over every letter gives.
+        n = 2
+        table = SklyaninTable(
+            n, next(label_pair_chunks(n, 1)), np.ones((16, 4), dtype=complex), np.zeros(16)
+        )
+        cases = [
+            (
+                0.01 - omega_raw(1, 1, n, TAU),
+                "hbar + omega_d[0, 0, 3] = -1.29-0.8j lies 0.01 from the zero lattice"
+                " (minimum 0.05)",
+            ),
+            (
+                1.02 + TAU - omega_raw(0, 1, n, TAU),
+                "hbar + omega_d[0, 0, 1] = 1.02+0j lies 0.02 from the zero lattice"
+                " (minimum 0.05)",
+            ),
+        ]
+        for hbar, message in cases:
+            with pytest.raises(PoleProximityError) as raised:
+                sklyanin_representation_residual(table, CTX, shift=(hbar, 0.3 + 0.2j))
+            assert str(raised.value) == message
+        sizes = []
+        distance = sklyanin.lattice_distance
+        monkeypatch.setattr(
+            sklyanin, "lattice_distance", lambda z, tau: sizes.append(z.size) or distance(z, tau)
+        )
+        sklyanin_representation_residual(table, CTX, shift=(HBAR, 0.3 + 0.2j))
+        # alpha - gamma lies in [-1, 1]^2 and beta + gamma in [0, 2]^2: 14
+        # distinct letters among the 2 * 16 * 4 of the table
+        assert sizes == [14]
+
 
 def kinds_of(rels) -> dict[str, int]:
     kinds: dict[str, int] = {}
