@@ -32,7 +32,7 @@ from .elliptic import (
     omega_raw,
     theta,
 )
-from .relations import family_terms, family_tuples, generator_slot
+from .relations import family_terms, family_tuples, family_width, generator_slot
 from .rmatrix import DynamicalParams, r_slnm
 from .sklyanin import label_pair_chunks
 # The span functions are re-exported: bench/tracer.py looks them up here,
@@ -271,8 +271,8 @@ def _kept_rows(
 def reference_terms(n: int, m: int) -> int:
     """Number of terms in one reference set at (n, m) (see
     :func:`relation_vectors_reference`), before exact zeros are dropped."""
-    count = {1: n * n if n > 1 else 0, 2: n * n + 1, 3: n * n + 1, 4: n * n + 2}
-    return n**4 * sum(len(family_tuples(f, m)) * count[f] for f in count)
+    families = (1, 2, 3, 4) if n > 1 else (2, 3, 4)
+    return n**4 * sum(len(family_tuples(f, m)) * family_width(f, n) for f in families)
 
 
 def relation_vectors_reference(

@@ -251,15 +251,23 @@ def family_terms(
     lab1, x1 = label_reduction_factor((a1 - g1, a2 - g2), w1, n, ctx)
     lab2, x2 = label_reduction_factor((b1 + g1, b2 + g2), w2, n, ctx)
     g = m * m * n * n
+    width = family_width(family, n)
     shape = (len(idx), pairs[0].size)
-    values, words = [], []
-    for v, w1, w2 in [(value * x1 * x2, (c1, d1, lab1), (c2, d2, lab2)), *extra]:
-        w = generator_slot(*w1, m, n) * g + generator_slot(*w2, m, n)
-        values.append(np.broadcast_to(v, (len(batch),) + shape + v.shape[-1:]))
-        words.append(np.broadcast_to(w, shape + w.shape[-1:]))
-    values = np.concatenate(values, axis=-1)
-    words = np.concatenate(words, axis=-1)
+    values = np.empty((len(batch),) + shape + (width,), dtype=complex)
+    words = np.empty(shape + (width,), dtype=int)
+    # the gamma sum fills the first n^2 terms, each extra term one more
+    spans = [slice(0, n * n)] + [slice(k, k + 1) for k in range(n * n, width)]
+    terms = [(value * x1 * x2, (c1, d1, lab1), (c2, d2, lab2)), *extra]
+    for at, (v, w1, w2) in zip(spans, terms, strict=True):
+        values[..., at] = v
+        words[..., at] = generator_slot(*w1, m, n) * g + generator_slot(*w2, m, n)
     return (values[0] if isinstance(params, DynamicalParams) else values), words
+
+
+def family_width(family: int, n: int) -> int:
+    """Terms per relation of a composite family (see :func:`family_terms`):
+    the n^2 of the gamma sum and the family's terms off it."""
+    return n * n + {1: 0, 2: 1, 3: 1, 4: 2}[family]
 
 
 def family_tuples(family: int, m: int) -> list[tuple[int, ...]]:

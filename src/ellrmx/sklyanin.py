@@ -18,12 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elliptic import (
-    DELTA_MIN,
     EllipticContext,
+    PoleProximityError,
     eisenstein_e1,
     eisenstein_e2,
     guard_denominator,
-    lattice_distance,
     omega_raw,
     theta,
 )
@@ -93,7 +92,7 @@ def bare_constants(pairs: tuple, hbar, n: int, ctx: EllipticContext):
 
     def at(fn, pick, *letters):
         d1, d2 = (np.stack(np.broadcast_arrays(*c)) for c in zip(*letters))
-        e = _at_letters(fn, d1, d2, hbar, n, ctx)
+        e = _at_letters(fn, _distinct_letters(d1, d2), hbar, n, ctx)
         scale[..., pick] = np.abs(e).max(axis=(-3, -1))
         return np.moveaxis(e, -3, 0)
 
@@ -120,21 +119,22 @@ def theta_prefactors(pairs: tuple, hbar, n: int, ctx: EllipticContext):
     """``theta(hbar + omega(alpha - gamma)) theta(hbar + omega(beta + gamma))``
     as ``[pair, gamma]``, in unreduced integer arithmetic.  An array of
     ``hbar`` adds its axes in front."""
-    letters = _at_letters(theta, *_letters(pairs, n), hbar, n, ctx)
+    letters = _at_letters(theta, _distinct_letters(*_letters(pairs, n)), hbar, n, ctx)
     first, second = np.moveaxis(letters, -3, 0)
     return first * second
 
 
-def _at_letters(kernel, d1, d2, hbar, n: int, ctx: EllipticContext):
+def _at_letters(kernel, letters: tuple, hbar, n: int, ctx: EllipticContext):
     """``kernel(hbar + omega_raw(d1, d2, n, tau))`` over integer letter
-    arrays of one shape, evaluated once per distinct unreduced letter (and
-    per entry of an array of ``hbar``, whose axes come first).
+    arrays of one shape, given as their :func:`_distinct_letters`,
+    evaluated once per distinct unreduced letter (and per entry of an
+    array of ``hbar``, whose axes come first).
 
     The letters stay unreduced, because the first Eisenstein function is
     only quasi-periodic.  A kernel entry does not depend on its batch, so
     the gathered values equal a direct call bit for bit.
     """
-    c1, c2, inverse = _distinct_letters(d1, d2)
+    c1, c2, inverse = letters
     at = np.asarray(hbar)[..., None] + omega_raw(c1, c2, n, ctx.tau)
     return kernel(at, ctx)[..., inverse]
 
@@ -236,10 +236,14 @@ def sklyanin_representation_residual(
         hbar, eta = shift
         # the distinct letters are guarded; if one fails, the guard over
         # every letter names the first offending one by its index
-        c1, c2, _ = _distinct_letters(d1, d2)
-        if np.any(lattice_distance(hbar + omega_raw(c1, c2, n, ctx.tau), ctx.tau) < DELTA_MIN):
+        letters = _distinct_letters(d1, d2)
+        c1, c2, _ = letters
+        try:
+            guard_denominator("hbar + omega_d", hbar + omega_raw(c1, c2, n, ctx.tau), ctx.tau)
+        except PoleProximityError:
             guard_denominator("hbar + omega_d", hbar + omega_raw(d1, d2, n, ctx.tau), ctx.tau)
-        theta_d = _at_letters(theta, d1, d2, hbar, n, ctx)
+            raise
+        theta_d = _at_letters(theta, letters, hbar, n, ctx)
         factors = np.exp(TWO_PI_I * d2 * (eta - hbar) / n) / theta_d
         terms *= factors[0] * factors[1]
         bounds *= np.abs(factors[0]) * np.abs(factors[1])

@@ -35,7 +35,8 @@ class RelationSet:
     order of their first columns, and ``blocks`` the rows restricted to
     those columns.  Components have disjoint column supports, so the span
     is the direct sum of theirs; each takes one small thin SVD, on first
-    use, and is cached.  An empty set is allowed (the 1 x 1 exchange
+    use, and is cached: values alone if only the rank is read, and once
+    more with vectors when the bases are first needed.  An empty set is allowed (the 1 x 1 exchange
     relation is an exact identity) but cannot be compared.
     """
 
@@ -107,6 +108,14 @@ class RelationSet:
         span of each component, cut at 1e-8 of the set's largest singular
         value; their widths sum to the rank."""
         return _cut_bases(_svds(self.blocks, vectors=True))
+
+    @functools.cached_property
+    def rank(self) -> int:
+        """The summed widths of the bases if they are known, else the count
+        of singular values above the cut, from values-only SVDs."""
+        if "bases" in vars(self):
+            return sum(q.shape[1] for q in self.bases)
+        return _cut_rank(_svds(self.blocks, vectors=False))
 
 
 def term_norms(rows: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
@@ -212,6 +221,12 @@ def _cut_bases(svds: list) -> tuple[np.ndarray, ...]:
     return tuple(vh[: int(np.sum(sv > cutoff))].T.copy() for sv, vh in svds)
 
 
+def _cut_rank(values: list) -> int:
+    """The rank of a set from its blocks' singular values."""
+    cutoff = _cutoff(values)
+    return sum(int(np.sum(sv > cutoff)) for sv in values)
+
+
 def _per_set(sets: Sequence[RelationSet], results: list) -> Iterator[list]:
     """Results listed block by block over the sets, split by set."""
     at = 0
@@ -273,20 +288,15 @@ def _distinct(indices: np.ndarray) -> np.ndarray:
 
 
 def span_rank(vectors: RelationSet | Sequence[RelationSet]) -> int | list[int]:
-    """Rank of the set: the summed widths of its component bases.  Given a
-    sequence of sets, their ranks.  Sets without bases yet are ranked from
-    singular values alone, stacked across all their blocks."""
+    """Rank of the set (:attr:`RelationSet.rank`).  Given a sequence of
+    sets, their ranks: those of sets with neither rank nor bases yet come
+    from singular values alone, stacked across all their blocks."""
     sets = [vectors] if isinstance(vectors, RelationSet) else list(vectors)
-    todo = [s for s in sets if "bases" not in vars(s)]
-    values = _per_set(todo, _svds([b for s in todo for b in s.blocks], vectors=False))
-    ranks = []
-    for s in sets:
-        if "bases" in vars(s):
-            ranks.append(sum(q.shape[1] for q in s.bases))
-            continue
-        own = next(values)
-        cutoff = _cutoff(own)
-        ranks.append(sum(int(np.sum(sv > cutoff)) for sv in own))
+    todo = list({id(s): s for s in sets if not {"rank", "bases"} & vars(s).keys()}.values())
+    values = _svds([b for s in todo for b in s.blocks], vectors=False)
+    for s, own in zip(todo, _per_set(todo, values)):
+        vars(s)["rank"] = _cut_rank(own)
+    ranks = [s.rank for s in sets]
     return ranks[0] if isinstance(vectors, RelationSet) else ranks
 
 

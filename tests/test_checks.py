@@ -162,7 +162,8 @@ class TestSpanChecks:
         # families and the TV relations: every component block of each set
         # is factored once, in stacked SVD calls, and every rank, inclusion
         # and gap is computed from that.  relations reads only the rank, so
-        # its blocks give singular values alone.
+        # its blocks give singular values alone, a later rank reuses them,
+        # and the first inclusion or gap factors each block once more.
         vectors = check != "relations"
         svd = np.linalg.svd
         seen = []
@@ -189,15 +190,21 @@ class TestSpanChecks:
         factored = sum(math.prod(shape[:-2]) for shape, _ in seen)
         assert factored == sum(len(s.components) for s in compared.values()), seen
         assert {uv for _, uv in seen} == {vectors}
-        if not vectors:
-            return
         done = len(seen)
+        ranks = [span_rank(a) for a in compared.values()]
+        assert len(seen) == done
         for a in compared.values():
-            span_rank(a)
             for b in compared.values():
                 span_equal(a, b, 1e-8)
                 span_gap(a, b)
-        assert len(seen) == done
+            span_rank(a)
+        later = seen[done:]
+        assert [span_rank(a) for a in compared.values()] == ranks
+        if vectors:
+            assert later == []
+        else:
+            assert sum(math.prod(shape[:-2]) for shape, _ in later) == factored, later
+            assert {uv for _, uv in later} == {True}
 
 
 def draws_of(check: str, count: int, **kw) -> tuple[CheckConfig, list, EllipticContext]:

@@ -815,10 +815,11 @@ class TestSklyaninTable:
         distinct = outputs()
         # letter components lie in [-(2n - 2), 2n - 2]
         assert len(sizes) == 4 and max(sizes) <= (4 * n - 3) ** 2
+        # every letter counted as distinct: one kernel entry per letter
         monkeypatch.setattr(
             sklyanin,
-            "_at_letters",
-            lambda kernel, d1, d2, hbar, n, ctx: kernel(hbar + omega_raw(d1, d2, n, ctx.tau), ctx),
+            "_distinct_letters",
+            lambda d1, d2: (d1.ravel(), d2.ravel(), np.arange(d1.size).reshape(d1.shape)),
         )
         for got, want in zip(distinct, outputs()):
             assert np.array_equal(got, want)
@@ -893,9 +894,11 @@ class TestSklyaninTable:
                 sklyanin_representation_residual(table, CTX, shift=(hbar, 0.3 + 0.2j))
             assert str(raised.value) == message
         sizes = []
-        distance = sklyanin.lattice_distance
+        guard = sklyanin.guard_denominator
         monkeypatch.setattr(
-            sklyanin, "lattice_distance", lambda z, tau: sizes.append(z.size) or distance(z, tau)
+            sklyanin,
+            "guard_denominator",
+            lambda name, z, tau: sizes.append(np.size(z)) or guard(name, z, tau),
         )
         sklyanin_representation_residual(table, CTX, shift=(HBAR, 0.3 + 0.2j))
         # alpha - gamma lies in [-1, 1]^2 and beta + gamma in [0, 2]^2: 14
