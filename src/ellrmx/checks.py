@@ -28,6 +28,7 @@ from .elliptic import (
 )
 from .ncalgebra import (
     defect_factorization_check,
+    defect_table,
     reference_terms,
     relation_vectors_reference,
     rll_defect,
@@ -222,7 +223,7 @@ def _ybe_trial(
     z1, z2, z3 = zs
     triple = ybe_residual(params.hbar, z1, z2, z3, cfg.n, ctx)
     as_l = bb_l_operator_rll_residual(params.hbar, z1, z2, cfg.n, ctx)
-    return max(triple.residual, as_l.residual), None
+    return max(triple, as_l), None
 
 
 def _felder_spec(cfg: CheckConfig) -> SampleSpec:
@@ -246,7 +247,7 @@ def _felder_trial(
     triple = dybe_residual_felder(hbar, z1, z2, z3, q, ctx)
     weight = zero_weight_residual(hbar, z1 - z2, q, ctx)
     own_l = felder_dynamical_l_residual(hbar, z1, z2, q, ctx)
-    return max(triple.residual, weight, own_l.residual), None
+    return max(triple, weight, own_l), None
 
 
 def _slnm_spec(cfg: CheckConfig) -> SampleSpec:
@@ -268,8 +269,7 @@ def _slnm_trial(
     ctx: EllipticContext,
 ) -> tuple[float, None]:
     z1, z2, z3 = zs
-    check = dybe_residual_slnm(params.hbar, z1, z2, z3, params.q1, cfg.n, ctx)
-    return check.residual, None
+    return dybe_residual_slnm(params.hbar, z1, z2, z3, params.q1, cfg.n, ctx), None
 
 
 def _factor_labels(n: int) -> tuple[LatticeIndex, LatticeIndex]:
@@ -305,8 +305,14 @@ def _rll_trial(
     n, m = cfg.n, cfg.m
     z1, z2, z3, z4 = zs
     reference = relation_vectors_reference(n, m, params, ctx)
-    first = rll_defect(n, m, params, z1, z2, ctx)
-    second = rll_defect(n, m, params, z3, z4, ctx)
+    tables = [defect_table(n, m, params, za, zb, ctx) for za, zb in ((z1, z2), (z3, z4))]
+    first, second = (rll_defect(t) for t in tables)
+    variation = 0.0
+    if m >= 2:
+        alpha, beta = _factor_labels(n)
+        variation = defect_factorization_check(tables, 1, 1, 2, alpha, beta, ctx)
+    # the sets own their terms: no table is held through the span comparisons
+    del tables
     if not reference and not first and not second:
         return 0.0, 0
     if not reference or not first or not second:
@@ -315,13 +321,8 @@ def _rll_trial(
         span_equal(first, reference, SPAN_TOL)[1],
         span_equal(second, reference, SPAN_TOL)[1],
         span_gap(first, second),
+        variation,
     )
-    if m >= 2:
-        alpha, beta = _factor_labels(n)
-        variation = defect_factorization_check(
-            1, 1, 2, alpha, beta, params, [(z1, z2), (z3, z4)], ctx
-        )
-        worst = max(worst, variation)
     return worst, span_rank(first)
 
 

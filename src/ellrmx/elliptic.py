@@ -246,9 +246,15 @@ def kronecker_phi(u, x, ctx: EllipticContext):
     """
     guard_denominator("u", u, ctx.tau)
     guard_denominator("x", x, ctx.tau)
-    u, x = np.broadcast_arrays(u, x)
-    t = theta(np.stack([u + x, u, x]).reshape(3, -1), ctx)
-    return _shaped(ctx.theta_prime0 * t[0] / (t[1] * t[2]), u)
+    u, x = np.asarray(u, dtype=complex), np.asarray(x, dtype=complex)
+    s = u + x
+    # theta at u + x, u and x, each at its own shape, in one series call
+    t = _theta_block(np.concatenate([s.ravel(), u.ravel(), x.ravel()]), ctx, 0)[0]
+    t_s, t_u, t_x = np.split(t, [s.size, s.size + u.size])
+    t_u, t_x = (
+        np.broadcast_to(v.reshape(a.shape), s.shape).ravel() for v, a in ((t_u, u), (t_x, x))
+    )
+    return _shaped(ctx.theta_prime0 * t_s / (t_u * t_x), s)
 
 
 def omega_raw(a1, a2, n: int, tau: complex):

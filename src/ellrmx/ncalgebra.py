@@ -13,14 +13,16 @@ same pass.  The relations are graded, so almost every coefficient is zero:
 each set is built and held as its nonzero terms only, becomes a
 :class:`ellrmx.spans.RelationSet`, and is compared there against the
 closed-form relation families of :mod:`ellrmx.relations` (rank, mutual
-inclusion, principal angles).
+inclusion, principal angles).  A defect table is a plain value that carries
+the point it was built at: whoever builds it holds it for as long as the
+defect set and the factorization components are read from it, and nothing
+keeps it longer.
 """
 
 from __future__ import annotations
 
 import cmath
-import functools
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -91,22 +93,35 @@ def l_operator(
 _CHUNK = 1 << 16
 
 
-@functools.lru_cache(maxsize=2)
-def _defect_table(
+class DefectTable(NamedTuple):
+    """The exchange defect at one numeric point, as its nonzero terms, with
+    the point it was built at (see :func:`defect_table`)."""
+
+    rows: np.ndarray
+    words: np.ndarray
+    values: np.ndarray
+    mass: np.ndarray
+    params: DynamicalParams
+    z1: complex
+    z2: complex
+
+
+def defect_table(
     n: int,
     m: int,
     params: DynamicalParams,
     z1: complex,
     z2: complex,
     ctx: EllipticContext,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> DefectTable:
     """Nonzero word coefficients of every matrix element of the exchange
     defect R(z1-z2 | q2) L1(z1) L2(z2) minus L2(z2) L1(z1) R(z1-z2 | q1).
 
-    Returns ``(rows, words, values, mass)``, the terms sorted by (row,
-    word).  The element with composite indices (a_out, b_out, a_in, b_in)
-    is the row ``((ao d + bo) d + ai) d + bi``; over ordered two-letter
-    words (:func:`ellrmx.relations.generator_slot` layout) it has ``values[k]``
+    Returns the terms ``rows``, ``words``, ``values`` sorted by (row,
+    word), their ``mass``, and the point they were built at.  The element
+    with composite indices (a_out, b_out, a_in, b_in) is the row ``((ao d +
+    bo) d + ai) d + bi``; over ordered two-letter words
+    (:func:`ellrmx.relations.generator_slot` layout) it has ``values[k]``
     on ``words[k]`` where ``rows[k]`` is that row, and exact zeros
     elsewhere.  In a word (a, a') the second letter's coefficient is
     shifted by ``[a'.j == a.j] - [a'.i == a.i]`` hbar.  The right-hand R
@@ -124,8 +139,7 @@ def _defect_table(
     (row, word), and only exact zeros are dropped.  ``mass[ao, bo, ai,
     bi]`` is the norm over words of the summed product moduli, taken in the
     same pass: the scale against which a defect counts as an identical
-    cancellation.  The two tables of the latest trial are memoized;
-    results are read-only.
+    cancellation.  The arrays are read-only.
     """
     if params.q2 is None:
         raise ValueError("the exchange relation needs two coordinate blocks")
@@ -188,10 +202,10 @@ def _defect_table(
         mass_sq += np.bincount(rows, weights=moduli * moduli, minlength=d**4)
         nonzero = values != 0
         chunks.append((rows[nonzero], words[nonzero], values[nonzero]))
-    table = *map(np.concatenate, zip(*chunks)), np.sqrt(mass_sq).reshape((d,) * 4)
-    for arr in table:
+    terms = *map(np.concatenate, zip(*chunks)), np.sqrt(mass_sq).reshape((d,) * 4)
+    for arr in terms:
         arr.setflags(write=False)
-    return table
+    return DefectTable(*terms, params, z1, z2)
 
 
 def _entries(l_table: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -234,24 +248,18 @@ def rll_trial_bytes(n: int, m: int) -> int:
     return 300 * d**4 * n**3 + 256 * max(_CHUNK, d**3 * n**3) + (64 << 20)
 
 
-def rll_defect(
-    n: int,
-    m: int,
-    params: DynamicalParams,
-    z1: complex,
-    z2: complex,
-    ctx: EllipticContext,
-) -> RelationSet:
+def rll_defect(table: DefectTable) -> RelationSet:
     """Defect vectors of the exchange relation for the L-ansatz.
 
-    One row per matrix element of LHS minus RHS, evaluated at the numeric
-    point.  Elements whose norm is at most 1e-12 of their own term mass
-    are identical cancellations and are dropped; an exact identity (the
-    1 x 1 case) gives an empty set.
+    One row per matrix element of LHS minus RHS in the table.  Elements
+    whose norm is at most 1e-12 of their own term mass are identical
+    cancellations and are dropped; an exact identity (the 1 x 1 case)
+    gives an empty set.
     """
-    rows, words, values, mass = _defect_table(n, m, params, z1, z2, ctx)
+    rows, words, values, mass = table[:4]
     keep = term_norms(rows, values, mass.size) > 1e-12 * mass.ravel()
-    return _kept_rows(keep, rows, words, values, (m * m * n * n) ** 2)
+    # (m^2 n^2)^2 two-letter words, as many as the d^4 elements
+    return _kept_rows(keep, rows, words, values, mass.size)
 
 
 def _kept_rows(
@@ -344,36 +352,32 @@ def relation_vectors_reference(
 
 
 def component_ratio(
+    table: DefectTable,
     i: int,
     j: int,
     k: int,
     alpha: LatticeIndex,
     beta: LatticeIndex,
-    params: DynamicalParams,
-    z1: complex,
-    z2: complex,
     ctx: EllipticContext,
 ) -> np.ndarray:
-    """Defect component with first-block steps i->j (one auxiliary space)
-    and i->k (the other), projected onto the operator-basis pair (alpha,
-    beta) and divided by its theta prefactors.
+    """Defect component of the table with first-block steps i->j (one
+    auxiliary space) and i->k (the other), projected onto the operator-basis
+    pair (alpha, beta) and divided by its theta prefactors.
 
-    The divisor is the product of the two letters' coefficient functions:
-    ``theta(z2 + q2_i - q1_k + omega_beta) * theta(z1 + q2_i - q1_j + hbar
-    + omega_alpha)`` times their exponential factors ``exp(2 pi i (alpha_2
-    z1 + beta_2 z2) / n)``.  If the extraction is consistent the result
-    does not depend on (z1, z2).
+    The divisor is the product of the two letters' coefficient functions
+    at the table's point: ``theta(z2 + q2_i - q1_k + omega_beta) *
+    theta(z1 + q2_i - q1_j + hbar + omega_alpha)`` times their exponential
+    factors ``exp(2 pi i (alpha_2 z1 + beta_2 z2) / n)``.  If the
+    extraction is consistent the result does not depend on (z1, z2).
     """
-    m = params.m
+    rows, words, values, mass, params, z1, z2 = table
     n = alpha.n
     if j == k:
         raise ValueError("needs distinct first-block indices j != k")
-    rows, words, values, _ = _defect_table(n, m, params, z1, z2, ctx)
-    d = m * n
-    g = m * m * n * n
+    d = len(mass)
     ta = basis_t(alpha)
     tb = basis_t(beta)
-    comp = np.zeros(g * g, dtype=complex)
+    comp = np.zeros(mass.size, dtype=complex)
     for r_out in range(n):
         for r_in in range(n):
             wa = np.conj(ta[r_out, r_in])
@@ -404,30 +408,29 @@ def component_ratio(
 
 
 def defect_factorization_check(
+    tables: Sequence[DefectTable],
     i: int,
     j: int,
     k: int,
     alpha: LatticeIndex,
     beta: LatticeIndex,
-    params: DynamicalParams,
-    z_samples: Sequence[tuple[complex, complex]],
     ctx: EllipticContext,
 ) -> float | None:
-    """Worst relative variation of :func:`component_ratio` across z-samples.
+    """Worst relative variation of :func:`component_ratio` across tables
+    of one parameter set at different z-samples.
 
     A small value certifies that the z-dependence of this defect component
     factorizes into the theta prefactors, leaving a z-free relation vector
     (proportional to the family-2 vector for the same labels).  Returns
     None at m == 1, where no pair j != k exists and the check is vacuous.
     """
-    if params.m == 1:
-        return None
-    if len(z_samples) < 2:
+    if len(tables) < 2:
         raise ValueError("need at least two z-samples")
-    ratios = [
-        component_ratio(i, j, k, alpha, beta, params, z1, z2, ctx)
-        for z1, z2 in z_samples
-    ]
+    if len({t.params for t in tables}) != 1:
+        raise ValueError("the tables must share one parameter set")
+    if tables[0].params.m == 1:
+        return None
+    ratios = [component_ratio(t, i, j, k, alpha, beta, ctx) for t in tables]
     ref = ratios[0]
     scale = float(np.max(np.abs(ref)))
     if scale == 0.0:

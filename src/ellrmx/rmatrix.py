@@ -53,21 +53,10 @@ class DynamicalParams:
         return len(self.q1)
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
-    """Outcome of a single identity evaluation."""
-
-    residual: float
-
-    def __post_init__(self) -> None:
-        if not (self.residual >= 0):
-            raise ValueError(f"negative or non-finite residual {self.residual}")
-
-
-def relative_residual(lhs: np.ndarray, rhs: np.ndarray) -> IdentityCheck:
+def relative_residual(lhs: np.ndarray, rhs: np.ndarray) -> float:
     """Frobenius defect of ``lhs == rhs`` scaled by the larger side (floor 1)."""
     norm = max(np.linalg.norm(lhs), np.linalg.norm(rhs), 1.0)
-    return IdentityCheck(float(np.linalg.norm(lhs - rhs) / norm))
+    return float(np.linalg.norm(lhs - rhs) / norm)
 
 
 def r_bb(hbar: complex, u, n: int, ctx: EllipticContext) -> np.ndarray:
@@ -232,7 +221,7 @@ def _dynamical_sides(stack: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]
 
 def ybe_residual(
     hbar: complex, z1: complex, z2: complex, z3: complex, n: int, ctx: EllipticContext
-) -> IdentityCheck:
+) -> float:
     """Defect of the triple exchange relation for the vertex R-matrix."""
     r = r_bb(hbar, np.array([z1 - z2, z1 - z3, z2 - z3]), n, ctx)
     return relative_residual(*_exchange_sides(r, r[:, None], np.zeros(n, dtype=int)))
@@ -245,7 +234,7 @@ def dybe_residual_felder(
     z3: complex,
     q: Sequence[complex],
     ctx: EllipticContext,
-) -> IdentityCheck:
+) -> float:
     """Defect of the dynamical triple exchange relation on C^M sites.
 
     Shifted insertions place the weight projector on the spectating site:
@@ -263,7 +252,7 @@ def dybe_residual_slnm(
     q: Sequence[complex],
     n: int,
     ctx: EllipticContext,
-) -> IdentityCheck:
+) -> float:
     """Defect of the dynamical triple exchange relation on composite sites."""
     stack = r_slnm(hbar, *_triple_points(hbar, z1, z2, z3, q), n, ctx)
     return relative_residual(*_dynamical_sides(stack, n))
@@ -296,7 +285,7 @@ def zero_weight_residual(
 
 def bb_l_operator_rll_residual(
     hbar: complex, z1: complex, z2: complex, n: int, ctx: EllipticContext
-) -> IdentityCheck:
+) -> float:
     """Defect of the exchange relation with the vertex R-matrix reused as a
     matrix L-operator on a third site, L_a(z) = R_{a3}(hbar, z): the triple
     relation at z3 = 0."""
@@ -305,7 +294,7 @@ def bb_l_operator_rll_residual(
 
 def felder_dynamical_l_residual(
     hbar: complex, z1: complex, z2: complex, q: Sequence[complex], ctx: EllipticContext
-) -> IdentityCheck:
+) -> float:
     """Defect of the dynamical exchange relation with the dynamical R-matrix
     reused as its own L-operator on a third site: the triple relation at
     z3 = 0.

@@ -11,9 +11,6 @@ def no_exp_factor(monkeypatch):
     """The wrong L-ansatz, as a negative control: every generator slot of
     :func:`ellrmx.ncalgebra.l_operator` divided by its exponential factor
     ``exp(2 pi i alpha_2 z / n)``.  The RLL relation does not close on it.
-
-    The defect-table cache is keyed without the ansatz, so it is cleared
-    on both sides of the patch.
     """
     l_operator = ncalgebra.l_operator
 
@@ -23,6 +20,3 @@ def no_exp_factor(monkeypatch):
         return l_operator(z, q, n, ctx) / np.exp(2j * np.pi * (slots % n) * z / n)
 
     monkeypatch.setattr(ncalgebra, "l_operator", patched)
-    ncalgebra._defect_table.cache_clear()
-    yield
-    ncalgebra._defect_table.cache_clear()

@@ -29,6 +29,7 @@ from ellrmx.elliptic import (
 from ellrmx.ncalgebra import (
     component_ratio,
     defect_factorization_check,
+    defect_table,
     relation_vectors_reference,
     rll_defect,
     span_equal,
@@ -152,9 +153,7 @@ def test_criterion_04_dynamical_ybe_and_zero_weight():
         for trial in range(20):
             params, (z1, z2, z3) = sample_params([104, m, trial], spec, CTX)
             hbar, q = params.hbar, params.q1
-            worst_dybe = max(
-                worst_dybe, dybe_residual_felder(hbar, z1, z2, z3, q, CTX).residual
-            )
+            worst_dybe = max(worst_dybe, dybe_residual_felder(hbar, z1, z2, z3, q, CTX))
             worst_weight = max(
                 worst_weight, zero_weight_residual(hbar, z1 - z2, q, CTX)
             )
@@ -219,7 +218,7 @@ def test_criterion_08_rll_relation_equivalence():
         params, zs = sample_params([108, n, m], spec, CTX)
         reference = relation_vectors_reference(n, m, params, CTX)
         defects = [
-            rll_defect(n, m, params, zs[i], zs[i + 1], CTX)
+            rll_defect(defect_table(n, m, params, zs[i], zs[i + 1], CTX))
             for i in range(0, 2 * pairs, 2)
         ]
         for d in defects:
@@ -246,16 +245,14 @@ def test_criterion_09_defect_factorization():
 
     spec = SampleSpec(m=m, two_sets=True, z_count=2 * pairs, expressions=exprs)
     params, zs = sample_params([109], spec, CTX)
-    z_samples = [(zs[i], zs[i + 1]) for i in range(0, 2 * pairs, 2)]
+    tables = [defect_table(n, m, params, zs[i], zs[i + 1], CTX) for i in range(0, 2 * pairs, 2)]
     beta = LatticeIndex(0, 1, n)
     for idx in ((1, 1, 2), (2, 2, 1)):
         for a in ((0, 0), (0, 1), (1, 1)):
             alpha = LatticeIndex(a[0], a[1], n)
-            spread = defect_factorization_check(
-                *idx, alpha, beta, params, z_samples, CTX
-            )
+            spread = defect_factorization_check(tables, *idx, alpha, beta, CTX)
             assert spread < 1e-9, f"{idx}/{a}: z-variation {spread:.3e}"
-            comp = component_ratio(*idx, alpha, beta, params, *z_samples[0], CTX)
+            comp = component_ratio(tables[0], *idx, alpha, beta, CTX)
             fam = coords(slnm_family_coeffs(2, idx, alpha, beta, params, CTX), (m * n) ** 4)
             support = np.abs(fam) > 1e-12 * np.max(np.abs(fam))
             ratios = comp[support] / fam[support]
@@ -272,8 +269,7 @@ def test_criterion_10_dynamical_r_as_own_l():
         spec = SampleSpec(m=m, z_count=2, expressions=plain_dynamical_exprs)
         for trial in range(20):
             params, (z1, z2) = sample_params([110, m, trial], spec, CTX)
-            check = felder_dynamical_l_residual(params.hbar, z1, z2, params.q1, CTX)
-            worst = max(worst, check.residual)
+            worst = max(worst, felder_dynamical_l_residual(params.hbar, z1, z2, params.q1, CTX))
     assert worst < 1e-9, f"dynamical L exchange residual {worst:.3e}"
 
 

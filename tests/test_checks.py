@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from ellrmx import checks
+from ellrmx import checks, ncalgebra
 from ellrmx.checks import (
     CHECK_NAMES,
     CheckConfig,
@@ -108,6 +108,12 @@ class TestResidualChecks:
         rep = run_one("ybe", hbar=0.21 + 0.13j)
         assert rep.passed
 
+    def test_non_finite_residual_is_a_failing_null_trial(self, monkeypatch):
+        monkeypatch.setattr(checks, "dybe_residual_slnm", lambda *args: math.nan)
+        rep = run_one("dybe-slnm", trials=2)
+        assert rep.residuals == (None, None)
+        assert not rep.passed
+
 
 class TestSpanChecks:
     def test_rll_matches_reference_span(self):
@@ -134,6 +140,31 @@ class TestSpanChecks:
         rep = run_one("rll", n=2, m=1, trials=2)
         assert not rep.passed
         assert rep.max_residual > 1e-3
+
+    def test_rll_verdict_does_not_carry_over_between_runs(self, monkeypatch, request):
+        # One draw, run on the right ansatz, the wrong one and the right one
+        # again in one process: each run judges the tables it built.
+        assert run_one("rll", trials=1).passed
+        request.getfixturevalue("no_exp_factor")
+        assert not run_one("rll", trials=1).passed
+        monkeypatch.undo()
+        assert run_one("rll", trials=1).passed
+
+    @pytest.mark.parametrize("n, m", [(2, 1), (2, 2)])
+    def test_rll_trial_builds_the_ansatz_once_per_point(self, monkeypatch, n, m):
+        # two tables, each from the ansatz at its own two points
+        cfg, [(params, zs)], ctx = draws_of("rll", 1, n=n, m=m)
+        l_operator = ncalgebra.l_operator
+        points = []
+
+        def counted(z, *args):
+            points.append(z)
+            return l_operator(z, *args)
+
+        monkeypatch.setattr(ncalgebra, "l_operator", counted)
+        residual, _ = checks._rll_trial(cfg, params, zs, ctx)
+        assert residual < cfg.effective_tol("rll")
+        assert points == list(zs)
 
     def test_relations_rank_is_flat_count(self):
         rep = run_one("relations", trials=2)

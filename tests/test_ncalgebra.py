@@ -18,9 +18,9 @@ from ellrmx.elliptic import (
 )
 from ellrmx.ncalgebra import (
     RelationSet,
-    _defect_table,
     component_ratio,
     defect_factorization_check,
+    defect_table,
     l_operator,
     relation_vectors_reference,
     rll_defect,
@@ -61,6 +61,16 @@ def params_for(m: int) -> DynamicalParams:
     q1 = tuple(0.11 + 0.07j + t * (0.37 + 0.19j) for t in range(m))
     q2 = tuple(0.29 + 0.55j + t * (0.41 + 0.23j) for t in range(m))
     return DynamicalParams(hbar=HBAR, q1=q1, q2=q2)
+
+
+def defects_at(n, m, params, z1, z2, ctx=CTX) -> RelationSet:
+    """The defect set of the table built at one point."""
+    return rll_defect(defect_table(n, m, params, z1, z2, ctx))
+
+
+def tables_at(params, z_samples, n=2) -> list:
+    """The defect tables of one parameter set at each z-sample."""
+    return [defect_table(n, params.m, params, z1, z2, CTX) for z1, z2 in z_samples]
 
 
 def flat_ranks(n: int, m: int) -> int:
@@ -109,10 +119,10 @@ def family_row(family, idx, alpha, beta, params) -> np.ndarray:
 
 def table_row(table, key, n: int, m: int) -> np.ndarray:
     """One element of a sparse defect table over all of its words."""
-    rows, words, values, _ = table
     row = np.ravel_multi_index(key, (m * n,) * 4)
     out = np.zeros((m * m * n * n) ** 2, dtype=complex)
-    out[words[rows == row]] = values[rows == row]
+    at = table.rows == row
+    out[table.words[at]] = table.values[at]
     return out
 
 
@@ -181,8 +191,8 @@ class TestShiftBookkeeping:
         for n, m in [(2, 1), (1, 2), (2, 2)]:
             d = m * n
             params = params_for(m)
-            table = _defect_table(n, m, params, Z1, Z2, CTX)
-            masses = table[3]
+            table = defect_table(n, m, params, Z1, Z2, CTX)
+            masses = table.mass
             picks = rng.choice(d**4, size=8, replace=False)
             seen = 0.0
             for flat in picks:
@@ -234,13 +244,13 @@ class TestAnsatzEntries:
 
 class TestDefectSpans:
     def test_scalar_single_site_case_is_an_exact_identity(self):
-        assert len(rll_defect(1, 1, params_for(1), Z1, Z2, CTX)) == 0
+        assert len(defects_at(1, 1, params_for(1), Z1, Z2)) == 0
 
     @pytest.mark.parametrize("nm", [(2, 1), (1, 2), (2, 2)])
     def test_defect_span_equals_reference_span(self, nm):
         n, m = nm
         params = params_for(m)
-        defects = rll_defect(n, m, params, Z1, Z2, CTX)
+        defects = defects_at(n, m, params, Z1, Z2)
         reference = relation_vectors_reference(n, m, params, CTX)
         ok, metric = span_equal(defects, reference, 1e-8)
         assert ok, f"span mismatch at (n, m) = {nm}: metric {metric:.3e}"
@@ -250,7 +260,7 @@ class TestDefectSpans:
     def test_defect_rank_counts_flat_quadratic_relations(self, nm):
         n, m = nm
         params = params_for(m)
-        defects = rll_defect(n, m, params, Z1, Z2, CTX)
+        defects = defects_at(n, m, params, Z1, Z2)
         reference = relation_vectors_reference(n, m, params, CTX)
         assert span_rank(defects) == flat_ranks(n, m)
         assert span_rank(reference) == flat_ranks(n, m)
@@ -260,7 +270,7 @@ class TestDefectSpans:
         # flat count and no longer matches the reference relations.
         n, m = 2, 1
         params = params_for(m)
-        defects = rll_defect(n, m, params, Z1, Z2, CTX)
+        defects = defects_at(n, m, params, Z1, Z2)
         reference = relation_vectors_reference(n, m, params, CTX)
         assert span_rank(defects) > flat_ranks(n, m)
         ok, metric = span_equal(defects, reference, 1e-8)
@@ -274,7 +284,7 @@ class TestDefectSpans:
         reference = relation_vectors_reference(n, m, params, CTX)
         first = None
         for z1, z2 in Z_SAMPLES:
-            defects = rll_defect(n, m, params, z1, z2, CTX)
+            defects = defects_at(n, m, params, z1, z2)
             ok, metric = span_equal(defects, reference, 1e-8)
             assert ok, f"z pair ({z1}, {z2}): metric {metric:.3e}"
             if first is None:
@@ -286,13 +296,12 @@ class TestDefectSpans:
 class TestFactorization:
     def test_single_site_returns_none(self):
         out = defect_factorization_check(
+            tables_at(params_for(1), Z_SAMPLES[:2]),
             1,
             1,
             2,
             LatticeIndex(0, 0, 2),
             LatticeIndex(0, 1, 2),
-            params_for(1),
-            Z_SAMPLES,
             CTX,
         )
         assert out is None
@@ -300,13 +309,12 @@ class TestFactorization:
     def test_two_samples_required(self):
         with pytest.raises(ValueError):
             defect_factorization_check(
+                tables_at(params_for(2), Z_SAMPLES[:1]),
                 1,
                 1,
                 2,
                 LatticeIndex(0, 0, 2),
                 LatticeIndex(0, 1, 2),
-                params_for(2),
-                Z_SAMPLES[:1],
                 CTX,
             )
 
@@ -318,7 +326,7 @@ class TestFactorization:
         alpha = LatticeIndex(a[0], a[1], n)
         beta = LatticeIndex(0, 1, n)
         worst = defect_factorization_check(
-            *idx, alpha, beta, params, Z_SAMPLES, CTX
+            tables_at(params, Z_SAMPLES), *idx, alpha, beta, CTX
         )
         assert worst < 1e-9
 
@@ -329,8 +337,8 @@ class TestFactorization:
         params = params_for(2)
         alpha = LatticeIndex(a[0], a[1], n)
         beta = LatticeIndex(0, 1, n)
-        z1, z2 = Z_SAMPLES[0]
-        comp = component_ratio(*idx, alpha, beta, params, z1, z2, CTX)
+        (table,) = tables_at(params, Z_SAMPLES[:1])
+        comp = component_ratio(table, *idx, alpha, beta, CTX)
         fam = family_row(2, idx, alpha, beta, params)
         support = np.abs(fam) > 1e-12 * np.max(np.abs(fam))
         ratios = comp[support] / fam[support]
@@ -342,13 +350,12 @@ class TestFactorization:
         n = 2
         params = params_for(2)
         worst = defect_factorization_check(
+            tables_at(params, Z_SAMPLES[:2]),
             1,
             1,
             2,
             LatticeIndex(0, 1, n),
             LatticeIndex(0, 1, n),
-            params,
-            Z_SAMPLES[:2],
             CTX,
         )
         assert worst > 1e-3
@@ -358,17 +365,16 @@ class TestFactorization:
         params = params_for(2)
         # Put z2 + q2_1 - q1_2 within DELTA_MIN of the theta zero at 0.
         z2 = params.q1[1] - params.q2[0] + 0.01
+        table = defect_table(n, 2, params, Z1, z2, CTX)
         with pytest.raises(PoleProximityError):
-            component_ratio(
-                1,
-                1,
-                2,
-                LatticeIndex(0, 0, n),
-                LatticeIndex(0, 0, n),
-                params,
-                Z1,
-                z2,
-                CTX,
+            component_ratio(table, 1, 1, 2, LatticeIndex(0, 0, n), LatticeIndex(0, 0, n), CTX)
+
+    def test_tables_of_other_parameters_are_refused(self):
+        other = replace(params_for(2), hbar=0.17 + 0.21j)
+        tables = tables_at(params_for(2), Z_SAMPLES[:1]) + tables_at(other, Z_SAMPLES[1:2])
+        with pytest.raises(ValueError):
+            defect_factorization_check(
+                tables, 1, 1, 2, LatticeIndex(0, 1, 2), LatticeIndex(0, 1, 2), CTX
             )
 
 
@@ -632,7 +638,7 @@ class TestSectorDimensions:
         g = m * m * n * n
         params = params_for(m)
         sets = (
-            rll_defect(n, m, params, Z1, Z2, CTX),
+            defects_at(n, m, params, Z1, Z2),
             relation_vectors_reference(n, m, params, CTX),
         )
         for s in sets:
@@ -860,7 +866,7 @@ def assert_gathered_matches(sparse, oracle):
     term stands on a word the oracle's moduli reach.  Returns the gathered
     table expanded over all words."""
     table, mass, support = oracle
-    rows, words, values, got_mass = sparse
+    rows, words, values, got_mass = sparse[:4]
     got = np.zeros(table.shape, dtype=complex)
     flat = got.reshape(-1, table.shape[-1])
     flat[rows, words] = values
@@ -892,7 +898,7 @@ class TestSparseParity:
         for trial in range(10):
             params, zs = sample_params(_trial_seed(42, "rll", trial), _rll_spec(cfg), ctx)
             builds = (
-                (dense_defect_table, _defect_table, (n, m, params, *zs[:2], ctx)),
+                (dense_defect_table, defect_table, (n, m, params, *zs[:2], ctx)),
                 (dense_reference, relation_vectors_reference, (n, m, params, ctx)),
             )
             try:
@@ -904,11 +910,11 @@ class TestSparseParity:
                     assert trips(dense, args) == trips(sparse, args)
         else:
             pytest.fail("no draw clear of the pole guards")
-        sparse = _defect_table(n, m, params, zs[0], zs[1], ctx)
+        sparse = defect_table(n, m, params, zs[0], zs[1], ctx)
         got = assert_gathered_matches(sparse, oracle)
-        keep = dense_norms(got) > 1e-12 * sparse[3]
+        keep = dense_norms(got) > 1e-12 * sparse.mass
         dense = DenseSet(got[keep])
-        defects = rll_defect(n, m, params, zs[0], zs[1], ctx)
+        defects = rll_defect(sparse)
         assert np.array_equal(dense_rows(defects), dense.rows)
         reference = relation_vectors_reference(n, m, params, ctx)
         assert np.array_equal(dense_rows(reference), dense_ref.rows)
@@ -926,13 +932,10 @@ class TestSparseParity:
     def test_one_a_out_at_a_time_gives_the_same_table(self, monkeypatch, nm):
         n, m = nm
         params = params_for(m)
-        _defect_table.cache_clear()
-        whole = _defect_table(n, m, params, Z1, Z2, CTX)
+        whole = defect_table(n, m, params, Z1, Z2, CTX)
         monkeypatch.setattr(ncalgebra, "_CHUNK", 1)
-        _defect_table.cache_clear()
-        runs = _defect_table(n, m, params, Z1, Z2, CTX)
-        _defect_table.cache_clear()
-        for a, b in zip(whole, runs):
+        runs = defect_table(n, m, params, Z1, Z2, CTX)
+        for a, b in zip(whole[:4], runs[:4]):
             assert np.array_equal(a, b)
 
     def test_leaked_r_entry_is_gathered_and_fails_the_trial(self, monkeypatch):
@@ -952,14 +955,10 @@ class TestSparseParity:
             return r
 
         monkeypatch.setattr(ncalgebra, "r_slnm", leaky)
-        _defect_table.cache_clear()
-        try:
-            sparse = _defect_table(n, m, params, zs[0], zs[1], CTX)
-            oracle = dense_defect_table(n, m, params, zs[0], zs[1], CTX, r_matrix=leaky)
-            assert_gathered_matches(sparse, oracle)
-            residual, _ = _rll_trial(cfg, params, zs, CTX)
-        finally:
-            _defect_table.cache_clear()
+        sparse = defect_table(n, m, params, zs[0], zs[1], CTX)
+        oracle = dense_defect_table(n, m, params, zs[0], zs[1], CTX, r_matrix=leaky)
+        assert_gathered_matches(sparse, oracle)
+        residual, _ = _rll_trial(cfg, params, zs, CTX)
         assert residual > cfg.effective_tol("rll")
 
 
@@ -983,7 +982,6 @@ class TestMemory:
         # 12 MB, the gathered trial near 4.6 MB.
         cfg = CheckConfig(check="rll", n=2, m=3)
         params, zs = sample_params(_trial_seed(42, "rll", 0), _rll_spec(cfg), CTX)
-        _defect_table.cache_clear()
         assert traced_peak(_rll_trial, cfg, params, zs, CTX) <= 8 * 2**20
 
     def test_reference_set_at_two_by_four(self):
