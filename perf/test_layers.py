@@ -3,6 +3,11 @@
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python -m pytest perf \
         --benchmark-json=BENCH_<label>.json
 
+Take a pair interleaved: run the file on the parent, then on the change,
+then on the parent and the change again, and keep each side's better
+reading (the lower median) per case.  Running one side's suite after the
+other's reads host drift as a change.
+
 These cases sit outside the tier-1 suite (``testpaths``) and outside the
 benchmark's ``bench/`` directory.  Each times one layer on fixed inputs at
 the default tau: theta at one argument (a 0-d call), theta over 1,000
@@ -17,6 +22,9 @@ m = 4, one defect set (``rll_defect`` of a table built every round) at
 run a whole check through ``run_single`` at tau = 5.3+0.3i, where the
 trials of ``relations`` and ``tv-reduce`` are evaluated together: ten
 ``relations`` trials at (2, 2) and ten ``tv-reduce`` trials at m = 2.
+Three more run ten trials of ``ybe`` at n = 3, ``dybe-felder`` at m = 2
+and ``sklyanin-rep`` at n = 3 through ``run_single`` at the default tau,
+where each check evaluates its trials together.
 Trials are drawn and run through the check's runner (``_RUNNERS``), which
 takes a list of draws.  On commits that memoize defect tables by point
 (``_defect_table``), the memo is bypassed, so that the same file times a
@@ -52,7 +60,7 @@ else:
 
 def trial_draw(check, n, m=1):
     cfg = CheckConfig(check=check, n=n, m=m)
-    spec = _RUNNERS[check][0](cfg)
+    spec = _RUNNERS[check].spec(cfg)
     params, zs = sample_params(_trial_seed(SEED, check, 0), spec, CTX)
     return cfg, params, zs
 
@@ -60,7 +68,7 @@ def trial_draw(check, n, m=1):
 def one_trial(check, n, m=1):
     """Trial 0 of a check as a call without arguments."""
     cfg, params, zs = trial_draw(check, n, m)
-    run = _RUNNERS[check][1]
+    run = _RUNNERS[check].run
     return lambda: run(cfg, [(params, zs)], CTX)
 
 
@@ -157,3 +165,18 @@ def test_relations_ten_trials_2x2_skew_tau(benchmark):
 def test_tv_reduce_ten_trials_m2_skew_tau(benchmark):
     cfg = CheckConfig(check="tv-reduce", m=2, tau=SKEW_CTX.tau, trials=10)
     benchmark(run_single, cfg, "tv-reduce", SKEW_CTX)
+
+
+def test_ybe_ten_trials_n3(benchmark):
+    cfg = CheckConfig(check="ybe", n=3, trials=10)
+    benchmark(run_single, cfg, "ybe", CTX)
+
+
+def test_dybe_felder_ten_trials_m2(benchmark):
+    cfg = CheckConfig(check="dybe-felder", m=2, trials=10)
+    benchmark(run_single, cfg, "dybe-felder", CTX)
+
+
+def test_sklyanin_rep_ten_trials_n3(benchmark):
+    cfg = CheckConfig(check="sklyanin-rep", n=3, trials=10)
+    benchmark(run_single, cfg, "sklyanin-rep", CTX)

@@ -2,10 +2,12 @@
 
 Each named check draws its own pole-free parameters per trial, evaluates
 the corresponding identities, and aggregates residuals into a report.
-The ``relations`` and ``tv-reduce`` checks evaluate batches of trials
-together; no trial's outcome depends on the others in its batch.
-Checks are judged against a residual tolerance except for the span-level
-ones (rll, tv-reduce), whose default tolerance is looser.
+Every check but ``rll`` evaluates batches of trials together: one stacked
+build of a batch's R-matrices (or relation families, kernels and letters)
+and one stacked exchange contraction.  No trial's outcome depends on the
+others in its batch, to the bit.  Checks are judged against a residual
+tolerance except for the span-level ones (rll, tv-reduce), whose default
+tolerance is looser.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ import math
 import time
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator, NamedTuple
+
+import numpy as np
 
 from .elliptic import (
     MIN_IM_TAU,
@@ -196,12 +200,28 @@ def _trial_seed(seed: int, check: str, trial: int) -> list[int]:
     return [seed & 0xFFFFFFFFFFFFFFFF, CHECK_NAMES.index(check), trial]
 
 
-# Per-check sample specs and evaluations.  A trial function returns
-# (residual, rank-or-None); the runners of relations and tv-reduce return
-# one such pair per draw of a batch.  The sample spec declares the
-# denominators the evaluations will touch.
+# Per-check sample specs and runners.  A runner maps a batch of draws to
+# one (residual, rank-or-None) pair per draw; all but rll's evaluate the
+# batch's trials together, handing the residual functions one entry per
+# trial.  The sample spec declares the denominators the evaluations will
+# touch.
 
 Draw = tuple[DynamicalParams, tuple[complex, ...]]
+
+
+def _columns(draws: list[Draw]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The draws' hbar (one per trial), points (one row per point, one
+    column per trial) and first coordinate vectors (one row per trial)."""
+    return (
+        np.array([params.hbar for params, _ in draws]),
+        np.array([zs for _, zs in draws]).T,
+        np.array([params.q1 for params, _ in draws]),
+    )
+
+
+def _residuals(*per_trial: np.ndarray) -> list[tuple[float, None]]:
+    """The largest of each trial's residuals, as rankless outcomes."""
+    return [(float(v), None) for v in np.maximum.reduce(per_trial)]
 
 
 def _ybe_spec(cfg: CheckConfig) -> SampleSpec:
@@ -216,14 +236,12 @@ def _ybe_spec(cfg: CheckConfig) -> SampleSpec:
     return SampleSpec(m=1, z_count=3, hbar=cfg.hbar, expressions=exprs)
 
 
-def _ybe_trial(
-    cfg: CheckConfig, params: DynamicalParams, zs: tuple[complex, ...],
-    ctx: EllipticContext,
-) -> tuple[float, None]:
-    z1, z2, z3 = zs
-    triple = ybe_residual(params.hbar, z1, z2, z3, cfg.n, ctx)
-    as_l = bb_l_operator_rll_residual(params.hbar, z1, z2, cfg.n, ctx)
-    return max(triple, as_l), None
+def _ybe_run(cfg: CheckConfig, draws: list[Draw], ctx: EllipticContext) -> list:
+    hbar, (z1, z2, z3), _ = _columns(draws)
+    return _residuals(
+        ybe_residual(hbar, z1, z2, z3, cfg.n, ctx),
+        bb_l_operator_rll_residual(hbar, z1, z2, cfg.n, ctx),
+    )
 
 
 def _felder_spec(cfg: CheckConfig) -> SampleSpec:
@@ -238,16 +256,13 @@ def _felder_spec(cfg: CheckConfig) -> SampleSpec:
     return SampleSpec(m=cfg.m, z_count=3, hbar=cfg.hbar, expressions=exprs)
 
 
-def _felder_trial(
-    cfg: CheckConfig, params: DynamicalParams, zs: tuple[complex, ...],
-    ctx: EllipticContext,
-) -> tuple[float, None]:
-    z1, z2, z3 = zs
-    hbar, q = params.hbar, params.q1
-    triple = dybe_residual_felder(hbar, z1, z2, z3, q, ctx)
-    weight = zero_weight_residual(hbar, z1 - z2, q, ctx)
-    own_l = felder_dynamical_l_residual(hbar, z1, z2, q, ctx)
-    return max(triple, weight, own_l), None
+def _felder_run(cfg: CheckConfig, draws: list[Draw], ctx: EllipticContext) -> list:
+    hbar, (z1, z2, z3), q = _columns(draws)
+    return _residuals(
+        dybe_residual_felder(hbar, z1, z2, z3, q, ctx),
+        zero_weight_residual(hbar, z1 - z2, q, ctx),
+        felder_dynamical_l_residual(hbar, z1, z2, q, ctx),
+    )
 
 
 def _slnm_spec(cfg: CheckConfig) -> SampleSpec:
@@ -264,12 +279,9 @@ def _slnm_spec(cfg: CheckConfig) -> SampleSpec:
     return SampleSpec(m=cfg.m, z_count=3, hbar=cfg.hbar, expressions=exprs)
 
 
-def _slnm_trial(
-    cfg: CheckConfig, params: DynamicalParams, zs: tuple[complex, ...],
-    ctx: EllipticContext,
-) -> tuple[float, None]:
-    z1, z2, z3 = zs
-    return dybe_residual_slnm(params.hbar, z1, z2, z3, params.q1, cfg.n, ctx), None
+def _slnm_run(cfg: CheckConfig, draws: list[Draw], ctx: EllipticContext) -> list:
+    hbar, (z1, z2, z3), q = _columns(draws)
+    return _residuals(dybe_residual_slnm(hbar, z1, z2, z3, q, cfg.n, ctx))
 
 
 def _factor_labels(n: int) -> tuple[LatticeIndex, LatticeIndex]:
@@ -296,6 +308,12 @@ def _rll_spec(cfg: CheckConfig) -> SampleSpec:
                 yield za + params.q2[0] - params.q1[0] + hbar, n
 
     return SampleSpec(m=m, two_sets=True, z_count=4, hbar=cfg.hbar, expressions=exprs)
+
+
+def _rll_run(cfg: CheckConfig, draws: list[Draw], ctx: EllipticContext) -> list:
+    """rll evaluates its trials one at a time: a trial's two defect tables
+    are the largest arrays of any check."""
+    return [_rll_trial(cfg, params, zs, ctx) for params, zs in draws]
 
 
 def _rll_trial(
@@ -359,17 +377,13 @@ def _fay_spec(cfg: CheckConfig) -> SampleSpec:
     return SampleSpec(m=1, z_count=4, hbar=cfg.hbar, expressions=exprs)
 
 
-def _fay_trial(
-    cfg: CheckConfig, params: DynamicalParams, zs: tuple[complex, ...],
-    ctx: EllipticContext,
-) -> tuple[float, None]:
-    z, w, x, y = zs
-    worst = max(
+def _fay_run(cfg: CheckConfig, draws: list[Draw], ctx: EllipticContext) -> list:
+    _, (z, w, x, y), _ = _columns(draws)
+    return _residuals(
         fay_residual(z, w, x, y, ctx),
         fay_coincident_residual(z, x, y, ctx),
         fay_pair_residual(z, x, ctx),
     )
-    return worst, None
 
 
 def _sklyanin_spec(cfg: CheckConfig) -> SampleSpec:
@@ -381,23 +395,22 @@ def _sklyanin_spec(cfg: CheckConfig) -> SampleSpec:
     return SampleSpec(m=1, z_count=1, hbar=cfg.hbar, expressions=exprs)
 
 
-def _sklyanin_trial(
-    cfg: CheckConfig, params: DynamicalParams, zs: tuple[complex, ...],
-    ctx: EllipticContext,
-) -> tuple[float, None]:
-    hbar = params.hbar
-    eta = zs[0]
-    worst = 0.0
-    # the bare constants stack four Eisenstein letters over n^2 gammas per pair
-    for pairs in label_pair_chunks(cfg.n, 4 * cfg.n**2):
-        basic = sklyanin_coeffs(pairs, cfg.n, hbar, ctx)
-        shifted = sklyanin_coeffs_eta(basic, eta, hbar, ctx)
-        worst = max(
-            worst,
-            sklyanin_representation_residual(basic, ctx).max(),
-            sklyanin_representation_residual(shifted, ctx, shift=(hbar, eta)).max(),
-        )
-    return float(worst), None
+def _sklyanin_run(cfg: CheckConfig, draws: list[Draw], ctx: EllipticContext) -> list:
+    hbar, (eta,), _ = _columns(draws)
+    worst = []
+    for pairs in label_pair_chunks(cfg.n, _letter_terms(cfg.n) * len(draws)):
+        # the bare table is dropped once the shifted one is built from it
+        table = sklyanin_coeffs(pairs, cfg.n, hbar, ctx)
+        worst.append(sklyanin_representation_residual(table, ctx).max(axis=-1))
+        table = sklyanin_coeffs_eta(table, eta, hbar, ctx)
+        worst.append(sklyanin_representation_residual(table, ctx, shift=(hbar, eta)).max(axis=-1))
+    return _residuals(*worst)
+
+
+def _letter_terms(n: int) -> int:
+    """Array entries of one label pair: the bare constants stack four
+    Eisenstein letters over n^2 gammas."""
+    return 4 * n**2
 
 
 def _tv_spec(cfg: CheckConfig) -> SampleSpec:
@@ -447,41 +460,34 @@ def _bb_spec(cfg: CheckConfig) -> SampleSpec:
     return SampleSpec(m=1, z_count=1, hbar=cfg.hbar, expressions=exprs)
 
 
-def _bb_trial(
-    cfg: CheckConfig, params: DynamicalParams, zs: tuple[complex, ...],
-    ctx: EllipticContext,
-) -> tuple[float, None]:
-    gap = slnm_reduction_residual_m1(params.hbar, zs[0], params.q1[0], cfg.n, ctx)
-    return gap, None
+def _bb_run(cfg: CheckConfig, draws: list[Draw], ctx: EllipticContext) -> list:
+    hbar, (u,), q = _columns(draws)
+    return _residuals(slnm_reduction_residual_m1(hbar, u, q[:, 0], cfg.n, ctx))
 
 
-TrialFn = Callable[
-    [CheckConfig, DynamicalParams, tuple[complex, ...], EllipticContext],
-    tuple[float, int | None],
-]
 RunFn = Callable[[CheckConfig, list[Draw], EllipticContext], list[tuple[float, int | None]]]
-
-
-def _each(trial: TrialFn) -> RunFn:
-    """A runner that evaluates the draws one trial at a time."""
-
-    def run(cfg: CheckConfig, draws: list[Draw], ctx: EllipticContext) -> list:
-        return [trial(cfg, params, zs, ctx) for params, zs in draws]
-
-    return run
 
 
 def _reference_terms(cfg: CheckConfig) -> int:
     return reference_terms(cfg.n, cfg.m)
 
 
+def _kernel_terms(points: int, x_values: int, n: int) -> int:
+    """Entries of the twisted-kernel product of an R-matrix stack build:
+    ``points`` spectral parameters, each with ``x_values`` kernel shifts,
+    n^2 characteristics and n^4 basis entries apiece (see ``r_slnm``)."""
+    return points * x_values * n**6
+
+
 class Runner(NamedTuple):
     """How a check draws and evaluates its trials.
 
     ``run`` maps a list of draws to their (residual, rank-or-None)
-    outcomes, in order.  ``trial_terms`` sizes one trial of a runner that
-    evaluates its draws together (see :func:`batch_size`); without it every
-    batch holds one trial.
+    outcomes, in order.  ``trial_terms`` sizes one trial's largest array
+    of a runner that evaluates its draws together (see :func:`batch_size`):
+    the relation terms of a family build, the kernel product of an R-matrix
+    stack, or the Eisenstein letters of the Sklyanin constants.  Without it
+    every batch holds one trial.
     """
 
     spec: Callable[[CheckConfig], SampleSpec]
@@ -489,21 +495,32 @@ class Runner(NamedTuple):
     trial_terms: Callable[[CheckConfig], int] | None = None
 
 
+# The exchange checks build three pairs per identity, each at q and at its
+# m shifts: a composite pair's kernels take hbar and the m (m - 1)
+# coordinate differences, and a Felder stack holds m^4 entries per pair.
+# A Fay trial takes 17 kernel arguments.
 _RUNNERS: dict[str, Runner] = {
-    "ybe": Runner(_ybe_spec, _each(_ybe_trial)),
-    "dybe-felder": Runner(_felder_spec, _each(_felder_trial)),
-    "dybe-slnm": Runner(_slnm_spec, _each(_slnm_trial)),
-    "rll": Runner(_rll_spec, _each(_rll_trial)),
+    "ybe": Runner(_ybe_spec, _ybe_run, lambda cfg: _kernel_terms(3, 1, cfg.n)),
+    "dybe-felder": Runner(_felder_spec, _felder_run, lambda cfg: 3 * (cfg.m + 1) * cfg.m**4),
+    "dybe-slnm": Runner(
+        _slnm_spec,
+        _slnm_run,
+        lambda cfg: _kernel_terms(3 * (cfg.m + 1), 1 + cfg.m * (cfg.m - 1), cfg.n),
+    ),
+    "rll": Runner(_rll_spec, _rll_run),
     "relations": Runner(_relations_spec, _relations_run, _reference_terms),
-    "fay": Runner(_fay_spec, _each(_fay_trial)),
-    "sklyanin-rep": Runner(_sklyanin_spec, _each(_sklyanin_trial)),
+    "fay": Runner(_fay_spec, _fay_run, lambda cfg: 17),
+    "sklyanin-rep": Runner(
+        _sklyanin_spec, _sklyanin_run, lambda cfg: _letter_terms(cfg.n) * cfg.n**4
+    ),
     "tv-reduce": Runner(_tv_spec, _tv_run, _reference_terms),
-    "bb-reduce": Runner(_bb_spec, _each(_bb_trial)),
+    "bb-reduce": Runner(_bb_spec, _bb_run, lambda cfg: _kernel_terms(2, 1, cfg.n)),
 }
 
-#: Relation terms that one batch of trials builds together; bounds a
-#: batch's temporaries as ``label_pair_chunks`` bounds a chunk's.  A trial
-#: larger than this runs alone.
+#: Array entries (relation terms, kernel products, letters: see
+#: ``Runner.trial_terms``) that one batch of trials builds together; bounds
+#: a batch's temporaries as ``label_pair_chunks`` bounds a chunk's.  A
+#: trial larger than this runs alone.
 _BATCH_TERMS = 1 << 16
 
 

@@ -143,11 +143,21 @@ _CHUNK = 4096
 
 
 def _dedup(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct entries of a flat array, in order of first appearance, and
-    each entry's position among them."""
-    first: dict[complex, int] = {}
-    inverse = [first.setdefault(v, len(first)) for v in values.tolist()]
-    return np.array(list(first), dtype=complex), np.array(inverse, dtype=np.intp)
+    """Distinct entries of a flat array, in sorted order, and each entry's
+    position among them.
+
+    A stable sort puts equal entries side by side in order of appearance,
+    so each run keeps its first entry: of equal values that differ only in
+    the sign of a zero part, the first one stands for all.
+    """
+    order = np.argsort(values, kind="stable")
+    ranked = values[order]
+    first = np.empty(values.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
+    inverse = np.empty(values.size, dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return ranked[first], inverse
 
 
 def _theta_block(u, ctx: EllipticContext, order: int) -> tuple[np.ndarray, ...]:
@@ -300,46 +310,64 @@ def eisenstein_e2(z, ctx: EllipticContext):
     return _shaped((t1 / t0) ** 2 - t2 / t0, z)
 
 
-def fay_residual(z: complex, w: complex, x: complex, y: complex, ctx: EllipticContext) -> float:
+def _scalar_product(a, b) -> np.ndarray:
+    """``a * b`` rounded as numpy rounds a product of two complex scalars,
+    without fused multiply-adds, at every entry of two arrays of one shape."""
+    out = np.empty(np.shape(a), dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+def _fay_defect(defect, *terms):
+    """``|defect|`` over the largest of the term moduli and 1, each modulus
+    the hypot that ``abs`` of a complex scalar takes; a float for scalar
+    points."""
+    scale = 1.0
+    for t in terms:
+        scale = np.maximum(scale, np.hypot(t.real, t.imag))
+    out = np.hypot(defect.real, defect.imag) / scale
+    return out if np.ndim(out) else float(out)
+
+
+def fay_residual(z, w, x, y, ctx: EllipticContext):
     """Normalized defect of the three-term quadratic kernel identity.
 
     ``phi(z,x) phi(w,y)`` should equal
     ``phi(z-w,x) phi(w,x+y) + phi(w-z,y) phi(z,x+y)``; the defect is divided
-    by the largest of the three term magnitudes (and 1).
+    by the largest of the three term magnitudes (and 1).  1-d arrays of the
+    points (one entry per trial, all of one shape) give one defect per
+    trial from one kernel call, equal bit for bit to the scalar calls.
     """
     phi = kronecker_phi(
-        np.array([z, w, z - w, w, w - z, z]),
-        np.array([x, y, x, x + y, y, x + y]),
-        ctx,
+        np.array([z, w, z - w, w, w - z, z]), np.array([x, y, x, x + y, y, x + y]), ctx
     )
     lhs, t1, t2 = phi[::2] * phi[1::2]
-    scale = max(abs(lhs), abs(t1), abs(t2), 1.0)
-    return abs(lhs - t1 - t2) / scale
+    return _fay_defect(lhs - t1 - t2, lhs, t1, t2)
 
 
-def fay_coincident_residual(z: complex, x: complex, y: complex, ctx: EllipticContext) -> float:
+def fay_coincident_residual(z, x, y, ctx: EllipticContext):
     """Normalized defect of the first-argument degeneration of the identity.
 
     ``phi(z,x) phi(z,y)`` should equal
-    ``phi(z,x+y) (E1(z) + E1(x) + E1(y) - E1(x+y+z))``.
+    ``phi(z,x+y) (E1(z) + E1(x) + E1(y) - E1(x+y+z))``.  Arrays as for
+    :func:`fay_residual`.
     """
     phi = kronecker_phi(z, np.array([x, y, x + y]), ctx)
     e1 = eisenstein_e1(np.array([z, x, y, x + y + z]), ctx)
-    lhs = phi[0] * phi[1]
-    rhs = phi[2] * (e1[0] + e1[1] + e1[2] - e1[3])
-    scale = max(abs(lhs), abs(rhs), 1.0)
-    return abs(lhs - rhs) / scale
+    lhs = _scalar_product(phi[0], phi[1])
+    rhs = _scalar_product(phi[2], e1[0] + e1[1] + e1[2] - e1[3])
+    return _fay_defect(lhs - rhs, lhs, rhs)
 
 
-def fay_pair_residual(z: complex, x: complex, ctx: EllipticContext) -> float:
+def fay_pair_residual(z, x, ctx: EllipticContext):
     """Normalized defect of the fully degenerate form: ``phi(z,x) phi(z,-x)``
-    against ``E2(z) - E2(x)``."""
+    against ``E2(z) - E2(x)``.  Arrays as for :func:`fay_residual`."""
     phi = kronecker_phi(z, np.array([x, -x]), ctx)
     e2 = eisenstein_e2(np.array([z, x]), ctx)
-    lhs = phi[0] * phi[1]
+    lhs = _scalar_product(phi[0], phi[1])
     rhs = e2[0] - e2[1]
-    scale = max(abs(lhs), abs(rhs), 1.0)
-    return abs(lhs - rhs) / scale
+    return _fay_defect(lhs - rhs, lhs, rhs)
 
 
 @dataclass(frozen=True)

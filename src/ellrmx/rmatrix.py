@@ -12,12 +12,15 @@ call.  Dynamical shifts q -> q - hbar e_k inside a product act diagonally
 on the weight components of the shifted site, so a shifted factor is
 ``sum_k R(q - hbar e_k) (x) P_k``: the M-weight of the spectator site's
 index picks the matrix.  The exchange residuals apply every factor site by
-site and never embed one into the three-site space.
+site and never embed one into the three-site space.  They take 1-d arrays
+of trial parameters as well: every trial's matrices for one identity come
+from one stacked build, and both sides from one contraction with a leading
+trial axis, equal bit for bit to the trials' scalar calls.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,21 +57,28 @@ class DynamicalParams:
 
 
 def relative_residual(lhs: np.ndarray, rhs: np.ndarray) -> float:
-    """Frobenius defect of ``lhs == rhs`` scaled by the larger side (floor 1)."""
+    """Frobenius defect of ``lhs == rhs`` scaled by the larger side (floor 1).
+
+    The difference overwrites ``lhs``, so that no third array of the sides'
+    size is held; its elements keep ``lhs``'s order, that of a new array,
+    so the norm keeps its bits.
+    """
     norm = max(np.linalg.norm(lhs), np.linalg.norm(rhs), 1.0)
-    return float(np.linalg.norm(lhs - rhs) / norm)
+    np.subtract(lhs, rhs, out=lhs)
+    return float(np.linalg.norm(lhs) / norm)
 
 
-def r_bb(hbar: complex, u, n: int, ctx: EllipticContext) -> np.ndarray:
+def r_bb(hbar, u, n: int, ctx: EllipticContext) -> np.ndarray:
     """Vertex R-matrix on C^n x C^n: characteristic sum of twisted kernels
-    against basis pairs T_alpha (x) T_{-alpha}.  A 1-d array of ``u`` gives
-    the stack of matrices.
+    against basis pairs T_alpha (x) T_{-alpha}.  An array of ``u`` gives
+    the stack of matrices, and ``hbar`` may be an array of ``u``'s shape.
 
     The second basis factor uses the *integer* negation of the canonical
     representative; the product of the sign picked up by each factor under a
     representative change cancels, so each term is well defined.
     """
-    blocks = _bb_blocks(np.array([hbar], dtype=complex), np.asarray(u)[..., None], n, ctx)
+    x = np.asarray(hbar, dtype=complex)[..., None]
+    blocks = _bb_blocks(x, np.asarray(u)[..., None], n, ctx)
     return blocks.reshape(np.shape(u) + (n * n, n * n))
 
 
@@ -170,131 +180,176 @@ def r_slnm(hbar, u, q, n: int, ctx: EllipticContext) -> np.ndarray:
     return out.reshape(u.shape + (dim, dim))
 
 
-def _exchange_sides(
-    r: np.ndarray, shifted: np.ndarray, weight: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Both sides of ``R12 S13 R23 = S23 R13 S12`` on three sites of dimension d.
+def _exchange_sides(r: np.ndarray, shifted: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Both sides of ``R12 S13 R23 = S23 R13 S12`` on three sites of
+    dimension d, for a stack of trials.
 
-    ``r`` stacks the two-site matrices R12, R13 and R23 (rows and columns
-    ordered first site, second site).  A shifted factor S applies
-    ``shifted[p, w]``, pair p's matrix, where the index of the third,
-    spectating site has weight w; ``weight`` maps a site index to its
-    weight.  S13 R23 and R13 S12 are batched over the spectator index, so
-    no factor is embedded in the (d^3 x d^3) space.  Both sides come back
-    indexed [a, b, c, a', b', c'] (row a b c, column a' b' c'); the right
-    side is a transposed view.
+    ``r[t]`` stacks trial t's two-site matrices R12, R13 and R23 (rows and
+    columns ordered first site, second site).  A shifted factor S applies
+    ``shifted[t, p, w]``, pair p's matrix, where the index of the third,
+    spectating site has weight w; a site's indices fall into equal runs,
+    one per weight.  S13 R23 and R13 S12 are batched over the spectator
+    index, which picks its weight's matrix by broadcasting, so no factor is
+    copied per index or embedded in the (d^3 x d^3) space.  R13 S12 is
+    formed one column index of the third site at a time, so that it never
+    coexists whole with both sides.  Both sides come back indexed
+    [t, a, b, c, a', b', c'] (row a b c, column a' b' c'); the right side
+    is a transposed view.
     """
-    d = len(weight)
-    r12, r13, r23 = r.reshape(3, d, d, d, d)
-    s12, s13, s23 = shifted[:, weight].reshape(3, d, d, d, d, d)
+    k, _, m = shifted.shape[:3]
+    d = math.isqrt(r.shape[-1])
+    n = d // m
+    r12, r13, r23 = (r[:, p].reshape(k, d, d, d, d) for p in range(3))
+    s12, s13, s23 = (shifted[:, p] for p in range(3))
     # S13 R23 as [b, a, c, a', b', c'], then R12 with its columns as (b, a)
-    x = np.matmul(s13.reshape(d, d**3, d), r23.reshape(d, d, d * d))
-    lhs = r12.transpose(0, 1, 3, 2).reshape(d * d, d * d) @ x.reshape(d * d, d**4)
-    del x
-    # R13 S12 as [c', a, c, b, a', b'], then S23 with its columns as (c, b)
-    y = np.matmul(r13.transpose(3, 0, 1, 2).reshape(d, d * d, d), s12.reshape(d, d, d**3))
-    rhs = np.matmul(
-        s23.transpose(0, 1, 2, 4, 3).reshape(d, d * d, d * d), y.reshape(d, d, d * d, d * d)
+    x = np.matmul(s13.reshape(k, m, 1, d**3, d), r23.reshape(k, m, n, d, d * d))
+    lhs = np.matmul(
+        r12.transpose(0, 1, 2, 4, 3).reshape(k, d * d, d * d), x.reshape(k, d * d, d**4)
     )
-    return lhs.reshape((d,) * 6), rhs.reshape((d,) * 6).transpose(1, 2, 3, 4, 5, 0)
+    del x
+    # R13 S12 as [c', a, c, b, a', b'] one c' at a time, then S23 with its
+    # columns as (c, b)
+    r13 = r13.transpose(0, 4, 1, 2, 3).reshape(k, d, d * d, d)
+    s12 = s12.reshape(k, m, d, d**3)
+    s23 = s23.reshape(k, m, d, d, d, d).transpose(0, 1, 2, 3, 5, 4)
+    s23 = s23.reshape(k, m, 1, d * d, d * d)
+    rhs = np.empty((k, d, m, n, d * d, d * d), dtype=complex)
+    for c in range(d):
+        y = np.matmul(r13[:, c], s12[:, c // n]).reshape(k, m, n, d * d, d * d)
+        np.matmul(s23, y, out=rhs[:, c])
+    rhs = rhs.reshape((k,) + (d,) * 6).transpose(0, 2, 3, 4, 5, 6, 1)
+    return lhs.reshape((k,) + (d,) * 6), rhs
 
 
-def _triple_points(
-    hbar: complex, z1: complex, z2: complex, z3: complex, q: Sequence[complex]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Spectral parameters and coordinates of every factor of a dynamical
-    triple, for one stacked build: the pairs 12, 13 and 23, each at ``q``
-    and then at ``q - hbar e_k`` for every k."""
-    m = len(q)
-    qs = np.tile(np.array(q, dtype=complex), (m + 1, 1))
-    qs[np.arange(1, m + 1), np.arange(m)] -= hbar
-    return np.repeat([z1 - z2, z1 - z3, z2 - z3], m + 1), np.tile(qs, (3, 1))
+def _exchange_residuals(r: np.ndarray, shifted: np.ndarray) -> np.ndarray:
+    """:func:`relative_residual` of each trial's :func:`_exchange_sides`.
+
+    The trials are contracted in chunks whose sides hold no more entries
+    than the stacks given, so the contraction never outgrows the build.
+    """
+    k, d6 = len(r), r.shape[-1] ** 3
+    chunk = max(1, (r.size + shifted.size) // d6)
+    out = np.empty(k)
+    for at in range(0, k, chunk):
+        lhs, rhs = _exchange_sides(r[at : at + chunk], shifted[at : at + chunk])
+        out[at : at + chunk] = [relative_residual(a, b) for a, b in zip(lhs, rhs)]
+        # freed before the next chunk's sides are formed
+        del lhs, rhs
+    return out
 
 
-def _dynamical_sides(stack: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_exchange_sides` of a stack built at :func:`_triple_points`,
-    on sites whose M-weight is the index divided by ``n``."""
-    m = len(stack) // 3 - 1
-    stack = stack.reshape(3, m + 1, *stack.shape[1:])
-    return _exchange_sides(stack[:, 0], stack[:, 1:], np.arange(m * n) // n)
+def _trials(*values) -> tuple[list[np.ndarray], bool]:
+    """Per-trial arguments (scalars broadcast) as 1-d arrays of one length,
+    and whether every argument was a scalar."""
+    scalar = all(np.ndim(v) == 0 for v in values)
+    return [np.atleast_1d(v) for v in np.broadcast_arrays(*values)], scalar
 
 
-def ybe_residual(
-    hbar: complex, z1: complex, z2: complex, z3: complex, n: int, ctx: EllipticContext
-) -> float:
-    """Defect of the triple exchange relation for the vertex R-matrix."""
-    r = r_bb(hbar, np.array([z1 - z2, z1 - z3, z2 - z3]), n, ctx)
-    return relative_residual(*_exchange_sides(r, r[:, None], np.zeros(n, dtype=int)))
+def _as_given(values: np.ndarray, scalar: bool):
+    """Per-trial results as a float for a scalar call, else as an array."""
+    return float(values[0]) if scalar else values
 
 
-def dybe_residual_felder(
-    hbar: complex,
-    z1: complex,
-    z2: complex,
-    z3: complex,
-    q: Sequence[complex],
-    ctx: EllipticContext,
-) -> float:
+def _pair_points(z1, z2, z3) -> np.ndarray:
+    """Spectral parameters of the pairs 12, 13 and 23 of each trial, (K, 3)."""
+    return np.stack([z1 - z2, z1 - z3, z2 - z3], axis=-1)
+
+
+def ybe_residual(hbar, z1, z2, z3, n: int, ctx: EllipticContext):
+    """Defect of the triple exchange relation for the vertex R-matrix.
+
+    1-d arrays of the arguments (one entry per trial; scalars broadcast)
+    give one residual per trial from one stacked build.
+    """
+    (hbar, z1, z2, z3), scalar = _trials(hbar, z1, z2, z3)
+    u = _pair_points(z1, z2, z3)
+    r = r_bb(np.broadcast_to(hbar[:, None], u.shape), u, n, ctx)
+    return _as_given(_exchange_residuals(r, r[:, :, None]), scalar)
+
+
+def _triple_points(hbar, z1, z2, z3, q) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Planck parameters, spectral parameters and coordinates of every
+    factor of K dynamical triples (1-d arrays, and ``q`` of shape (K, M)
+    or (M,)), for one stacked build: each trial's pairs 12, 13 and 23,
+    each at ``q`` and then at ``q - hbar e_k`` for every k."""
+    k, m = len(hbar), q.shape[-1]
+    qs = np.repeat(np.broadcast_to(q, (k, m))[:, None], m + 1, axis=1)
+    qs[:, np.arange(1, m + 1), np.arange(m)] -= hbar[:, None]
+    u = np.repeat(_pair_points(z1, z2, z3), m + 1, axis=1)
+    return np.repeat(hbar, u.shape[1]), u.ravel(), np.tile(qs, (1, 3, 1)).reshape(-1, m)
+
+
+def _dynamical_residuals(build, hbar, z1, z2, z3, q):
+    """Residuals of the dynamical triple exchange relation for the builder
+    ``build(hbar, u, q)``, from one stacked build at :func:`_triple_points`.
+    A (K, M) array of ``q`` goes with 1-d arrays of the other arguments."""
+    q = np.asarray(q, dtype=complex)
+    (hbar, z1, z2, z3, _), scalar = _trials(hbar, z1, z2, z3, q[..., 0])
+    stack = build(*_triple_points(hbar, z1, z2, z3, q))
+    stack = stack.reshape(len(hbar), 3, q.shape[-1] + 1, *stack.shape[1:])
+    return _as_given(_exchange_residuals(stack[:, :, 0], stack[:, :, 1:]), scalar)
+
+
+def dybe_residual_felder(hbar, z1, z2, z3, q, ctx: EllipticContext):
     """Defect of the dynamical triple exchange relation on C^M sites.
 
     Shifted insertions place the weight projector on the spectating site:
-    the middle factor on the left, the outer factors on the right.
+    the middle factor on the left, the outer factors on the right.  1-d
+    arrays of ``hbar`` and the points with a (K, M) array of ``q`` give one
+    residual per trial.
     """
-    stack = r_felder(hbar, *_triple_points(hbar, z1, z2, z3, q), ctx)
-    return relative_residual(*_dynamical_sides(stack, 1))
+    return _dynamical_residuals(
+        lambda h, u, qs: r_felder(h, u, qs, ctx), hbar, z1, z2, z3, q
+    )
 
 
-def dybe_residual_slnm(
-    hbar: complex,
-    z1: complex,
-    z2: complex,
-    z3: complex,
-    q: Sequence[complex],
-    n: int,
-    ctx: EllipticContext,
-) -> float:
-    """Defect of the dynamical triple exchange relation on composite sites."""
-    stack = r_slnm(hbar, *_triple_points(hbar, z1, z2, z3, q), n, ctx)
-    return relative_residual(*_dynamical_sides(stack, n))
+def dybe_residual_slnm(hbar, z1, z2, z3, q, n: int, ctx: EllipticContext):
+    """Defect of the dynamical triple exchange relation on composite sites;
+    arrays as for :func:`dybe_residual_felder`."""
+    return _dynamical_residuals(
+        lambda h, u, qs: r_slnm(h, u, qs, n, ctx), hbar, z1, z2, z3, q
+    )
 
 
-def zero_weight_residual(
-    hbar: complex, u: complex, q: Sequence[complex], ctx: EllipticContext
-) -> float:
+def zero_weight_residual(hbar, u, q, ctx: EllipticContext):
     """Weight-zero defect of the dynamical R-matrix.
 
     Largest of: the commutator norms with the total weight projectors
     (E_ii (x) 1 + 1 (x) E_ii), and the change under a global coordinate
     translation q -> q + c (the matrix depends on q only through
-    differences).
+    differences).  1-d arrays of ``hbar`` and ``u`` with a (K, M) array of
+    ``q`` give one defect per trial.
     """
-    m = len(q)
+    q = np.asarray(q, dtype=complex)
+    (hbar, u, _), scalar = _trials(hbar, u, q[..., 0])
+    m = q.shape[-1]
+    q = np.broadcast_to(q, (len(u), m))
     rf = r_felder(hbar, u, q, ctx)
-    scale = max(float(np.linalg.norm(rf)), 1.0)
-    worst = 0.0
+    shift = 0.37 - 0.21j
+    moved = np.max(np.abs(r_felder(hbar, u, q + shift, ctx) - rf), axis=(-2, -1))
     eye_m = np.eye(m, dtype=complex)
+    totals = []
     for i in range(1, m + 1):
         eii = matrix_unit(i, i, m)
-        total = np.kron(eii, eye_m) + np.kron(eye_m, eii)
-        worst = max(worst, float(np.linalg.norm(total @ rf - rf @ total)) / scale)
-    shift = 0.37 - 0.21j
-    rf_shift = r_felder(hbar, u, tuple(v + shift for v in q), ctx)
-    worst = max(worst, float(np.max(np.abs(rf_shift - rf))) / scale)
-    return worst
+        totals.append(np.kron(eii, eye_m) + np.kron(eye_m, eii))
+    out = np.empty(len(u))
+    for t, (r, gap) in enumerate(zip(rf, moved)):
+        scale = max(float(np.linalg.norm(r)), 1.0)
+        worst = 0.0
+        for total in totals:
+            worst = max(worst, float(np.linalg.norm(total @ r - r @ total)) / scale)
+        out[t] = max(worst, float(gap) / scale)
+    return _as_given(out, scalar)
 
 
-def bb_l_operator_rll_residual(
-    hbar: complex, z1: complex, z2: complex, n: int, ctx: EllipticContext
-) -> float:
+def bb_l_operator_rll_residual(hbar, z1, z2, n: int, ctx: EllipticContext):
     """Defect of the exchange relation with the vertex R-matrix reused as a
     matrix L-operator on a third site, L_a(z) = R_{a3}(hbar, z): the triple
     relation at z3 = 0."""
     return ybe_residual(hbar, z1, z2, 0, n, ctx)
 
 
-def felder_dynamical_l_residual(
-    hbar: complex, z1: complex, z2: complex, q: Sequence[complex], ctx: EllipticContext
-) -> float:
+def felder_dynamical_l_residual(hbar, z1, z2, q, ctx: EllipticContext):
     """Defect of the dynamical exchange relation with the dynamical R-matrix
     reused as its own L-operator on a third site: the triple relation at
     z3 = 0.
@@ -306,13 +361,13 @@ def felder_dynamical_l_residual(
     return dybe_residual_felder(hbar, z1, z2, 0, q, ctx)
 
 
-def slnm_reduction_residual_m1(
-    hbar: complex, u: complex, q1: complex, n: int, ctx: EllipticContext
-) -> float:
-    """Elementwise gap between the composite matrix at M=1 and the vertex one."""
-    a = r_slnm(hbar, u, (q1,), n, ctx)
+def slnm_reduction_residual_m1(hbar, u, q1, n: int, ctx: EllipticContext):
+    """Elementwise gap between the composite matrix at M=1 and the vertex
+    one.  1-d arrays of ``u``, ``hbar`` and ``q1`` give the trials' gaps."""
+    a = r_slnm(hbar, u, np.asarray(q1)[..., None], n, ctx)
     b = r_bb(hbar, u, n, ctx)
-    return float(np.max(np.abs(a - b)))
+    gap = np.max(np.abs(a - b), axis=(-2, -1))
+    return gap if np.ndim(u) else float(gap)
 
 
 def slnm_reduction_residual_n1(hbar, u, q, ctx: EllipticContext):

@@ -50,6 +50,8 @@ class SklyaninTable:
     identically, leaving roundoff-sized constants; the scale lets consumers
     recognize those as trivially satisfied instead of dividing noise by
     noise.  At n == 1 there are no relations and the table has no columns.
+    A table built at an array of ``hbar`` (one per trial) holds one such
+    table per trial, its axes in front of ``values`` and ``scale``.
     """
 
     n: int
@@ -91,26 +93,31 @@ def bare_constants(pairs: tuple, hbar, n: int, ctx: EllipticContext):
     scale = np.empty(lead + (zero.size,))
 
     def at(fn, pick, *letters):
+        """``fn`` at the letters, summed with alternating signs one letter
+        at a time; each pair's largest value goes to ``scale``."""
         d1, d2 = (np.stack(np.broadcast_arrays(*c)) for c in zip(*letters))
-        e = _at_letters(fn, _distinct_letters(d1, d2), hbar, n, ctx)
-        scale[..., pick] = np.abs(e).max(axis=(-3, -1))
-        return np.moveaxis(e, -3, 0)
+        values = _at_letters(fn, _distinct_letters(d1, d2), hbar, n, ctx)
+        total = next(values)
+        big = np.abs(total).max(axis=-1)
+        for k, e in enumerate(values, 1):
+            big = np.maximum(big, np.abs(e).max(axis=-1))
+            total = total - e if k % 2 else total + e
+        scale[..., pick] = big
+        return total
 
     # the sums are named, so that numpy never multiplies in place into a
     # temporary (which can swap the operands): see family_terms
     if (pick := ~zero).any():
         a1, a2, b1, b2 = (v[pick, None] for v in pairs)
         d1, d2 = a1 - b1, a2 - b2
-        e = at(
+        total = at(
             eisenstein_e1, pick,
             (g1, g2), (d1 - g1, d2 - g2), (a1 - g1, a2 - g2), (b1 + g1, b2 + g2),
         )
-        total = e[0] - e[1] + e[2] - e[3]
         coeffs[..., pick, :] = kappa_raw((g1, g2), (d1, d2), n) * total
     if (pick := zero).any():
         a1, a2 = (v[pick, None] for v in pairs[:2])
-        e = at(eisenstein_e2, pick, (g1, g2), (a1 - g1, a2 - g2))
-        total = e[0] - e[1]
+        total = at(eisenstein_e2, pick, (g1, g2), (a1 - g1, a2 - g2))
         coeffs[..., pick, :] = kappa_raw((g1, g2), (a1, a2), n) * total
     return coeffs, scale
 
@@ -119,16 +126,17 @@ def theta_prefactors(pairs: tuple, hbar, n: int, ctx: EllipticContext):
     """``theta(hbar + omega(alpha - gamma)) theta(hbar + omega(beta + gamma))``
     as ``[pair, gamma]``, in unreduced integer arithmetic.  An array of
     ``hbar`` adds its axes in front."""
-    letters = _at_letters(theta, _distinct_letters(*_letters(pairs, n)), hbar, n, ctx)
-    first, second = np.moveaxis(letters, -3, 0)
-    return first * second
+    first, second = _at_letters(theta, _distinct_letters(*_letters(pairs, n)), hbar, n, ctx)
+    first *= second
+    return first
 
 
 def _at_letters(kernel, letters: tuple, hbar, n: int, ctx: EllipticContext):
     """``kernel(hbar + omega_raw(d1, d2, n, tau))`` over integer letter
-    arrays of one shape, given as their :func:`_distinct_letters`,
+    arrays stacked [letter, ...], given as their :func:`_distinct_letters`,
     evaluated once per distinct unreduced letter (and per entry of an
-    array of ``hbar``, whose axes come first).
+    array of ``hbar``, whose axes come first), and gathered one letter at
+    a time as the returned iterator is read.
 
     The letters stay unreduced, because the first Eisenstein function is
     only quasi-periodic.  A kernel entry does not depend on its batch, so
@@ -136,7 +144,8 @@ def _at_letters(kernel, letters: tuple, hbar, n: int, ctx: EllipticContext):
     """
     c1, c2, inverse = letters
     at = np.asarray(hbar)[..., None] + omega_raw(c1, c2, n, ctx.tau)
-    return kernel(at, ctx)[..., inverse]
+    values = kernel(at, ctx)
+    return (values[..., i] for i in inverse)
 
 
 def _distinct_letters(d1, d2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -166,7 +175,7 @@ def _letters(pairs: tuple, n: int) -> tuple[np.ndarray, np.ndarray]:
     return d1, d2
 
 
-def sklyanin_coeffs(pairs: tuple, n: int, hbar: complex, ctx: EllipticContext):
+def sklyanin_coeffs(pairs: tuple, n: int, hbar, ctx: EllipticContext):
     """Bare structure constants of the exchange relations labelled by the
     pairs (a1, a2, b1, b2), integer arrays of canonical characteristics, as
     a :class:`SklyaninTable` with one row per pair.
@@ -177,17 +186,15 @@ def sklyanin_coeffs(pairs: tuple, n: int, hbar: complex, ctx: EllipticContext):
     second Eisenstein values.  The fractions follow the unreduced integer
     arithmetic of the word: the first Eisenstein function is only
     quasi-periodic, so representatives matter.  n == 1 has no relations and
-    yields an empty table.
+    yields an empty table.  An array of ``hbar`` gives one table per entry.
     """
     if n == 1:
-        size = pairs[0].size
-        return SklyaninTable(n, pairs, np.zeros((size, 0), dtype=complex), np.zeros(size))
+        shape = np.shape(hbar) + pairs[0].shape
+        return SklyaninTable(n, pairs, np.zeros(shape + (0,), dtype=complex), np.zeros(shape))
     return SklyaninTable(n, pairs, *bare_constants(pairs, hbar, n, ctx))
 
 
-def sklyanin_coeffs_eta(
-    base: SklyaninTable, eta: complex, hbar: complex, ctx: EllipticContext
-) -> SklyaninTable:
+def sklyanin_coeffs_eta(base: SklyaninTable, eta, hbar, ctx: EllipticContext) -> SklyaninTable:
     """Structure constants in the theta-rescaled, parameter-shifted form,
     from the bare relations ``base`` at the same ``hbar``.
 
@@ -195,15 +202,17 @@ def sklyanin_coeffs_eta(
     fractions of its own word, and each relation carries a single global
     phase in ``eta - hbar`` (the per-word phases collapse because the
     words all share the integer column sum ``alpha + beta``).  At
-    ``eta == hbar`` only the rescaling remains.
+    ``eta == hbar`` only the rescaling remains.  Arrays of ``eta`` and
+    ``hbar`` go with a table built at that ``hbar``.
     """
     if base.n == 1:
         return base
     pairs = base.pairs
     pref = theta_prefactors(pairs, hbar, base.n, ctx)
-    phase = np.exp(-TWO_PI_I * (pairs[1] + pairs[3]) * (eta - hbar) / base.n)
-    values = base.values * pref * phase[:, None]
-    scale = base.scale * np.abs(pref).max(axis=1)
+    phase = np.exp(-TWO_PI_I * (pairs[1] + pairs[3]) * _with_axes(eta - hbar, 1) / base.n)
+    values = base.values * pref
+    values *= phase[..., None]
+    scale = base.scale * np.abs(pref).max(axis=-1)
     return SklyaninTable(base.n, pairs, values, scale)
 
 
@@ -211,7 +220,7 @@ def sklyanin_representation_residual(
     rel: SklyaninTable,
     ctx: EllipticContext,
     *,
-    shift: tuple[complex, complex] | None = None,
+    shift: tuple | None = None,
 ) -> np.ndarray:
     """Normalized norm of the relations evaluated in the basis representation,
     one entry per row of the table.
@@ -224,13 +233,18 @@ def sklyanin_representation_residual(
     so no matrix is formed.  The norm is divided by the sum of the term
     bounds or by the assembly scale, whichever is larger, so both a clean
     annihilation and an identically-cancelled relation come out at roughly
-    machine epsilon.  Empty relations give 0.
+    machine epsilon.  Empty relations give 0.  A table of several trials
+    takes arrays of ``shift``, one entry per trial, and gives one row of
+    residuals per trial.
     """
     n, values = rel.n, rel.values
     if not values.size:
-        return np.zeros(len(values))
+        return np.zeros(values.shape[:-1])
     d1, d2 = _letters(rel.pairs, n)
-    terms = values * kappa_raw((-d1[0], -d2[0]), (-d1[1], -d2[1]), n)
+    # named, so that numpy never multiplies in place into a temporary,
+    # which swaps the operands at chunks of 256 KiB (see bare_constants)
+    phases = kappa_raw((-d1[0], -d2[0]), (-d1[1], -d2[1]), n)
+    terms = values * phases
     bounds = np.abs(values)
     if shift is not None:
         hbar, eta = shift
@@ -239,17 +253,36 @@ def sklyanin_representation_residual(
         letters = _distinct_letters(d1, d2)
         c1, c2, _ = letters
         try:
-            guard_denominator("hbar + omega_d", hbar + omega_raw(c1, c2, n, ctx.tau), ctx.tau)
+            guard_denominator(
+                "hbar + omega_d", _with_axes(hbar, 1) + omega_raw(c1, c2, n, ctx.tau), ctx.tau
+            )
         except PoleProximityError:
-            guard_denominator("hbar + omega_d", hbar + omega_raw(d1, d2, n, ctx.tau), ctx.tau)
+            guard_denominator(
+                "hbar + omega_d", _with_axes(hbar, 3) + omega_raw(d1, d2, n, ctx.tau), ctx.tau
+            )
             raise
-        theta_d = _at_letters(theta, letters, hbar, n, ctx)
-        factors = np.exp(TWO_PI_I * d2 * (eta - hbar) / n) / theta_d
-        terms *= factors[0] * factors[1]
-        bounds *= np.abs(factors[0]) * np.abs(factors[1])
-    num = np.sqrt(n) * np.abs(terms.sum(axis=1))
-    den = np.maximum(n * bounds.sum(axis=1), rel.scale)
+        thetas = _at_letters(theta, letters, hbar, n, ctx)
+        factors = []
+        for d in d2:
+            # in place, so that each letter's factors take one array
+            f = TWO_PI_I * d * _with_axes(eta - hbar, 2)
+            f /= n
+            np.exp(f, out=f)
+            f /= next(thetas)
+            factors.append(f)
+        first, second = factors
+        bounds *= np.abs(first) * np.abs(second)
+        first *= second
+        terms *= first
+    num = np.sqrt(n) * np.abs(terms.sum(axis=-1))
+    den = np.maximum(n * bounds.sum(axis=-1), rel.scale)
     return np.divide(num, den, out=np.zeros_like(num), where=den != 0.0)
+
+
+def _with_axes(values, depth: int) -> np.ndarray:
+    """``values`` (a scalar, or one entry per trial) with ``depth`` unit
+    axes after its own, to broadcast against a trial's arrays."""
+    return np.asarray(values).reshape(np.shape(values) + (1,) * depth)
 
 
 def label_pair_chunks(n: int, per_pair: int) -> Iterator[tuple[np.ndarray, ...]]:

@@ -3,6 +3,8 @@
 import hashlib
 import json
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -109,7 +111,9 @@ class TestResidualChecks:
         assert rep.passed
 
     def test_non_finite_residual_is_a_failing_null_trial(self, monkeypatch):
-        monkeypatch.setattr(checks, "dybe_residual_slnm", lambda *args: math.nan)
+        monkeypatch.setattr(
+            checks, "dybe_residual_slnm", lambda hbar, *args: np.full(len(hbar), math.nan)
+        )
         rep = run_one("dybe-slnm", trials=2)
         assert rep.residuals == (None, None)
         assert not rep.passed
@@ -277,7 +281,20 @@ class TestTrialBatches:
     @pytest.mark.parametrize("tau", [0.3 + 0.8j, 5.3 + 0.3j], ids=["default-tau", "skew-tau"])
     @pytest.mark.parametrize(
         "check, n, m",
-        [("relations", 2, 2), ("relations", 3, 2), ("tv-reduce", 1, 2), ("tv-reduce", 1, 3)],
+        [
+            ("relations", 2, 2),
+            ("relations", 3, 2),
+            ("tv-reduce", 1, 2),
+            ("tv-reduce", 1, 3),
+            ("ybe", 3, 1),
+            ("dybe-felder", 1, 3),
+            ("dybe-slnm", 2, 2),
+            # three trials a batch, contracted one at a time
+            ("dybe-slnm", 3, 2),
+            ("fay", 1, 1),
+            ("sklyanin-rep", 3, 1),
+            ("bb-reduce", 3, 1),
+        ],
     )
     def test_reports_equal_batches_of_one(self, monkeypatch, check, n, m, tau):
         cfg = CheckConfig(check=check, n=n, m=m, tau=tau, trials=10)
@@ -293,6 +310,46 @@ class TestTrialBatches:
         assert checks.batch_size(CheckConfig("relations", n=3, m=2), "relations") == 5
         assert [t for t, r in enumerate(rep.residuals) if r is None] == [5, 6, 13]
         assert set(rep.finite) == {0.0} and rep.rank == 630
+
+    def test_skew_tau_null_trials_keep_their_positions(self, monkeypatch):
+        # At tau = 5.3+0.3i the default 20 trials hold null trials in four
+        # of the kernel checks; batches that raise are split until the
+        # failing trials stand alone, so each null stays where it was.
+        cfg = CheckConfig(check="all", tau=5.3 + 0.3j)
+        checks_ = ("ybe", "dybe-felder", "dybe-slnm", "fay", "sklyanin-rep", "bb-reduce")
+
+        def nulls():
+            reports = [run_check(replace(cfg, check=c)).reports[0] for c in checks_]
+            return {r.check: [t for t, v in enumerate(r.residuals) if v is None] for r in reports}
+
+        batched = nulls()
+        assert batched == {
+            "ybe": [0],
+            "dybe-felder": [],
+            "dybe-slnm": [1, 11],
+            "fay": [],
+            "sklyanin-rep": [13],
+            "bb-reduce": [12],
+        }
+        monkeypatch.setattr(checks, "_BATCH_TERMS", 1)
+        assert all(checks.batch_size(cfg, c) == 1 for c in checks_)
+        assert nulls() == batched
+
+    def test_exchange_contraction_stays_within_one_trials_peak(self):
+        # Three (3, 2) trials build together; their contraction runs one
+        # trial at a time and the batch peaks below the 2.8 MiB that one
+        # trial traced when each trial was built and contracted alone.
+        cfg, draws, ctx = draws_of("dybe-slnm", 10, n=3, m=2)
+        assert checks.batch_size(cfg, "dybe-slnm") == 3
+        run = checks._RUNNERS["dybe-slnm"].run
+        run(cfg, draws[:3], ctx)
+        tracemalloc.start()
+        try:
+            run(cfg, draws[:3], ctx)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.8 * 2**20
 
     def test_a_large_trial_runs_alone(self):
         assert checks.batch_size(CheckConfig("relations", n=6, m=2), "relations") == 1

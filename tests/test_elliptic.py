@@ -315,6 +315,53 @@ class TestFayIdentities:
             assert fay_pair_residual(z, x, CTX) <= 1e-10
 
 
+def fay_oracle(z, w, x, y, ctx):
+    """The three Fay defects of one point set in numpy scalar arithmetic:
+    complex products and moduli of numpy scalars, from the kernels."""
+    phi = kronecker_phi(
+        np.array([z, w, z - w, w, w - z, z]), np.array([x, y, x, x + y, y, x + y]), ctx
+    )
+    lhs, t1, t2 = phi[::2] * phi[1::2]
+    three = abs(lhs - t1 - t2) / max(abs(lhs), abs(t1), abs(t2), 1.0)
+    phi = kronecker_phi(z, np.array([x, y, x + y]), ctx)
+    e1 = eisenstein_e1(np.array([z, x, y, x + y + z]), ctx)
+    lhs, rhs = phi[0] * phi[1], phi[2] * (e1[0] + e1[1] + e1[2] - e1[3])
+    coincident = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0)
+    phi = kronecker_phi(z, np.array([x, -x]), ctx)
+    e2 = eisenstein_e2(np.array([z, x]), ctx)
+    lhs, rhs = phi[0] * phi[1], e2[0] - e2[1]
+    return three, coincident, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0)
+
+
+@pytest.mark.parametrize("tau", [TAU, 5.3 + 0.3j], ids=["default-tau", "skew-tau"])
+def test_fay_arrays_equal_the_scalar_calls_bit_for_bit(tau):
+    # numpy rounds complex products and moduli of scalars differently from
+    # its array loops; the array calls keep the scalar rounding
+    ctx = EllipticContext(tau)
+    rng = np.random.default_rng(41)
+    sets = []
+    while len(sets) < 40:
+        z, w, x, y = sample_points(rng, 4, tau)
+        near = (z - w, x + y, x + y + z, x, y, w - z)
+        if min(lattice_distance(v, tau) for v in near) >= DELTA_MIN:
+            sets.append((z, w, x, y))
+    z, w, x, y = np.array(sets).T
+    arrays = (
+        fay_residual(z, w, x, y, ctx),
+        fay_coincident_residual(z, x, y, ctx),
+        fay_pair_residual(z, x, ctx),
+    )
+    for t, (zt, wt, xt, yt) in enumerate(sets):
+        scalars = (
+            fay_residual(zt, wt, xt, yt, ctx),
+            fay_coincident_residual(zt, xt, yt, ctx),
+            fay_pair_residual(zt, xt, ctx),
+        )
+        for array, scalar, want in zip(arrays, scalars, fay_oracle(zt, wt, xt, yt, ctx)):
+            assert isinstance(scalar, float)
+            assert scalar == array[t] == want, t
+
+
 class TestLatticeIndex:
     def test_reduces_to_canonical(self):
         a = LatticeIndex(5, -1, 3)

@@ -17,10 +17,10 @@ import pytest
 
 from ellrmx import sklyanin
 from ellrmx.checks import (
+    _RUNNERS,
     CheckConfig,
     _relations_spec,
     _sklyanin_spec,
-    _sklyanin_trial,
     _trial_seed,
     _tv_spec,
 )
@@ -705,6 +705,12 @@ def sklyanin_draw(seed, n, tau=TAU):
     return cfg, params, zs
 
 
+def sklyanin_trial(cfg, params, zs, ctx):
+    """The (residual, rank) outcome of one ``sklyanin-rep`` trial, as a
+    batch of one."""
+    return _RUNNERS["sklyanin-rep"].run(cfg, [(params, zs)], ctx)[0]
+
+
 def chunk_residuals(n, hbar, eta):
     """Every pair's bare and shifted residual, chunk by chunk."""
     bare, shifted = [], []
@@ -727,7 +733,7 @@ class TestSklyaninTable:
             cfg, params, zs = sklyanin_draw(seed, n, tau)
             outcome = []
             for trial in (
-                lambda: _sklyanin_trial(cfg, params, zs, ctx)[0],
+                lambda: sklyanin_trial(cfg, params, zs, ctx)[0],
                 lambda: pair_by_pair_trial(n, params.hbar, zs[0], ctx),
             ):
                 try:
@@ -759,6 +765,36 @@ class TestSklyaninTable:
                 one, CTX, shift=(HBAR, eta)
             )[0]
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_tables_of_several_trials_equal_single_trials_bit_for_bit(self, n):
+        draws = [sklyanin_draw(seed, n)[1:] for seed in range(5)]
+        hbar = np.array([params.hbar for params, _ in draws])
+        eta = np.array([zs[0] for _, zs in draws])
+        pairs = next(label_pair_chunks(n, 4 * n**2))
+        bare = sklyanin_coeffs(pairs, n, hbar, CTX)
+        shifted = sklyanin_coeffs_eta(bare, eta, hbar, CTX)
+        assert bare.values.shape == (5, n**4, n * n if n > 1 else 0)
+        got = (
+            bare,
+            shifted,
+            sklyanin_representation_residual(bare, CTX),
+            sklyanin_representation_residual(shifted, CTX, shift=(hbar, eta)),
+        )
+        for t, (h, e) in enumerate(zip(hbar.tolist(), eta.tolist())):
+            one = sklyanin_coeffs(pairs, n, h, CTX)
+            one_shifted = sklyanin_coeffs_eta(one, e, h, CTX)
+            want = (
+                one,
+                one_shifted,
+                sklyanin_representation_residual(one, CTX),
+                sklyanin_representation_residual(one_shifted, CTX, shift=(h, e)),
+            )
+            for table, single in zip(got[:2], want[:2]):
+                assert np.array_equal(table.values[t], single.values)
+                assert np.array_equal(table.scale[t], single.scale)
+            for rows, single in zip(got[2:], want[2:]):
+                assert np.array_equal(rows[t], single)
+
     def test_n1_table_is_empty(self):
         one = LatticeIndex(0, 0, 1)
         table = sklyanin_coeffs(label_arrays([one, one], [one, one]), 1, HBAR, CTX)
@@ -786,13 +822,13 @@ class TestSklyaninTable:
         n = 3
         cfg, params, zs = sklyanin_draw(0, n)
         whole = chunk_residuals(n, params.hbar, zs[0])
-        trial = _sklyanin_trial(cfg, params, zs, CTX)
+        trial = sklyanin_trial(cfg, params, zs, CTX)
         assert len(list(label_pair_chunks(n, 4 * n**2))) == 1
         monkeypatch.setattr(sklyanin, "_CHUNK", 7 * 4 * n**2)
         assert len(list(label_pair_chunks(n, 4 * n**2))) == 12
         for got, want in zip(chunk_residuals(n, params.hbar, zs[0]), whole):
             assert np.array_equal(got, want)
-        assert _sklyanin_trial(cfg, params, zs, CTX) == trial
+        assert sklyanin_trial(cfg, params, zs, CTX) == trial
 
     def test_distinct_letters_give_the_bits_of_every_letter(self, monkeypatch):
         # each kernel runs once per distinct integer letter, then gathers
@@ -854,7 +890,7 @@ class TestSklyaninTable:
             cfg, params, zs = sklyanin_draw(42, n)
             tracemalloc.start()
             try:
-                residual, _ = _sklyanin_trial(cfg, params, zs, CTX)
+                residual, _ = sklyanin_trial(cfg, params, zs, CTX)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()

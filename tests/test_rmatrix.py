@@ -32,7 +32,6 @@ from ellrmx.tensor import (
 )
 from ellrmx.rmatrix import (
     DynamicalParams,
-    _dynamical_sides,
     _exchange_sides,
     _triple_points,
     bb_l_operator_rll_residual,
@@ -439,14 +438,25 @@ def dense_sides(kind, hbar, z, q, n, ctx):
     return lhs, rhs
 
 
+def triple_points(hbar, z, q):
+    """``_triple_points`` of one trial."""
+    return _triple_points(np.array([hbar]), *(np.array([v]) for v in z), np.array(q))
+
+
 def site_local_sides(kind, hbar, z, q, n, ctx):
-    """Both sides as the residuals compute them, one stacked build each."""
+    """Both sides as the residuals compute them, one stacked build each,
+    for a stack of one trial."""
     if kind == "ybe":
-        r = r_bb(hbar, np.array([z[0] - z[1], z[0] - z[2], z[1] - z[2]]), n, ctx)
-        return _exchange_sides(r, r[:, None], np.zeros(n, dtype=int))
-    if kind == "felder":
-        return _dynamical_sides(r_felder(hbar, *_triple_points(hbar, *z, q), ctx), 1)
-    return _dynamical_sides(r_slnm(hbar, *_triple_points(hbar, *z, q), n, ctx), n)
+        r = r_bb(hbar, np.array([[z[0] - z[1], z[0] - z[2], z[1] - z[2]]]), n, ctx)
+        lhs, rhs = _exchange_sides(r, r[:, :, None])
+    else:
+        if kind == "felder":
+            stack = r_felder(*triple_points(hbar, z, q), ctx)
+        else:
+            stack = r_slnm(*triple_points(hbar, z, q), n, ctx)
+        stack = stack.reshape(1, 3, len(q) + 1, *stack.shape[1:])
+        lhs, rhs = _exchange_sides(stack[:, :, 0], stack[:, :, 1:])
+    return lhs[0], rhs[0]
 
 
 def residual_of(kind, hbar, z, q, n, ctx):
@@ -592,8 +602,9 @@ class TestStackedBuilds:
     def test_stacked_build_matches_the_loop_bit_for_bit(self, n, m):
         rng = np.random.default_rng(260 + 10 * n + m)
         hbar, q, z = sample_point_set(rng, m, n)
-        us, qs = _triple_points(hbar, *z, q)
+        hs, us, qs = triple_points(hbar, z, q)
         assert us.shape == (3 * (m + 1),) and qs.shape == (3 * (m + 1), m)
+        assert np.array_equal(hs, np.full(us.shape, hbar))
         pairs = list(zip(us, map(tuple, qs)))
         assert np.array_equal(
             r_slnm(hbar, us, qs, n, CTX), [r_slnm(hbar, u, row, n, CTX) for u, row in pairs]
@@ -632,6 +643,71 @@ class TestStackedBuilds:
         finally:
             tracemalloc.stop()
         assert peak <= bound_mib * 2**20
+
+
+# Each public residual as a call on (hbar, z, q) for one trial or for a
+# stack of trials (hbar and the rows of z one entry per trial, q one row).
+RESIDUALS = {
+    "ybe_residual": (3, 1, lambda h, z, q, n, ctx: ybe_residual(h, *z, n, ctx)),
+    "bb_l_operator_rll_residual": (
+        3, 1, lambda h, z, q, n, ctx: bb_l_operator_rll_residual(h, z[0], z[1], n, ctx)
+    ),
+    "dybe_residual_felder": (1, 3, lambda h, z, q, n, ctx: dybe_residual_felder(h, *z, q, ctx)),
+    "felder_dynamical_l_residual": (
+        1, 3, lambda h, z, q, n, ctx: felder_dynamical_l_residual(h, z[0], z[1], q, ctx)
+    ),
+    "dybe_residual_slnm": (2, 2, lambda h, z, q, n, ctx: dybe_residual_slnm(h, *z, q, n, ctx)),
+    "zero_weight_residual": (
+        1, 3, lambda h, z, q, n, ctx: zero_weight_residual(h, z[0] - z[1], q, ctx)
+    ),
+    "slnm_reduction_residual_m1": (
+        3, 1,
+        lambda h, z, q, n, ctx: slnm_reduction_residual_m1(
+            h, z[0] - z[1], np.asarray(q)[..., 0][()], n, ctx
+        ),
+    ),
+    "slnm_reduction_residual_n1": (
+        1, 3, lambda h, z, q, n, ctx: slnm_reduction_residual_n1(h, z[0] - z[1], q, ctx)
+    ),
+}
+
+
+def trial_sets(seed, count, m, n, tau=TAU):
+    """``count`` pole-free trials as (hbar, z, q): 1-d arrays of hbar and
+    of each z, and a (count, m) array of q."""
+    rng = np.random.default_rng(seed)
+    sets = [sample_point_set(rng, m, n, tau=tau) for _ in range(count)]
+    hbar = np.array([h for h, _, _ in sets])
+    z = np.array([zs for _, _, zs in sets]).T
+    return hbar, z, np.array([q for _, q, _ in sets])
+
+
+class TestTrialArrays:
+    @pytest.mark.parametrize("tau", [TAU, SKEW], ids=["default-tau", "skew-tau"])
+    @pytest.mark.parametrize("name", sorted(RESIDUALS))
+    def test_scalar_calls_equal_the_array_call_bit_for_bit(self, name, tau):
+        n, m, residual = RESIDUALS[name]
+        ctx = EllipticContext(tau)
+        hbar, z, q = trial_sets(290 + len(name), 5, m, n, tau)
+        got = residual(hbar, z, q, n, ctx)
+        assert isinstance(got, np.ndarray) and got.shape == (5,)
+        for t in range(5):
+            one = residual(complex(hbar[t]), [complex(v) for v in z[:, t]], tuple(q[t]), n, ctx)
+            assert isinstance(one, float)
+            assert np.float64(one).tobytes() == got[t].tobytes(), t
+
+    @pytest.mark.parametrize("n,m", SIDE_SIZES)
+    def test_trial_arrays_of_hbar_and_q_equal_single_builds(self, n, m):
+        hbar, z, q = trial_sets(300 + 10 * n + m, 4, m, n)
+        u = z[0] - z[1]
+        for stack, single in (
+            (r_slnm(hbar, u, q, n, CTX), lambda t: r_slnm(hbar[t], u[t], tuple(q[t]), n, CTX)),
+            (r_felder(hbar, u, q, CTX), lambda t: r_felder(hbar[t], u[t], tuple(q[t]), CTX)),
+            (r_bb(hbar, u, n, CTX), lambda t: r_bb(hbar[t], u[t], n, CTX)),
+        ):
+            assert stack.shape[0] == 4
+            for t in range(4):
+                assert np.array_equal(stack[t], single(t))
 
 
 class TestParamsAndReports:

@@ -125,7 +125,7 @@ class TestAdmissibleOracle:
     @pytest.mark.parametrize("check", CHECK_NAMES)
     def test_draws_match_the_per_expression_loop(self, check, tau, monkeypatch):
         ctx = EllipticContext(tau)
-        spec = _RUNNERS[check][0](_effective_config(CheckConfig(check, tau=tau), check))
+        spec = _RUNNERS[check].spec(_effective_config(CheckConfig(check, tau=tau), check))
         got = self.draws(spec, ctx)
         monkeypatch.setattr(sampling, "admissible", oracle_admissible)
         assert got == self.draws(spec, ctx)
