@@ -24,7 +24,10 @@ trials of ``relations`` and ``tv-reduce`` are evaluated together: ten
 ``relations`` trials at (2, 2) and ten ``tv-reduce`` trials at m = 2.
 Three more run ten trials of ``ybe`` at n = 3, ``dybe-felder`` at m = 2
 and ``sklyanin-rep`` at n = 3 through ``run_single`` at the default tau,
-where each check evaluates its trials together.
+where each check evaluates its trials together.  Two time ``rll``: two
+trials at (2, 2) through ``run_single`` (one batch: one reference build,
+one gather of the four points, stacked comparisons), and one trial at
+(2, 3) through the runner.
 Trials are drawn and run through the check's runner (``_RUNNERS``), which
 takes a list of draws.  On commits that memoize defect tables by point
 (``_defect_table``), the memo is bypassed, so that the same file times a
@@ -180,3 +183,12 @@ def test_dybe_felder_ten_trials_m2(benchmark):
 def test_sklyanin_rep_ten_trials_n3(benchmark):
     cfg = CheckConfig(check="sklyanin-rep", n=3, trials=10)
     benchmark(run_single, cfg, "sklyanin-rep", CTX)
+
+
+def test_rll_two_trials_2x2(benchmark):
+    cfg = CheckConfig(check="rll", n=2, m=2, trials=2)
+    benchmark(run_single, cfg, "rll", CTX)
+
+
+def test_rll_trial_2x3(benchmark):
+    benchmark(one_trial("rll", 2, 3))

@@ -2,12 +2,12 @@
 
 Each named check draws its own pole-free parameters per trial, evaluates
 the corresponding identities, and aggregates residuals into a report.
-Every check but ``rll`` evaluates batches of trials together: one stacked
-build of a batch's R-matrices (or relation families, kernels and letters)
-and one stacked exchange contraction.  No trial's outcome depends on the
-others in its batch, to the bit.  Checks are judged against a residual
-tolerance except for the span-level ones (rll, tv-reduce), whose default
-tolerance is looser.
+Every check evaluates batches of trials together: one stacked build of a
+batch's R-matrices (or relation families, kernels and letters, or defect
+tables) and one stacked exchange contraction or span comparison.  No
+trial's outcome depends on the others in its batch, to the bit.  Checks
+are judged against a residual tolerance except for the span-level ones
+(rll, tv-reduce), whose default tolerance is looser.
 """
 
 from __future__ import annotations
@@ -311,37 +311,41 @@ def _rll_spec(cfg: CheckConfig) -> SampleSpec:
 
 
 def _rll_run(cfg: CheckConfig, draws: list[Draw], ctx: EllipticContext) -> list:
-    """rll evaluates its trials one at a time: a trial's two defect tables
-    are the largest arrays of any check."""
-    return [_rll_trial(cfg, params, zs, ctx) for params, zs in draws]
-
-
-def _rll_trial(
-    cfg: CheckConfig, params: DynamicalParams, zs: tuple[complex, ...],
-    ctx: EllipticContext,
-) -> tuple[float, int]:
     n, m = cfg.n, cfg.m
-    z1, z2, z3, z4 = zs
-    reference = relation_vectors_reference(n, m, params, ctx)
-    tables = [defect_table(n, m, params, za, zb, ctx) for za, zb in ((z1, z2), (z3, z4))]
-    first, second = (rll_defect(t) for t in tables)
-    variation = 0.0
+    batch = [params for params, _ in draws]
+    # two tables a trial, at (z1, z2) and (z3, z4), from one gather
+    tables = defect_table(
+        n, m, [p for p in batch for _ in (0, 1)],
+        [zs[k] for _, zs in draws for k in (0, 2)],
+        [zs[k] for _, zs in draws for k in (1, 3)], ctx,
+    )
+    defects = rll_defect(tables)
+    firsts, seconds = defects[0::2], defects[1::2]
+    variations = [0.0] * len(draws)
     if m >= 2:
         alpha, beta = _factor_labels(n)
-        variation = defect_factorization_check(tables, 1, 1, 2, alpha, beta, ctx)
-    # the sets own their terms: no table is held through the span comparisons
+        variations = [
+            defect_factorization_check(tables[t : t + 2], 1, 1, 2, alpha, beta, ctx)
+            for t in range(0, len(tables), 2)
+        ]
+    # the sets own their terms: no table is held through the span
+    # comparisons, nor through the reference build
     del tables
-    if not reference and not first and not second:
-        return 0.0, 0
-    if not reference or not first or not second:
-        return 1.0, span_rank(first) if first else 0
-    worst = max(
-        span_equal(first, reference, SPAN_TOL)[1],
-        span_equal(second, reference, SPAN_TOL)[1],
-        span_gap(first, second),
-        variation,
-    )
-    return worst, span_rank(first)
+    references = relation_vectors_reference(n, m, batch, ctx)
+    trials = list(zip(firsts, seconds, references))
+    full = [t for t, sets in enumerate(trials) if all(sets)]
+    a, b, ref = ([trials[t][k] for t in full] for k in range(3))
+    equal = [value for _, value in span_equal(a + b, ref + ref, SPAN_TOL)]
+    gaps = span_gap(a, b)
+    worst = {
+        t: max(equal[k], equal[len(full) + k], gaps[k], variations[t]) for k, t in enumerate(full)
+    }
+    ranks = iter(span_rank([first for first in firsts if first]))
+    out = []
+    for t, sets in enumerate(trials):
+        rank = next(ranks) if sets[0] else 0
+        out.append((0.0, 0) if not any(sets) else (worst.get(t, 1.0), rank))
+    return out
 
 
 def _relations_spec(cfg: CheckConfig) -> SampleSpec:
@@ -498,7 +502,8 @@ class Runner(NamedTuple):
 # The exchange checks build three pairs per identity, each at q and at its
 # m shifts: a composite pair's kernels take hbar and the m (m - 1)
 # coordinate differences, and a Felder stack holds m^4 entries per pair.
-# A Fay trial takes 17 kernel arguments.
+# A Fay trial takes 17 kernel arguments.  An rll trial gathers two defect
+# tables of about d^4 n^3 terms each (see ``rll_trial_bytes``).
 _RUNNERS: dict[str, Runner] = {
     "ybe": Runner(_ybe_spec, _ybe_run, lambda cfg: _kernel_terms(3, 1, cfg.n)),
     "dybe-felder": Runner(_felder_spec, _felder_run, lambda cfg: 3 * (cfg.m + 1) * cfg.m**4),
@@ -507,7 +512,7 @@ _RUNNERS: dict[str, Runner] = {
         _slnm_run,
         lambda cfg: _kernel_terms(3 * (cfg.m + 1), 1 + cfg.m * (cfg.m - 1), cfg.n),
     ),
-    "rll": Runner(_rll_spec, _rll_run),
+    "rll": Runner(_rll_spec, _rll_run, lambda cfg: 2 * (cfg.n * cfg.m) ** 4 * cfg.n**3),
     "relations": Runner(_relations_spec, _relations_run, _reference_terms),
     "fay": Runner(_fay_spec, _fay_run, lambda cfg: 17),
     "sklyanin-rep": Runner(

@@ -8,8 +8,12 @@ therefore moves by -1, 0 or +1 hbar.  The defect of the exchange relation
 is assembled numerically from ansatz coefficients at those three shifts and
 two R-matrices, as coefficient vectors over ordered two-letter words: each
 word of a defect element is one product on each side, gathered over the
-nonzeros of the four factors, and the scale of each element comes from the
-same pass.  The relations are graded, so almost every coefficient is zero:
+nonzeros of the four factors, and the scale of each element and of each
+word comes from the same pass.  One cancellation rule holds for elements
+and words alike: at most ``CANCELLATION`` of its terms' summed moduli is
+an identical cancellation, dropped, so that the tables of one (n, m) share
+one nonzero pattern and the points of a batch of trials are gathered
+together.  The relations are graded, so almost every coefficient is zero:
 each set is built and held as its nonzero terms only, becomes a
 :class:`ellrmx.spans.RelationSet`, and is compared there against the
 closed-form relation families of :mod:`ellrmx.relations` (rank, mutual
@@ -87,6 +91,10 @@ def l_operator(
     return out
 
 
+#: A defect element, or one word of it, whose norm is at most this share
+#: of its terms' summed moduli cancels identically, and is dropped.
+CANCELLATION = 1e-12
+
 # Products of one gather, a side: the rows are taken a few a_out indices at
 # a time, so that no run of rows holds more, or one a_out's worth where that
 # is larger.
@@ -109,11 +117,11 @@ class DefectTable(NamedTuple):
 def defect_table(
     n: int,
     m: int,
-    params: DynamicalParams,
-    z1: complex,
-    z2: complex,
+    params: DynamicalParams | Sequence[DynamicalParams],
+    z1: complex | Sequence[complex],
+    z2: complex | Sequence[complex],
     ctx: EllipticContext,
-) -> DefectTable:
+) -> DefectTable | tuple[DefectTable, ...]:
     """Nonzero word coefficients of every matrix element of the exchange
     defect R(z1-z2 | q2) L1(z1) L2(z2) minus L2(z2) L1(z1) R(z1-z2 | q1).
 
@@ -122,12 +130,11 @@ def defect_table(
     with composite indices (a_out, b_out, a_in, b_in) is the row ``((ao d +
     bo) d + ai) d + bi``; over ordered two-letter words
     (:func:`ellrmx.relations.generator_slot` layout) it has ``values[k]``
-    on ``words[k]`` where ``rows[k]`` is that row, and exact zeros
-    elsewhere.  In a word (a, a') the second letter's coefficient is
-    shifted by ``[a'.j == a.j] - [a'.i == a.i]`` hbar.  The right-hand R
-    stands at q1: the entries a word meets depend only on ``q1_{a.i} -
-    q1_{a'.i}``, which the word's shift ``hbar (e_{a.i} + e_{a'.i})``
-    leaves alone.
+    on ``words[k]`` where ``rows[k]`` is that row, and nothing elsewhere.
+    In a word (a, a') the second letter's coefficient is shifted by
+    ``[a'.j == a.j] - [a'.i == a.i]`` hbar.  The right-hand R stands at
+    q1: the entries a word meets depend only on ``q1_{a.i} - q1_{a'.i}``,
+    which the word's shift ``hbar (e_{a.i} + e_{a'.i})`` leaves alone.
 
     An entry of L holds a few generators, and each generator stands in
     one entry per row and per column, so a word of an element meets one
@@ -136,88 +143,128 @@ def defect_table(
     of the left R times the L1 entries of row am and the L2 entries of row
     bm; each nonzero (am, bm, ai, bi) of the right R times the L2 entries
     of column bm and the L1 entries of column am.  Products are summed by
-    (row, word), and only exact zeros are dropped.  ``mass[ao, bo, ai,
-    bi]`` is the norm over words of the summed product moduli, taken in the
-    same pass: the scale against which a defect counts as an identical
-    cancellation.  The arrays are read-only.
+    (row, word), and a word whose sum is at most ``CANCELLATION`` of its
+    products' summed moduli is dropped, as :func:`rll_defect` drops such
+    elements.  ``mass[ao, bo, ai, bi]`` is the norm over words of the
+    summed product moduli, taken in the same pass: the scale against which
+    a defect counts as an identical cancellation.  The arrays are
+    read-only.
+
+    Given sequences of parameter sets and points, the tables of all points
+    come from one gather over the nonzeros of all their factors: one key
+    computation and one sort, the products with a leading point axis.
+    Tables that keep the same words share their ``rows`` and ``words``,
+    and each equals its own gather bit for bit.
     """
-    if params.q2 is None:
+    single = isinstance(params, DynamicalParams)
+    points = [(params, z1, z2)] if single else list(zip(params, z1, z2, strict=True))
+    if any(p.q2 is None for p, _, _ in points):
         raise ValueError("the exchange relation needs two coordinate blocks")
-    if params.m != m:
+    if any(p.m != m for p, _, _ in points):
         raise ValueError("coordinate vectors do not match m")
     d = m * n
     g = m * m * n * n
-    z12 = z1 - z2
-    la = l_operator(z1, params, n, ctx)
-    lb = l_operator(z2, params, n, ctx)
-    r_left = r_slnm(params.hbar, z12, params.q2, n, ctx).reshape(d, d, d, d)
-    r_right = r_slnm(params.hbar, z12, params.q1, n, ctx).reshape(d, d, d, d)
+    count = len(points)
+    # the ansatz at both points of each table, in turn
+    la, lb = map(np.stack, zip(*[
+        (l_operator(za, p, n, ctx), l_operator(zb, p, n, ctx)) for p, za, zb in points
+    ]))
+    hbar, z12 = np.array([(p.hbar, za - zb) for p, za, zb in points]).T
+    r_left, r_right = (
+        r_slnm(hbar, z12, [getattr(p, q) for p, _, _ in points], n, ctx).reshape(-1, d, d, d, d)
+        for q in ("q2", "q1")
+    )
     slot_i, slot_j = np.divmod(np.arange(g) // (n * n), m)
     # index along the SHIFTS axis of the second letter of each word (a, a')
     shift = 1 + (slot_j[:, None] == slot_j) - (slot_i[:, None] == slot_i)
-    left = np.nonzero(r_left)
-    right = np.nonzero(r_right)
+    left = np.nonzero(np.any(r_left != 0, axis=0))
+    right = np.nonzero(np.any(r_right != 0, axis=0))
     a_rows, b_rows, b_cols = _entries(la, 0), _entries(lb, 0), _entries(lb, 1)
     key_shape = (d, d, d, d, g, g)
-    # products a side per a_out
-    per_row = len(left[0]) * a_rows[0].shape[1] * b_rows[0].shape[1] // d
+    # products a side per a_out and point
+    per_row = count * len(left[0]) * a_rows[0].shape[1] * b_rows[0].shape[1] // d
     step = max(1, _CHUNK // max(1, per_row))
     # the left R's nonzeros run a_out first
     bounds = np.searchsorted(left[0], np.arange(0, d + step, step))
-    mass_sq = np.zeros(d**4)
+    mass_sq = np.zeros((count, d**4))
     chunks = []
     for lo, start, stop in zip(range(0, d, step), bounds, bounds[1:]):
-        # [t, k, k'] pairs left R nonzero t with L1 entry k of its row am
-        # and L2 entry k' of its row bm
+        # [point, t, k, k'] pairs left R nonzero t with L1 entry k of its
+        # row am and L2 entry k' of its row bm
         ao, bo, am, bm = (v[start:stop] for v in left)
         ai, a, ok_a = (v[am][:, :, None] for v in a_rows)
         bi, b, ok_b = (v[bm][:, None] for v in b_rows)
         ao, bo, am, bm = (v[:, None, None] for v in (ao, bo, am, bm))
-        head = r_left[ao, bo, am, bm] * la[1, am, ai, a]
-        tail = lb[shift[a, b], bm, bi, b]
+        head = r_left[:, ao, bo, am, bm] * la[:, 1, am, ai, a]
+        tail = lb[:, shift[a, b], bm, bi, b]
         ok = ok_a & ok_b
-        lhs = np.ravel_multi_index((ao, bo, ai, bi, a, b), key_shape)[ok], (head * tail)[ok]
-        # [t, k, k'] pairs right R nonzero t with L2 entry k of its column
-        # bm and L1 entry k' of its column am, in rows lo to lo + step
+        lhs = np.ravel_multi_index((ao, bo, ai, bi, a, b), key_shape)[ok], (head * tail)[:, ok]
+        # [point, t, k, k'] pairs right R nonzero t with L2 entry k of its
+        # column bm and L1 entry k' of its column am, in rows lo to lo + step
         am, bm, ai, bi = right
         bo, a, ok_b = (v[bm][:, :, None] for v in b_cols)
-        ao, b, ok_a = (v[am][:, None] for v in _entries(la[:, lo : lo + step], 1))
+        ao, b, ok_a = (v[am][:, None] for v in _entries(la[:, :, lo : lo + step], 1))
         ao += lo
         am, bm, ai, bi = (v[:, None, None] for v in right)
-        head = lb[1, bo, bm, a]
-        tail = la[shift[a, b], ao, am, b]
+        head = lb[:, 1, bo, bm, a]
+        tail = la[:, shift[a, b], ao, am, b]
         ok = ok_b & ok_a
         rhs = (
             np.ravel_multi_index((ao, bo, ai, bi, a, b), key_shape)[ok],
-            -(head * tail * r_right[am, bm, ai, bi])[ok],
+            -(head * tail * r_right[:, am, bm, ai, bi])[:, ok],
         )
         # left terms first: a word's value is then lhs - rhs, summed in order
-        keys, values = (np.concatenate(pair) for pair in zip(lhs, rhs))
+        keys, values = (np.concatenate(pair, axis=-1) for pair in zip(lhs, rhs))
+        del lhs, rhs, head, tail
         order = np.argsort(keys, kind="stable")
-        keys, values = keys[order], values[order]
+        keys, values = keys[order], values[:, order]
         first = np.flatnonzero(np.diff(keys, prepend=-1))
-        keys, moduli = keys[first], np.add.reduceat(np.abs(values), first)
-        values = np.add.reduceat(values, first)
+        keys, moduli = keys[first], np.add.reduceat(np.abs(values), first, axis=1)
+        values = np.add.reduceat(values, first, axis=1)
         rows, words = np.divmod(keys, g * g)
-        mass_sq += np.bincount(rows, weights=moduli * moduli, minlength=d**4)
-        nonzero = values != 0
-        chunks.append((rows[nonzero], words[nonzero], values[nonzero]))
-    terms = *map(np.concatenate, zip(*chunks)), np.sqrt(mass_sq).reshape((d,) * 4)
-    for arr in terms:
-        arr.setflags(write=False)
-    return DefectTable(*terms, params, z1, z2)
+        bins = (rows + d**4 * np.arange(count)[:, None]).ravel()
+        mass_sq += np.bincount(bins, (moduli * moduli).ravel(), mass_sq.size).reshape(count, -1)
+        keep = np.abs(values) > CANCELLATION * moduli
+        # the words any point keeps; each point's own are marked
+        kept = keep.any(axis=0)
+        chunks.append((rows[kept], words[kept], keep[:, kept], *(v[kept] for v in values)))
+    tables = _joined(chunks, np.sqrt(mass_sq).reshape((count,) + (d,) * 4))
+    out = tuple(DefectTable(*terms, *point) for terms, point in zip(tables, points))
+    return out[0] if single else out
+
+
+def _joined(chunks: list[tuple], mass: np.ndarray) -> list[tuple]:
+    """The (rows, words, values, mass) of each point of a gather from its
+    runs of rows: the rows and words that any point keeps, which of them
+    each point keeps, and each point's values.  A field is joined, and its
+    runs dropped, before the next, so that the table is never held twice;
+    points that keep every word share the rows and words."""
+    fields = [list(field) for field in zip(*chunks)]
+    chunks.clear()
+    joined = []
+    for field in fields:
+        joined.append(np.concatenate(field, axis=-1))
+        field.clear()
+    rows, words, keep, *values = joined
+    tables = []
+    for own, point, point_mass in zip(keep, values, mass):
+        terms = (rows, words, point) if own.all() else (rows[own], words[own], point[own])
+        for arr in (*terms, point_mass):
+            arr.setflags(write=False)
+        tables.append((*terms, point_mass))
+    return tables
 
 
 def _entries(l_table: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The nonzero (entry, generator) pairs of an ansatz table ``C[delta +
-    1, x, y, a]``, nonzero at any shift, grouped by row x (axis 0) or
-    column y (axis 1).
+    """The nonzero (entry, generator) pairs of ansatz tables ``C[point,
+    delta + 1, x, y, a]``, nonzero at any point and shift, grouped by row
+    x (axis 0) or column y (axis 1).
 
     Returns arrays indexed [index along ``axis``, k]: the other index of
     the k-th pair's entry, its generator slot, and whether the k-th pair
     exists (groups are padded to the longest one).
     """
-    nonzero = np.any(l_table != 0, axis=0)
+    nonzero = np.any(l_table != 0, axis=(0, 1))
     if axis:
         nonzero = nonzero.transpose(1, 0, 2)
     group, other, slot = np.nonzero(nonzero)
@@ -234,46 +281,69 @@ def rll_trial_bytes(n: int, m: int) -> int:
 
     A defect element has nonzeros on about n^3 words (on every word of its
     component at m == 1), so a table holds about d^4 n^3 terms.  A trial
-    keeps two tables and their two blocked sets, and sorting and blocking
-    the terms of one takes about as much again.  The gather's temporaries
-    took about 200 bytes per product a side, for one run of rows: at most
-    ``_CHUNK`` products a side, or one a_out's d^3 n^3 and the products of
-    the mixed R entries (256 bytes bounds both).  The reference set and
-    the span workspaces took up to 40 MB more at (2, 6) and (1, 12), where
-    the tables are small; 64 MB bounds that.  Beyond the interpreter,
-    these two and that allowance, peak RSS came to 150 to 270 bytes per
-    d^4 n^3 at (n, m) = (3, 4), (4, 3), (5, 2) and (8, 1); 300 bounds them.
+    gathers its two tables together, which share their rows and words, and
+    keeps them and their two blocked sets; blocking the terms of both takes
+    about as much again.  The gather's temporaries took about 200 bytes
+    per product a side, for one run of rows: at most ``_CHUNK`` products a
+    side over both points, or one a_out's d^3 n^3 and the products of the
+    mixed R entries (256 bytes bounds both).  The reference set and the
+    span workspaces took up to 40 MB more at (2, 6) and (1, 12), where the
+    tables are small; 64 MB bounds that.  Beyond the interpreter, these two
+    and that allowance, peak RSS came to 150 to 270 bytes per d^4 n^3 at
+    (n, m) = (3, 4), (4, 3), (5, 2) and (8, 1), when each table was
+    gathered and blocked on its own; 300 bounds them.
     """
     d = m * n
     return 300 * d**4 * n**3 + 256 * max(_CHUNK, d**3 * n**3) + (64 << 20)
 
 
-def rll_defect(table: DefectTable) -> RelationSet:
+def rll_defect(
+    table: DefectTable | Sequence[DefectTable],
+) -> RelationSet | tuple[RelationSet, ...]:
     """Defect vectors of the exchange relation for the L-ansatz.
 
     One row per matrix element of LHS minus RHS in the table.  Elements
-    whose norm is at most 1e-12 of their own term mass are identical
-    cancellations and are dropped; an exact identity (the 1 x 1 case)
-    gives an empty set.
+    whose norm is at most ``CANCELLATION`` of their own term mass are
+    identical cancellations and are dropped; an exact identity (the 1 x 1
+    case) gives an empty set.  Given a sequence of tables, their sets:
+    tables that share their rows and words (see :func:`defect_table`) and
+    drop the same elements are built together, and share one layout.
     """
-    rows, words, values, mass = table[:4]
-    keep = term_norms(rows, values, mass.size) > 1e-12 * mass.ravel()
-    # (m^2 n^2)^2 two-letter words, as many as the d^4 elements
-    return _kept_rows(keep, rows, words, values, mass.size)
+    tables = [table] if isinstance(table, DefectTable) else list(table)
+    sets: list[RelationSet] = [None] * len(tables)
+    shared: dict[tuple[int, int], list[int]] = {}
+    for t, own in enumerate(tables):
+        shared.setdefault((id(own.rows), id(own.words)), []).append(t)
+    for members in shared.values():
+        rows, words, _, mass = tables[members[0]][:4]
+        norms = [term_norms(rows, tables[t].values, mass.size) for t in members]
+        keep = np.array(norms) > CANCELLATION * np.array([tables[t].mass.ravel() for t in members])
+        # (m^2 n^2)^2 two-letter words, as many as the d^4 elements
+        values = [tables[t].values for t in members]
+        for t, vectors in zip(members, _kept_sets(keep, rows, words, values, mass.size)):
+            sets[t] = vectors
+    return sets[0] if isinstance(table, DefectTable) else tuple(sets)
 
 
-def _kept_rows(
+def _kept_sets(
     keep: np.ndarray, rows: np.ndarray, words: np.ndarray, values: np.ndarray, width: int
-) -> RelationSet | tuple[RelationSet, ...]:
-    """The set of the rows marked in ``keep``, in order, from the terms of
-    every row; values of shape (T, K) give the T trials' sets."""
-    if keep.all():
-        return RelationSet.from_terms(rows, words, values, keep.size, width)
-    kept = keep[rows]
-    renumber = np.cumsum(keep) - 1
-    return RelationSet.from_terms(
-        renumber[rows[kept]], words[kept], values[..., kept], int(keep.sum()), width
-    )
+) -> list[RelationSet]:
+    """The set of each trial (row of ``values``) from the rows that its row
+    of ``keep`` marks, in order; trials that keep the same rows are built
+    together."""
+    sets: list[RelationSet] = [None] * len(values)
+    groups = same_rows(keep)
+    for members, kept in groups:
+        part = values if len(groups) == 1 else [values[t] for t in members]
+        own_rows, own_words = rows, words
+        if not kept.all():
+            terms = kept[rows]
+            own_rows, own_words = (np.cumsum(kept) - 1)[rows[terms]], words[terms]
+            part = [v[terms] for v in part]
+        built = RelationSet.from_terms(own_rows, own_words, part, int(kept.sum()), width)
+        for t, vectors in zip(members, built):
+            sets[t] = vectors
+    return sets
 
 
 def reference_terms(n: int, m: int) -> int:
@@ -341,13 +411,7 @@ def relation_vectors_reference(
     del blocks
     # a non-finite row is kept, and the set rejects it
     keep = term_norms(rows, values, size) != 0.0
-    sets: list[RelationSet] = [None] * trials
-    groups = same_rows(keep)
-    for members, kept in groups:
-        part = values if len(groups) == 1 else values[members]
-        built = _kept_rows(kept, rows, words, part, (m * m * n * n) ** 2)
-        for t, vectors in zip(members, built):
-            sets[t] = vectors
+    sets = _kept_sets(keep, rows, words, values, (m * m * n * n) ** 2)
     return sets[0] if isinstance(params, DynamicalParams) else tuple(sets)
 
 
@@ -378,25 +442,13 @@ def component_ratio(
     ta = basis_t(alpha)
     tb = basis_t(beta)
     comp = np.zeros(mass.size, dtype=complex)
-    for r_out in range(n):
-        for r_in in range(n):
-            wa = np.conj(ta[r_out, r_in])
-            if wa == 0:
-                continue
-            for s_out in range(n):
-                for s_in in range(n):
-                    wb = np.conj(tb[s_out, s_in])
-                    if wb == 0:
-                        continue
-                    key = (
-                        (i - 1) * n + r_out,
-                        (i - 1) * n + s_out,
-                        (j - 1) * n + r_in,
-                        (k - 1) * n + s_in,
-                    )
-                    row = np.ravel_multi_index(key, (d,) * 4)
-                    lo, hi = np.searchsorted(rows, (row, row + 1))
-                    comp[words[lo:hi]] += wa * wb * values[lo:hi]
+    # the nonzero entries of each basis element, row by row
+    for r_out, r_in in np.argwhere(ta):
+        for s_out, s_in in np.argwhere(tb):
+            key = (i - 1) * n + r_out, (i - 1) * n + s_out, (j - 1) * n + r_in, (k - 1) * n + s_in
+            lo, hi = np.searchsorted(rows, np.ravel_multi_index(key, (d,) * 4) + np.arange(2))
+            weight = np.conj(ta[r_out, r_in]) * np.conj(tb[s_out, s_in])
+            comp[words[lo:hi]] += weight * values[lo:hi]
     comp /= n * n
     d_b = z2 + params.q2[i - 1] - params.q1[k - 1] + omega(beta, ctx)
     d_a = z1 + params.q2[i - 1] - params.q1[j - 1] + params.hbar + omega(alpha, ctx)

@@ -8,9 +8,11 @@ keeps only those components, each as a small dense block, so that no
 array runs over all words; the rank, mutual inclusion and principal
 angles of two spans all come from one small SVD per component.  The span
 functions stack those SVDs, one LAPACK call per block shape across every
-component of every set they are given.  Every relation set is built from
-its (row, word, value) terms with :meth:`RelationSet.from_terms`, the
-sets of many trials of the same terms together.
+component of every set they are given, and compare sets over the joint
+components of their patterns with :func:`ellrmx.joints.compare`.  Every
+relation set is built from its (row, word, value) terms with
+:meth:`RelationSet.from_terms`, the sets of many trials of the same terms
+together.
 """
 
 from __future__ import annotations
@@ -18,9 +20,11 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
+
+from .joints import STACK, compare, distinct, group_by, join_columns, offsets
 
 
 @dataclass(frozen=True, eq=False)
@@ -33,17 +37,20 @@ class RelationSet:
     A component is a set of rows together with the word columns they
     touch: ``components`` holds (row indices, sorted word columns) in the
     order of their first columns, and ``blocks`` the rows restricted to
-    those columns.  Components have disjoint column supports, so the span
-    is the direct sum of theirs; each takes one small thin SVD, on first
-    use, and is cached: values alone if only the rank is read, and once
-    more with vectors when the bases are first needed.  An empty set is allowed (the 1 x 1 exchange
-    relation is an exact identity) but cannot be compared.
+    those columns, as views of ``data``, which holds the blocks one after
+    another and then one zero.  Components have disjoint column supports,
+    so the span is the direct sum of theirs; each takes one small thin
+    SVD, on first use, and is cached: values alone if only the rank is
+    read, and once more with vectors when the bases are first needed.  An
+    empty set is allowed (the 1 x 1 exchange relation is an exact
+    identity) but cannot be compared.
     """
 
     size: int
     width: int
     components: tuple[tuple[np.ndarray, np.ndarray], ...]
     blocks: tuple[np.ndarray, ...]
+    data: np.ndarray
 
     @classmethod
     def from_terms(
@@ -58,15 +65,16 @@ class RelationSet:
         ``values`` of shape (T, K) holds T trials of the same terms and
         gives a tuple of T sets.  Trials with the same nonzero pattern
         share one layout: its components are found once, and each trial's
-        blocks are views of its own row of one buffer.
+        blocks are views of its own row of one buffer.  Values that are not
+        a complex array already (a list of the trials' arrays, say) are
+        copied once, and normalized in that copy.
         """
         rows, words = np.asarray(rows, dtype=int), np.asarray(words, dtype=int)
-        values = np.asarray(values, dtype=complex)
-        stack = values if values.ndim == 2 else values[None]
+        stack = np.asarray(values, dtype=complex)
+        copied, batch, shape = stack is not values, stack.ndim == 2, stack.shape
+        stack = stack if batch else stack[None]
         if rows.ndim != 1 or not rows.shape == words.shape == stack.shape[1:]:
-            raise ValueError(
-                f"{rows.shape} rows, {words.shape} words and {values.shape} values"
-            )
+            raise ValueError(f"{rows.shape} rows, {words.shape} words and {shape} values")
         for name, index, bound in (("row", rows, size), ("word", words, width)):
             if index.size and not (0 <= index.min() and index.max() < bound):
                 raise ValueError(f"a {name} index outside the {bound} {name}s")
@@ -81,23 +89,19 @@ class RelationSet:
         norms = term_norms(rows, stack, size)
         if not (np.all(np.isfinite(stack)) and np.all(norms > 0)):
             raise ValueError("relation rows must be finite and nonzero")
-        # a sorted stack is a copy, normalized in place
-        stack = np.divide(stack, norms[:, rows], out=stack if sort else None)
+        # a copy made here is normalized in place
+        stack = np.divide(stack, norms[:, rows], out=stack if sort or copied else None)
         sets: list[RelationSet] = [None] * len(stack)
         for trials, nonzero in same_rows(stack != 0):
             components, cell, shapes = _layout(rows[nonzero], words[nonzero], size)
             # every block of a trial is a view of its row of one buffer
-            ends = np.cumsum([h * w for h, w in shapes], dtype=int)
-            buffer = np.zeros((trials.size, ends[-1] if ends.size else 0), dtype=complex)
+            buffer = np.zeros((trials.size, sum(h * w for h, w in shapes) + 1), dtype=complex)
             for own, t in zip(buffer, trials):
                 own[cell] = stack[t, nonzero]
             buffer.setflags(write=False)
             for own, t in zip(buffer, trials):
-                blocks = tuple(
-                    own[e - h * w : e].reshape(h, w) for e, (h, w) in zip(ends, shapes)
-                )
-                sets[t] = cls(size, width, components, blocks)
-        return tuple(sets) if values.ndim == 2 else sets[0]
+                sets[t] = cls(size, width, components, _views(own, shapes), own)
+        return tuple(sets) if batch else sets[0]
 
     def __len__(self) -> int:
         return self.size
@@ -106,8 +110,17 @@ class RelationSet:
     def bases(self) -> tuple[np.ndarray, ...]:
         """Orthonormal basis (as columns over the component's words) of the
         span of each component, cut at 1e-8 of the set's largest singular
-        value; their widths sum to the rank."""
-        return _cut_bases(_svds(self.blocks, vectors=True))
+        value; their widths sum to the rank.  They are views of
+        ``basis_data``, which holds them one after another and then one
+        zero."""
+        _factor([self], vectors=True)
+        return self.bases
+
+    @functools.cached_property
+    def basis_data(self) -> np.ndarray:
+        """The buffer of the bases (see :attr:`bases`)."""
+        _factor([self], vectors=True)
+        return self.basis_data
 
     @functools.cached_property
     def rank(self) -> int:
@@ -150,38 +163,30 @@ def _layout(
     order of their first columns; the position of every term in a buffer
     that holds the components' dense blocks one after another; and the
     blocks' (height, width)."""
-    cols, at, root = _join_columns(rows, words)
-    label = np.searchsorted(_distinct(root), root)
-    row_groups = _group_by(label[at[np.searchsorted(rows, np.arange(size))]])
-    col_groups = _group_by(label)
-    row_in, col_in = np.zeros(size, dtype=int), np.zeros(cols.size, dtype=int)
-    for r, c in zip(row_groups, col_groups):
-        row_in[r], col_in[c] = np.arange(r.size), np.arange(c.size)
-    heights = np.array([r.size for r in row_groups], dtype=int)
-    widths = np.array([c.size for c in col_groups], dtype=int)
-    starts = np.cumsum(heights * widths) - heights * widths
+    cols, at, root = join_columns(rows, words)
+    roots = distinct(root)
+    label = np.searchsorted(roots, root)
+    row_label = label[at[np.searchsorted(rows, np.arange(size))]]
+    row_in, heights = offsets(row_label, np.ones(size, dtype=int), roots.size)
+    col_in, widths = offsets(label, np.ones_like(label), roots.size)
     own = label[at]
+    starts = np.cumsum(heights * widths) - heights * widths
     cell = starts[own] + row_in[rows] * widths[own] + col_in[at]
-    components = tuple(zip(row_groups, (cols[c] for c in col_groups)))
+    components = tuple(zip(group_by(row_label), (cols[c] for c in group_by(label))))
     return components, cell, list(zip(heights.tolist(), widths.tolist()))
-
-
-#: Bytes of blocks that one stacked SVD call takes; a larger block goes
-#: alone.  Bounds the copy that stacking makes.
-_STACK = 1 << 20
 
 
 def _svds(blocks: Sequence[np.ndarray], vectors: bool) -> list:
     """Singular values of each block, with its right singular vectors (as
     rows) if ``vectors``, in block order: one LAPACK call per block shape
-    and per ``_STACK`` bytes of blocks.  A stacked call factors each block
+    and per ``STACK`` bytes of blocks.  A stacked call factors each block
     exactly as a call on the block alone would."""
     out: list = [None] * len(blocks)
     by_shape: dict[tuple[int, ...], list[int]] = {}
     for k, block in enumerate(blocks):
         by_shape.setdefault(block.shape, []).append(k)
     for shape, members in by_shape.items():
-        step = max(1, _STACK // (16 * shape[0] * shape[1]))
+        step = max(1, STACK // (16 * shape[0] * shape[1]))
         for start in range(0, len(members), step):
             part = members[start : start + step]
             stack = np.stack([blocks[k] for k in part]) if len(part) > 1 else blocks[part[0]][None]
@@ -215,10 +220,23 @@ def _cutoff(values: Sequence[np.ndarray]) -> float:
     return 1e-8 * max(sv[0] for sv in values)
 
 
-def _cut_bases(svds: list) -> tuple[np.ndarray, ...]:
-    """The component bases of a set from its blocks' :func:`_svds`."""
+def _cut_bases(svds: list) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """The component bases of a set from its blocks' :func:`_svds`, and
+    the buffer they are views of (see :attr:`RelationSet.bases`)."""
     cutoff = _cutoff([sv for sv, _ in svds])
-    return tuple(vh[: int(np.sum(sv > cutoff))].T.copy() for sv, vh in svds)
+    bases = [vh[: int(np.sum(sv > cutoff))].T for sv, vh in svds]
+    data = np.zeros(sum(q.size for q in bases) + 1, dtype=complex)
+    views = _views(data, [q.shape for q in bases])
+    for view, q in zip(views, bases):
+        view[...] = q
+    return views, data
+
+
+def _views(data: np.ndarray, shapes: Sequence[tuple[int, int]]) -> tuple[np.ndarray, ...]:
+    """Matrices of the given shapes that stand in ``data`` one after
+    another, row by row, as views."""
+    ends = np.cumsum([h * w for h, w in shapes], dtype=int)
+    return tuple(data[e - h * w : e].reshape(h, w) for e, (h, w) in zip(ends, shapes))
 
 
 def _cut_rank(values: list) -> int:
@@ -227,64 +245,19 @@ def _cut_rank(values: list) -> int:
     return sum(int(np.sum(sv > cutoff)) for sv in values)
 
 
-def _per_set(sets: Sequence[RelationSet], results: list) -> Iterator[list]:
-    """Results listed block by block over the sets, split by set."""
-    at = 0
-    for s in sets:
-        yield results[at : at + len(s.blocks)]
-        at += len(s.blocks)
-
-
-def _fill_bases(sets: Sequence[RelationSet]) -> None:
-    """Computes the bases of every set that has none yet, with the SVDs of
-    all their blocks stacked together."""
-    todo = list({id(s): s for s in sets if "bases" not in vars(s)}.values())
-    svds = _svds([b for s in todo for b in s.blocks], vectors=True)
-    for s, own in zip(todo, _per_set(todo, svds)):
-        vars(s)["bases"] = _cut_bases(own)
-
-
-def _join_columns(
-    groups: np.ndarray, cols: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Connected components of columns, where the columns of each group
-    (``groups`` sorted, one entry per member column) are connected.
-
-    Returns the sorted distinct columns, the position among them of every
-    entry of ``cols``, and for each distinct column the position of the
-    smallest column of its component.  Hooks roots onto smaller ones
-    until no pair of connected columns has two roots.
-    """
-    distinct = _distinct(cols)
-    at = np.searchsorted(distinct, cols)
-    same = groups[1:] == groups[:-1]
-    u, v = at[:-1][same], at[1:][same]
-    root = np.arange(distinct.size)
-    while True:
-        while not np.array_equal(up := root[root], root):
-            root = up
-        ru, rv = root[u], root[v]
-        split = ru != rv
-        if not split.any():
-            return distinct, at, root
-        np.minimum.at(root, np.maximum(ru, rv)[split], np.minimum(ru, rv)[split])
-
-
-def _group_by(labels: np.ndarray, items: np.ndarray | None = None) -> list[np.ndarray]:
-    """``items`` (default: their positions) split by label, groups in label
-    order, members in their original order."""
-    if not labels.size:
-        return []
-    order = np.argsort(labels, kind="stable")
-    starts = np.flatnonzero(np.diff(labels[order])) + 1
-    return np.split(order if items is None else items[order], starts)
-
-
-def _distinct(indices: np.ndarray) -> np.ndarray:
-    """Sorted distinct nonnegative indices.  Not ``np.unique``: it imports
-    ``numpy.ma`` on first use, about 0.6 MB of resident memory."""
-    ordered = np.sort(indices)
-    return ordered[np.diff(ordered, prepend=-1) != 0]
+def _factor(sets: Sequence[RelationSet], vectors: bool) -> None:
+    """Caches the bases (or, without ``vectors``, the rank) of every set
+    that has no bases (nor rank) yet, from the SVDs of all their blocks
+    stacked together."""
+    todo = [s for s in sets if not ({"bases"} if vectors else {"rank", "bases"}) & vars(s).keys()]
+    todo = list({id(s): s for s in todo}.values())
+    results = iter(_svds([b for s in todo for b in s.blocks], vectors))
+    for s in todo:
+        own = [next(results) for _ in s.blocks]
+        if vectors:
+            vars(s)["bases"], vars(s)["basis_data"] = _cut_bases(own)
+        else:
+            vars(s)["rank"] = _cut_rank(own)
 
 
 def span_rank(vectors: RelationSet | Sequence[RelationSet]) -> int | list[int]:
@@ -292,52 +265,9 @@ def span_rank(vectors: RelationSet | Sequence[RelationSet]) -> int | list[int]:
     sets, their ranks: those of sets with neither rank nor bases yet come
     from singular values alone, stacked across all their blocks."""
     sets = [vectors] if isinstance(vectors, RelationSet) else list(vectors)
-    todo = list({id(s): s for s in sets if not {"rank", "bases"} & vars(s).keys()}.values())
-    values = _svds([b for s in todo for b in s.blocks], vectors=False)
-    for s, own in zip(todo, _per_set(todo, values)):
-        vars(s)["rank"] = _cut_rank(own)
+    _factor(sets, vectors=False)
     ranks = [s.rank for s in sets]
     return ranks[0] if isinstance(vectors, RelationSet) else ranks
-
-
-def _joint_layout(a: RelationSet, b: RelationSet) -> list[tuple[int, list, list]]:
-    """The joint components of two sets' rows, from their layouts alone.
-
-    For each connected component of the union of both sets' nonzero
-    patterns: its number of word columns and, per set, the (component
-    index, positions of the component's columns among the joint ones) of
-    its components inside.  Both spans are the direct sums of these pieces.
-    """
-    if a.width != b.width:
-        raise ValueError("vector dimensions differ between the two sets")
-    pieces = [
-        (side, k, cols)
-        for side, s in enumerate((a, b))
-        for k, (_, cols) in enumerate(s.components)
-    ]
-    sizes = np.array([cols.size for _, _, cols in pieces])
-    groups = np.repeat(np.arange(len(pieces)), sizes)
-    cols, at, root = _join_columns(groups, np.concatenate([p[2] for p in pieces]))
-    label = root[at[np.cumsum(sizes) - sizes]]
-    layout = []
-    for members, joint in zip(_group_by(label), _group_by(root, cols)):
-        inside = [pieces[k] for k in members]
-        layout.append((joint.size, *(
-            [(k, np.searchsorted(joint, c)) for s, k, c in inside if s == side] for side in (0, 1)
-        )))
-    return layout
-
-
-def _place(width: int, pieces: list) -> np.ndarray:
-    """Matrices whose rows run over the word columns of a joint component,
-    side by side: each (positions, matrix) piece has its rows moved to
-    those positions among the ``width`` joint columns."""
-    out = np.zeros((width, sum(q.shape[1] for _, q in pieces)), dtype=complex)
-    at = 0
-    for rows, q in pieces:
-        out[rows, at : at + q.shape[1]] = q
-        at += q.shape[1]
-    return out
 
 
 def span_equal(
@@ -350,50 +280,30 @@ def span_equal(
     ``metric < tol``.  A row and its projection both lie on the row's
     joint component, so each projection is taken there.  Given two
     sequences of sets, the test of each pair: the SVDs of all their blocks
-    are stacked together, and pairs of sets with the same layouts share
-    their joint components.
+    are stacked together, and so are the projections of all joints of one
+    shape (see :func:`ellrmx.joints.compare`).
     """
     single = isinstance(a, RelationSet)
     pairs = [(a, b)] if single else list(zip(a, b, strict=True))
-    _fill_bases([s for pair in pairs for s in pair])
-    layouts: dict[tuple[int, int], list] = {}
-    out = []
-    for x, y in pairs:
-        key = id(x.components), id(y.components)
-        if key not in layouts:
-            layouts[key] = _joint_layout(x, y)
-        worst = 0.0
-        for width, pa, pb in layouts[key]:
-            for mine, other, sets in ((pa, pb, (x, y)), (pb, pa, (y, x))):
-                if not mine:
-                    continue
-                own, far = sets
-                v = np.ascontiguousarray(
-                    _place(width, [(c, own.blocks[k].T) for k, c in mine]).T
-                )
-                basis = _place(width, [(c, far.bases[k]) for k, c in other])
-                res = v - (v @ basis.conj()) @ basis.T
-                num = np.linalg.norm(res, axis=1)
-                den = np.linalg.norm(v, axis=1)
-                worst = max(worst, float(np.max(num / den)))
-        out.append((worst < tol, worst))
+    _factor([s for pair in pairs for s in pair], vectors=True)
+    out = [(worst < tol, worst) for worst in compare(pairs, gap=False)]
     return out[0] if single else out
 
 
-def span_gap(a: RelationSet, b: RelationSet) -> float:
+def span_gap(
+    a: RelationSet | Sequence[RelationSet], b: RelationSet | Sequence[RelationSet]
+) -> float | list[float]:
     """Largest principal-angle sine between the two spans (symmetric).
 
     Equals 0 for identical spans and reaches 1 when one span contains a
     direction orthogonal to the other, so rank mismatches surface as gaps
     of order one.  Both bases are block diagonal over the joint
-    components, so the 2-norm is the largest over the blocks.
+    components, so the 2-norm is the largest over the blocks.  Given two
+    sequences of sets, the gap of each pair, stacked as in
+    :func:`span_equal`.
     """
-    _fill_bases([a, b])
-    gap = 0.0
-    for width, pa, pb in _joint_layout(a, b):
-        qa, qb = (_place(width, [(c, s.bases[k]) for k, c in p]) for p, s in ((pa, a), (pb, b)))
-        for q, other in ((qa, qb), (qb, qa)):
-            if q.shape[1]:
-                res = q - other @ (other.conj().T @ q)
-                gap = max(gap, float(np.linalg.norm(res, 2)))
-    return gap
+    single = isinstance(a, RelationSet)
+    pairs = [(a, b)] if single else list(zip(a, b, strict=True))
+    _factor([s for pair in pairs for s in pair], vectors=True)
+    gaps = compare(pairs, gap=True)
+    return gaps[0] if single else gaps

@@ -166,7 +166,7 @@ class TestSpanChecks:
             return l_operator(z, *args)
 
         monkeypatch.setattr(ncalgebra, "l_operator", counted)
-        residual, _ = checks._rll_trial(cfg, params, zs, ctx)
+        [(residual, _)] = checks._RUNNERS["rll"].run(cfg, [(params, zs)], ctx)
         assert residual < cfg.effective_tol("rll")
         assert points == list(zs)
 
@@ -294,6 +294,11 @@ class TestTrialBatches:
             ("fay", 1, 1),
             ("sklyanin-rep", 3, 1),
             ("bb-reduce", 3, 1),
+            ("rll", 2, 2),
+            # three trials a batch
+            ("rll", 2, 3),
+            ("rll", 3, 1),
+            ("rll", 1, 3),
         ],
     )
     def test_reports_equal_batches_of_one(self, monkeypatch, check, n, m, tau):
@@ -335,6 +340,21 @@ class TestTrialBatches:
         assert all(checks.batch_size(cfg, c) == 1 for c in checks_)
         assert nulls() == batched
 
+    def test_rll_skew_tau_null_trials_keep_their_positions(self, monkeypatch):
+        # rll batches 16 trials at (2, 2), 3 at (2, 3) and 14 at (3, 1); a
+        # batch that raises is split until the failing trials stand alone
+        cfg = CheckConfig(check="rll", tau=5.3 + 0.3j)
+        sizes = ((2, 2), (2, 3), (3, 1))
+
+        def nulls():
+            reports = [run_check(replace(cfg, n=n, m=m)).reports[0] for n, m in sizes]
+            return [[t for t, v in enumerate(r.residuals) if v is None] for r in reports]
+
+        batched = nulls()
+        assert batched == [[0, 2, 11, 16], [0, 3, 5, 6, 13, 17], [2, 13, 14]]
+        monkeypatch.setattr(checks, "_BATCH_TERMS", 1)
+        assert nulls() == batched
+
     def test_exchange_contraction_stays_within_one_trials_peak(self):
         # Three (3, 2) trials build together; their contraction runs one
         # trial at a time and the batch peaks below the 2.8 MiB that one
@@ -355,7 +375,8 @@ class TestTrialBatches:
         assert checks.batch_size(CheckConfig("relations", n=6, m=2), "relations") == 1
         assert checks.batch_size(CheckConfig("relations", n=2, m=2), "relations") >= 10
         assert checks.batch_size(CheckConfig("tv-reduce", n=1, m=2), "tv-reduce") >= 10
-        assert checks.batch_size(CheckConfig("rll", n=2, m=2), "rll") == 1
+        assert checks.batch_size(CheckConfig("rll", n=3, m=2), "rll") == 1
+        assert checks.batch_size(CheckConfig("rll", n=2, m=2), "rll") >= 10
 
 
 class TestReductionChecks:
@@ -426,8 +447,8 @@ class TestAllAndReports:
     @pytest.mark.parametrize(
         ("tau", "digest"),
         [
-            (0.3 + 0.8j, "799fdd73de7e7a47c0fe33534255e9dd75019497398c6a08451b13ab1701b937"),
-            (5.3 + 0.3j, "10adf3fa83653dd44c6cfd6bb53d773af0c3412fc904afa256c0ffc775daba2f"),
+            (0.3 + 0.8j, "6071d1737620401195d3fb14b24e6bd3bba680f99af801739cd0a254ab4008d8"),
+            (5.3 + 0.3j, "3604b27c8cc2b60671f8e1b4e037a2b3ac3efe2d91ba2ec73812c8d4f4645b89"),
         ],
         ids=["default-tau", "skew-tau"],
     )
