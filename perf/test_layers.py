@@ -29,17 +29,14 @@ trials at (2, 2) through ``run_single`` (one batch: one reference build,
 one gather of the four points, stacked comparisons), and one trial at
 (2, 3) through the runner.
 Trials are drawn and run through the check's runner (``_RUNNERS``), which
-takes a list of draws.  On commits that memoize defect tables by point
-(``_defect_table``), the memo is bypassed, so that the same file times a
-fresh table there too.
+takes a list of draws.
 """
 
 import numpy as np
 
-from ellrmx import ncalgebra
 from ellrmx.checks import _RUNNERS, CheckConfig, _trial_seed, run_single
 from ellrmx.elliptic import EllipticContext, eisenstein_e2, kronecker_phi, theta
-from ellrmx.ncalgebra import relation_vectors_reference, rll_defect
+from ellrmx.ncalgebra import defect_table, relation_vectors_reference, rll_defect
 from ellrmx.relations import tv_relations
 from ellrmx.rmatrix import r_slnm
 from ellrmx.sampling import sample_params
@@ -49,16 +46,8 @@ SKEW_CTX = EllipticContext(5.3 + 0.3j)
 SEED = 42
 
 
-if hasattr(ncalgebra, "defect_table"):
-    defect_table = ncalgebra.defect_table
-
-    def defect_set(*point):
-        return rll_defect(defect_table(*point))
-else:
-    # a commit that memoizes its tables by point: build past the memo, so
-    # that every round builds a fresh table there too
-    defect_table = ncalgebra._defect_table = ncalgebra._defect_table.__wrapped__
-    defect_set = rll_defect
+def defect_set(*point):
+    return rll_defect(defect_table(*point))
 
 
 def trial_draw(check, n, m=1):

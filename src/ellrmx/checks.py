@@ -201,10 +201,9 @@ def _trial_seed(seed: int, check: str, trial: int) -> list[int]:
 
 
 # Per-check sample specs and runners.  A runner maps a batch of draws to
-# one (residual, rank-or-None) pair per draw; all but rll's evaluate the
-# batch's trials together, handing the residual functions one entry per
-# trial.  The sample spec declares the denominators the evaluations will
-# touch.
+# one (residual, rank-or-None) pair per draw; it evaluates the batch's
+# trials together, handing the residual functions one entry per trial.
+# The sample spec declares the denominators the evaluations will touch.
 
 Draw = tuple[DynamicalParams, tuple[complex, ...]]
 
@@ -332,20 +331,13 @@ def _rll_run(cfg: CheckConfig, draws: list[Draw], ctx: EllipticContext) -> list:
     # comparisons, nor through the reference build
     del tables
     references = relation_vectors_reference(n, m, batch, ctx)
-    trials = list(zip(firsts, seconds, references))
-    full = [t for t, sets in enumerate(trials) if all(sets)]
-    a, b, ref = ([trials[t][k] for t in full] for k in range(3))
-    equal = [value for _, value in span_equal(a + b, ref + ref, SPAN_TOL)]
-    gaps = span_gap(a, b)
-    worst = {
-        t: max(equal[k], equal[len(full) + k], gaps[k], variations[t]) for k, t in enumerate(full)
-    }
-    ranks = iter(span_rank([first for first in firsts if first]))
-    out = []
-    for t, sets in enumerate(trials):
-        rank = next(ranks) if sets[0] else 0
-        out.append((0.0, 0) if not any(sets) else (worst.get(t, 1.0), rank))
-    return out
+    equal = [value for _, value in span_equal(firsts + seconds, references * 2, SPAN_TOL)]
+    gaps = span_gap(firsts, seconds)
+    count = len(draws)
+    return [
+        (max(equal[t], equal[count + t], gaps[t], variations[t]), rank)
+        for t, rank in enumerate(span_rank(firsts))
+    ]
 
 
 def _relations_spec(cfg: CheckConfig) -> SampleSpec:
@@ -364,12 +356,8 @@ def _relations_run(
     cfg: CheckConfig, draws: list[Draw], ctx: EllipticContext
 ) -> list[tuple[float, int]]:
     sets = relation_vectors_reference(cfg.n, cfg.m, [params for params, _ in draws], ctx)
-    ranks = iter(span_rank([s for s in sets if s]))
-    out = []
-    for vectors in sets:
-        rank = next(ranks) if vectors else 0
-        out.append((float(abs(rank - _flat_rank(cfg.n, cfg.m))), rank))
-    return out
+    flat = _flat_rank(cfg.n, cfg.m)
+    return [(float(abs(rank - flat)), rank) for rank in span_rank(sets)]
 
 
 def _fay_spec(cfg: CheckConfig) -> SampleSpec:
@@ -438,20 +426,11 @@ def _tv_run(
     families = relation_vectors_reference(1, cfg.m, batch, ctx)
     tv = tv_relations(cfg.m, q1, [p.q2 for p in batch], hbar, ctx)
     reductions = slnm_reduction_residual_n1(hbar, [zs[0] for _, zs in draws], q1, ctx)
-    both = [t for t, (f, r) in enumerate(zip(families, tv)) if f and r]
-    metrics = span_equal([families[t] for t in both], [tv[t] for t in both], SPAN_TOL)
-    metric = dict(zip(both, (value for _, value in metrics)))
-    ranks = iter(span_rank([f for f in families if f]))
-    out = []
-    for t, (f, r, reduction) in enumerate(zip(families, tv, reductions)):
-        rank = next(ranks) if f else 0
-        if not f and not r:
-            out.append((float(reduction), 0))
-        elif not f or not r:
-            out.append((1.0, rank))
-        else:
-            out.append((max(metric[t], float(reduction)), rank))
-    return out
+    metrics = span_equal(families, tv, SPAN_TOL)
+    return [
+        (max(metric, float(reduction)), rank)
+        for (_, metric), rank, reduction in zip(metrics, span_rank(families), reductions)
+    ]
 
 
 def _bb_spec(cfg: CheckConfig) -> SampleSpec:
@@ -487,16 +466,16 @@ class Runner(NamedTuple):
     """How a check draws and evaluates its trials.
 
     ``run`` maps a list of draws to their (residual, rank-or-None)
-    outcomes, in order.  ``trial_terms`` sizes one trial's largest array
-    of a runner that evaluates its draws together (see :func:`batch_size`):
-    the relation terms of a family build, the kernel product of an R-matrix
-    stack, or the Eisenstein letters of the Sklyanin constants.  Without it
-    every batch holds one trial.
+    outcomes, in order, evaluating them together.  ``trial_terms`` sizes
+    one trial's largest array (see :func:`batch_size`): the relation terms
+    of a family build, the kernel product of an R-matrix stack, the
+    Eisenstein letters of the Sklyanin constants, or the terms of the two
+    defect tables of an rll trial.
     """
 
     spec: Callable[[CheckConfig], SampleSpec]
     run: RunFn
-    trial_terms: Callable[[CheckConfig], int] | None = None
+    trial_terms: Callable[[CheckConfig], int]
 
 
 # The exchange checks build three pairs per identity, each at q and at its
@@ -532,8 +511,7 @@ _BATCH_TERMS = 1 << 16
 def batch_size(cfg: CheckConfig, check: str) -> int:
     """Trials that one call of the check's runner takes, at the check's
     effective configuration."""
-    terms = _RUNNERS[check].trial_terms
-    return 1 if terms is None else max(1, _BATCH_TERMS // max(1, terms(cfg)))
+    return max(1, _BATCH_TERMS // max(1, _RUNNERS[check].trial_terms(cfg)))
 
 
 def _outcomes(

@@ -90,10 +90,9 @@ def _joints(a: RelationSet, b: RelationSet) -> tuple[tuple, tuple, np.ndarray]:
     per set, the joint of each component and the position among the
     joint's sorted columns of each component's columns (component after
     component), and the joints' widths.  Both spans are the direct sums of
-    their pieces in the joints.  Sets with the same components have those
-    as their joints."""
-    if a.width != b.width:
-        raise ValueError("vector dimensions differ between the two sets")
+    their pieces in the joints.  Both sets have rows (:func:`compare` reads
+    a pair with an empty side without joints); sets with the same
+    components have those as their joints."""
     if a.components is b.components:
         widths = np.array([cols.size for _, cols in a.components], dtype=int)
         return (np.arange(widths.size),) * 2, (_local(widths),) * 2, widths
@@ -195,15 +194,23 @@ def compare(pairs: list[tuple[RelationSet, RelationSet]], gap: bool) -> list[flo
     Pairs whose sets have the same layouts and basis widths share one
     :func:`_plan`; their stacks of one shape go through one call per
     ``STACK`` bytes, each matrix through the BLAS and LAPACK calls that
-    its joint alone would take.
+    its joint alone would take.  A pair with an empty side reads exactly
+    1, or 0 if both sides are empty.
     """
     shared: dict[tuple, list[int]] = {}
     for t, pair in enumerate(pairs):
+        if pair[0].width != pair[1].width:
+            raise ValueError("vector dimensions differ between the two sets")
         key = tuple((id(s.components), tuple(q.shape[1] for q in s.bases)) for s in pair)
         shared.setdefault(key, []).append(t)
     worst = np.zeros(len(pairs))
     for members in shared.values():
-        for side, mine, theirs in _plan(*pairs[members[0]], gap):
+        a, b = pairs[members[0]]
+        if not (a.components and b.components):
+            # the key holds the layouts, so every member has the same sides empty
+            worst[members] = float(bool(a.components or b.components))
+            continue
+        for side, mine, theirs in _plan(a, b, gap):
             own = [pairs[t][side].basis_data if gap else pairs[t][side].data for t in members]
             far = [pairs[t][1 - side].basis_data for t in members]
             total = len(members) * len(mine)

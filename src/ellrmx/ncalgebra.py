@@ -8,12 +8,13 @@ therefore moves by -1, 0 or +1 hbar.  The defect of the exchange relation
 is assembled numerically from ansatz coefficients at those three shifts and
 two R-matrices, as coefficient vectors over ordered two-letter words: each
 word of a defect element is one product on each side, gathered over the
-nonzeros of the four factors, and the scale of each element and of each
-word comes from the same pass.  One cancellation rule holds for elements
-and words alike: at most ``CANCELLATION`` of its terms' summed moduli is
-an identical cancellation, dropped, so that the tables of one (n, m) share
-one nonzero pattern and the points of a batch of trials are gathered
-together.  The relations are graded, so almost every coefficient is zero:
+nonzeros of the four factors, with its scale from the same pass.  One
+cancellation rule, applied once, to words: a word at most
+``CANCELLATION`` of its products' summed moduli is an identical
+cancellation, dropped, so that the tables of one (n, m) share one nonzero
+pattern and the points of a batch of trials are gathered together.  An
+element left without words is dropped with them.  The relations are
+graded, so almost every coefficient is zero:
 each set is built and held as its nonzero terms only, becomes a
 :class:`ellrmx.spans.RelationSet`, and is compared there against the
 closed-form relation families of :mod:`ellrmx.relations` (rank, mutual
@@ -43,7 +44,15 @@ from .rmatrix import DynamicalParams, r_slnm
 from .sklyanin import label_pair_chunks
 # The span functions are re-exported: bench/tracer.py looks them up here,
 # with the defect and reference builds they compare.
-from .spans import RelationSet, same_rows, span_equal, span_gap, span_rank, term_norms
+from .spans import (
+    CANCELLATION,
+    RelationSet,
+    same_rows,
+    span_equal,
+    span_gap,
+    span_rank,
+    term_norms,
+)
 from .tensor import basis_t, basis_t_raw
 
 TWO_PI_I = 2j * cmath.pi
@@ -91,10 +100,6 @@ def l_operator(
     return out
 
 
-#: A defect element, or one word of it, whose norm is at most this share
-#: of its terms' summed moduli cancels identically, and is dropped.
-CANCELLATION = 1e-12
-
 # Products of one gather, a side: the rows are taken a few a_out indices at
 # a time, so that no run of rows holds more, or one a_out's worth where that
 # is larger.
@@ -103,12 +108,13 @@ _CHUNK = 1 << 16
 
 class DefectTable(NamedTuple):
     """The exchange defect at one numeric point, as its nonzero terms, with
-    the point it was built at (see :func:`defect_table`)."""
+    the vertex block size and the point it was built at (see
+    :func:`defect_table`)."""
 
     rows: np.ndarray
     words: np.ndarray
     values: np.ndarray
-    mass: np.ndarray
+    n: int
     params: DynamicalParams
     z1: complex
     z2: complex
@@ -126,7 +132,7 @@ def defect_table(
     defect R(z1-z2 | q2) L1(z1) L2(z2) minus L2(z2) L1(z1) R(z1-z2 | q1).
 
     Returns the terms ``rows``, ``words``, ``values`` sorted by (row,
-    word), their ``mass``, and the point they were built at.  The element
+    word), ``n``, and the point they were built at.  The element
     with composite indices (a_out, b_out, a_in, b_in) is the row ``((ao d +
     bo) d + ai) d + bi``; over ordered two-letter words
     (:func:`ellrmx.relations.generator_slot` layout) it has ``values[k]``
@@ -144,11 +150,8 @@ def defect_table(
     bm; each nonzero (am, bm, ai, bi) of the right R times the L2 entries
     of column bm and the L1 entries of column am.  Products are summed by
     (row, word), and a word whose sum is at most ``CANCELLATION`` of its
-    products' summed moduli is dropped, as :func:`rll_defect` drops such
-    elements.  ``mass[ao, bo, ai, bi]`` is the norm over words of the
-    summed product moduli, taken in the same pass: the scale against which
-    a defect counts as an identical cancellation.  The arrays are
-    read-only.
+    products' summed moduli, summed in the same pass, is an identical
+    cancellation and is dropped.  The arrays are read-only.
 
     Given sequences of parameter sets and points, the tables of all points
     come from one gather over the nonzeros of all their factors: one key
@@ -186,7 +189,6 @@ def defect_table(
     step = max(1, _CHUNK // max(1, per_row))
     # the left R's nonzeros run a_out first
     bounds = np.searchsorted(left[0], np.arange(0, d + step, step))
-    mass_sq = np.zeros((count, d**4))
     chunks = []
     for lo, start, stop in zip(range(0, d, step), bounds, bounds[1:]):
         # [point, t, k, k'] pairs left R nonzero t with L1 entry k of its
@@ -222,19 +224,16 @@ def defect_table(
         keys, moduli = keys[first], np.add.reduceat(np.abs(values), first, axis=1)
         values = np.add.reduceat(values, first, axis=1)
         rows, words = np.divmod(keys, g * g)
-        bins = (rows + d**4 * np.arange(count)[:, None]).ravel()
-        mass_sq += np.bincount(bins, (moduli * moduli).ravel(), mass_sq.size).reshape(count, -1)
         keep = np.abs(values) > CANCELLATION * moduli
         # the words any point keeps; each point's own are marked
         kept = keep.any(axis=0)
         chunks.append((rows[kept], words[kept], keep[:, kept], *(v[kept] for v in values)))
-    tables = _joined(chunks, np.sqrt(mass_sq).reshape((count,) + (d,) * 4))
-    out = tuple(DefectTable(*terms, *point) for terms, point in zip(tables, points))
+    out = tuple(DefectTable(*terms, n, *point) for terms, point in zip(_joined(chunks), points))
     return out[0] if single else out
 
 
-def _joined(chunks: list[tuple], mass: np.ndarray) -> list[tuple]:
-    """The (rows, words, values, mass) of each point of a gather from its
+def _joined(chunks: list[tuple]) -> list[tuple]:
+    """The (rows, words, values) of each point of a gather from its
     runs of rows: the rows and words that any point keeps, which of them
     each point keeps, and each point's values.  A field is joined, and its
     runs dropped, before the next, so that the table is never held twice;
@@ -247,11 +246,11 @@ def _joined(chunks: list[tuple], mass: np.ndarray) -> list[tuple]:
         field.clear()
     rows, words, keep, *values = joined
     tables = []
-    for own, point, point_mass in zip(keep, values, mass):
+    for own, point in zip(keep, values):
         terms = (rows, words, point) if own.all() else (rows[own], words[own], point[own])
-        for arr in (*terms, point_mass):
+        for arr in terms:
             arr.setflags(write=False)
-        tables.append((*terms, point_mass))
+        tables.append(terms)
     return tables
 
 
@@ -302,12 +301,12 @@ def rll_defect(
 ) -> RelationSet | tuple[RelationSet, ...]:
     """Defect vectors of the exchange relation for the L-ansatz.
 
-    One row per matrix element of LHS minus RHS in the table.  Elements
-    whose norm is at most ``CANCELLATION`` of their own term mass are
-    identical cancellations and are dropped; an exact identity (the 1 x 1
-    case) gives an empty set.  Given a sequence of tables, their sets:
-    tables that share their rows and words (see :func:`defect_table`) and
-    drop the same elements are built together, and share one layout.
+    One row per matrix element of LHS minus RHS that keeps a word in the
+    table: the table drops identical cancellations word by word, so an
+    element that cancels identically has no words left.  An exact
+    identity (the 1 x 1 case) gives an empty set.  Given a sequence of
+    tables, their sets: tables that share their rows and words (see
+    :func:`defect_table`) are built together, and share one layout.
     """
     tables = [table] if isinstance(table, DefectTable) else list(table)
     sets: list[RelationSet] = [None] * len(tables)
@@ -315,12 +314,14 @@ def rll_defect(
     for t, own in enumerate(tables):
         shared.setdefault((id(own.rows), id(own.words)), []).append(t)
     for members in shared.values():
-        rows, words, _, mass = tables[members[0]][:4]
-        norms = [term_norms(rows, tables[t].values, mass.size) for t in members]
-        keep = np.array(norms) > CANCELLATION * np.array([tables[t].mass.ravel() for t in members])
+        rows, words, _, n, params = tables[members[0]][:5]
         # (m^2 n^2)^2 two-letter words, as many as the d^4 elements
+        size = (n * params.m) ** 4
+        kept = np.zeros(size, dtype=bool)
+        kept[rows] = True
+        keep = np.broadcast_to(kept, (len(members), size))
         values = [tables[t].values for t in members]
-        for t, vectors in zip(members, _kept_sets(keep, rows, words, values, mass.size)):
+        for t, vectors in zip(members, _kept_sets(keep, rows, words, values, size)):
             sets[t] = vectors
     return sets[0] if isinstance(table, DefectTable) else tuple(sets)
 
@@ -434,14 +435,14 @@ def component_ratio(
     factors ``exp(2 pi i (alpha_2 z1 + beta_2 z2) / n)``.  If the
     extraction is consistent the result does not depend on (z1, z2).
     """
-    rows, words, values, mass, params, z1, z2 = table
-    n = alpha.n
+    rows, words, values, n, params, z1, z2 = table
     if j == k:
         raise ValueError("needs distinct first-block indices j != k")
-    d = len(mass)
+    d = n * params.m
     ta = basis_t(alpha)
     tb = basis_t(beta)
-    comp = np.zeros(mass.size, dtype=complex)
+    # the d^4 elements' (m^2 n^2)^2 words
+    comp = np.zeros(d**4, dtype=complex)
     # the nonzero entries of each basis element, row by row
     for r_out, r_in in np.argwhere(ta):
         for s_out, s_in in np.argwhere(tb):

@@ -37,7 +37,7 @@ from .sklyanin import (
     sklyanin_representation_residual,
     theta_prefactors,
 )
-from .spans import RelationSet
+from .spans import CANCELLATION, RelationSet
 from .tensor import kappa_raw
 
 TWO_PI_I = 2j * cmath.pi
@@ -172,9 +172,9 @@ def family_terms(
        the shifted-parameter vertex-type exchange at ``eta = q2_i - q1_j``,
        which the generators' own coordinate shifts leave invariant (only
        for n >= 2: there are no vertex-type relations at n == 1).  A label
-       pair whose bare constants all cancel to at most 1e-9 of their
-       assembly scale is an identity, and its relations come out exactly
-       zero;
+       pair whose bare constants all cancel to at most
+       :data:`ellrmx.spans.CANCELLATION` of their assembly scale is an
+       identity, and its relations come out exactly zero;
     2. shared second coordinate i, distinct first coordinates j != k;
     3. shared first coordinate i, distinct second coordinates j != k;
     4. no shared coordinate role: i != k in the second set, j != l in the
@@ -211,7 +211,7 @@ def family_terms(
     if family == 1:
         j, i = cols
         bare, scale = bare_constants(pairs, hbar, n, ctx)
-        bare[np.abs(bare).max(axis=-1) <= 1e-9 * scale] = 0.0
+        bare[np.abs(bare).max(axis=-1) <= CANCELLATION * scale] = 0.0
         pref = theta_prefactors(pairs, hbar, n, ctx)
         arg = s[:, i - 1] - p[:, j - 1] - h
         phase = np.exp(-TWO_PI_I * (a2 + b2) * arg / n)

@@ -26,6 +26,13 @@ import numpy as np
 
 from .joints import STACK, compare, distinct, group_by, join_columns, offsets
 
+#: A sum whose modulus is at most this share of its terms' scale (their
+#: summed moduli, or the largest of them) cancels identically: a word of
+#: an RLL defect element (see :func:`ellrmx.ncalgebra.defect_table`), or
+#: a label pair of family-1 constants (see
+#: :func:`ellrmx.relations.family_terms`).  It is dropped.
+CANCELLATION = 1e-12
+
 
 @dataclass(frozen=True, eq=False)
 class RelationSet:
@@ -42,8 +49,9 @@ class RelationSet:
     so the span is the direct sum of theirs; each takes one small thin
     SVD, on first use, and is cached: values alone if only the rank is
     read, and once more with vectors when the bases are first needed.  An
-    empty set is allowed (the 1 x 1 exchange relation is an exact
-    identity) but cannot be compared.
+    empty set (the 1 x 1 exchange relation is an exact identity) has rank
+    0; it lies at gap 0 from another empty set and at gap 1 from any
+    other (see :func:`span_equal` and :func:`span_gap`).
     """
 
     size: int
@@ -215,9 +223,7 @@ def _svd(stack: np.ndarray, vectors: bool) -> list:
 
 def _cutoff(values: Sequence[np.ndarray]) -> float:
     """The rank cutoff of a set whose blocks have these singular values."""
-    if not values:
-        raise ValueError("empty relation sets cannot be compared")
-    return 1e-8 * max(sv[0] for sv in values)
+    return 1e-8 * max((sv[0] for sv in values), default=0.0)
 
 
 def _cut_bases(svds: list) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
@@ -278,7 +284,8 @@ def span_equal(
     Projects every vector of each set onto the span of the other; the
     metric is the worst relative least-squares residual, and the verdict is
     ``metric < tol``.  A row and its projection both lie on the row's
-    joint component, so each projection is taken there.  Given two
+    joint component, so each projection is taken there.  Against an empty
+    set the metric is exactly 1, or 0 if both are empty.  Given two
     sequences of sets, the test of each pair: the SVDs of all their blocks
     are stacked together, and so are the projections of all joints of one
     shape (see :func:`ellrmx.joints.compare`).
@@ -297,7 +304,8 @@ def span_gap(
 
     Equals 0 for identical spans and reaches 1 when one span contains a
     direction orthogonal to the other, so rank mismatches surface as gaps
-    of order one.  Both bases are block diagonal over the joint
+    of order one; between an empty set and another it is exactly 1, or 0
+    if both are empty.  Both bases are block diagonal over the joint
     components, so the 2-norm is the largest over the blocks.  Given two
     sequences of sets, the gap of each pair, stacked as in
     :func:`span_equal`.

@@ -193,7 +193,7 @@ class TestShiftBookkeeping:
             d = m * n
             params = params_for(m)
             table = defect_table(n, m, params, Z1, Z2, CTX)
-            masses = table.mass
+            assert table.n == n
             picks = rng.choice(d**4, size=8, replace=False)
             seen = 0.0
             for flat in picks:
@@ -201,7 +201,9 @@ class TestShiftBookkeeping:
                 row, mass = oracle_element(key, n, m, params, Z1, Z2)
                 got = table_row(table, key, n, m)
                 assert np.max(np.abs(got - row)) <= 1e-12 * mass, key
-                assert abs(masses[key] - mass) <= 1e-12 * mass, key
+                # the element keeps a word where the oracle's element rule
+                # keeps the element
+                assert (flat in table.rows) == (np.linalg.norm(row) > 1e-12 * mass), key
                 seen = max(seen, mass)
             assert seen > 0.0
 
@@ -384,12 +386,38 @@ class TestSpanHelpers:
         """A relation with one term, as a dense row."""
         return np.eye(1, width, hot, dtype=complex)[0] * value
 
-    def test_empty_sets_cannot_be_compared(self):
-        empty = dense_set(np.zeros((0, 16)))
-        with pytest.raises(ValueError):
-            span_rank(empty)
-        with pytest.raises(ValueError):
-            span_equal(empty, dense_set([self.vec(0)]), 1e-8)
+    def test_an_empty_set_has_rank_zero(self):
+        # from singular values alone, and as the width of its bases
+        ranked, compared = dense_set(np.zeros((0, 16))), dense_set(np.zeros((0, 16)))
+        assert span_gap(compared, compared) == 0.0
+        assert compared.bases == ()
+        assert span_rank(ranked) == span_rank(compared) == 0
+
+    def test_empty_sets_lie_at_zero_from_each_other(self):
+        empty, other = dense_set(np.zeros((0, 16))), dense_set(np.zeros((0, 16)))
+        for a, b in ((empty, other), (empty, empty)):
+            assert span_equal(a, b, 1e-8) == (True, 0.0)
+            assert span_gap(a, b) == 0.0
+
+    def test_an_empty_set_lies_at_one_from_any_other(self):
+        empty = dense_set(np.zeros((0, 48)))
+        rng = np.random.default_rng(13)
+        full = dense_set(block_rows(rng, [list(range(k, k + 8)) for k in (0, 16)], 5, 3))
+        for a, b in ((empty, full), (full, empty)):
+            assert span_equal(a, b, 1e-8) == (False, 1.0)
+            assert span_gap(a, b) == 1.0
+
+    def test_sequences_mix_empty_and_nonempty_sets(self):
+        rng = np.random.default_rng(11)
+        blocks = [list(range(k, k + 8)) for k in range(0, 48, 8)]
+        a, b = (dense_set(block_rows(rng, blocks, 5, rank)) for rank in (3, 2))
+        e, f = dense_set(np.zeros((0, 48))), dense_set(np.zeros((0, 48)))
+        firsts, seconds = [e, a, f, b, a, e], [f, e, b, a, a, e]
+        want = [0.0, 1.0, 1.0, span_equal(b, a, 1e-8)[1], span_equal(a, a, 1e-8)[1], 0.0]
+        assert [metric for _, metric in span_equal(firsts, seconds, 1e-8)] == want
+        gaps = [0.0, 1.0, 1.0, span_gap(b, a), span_gap(a, a), 0.0]
+        assert span_gap(firsts, seconds) == gaps
+        assert span_rank(firsts) == [0, 18, 0, 12, 18, 0]
 
     def test_non_finite_or_zero_rows_raise(self):
         rows = np.eye(2, 16, dtype=complex)
@@ -402,8 +430,9 @@ class TestSpanHelpers:
     def test_mixed_dimensions_raise(self):
         small = dense_set([self.vec(0, width=1)])
         for compare in (lambda a, b: span_equal(a, b, 1e-8), span_gap):
-            with pytest.raises(ValueError, match="dimensions differ"):
-                compare(dense_set([self.vec(0)]), small)
+            for wide in (dense_set([self.vec(0)]), dense_set(np.zeros((0, 16)))):
+                with pytest.raises(ValueError, match="dimensions differ"):
+                    compare(wide, small)
 
     def test_gap_vanishes_for_identical_spans(self):
         a = dense_set([self.vec(0), self.vec(1)])
@@ -863,18 +892,21 @@ def trips(build, args) -> bool:
 def assert_gathered_matches(sparse, oracle):
     """The gathered table against the dense one.  The gather associates each
     triple product differently from the contractions, so values agree to
-    1e-12 of their row's mass and masses to 1e-12 relative; every gathered
-    term stands on a word the oracle's moduli reach.  Returns the gathered
-    table expanded over all words."""
+    1e-12 of their row's mass; every gathered term stands on a word the
+    oracle's moduli reach, and the elements that keep a word are exactly
+    those whose norm the oracle finds above 1e-12 of their mass.  Returns
+    the gathered table expanded over all words and the oracle's kept
+    elements."""
     table, mass, moduli = oracle
-    rows, words, values, got_mass = sparse[:4]
+    rows, words, values = sparse[:3]
     got = np.zeros(table.shape, dtype=complex)
     flat = got.reshape(-1, table.shape[-1])
     flat[rows, words] = values
     assert np.all(np.abs(got - table) <= 1e-12 * mass[..., None])
-    assert np.all(np.abs(got_mass - mass) <= 1e-12 * mass)
     assert np.all(moduli.reshape(flat.shape)[rows, words] != 0)
-    return got
+    keep = dense_norms(table) > 1e-12 * mass
+    assert np.array_equal(np.flatnonzero(keep), np.unique(rows))
+    return got, keep
 
 
 class TestSparseParity:
@@ -912,8 +944,7 @@ class TestSparseParity:
         else:
             pytest.fail("no draw clear of the pole guards")
         sparse = defect_table(n, m, params, zs[0], zs[1], ctx)
-        got = assert_gathered_matches(sparse, oracle)
-        keep = dense_norms(got) > 1e-12 * sparse.mass
+        got, keep = assert_gathered_matches(sparse, oracle)
         dense = DenseSet(got[keep])
         defects = rll_defect(sparse)
         assert np.array_equal(dense_rows(defects), dense.rows)
@@ -1025,8 +1056,8 @@ class TestCancellationRule:
         for table, point in zip(batch, points):
             assert table.rows is batch[0].rows and table.words is batch[0].words
             alone = defect_table(n, m, *point, ctx)
-            assert table[4:] == alone[4:] == point
-            assert_same_bits(table[:4], alone[:4])
+            assert table[3:] == alone[3:] == (n, *point)
+            assert_same_bits(table[:3], alone[:3])
 
     def test_points_that_keep_other_words_get_their_own(self, monkeypatch):
         # a patched R that leaks an entry at the second point alone: that
@@ -1043,7 +1074,9 @@ class TestCancellationRule:
         batch = defect_table(2, 2, *zip(*points), ctx)
         assert len(batch[1].rows) > len(batch[0].rows)
         for table, point in zip(batch, points):
-            assert_same_bits(table[:4], defect_table(2, 2, *point, ctx)[:4])
+            alone = defect_table(2, 2, *point, ctx)
+            assert table[3:] == alone[3:] == (2, *point)
+            assert_same_bits(table[:3], alone[:3])
 
 
 def placed_joints(a: RelationSet, b: RelationSet):
