@@ -11,11 +11,14 @@ word of a defect element is one product on each side, gathered over the
 nonzeros of the four factors, with its scale from the same pass.  One
 cancellation rule, applied once, to words: a word at most
 ``CANCELLATION`` of its products' summed moduli is an identical
-cancellation, dropped, so that the tables of one (n, m) share one nonzero
-pattern and the points of a batch of trials are gathered together.  An
-element left without words is dropped with them.  The relations are
-graded, so almost every coefficient is zero:
-each set is built and held as its nonzero terms only, becomes a
+cancellation and holds 0.0.  The points of a batch of trials are gathered
+together, and their tables share the rows and words that any of them
+keeps; the tables of one (n, m) keep one nonzero pattern.  Which rows a
+set has is decided in one place, :meth:`ellrmx.spans.RelationSet.from_terms`,
+which drops a row with no nonzero term: an element that cancels
+identically, or a reference relation that is exactly zero.  The relations
+are graded, so almost every coefficient is zero: each set is built and
+held as its terms only, becomes a
 :class:`ellrmx.spans.RelationSet`, and is compared there against the
 closed-form relation families of :mod:`ellrmx.relations` (rank, mutual
 inclusion, principal angles).  A defect table is a plain value that carries
@@ -44,15 +47,7 @@ from .rmatrix import DynamicalParams, r_slnm
 from .sklyanin import label_pair_chunks
 # The span functions are re-exported: bench/tracer.py looks them up here,
 # with the defect and reference builds they compare.
-from .spans import (
-    CANCELLATION,
-    RelationSet,
-    same_rows,
-    span_equal,
-    span_gap,
-    span_rank,
-    term_norms,
-)
+from .spans import CANCELLATION, RelationSet, span_equal, span_gap, span_rank
 from .tensor import basis_t, basis_t_raw
 
 TWO_PI_I = 2j * cmath.pi
@@ -155,9 +150,10 @@ def defect_table(
 
     Given sequences of parameter sets and points, the tables of all points
     come from one gather over the nonzeros of all their factors: one key
-    computation and one sort, the products with a leading point axis.
-    Tables that keep the same words share their ``rows`` and ``words``,
-    and each equals its own gather bit for bit.
+    computation and one sort, the products with a leading point axis.  The
+    tables share their ``rows`` and ``words``, the words that any point
+    keeps; a word that a point drops holds an exact 0.0 there.  The
+    nonzero terms of each table equal its own gather bit for bit.
     """
     single = isinstance(params, DynamicalParams)
     points = [(params, z1, z2)] if single else list(zip(params, z1, z2, strict=True))
@@ -225,33 +221,28 @@ def defect_table(
         values = np.add.reduceat(values, first, axis=1)
         rows, words = np.divmod(keys, g * g)
         keep = np.abs(values) > CANCELLATION * moduli
-        # the words any point keeps; each point's own are marked
+        # the words any point keeps; a word that a point drops holds 0.0 there
         kept = keep.any(axis=0)
-        chunks.append((rows[kept], words[kept], keep[:, kept], *(v[kept] for v in values)))
+        values = np.where(keep, values, 0.0)
+        chunks.append((rows[kept], words[kept], *(v[kept] for v in values)))
     out = tuple(DefectTable(*terms, n, *point) for terms, point in zip(_joined(chunks), points))
     return out[0] if single else out
 
 
 def _joined(chunks: list[tuple]) -> list[tuple]:
-    """The (rows, words, values) of each point of a gather from its
-    runs of rows: the rows and words that any point keeps, which of them
-    each point keeps, and each point's values.  A field is joined, and its
-    runs dropped, before the next, so that the table is never held twice;
-    points that keep every word share the rows and words."""
+    """The (rows, words, values) of each point of a gather from its runs
+    of rows, every point sharing the rows and words.  A field is joined,
+    and its runs dropped, before the next, so that the table is never held
+    twice."""
     fields = [list(field) for field in zip(*chunks)]
     chunks.clear()
     joined = []
     for field in fields:
         joined.append(np.concatenate(field, axis=-1))
+        joined[-1].setflags(write=False)
         field.clear()
-    rows, words, keep, *values = joined
-    tables = []
-    for own, point in zip(keep, values):
-        terms = (rows, words, point) if own.all() else (rows[own], words[own], point[own])
-        for arr in terms:
-            arr.setflags(write=False)
-        tables.append(terms)
-    return tables
+    rows, words, *values = joined
+    return [(rows, words, point) for point in values]
 
 
 def _entries(l_table: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -280,8 +271,9 @@ def rll_trial_bytes(n: int, m: int) -> int:
 
     A defect element has nonzeros on about n^3 words (on every word of its
     component at m == 1), so a table holds about d^4 n^3 terms.  A trial
-    gathers its two tables together, which share their rows and words, and
-    keeps them and their two blocked sets; blocking the terms of both takes
+    gathers its two tables together, which share their rows and words (the
+    words that either point keeps), and keeps them and their two blocked
+    sets; blocking the terms of both, in one ``from_terms`` call, takes
     about as much again.  The gather's temporaries took about 200 bytes
     per product a side, for one run of rows: at most ``_CHUNK`` products a
     side over both points, or one a_out's d^3 n^3 and the products of the
@@ -301,12 +293,14 @@ def rll_defect(
 ) -> RelationSet | tuple[RelationSet, ...]:
     """Defect vectors of the exchange relation for the L-ansatz.
 
-    One row per matrix element of LHS minus RHS that keeps a word in the
-    table: the table drops identical cancellations word by word, so an
-    element that cancels identically has no words left.  An exact
-    identity (the 1 x 1 case) gives an empty set.  Given a sequence of
-    tables, their sets: tables that share their rows and words (see
-    :func:`defect_table`) are built together, and share one layout.
+    One row per matrix element of LHS minus RHS that has a nonzero word in
+    the table: the table drops identical cancellations word by word, and
+    :meth:`ellrmx.spans.RelationSet.from_terms` drops an element left
+    without one.  An exact identity (the 1 x 1 case) gives an empty set.
+    Given a sequence of tables, their sets: tables that share their rows
+    and words (those of one :func:`defect_table` gather) take one
+    ``from_terms`` call, and those with the same nonzero pattern share one
+    layout.
     """
     tables = [table] if isinstance(table, DefectTable) else list(table)
     sets: list[RelationSet] = [None] * len(tables)
@@ -317,34 +311,10 @@ def rll_defect(
         rows, words, _, n, params = tables[members[0]][:5]
         # (m^2 n^2)^2 two-letter words, as many as the d^4 elements
         size = (n * params.m) ** 4
-        kept = np.zeros(size, dtype=bool)
-        kept[rows] = True
-        keep = np.broadcast_to(kept, (len(members), size))
         values = [tables[t].values for t in members]
-        for t, vectors in zip(members, _kept_sets(keep, rows, words, values, size)):
+        for t, vectors in zip(members, RelationSet.from_terms(rows, words, values, size, size)):
             sets[t] = vectors
     return sets[0] if isinstance(table, DefectTable) else tuple(sets)
-
-
-def _kept_sets(
-    keep: np.ndarray, rows: np.ndarray, words: np.ndarray, values: np.ndarray, width: int
-) -> list[RelationSet]:
-    """The set of each trial (row of ``values``) from the rows that its row
-    of ``keep`` marks, in order; trials that keep the same rows are built
-    together."""
-    sets: list[RelationSet] = [None] * len(values)
-    groups = same_rows(keep)
-    for members, kept in groups:
-        part = values if len(groups) == 1 else [values[t] for t in members]
-        own_rows, own_words = rows, words
-        if not kept.all():
-            terms = kept[rows]
-            own_rows, own_words = (np.cumsum(kept) - 1)[rows[terms]], words[terms]
-            part = [v[terms] for v in part]
-        built = RelationSet.from_terms(own_rows, own_words, part, int(kept.sum()), width)
-        for t, vectors in zip(members, built):
-            sets[t] = vectors
-    return sets
 
 
 def reference_terms(n: int, m: int) -> int:
@@ -366,14 +336,15 @@ def relation_vectors_reference(
     Rows run over family 1 for every (j, i) (only for n >= 2), families 2
     and 3 in turn for every (i, j, k), and family 4 for every (i, k, j, l),
     each over every label pair (alpha outer, beta inner).  Relations that
-    are exactly zero are dropped: a family-1 relation whose Sklyanin
-    constants cancel against their own assembly scale comes out that way,
-    and the other families are single products.  Family 1 is built a chunk
-    of label pairs at a time.
+    are exactly zero are dropped (by
+    :meth:`ellrmx.spans.RelationSet.from_terms`): a family-1 relation whose
+    Sklyanin constants cancel against their own assembly scale comes out
+    that way, and the other families are single products.  Family 1 is
+    built a chunk of label pairs at a time.
 
     Given a sequence of parameter sets, the sets of all those trials are
-    built together, and trials that drop the same rows share one build of
-    the set layout (see :meth:`ellrmx.spans.RelationSet.from_terms`).
+    built together, and trials with the same nonzero pattern share one
+    build of the set layout.
     """
     batch = [params] if isinstance(params, DynamicalParams) else list(params)
     for trial in batch:
@@ -410,10 +381,8 @@ def relation_vectors_reference(
         axis=-1,
     )
     del blocks
-    # a non-finite row is kept, and the set rejects it
-    keep = term_norms(rows, values, size) != 0.0
-    sets = _kept_sets(keep, rows, words, values, (m * m * n * n) ** 2)
-    return sets[0] if isinstance(params, DynamicalParams) else tuple(sets)
+    sets = RelationSet.from_terms(rows, words, values, size, (m * m * n * n) ** 2)
+    return sets[0] if isinstance(params, DynamicalParams) else sets
 
 
 def component_ratio(

@@ -12,7 +12,9 @@ component of every set they are given, and compare sets over the joint
 components of their patterns with :func:`ellrmx.joints.compare`.  Every
 relation set is built from its (row, word, value) terms with
 :meth:`RelationSet.from_terms`, the sets of many trials of the same terms
-together.
+together.  It is the one place that decides which rows a set has: a row
+with no nonzero term is dropped, so callers hand it every row they build,
+exact zeros included.
 """
 
 from __future__ import annotations
@@ -64,18 +66,21 @@ class RelationSet:
     def from_terms(
         cls, rows: np.ndarray, words: np.ndarray, values: np.ndarray, size: int, width: int
     ) -> RelationSet | tuple[RelationSet, ...]:
-        """The ``size`` relations over ``width`` words in which row
-        ``rows[k]`` has the coefficient ``values[k]`` on word ``words[k]``.
-        The (row, word) pairs are distinct, in any order, and every row is
-        finite with a nonzero term.  Rows join components by exact
-        nonzeros.
+        """The relations among ``size`` rows over ``width`` words in which
+        row ``rows[k]`` has the coefficient ``values[k]`` on word
+        ``words[k]``.  The (row, word) pairs are distinct, in any order,
+        and every term is finite.  A row with no nonzero term (its 2-norm
+        is zero) is dropped and the rows left are renumbered in order, so
+        the set's ``size`` counts the rows it keeps.  Rows join components
+        by exact nonzeros.
 
         ``values`` of shape (T, K) holds T trials of the same terms and
         gives a tuple of T sets.  Trials with the same nonzero pattern
-        share one layout: its components are found once, and each trial's
-        blocks are views of its own row of one buffer.  Values that are not
-        a complex array already (a list of the trials' arrays, say) are
-        copied once, and normalized in that copy.
+        keep the same rows and share one layout: its components are found
+        once, and each trial's blocks are views of its own row of one
+        buffer.  Values that are not a complex array already (a list of
+        the trials' arrays, say) are copied once, and normalized in that
+        copy.
         """
         rows, words = np.asarray(rows, dtype=int), np.asarray(words, dtype=int)
         stack = np.asarray(values, dtype=complex)
@@ -94,21 +99,26 @@ class RelationSet:
                 raise ValueError("a relation repeats a word")
             rows, words, stack = rows[order], words[order], stack[:, order]
         del key
+        if not np.all(np.isfinite(stack)):
+            raise ValueError("relation terms must be finite")
         norms = term_norms(rows, stack, size)
-        if not (np.all(np.isfinite(stack)) and np.all(norms > 0)):
-            raise ValueError("relation rows must be finite and nonzero")
+        # a row without norm is divided by infinity: it holds only zeros
+        norms[norms == 0] = np.inf
         # a copy made here is normalized in place
         stack = np.divide(stack, norms[:, rows], out=stack if sort or copied else None)
         sets: list[RelationSet] = [None] * len(stack)
         for trials, nonzero in same_rows(stack != 0):
-            components, cell, shapes = _layout(rows[nonzero], words[nonzero], size)
+            # the rows left with a nonzero term, renumbered in order
+            first = np.diff(rows[nonzero], prepend=-1) != 0
+            kept = int(first.sum())
+            components, cell, shapes = _layout(np.cumsum(first) - 1, words[nonzero], kept)
             # every block of a trial is a view of its row of one buffer
             buffer = np.zeros((trials.size, sum(h * w for h, w in shapes) + 1), dtype=complex)
             for own, t in zip(buffer, trials):
                 own[cell] = stack[t, nonzero]
             buffer.setflags(write=False)
             for own, t in zip(buffer, trials):
-                sets[t] = cls(size, width, components, _views(own, shapes), own)
+                sets[t] = cls(kept, width, components, _views(own, shapes), own)
         return tuple(sets) if batch else sets[0]
 
     def __len__(self) -> int:

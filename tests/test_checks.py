@@ -31,6 +31,74 @@ from ellrmx.sampling import sample_params
 
 FAST = CheckConfig(check="fay", trials=3)
 
+# The corner corpus: (check, n, m, then the sha256 of the report of
+# `ellrmx CHECK --n N --m M --trials 4` at the default tau and at
+# `--tau 5.3,0.3`).  It covers the sizes where defect or reference rows
+# drop out (the 1 x 1 identity, m == 1, the single-generator tv-reduce)
+# and the larger relations sizes that the default report does not run.
+CORNERS = [
+    (
+        "rll", 1, 1,
+        "1eed6a70d9c9e0cf595b99ddd920dd06daef361b53529e8561995b593bfebff6",
+        "b8d1f9e9634e61e24d78795b7bc9ce0ed98657d82ece8b4929d5349806e3e8b2",
+    ),
+    (
+        "rll", 1, 2,
+        "406ee6a752500357f3fbaab4c0cd558e2405ede593f282311afbadb370c9826d",
+        "506843869769eba1c4b538fde73b2820df85aad76825ba53cbc57be27a1535bf",
+    ),
+    (
+        "rll", 2, 1,
+        "902bde97c5e09db154651eb49370e7825da079ae3b2667340ef817413adf4870",
+        "1d4e9da3b891bc2abebe9ef1f8ffe1c1fa81f8dbac108b04441e9ce89a0d714f",
+    ),
+    (
+        "rll", 3, 1,
+        "c1dce46fbd7b3304828700e28909d192f05a71866d1e44aa1be6c15c2be9b31a",
+        "1f3f9983250aa52b80250cd039cdf10be37e29f8bd86459fe0f2c7ab65a0aefe",
+    ),
+    (
+        "relations", 1, 1,
+        "3508be872788e5173beadc245ed8ace57a562818cf28443c85b6e6871ff5e882",
+        "37abf25020993557ac49056b6858be5ccb87d68f0b17670e16b651a650e621c9",
+    ),
+    (
+        "relations", 3, 1,
+        "e2842b89baa040016a802b5a80ca4a9935f843c4298701e59f3c69fd7573d57f",
+        "13a10b667e6bd54ff3c289e176534274343f38aad14612bd39cbdcf965502d2a",
+    ),
+    (
+        "relations", 4, 1,
+        "323beef4801b16ab35fb92239c0f16cdf228d4dff465cf969da7faae21cd64b9",
+        "b47706d6d1cd11aeaee82520e62f08521dd8ba9b34e3d3d901a46530ec2101b2",
+    ),
+    (
+        "relations", 6, 1,
+        "7c14eda44f6870fa4aacb586e3c16a71880eff12cf8adee6df4fa6d21425ed45",
+        "7df09fbef966d54934aa03b849afef0a3caa0fec94b91d2b9cb2832e8a9cc02c",
+    ),
+    (
+        "relations", 3, 2,
+        "716809830c9940d3b441a3a0e7b0f19f53b2a18b495155f17d12b38a47cc8506",
+        "ec4772b2f31d085aa8097b40fbfeb65539dc6ee8e424528f5308bfdfd532fa28",
+    ),
+    (
+        "tv-reduce", 2, 1,
+        "666f45e8bf5b069e617ef992bd24ba8ad9f74a68baaf39e354e01f704cab805d",
+        "d7387a8303e2c0c1e895a012d6b49f70da1cfcb6050ecfc51ff20478018a0f1e",
+    ),
+    (
+        "tv-reduce", 2, 3,
+        "3794119ebdfa54f11a21f5448e6a1d28ee4b680c5a6c69567eeedfcc7c8cd2f9",
+        "7ce2e829758dc7ee1abd3086e08a76da8cb10e0a12420ab395f676fde323a6d1",
+    ),
+    (
+        "sklyanin-rep", 6, 2,
+        "421d66f6543027d9a9598ea7f4fd302ae82f683d055b4b4191aca66208bafc21",
+        "ff1e85c409f0d6e6ad60700a6ef2c4ba2f019c7110b7be9d923414829840996c",
+    ),
+]
+
 
 def run_one(name: str, **kw) -> CheckReport:
     defaults = dict(check=name, n=2, m=2, trials=3)
@@ -455,3 +523,22 @@ class TestAllAndReports:
     def test_default_report_is_pinned(self, tau, digest):
         text = render_json(run_check(CheckConfig(check="all", tau=tau)))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    # Pinned like the default reports.  A mismatch names the corner whose
+    # residuals, ranks or null trials moved.
+    @pytest.mark.parametrize(
+        ("check", "n", "m", "tau", "digest"),
+        [
+            (check, n, m, tau, digest)
+            for check, n, m, *digests in CORNERS
+            for tau, digest in zip((0.3 + 0.8j, 5.3 + 0.3j), digests)
+        ],
+        ids=[
+            f"{check}-{n}x{m}-{tau}"
+            for check, n, m, *_ in CORNERS
+            for tau in ("default-tau", "skew-tau")
+        ],
+    )
+    def test_corner_report_is_pinned(self, check, n, m, tau, digest):
+        cfg = CheckConfig(check=check, n=n, m=m, tau=tau, trials=4)
+        assert hashlib.sha256(render_json(run_check(cfg)).encode()).hexdigest() == digest

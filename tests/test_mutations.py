@@ -2,10 +2,10 @@
 
 Each case patches one small relative defect into the code a check
 certifies, runs the check through :func:`ellrmx.checks.run_check` at
-(n, m) = (2, 2), the default tau and two trials, and asserts that its
-verdict fails.  Correct runs read about 1e-14 against tolerances of 1e-9
-(1e-8 for the span checks), so each defect also shows that the check
-resolves a relative error of 1e-6.
+(n, m) = (2, 2) (or the size a case names), the default tau and two
+trials, and asserts that its verdict fails.  Correct runs read about
+1e-14 against tolerances of 1e-9 (1e-8 for the span checks), so each
+defect also shows that the check resolves a relative error of 1e-6.
 
 - The Kronecker kernel scaled by 1 + 1e-6 where ``Im x > 0.3``, in every
   module that binds it.  A uniform scale would cancel in the identities;
@@ -14,6 +14,10 @@ resolves a relative error of 1e-6.
   by 1 + 1e-6.
 - The first gamma of the Sklyanin theta prefactors scaled by 1 + 1e-6.  A
   uniform scale of E1 cancels and does not fail ``sklyanin-rep``.
+- The first term of every relation of one reference family
+  (``ncalgebra.family_terms``) scaled by 1 + 1e-6.  Both ``rll`` and
+  ``relations`` read the reference set, and both fail for each family at
+  (2, 2), for family 1 at (3, 1) and for families 2 and 4 at (1, 3).
 
 ``bb-reduce`` is left out: it compares the composite R-matrix at m = 1
 with the vertex one, and both are built from ``_bb_blocks``, so every
@@ -25,7 +29,7 @@ mutation-matrix item of ROADMAP.md).
 import numpy as np
 import pytest
 
-from ellrmx import elliptic, relations, rmatrix, sklyanin
+from ellrmx import elliptic, ncalgebra, relations, rmatrix, sklyanin
 from ellrmx.checks import CHECK_NAMES, CheckConfig, run_check
 
 DEFECT = 1 + 1e-6
@@ -63,6 +67,24 @@ def scaled_prefactor(monkeypatch):
     monkeypatch.setattr(sklyanin, "theta_prefactors", patched)
 
 
+def scaled_family(family: int):
+    """The defect that scales the first term of the reference family."""
+
+    def defect(monkeypatch):
+        terms = ncalgebra.family_terms
+
+        def patched(which, *args):
+            values, words = terms(which, *args)
+            if which == family:
+                values = values.copy()
+                values[..., 0] *= DEFECT
+            return values, words
+
+        monkeypatch.setattr(ncalgebra, "family_terms", patched)
+
+    return defect
+
+
 # (check, n, defect)
 CASES = [
     ("ybe", 2, scaled_bb_entry),
@@ -77,8 +99,17 @@ CASES = [
 ]
 
 
-def verdict(check: str, n: int) -> bool:
-    return run_check(CheckConfig(check=check, n=n, m=2, trials=2)).passed
+# (check, n, m, family)
+FAMILY_CASES = [
+    (check, n, m, family)
+    for check in ("rll", "relations")
+    for n, m, families in ((2, 2, (1, 2, 3, 4)), (3, 1, (1,)), (1, 3, (2, 4)))
+    for family in families
+]
+
+
+def verdict(check: str, n: int, m: int = 2) -> bool:
+    return run_check(CheckConfig(check=check, n=n, m=m, trials=2)).passed
 
 
 def test_every_check_but_bb_reduce_has_a_defect():
@@ -90,3 +121,14 @@ def test_defect_fails_the_check(monkeypatch, check, n, defect):
     assert verdict(check, n)
     defect(monkeypatch)
     assert not verdict(check, n)
+
+
+@pytest.mark.parametrize(
+    "check,n,m,family",
+    FAMILY_CASES,
+    ids=[f"{c}-{n}x{m}-family{f}" for c, n, m, f in FAMILY_CASES],
+)
+def test_reference_family_defect_fails_the_check(monkeypatch, check, n, m, family):
+    assert verdict(check, n, m)
+    scaled_family(family)(monkeypatch)
+    assert not verdict(check, n, m)

@@ -419,13 +419,37 @@ class TestSpanHelpers:
         assert span_gap(firsts, seconds) == gaps
         assert span_rank(firsts) == [0, 18, 0, 12, 18, 0]
 
-    def test_non_finite_or_zero_rows_raise(self):
+    def test_non_finite_terms_raise_and_zero_rows_are_dropped(self):
         rows = np.eye(2, 16, dtype=complex)
         rows[1, 3] = np.nan
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="finite"):
             dense_set(rows)
-        with pytest.raises(ValueError):
-            dense_set(np.zeros((1, 16), dtype=complex))
+        empty = dense_set(np.zeros((1, 16), dtype=complex))
+        assert len(empty) == 0 and empty.components == () and span_rank(empty) == 0
+
+    def test_rows_without_a_nonzero_term_are_dropped(self):
+        # six rows over twelve words, chained into components by shared
+        # words; row 1 is zero in every trial, row 3 in the second trial
+        # and rows 0 and 5 in the third, so each trial keeps its own rows
+        rng = np.random.default_rng(17)
+        rows = np.repeat(np.arange(6), 3)
+        words = np.array([0, 1, 2, 2, 3, 4, 5, 6, 7, 7, 8, 9, 9, 10, 11, 1, 10, 11])
+        values = rng.standard_normal((3, 18)) + 1j * rng.standard_normal((3, 18))
+        for t, zero in enumerate(([1], [1, 3], [0, 1, 5])):
+            values[t, np.isin(rows, zero)] = 0.0
+        sets = RelationSet.from_terms(rows, words, values, 6, 12)
+        assert len({id(s.components) for s in sets}) == 3
+        for got, own in zip(sets, values):
+            alone = RelationSet.from_terms(rows, words, own, 6, 12)
+            live = np.unique(rows[own != 0])
+            terms = np.isin(rows, live)
+            compact = RelationSet.from_terms(
+                np.searchsorted(live, rows[terms]), words[terms], own[terms], live.size, 12
+            )
+            assert got.size == alone.size == compact.size == live.size
+            for s in (got, alone):
+                assert_same_set(s, compact)
+                assert span_rank(s) == span_rank(compact)
 
     def test_mixed_dimensions_raise(self):
         small = dense_set([self.vec(0, width=1)])
@@ -1017,6 +1041,16 @@ def assert_same_bits(got, want) -> None:
         assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
 
 
+def assert_same_set(got: RelationSet, want: RelationSet) -> None:
+    """The sets agree in size, width, components and every bit of their
+    blocks."""
+    assert (got.size, got.width) == (want.size, want.width)
+    assert len(got.components) == len(want.components)
+    for (rows, cols), (own_rows, own_cols) in zip(got.components, want.components):
+        assert np.array_equal(rows, own_rows) and np.array_equal(cols, own_cols)
+    assert_same_bits(got.blocks, want.blocks)
+
+
 RULE_SIZES = [(2, 2), (2, 3), (3, 1), (1, 3)]
 TAUS = pytest.mark.parametrize("tau", [0.3 + 0.8j, 5.3 + 0.3j], ids=["default", "skew"])
 
@@ -1059,24 +1093,29 @@ class TestCancellationRule:
             assert table[3:] == alone[3:] == (n, *point)
             assert_same_bits(table[:3], alone[:3])
 
-    def test_points_that_keep_other_words_get_their_own(self, monkeypatch):
-        # a patched R that leaks an entry at the second point alone: that
-        # table keeps words the first does not, and each still equals its
-        # own gather
+    def test_points_that_keep_other_words_share_them_as_zeros(self, monkeypatch):
+        # a patched R that moves an entry at the second point alone: that
+        # table keeps words that cancel identically at the first, where
+        # they leave a roundoff residue and the first holds 0.0; the
+        # nonzero terms of each equal its own gather, and so does its set
         points, ctx = rll_points(2, 2, 0.3 + 0.8j, draws=1)
 
-        def leaky(hbar, u, q, n, ctx):
+        def moved(hbar, u, q, n, ctx):
             r = r_slnm(hbar, u, q, n, ctx)
-            r[..., 0, 1] = np.where(np.isclose(u, points[1][1] - points[1][2]), 0.5, 0.0)
+            second = np.isclose(u, points[1][1] - points[1][2])
+            r[..., 0, 0] = np.where(second, 0.5, r[..., 0, 0])
             return r
 
-        monkeypatch.setattr(ncalgebra, "r_slnm", leaky)
+        monkeypatch.setattr(ncalgebra, "r_slnm", moved)
         batch = defect_table(2, 2, *zip(*points), ctx)
-        assert len(batch[1].rows) > len(batch[0].rows)
-        for table, point in zip(batch, points):
+        assert batch[1].rows is batch[0].rows and batch[1].words is batch[0].words
+        assert np.count_nonzero(batch[1].values) > np.count_nonzero(batch[0].values)
+        for table, point, vectors in zip(batch, points, rll_defect(batch)):
             alone = defect_table(2, 2, *point, ctx)
             assert table[3:] == alone[3:] == (2, *point)
-            assert_same_bits(table[:3], alone[:3])
+            nonzero = table.values != 0
+            assert_same_bits([a[nonzero] for a in table[:3]], alone[:3])
+            assert_same_set(vectors, rll_defect(alone))
 
 
 def placed_joints(a: RelationSet, b: RelationSet):

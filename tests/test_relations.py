@@ -566,13 +566,14 @@ class TestRelationVector:
         assert np.array_equal(dense_rows(s)[0], coords(vec) / 2.5)
         assert not s.blocks[0].flags.writeable
 
-    def test_zero_vector_rejected(self):
-        with pytest.raises(ValueError, match="finite and nonzero"):
-            RelationSet.from_terms(np.array([0]), np.array([0]), np.array([0j]), 1, 1)
+    def test_zero_vector_dropped(self):
+        s = RelationSet.from_terms(np.array([0, 1]), np.array([0, 2]), np.array([0j, 3]), 2, 4)
+        assert len(s) == 1 and span_rank(s) == 1
+        assert np.array_equal(dense_rows(s), [[0, 0, 1, 0]])
 
     def test_nonfinite_rejected(self):
         values = np.array([1.0, complex("nan")])
-        with pytest.raises(ValueError, match="finite and nonzero"):
+        with pytest.raises(ValueError, match="must be finite"):
             RelationSet.from_terms(np.array([0, 0]), np.array([0, 3]), values, 1, 16)
 
     def test_wrong_length_rejected(self):
