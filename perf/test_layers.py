@@ -24,10 +24,10 @@ trials of ``relations`` and ``tv-reduce`` are evaluated together: ten
 ``relations`` trials at (2, 2) and ten ``tv-reduce`` trials at m = 2.
 Three more run ten trials of ``ybe`` at n = 3, ``dybe-felder`` at m = 2
 and ``sklyanin-rep`` at n = 3 through ``run_single`` at the default tau,
-where each check evaluates its trials together.  Two time ``rll``: two
+where each check evaluates its trials together.  Three time ``rll``: two
 trials at (2, 2) through ``run_single`` (one batch: one reference build,
 one gather of the four points, stacked comparisons), and one trial at
-(2, 3) through the runner.
+(2, 3) and at (3, 3) through the runner.
 Trials are drawn and run through the check's runner (``_RUNNERS``), which
 takes a list of draws.
 """
@@ -181,3 +181,7 @@ def test_rll_two_trials_2x2(benchmark):
 
 def test_rll_trial_2x3(benchmark):
     benchmark(one_trial("rll", 2, 3))
+
+
+def test_rll_trial_3x3(benchmark):
+    benchmark(one_trial("rll", 3, 3))

@@ -37,8 +37,8 @@ from .ncalgebra import (
     relation_vectors_reference,
     rll_defect,
     rll_trial_bytes,
+    span_bound,
     span_equal,
-    span_gap,
     span_rank,
 )
 from .relations import tv_relations
@@ -319,7 +319,6 @@ def _rll_run(cfg: CheckConfig, draws: list[Draw], ctx: EllipticContext) -> list:
         [zs[k] for _, zs in draws for k in (1, 3)], ctx,
     )
     defects = rll_defect(tables)
-    firsts, seconds = defects[0::2], defects[1::2]
     variations = [0.0] * len(draws)
     if m >= 2:
         alpha, beta = _factor_labels(n)
@@ -331,12 +330,12 @@ def _rll_run(cfg: CheckConfig, draws: list[Draw], ctx: EllipticContext) -> list:
     # comparisons, nor through the reference build
     del tables
     references = relation_vectors_reference(n, m, batch, ctx)
-    equal = [value for _, value in span_equal(firsts + seconds, references * 2, SPAN_TOL)]
-    gaps = span_gap(firsts, seconds)
-    count = len(draws)
+    # b(D) = ||(I - P_R) D^H||_F / sigma_r(D) bounds the gap of defect set D to
+    # the reference R (1.0 if their ranks differ), and b(D1) + b(D2) that of D1 to D2
+    bounds = span_bound(defects, [r for r in references for _ in (0, 1)])
     return [
-        (max(equal[t], equal[count + t], gaps[t], variations[t]), rank)
-        for t, rank in enumerate(span_rank(firsts))
+        (max(bounds[2 * t] + bounds[2 * t + 1], variations[t]), rank)
+        for t, rank in enumerate(span_rank(defects[0::2]))
     ]
 
 

@@ -3,13 +3,15 @@ relation sets over the joint components of their patterns.
 
 A leaf module of array helpers for :mod:`ellrmx.spans`: it reads a set's
 ``width``, ``components``, ``blocks``, ``data``, ``bases`` and
-``basis_data`` and nothing else.  Two sets are compared joint component by joint component,
-and the joints of one shape across many pairs of sets go through one
-stacked BLAS or LAPACK call, each matrix exactly as alone.
+``basis_data`` and nothing else.  Two sets are compared joint by joint,
+both ways or one way (the first's rows on the second's bases), and the
+joints of one shape across many pairs go through one stacked BLAS or
+LAPACK call, each matrix exactly as alone.
 """
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
@@ -132,20 +134,20 @@ def _index(pieces: tuple, slot: np.ndarray, shape: tuple, bases: bool) -> np.nda
 
 
 def _plan(
-    a: RelationSet, b: RelationSet, gap: bool
+    a: RelationSet, b: RelationSet, gap: bool, one_sided: bool
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """The stacks of matrices that compare two sets, one joint shape at a
-    time: for each side and each shape of the joints where that side has
-    rows (bases, if ``gap``), the side, and the :func:`_index` of its rows
-    (bases) and of the other side's bases."""
+    time: for each side (the first alone, if ``one_sided``) and each shape
+    of the joints where that side has rows (bases, if ``gap``), the side,
+    and the :func:`_index` of its rows (bases) and of the other's bases."""
     joints, positions, widths = _joints(a, b)
     sides = []
-    for s, joint, position in zip((a, b), joints, positions):
-        shapes = [(block.shape[0], q.shape[0], q.shape[1]) for block, q in zip(s.blocks, s.bases)]
-        h, w, r = np.array(shapes, dtype=int).reshape(-1, 3).T
+    for s, joint, position, read in zip((a, b), joints, positions, (not one_sided, True)):
+        h, w = np.array([block.shape for block in s.blocks], dtype=int).reshape(-1, 2).T
+        r = np.array([q.shape[1] for q in s.bases] if read else [0] * h.size, dtype=int)
         (row_at, height), (col_at, rank) = (offsets(joint, v, widths.size) for v in (h, r))
         sides.append(((joint, position, h, w, r, row_at, col_at), height, rank))
-    for side in (0, 1):
+    for side in (0,) if one_sided else (0, 1):
         (own, height, rank), (far, _, far_rank) = sides[side], sides[1 - side]
         size = rank if gap else height
         keys = np.stack([size, widths, far_rank], axis=1)
@@ -174,10 +176,10 @@ def _gather(sources: list[np.ndarray], index: np.ndarray, lo: int, hi: int) -> n
 
 
 def _residuals(v: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Worst relative residual of the rows of each matrix of ``v`` after
+    """Relative residual of each row of each matrix of ``v`` after
     projection onto the columns of the matching ``basis``."""
     res = v - (v @ basis.conj()) @ basis.swapaxes(1, 2)
-    return np.max(np.linalg.norm(res, axis=2) / np.linalg.norm(v, axis=2), axis=1)
+    return np.linalg.norm(res, axis=2) / np.linalg.norm(v, axis=2)
 
 
 def _gap(q: np.ndarray, other: np.ndarray) -> np.ndarray:
@@ -187,30 +189,35 @@ def _gap(q: np.ndarray, other: np.ndarray) -> np.ndarray:
     return np.linalg.norm(res, 2, axis=(1, 2))
 
 
-def compare(pairs: list[tuple[RelationSet, RelationSet]], gap: bool) -> list[float]:
+def compare(
+    pairs: list[tuple[RelationSet, RelationSet]], gap: bool, one_sided: bool
+) -> list[float]:
     """The worst :func:`_residuals` (or :func:`_gap`) of each pair of sets
-    over their joints, both ways.
+    over their joints, both ways; if ``one_sided``, the sum (``math.fsum``,
+    which no grouping moves) of the first set's squared residuals.
 
     Pairs whose sets have the same layouts and basis widths share one
     :func:`_plan`; their stacks of one shape go through one call per
-    ``STACK`` bytes, each matrix through the BLAS and LAPACK calls that
-    its joint alone would take.  A pair with an empty side reads exactly
-    1, or 0 if both sides are empty.
+    ``STACK`` bytes, each matrix through the calls its joint alone would
+    take.  A pair with an empty side reads exactly 1 (0 if both are).
     """
     shared: dict[tuple, list[int]] = {}
     for t, pair in enumerate(pairs):
         if pair[0].width != pair[1].width:
             raise ValueError("vector dimensions differ between the two sets")
-        key = tuple((id(s.components), tuple(q.shape[1] for q in s.bases)) for s in pair)
+        # a one-sided comparison reads no bases of the first set
+        widths = [tuple(q.shape[1] for q in s.bases) for s in pair[one_sided:]]
+        key = (id(pair[0].components), id(pair[1].components), *widths)
         shared.setdefault(key, []).append(t)
     worst = np.zeros(len(pairs))
+    squares: list[list[float]] = [[] for _ in pairs]
     for members in shared.values():
         a, b = pairs[members[0]]
         if not (a.components and b.components):
             # the key holds the layouts, so every member has the same sides empty
             worst[members] = float(bool(a.components or b.components))
             continue
-        for side, mine, theirs in _plan(a, b, gap):
+        for side, mine, theirs in _plan(a, b, gap, one_sided):
             own = [pairs[t][side].basis_data if gap else pairs[t][side].data for t in members]
             far = [pairs[t][1 - side].basis_data for t in members]
             total = len(members) * len(mine)
@@ -219,7 +226,12 @@ def compare(pairs: list[tuple[RelationSet, RelationSet]], gap: bool) -> list[flo
                 hi = min(lo + step, total)
                 stacks = _gather(own, mine, lo, hi), _gather(far, theirs, lo, hi)
                 owner = np.asarray(members)[np.arange(lo, hi) // len(mine)]
-                np.maximum.at(worst, owner, (_gap if gap else _residuals)(*stacks))
-    return worst.tolist()
+                values = (_gap if gap else _residuals)(*stacks)
+                if one_sided:
+                    for t, rows in zip(owner, values**2):
+                        squares[t] += rows.tolist()
+                else:
+                    np.maximum.at(worst, owner, values if gap else values.max(axis=1))
+    return [math.fsum(rows) if rows else w for rows, w in zip(squares, worst.tolist())]
 
 

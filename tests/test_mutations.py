@@ -2,10 +2,13 @@
 
 Each case patches one small relative defect into the code a check
 certifies, runs the check through :func:`ellrmx.checks.run_check` at
-(n, m) = (2, 2) (or the size a case names), the default tau and two
-trials, and asserts that its verdict fails.  Correct runs read about
-1e-14 against tolerances of 1e-9 (1e-8 for the span checks), so each
-defect also shows that the check resolves a relative error of 1e-6.
+(n, m) = (2, 2) and at one other size (or the sizes a case names), the
+default tau and two trials, and asserts that its verdict passes before
+the defect and fails after it.  Correct runs read about 1e-14 (the ``rll``
+bound up to 1e-11) against tolerances of 1e-9 (1e-8 for the span checks),
+so each defect also shows that the check resolves a relative error of
+1e-6.  ``fay`` draws the same arguments at every (n, m), so its second
+size repeats its first.
 
 - The Kronecker kernel scaled by 1 + 1e-6 where ``Im x > 0.3``, in every
   module that binds it.  A uniform scale would cancel in the identities;
@@ -18,6 +21,10 @@ defect also shows that the check resolves a relative error of 1e-6.
   (``ncalgebra.family_terms``) scaled by 1 + 1e-6.  Both ``rll`` and
   ``relations`` read the reference set, and both fail for each family at
   (2, 2), for family 1 at (3, 1) and for families 2 and 4 at (1, 3).
+- The rows of one component of every defect set dropped (through the
+  ``rll_defect`` that ``checks`` binds).  The rows left lie exactly in
+  the reference span, so only the rank half of the ``rll`` certificate
+  sees the defect: it fails at (2, 2) and (3, 1).
 
 ``bb-reduce`` is left out: it compares the composite R-matrix at m = 1
 with the vertex one, and both are built from ``_bb_blocks``, so every
@@ -29,8 +36,9 @@ mutation-matrix item of ROADMAP.md).
 import numpy as np
 import pytest
 
-from ellrmx import elliptic, ncalgebra, relations, rmatrix, sklyanin
+from ellrmx import checks, elliptic, ncalgebra, relations, rmatrix, sklyanin
 from ellrmx.checks import CHECK_NAMES, CheckConfig, run_check
+from ellrmx.spans import RelationSet
 
 DEFECT = 1 + 1e-6
 
@@ -85,17 +93,41 @@ def scaled_family(family: int):
     return defect
 
 
-# (check, n, defect)
+def dropped_component(monkeypatch):
+    """Every defect set without the rows of its first component."""
+    defects = checks.rll_defect
+
+    def patched(tables):
+        out = []
+        for s in defects(tables):
+            pieces = list(zip(s.components, s.blocks))[1:]
+            rows = np.concatenate([np.repeat(r, c.size) for (r, c), _ in pieces])
+            words = np.concatenate([np.tile(c, r.size) for (r, c), _ in pieces])
+            values = np.concatenate([block.ravel() for _, block in pieces])
+            out.append(RelationSet.from_terms(rows, words, values, s.size, s.width))
+        return tuple(out)
+
+    monkeypatch.setattr(checks, "rll_defect", patched)
+
+
+# (check, n, m, defect): each check but bb-reduce at (2, 2) and at one
+# other size (rll and relations take theirs from FAMILY_CASES)
 CASES = [
-    ("ybe", 2, scaled_bb_entry),
-    ("dybe-felder", 2, scaled_kernel),
-    ("dybe-slnm", 2, scaled_kernel),
-    ("rll", 2, scaled_kernel),
-    ("relations", 2, scaled_kernel),
-    ("fay", 2, scaled_kernel),
-    ("sklyanin-rep", 2, scaled_prefactor),
-    ("sklyanin-rep", 3, scaled_prefactor),
-    ("tv-reduce", 2, scaled_kernel),
+    ("ybe", 2, 2, scaled_bb_entry),
+    ("ybe", 3, 2, scaled_bb_entry),
+    ("dybe-felder", 2, 2, scaled_kernel),
+    ("dybe-felder", 3, 3, scaled_kernel),
+    ("dybe-slnm", 2, 2, scaled_kernel),
+    ("dybe-slnm", 3, 2, scaled_kernel),
+    ("rll", 2, 2, scaled_kernel),
+    ("relations", 2, 2, scaled_kernel),
+    ("fay", 2, 2, scaled_kernel),
+    ("fay", 3, 2, scaled_kernel),
+    ("sklyanin-rep", 2, 2, scaled_prefactor),
+    ("sklyanin-rep", 3, 2, scaled_prefactor),
+    ("sklyanin-rep", 4, 2, scaled_prefactor),
+    ("tv-reduce", 2, 2, scaled_kernel),
+    ("tv-reduce", 2, 3, scaled_kernel),
 ]
 
 
@@ -113,14 +145,31 @@ def verdict(check: str, n: int, m: int = 2) -> bool:
 
 
 def test_every_check_but_bb_reduce_has_a_defect():
-    assert {check for check, _, _ in CASES} == set(CHECK_NAMES) - {"bb-reduce"}
+    assert {check for check, *_ in CASES} == set(CHECK_NAMES) - {"bb-reduce"}
+    other = {c for c, n, m, _ in CASES if (n, m) != (2, 2)}
+    other |= {c for c, n, m, _ in FAMILY_CASES if (n, m) != (2, 2)}
+    assert other == set(CHECK_NAMES) - {"bb-reduce"}
 
 
-@pytest.mark.parametrize("check,n,defect", CASES, ids=[f"{c}-n{n}" for c, n, _ in CASES])
-def test_defect_fails_the_check(monkeypatch, check, n, defect):
-    assert verdict(check, n)
+@pytest.mark.parametrize(
+    "check,n,m,defect",
+    CASES,
+    ids=[f"{c}-n{n}" if m == 2 else f"{c}-{n}x{m}" for c, n, m, _ in CASES],
+)
+def test_defect_fails_the_check(monkeypatch, check, n, m, defect):
+    assert verdict(check, n, m)
     defect(monkeypatch)
-    assert not verdict(check, n)
+    assert not verdict(check, n, m)
+
+
+@pytest.mark.parametrize("n, m", [(2, 2), (3, 1)])
+def test_dropped_defect_rows_fail_rll_on_rank_alone(monkeypatch, n, m):
+    assert verdict("rll", n, m)
+    dropped_component(monkeypatch)
+    run = run_check(CheckConfig(check="rll", n=n, m=m, trials=2))
+    [report] = run.reports
+    assert not run.passed and set(report.residuals) == {2.0}
+    assert report.rank < checks._flat_rank(n, m)
 
 
 @pytest.mark.parametrize(

@@ -37,6 +37,7 @@ from ellrmx.relations import (
 )
 from ellrmx.rmatrix import DynamicalParams, r_slnm
 from ellrmx.sampling import sample_params
+from ellrmx.spans import span_bound
 from ellrmx.tensor import basis_t
 from support import all_indices
 
@@ -1235,6 +1236,128 @@ class TestStackedComparisons:
         joints = list(placed_joints(a, b))
         assert sorted(bool(pa) + 2 * bool(pb) for _, pa, pb in joints) == [1, 1, 2, 3]
         self.assert_oracle([a, b, a], [b, a, dense_set(a_rows[::-1])])
+
+
+def dense_bound(a: RelationSet, b: RelationSet) -> float:
+    """The one-sided bound from dense rows: the Frobenius norm of a's unit
+    rows off b's span over a's smallest kept singular value, 1.0 if the
+    ranks differ."""
+    rows, qb = dense_rows(a), dense_basis(b)
+    sv = np.linalg.svd(rows, compute_uv=False)
+    kept = sv[sv > 1e-8 * sv[0]]
+    if kept.size != qb.shape[1]:
+        return 1.0
+    return float(np.linalg.norm(rows.T - qb @ (qb.conj().T @ rows.T)) / kept[-1])
+
+
+#: The error of a computed gap between spans that agree to roundoff: the
+#: two sets' computed bases are themselves only that close.  At seed 42,
+#: (2, 1) and the default tau, one gap read 7.3e-15 against a bound of
+#: 5.3e-15.
+GAP_ROUNDOFF = 1e-14
+
+
+def rotated(s: RelationSet, angle: float, rng) -> RelationSet:
+    """The set with each component's rows turned by a random unitary of
+    its columns within about ``angle`` of the identity: the rank, the
+    layout and the unit rows stay, and the span moves by about ``angle``."""
+    rows, words, values = [], [], []
+    for (r, c), block in zip(s.components, s.blocks):
+        h = rng.normal(size=(c.size, c.size)) + 1j * rng.normal(size=(c.size, c.size))
+        w, v = np.linalg.eigh(h + h.conj().T)
+        turned = block @ (v * np.exp(1j * angle * w)) @ v.conj().T
+        rows.append(np.repeat(r, c.size))
+        words.append(np.tile(c, r.size))
+        values.append(turned.ravel())
+    rows, words, values = (np.concatenate(x) for x in (rows, words, values))
+    return RelationSet.from_terms(rows, words, values, s.size, s.width)
+
+
+class TestSpanBound:
+    """``span_bound``, the one-sided certificate of ``rll``: a defect set's
+    rows projected onto the reference bases, over its smallest kept
+    singular value.  By Wedin's theorem it bounds the principal-angle gap
+    to the reference, and two sets' bounds sum to at least their gap."""
+
+    BLOCKS = TestDenseOracleParity.BLOCKS
+    HALVES = TestDenseOracleParity.HALVES
+
+    @TAUS
+    @pytest.mark.parametrize("nm", [(2, 1), (1, 2), (2, 2), (3, 1), (1, 3)])
+    def test_bounds_cover_the_gaps_on_seed_42_draws(self, nm, tau):
+        n, m = nm
+        points, ctx = rll_points(n, m, tau)
+        defects = rll_defect(defect_table(n, m, *zip(*points), ctx))
+        references = relation_vectors_reference(n, m, [p for p, _, _ in points[::2]], ctx)
+        # each defect set, and its span turned by an angle of about 1e-6
+        rng = np.random.default_rng(42)
+        turned = [rotated(d, 1e-6, rng) for d in defects]
+        twice = [r for r in references for _ in (0, 1)]
+        for sets, slack in ((defects, GAP_ROUNDOFF), (turned, 0.0)):
+            bounds = span_bound(sets, twice)
+            for t, reference in enumerate(references):
+                (d1, b1), (d2, b2) = zip(sets[2 * t : 2 * t + 2], bounds[2 * t : 2 * t + 2])
+                assert span_rank(d1) == span_rank(d2) == span_rank(reference) == flat_ranks(n, m)
+                gaps = span_gap([d1, d2, d1], [reference, reference, d2])
+                assert b1 + slack >= gaps[0] and b2 + slack >= gaps[1]
+                assert b1 + b2 + slack >= gaps[2]
+                if sets is defects:
+                    assert b1 < 1e-10 and b2 < 1e-10 and b1 + b2 < 1e-10
+                else:
+                    assert min(gaps) > 1e-8 and b1 + b2 < 1  # not a rank mismatch
+
+    def test_empty_sets_read_zero_and_one(self):
+        rng = np.random.default_rng(5)
+        full = dense_set(block_rows(rng, self.BLOCKS, 5, 3))
+        empty, other = dense_set(np.zeros((0, 48))), dense_set(np.zeros((0, 48)))
+        assert span_bound(empty, other) == span_bound(empty, empty) == 0.0
+        assert span_bound(empty, full) == span_bound(full, empty) == 1.0
+        assert span_bound([empty, full, empty], [other, empty, full]) == [0.0, 1.0, 1.0]
+
+    def test_a_rank_mismatch_reads_one(self):
+        # rows of two of the six blocks lie exactly in the whole span, and
+        # the whole span's rows are not all in theirs: either way, 1.0
+        rng = np.random.default_rng(6)
+        rows = block_rows(rng, self.BLOCKS, 5, 3)
+        whole, part = dense_set(rows), dense_set(rows[:10])
+        basis, inside = dense_basis(whole), dense_rows(part).T
+        assert np.linalg.norm(inside - basis @ (basis.conj().T @ inside)) < 1e-12
+        assert span_rank(part) < span_rank(whole)
+        assert span_bound(part, whole) == span_bound(whole, part) == 1.0
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_dense_oracle_and_wedin_on_equal_ranks(self, seed):
+        # same span remixed (roundoff), another span of the same rank on
+        # the same blocks, and one on blocks cut in halves (joints wider
+        # than either set's components)
+        rng = np.random.default_rng(30 + seed)
+        rows = block_rows(rng, self.BLOCKS, 5, 2)
+        a = dense_set(rows)
+        mix = np.kron(np.eye(len(self.BLOCKS)), rng.normal(size=(5, 5)))
+        others = [
+            dense_set(mix @ rows),
+            dense_set(block_rows(rng, self.BLOCKS, 4, 2)),
+            dense_set(block_rows(rng, self.HALVES, 3, 1)),
+        ]
+        for b in others:
+            assert span_rank(a) == span_rank(b) == 12
+            for x, y in ((a, b), (b, a)):
+                assert span_bound(x, y) == pytest.approx(dense_bound(x, y), rel=1e-9, abs=1e-13)
+                assert span_bound(x, y) >= span_gap(x, y)
+        assert span_bound(a, others[0]) < 1e-13
+        assert span_bound(a, others[1]) > 0.1
+        got = span_bound([a] * 3 + others, others + [a] * 3)
+        assert got == [span_bound(x, y) for x, y in zip([a] * 3 + others, others + [a] * 3)]
+
+    def test_floor_is_the_smallest_kept_singular_value(self):
+        rng = np.random.default_rng(8)
+        rows = block_rows(rng, self.BLOCKS, 5, 3)
+        ranked, factored = dense_set(rows), dense_set(rows)
+        sv = np.linalg.svd(dense_rows(ranked), compute_uv=False)
+        assert span_rank(ranked) == 18 and "bases" not in vars(ranked)
+        assert ranked.floor == pytest.approx(sv[17], rel=1e-12)
+        assert len(factored.bases) == 6 and factored.floor == pytest.approx(sv[17], rel=1e-12)
+        assert dense_set(np.zeros((0, 48))).floor == 0.0
 
 
 def traced_peak(fn, *args) -> int:
