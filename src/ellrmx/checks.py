@@ -37,7 +37,6 @@ from .ncalgebra import (
     relation_vectors_reference,
     rll_defect,
     rll_trial_bytes,
-    span_bound,
     span_equal,
     span_rank,
 )
@@ -66,6 +65,7 @@ from .sklyanin import (
     sklyanin_coeffs_eta,
     sklyanin_representation_residual,
 )
+from .spans import span_bound
 
 CHECK_NAMES = (
     "ybe",

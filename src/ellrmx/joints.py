@@ -3,10 +3,10 @@ relation sets over the joint components of their patterns.
 
 A leaf module of array helpers for :mod:`ellrmx.spans`: it reads a set's
 ``width``, ``components``, ``blocks``, ``data``, ``bases`` and
-``basis_data`` and nothing else.  Two sets are compared joint by joint,
-both ways or one way (the first's rows on the second's bases), and the
-joints of one shape across many pairs go through one stacked BLAS or
-LAPACK call, each matrix exactly as alone.
+``basis_data`` and nothing else.  Two sets are compared joint component
+by joint component, both ways, or one way (the first set's rows on the
+second's bases), and the joints of one shape across many pairs of sets go
+through one stacked BLAS or LAPACK call, each matrix exactly as alone.
 """
 
 from __future__ import annotations
@@ -134,12 +134,14 @@ def _index(pieces: tuple, slot: np.ndarray, shape: tuple, bases: bool) -> np.nda
 
 
 def _plan(
-    a: RelationSet, b: RelationSet, gap: bool, one_sided: bool
+    a: RelationSet, b: RelationSet, mode: str
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """The stacks of matrices that compare two sets, one joint shape at a
-    time: for each side (the first alone, if ``one_sided``) and each shape
-    of the joints where that side has rows (bases, if ``gap``), the side,
-    and the :func:`_index` of its rows (bases) and of the other's bases."""
+    """The stacks of matrices that compare two sets in a :func:`compare`
+    ``mode``, one joint shape at a time: for each side (the first alone,
+    if "one-sided") and each shape of the joints where that side has rows
+    (bases, if "gap"), the side, and the :func:`_index` of its rows
+    (bases) and of the other side's bases."""
+    gap, one_sided = mode == "gap", mode == "one-sided"
     joints, positions, widths = _joints(a, b)
     sides = []
     for s, joint, position, read in zip((a, b), joints, positions, (not one_sided, True)):
@@ -189,18 +191,20 @@ def _gap(q: np.ndarray, other: np.ndarray) -> np.ndarray:
     return np.linalg.norm(res, 2, axis=(1, 2))
 
 
-def compare(
-    pairs: list[tuple[RelationSet, RelationSet]], gap: bool, one_sided: bool
-) -> list[float]:
-    """The worst :func:`_residuals` (or :func:`_gap`) of each pair of sets
-    over their joints, both ways; if ``one_sided``, the sum (``math.fsum``,
-    which no grouping moves) of the first set's squared residuals.
+def compare(pairs: list[tuple[RelationSet, RelationSet]], mode: str) -> list[float]:
+    """For each pair of sets, over their joints: in ``mode`` "inclusion",
+    the worst :func:`_residuals` both ways; in "gap", the worst
+    :func:`_gap` both ways; in "one-sided", the sum (``math.fsum``, which
+    no grouping moves) of the squared :func:`_residuals` of the first
+    set's rows on the second set's bases.
 
     Pairs whose sets have the same layouts and basis widths share one
     :func:`_plan`; their stacks of one shape go through one call per
-    ``STACK`` bytes, each matrix through the calls its joint alone would
-    take.  A pair with an empty side reads exactly 1 (0 if both are).
+    ``STACK`` bytes, each matrix through the BLAS and LAPACK calls that
+    its joint alone would take.  A pair with an empty side reads exactly
+    1, or 0 if both sides are empty.
     """
+    gap, one_sided = mode == "gap", mode == "one-sided"
     shared: dict[tuple, list[int]] = {}
     for t, pair in enumerate(pairs):
         if pair[0].width != pair[1].width:
@@ -209,15 +213,17 @@ def compare(
         widths = [tuple(q.shape[1] for q in s.bases) for s in pair[one_sided:]]
         key = (id(pair[0].components), id(pair[1].components), *widths)
         shared.setdefault(key, []).append(t)
-    worst = np.zeros(len(pairs))
-    squares: list[list[float]] = [[] for _ in pairs]
+    # every row residual (or gap) found, and the pair it belongs to
+    owners: list[np.ndarray] = [np.zeros(0, dtype=int)]
+    found: list[np.ndarray] = [np.zeros(0)]
     for members in shared.values():
         a, b = pairs[members[0]]
         if not (a.components and b.components):
             # the key holds the layouts, so every member has the same sides empty
-            worst[members] = float(bool(a.components or b.components))
+            owners.append(np.asarray(members))
+            found.append(np.full(len(members), float(bool(a.components or b.components))))
             continue
-        for side, mine, theirs in _plan(a, b, gap, one_sided):
+        for side, mine, theirs in _plan(a, b, mode):
             own = [pairs[t][side].basis_data if gap else pairs[t][side].data for t in members]
             far = [pairs[t][1 - side].basis_data for t in members]
             total = len(members) * len(mine)
@@ -225,13 +231,15 @@ def compare(
             for lo in range(0, total, step):
                 hi = min(lo + step, total)
                 stacks = _gather(own, mine, lo, hi), _gather(far, theirs, lo, hi)
-                owner = np.asarray(members)[np.arange(lo, hi) // len(mine)]
                 values = (_gap if gap else _residuals)(*stacks)
-                if one_sided:
-                    for t, rows in zip(owner, values**2):
-                        squares[t] += rows.tolist()
-                else:
-                    np.maximum.at(worst, owner, values if gap else values.max(axis=1))
-    return [math.fsum(rows) if rows else w for rows, w in zip(squares, worst.tolist())]
-
-
+                owner = np.asarray(members)[np.arange(lo, hi) // len(mine)]
+                owners.append(np.repeat(owner, values.size // owner.size))
+                found.append(values.ravel())
+    owner, value = np.concatenate(owners), np.concatenate(found)
+    if not one_sided:
+        worst = np.zeros(len(pairs))
+        np.maximum.at(worst, owner, value)
+        return worst.tolist()
+    order = np.argsort(owner, kind="stable")
+    cuts = np.searchsorted(owner[order], np.arange(1, len(pairs)))
+    return [math.fsum(v) for v in np.split(value[order] ** 2, cuts)]

@@ -21,10 +21,10 @@ are graded, so almost every coefficient is zero: each set is built and
 held as its terms only, becomes a :class:`ellrmx.spans.RelationSet`, and
 is compared there against the closed-form relation families of
 :mod:`ellrmx.relations` (rank, and the one-sided bound of
-:func:`ellrmx.spans.span_bound`).  A defect table is a plain value that carries
-the point it was built at: whoever builds it holds it for as long as the
-defect set and the factorization components are read from it, and nothing
-keeps it longer.
+:func:`ellrmx.spans.span_bound`).  A defect table is a plain value that
+carries the point it was built at: whoever builds it holds it for as long
+as the defect set and the factorization components are read from it, and
+nothing keeps it longer.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from .rmatrix import DynamicalParams, r_slnm
 from .sklyanin import label_pair_chunks
 # The span functions are re-exported: bench/tracer.py looks them up here,
 # with the defect and reference builds they compare.
-from .spans import CANCELLATION, RelationSet, span_bound, span_equal, span_gap, span_rank
+from .spans import CANCELLATION, RelationSet, span_equal, span_gap, span_rank
 from .tensor import basis_t, basis_t_raw
 
 TWO_PI_I = 2j * cmath.pi

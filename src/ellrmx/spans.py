@@ -2,13 +2,22 @@
 
 A relation is a vector over ordered two-letter words, and the relations
 this package builds are graded: each is exactly zero outside one sector of
-words, so a set of them splits into the connected components of its
-nonzero pattern.  A :class:`RelationSet` keeps each as a small dense
-block; :meth:`RelationSet.from_terms` builds every set and decides which
-rows it has.  Every rank, inclusion, gap and bound comes from one small
-SVD per component, stacked across the sets a span function is given, over
-joint components (:mod:`ellrmx.joints`).  ``rll`` certifies with
-:func:`span_bound`; :func:`span_gap` is library API that no check calls.
+words.  A set of them therefore splits into the connected components of
+its nonzero pattern, with disjoint word supports.  A :class:`RelationSet`
+keeps only those components, each as a small dense block, so that no
+array runs over all words; the rank, mutual inclusion and principal
+angles of two spans, and the one-sided bound of :func:`span_bound`, all
+come from one small SVD per component.  The span functions stack those
+SVDs, one LAPACK call per block shape across every component of every set
+they are given, and compare sets over the joint components of their
+patterns with :func:`ellrmx.joints.compare`.  ``rll`` certifies each
+defect set with :func:`span_bound` against the reference set alone;
+:func:`span_gap` is kept as library API that no check calls.  Every
+relation set is built from its (row, word, value) terms with
+:meth:`RelationSet.from_terms`, the sets of many trials of the same terms
+together.  It is the one place that decides which rows a set has: a row
+with no nonzero term is dropped, so callers hand it every row they build,
+exact zeros included.
 """
 
 from __future__ import annotations
@@ -42,11 +51,14 @@ class RelationSet:
     order of their first columns, and ``blocks`` the rows restricted to
     those columns, as views of ``data``, which holds the blocks one after
     another and then one zero.  Components have disjoint column supports,
-    so the span is the direct sum of theirs.  Each block's SVD is taken on
-    first use: values alone for the rank and its floor, once more with
-    vectors for the bases.  An empty set (the 1 x 1 exchange relation is an
-    identity) has rank 0, and compares at exactly 0 with another empty set
-    and 1 with any other."""
+    so the span is the direct sum of theirs; each takes one small thin
+    SVD, on first use, and is cached: values alone if only the rank and
+    its floor are read, and once more with vectors when the bases are
+    first needed.  An empty set (the 1 x 1 exchange relation is an exact
+    identity) has rank 0; it lies at gap 0 from another empty set and at
+    gap 1 from any other (see :func:`span_equal`, :func:`span_gap` and
+    :func:`span_bound`).
+    """
 
     size: int
     width: int
@@ -285,31 +297,42 @@ def span_rank(vectors: RelationSet | Sequence[RelationSet]) -> int | list[int]:
 def span_equal(
     a: RelationSet | Sequence[RelationSet], b: RelationSet | Sequence[RelationSet], tol: float
 ) -> tuple[bool, float] | list[tuple[bool, float]]:
-    """Mutual-inclusion span test: the metric is the worst relative
-    residual of a row of either set projected onto the other's span (on its
-    joint component), and the verdict is ``metric < tol``.  Given two
-    sequences of sets, the test of each pair, with the SVDs of all their
-    blocks and the projections of all joints of one shape stacked.
+    """Mutual-inclusion span test.
+
+    Projects every vector of each set onto the span of the other; the
+    metric is the worst relative least-squares residual, and the verdict is
+    ``metric < tol``.  A row and its projection both lie on the row's
+    joint component, so each projection is taken there.  Against an empty
+    set the metric is exactly 1, or 0 if both are empty.  Given two
+    sequences of sets, the test of each pair: the SVDs of all their blocks
+    are stacked together, and so are the projections of all joints of one
+    shape (see :func:`ellrmx.joints.compare`).
     """
     single = isinstance(a, RelationSet)
     pairs = [(a, b)] if single else list(zip(a, b, strict=True))
     _factor([s for pair in pairs for s in pair], vectors=True)
-    out = [(worst < tol, worst) for worst in compare(pairs, gap=False, one_sided=False)]
+    out = [(worst < tol, worst) for worst in compare(pairs, "inclusion")]
     return out[0] if single else out
 
 
 def span_gap(
     a: RelationSet | Sequence[RelationSet], b: RelationSet | Sequence[RelationSet]
 ) -> float | list[float]:
-    """Largest principal-angle sine between the two spans (symmetric): 0
-    for identical spans, 1 when one holds a direction orthogonal to the
-    other (a rank mismatch), the largest over the joint components.  Given
-    two sequences of sets, the gap of each pair, stacked as in
-    :func:`span_equal`."""
+    """Largest principal-angle sine between the two spans (symmetric).
+
+    Equals 0 for identical spans and reaches 1 when one span contains a
+    direction orthogonal to the other, so rank mismatches surface as gaps
+    of order one; between an empty set and another it is exactly 1, or 0
+    if both are empty.  Both bases are block diagonal over the joint
+    components, so the 2-norm is the largest over the blocks.  Given two
+    sequences of sets, the gap of each pair, stacked as in
+    :func:`span_equal`.  No check calls it: ``rll`` bounds the gap with
+    :func:`span_bound` instead.
+    """
     single = isinstance(a, RelationSet)
     pairs = [(a, b)] if single else list(zip(a, b, strict=True))
     _factor([s for pair in pairs for s in pair], vectors=True)
-    gaps = compare(pairs, gap=True, one_sided=False)
+    gaps = compare(pairs, "gap")
     return gaps[0] if single else gaps
 
 
@@ -326,6 +349,6 @@ def span_bound(
     _factor([r for _, r in pairs], vectors=True)
     bounds = [
         math.sqrt(sq) / s.floor if s.rank == r.rank > 0 else float(s.rank != r.rank)
-        for (s, r), sq in zip(pairs, compare(pairs, gap=False, one_sided=True))
+        for (s, r), sq in zip(pairs, compare(pairs, "one-sided"))
     ]
     return bounds[0] if single else bounds

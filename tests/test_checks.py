@@ -251,13 +251,36 @@ class TestSpanChecks:
         assert rep.passed and rep.rank == 10296
 
     @pytest.mark.parametrize("check", ["rll", "relations"])
-    def test_three_by_two_rank(self, check):
-        # The rll residual is a bound, a Frobenius norm of unit-row
-        # residuals over the smallest kept singular value, and reads 2.3e-12
-        # here; relations reads its rank defect, 0.
+    def test_three_by_two_rank(self, monkeypatch, check):
+        # For rll, mutual inclusion of each defect set and the reference, the
+        # gap between the two defect sets and the factorization variation all
+        # stay below 1e-12: they are recomputed from the sets and the
+        # variation the trial built.
+        seen = {}
+
+        def recording(name):
+            inner = getattr(checks, name)
+
+            def wrapped(*args, **kwargs):
+                seen.setdefault(name, []).append((args, out := inner(*args, **kwargs)))
+                return out
+
+            return wrapped
+
+        for name in ("span_bound", "defect_factorization_check"):
+            monkeypatch.setattr(checks, name, recording(name))
         rep = run_one(check, n=3, m=2, trials=1)
-        assert rep.passed and rep.max_residual < (1e-11 if check == "rll" else 1e-12)
-        assert rep.rank == 630
+        assert rep.passed and rep.rank == 630
+        if check == "rll":
+            [((defects, references), _)] = seen["span_bound"]
+            [(_, variation)] = seen["defect_factorization_check"]
+            inclusion = [worst for _, worst in span_equal(defects, references, 1e-8)]
+            assert span_rank(defects) == [630, 630]
+            assert max(*inclusion, span_gap(*defects), variation) < 1e-12
+            # the bound that rll reports reads 2.3e-12 here
+            assert rep.max_residual < 1e-11
+        else:
+            assert rep.max_residual < 1e-12
 
     def test_rll_three_by_three_rank(self):
         rep = run_one("rll", n=3, m=3, trials=1)

@@ -419,6 +419,7 @@ class TestSpanHelpers:
         gaps = [0.0, 1.0, 1.0, span_gap(b, a), span_gap(a, a), 0.0]
         assert span_gap(firsts, seconds) == gaps
         assert span_rank(firsts) == [0, 18, 0, 12, 18, 0]
+        assert span_equal([], [], 1e-8) == span_gap([], []) == span_bound([], []) == []
 
     def test_non_finite_terms_raise_and_zero_rows_are_dropped(self):
         rows = np.eye(2, 16, dtype=complex)
