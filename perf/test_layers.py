@@ -6,7 +6,9 @@
 Take a pair interleaved: run the file on the parent, then on the change,
 then on the parent and the change again, and keep each side's better
 reading (the lower median) per case.  Running one side's suite after the
-other's reads host drift as a change.
+other's reads host drift as a change.  Time a slow case, such as the
+(3, 3) ``rll`` trial, alone with ``-k`` as well: inside a whole-file run
+it reads slower than alone, on either side.
 
 These cases sit outside the tier-1 suite (``testpaths``) and outside the
 benchmark's ``bench/`` directory.  Each times one layer on fixed inputs at
@@ -27,14 +29,23 @@ and ``sklyanin-rep`` at n = 3 through ``run_single`` at the default tau,
 where each check evaluates its trials together.  Three time ``rll``: two
 trials at (2, 2) through ``run_single`` (one batch: one reference build,
 one gather of the four points, stacked comparisons), and one trial at
-(2, 3) and at (3, 3) through the runner.
+(2, 3) and at (3, 3) through the runner.  One times the sampling layer:
+the 80 draws of the ``skew-tau`` workload (the eight non-``rll`` checks'
+specs, ten trials each) through ``sample_params``.
 Trials are drawn and run through the check's runner (``_RUNNERS``), which
 takes a list of draws.
 """
 
 import numpy as np
 
-from ellrmx.checks import _RUNNERS, CheckConfig, _trial_seed, run_single
+from ellrmx.checks import (
+    _RUNNERS,
+    CHECK_NAMES,
+    CheckConfig,
+    _effective_config,
+    _trial_seed,
+    run_single,
+)
 from ellrmx.elliptic import EllipticContext, eisenstein_e2, kronecker_phi, theta
 from ellrmx.ncalgebra import defect_table, relation_vectors_reference, rll_defect
 from ellrmx.relations import tv_relations
@@ -185,3 +196,21 @@ def test_rll_trial_2x3(benchmark):
 
 def test_rll_trial_3x3(benchmark):
     benchmark(one_trial("rll", 3, 3))
+
+
+def test_sample_params_skew_tau_80_trials(benchmark):
+    specs = [
+        (c, _RUNNERS[c].spec(_effective_config(CheckConfig(c, tau=SKEW_CTX.tau), c)))
+        for c in CHECK_NAMES
+        if c != "rll"
+    ]
+
+    def draw_all():
+        return [
+            sample_params(_trial_seed(SEED, c, t), spec, SKEW_CTX)
+            for c, spec in specs
+            for t in range(10)
+        ]
+
+    assert len(draw_all()) == 80
+    benchmark(draw_all)

@@ -136,6 +136,8 @@ class CheckConfig:
             )
         if self.trials < 1:
             raise ConfigError("at least one trial required")
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError(f"seed = {self.seed} is outside [0, 2**64)")
         if self.tol is not None and not self.tol > 0:
             raise ConfigError("tolerance must be positive")
 
@@ -197,7 +199,7 @@ def _flat_rank(n: int, m: int) -> int:
 
 
 def _trial_seed(seed: int, check: str, trial: int) -> list[int]:
-    return [seed & 0xFFFFFFFFFFFFFFFF, CHECK_NAMES.index(check), trial]
+    return [seed, CHECK_NAMES.index(check), trial]
 
 
 # Per-check sample specs and runners.  A runner maps a batch of draws to

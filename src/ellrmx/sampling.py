@@ -3,13 +3,16 @@
 Each check declares the denominator expressions its evaluations will meet;
 the sampler rejection-draws until every expression keeps a safe lattice
 distance.  Draws are uniform on the cell [0,1) + [0.1,0.9) tau and fully
-determined by the seed.
+determined by the seed: NumPy's PCG64/``SeedSequence`` stream, computed
+here bit-identical to ``default_rng`` and without NumPy's random module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from itertools import permutations, product
+from operator import index
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -17,7 +20,10 @@ from .elliptic import DELTA_MIN, EllipticContext, lattice_distance
 from .rmatrix import DynamicalParams
 
 MAX_REJECTIONS = 10_000
+# NumPy's default_rng stream, which _doubles computes bit for bit.
 GENERATOR_NAME = "numpy-pcg64"
+MASK32, MASK64, MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 # Yields (expression, scale) pairs; the sample must keep scale*expression
 # at lattice distance >= scale*DELTA_MIN.  Scale n means the expression is
@@ -47,8 +53,50 @@ class SampleSpec:
     expressions: ExpressionFn | None = None
 
 
-def _draw(rng: np.random.Generator, tau: complex) -> complex:
-    return complex(rng.uniform(0.0, 1.0)) + complex(rng.uniform(0.1, 0.9)) * tau
+def _words(seed: int | Sequence[int]) -> list[int]:
+    """A seed as little-endian uint32 words, as ``SeedSequence`` coerces it."""
+    if isinstance(seed, (list, tuple)):
+        return [w for part in seed for w in _words(part)]
+    if (n := index(seed)) < 0:
+        raise ValueError(f"seed must be non-negative, got {n}")
+    return [n >> k & MASK32 for k in range(0, max(n.bit_length(), 1), 32)]
+
+
+def _hasher(const: int, mult: int) -> Callable[[int], int]:
+    """``SeedSequence``'s word hash, its constant running on across calls."""
+    def hashmix(value: int) -> int:
+        nonlocal const
+        const, value = const * mult & MASK32, value ^ const
+        value = value * const & MASK32
+        return value ^ value >> 16
+    return hashmix
+
+
+def _doubles(seed: int | Sequence[int]) -> Iterator[float]:
+    """``default_rng(seed).random()``: ``SeedSequence`` hashes the seed into
+    a 4-word pool that gives PCG64 its state; XSL-RR output, top 53 bits."""
+    entropy, hashmix = _words(seed), _hasher(0x43B0D7E5, 0x931E8875)
+    pool = [hashmix(w) for w in (entropy + [0, 0, 0, 0])[:4]]
+    # Mix the pool words into each other, then each entropy word past the 4th.
+    for src, dst in [*permutations(range(4), 2), *product(range(4, len(entropy)), range(4))]:
+        value = hashmix(pool[src] if src < 4 else entropy[src])
+        r = (0xCA01F9DD * pool[dst] - 0x4973F715 * value) & MASK32
+        pool[dst] = r ^ r >> 16
+    w = list(map(_hasher(0x8B51F9DD, 0x58F38DED), pool * 2))
+    # generate_state(4, uint64) as 128-bit (state, stream), high word first
+    init, seq = (w[i] << 64 | w[i + 1] << 96 | w[i + 2] | w[i + 3] << 32 for i in (0, 4))
+    inc = (seq << 1 | 1) & MASK128
+    state = ((inc + init) * PCG_MULT + inc) & MASK128
+    while True:
+        state = (state * PCG_MULT + inc) & MASK128
+        word, rot = (state >> 64 ^ state) & MASK64, state >> 122
+        word = (word >> rot | word << 64 - rot) & MASK64
+        yield (word >> 11) * 2.0**-53
+
+
+def _draw(rng: Iterator[float], tau: complex) -> complex:
+    """``uniform(0, 1) + uniform(0.1, 0.9) tau``, ``Generator.uniform``'s arithmetic."""
+    return complex(next(rng)) + complex(0.1 + (0.9 - 0.1) * next(rng)) * tau
 
 
 def admissible(
@@ -75,7 +123,7 @@ def sample_params(
     signals an infeasible constraint set (for instance a fixed ``hbar``
     sitting on a pole).
     """
-    rng = np.random.default_rng(seed)
+    rng = _doubles(seed)
     tau = ctx.tau
     for _ in range(MAX_REJECTIONS):
         hbar = spec.hbar if spec.hbar is not None else _draw(rng, tau)

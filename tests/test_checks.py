@@ -143,6 +143,15 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="trial"):
             CheckConfig(check="ybe", trials=0).validate()
 
+    def test_seed_within_64_bits(self):
+        # The trial streams take the seed whole, so seeds a 64-bit mask
+        # would fold together (-1 and 2**64 - 1, 2**64 + 42 and 42) are refused.
+        for seed in (0, 2**64 - 1):
+            CheckConfig(check="fay", seed=seed).validate()
+        for seed in (-1, 2**64, 2**64 + 42):
+            with pytest.raises(ConfigError, match=r"\[0, 2\*\*64\)"):
+                CheckConfig(check="fay", seed=seed).validate()
+
     def test_default_tolerances_split_by_kind(self):
         cfg = CheckConfig(check="all")
         assert cfg.effective_tol("ybe") == 1e-9

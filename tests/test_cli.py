@@ -53,6 +53,12 @@ class TestExitCodes:
             assert proc.returncode == 2, (flag, value, proc.stderr)
             assert "configuration error" in proc.stderr
 
+    def test_seed_outside_64_bits_is_two(self):
+        for seed in ("-1", "18446744073709551616"):
+            proc = run_cli("fay", "--seed", seed, "--trials", "1")
+            assert proc.returncode == 2, (seed, proc.stderr)
+            assert "configuration error" in proc.stderr and "2**64" in proc.stderr
+
     def test_sampling_error_is_two(self):
         proc = run_cli("ybe", "--hbar", "0,0", "--trials", "1")
         assert proc.returncode == 2

@@ -1,9 +1,10 @@
 """Seeded rejection sampling: determinism and constraint satisfaction."""
 
+import numpy as np
 import pytest
 
 from ellrmx import sampling
-from ellrmx.checks import CHECK_NAMES, _RUNNERS, CheckConfig, _effective_config
+from ellrmx.checks import CHECK_NAMES, _RUNNERS, CheckConfig, _effective_config, _trial_seed
 from ellrmx.elliptic import DELTA_MIN, EllipticContext, lattice_distance
 from ellrmx.rmatrix import DynamicalParams
 from ellrmx.sampling import (
@@ -129,6 +130,56 @@ class TestAdmissibleOracle:
         got = self.draws(spec, ctx)
         monkeypatch.setattr(sampling, "admissible", oracle_admissible)
         assert got == self.draws(spec, ctx)
+
+
+# 324 seeds: edge ints, multi-word ints and sequences, and the trial seeds of every check.
+ORACLE_SEEDS = [
+    0,
+    2**32,
+    2**63 + 5,
+    2**64 - 1,
+    2**100 + 7,
+    [2**64 - 1, 8, 100],
+    [],
+    [1, 2, 3, 4, 5, 6, 7],
+    *range(1, 201),
+    *(2**61 * k + 3 for k in range(1, 9)),
+    *(_trial_seed(s, c, t) for s in (0, 42, 2**64 - 1) for c in CHECK_NAMES for t in range(4)),
+]
+
+
+class TestNumpyStream:
+    """The in-package stream against ``numpy.random.default_rng``."""
+
+    @pytest.mark.parametrize("chunk", range(4))
+    def test_draws_equal_default_rng(self, chunk):
+        # At tau = 1j a draw is exactly uniform(0, 1) + uniform(0.1, 0.9) i.
+        for seed in ORACLE_SEEDS[chunk::4]:
+            ours, rng = sampling._doubles(seed), np.random.default_rng(seed)
+            draws = [sampling._draw(ours, 1j) for _ in range(20)]
+            got = [part for z in draws for part in (z.real, z.imag)]
+            want = [rng.uniform(*((0.0, 1.0), (0.1, 0.9))[k % 2]) for k in range(40)]
+            assert got == want, seed
+
+    def test_raw_doubles_equal_random(self):
+        for seed in ORACLE_SEEDS[:40]:
+            ours, rng = sampling._doubles(seed), np.random.default_rng(seed)
+            assert [next(ours) for _ in range(10)] == list(rng.random(10)), seed
+
+    @pytest.mark.parametrize(
+        "seed, error",
+        [(-1, ValueError), ([3, -2], ValueError), (1.0, TypeError), ([2, 0.5], TypeError)],
+    )
+    def test_bad_seeds_raise_as_seed_sequence_does(self, seed, error):
+        with pytest.raises(error):
+            np.random.default_rng(seed)
+        with pytest.raises(error):
+            sample_params(seed, SampleSpec(), CTX)
+
+    def test_none_is_refused(self):
+        # default_rng(None) would draw fresh entropy; a trial must be reproducible.
+        with pytest.raises(TypeError):
+            sample_params(None, SampleSpec(), CTX)
 
 
 class TestHelpers:
