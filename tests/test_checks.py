@@ -512,6 +512,21 @@ class TestAllAndReports:
         assert tuple(r.check for r in run.reports) == CHECK_NAMES
         assert run.passed
 
+    def test_check_names_are_append_only(self):
+        # A check's index seeds its trials (and bench/tracer.py keeps its own
+        # copy of these names), so a new check goes after these, in order.
+        assert CHECK_NAMES[:9] == (
+            "ybe",
+            "dybe-felder",
+            "dybe-slnm",
+            "rll",
+            "relations",
+            "fay",
+            "sklyanin-rep",
+            "tv-reduce",
+            "bb-reduce",
+        )
+
     def test_subcheck_of_all_matches_standalone(self):
         whole = run_check(CheckConfig(check="all", trials=2))
         solo = run_check(CheckConfig(check="dybe-slnm", trials=2))
