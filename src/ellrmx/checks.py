@@ -1,7 +1,7 @@
 """Check orchestration: seeded trials, residual aggregation, reports.
 
-Each named check draws its own pole-free parameters per trial, evaluates
-the corresponding identities, and aggregates residuals into a report.
+Each check, one row of ``_RUNNERS``, draws its own pole-free parameters
+per trial, evaluates its identities, and aggregates residuals into a report.
 Every check evaluates batches of trials together: one stacked build of a
 batch's R-matrices (or relation families, kernels and letters, or defect
 tables) and one stacked exchange contraction or span comparison.  No
@@ -17,7 +17,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, replace
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -66,20 +66,6 @@ from .sklyanin import (
     sklyanin_representation_residual,
 )
 from .spans import span_bound
-
-CHECK_NAMES = (
-    "ybe",
-    "dybe-felder",
-    "dybe-slnm",
-    "rll",
-    "relations",
-    "fay",
-    "sklyanin-rep",
-    "tv-reduce",
-    "bb-reduce",
-)
-
-SPAN_CHECKS = frozenset({"rll", "tv-reduce"})
 
 DEFAULT_TAU = 0.3 + 0.8j
 DEFAULT_TRIALS = 20
@@ -138,13 +124,13 @@ class CheckConfig:
             raise ConfigError("at least one trial required")
         if not 0 <= self.seed < 2**64:
             raise ConfigError(f"seed = {self.seed} is outside [0, 2**64)")
-        if self.tol is not None and not self.tol > 0:
-            raise ConfigError("tolerance must be positive")
+        if self.tol is not None and not 0 < self.tol < math.inf:
+            raise ConfigError(f"tolerance = {self.tol} is not finite and positive")
 
     def effective_tol(self, check: str) -> float:
         if self.tol is not None:
             return self.tol
-        return SPAN_TOL if check in SPAN_CHECKS else RESIDUAL_TOL
+        return _RUNNERS[check].tol
 
 
 @dataclass(frozen=True)
@@ -202,10 +188,11 @@ def _trial_seed(seed: int, check: str, trial: int) -> list[int]:
     return [seed, CHECK_NAMES.index(check), trial]
 
 
-# Per-check sample specs and runners.  A runner maps a batch of draws to
-# one (residual, rank-or-None) pair per draw; it evaluates the batch's
-# trials together, handing the residual functions one entry per trial.
-# The sample spec declares the denominators the evaluations will touch.
+# Per-check runners.  A runner maps a batch of draws to one
+# (residual, rank-or-None) pair per draw; it evaluates the batch's trials
+# together, handing the residual functions one entry per trial.  Its row
+# in ``_RUNNERS`` declares the draw and the denominators the evaluations
+# will touch.
 
 Draw = tuple[DynamicalParams, tuple[complex, ...]]
 
@@ -225,36 +212,12 @@ def _residuals(*per_trial: np.ndarray) -> list[tuple[float, None]]:
     return [(float(v), None) for v in np.maximum.reduce(per_trial)]
 
 
-def _ybe_spec(cfg: CheckConfig) -> SampleSpec:
-    n = cfg.n
-
-    def exprs(params: DynamicalParams, zs: tuple[complex, ...]) -> Iterator:
-        yield params.hbar, n
-        z1, z2, z3 = zs
-        for v in (z1 - z2, z1 - z3, z2 - z3, z1, z2):
-            yield v, 1
-
-    return SampleSpec(m=1, z_count=3, hbar=cfg.hbar, expressions=exprs)
-
-
 def _ybe_run(cfg: CheckConfig, draws: list[Draw], ctx: EllipticContext) -> list:
     hbar, (z1, z2, z3), _ = _columns(draws)
     return _residuals(
         ybe_residual(hbar, z1, z2, z3, cfg.n, ctx),
         bb_l_operator_rll_residual(hbar, z1, z2, cfg.n, ctx),
     )
-
-
-def _felder_spec(cfg: CheckConfig) -> SampleSpec:
-    def exprs(params: DynamicalParams, zs: tuple[complex, ...]) -> Iterator:
-        yield params.hbar, 1
-        for v in shift_closed(within_diffs(params.q1), params.hbar, 1):
-            yield v, 1
-        z1, z2, z3 = zs
-        for v in (z1 - z2, z1 - z3, z2 - z3, z1, z2):
-            yield v, 1
-
-    return SampleSpec(m=cfg.m, z_count=3, hbar=cfg.hbar, expressions=exprs)
 
 
 def _felder_run(cfg: CheckConfig, draws: list[Draw], ctx: EllipticContext) -> list:
@@ -264,20 +227,6 @@ def _felder_run(cfg: CheckConfig, draws: list[Draw], ctx: EllipticContext) -> li
         zero_weight_residual(hbar, z1 - z2, q, ctx),
         felder_dynamical_l_residual(hbar, z1, z2, q, ctx),
     )
-
-
-def _slnm_spec(cfg: CheckConfig) -> SampleSpec:
-    n = cfg.n
-
-    def exprs(params: DynamicalParams, zs: tuple[complex, ...]) -> Iterator:
-        yield params.hbar, n
-        for v in shift_closed(within_diffs(params.q1), params.hbar, 1):
-            yield v, n
-        z1, z2, z3 = zs
-        for v in (z1 - z2, z1 - z3, z2 - z3):
-            yield v, 1
-
-    return SampleSpec(m=cfg.m, z_count=3, hbar=cfg.hbar, expressions=exprs)
 
 
 def _slnm_run(cfg: CheckConfig, draws: list[Draw], ctx: EllipticContext) -> list:
@@ -290,25 +239,15 @@ def _factor_labels(n: int) -> tuple[LatticeIndex, LatticeIndex]:
     return LatticeIndex(0, a2, n), LatticeIndex(0, a2, n)
 
 
-def _rll_spec(cfg: CheckConfig) -> SampleSpec:
-    n, m = cfg.n, cfg.m
-
-    def exprs(params: DynamicalParams, zs: tuple[complex, ...]) -> Iterator:
-        hbar = params.hbar
-        yield hbar, n
-        for block in (params.q1, params.q2):
-            for v in shift_closed(within_diffs(block), hbar, 2):
-                yield v, n
-        z1, z2, z3, z4 = zs
-        yield z1 - z2, 1
-        yield z3 - z4, 1
-        if m >= 2:
-            # theta prefactors of the factorization component (i,j,k)=(1,1,2)
-            for za, zb in ((z1, z2), (z3, z4)):
-                yield zb + params.q2[0] - params.q1[1], n
-                yield za + params.q2[0] - params.q1[0] + hbar, n
-
-    return SampleSpec(m=m, two_sets=True, z_count=4, hbar=cfg.hbar, expressions=exprs)
+def _rll_prefactor_poles(params: DynamicalParams, zs: tuple[complex, ...]) -> Iterator:
+    """Theta prefactors of the factorization component (i,j,k)=(1,1,2),
+    which the rll runner evaluates when m >= 2."""
+    q1, q2 = params.q1, params.q2
+    if len(q1) < 2:
+        return
+    for za, zb in (zs[:2], zs[2:]):
+        yield zb + q2[0] - q1[1]
+        yield za + q2[0] - q1[0] + params.hbar
 
 
 def _rll_run(cfg: CheckConfig, draws: list[Draw], ctx: EllipticContext) -> list:
@@ -341,33 +280,12 @@ def _rll_run(cfg: CheckConfig, draws: list[Draw], ctx: EllipticContext) -> list:
     ]
 
 
-def _relations_spec(cfg: CheckConfig) -> SampleSpec:
-    n = cfg.n
-
-    def exprs(params: DynamicalParams, zs: tuple[complex, ...]) -> Iterator:
-        yield params.hbar, n
-        for block in (params.q1, params.q2):
-            for v in within_diffs(block):
-                yield v, n
-
-    return SampleSpec(m=cfg.m, two_sets=True, hbar=cfg.hbar, expressions=exprs)
-
-
 def _relations_run(
     cfg: CheckConfig, draws: list[Draw], ctx: EllipticContext
 ) -> list[tuple[float, int]]:
     sets = relation_vectors_reference(cfg.n, cfg.m, [params for params, _ in draws], ctx)
     flat = _flat_rank(cfg.n, cfg.m)
     return [(float(abs(rank - flat)), rank) for rank in span_rank(sets)]
-
-
-def _fay_spec(cfg: CheckConfig) -> SampleSpec:
-    def exprs(params: DynamicalParams, zs: tuple[complex, ...]) -> Iterator:
-        z, w, x, y = zs
-        for v in (z, w, x, y, z - w, x + y, x + y + z):
-            yield v, 1
-
-    return SampleSpec(m=1, z_count=4, hbar=cfg.hbar, expressions=exprs)
 
 
 def _fay_run(cfg: CheckConfig, draws: list[Draw], ctx: EllipticContext) -> list:
@@ -377,15 +295,6 @@ def _fay_run(cfg: CheckConfig, draws: list[Draw], ctx: EllipticContext) -> list:
         fay_coincident_residual(z, x, y, ctx),
         fay_pair_residual(z, x, ctx),
     )
-
-
-def _sklyanin_spec(cfg: CheckConfig) -> SampleSpec:
-    n = cfg.n
-
-    def exprs(params: DynamicalParams, zs: tuple[complex, ...]) -> Iterator:
-        yield params.hbar, n
-
-    return SampleSpec(m=1, z_count=1, hbar=cfg.hbar, expressions=exprs)
 
 
 def _sklyanin_run(cfg: CheckConfig, draws: list[Draw], ctx: EllipticContext) -> list:
@@ -406,19 +315,6 @@ def _letter_terms(n: int) -> int:
     return 4 * n**2
 
 
-def _tv_spec(cfg: CheckConfig) -> SampleSpec:
-    def exprs(params: DynamicalParams, zs: tuple[complex, ...]) -> Iterator:
-        yield params.hbar, 1
-        for block in (params.q1, params.q2):
-            for v in shift_closed(within_diffs(block), params.hbar, 1):
-                yield v, 1
-        yield zs[0], 1
-
-    return SampleSpec(
-        m=cfg.m, two_sets=True, z_count=1, hbar=cfg.hbar, expressions=exprs
-    )
-
-
 def _tv_run(
     cfg: CheckConfig, draws: list[Draw], ctx: EllipticContext
 ) -> list[tuple[float, int]]:
@@ -434,26 +330,12 @@ def _tv_run(
     ]
 
 
-def _bb_spec(cfg: CheckConfig) -> SampleSpec:
-    n = cfg.n
-
-    def exprs(params: DynamicalParams, zs: tuple[complex, ...]) -> Iterator:
-        yield params.hbar, n
-        yield zs[0], 1
-
-    return SampleSpec(m=1, z_count=1, hbar=cfg.hbar, expressions=exprs)
-
-
 def _bb_run(cfg: CheckConfig, draws: list[Draw], ctx: EllipticContext) -> list:
     hbar, (u,), q = _columns(draws)
     return _residuals(slnm_reduction_residual_m1(hbar, u, q[:, 0], cfg.n, ctx))
 
 
 RunFn = Callable[[CheckConfig, list[Draw], EllipticContext], list[tuple[float, int | None]]]
-
-
-def _reference_terms(cfg: CheckConfig) -> int:
-    return reference_terms(cfg.n, cfg.m)
 
 
 def _kernel_terms(points: int, x_values: int, n: int) -> int:
@@ -464,7 +346,8 @@ def _kernel_terms(points: int, x_values: int, n: int) -> int:
 
 
 class Runner(NamedTuple):
-    """How a check draws and evaluates its trials.
+    """One check: its draw, where its poles are, how it evaluates a batch
+    and how it is judged.
 
     ``run`` maps a list of draws to their (residual, rank-or-None)
     outcomes, in order, evaluating them together.  ``trial_terms`` sizes
@@ -472,35 +355,105 @@ class Runner(NamedTuple):
     of a family build, the kernel product of an R-matrix stack, the
     Eisenstein letters of the Sklyanin constants, or the terms of the two
     defect tables of an rll trial.
+
+    A draw holds ``points`` spectral points and one block of coordinates
+    (two if ``two_sets``), of the configured m if ``dynamical``, else of
+    one.  ``poles`` maps the points to the expressions the evaluations
+    divide by, and :meth:`spec` adds hbar and the coordinate differences.
+    ``tol`` is the default tolerance; ``pin`` fixes the modulus a
+    reduction check reduces along.
     """
 
-    spec: Callable[[CheckConfig], SampleSpec]
     run: RunFn
     trial_terms: Callable[[CheckConfig], int]
+    points: int = 0
+    poles: Callable[..., Iterable[complex]] = lambda *zs: ()
+    dynamical: bool = True
+    two_sets: bool = False
+    refined: bool = True
+    depth: int | None = 0
+    prefactor_poles: Callable[..., Iterable[complex]] = lambda params, zs: ()
+    tol: float = RESIDUAL_TOL
+    pin: dict[str, int] = {}
+
+    def spec(self, cfg: CheckConfig) -> SampleSpec:
+        """The draw and its one pole rule: hbar and every within-block
+        coordinate difference, shifted by up to ``depth`` hbar, at the
+        check's scale (n if ``refined``: the evaluations meet every
+        characteristic offset; else 1), then the prefactor poles at that
+        scale and the point expressions at scale 1.  A ``depth`` of None
+        leaves hbar unconstrained: the check draws it but never reads it.
+        """
+        scale = cfg.n if self.refined else 1
+        m = cfg.m if self.dynamical else 1
+        # the blocks that have coordinate differences: none at m = 1
+        blocks = 1 + self.two_sets if m > 1 else 0
+
+        def exprs(params: DynamicalParams, zs: tuple[complex, ...]) -> Iterator:
+            if self.depth is not None:
+                yield params.hbar, scale
+                for block in (params.q1, params.q2)[:blocks]:
+                    for v in shift_closed(within_diffs(block), params.hbar, self.depth):
+                        yield v, scale
+            for v in self.prefactor_poles(params, zs):
+                yield v, scale
+            for v in self.poles(*zs):
+                yield v, 1
+
+        return SampleSpec(m, self.two_sets, self.points, cfg.hbar, exprs)
+
+
+def _exchange_poles(z1: complex, z2: complex, z3: complex) -> tuple[complex, ...]:
+    return z1 - z2, z1 - z3, z2 - z3, z1, z2
 
 
 # The exchange checks build three pairs per identity, each at q and at its
 # m shifts: a composite pair's kernels take hbar and the m (m - 1)
 # coordinate differences, and a Felder stack holds m^4 entries per pair.
 # A Fay trial takes 17 kernel arguments.  An rll trial gathers two defect
-# tables of about d^4 n^3 terms each (see ``rll_trial_bytes``).
+# tables of about d^4 n^3 terms each (see ``rll_trial_bytes``).  Append a
+# new check last: a check's position seeds its trials.
 _RUNNERS: dict[str, Runner] = {
-    "ybe": Runner(_ybe_spec, _ybe_run, lambda cfg: _kernel_terms(3, 1, cfg.n)),
-    "dybe-felder": Runner(_felder_spec, _felder_run, lambda cfg: 3 * (cfg.m + 1) * cfg.m**4),
+    "ybe": Runner(
+        _ybe_run, lambda cfg: _kernel_terms(3, 1, cfg.n),
+        points=3, poles=_exchange_poles, dynamical=False,
+    ),
+    "dybe-felder": Runner(
+        _felder_run, lambda cfg: 3 * (cfg.m + 1) * cfg.m**4,
+        points=3, poles=_exchange_poles, refined=False, depth=1,
+    ),
     "dybe-slnm": Runner(
-        _slnm_spec,
-        _slnm_run,
-        lambda cfg: _kernel_terms(3 * (cfg.m + 1), 1 + cfg.m * (cfg.m - 1), cfg.n),
+        _slnm_run, lambda cfg: _kernel_terms(3 * (cfg.m + 1), 1 + cfg.m * (cfg.m - 1), cfg.n),
+        points=3, poles=lambda z1, z2, z3: (z1 - z2, z1 - z3, z2 - z3), depth=1,
     ),
-    "rll": Runner(_rll_spec, _rll_run, lambda cfg: 2 * (cfg.n * cfg.m) ** 4 * cfg.n**3),
-    "relations": Runner(_relations_spec, _relations_run, _reference_terms),
-    "fay": Runner(_fay_spec, _fay_run, lambda cfg: 17),
+    "rll": Runner(
+        _rll_run, lambda cfg: 2 * (cfg.n * cfg.m) ** 4 * cfg.n**3,
+        points=4, poles=lambda z1, z2, z3, z4: (z1 - z2, z3 - z4), two_sets=True, depth=2,
+        prefactor_poles=_rll_prefactor_poles, tol=SPAN_TOL,
+    ),
+    "relations": Runner(
+        _relations_run, lambda cfg: reference_terms(cfg.n, cfg.m), two_sets=True
+    ),
+    "fay": Runner(
+        _fay_run, lambda cfg: 17,
+        points=4, poles=lambda z, w, x, y: (z, w, x, y, z - w, x + y, x + y + z),
+        dynamical=False, depth=None,
+    ),
     "sklyanin-rep": Runner(
-        _sklyanin_spec, _sklyanin_run, lambda cfg: _letter_terms(cfg.n) * cfg.n**4
+        _sklyanin_run, lambda cfg: _letter_terms(cfg.n) * cfg.n**4, points=1, dynamical=False
     ),
-    "tv-reduce": Runner(_tv_spec, _tv_run, _reference_terms),
-    "bb-reduce": Runner(_bb_spec, _bb_run, lambda cfg: _kernel_terms(2, 1, cfg.n)),
+    "tv-reduce": Runner(
+        _tv_run, lambda cfg: reference_terms(cfg.n, cfg.m),
+        points=1, poles=lambda u: (u,), two_sets=True, refined=False, depth=1,
+        tol=SPAN_TOL, pin={"n": 1},
+    ),
+    "bb-reduce": Runner(
+        _bb_run, lambda cfg: _kernel_terms(2, 1, cfg.n),
+        points=1, poles=lambda u: (u,), dynamical=False, pin={"m": 1},
+    ),
 }
+
+CHECK_NAMES = tuple(_RUNNERS)
 
 #: Array entries (relation terms, kernel products, letters: see
 #: ``Runner.trial_terms``) that one batch of trials builds together; bounds
@@ -533,11 +486,7 @@ def _outcomes(
 
 def _effective_config(cfg: CheckConfig, check: str) -> CheckConfig:
     """Reduction checks pin the modulus they reduce along."""
-    if check == "tv-reduce":
-        return replace(cfg, n=1)
-    if check == "bb-reduce":
-        return replace(cfg, m=1)
-    return cfg
+    return replace(cfg, **_RUNNERS[check].pin)
 
 
 def run_single(cfg: CheckConfig, check: str, ctx: EllipticContext) -> CheckReport:

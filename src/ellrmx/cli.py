@@ -6,7 +6,7 @@ Usage:
   ellrmx all
 
 Exit codes: 0 all checks passed, 1 at least one failed, 2 bad
-configuration or infeasible sampling.
+configuration, infeasible sampling or a report path that cannot be written.
 """
 
 from __future__ import annotations
@@ -138,7 +138,11 @@ def main(argv: list[str] | None = None) -> int:
     for line in _summary_lines(run):
         print(line)
     if args.out is not None:
-        args.out.write_text(render_json(run))
+        try:
+            args.out.write_text(render_json(run))
+        except OSError as exc:
+            print(f"ellrmx: cannot write report to {args.out}: {exc.strerror}", file=sys.stderr)
+            return 2
         print(f"report written to {args.out}")
     return 0 if run.passed else 1
 

@@ -1,8 +1,9 @@
 """Deterministic pole-avoiding parameter sampling for the verifier checks.
 
-Each check declares the denominator expressions its evaluations will meet;
-the sampler rejection-draws until every expression keeps a safe lattice
-distance.  Draws are uniform on the cell [0,1) + [0.1,0.9) tau and fully
+Each check's row in ``ellrmx.checks._RUNNERS`` declares the denominator
+expressions its evaluations will meet (``Runner.spec`` builds them into a
+:class:`SampleSpec`); the sampler rejection-draws until every expression
+keeps a safe lattice distance.  Draws are uniform on the cell [0,1) + [0.1,0.9) tau and fully
 determined by the seed: NumPy's PCG64/``SeedSequence`` stream, computed
 here bit-identical to ``default_rng`` and without NumPy's random module.
 """
@@ -44,6 +45,8 @@ class SampleSpec:
 
     ``hbar`` fixes the Planck parameter (None draws it); ``expressions``
     generates the constrained denominator expressions for a candidate.
+    A check's spec comes from its row of ``ellrmx.checks._RUNNERS``
+    (``Runner.spec``).
     """
 
     m: int = 1

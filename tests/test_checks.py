@@ -139,6 +139,13 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="positive"):
             CheckConfig(check="ybe", tol=0.0).validate()
 
+    def test_finite_tolerance_required(self):
+        # an infinite tolerance would certify any finite residual
+        for tol in (math.inf, math.nan, -math.inf):
+            with pytest.raises(ConfigError, match="finite and positive"):
+                CheckConfig(check="fay", tol=tol).validate()
+        CheckConfig(check="fay", tol=1e300).validate()
+
     def test_at_least_one_trial(self):
         with pytest.raises(ConfigError, match="trial"):
             CheckConfig(check="ybe", trials=0).validate()

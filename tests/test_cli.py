@@ -59,6 +59,28 @@ class TestExitCodes:
             assert proc.returncode == 2, (seed, proc.stderr)
             assert "configuration error" in proc.stderr and "2**64" in proc.stderr
 
+    def test_non_finite_tolerance_is_two(self):
+        # an infinite tolerance would pass any finite residual
+        for tol in ("inf", "nan"):
+            proc = run_cli("fay", "--trials", "1", "--tol", tol)
+            assert proc.returncode == 2, (tol, proc.stdout)
+            assert "configuration error" in proc.stderr and "overall" not in proc.stdout
+
+    def test_report_in_a_missing_directory_is_two(self, tmp_path):
+        out = tmp_path / "missing" / "r.json"
+        proc = run_cli("fay", "--trials", "1", "--out", str(out))
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [
+            f"ellrmx: cannot write report to {out}: No such file or directory"
+        ]
+
+    def test_report_at_a_directory_is_two(self, tmp_path):
+        proc = run_cli("fay", "--trials", "1", "--out", str(tmp_path))
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [
+            f"ellrmx: cannot write report to {tmp_path}: Is a directory"
+        ]
+
     def test_sampling_error_is_two(self):
         proc = run_cli("ybe", "--hbar", "0,0", "--trials", "1")
         assert proc.returncode == 2

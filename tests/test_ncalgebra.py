@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from ellrmx import ncalgebra
-from ellrmx.checks import _RUNNERS, CheckConfig, _relations_spec, _rll_spec, _trial_seed
+from ellrmx.checks import _RUNNERS, CheckConfig, _trial_seed
 from ellrmx.elliptic import (
     EllipticContext,
     LatticeIndex,
@@ -955,7 +955,9 @@ class TestSparseParity:
         # the first rll draw of seed 42 on which no pole guard trips; on
         # every earlier one both builds trip one
         for trial in range(10):
-            params, zs = sample_params(_trial_seed(42, "rll", trial), _rll_spec(cfg), ctx)
+            params, zs = sample_params(
+                _trial_seed(42, "rll", trial), _RUNNERS["rll"].spec(cfg), ctx
+            )
             builds = (
                 (dense_defect_table, defect_table, (n, m, params, *zs[:2], ctx)),
                 (dense_reference, relation_vectors_reference, (n, m, params, ctx)),
@@ -1004,7 +1006,7 @@ class TestSparseParity:
         # longer matches the reference.
         n, m = 2, 2
         cfg = CheckConfig(check="rll", n=n, m=m)
-        params, zs = sample_params(_trial_seed(42, "rll", 0), _rll_spec(cfg), CTX)
+        params, zs = sample_params(_trial_seed(42, "rll", 0), _RUNNERS["rll"].spec(cfg), CTX)
 
         def leaky(*args):
             # one matrix, or a stack of them for the points of a gather
@@ -1028,7 +1030,7 @@ def rll_points(n, m, tau, draws=3):
     cfg = CheckConfig(check="rll", n=n, m=m, tau=tau)
     out = []
     for trial in range(20):
-        params, zs = sample_params(_trial_seed(42, "rll", trial), _rll_spec(cfg), ctx)
+        params, zs = sample_params(_trial_seed(42, "rll", trial), _RUNNERS["rll"].spec(cfg), ctx)
         points = [(params, zs[0], zs[1]), (params, zs[2], zs[3])]
         if not any(trips(defect_table, (n, m, *point, ctx)) for point in points):
             out += points
@@ -1381,7 +1383,7 @@ class TestMemory:
         # 12 MB, the gathered trial one table at a time at 4.15 MiB, and
         # both tables from one gather, with stacked comparisons, at 3.4 MiB.
         cfg = CheckConfig(check="rll", n=2, m=3)
-        params, zs = sample_params(_trial_seed(42, "rll", 0), _rll_spec(cfg), CTX)
+        params, zs = sample_params(_trial_seed(42, "rll", 0), _RUNNERS["rll"].spec(cfg), CTX)
         assert traced_peak(_RUNNERS["rll"].run, cfg, [(params, zs)], CTX) <= 4 * 2**20
 
     def test_rll_trial_at_three_by_three(self):
@@ -1389,13 +1391,15 @@ class TestMemory:
         # concatenation of its runs of rows and each table was built and
         # blocked on its own.
         cfg = CheckConfig(check="rll", n=3, m=3)
-        params, zs = sample_params(_trial_seed(42, "rll", 0), _rll_spec(cfg), CTX)
+        params, zs = sample_params(_trial_seed(42, "rll", 0), _RUNNERS["rll"].spec(cfg), CTX)
         assert traced_peak(_RUNNERS["rll"].run, cfg, [(params, zs)], CTX) <= 48 * 2**20
 
     def test_reference_set_at_two_by_four(self):
         # the 4032 dense rows alone took 264 MB (761 MB peak); the terms
         # peak near 9 MB
         cfg = CheckConfig(check="relations", n=2, m=4)
-        params, _ = sample_params(_trial_seed(42, "relations", 0), _relations_spec(cfg), CTX)
+        params, _ = sample_params(
+            _trial_seed(42, "relations", 0), _RUNNERS["relations"].spec(cfg), CTX
+        )
         peak = traced_peak(relation_vectors_reference, 2, 4, params, CTX)
         assert peak <= 40 * 2**20

@@ -19,10 +19,7 @@ from ellrmx import sklyanin
 from ellrmx.checks import (
     _RUNNERS,
     CheckConfig,
-    _relations_spec,
-    _sklyanin_spec,
     _trial_seed,
-    _tv_spec,
 )
 from ellrmx.elliptic import (
     EllipticContext,
@@ -497,7 +494,7 @@ def all_pairs(n):
 def trial_params(seed, n, m, tau=TAU):
     """The parameters of trial 0 of the ``relations`` check at this seed."""
     cfg = CheckConfig(check="relations", n=n, m=m, tau=tau)
-    spec, ctx = _relations_spec(cfg), EllipticContext(tau)
+    spec, ctx = _RUNNERS["relations"].spec(cfg), EllipticContext(tau)
     return sample_params(_trial_seed(seed, "relations", 0), spec, ctx)[0]
 
 
@@ -701,7 +698,9 @@ def sklyanin_draw(seed, n, tau=TAU):
     """The parameters of trial 0 of the ``sklyanin-rep`` check at this seed."""
     cfg = CheckConfig(check="sklyanin-rep", n=n, m=1, tau=tau)
     params, zs = sample_params(
-        _trial_seed(seed, "sklyanin-rep", 0), _sklyanin_spec(cfg), EllipticContext(tau)
+        _trial_seed(seed, "sklyanin-rep", 0),
+        _RUNNERS["sklyanin-rep"].spec(cfg),
+        EllipticContext(tau),
     )
     return cfg, params, zs
 
@@ -954,7 +953,7 @@ def tv_draw(seed, m, tau):
     """The parameters of trial 0 of the ``tv-reduce`` check at this seed."""
     cfg = CheckConfig(check="tv-reduce", n=1, m=m, tau=tau)
     return sample_params(
-        _trial_seed(seed, "tv-reduce", 0), _tv_spec(cfg), EllipticContext(tau)
+        _trial_seed(seed, "tv-reduce", 0), _RUNNERS["tv-reduce"].spec(cfg), EllipticContext(tau)
     )[0]
 
 
