@@ -3,9 +3,10 @@
 Each check's row in ``ellrmx.checks._RUNNERS`` declares the denominator
 expressions its evaluations will meet (``Runner.spec`` builds them into a
 :class:`SampleSpec`); the sampler rejection-draws until every expression
-keeps a safe lattice distance.  Draws are uniform on the cell [0,1) + [0.1,0.9) tau and fully
-determined by the seed: NumPy's PCG64/``SeedSequence`` stream, computed
-here bit-identical to ``default_rng`` and without NumPy's random module.
+keeps a safe lattice distance.  Draws are uniform on the cell
+[0,1) + [0.1,0.9) tau and fully determined by the seed: NumPy's
+PCG64/``SeedSequence`` stream, computed here bit-identical to
+``default_rng`` and without NumPy's random module.
 """
 
 from __future__ import annotations
