@@ -19,11 +19,12 @@ set at (n, m) = (2, 2), (2, 4) and (6, 1), the coordinate-exchange set at
 m = 4, one defect set (``rll_defect`` of a table built every round) at
 (2, 3), one defect table (``defect_table``) at (3, 3), one
 ``sklyanin-rep`` trial at n = 3, 6 and 8, one ``r_slnm`` at
-(n, m) = (3, 2), one ``dybe-slnm`` trial at (3, 2) and (3, 3), one
-``dybe-felder`` trial at m = 3 and one ``ybe`` trial at n = 4.  Two cases
-run a whole check through ``run_single`` at tau = 5.3+0.3i, where the
-trials of ``relations`` and ``tv-reduce`` are evaluated together: ten
-``relations`` trials at (2, 2) and ten ``tv-reduce`` trials at m = 2.
+(n, m) = (3, 2), one ``dybe-slnm`` trial at (3, 2), (3, 3) and (4, 3),
+one ``dybe-felder`` trial at m = 3 and 6 and one ``ybe`` trial at n = 4.
+Two cases run a whole check through ``run_single`` at tau = 5.3+0.3i,
+where the trials of ``relations`` and ``tv-reduce`` are evaluated
+together: ten ``relations`` trials at (2, 2) and ten ``tv-reduce`` trials
+at m = 2.
 Three more run ten trials of ``ybe`` at n = 3, ``dybe-felder`` at m = 2
 and ``sklyanin-rep`` at n = 3 through ``run_single`` at the default tau,
 where each check evaluates its trials together.  Three time ``rll``: two
@@ -152,8 +153,16 @@ def test_dybe_slnm_trial_3x3(benchmark):
     benchmark(one_trial("dybe-slnm", 3, 3))
 
 
+def test_dybe_slnm_trial_4x3(benchmark):
+    benchmark(one_trial("dybe-slnm", 4, 3))
+
+
 def test_dybe_felder_trial_m3(benchmark):
     benchmark(one_trial("dybe-felder", 1, 3))
+
+
+def test_dybe_felder_trial_m6(benchmark):
+    benchmark(one_trial("dybe-felder", 1, 6))
 
 
 def test_ybe_trial_n4(benchmark):

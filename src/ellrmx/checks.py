@@ -339,10 +339,11 @@ RunFn = Callable[[CheckConfig, list[Draw], EllipticContext], list[tuple[float, i
 
 
 def _kernel_terms(points: int, x_values: int, n: int) -> int:
-    """Entries of the twisted-kernel product of an R-matrix stack build:
-    ``points`` spectral parameters, each with ``x_values`` kernel shifts,
-    n^2 characteristics and n^4 basis entries apiece (see ``r_slnm``)."""
-    return points * x_values * n**6
+    """Entries of the vertex blocks of an R-matrix stack build: ``points``
+    spectral parameters, each with ``x_values`` kernel shifts and n^4
+    entries apiece, summed over the n^2 characteristics in place (see
+    ``rmatrix._bb_blocks``)."""
+    return points * x_values * n**4
 
 
 class Runner(NamedTuple):
@@ -352,7 +353,7 @@ class Runner(NamedTuple):
     ``run`` maps a list of draws to their (residual, rank-or-None)
     outcomes, in order, evaluating them together.  ``trial_terms`` sizes
     one trial's largest array (see :func:`batch_size`): the relation terms
-    of a family build, the kernel product of an R-matrix stack, the
+    of a family build, the vertex blocks of an R-matrix stack, the
     Eisenstein letters of the Sklyanin constants, or the terms of the two
     defect tables of an rll trial.
 
@@ -408,8 +409,10 @@ def _exchange_poles(z1: complex, z2: complex, z3: complex) -> tuple[complex, ...
 
 
 # The exchange checks build three pairs per identity, each at q and at its
-# m shifts: a composite pair's kernels take hbar and the m (m - 1)
+# m shifts: a composite pair's vertex blocks take hbar and the m (m - 1)
 # coordinate differences, and a Felder stack holds m^4 entries per pair.
+# Their sector contraction is chunked apart, within ``rmatrix``'s own
+# budget, so it does not size a batch.
 # A Fay trial takes 17 kernel arguments.  An rll trial gathers two defect
 # tables of about d^4 n^3 terms each (see ``rll_trial_bytes``).  Append a
 # new check last: a check's position seeds its trials.

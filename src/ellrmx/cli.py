@@ -6,12 +6,16 @@ Usage:
   ellrmx all
 
 Exit codes: 0 all checks passed, 1 at least one failed, 2 bad
-configuration, infeasible sampling or a report path that cannot be written.
+configuration, infeasible sampling or a report path that cannot be written
+(a directory, or one in a missing directory, is refused before any check
+runs).
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 from pathlib import Path
 
@@ -114,6 +118,11 @@ def _summary_lines(run: RunReport) -> list[str]:
     return lines
 
 
+def _cannot_write(out: Path, reason: str) -> int:
+    print(f"ellrmx: cannot write report to {out}: {reason}", file=sys.stderr)
+    return 2
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -127,6 +136,12 @@ def main(argv: list[str] | None = None) -> int:
         seed=args.seed,
         tol=args.tol,
     )
+    # a report path known to fail is refused before any check runs
+    if args.out is not None and args.out.is_dir():
+        return _cannot_write(args.out, os.strerror(errno.EISDIR))
+    if args.out is not None and not args.out.parent.is_dir():
+        missing = not args.out.parent.exists()
+        return _cannot_write(args.out, os.strerror(errno.ENOENT if missing else errno.ENOTDIR))
     try:
         run = run_check(cfg)
     except ConfigError as exc:
@@ -141,8 +156,7 @@ def main(argv: list[str] | None = None) -> int:
         try:
             args.out.write_text(render_json(run))
         except OSError as exc:
-            print(f"ellrmx: cannot write report to {args.out}: {exc.strerror}", file=sys.stderr)
-            return 2
+            return _cannot_write(args.out, exc.strerror)
         print(f"report written to {args.out}")
     return 0 if run.passed else 1
 

@@ -11,15 +11,16 @@ coordinate vector per entry, and builds the whole stack from one kernel
 call.  Dynamical shifts q -> q - hbar e_k inside a product act diagonally
 on the weight components of the shifted site, so a shifted factor is
 ``sum_k R(q - hbar e_k) (x) P_k``: the M-weight of the spectator site's
-index picks the matrix.  The exchange residuals apply every factor site by
-site and never embed one into the three-site space.  They take 1-d arrays
-of trial parameters as well: every trial's matrices for one identity come
-from one stacked build, and both sides from one contraction with a leading
-trial axis, equal bit for bit to the trials' scalar calls.
+index picks the matrix.  The exchange residuals contract both sides
+sector by sector (see :func:`_sector_plan`) and never form the three-site
+space.  They take 1-d arrays of trial parameters as well: every trial's
+matrices for one identity come from one stacked build, and the sides from
+products with a leading trial axis, equal bit for bit to scalar calls.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -85,13 +86,17 @@ def r_bb(hbar, u, n: int, ctx: EllipticContext) -> np.ndarray:
 def _bb_blocks(x: np.ndarray, u: np.ndarray, n: int, ctx: EllipticContext) -> np.ndarray:
     """:func:`r_bb` at the Planck parameters ``x`` and the spectral
     parameters ``u``, which broadcast, as ``[..., i1, i2, j1, j2]`` (row
-    i1 i2, column j1 j2), from one kernel call."""
+    i1 i2, column j1 j2), from one kernel call; the n^2 characteristic
+    terms are summed in place, in the order of a sum over their axis."""
     a1, a2 = np.divmod(np.arange(n * n), n)
-    coeff = varphi(a1, a2, u[..., None], x[..., None], n, ctx)
+    coeff = varphi(a1, a2, u[..., None], x[..., None], n, ctx)[..., None, None, None, None]
     # kron(T_a, T_-a) for every a, indexed [a, i, k, j, l]
     first = basis_t_raw(a1, a2, n)[:, :, None, :, None]
     pairs = first * basis_t_raw(-a1, -a2, n)[:, None, :, None, :]
-    return (coeff[..., None, None, None, None] * pairs).sum(axis=-5)
+    out = coeff[..., 0, :, :, :, :] * pairs[0]
+    for a in range(1, n * n):
+        out += coeff[..., a, :, :, :, :] * pairs[a]
+    return out
 
 
 def r_felder(hbar, u, q, ctx: EllipticContext) -> np.ndarray:
@@ -180,62 +185,100 @@ def r_slnm(hbar, u, q, n: int, ctx: EllipticContext) -> np.ndarray:
     return out.reshape(u.shape + (dim, dim))
 
 
-def _exchange_sides(r: np.ndarray, shifted: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Both sides of ``R12 S13 R23 = S23 R13 S12`` on three sites of
-    dimension d, for a stack of trials.
+@functools.lru_cache(maxsize=4)
+def _sector_plan(m: int, n: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """Sector blocks of the exchange factors on three sites of dimension
+    d = m n, each index a = i n + x with M-index i and N-index x.
 
-    ``r[t]`` stacks trial t's two-site matrices R12, R13 and R23 (rows and
-    columns ordered first site, second site).  A shifted factor S applies
-    ``shifted[t, p, w]``, pair p's matrix, where the index of the third,
-    spectating site has weight w; a site's indices fall into equal runs,
-    one per weight.  S13 R23 and R13 S12 are batched over the spectator
-    index, which picks its weight's matrix by broadcasting, so no factor is
-    copied per index or embedded in the (d^3 x d^3) space.  R13 S12 is
-    formed one column index of the third site at a time, so that it never
-    coexists whole with both sides.  Both sides come back indexed
-    [t, a, b, c, a', b', c'] (row a b c, column a' b' c'); the right side
-    is a transposed view.
+    Every factor of ``R12 S13 R23 = S23 R13 S12`` keeps the multiset of the
+    three M-indices and the N-index sum mod n, so both sides are block
+    diagonal over C(m+2, 3) n sectors of (arrangements of the M-indices)
+    n^2 triples.  Per sector size s, a (6, S, s, s) array locates the
+    blocks of R12, S13, R23, S23, R13 and S12 in a trial's flattened stack
+    (see :func:`_exchange_residuals`).  Where a factor's spectator changes,
+    its block reads an entry outside its pair's pattern, as do the listed
+    entries of a flattened two-site matrix that come last.
     """
-    k, _, m = shifted.shape[:3]
-    d = math.isqrt(r.shape[-1])
-    n = d // m
-    r12, r13, r23 = (r[:, p].reshape(k, d, d, d, d) for p in range(3))
-    s12, s13, s23 = (shifted[:, p] for p in range(3))
-    # S13 R23 as [b, a, c, a', b', c'], then R12 with its columns as (b, a)
-    x = np.matmul(s13.reshape(k, m, 1, d**3, d), r23.reshape(k, m, n, d, d * d))
-    lhs = np.matmul(
-        r12.transpose(0, 1, 2, 4, 3).reshape(k, d * d, d * d), x.reshape(k, d * d, d**4)
-    )
+    d = m * n
+    weight, charge = np.divmod(np.arange(d), n)
+    sites = np.indices((d,) * 3).reshape(3, -1)
+    w = np.sort(weight[sites], axis=0)
+    label = ((w[0] * m + w[1]) * m + w[2]) * n + charge[sites].sum(axis=0) % n
+    order = np.argsort(label, kind="stable")
+    size = np.bincount(label)
+    size = size[size > 0]
+    first = np.cumsum(size) - size
+    matrix = d**4
+    classes = []
+    for s in sorted(set(size.tolist())):
+        triples = sites[:, order[first[size == s, None] + np.arange(s)]]
+        rows, cols = triples[..., :, None], triples[..., None, :]
+        gather = []
+        # pairs 12, 13 and 23 with their spectating sites
+        for p, (x, y, z) in enumerate(((0, 1, 2), (0, 2, 1), (1, 2, 0))):
+            entry = p * (m + 1) * matrix + (rows[x] * d + rows[y]) * d * d + cols[x] * d + cols[y]
+            gather += [entry, entry + (1 + weight[rows[z]]) * matrix]
+        classes.append(np.stack([gather[f] for f in (0, 3, 4, 5, 2, 1)]))
+    pair = np.indices((d,) * 4).reshape(4, -1)
+    same = np.sort(weight[pair[:2]], axis=0) == np.sort(weight[pair[2:]], axis=0)
+    conserved = same.all(axis=0) & ((charge[pair[:2]].sum(0) - charge[pair[2:]].sum(0)) % n == 0)
+    return tuple(classes), np.flatnonzero(~conserved)
+
+
+def _squares(x: np.ndarray) -> np.ndarray:
+    """Sum of the squared moduli of each ``x[t]``."""
+    v = x.view(np.float64).reshape(len(x), 1, -1)
+    return np.matmul(v, v.transpose(0, 2, 1)).ravel()
+
+
+def _sector_sides(part: np.ndarray, gather: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Both sides on the sectors ``gather`` of :func:`_sector_plan` for
+    each trial of the flattened stacks ``part``, as [t, sector, i, j]."""
+    block = lambda f: np.take(part, gather[f], axis=1)
+    x = block(1) @ block(2)
+    lhs = block(0) @ x
     del x
-    # R13 S12 as [c', a, c, b, a', b'] one c' at a time, then S23 with its
-    # columns as (c, b)
-    r13 = r13.transpose(0, 4, 1, 2, 3).reshape(k, d, d * d, d)
-    s12 = s12.reshape(k, m, d, d**3)
-    s23 = s23.reshape(k, m, d, d, d, d).transpose(0, 1, 2, 3, 5, 4)
-    s23 = s23.reshape(k, m, 1, d * d, d * d)
-    rhs = np.empty((k, d, m, n, d * d, d * d), dtype=complex)
-    for c in range(d):
-        y = np.matmul(r13[:, c], s12[:, c // n]).reshape(k, m, n, d * d, d * d)
-        np.matmul(s23, y, out=rhs[:, c])
-    rhs = rhs.reshape((k,) + (d,) * 6).transpose(0, 2, 3, 4, 5, 6, 1)
-    return lhs.reshape((k,) + (d,) * 6), rhs
+    y = block(4) @ block(5)
+    return lhs, block(3) @ y
 
 
-def _exchange_residuals(r: np.ndarray, shifted: np.ndarray) -> np.ndarray:
-    """:func:`relative_residual` of each trial's :func:`_exchange_sides`.
+#: Entries (512 KiB) that a chunk of an exchange contraction holds at once:
+#: per trial, the four blocks of the largest sector size that a side holds.
+_CHUNK_ENTRIES = 1 << 15
 
-    The trials are contracted in chunks whose sides hold no more entries
-    than the stacks given, so the contraction never outgrows the build.
+
+def _exchange_residuals(stack: np.ndarray) -> np.ndarray:
+    """:func:`relative_residual` of ``R12 S13 R23 = S23 R13 S12`` on three
+    sites of dimension d, for each trial of a stack.
+
+    ``stack[t, p]`` holds trial t's matrices of pair p (12, 13, 23; rows
+    and columns ordered first site, second site): R at slot 0, and at slot
+    1 + i the shifted factor S that applies where the spectating site's
+    M-index is i.  The sides are the products of the factors' sector
+    blocks, which hold all of a factor's entries in its pair's pattern.
+    The norm of the entries outside it, exactly 0.0 on correct matrices,
+    bounds the residual from below, so that a leaked entry fails the check
+    whatever the matrices' scale.
     """
-    k, d6 = len(r), r.shape[-1] ** 3
-    chunk = max(1, (r.size + shifted.size) // d6)
-    out = np.empty(k)
+    k, _, slots = stack.shape[:3]
+    d = math.isqrt(stack.shape[-1])
+    classes, outside = _sector_plan(slots - 1, d // (slots - 1))
+    flat = stack.reshape(k, -1)
+    chunk = max(1, _CHUNK_ENTRIES // (4 * max(g[0].size for g in classes)))
+    # squared norms of each trial's sides, of their difference and of its
+    # matrices' entries outside their pattern
+    total = np.zeros((k, 4))
     for at in range(0, k, chunk):
-        lhs, rhs = _exchange_sides(r[at : at + chunk], shifted[at : at + chunk])
-        out[at : at + chunk] = [relative_residual(a, b) for a, b in zip(lhs, rhs)]
-        # freed before the next chunk's sides are formed
-        del lhs, rhs
-    return out
+        part, here = flat[at : at + chunk], total[at : at + chunk]
+        here[:, 3] = _squares(np.take(part.reshape(len(part), 3 * slots, -1), outside, axis=2))
+        for gather in classes:
+            lhs, rhs = _sector_sides(part, gather)
+            here[:, 0] += _squares(lhs)
+            here[:, 1] += _squares(rhs)
+            here[:, 2] += _squares(np.subtract(lhs, rhs, out=lhs))
+    norm = np.sqrt(total)
+    relative = norm[:, 2] / np.maximum(np.maximum(norm[:, 0], norm[:, 1]), 1.0)
+    return np.maximum(relative, norm[:, 3])
 
 
 def _trials(*values) -> tuple[list[np.ndarray], bool]:
@@ -264,7 +307,8 @@ def ybe_residual(hbar, z1, z2, z3, n: int, ctx: EllipticContext):
     (hbar, z1, z2, z3), scalar = _trials(hbar, z1, z2, z3)
     u = _pair_points(z1, z2, z3)
     r = r_bb(np.broadcast_to(hbar[:, None], u.shape), u, n, ctx)
-    return _as_given(_exchange_residuals(r, r[:, :, None]), scalar)
+    # every factor is its own shift at m = 1
+    return _as_given(_exchange_residuals(np.stack([r, r], axis=2)), scalar)
 
 
 def _triple_points(hbar, z1, z2, z3, q) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -287,7 +331,7 @@ def _dynamical_residuals(build, hbar, z1, z2, z3, q):
     (hbar, z1, z2, z3, _), scalar = _trials(hbar, z1, z2, z3, q[..., 0])
     stack = build(*_triple_points(hbar, z1, z2, z3, q))
     stack = stack.reshape(len(hbar), 3, q.shape[-1] + 1, *stack.shape[1:])
-    return _as_given(_exchange_residuals(stack[:, :, 0], stack[:, :, 1:]), scalar)
+    return _as_given(_exchange_residuals(stack), scalar)
 
 
 def dybe_residual_felder(hbar, z1, z2, z3, q, ctx: EllipticContext):

@@ -4,6 +4,10 @@ import json
 import subprocess
 import sys
 
+import pytest
+
+from ellrmx import cli
+
 BASE = [sys.executable, "-m", "ellrmx.cli"]
 
 
@@ -80,6 +84,16 @@ class TestExitCodes:
         assert proc.stderr.splitlines() == [
             f"ellrmx: cannot write report to {tmp_path}: Is a directory"
         ]
+
+    @pytest.mark.parametrize("where", ["missing-directory", "directory"])
+    def test_unwritable_report_fails_before_any_check(self, monkeypatch, capsys, tmp_path, where):
+        out = tmp_path / "missing" / "r.json" if where == "missing-directory" else tmp_path
+        calls = []
+        monkeypatch.setattr(cli, "run_check", lambda cfg: calls.append(cfg))
+        assert cli.main(["fay", "--trials", "1", "--out", str(out)]) == 2
+        assert calls == []
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.splitlines()) == 1
 
     def test_sampling_error_is_two(self):
         proc = run_cli("ybe", "--hbar", "0,0", "--trials", "1")

@@ -15,6 +15,14 @@ size repeats its first.
   a scale on part of the arguments does not.
 - One entry of the vertex R-matrix blocks (``rmatrix._bb_blocks``) scaled
   by 1 + 1e-6.
+- 1e-6 added to one entry outside the weight/charge pattern of every
+  built R-matrix (``r_bb``, ``r_felder`` and ``r_slnm``): row (0, 0),
+  column (0, 1) of the pair's sites, which changes the second site's
+  N-index (its M-index at n = 1).  The exchange sides meet such an entry
+  only where a factor's spectator changes, as the dense sides did, and it
+  moves ``dybe-slnm`` at (3, 2) by less than the tolerance; the residuals'
+  lower bound, the mass of every matrix outside its pattern, fails each
+  case.
 - The first gamma of the Sklyanin theta prefactors scaled by 1 + 1e-6.  A
   uniform scale of E1 cancels and does not fail ``sklyanin-rep``.
 - The first term of every relation of one reference family
@@ -62,6 +70,18 @@ def scaled_bb_entry(monkeypatch):
         return out
 
     monkeypatch.setattr(rmatrix, "_bb_blocks", patched)
+
+
+def leaked_entry(monkeypatch):
+    for name in ("r_bb", "r_felder", "r_slnm"):
+        build = getattr(rmatrix, name)
+
+        def patched(*args, build=build):
+            out = build(*args)
+            out[..., 0, 1] += DEFECT - 1
+            return out
+
+        monkeypatch.setattr(rmatrix, name, patched)
 
 
 def scaled_prefactor(monkeypatch):
@@ -131,6 +151,12 @@ CASES = [
 ]
 
 
+# (check, n, m) that an entry leaked from the pattern fails
+LEAK_CASES = [
+    ("ybe", 2, 2), ("ybe", 3, 2), ("dybe-slnm", 2, 2), ("dybe-slnm", 3, 2), ("dybe-felder", 3, 3)
+]
+
+
 # (check, n, m, family)
 FAMILY_CASES = [
     (check, n, m, family)
@@ -159,6 +185,13 @@ def test_every_check_but_bb_reduce_has_a_defect():
 def test_defect_fails_the_check(monkeypatch, check, n, m, defect):
     assert verdict(check, n, m)
     defect(monkeypatch)
+    assert not verdict(check, n, m)
+
+
+@pytest.mark.parametrize("check,n,m", LEAK_CASES, ids=[f"{c}-{n}x{m}" for c, n, m in LEAK_CASES])
+def test_leaked_entry_fails_the_exchange_check(monkeypatch, check, n, m):
+    assert verdict(check, n, m)
+    leaked_entry(monkeypatch)
     assert not verdict(check, n, m)
 
 

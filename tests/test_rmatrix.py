@@ -32,7 +32,8 @@ from ellrmx.tensor import (
 )
 from ellrmx.rmatrix import (
     DynamicalParams,
-    _exchange_sides,
+    _sector_plan,
+    _sector_sides,
     _triple_points,
     bb_l_operator_rll_residual,
     dybe_residual_felder,
@@ -443,20 +444,25 @@ def triple_points(hbar, z, q):
     return _triple_points(np.array([hbar]), *(np.array([v]) for v in z), np.array(q))
 
 
-def site_local_sides(kind, hbar, z, q, n, ctx):
-    """Both sides as the residuals compute them, one stacked build each,
-    for a stack of one trial."""
+def exchange_stack(kind, hbar, z, q, n, ctx):
+    """The stack the residual of ``kind`` contracts, for one trial."""
     if kind == "ybe":
         r = r_bb(hbar, np.array([[z[0] - z[1], z[0] - z[2], z[1] - z[2]]]), n, ctx)
-        lhs, rhs = _exchange_sides(r, r[:, :, None])
+        return np.stack([r, r], axis=2)
+    if kind == "felder":
+        stack = r_felder(*triple_points(hbar, z, q), ctx)
     else:
-        if kind == "felder":
-            stack = r_felder(*triple_points(hbar, z, q), ctx)
-        else:
-            stack = r_slnm(*triple_points(hbar, z, q), n, ctx)
-        stack = stack.reshape(1, 3, len(q) + 1, *stack.shape[1:])
-        lhs, rhs = _exchange_sides(stack[:, :, 0], stack[:, :, 1:])
-    return lhs[0], rhs[0]
+        stack = r_slnm(*triple_points(hbar, z, q), n, ctx)
+    return stack.reshape(1, 3, len(q) + 1, *stack.shape[1:])
+
+
+def sector_triples(gather, m, d):
+    """The triples (a d^2 + b d + c) of each sector of a plan class, read
+    off the diagonals of its R12 and R13 blocks: (a, b) and (a, c)."""
+    diag = np.arange(gather.shape[-1])
+    ab = gather[0][:, diag, diag] // d**2
+    ac = (gather[4][:, diag, diag] - (m + 1) * d**4) // d**2
+    return ab * d + ac % d
 
 
 def residual_of(kind, hbar, z, q, n, ctx):
@@ -509,21 +515,42 @@ class TestShiftedR:
         assert np.array_equal(total, np.eye(6))
 
 
-class TestSiteLocalSides:
+class TestSectorSides:
     @pytest.mark.parametrize("tau", [TAU, SKEW])
     @pytest.mark.parametrize("kind,n,m", SIDE_CASES)
-    def test_sides_match_the_dense_oracle(self, kind, n, m, tau):
+    def test_sector_blocks_match_the_dense_oracle(self, kind, n, m, tau):
         ctx = EllipticContext(tau)
         rng = np.random.default_rng(200 + 10 * n + m)
         hbar, q, z = sample_point_set(rng, m, n, tau=tau)
-        d = n if kind == "ybe" else m * n
-        got = site_local_sides(kind, hbar, z, q, n, ctx)
-        want = dense_sides(kind, hbar, z, q, n, ctx)
-        for side, dense in zip(got, want):
-            side = side.reshape(d**3, d**3)
-            assert np.linalg.norm(side - dense) <= 1e-14 * np.linalg.norm(dense)
-        assert relative_residual(*want) <= 1e-12
-        assert residual_of(kind, hbar, z, q, n, ctx) == relative_residual(*got)
+        d = m * n
+        classes, _ = _sector_plan(m, n)
+        stack = exchange_stack(kind, hbar, z, q, n, ctx)
+        part = stack.reshape(1, -1)
+        triples = [sector_triples(gather, m, d) for gather in classes]
+        # every triple in exactly one sector; m n sectors of n^2 triples,
+        # m (m - 1) n of 3 n^2 and C(m, 3) n of 6 n^2
+        assert np.array_equal(np.sort(np.concatenate([t.ravel() for t in triples])), np.arange(d**3))
+        sizes = {t.shape[1]: len(t) for t in triples}
+        want_sizes = {n * n: m * n, 3 * n * n: m * (m - 1) * n, 6 * n * n: math.comb(m, 3) * n}
+        assert sizes == {s: k for s, k in want_sizes.items() if k}
+        sectors = sum(sizes.values())
+        assert sectors == math.comb(m + 2, 3) * n
+        label = np.empty(d**3, dtype=int)
+        label[np.concatenate([t.reshape(-1) for t in triples])] = np.repeat(
+            np.arange(sectors), [t.shape[1] for t in triples for _ in t]
+        )
+        off = label[:, None] != label[None, :]
+        dense = dense_sides(kind, hbar, z, q, n, ctx)
+        assert all(np.all(side[off] == 0) for side in dense)
+        for gather, tri in zip(classes, triples):
+            for side, want in zip(_sector_sides(part, gather), dense):
+                for block, rows in zip(side[0], tri):
+                    oracle = want[np.ix_(rows, rows)]
+                    assert np.linalg.norm(block - oracle) <= 1e-14 * np.linalg.norm(oracle)
+        # relative_residual overwrites the left side
+        residual = relative_residual(*dense)
+        assert residual <= 1e-12
+        assert abs(residual_of(kind, hbar, z, q, n, ctx) - residual) <= 1e-15
 
     @pytest.mark.parametrize(
         "kind,n,m", [("ybe", 2, 1), ("ybe", 3, 1), ("felder", 1, 2), ("felder", 1, 3)]
