@@ -24,7 +24,8 @@ one ``dybe-felder`` trial at m = 3 and 6 and one ``ybe`` trial at n = 4.
 Two cases run a whole check through ``run_single`` at tau = 5.3+0.3i,
 where the trials of ``relations`` and ``tv-reduce`` are evaluated
 together: ten ``relations`` trials at (2, 2) and ten ``tv-reduce`` trials
-at m = 2.
+at m = 2.  One more runs ten ``tv-reduce`` trials at m = 4 at the default
+tau, where each TV set holds 192 relations of rank 120.
 Three more run ten trials of ``ybe`` at n = 3, ``dybe-felder`` at m = 2
 and ``sklyanin-rep`` at n = 3 through ``run_single`` at the default tau,
 where each check evaluates its trials together.  Three time ``rll``: two
@@ -177,6 +178,11 @@ def test_relations_ten_trials_2x2_skew_tau(benchmark):
 def test_tv_reduce_ten_trials_m2_skew_tau(benchmark):
     cfg = CheckConfig(check="tv-reduce", m=2, tau=SKEW_CTX.tau, trials=10)
     benchmark(run_single, cfg, "tv-reduce", SKEW_CTX)
+
+
+def test_tv_reduce_ten_trials_m4(benchmark):
+    cfg = CheckConfig(check="tv-reduce", m=4, trials=10)
+    benchmark(run_single, cfg, "tv-reduce", CTX)
 
 
 def test_ybe_ten_trials_n3(benchmark):

@@ -37,7 +37,6 @@ from .ncalgebra import (
     relation_vectors_reference,
     rll_defect,
     rll_trial_bytes,
-    span_equal,
     span_rank,
 )
 from .relations import tv_relations
@@ -102,14 +101,14 @@ class CheckConfig:
             raise ConfigError(f"unknown check {self.check!r}")
         if self.n < 1 or self.m < 1:
             raise ConfigError("n and m must be positive")
-        if self.n * self.m > MAX_SITES:
-            raise ConfigError(
-                f"n*m = {self.n * self.m} exceeds the desk-scale bound {MAX_SITES}"
-            )
-        need = rll_trial_bytes(self.n, self.m)
+        # one check is guarded at the sizes it runs at, not at those it pins
+        eff = self if self.check == "all" else _effective_config(self, self.check)
+        if eff.n * eff.m > MAX_SITES:
+            raise ConfigError(f"n*m = {eff.n * eff.m} exceeds the desk-scale bound {MAX_SITES}")
+        need = rll_trial_bytes(eff.n, eff.m)
         if self.check in ("rll", "all") and need > RLL_MEMORY:
             raise ConfigError(
-                f"an rll trial at n={self.n} m={self.m} would take about"
+                f"an rll trial at n={eff.n} m={eff.m} would take about"
                 f" {need / 2**30:.1f} GB, over the {RLL_MEMORY / 2**30:.0f} GB bound"
             )
         if not cmath.isfinite(self.tau):
@@ -323,10 +322,12 @@ def _tv_run(
     families = relation_vectors_reference(1, cfg.m, batch, ctx)
     tv = tv_relations(cfg.m, q1, [p.q2 for p in batch], hbar, ctx)
     reductions = slnm_reduction_residual_n1(hbar, [zs[0] for _, zs in draws], q1, ctx)
-    metrics = span_equal(families, tv, SPAN_TOL)
+    # b(TV) bounds the gap of the TV set to the families, as in rll; the
+    # families' rank is then read from the SVDs that gave their bases
+    bounds = span_bound(tv, families)
     return [
-        (max(metric, float(reduction)), rank)
-        for (_, metric), rank, reduction in zip(metrics, span_rank(families), reductions)
+        (max(bound, float(reduction)), rank)
+        for bound, rank, reduction in zip(bounds, span_rank(families), reductions)
     ]
 
 
@@ -338,14 +339,6 @@ def _bb_run(cfg: CheckConfig, draws: list[Draw], ctx: EllipticContext) -> list:
 RunFn = Callable[[CheckConfig, list[Draw], EllipticContext], list[tuple[float, int | None]]]
 
 
-def _kernel_terms(points: int, x_values: int, n: int) -> int:
-    """Entries of the vertex blocks of an R-matrix stack build: ``points``
-    spectral parameters, each with ``x_values`` kernel shifts and n^4
-    entries apiece, summed over the n^2 characteristics in place (see
-    ``rmatrix._bb_blocks``)."""
-    return points * x_values * n**4
-
-
 class Runner(NamedTuple):
     """One check: its draw, where its poles are, how it evaluates a batch
     and how it is judged.
@@ -353,7 +346,7 @@ class Runner(NamedTuple):
     ``run`` maps a list of draws to their (residual, rank-or-None)
     outcomes, in order, evaluating them together.  ``trial_terms`` sizes
     one trial's largest array (see :func:`batch_size`): the relation terms
-    of a family build, the vertex blocks of an R-matrix stack, the
+    of a family build, the entries of an R-matrix stack, the
     Eisenstein letters of the Sklyanin constants, or the terms of the two
     defect tables of an rll trial.
 
@@ -408,17 +401,18 @@ def _exchange_poles(z1: complex, z2: complex, z3: complex) -> tuple[complex, ...
     return z1 - z2, z1 - z3, z2 - z3, z1, z2
 
 
-# The exchange checks build three pairs per identity, each at q and at its
-# m shifts: a composite pair's vertex blocks take hbar and the m (m - 1)
-# coordinate differences, and a Felder stack holds m^4 entries per pair.
-# Their sector contraction is chunked apart, within ``rmatrix``'s own
-# budget, so it does not size a batch.
+# An exchange trial holds its R-matrix stack: three vertex matrices of n^4
+# entries for ybe (two for bb-reduce), and for a dynamical check three
+# pairs per identity, each at q and at its m shifts, of (mn)^4 entries on
+# composite sites and m^4 for Felder's.  Their sector contraction is
+# chunked apart, within ``rmatrix``'s own budget, so it does not size a
+# batch.
 # A Fay trial takes 17 kernel arguments.  An rll trial gathers two defect
 # tables of about d^4 n^3 terms each (see ``rll_trial_bytes``).  Append a
 # new check last: a check's position seeds its trials.
 _RUNNERS: dict[str, Runner] = {
     "ybe": Runner(
-        _ybe_run, lambda cfg: _kernel_terms(3, 1, cfg.n),
+        _ybe_run, lambda cfg: 3 * cfg.n**4,
         points=3, poles=_exchange_poles, dynamical=False,
     ),
     "dybe-felder": Runner(
@@ -426,7 +420,7 @@ _RUNNERS: dict[str, Runner] = {
         points=3, poles=_exchange_poles, refined=False, depth=1,
     ),
     "dybe-slnm": Runner(
-        _slnm_run, lambda cfg: _kernel_terms(3 * (cfg.m + 1), 1 + cfg.m * (cfg.m - 1), cfg.n),
+        _slnm_run, lambda cfg: 3 * (cfg.m + 1) * (cfg.m * cfg.n) ** 4,
         points=3, poles=lambda z1, z2, z3: (z1 - z2, z1 - z3, z2 - z3), depth=1,
     ),
     "rll": Runner(
@@ -451,7 +445,7 @@ _RUNNERS: dict[str, Runner] = {
         tol=SPAN_TOL, pin={"n": 1},
     ),
     "bb-reduce": Runner(
-        _bb_run, lambda cfg: _kernel_terms(2, 1, cfg.n),
+        _bb_run, lambda cfg: 2 * cfg.n**4,
         points=1, poles=lambda u: (u,), dynamical=False, pin={"m": 1},
     ),
 }

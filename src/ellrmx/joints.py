@@ -4,14 +4,18 @@ relation sets over the joint components of their patterns.
 A leaf module of array helpers for :mod:`ellrmx.spans`: it reads a set's
 ``width``, ``components``, ``blocks``, ``data``, ``bases`` and
 ``basis_data`` and nothing else.  Two sets are compared joint component
-by joint component, both ways, or one way (the first set's rows on the
-second's bases), and the joints of one shape across many pairs of sets go
-through one stacked BLAS or LAPACK call, each matrix exactly as alone.
+by joint component in one direction, the first set's rows (or bases) on
+the second's bases, and the joints of one shape across many pairs of sets
+go through one stacked BLAS or LAPACK call, each matrix exactly as alone.
+:func:`compare` hands back each pair's values and the callers reduce
+them: :func:`ellrmx.spans.span_bound` sums their squares, and
+:func:`ellrmx.spans.span_equal` and :func:`ellrmx.spans.span_gap` take
+the worst of both directions.  No check calls those two; they stay only
+because the benchmark's tracer wraps them.
 """
 
 from __future__ import annotations
 
-import math
 from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
@@ -134,34 +138,30 @@ def _index(pieces: tuple, slot: np.ndarray, shape: tuple, bases: bool) -> np.nda
 
 
 def _plan(
-    a: RelationSet, b: RelationSet, mode: str
-) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """The stacks of matrices that compare two sets in a :func:`compare`
-    ``mode``, one joint shape at a time: for each side (the first alone,
-    if "one-sided") and each shape of the joints where that side has rows
-    (bases, if "gap"), the side, and the :func:`_index` of its rows
-    (bases) and of the other side's bases."""
-    gap, one_sided = mode == "gap", mode == "one-sided"
+    a: RelationSet, b: RelationSet, bases: bool
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The stacks of matrices that compare the first set's rows (bases, if
+    ``bases``) with the second set's bases, one shape of the joints where
+    the first set has them at a time: the :func:`_index` of each side."""
     joints, positions, widths = _joints(a, b)
     sides = []
-    for s, joint, position, read in zip((a, b), joints, positions, (not one_sided, True)):
+    for s, joint, position, read in zip((a, b), joints, positions, (bases, True)):
         h, w = np.array([block.shape for block in s.blocks], dtype=int).reshape(-1, 2).T
         r = np.array([q.shape[1] for q in s.bases] if read else [0] * h.size, dtype=int)
         (row_at, height), (col_at, rank) = (offsets(joint, v, widths.size) for v in (h, r))
         sides.append(((joint, position, h, w, r, row_at, col_at), height, rank))
-    for side in (0,) if one_sided else (0, 1):
-        (own, height, rank), (far, _, far_rank) = sides[side], sides[1 - side]
-        size = rank if gap else height
-        keys = np.stack([size, widths, far_rank], axis=1)
-        used = np.flatnonzero(size > 0)
-        used = used[np.lexsort(keys[used].T[::-1])]
-        cuts = np.flatnonzero(np.any(np.diff(keys[used], axis=0), axis=1)) + 1
-        for members in np.split(used, cuts) if used.size else []:
-            slot = np.full(len(keys), -1)
-            slot[members] = np.arange(members.size)
-            count, (rows, cols, width) = members.size, keys[members[0]]
-            mine = _index(own, slot, (count, cols, rows) if gap else (count, rows, cols), gap)
-            yield side, mine, _index(far, slot, (count, cols, width), True)
+    (own, height, rank), (far, _, far_rank) = sides
+    size = rank if bases else height
+    keys = np.stack([size, widths, far_rank], axis=1)
+    used = np.flatnonzero(size > 0)
+    used = used[np.lexsort(keys[used].T[::-1])]
+    cuts = np.flatnonzero(np.any(np.diff(keys[used], axis=0), axis=1)) + 1
+    for members in np.split(used, cuts) if used.size else []:
+        slot = np.full(len(keys), -1)
+        slot[members] = np.arange(members.size)
+        count, (rows, cols, width) = members.size, keys[members[0]]
+        mine = _index(own, slot, (count, cols, rows) if bases else (count, rows, cols), bases)
+        yield mine, _index(far, slot, (count, cols, width), True)
 
 
 def _gather(sources: list[np.ndarray], index: np.ndarray, lo: int, hi: int) -> np.ndarray:
@@ -191,55 +191,53 @@ def _gap(q: np.ndarray, other: np.ndarray) -> np.ndarray:
     return np.linalg.norm(res, 2, axis=(1, 2))
 
 
-def compare(pairs: list[tuple[RelationSet, RelationSet]], mode: str) -> list[float]:
-    """For each pair of sets, over their joints: in ``mode`` "inclusion",
-    the worst :func:`_residuals` both ways; in "gap", the worst
-    :func:`_gap` both ways; in "one-sided", the sum (``math.fsum``, which
-    no grouping moves) of the squared :func:`_residuals` of the first
-    set's rows on the second set's bases.
+def compare(
+    pairs: list[tuple[RelationSet, RelationSet]], bases: bool = False
+) -> list[np.ndarray]:
+    """For each pair of sets, over their joints: the :func:`_residuals` of
+    the first set's rows on the second set's bases, one per row of the
+    first set, or with ``bases`` the :func:`_gap` of the first set's bases
+    to the second's, one per joint where the first set has any.  Each
+    pair's values come in stack order, not in row order.  Against an empty
+    second set every value is exactly 1; an empty first set has none.
 
-    Pairs whose sets have the same layouts and basis widths share one
+    Pairs whose sets have the same layouts and read basis widths share one
     :func:`_plan`; their stacks of one shape go through one call per
     ``STACK`` bytes, each matrix through the BLAS and LAPACK calls that
-    its joint alone would take.  A pair with an empty side reads exactly
-    1, or 0 if both sides are empty.
+    its joint alone would take.
     """
-    gap, one_sided = mode == "gap", mode == "one-sided"
     shared: dict[tuple, list[int]] = {}
     for t, pair in enumerate(pairs):
         if pair[0].width != pair[1].width:
             raise ValueError("vector dimensions differ between the two sets")
-        # a one-sided comparison reads no bases of the first set
-        widths = [tuple(q.shape[1] for q in s.bases) for s in pair[one_sided:]]
+        # the first set's bases are read only with ``bases``
+        widths = [tuple(q.shape[1] for q in s.bases) for s in pair[not bases :]]
         key = (id(pair[0].components), id(pair[1].components), *widths)
         shared.setdefault(key, []).append(t)
-    # every row residual (or gap) found, and the pair it belongs to
+    # every value found, and the pair it belongs to
     owners: list[np.ndarray] = [np.zeros(0, dtype=int)]
     found: list[np.ndarray] = [np.zeros(0)]
     for members in shared.values():
         a, b = pairs[members[0]]
         if not (a.components and b.components):
             # the key holds the layouts, so every member has the same sides empty
-            owners.append(np.asarray(members))
-            found.append(np.full(len(members), float(bool(a.components or b.components))))
+            count = sum(q.shape[1] > 0 for q in a.bases) if bases else a.size
+            owners.append(np.repeat(members, count))
+            found.append(np.ones(len(members) * count))
             continue
-        for side, mine, theirs in _plan(a, b, mode):
-            own = [pairs[t][side].basis_data if gap else pairs[t][side].data for t in members]
-            far = [pairs[t][1 - side].basis_data for t in members]
+        own = [pairs[t][0].basis_data if bases else pairs[t][0].data for t in members]
+        far = [pairs[t][1].basis_data for t in members]
+        for mine, theirs in _plan(a, b, bases):
             total = len(members) * len(mine)
             step = max(1, STACK // (16 * (mine[0].size + theirs[0].size)))
             for lo in range(0, total, step):
                 hi = min(lo + step, total)
                 stacks = _gather(own, mine, lo, hi), _gather(far, theirs, lo, hi)
-                values = (_gap if gap else _residuals)(*stacks)
+                values = (_gap if bases else _residuals)(*stacks)
                 owner = np.asarray(members)[np.arange(lo, hi) // len(mine)]
                 owners.append(np.repeat(owner, values.size // owner.size))
                 found.append(values.ravel())
     owner, value = np.concatenate(owners), np.concatenate(found)
-    if not one_sided:
-        worst = np.zeros(len(pairs))
-        np.maximum.at(worst, owner, value)
-        return worst.tolist()
     order = np.argsort(owner, kind="stable")
-    cuts = np.searchsorted(owner[order], np.arange(1, len(pairs)))
-    return [math.fsum(v) for v in np.split(value[order] ** 2, cuts)]
+    value, cuts = value[order], np.searchsorted(owner[order], np.arange(len(pairs) + 1))
+    return [value[lo:hi] for lo, hi in zip(cuts, cuts[1:])]

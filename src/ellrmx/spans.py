@@ -10,14 +10,15 @@ angles of two spans, and the one-sided bound of :func:`span_bound`, all
 come from one small SVD per component.  The span functions stack those
 SVDs, one LAPACK call per block shape across every component of every set
 they are given, and compare sets over the joint components of their
-patterns with :func:`ellrmx.joints.compare`.  ``rll`` certifies each
-defect set with :func:`span_bound` against the reference set alone;
-:func:`span_gap` is kept as library API that no check calls.  Every
-relation set is built from its (row, word, value) terms with
-:meth:`RelationSet.from_terms`, the sets of many trials of the same terms
-together.  It is the one place that decides which rows a set has: a row
-with no nonzero term is dropped, so callers hand it every row they build,
-exact zeros included.
+patterns with :func:`ellrmx.joints.compare`.  :func:`span_bound` is the
+one span certificate: ``rll`` bounds each defect set against the
+reference set, ``tv-reduce`` the TV set against the families.  No check
+calls :func:`span_equal` or :func:`span_gap`; they stay only because the
+benchmark's tracer wraps them.  Every relation set is built from its
+(row, word, value) terms with :meth:`RelationSet.from_terms`, the sets of
+many trials of the same terms together.  It is the one place that decides
+which rows a set has: a row with no nonzero term is dropped, so callers
+hand it every row they build, exact zeros included.
 """
 
 from __future__ import annotations
@@ -294,6 +295,13 @@ def span_rank(vectors: RelationSet | Sequence[RelationSet]) -> int | list[int]:
     return ranks[0] if isinstance(vectors, RelationSet) else ranks
 
 
+def _worst(pairs: list[tuple[RelationSet, RelationSet]], bases: bool) -> list[float]:
+    """The largest :func:`ellrmx.joints.compare` value of each pair, taken
+    both ways (0 if neither way has one)."""
+    there, back = compare(pairs, bases), compare([(b, a) for a, b in pairs], bases)
+    return [float(np.concatenate([x, y]).max(initial=0.0)) for x, y in zip(there, back)]
+
+
 def span_equal(
     a: RelationSet | Sequence[RelationSet], b: RelationSet | Sequence[RelationSet], tol: float
 ) -> tuple[bool, float] | list[tuple[bool, float]]:
@@ -311,7 +319,7 @@ def span_equal(
     single = isinstance(a, RelationSet)
     pairs = [(a, b)] if single else list(zip(a, b, strict=True))
     _factor([s for pair in pairs for s in pair], vectors=True)
-    out = [(worst < tol, worst) for worst in compare(pairs, "inclusion")]
+    out = [(worst < tol, worst) for worst in _worst(pairs, bases=False)]
     return out[0] if single else out
 
 
@@ -326,13 +334,12 @@ def span_gap(
     if both are empty.  Both bases are block diagonal over the joint
     components, so the 2-norm is the largest over the blocks.  Given two
     sequences of sets, the gap of each pair, stacked as in
-    :func:`span_equal`.  No check calls it: ``rll`` bounds the gap with
-    :func:`span_bound` instead.
+    :func:`span_equal`.  No check calls it: :func:`span_bound` bounds it.
     """
     single = isinstance(a, RelationSet)
     pairs = [(a, b)] if single else list(zip(a, b, strict=True))
     _factor([s for pair in pairs for s in pair], vectors=True)
-    gaps = compare(pairs, "gap")
+    gaps = _worst(pairs, bases=True)
     return gaps[0] if single else gaps
 
 
@@ -348,7 +355,7 @@ def span_bound(
     _factor([s for s, _ in pairs], vectors=False)
     _factor([r for _, r in pairs], vectors=True)
     bounds = [
-        math.sqrt(sq) / s.floor if s.rank == r.rank > 0 else float(s.rank != r.rank)
-        for (s, r), sq in zip(pairs, compare(pairs, "one-sided"))
+        math.sqrt(math.fsum(v**2)) / s.floor if s.rank == r.rank > 0 else float(s.rank != r.rank)
+        for (s, r), v in zip(pairs, compare(pairs))
     ]
     return bounds[0] if single else bounds

@@ -90,8 +90,8 @@ CORNERS = [
     ),
     (
         "tv-reduce", 2, 3,
-        "3794119ebdfa54f11a21f5448e6a1d28ee4b680c5a6c69567eeedfcc7c8cd2f9",
-        "7ce2e829758dc7ee1abd3086e08a76da8cb10e0a12420ab395f676fde323a6d1",
+        "beb41a3be953292a2769c224e90c78cdada36dec1d36ee5423c3bccec2abe7c0",
+        "31882f495da595a88083483c55fbe91183c1b11f18f11ae921bf263cf2b49e8d",
     ),
     (
         "sklyanin-rep", 6, 2,
@@ -130,6 +130,17 @@ class TestConfigValidation:
                 with pytest.raises(ConfigError, match="1 GB"):
                     CheckConfig(check=check, n=n, m=m).validate()
             CheckConfig(check="relations", n=n, m=m).validate()
+
+    def test_pinned_sizes_are_not_guarded(self):
+        # a check is guarded at the sizes it runs at; all runs every check
+        # at the sizes given
+        for check, n, m in (("tv-reduce", 12, 2), ("bb-reduce", 2, 7)):
+            CheckConfig(check=check, n=n, m=m).validate()
+            with pytest.raises(ConfigError, match="exceeds"):
+                CheckConfig(check="all", n=n, m=m).validate()
+        for check, n, m in (("tv-reduce", 1, 13), ("bb-reduce", 13, 1)):
+            with pytest.raises(ConfigError, match=r"n\*m = 13 exceeds"):
+                CheckConfig(check=check, n=n, m=m).validate()
 
     def test_tau_floor_enforced(self):
         with pytest.raises(ConfigError, match="convergence floor"):
@@ -308,10 +319,11 @@ class TestSpanChecks:
         # families and the TV relations, relations the reference set.  Each
         # component block of each set is factored once, in stacked SVD
         # calls: with vectors where the check reads the set's bases (the
-        # rll reference, both tv-reduce sets), values alone where it reads
-        # only the rank and its floor (the rll defect sets, the relations
-        # set).  Every rank is read from those; a later inclusion or gap
-        # factors each values-only block once more, with vectors.
+        # rll reference, the tv-reduce families), values alone where it
+        # reads only the rank and its floor (the rll defect sets, the TV
+        # relations, the relations set).  Every rank is read from those; a
+        # later inclusion or gap factors each values-only block once more,
+        # with vectors.
         svd = np.linalg.svd
         seen = []
         compared: dict[int, RelationSet] = {}
@@ -329,7 +341,7 @@ class TestSpanChecks:
 
             return wrapped
 
-        for name in ("span_rank", "span_equal", "span_bound"):
+        for name in ("span_rank", "span_bound"):
             monkeypatch.setattr(checks, name, recording(getattr(checks, name)))
         monkeypatch.setattr(np.linalg, "svd", counting)
         run_one(check, trials=1)
@@ -337,7 +349,7 @@ class TestSpanChecks:
         with_vectors = [s for s in compared.values() if "bases" in vars(s)]
         values_only = [s for s in compared.values() if "bases" not in vars(s)]
         assert (len(with_vectors), len(values_only)) == {
-            "rll": (1, 2), "tv-reduce": (2, 0), "relations": (0, 1)
+            "rll": (1, 2), "tv-reduce": (1, 1), "relations": (0, 1)
         }[check]
 
         def factored(calls, uv):
@@ -475,11 +487,12 @@ class TestTrialBatches:
 
     def test_exchange_contraction_stays_within_one_trials_peak(self):
         # Ten (3, 2) trials build together, and their sector contraction
-        # runs in chunks of its own budget: the batch peaks below the
-        # 2.8 MiB that one trial traced when each trial was built and
-        # contracted alone on the dense three-site sides.
+        # runs in chunks of its own budget: they peak below the 2.8 MiB
+        # that one trial traced when each trial was built and contracted
+        # alone on the dense three-site sides.  A batch, sized by the
+        # trials' R-matrix stacks, holds five of them.
         cfg, draws, ctx = draws_of("dybe-slnm", 10, n=3, m=2)
-        assert checks.batch_size(cfg, "dybe-slnm") >= 10
+        assert checks.batch_size(cfg, "dybe-slnm") == 5
         run = checks._RUNNERS["dybe-slnm"].run
         run(cfg, draws, ctx)
         tracemalloc.start()
@@ -489,6 +502,22 @@ class TestTrialBatches:
         finally:
             tracemalloc.stop()
         assert peak <= 2.8 * 2**20
+
+    def test_a_batch_is_sized_by_the_stacks_it_holds(self):
+        # A dybe-slnm trial at (2, 6) holds 3 (m + 1) (mn)^4 = 435,456
+        # stack entries, over the batch budget: twelve trials run one at a
+        # time and peak as one does, where batches of six peaked at 3.6x.
+        def peak(trials):
+            cfg = CheckConfig("dybe-slnm", n=2, m=6, trials=trials)
+            tracemalloc.start()
+            try:
+                checks.run_single(cfg, "dybe-slnm", EllipticContext(cfg.tau))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1)  # the sector plan is cached, out of both readings
+        assert peak(12) <= 1.5 * peak(1)
 
     def test_a_large_trial_runs_alone(self):
         assert checks.batch_size(CheckConfig("relations", n=6, m=2), "relations") == 1
@@ -581,8 +610,8 @@ class TestAllAndReports:
     @pytest.mark.parametrize(
         ("tau", "digest"),
         [
-            (0.3 + 0.8j, "b87ba15a1c65d118e164badb03b2f6b7641787453fb7933a65ca5682c1d38fa8"),
-            (5.3 + 0.3j, "267e99bc737e8b977785399106ec5ff726d76b9efdfcb942ee02812b1c0f6ca4"),
+            (0.3 + 0.8j, "4adefa5ff8e1cdd326a7987aa24439011f07a81a042cce274f12a02acb9ca921"),
+            (5.3 + 0.3j, "1d012dfb4e47220823b1004eaa2eb2e3439ef2f49a594b6f56429c40724f1fe2"),
         ],
         ids=["default-tau", "skew-tau"],
     )

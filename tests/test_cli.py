@@ -47,6 +47,16 @@ class TestExitCodes:
         assert proc.returncode == 0, proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_pinned_sizes_are_not_guarded(self):
+        # tv-reduce runs at n = 1 and bb-reduce at m = 1, whatever is asked
+        cases = (("tv-reduce", "12", "2", "n=1 m=2"), ("bb-reduce", "2", "7", "n=2 m=1"))
+        for check, n, m, runs in cases:
+            proc = run_cli(check, "--n", n, "--m", m, "--trials", "1")
+            assert proc.returncode == 0, proc.stderr
+            assert runs in proc.stdout
+            proc = run_cli("all", "--n", n, "--m", m, "--trials", "1")
+            assert proc.returncode == 2 and "exceeds" in proc.stderr
+
     def test_shallow_tau_is_two(self):
         proc = run_cli("ybe", "--tau", "0.5,0.1")
         assert proc.returncode == 2

@@ -7,8 +7,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ellrmx import ncalgebra
-from ellrmx.checks import _RUNNERS, CheckConfig, _trial_seed
+from ellrmx import checks, ncalgebra
+from ellrmx.checks import _RUNNERS, SPAN_TOL, CheckConfig, _trial_seed
 from ellrmx.elliptic import (
     EllipticContext,
     LatticeIndex,
@@ -35,6 +35,7 @@ from ellrmx.relations import (
     slnm_family_coeffs,
     tv_relations,
 )
+from ellrmx.joints import compare
 from ellrmx.rmatrix import DynamicalParams, r_slnm
 from ellrmx.sampling import sample_params
 from ellrmx.spans import span_bound
@@ -1241,6 +1242,16 @@ class TestStackedComparisons:
         self.assert_oracle([a, b, a], [b, a, dense_set(a_rows[::-1])])
 
 
+def tv_trials(m: int, count: int = 4) -> tuple[list, list]:
+    """The families and the TV relations of the first ``count`` seed-42
+    tv-reduce draws at the default tau."""
+    spec = _RUNNERS["tv-reduce"].spec(CheckConfig(check="tv-reduce", n=1, m=m))
+    batch = [sample_params(_trial_seed(42, "tv-reduce", t), spec, CTX)[0] for t in range(count)]
+    q1, q2, hbar = ([getattr(p, k) for p in batch] for k in ("q1", "q2", "hbar"))
+    families = relation_vectors_reference(1, m, batch, CTX)
+    return list(families), list(tv_relations(m, q1, q2, hbar, CTX))
+
+
 def dense_bound(a: RelationSet, b: RelationSet) -> float:
     """The one-sided bound from dense rows: the Frobenius norm of a's unit
     rows off b's span over a's smallest kept singular value, 1.0 if the
@@ -1361,6 +1372,62 @@ class TestSpanBound:
         assert ranked.floor == pytest.approx(sv[17], rel=1e-12)
         assert len(factored.bases) == 6 and factored.floor == pytest.approx(sv[17], rel=1e-12)
         assert dense_set(np.zeros((0, 48))).floor == 0.0
+
+
+class TestTVCertificate:
+    """``tv-reduce`` certifies each TV set with ``span_bound`` against the
+    families, as ``rll`` does each defect set against the reference."""
+
+    def run_with(self, monkeypatch, m, change):
+        """Three tv-reduce trials with each TV set passed through
+        ``change``, and the families and changed sets the runner compared."""
+        seen = {}
+
+        def record(name, build):
+            def wrapped(*args):
+                seen[name] = build(*args)
+                return seen[name]
+
+            monkeypatch.setattr(checks, name, wrapped)
+
+        record("relation_vectors_reference", relation_vectors_reference)
+        record("tv_relations", lambda *args: tuple(map(change, tv_relations(*args))))
+        rep = checks.run_single(CheckConfig("tv-reduce", m=m, trials=3), "tv-reduce", CTX)
+        return rep, seen["relation_vectors_reference"], seen["tv_relations"]
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_a_dropped_relation_reads_one(self, monkeypatch, m):
+        # a relation alone in its component spans a direction no other one
+        # does: without it the ranks differ
+        def drop(tv):
+            alone = next(rows[0] for rows, _ in tv.components if rows.size == 1)
+            return dense_set(np.delete(dense_rows(tv), alone, axis=0))
+
+        rep, families, _ = self.run_with(monkeypatch, m, drop)
+        assert rep.residuals == (1.0,) * 3 and not rep.passed
+        assert rep.rank == span_rank(families[0]) == flat_ranks(1, m)
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_a_turned_span_reads_at_least_its_gap(self, monkeypatch, m):
+        rng = np.random.default_rng(42)
+        rep, families, turned = self.run_with(monkeypatch, m, lambda tv: rotated(tv, 1e-6, rng))
+        assert not rep.passed
+        for residual, tv, family in zip(rep.residuals, turned, families, strict=True):
+            assert residual >= dense_gap(tv, family) and residual > SPAN_TOL
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_compare_reads_one_residual_per_row_of_the_first_set(self, m):
+        # on spans turned by about 1e-6, so that the residuals are not roundoff
+        families, tvs = tv_trials(m)
+        rng = np.random.default_rng(43)
+        turned = [rotated(tv, 1e-6, rng) for tv in tvs]
+        for firsts, seconds in ((turned, families), (families, turned)):
+            got = compare(list(zip(firsts, seconds)))
+            assert [v.shape for v in got] == [(len(a),) for a in firsts]
+            for values, a, b in zip(got, firsts, seconds):
+                rows, basis = dense_rows(a).T, dense_basis(b)
+                dense = np.linalg.norm(rows - basis @ (basis.conj().T @ rows), axis=0)
+                assert np.sort(values) == pytest.approx(np.sort(dense), rel=1e-6)
 
 
 def traced_peak(fn, *args) -> int:
