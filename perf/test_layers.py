@@ -28,10 +28,10 @@ at m = 2.  One more runs ten ``tv-reduce`` trials at m = 4 at the default
 tau, where each TV set holds 192 relations of rank 120.
 Three more run ten trials of ``ybe`` at n = 3, ``dybe-felder`` at m = 2
 and ``sklyanin-rep`` at n = 3 through ``run_single`` at the default tau,
-where each check evaluates its trials together.  Three time ``rll``: two
+where each check evaluates its trials together.  Four time ``rll``: two
 trials at (2, 2) through ``run_single`` (one batch: one reference build,
-one gather of the four points, stacked comparisons), and one trial at
-(2, 3) and at (3, 3) through the runner.  One times the sampling layer:
+one gather of the four points, stacked comparisons), and one trial each
+at (2, 3), (3, 3) and (4, 3) through the runner.  One times the sampling layer:
 the 80 draws of the ``skew-tau`` workload (the eight non-``rll`` checks'
 specs, ten trials each) through ``sample_params``.
 Trials are drawn and run through the check's runner (``_RUNNERS``), which
@@ -211,6 +211,10 @@ def test_rll_trial_2x3(benchmark):
 
 def test_rll_trial_3x3(benchmark):
     benchmark(one_trial("rll", 3, 3))
+
+
+def test_rll_trial_4x3(benchmark):
+    benchmark(one_trial("rll", 4, 3))
 
 
 def test_sample_params_skew_tau_80_trials(benchmark):

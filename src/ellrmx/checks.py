@@ -270,12 +270,12 @@ def _rll_run(cfg: CheckConfig, draws: list[Draw], ctx: EllipticContext) -> list:
     # comparisons, nor through the reference build
     del tables
     references = relation_vectors_reference(n, m, batch, ctx)
-    # b(D) = ||(I - P_R) D^H||_F / sigma_r(D) bounds the gap of defect set D to
-    # the reference R (1.0 if their ranks differ), and b(D1) + b(D2) that of D1 to D2
+    # b(D) = ||(I - P_R) D^H||_F / sigma_r(D conj(Q_R)) bounds the gap of defect set D to
+    # R (1.0 if that rank r is not R's), b(D1) + b(D2) that of D1 to D2; a trial reports D1's r
     bounds = span_bound(defects, [r for r in references for _ in (0, 1)])
     return [
-        (max(bounds[2 * t] + bounds[2 * t + 1], variations[t]), rank)
-        for t, rank in enumerate(span_rank(defects[0::2]))
+        (max(bounds[t][0] + bounds[t + 1][0], variations[t // 2]), bounds[t][1])
+        for t in range(0, len(bounds), 2)
     ]
 
 
@@ -327,7 +327,7 @@ def _tv_run(
     bounds = span_bound(tv, families)
     return [
         (max(bound, float(reduction)), rank)
-        for bound, rank, reduction in zip(bounds, span_rank(families), reductions)
+        for (bound, _), rank, reduction in zip(bounds, span_rank(families), reductions)
     ]
 
 

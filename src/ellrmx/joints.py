@@ -7,11 +7,10 @@ A leaf module of array helpers for :mod:`ellrmx.spans`: it reads a set's
 by joint component in one direction, the first set's rows (or bases) on
 the second's bases, and the joints of one shape across many pairs of sets
 go through one stacked BLAS or LAPACK call, each matrix exactly as alone.
-:func:`compare` hands back each pair's values and the callers reduce
-them: :func:`ellrmx.spans.span_bound` sums their squares, and
-:func:`ellrmx.spans.span_equal` and :func:`ellrmx.spans.span_gap` take
-the worst of both directions.  No check calls those two; they stay only
-because the benchmark's tracer wraps them.
+:func:`compare` hands back each pair's values and the singular values of
+the projections' coefficients C: :func:`ellrmx.spans.span_bound` sums the
+values' squares over C's floor, and the two other span functions take the
+worst value of both directions.
 """
 
 from __future__ import annotations
@@ -177,34 +176,55 @@ def _gather(sources: list[np.ndarray], index: np.ndarray, lo: int, hi: int) -> n
     return out
 
 
-def _residuals(v: np.ndarray, basis: np.ndarray) -> np.ndarray:
+def _residuals(v: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Relative residual of each row of each matrix of ``v`` after
-    projection onto the columns of the matching ``basis``."""
-    res = v - (v @ basis.conj()) @ basis.swapaxes(1, 2)
-    return np.linalg.norm(res, axis=2) / np.linalg.norm(v, axis=2)
+    projection onto the columns of the matching ``basis``, and the
+    projection's coefficients."""
+    c = v @ basis.conj()
+    res = v - c @ basis.swapaxes(1, 2)
+    return np.linalg.norm(res, axis=2) / np.linalg.norm(v, axis=2), c
 
 
-def _gap(q: np.ndarray, other: np.ndarray) -> np.ndarray:
+def _gap(q: np.ndarray, other: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """2-norm of the part of each matrix of ``q`` off the column span of
-    the matching ``other``."""
-    res = q - other @ (other.conj().swapaxes(1, 2) @ q)
-    return np.linalg.norm(res, 2, axis=(1, 2))
+    the matching ``other``, and the projection's coefficients."""
+    c = other.conj().swapaxes(1, 2) @ q
+    return np.linalg.norm(q - other @ c, 2, axis=(1, 2)), c
+
+
+def stacked_svd(stack: np.ndarray, vectors: bool) -> list:
+    """Singular values of each matrix of a stack, with its right singular
+    vectors (as rows) if ``vectors``.  A stack that LAPACK fails to
+    converge on goes a matrix at a time, and such a matrix as its adjoint."""
+    try:
+        result = np.linalg.svd(stack, full_matrices=False, compute_uv=vectors)
+    except np.linalg.LinAlgError:
+        if len(stack) > 1:
+            return [r for block in stack for r in stacked_svd(block[None], vectors)]
+        adjoint = stack.conj().swapaxes(1, 2)
+        if not vectors:
+            return list(np.linalg.svd(adjoint, compute_uv=False))
+        u, sv, _ = np.linalg.svd(adjoint, full_matrices=False)
+        return [(sv[0], u[0].conj().T)]
+    return list(zip(*result[1:])) if vectors else list(result)
 
 
 def compare(
     pairs: list[tuple[RelationSet, RelationSet]], bases: bool = False
-) -> list[np.ndarray]:
+) -> list[tuple[np.ndarray, np.ndarray]]:
     """For each pair of sets, over their joints: the :func:`_residuals` of
     the first set's rows on the second set's bases, one per row of the
     first set, or with ``bases`` the :func:`_gap` of the first set's bases
-    to the second's, one per joint where the first set has any.  Each
-    pair's values come in stack order, not in row order.  Against an empty
-    second set every value is exactly 1; an empty first set has none.
+    to the second's, one per joint where the first set has any; and the
+    singular values of those projections' coefficients C.  Each pair's
+    values come in stack order, not in row order.  Against an empty second
+    set every value is exactly 1 (and there is no C); an empty first set
+    has none.
 
     Pairs whose sets have the same layouts and read basis widths share one
     :func:`_plan`; their stacks of one shape go through one call per
     ``STACK`` bytes, each matrix through the BLAS and LAPACK calls that
-    its joint alone would take.
+    its joint alone would take, Cs included.
     """
     shared: dict[tuple, list[int]] = {}
     for t, pair in enumerate(pairs):
@@ -214,30 +234,29 @@ def compare(
         widths = [tuple(q.shape[1] for q in s.bases) for s in pair[not bases :]]
         key = (id(pair[0].components), id(pair[1].components), *widths)
         shared.setdefault(key, []).append(t)
-    # every value found, and the pair it belongs to
-    owners: list[np.ndarray] = [np.zeros(0, dtype=int)]
-    found: list[np.ndarray] = [np.zeros(0)]
+    # each pair's values and singular values
+    found = [([np.zeros(0)], [np.zeros(0)]) for _ in pairs]
     for members in shared.values():
         a, b = pairs[members[0]]
         if not (a.components and b.components):
             # the key holds the layouts, so every member has the same sides empty
             count = sum(q.shape[1] > 0 for q in a.bases) if bases else a.size
-            owners.append(np.repeat(members, count))
-            found.append(np.ones(len(members) * count))
+            for t in members:
+                found[t][0].append(np.ones(count))
             continue
         own = [pairs[t][0].basis_data if bases else pairs[t][0].data for t in members]
         far = [pairs[t][1].basis_data for t in members]
         for mine, theirs in _plan(a, b, bases):
-            total = len(members) * len(mine)
+            n, total = len(mine), len(members) * len(mine)
             step = max(1, STACK // (16 * (mine[0].size + theirs[0].size)))
             for lo in range(0, total, step):
                 hi = min(lo + step, total)
-                stacks = _gather(own, mine, lo, hi), _gather(far, theirs, lo, hi)
-                values = (_gap if bases else _residuals)(*stacks)
-                owner = np.asarray(members)[np.arange(lo, hi) // len(mine)]
-                owners.append(np.repeat(owner, values.size // owner.size))
-                found.append(values.ravel())
-    owner, value = np.concatenate(owners), np.concatenate(found)
-    order = np.argsort(owner, kind="stable")
-    value, cuts = value[order], np.searchsorted(owner[order], np.arange(len(pairs) + 1))
-    return [value[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+                values, c = (_gap if bases else _residuals)(
+                    _gather(own, mine, lo, hi), _gather(far, theirs, lo, hi)
+                )
+                sv = np.array(stacked_svd(c, vectors=False))
+                for k in range(lo // n, (hi - 1) // n + 1):
+                    part = slice(max(lo, k * n) - lo, min(hi, k * n + n) - lo)
+                    for side, got in zip(found[members[k]], (values, sv)):
+                        side.append(got[part].ravel())
+    return [(np.concatenate(v), np.concatenate(sv)) for v, sv in found]

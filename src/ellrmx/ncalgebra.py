@@ -20,10 +20,10 @@ identically, or a reference relation that is exactly zero.  The relations
 are graded, so almost every coefficient is zero: each set is built and
 held as its terms only, becomes a :class:`ellrmx.spans.RelationSet`, and
 is compared there against the closed-form relation families of
-:mod:`ellrmx.relations` (rank, and the one-sided bound of
-:func:`ellrmx.spans.span_bound`).  A defect table is a plain value that
-carries the point it was built at: whoever builds it holds it for as long
-as the defect set and the factorization components are read from it, and
+:mod:`ellrmx.relations` by :func:`ellrmx.spans.span_bound`, which never
+factors the defect set.  A defect table is a plain value that carries the
+point it was built at: whoever builds it holds it for as long as the
+defect set and the factorization components are read from it, and
 nothing keeps it longer.
 """
 

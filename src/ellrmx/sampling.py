@@ -137,9 +137,10 @@ def sample_params(
         params = DynamicalParams(q1, q2, hbar)
         if admissible(spec, params, zs, ctx):
             return params, zs
+    fixed = f", or the fixed hbar={spec.hbar:g} lies near a pole" if spec.hbar is not None else ""
     raise SamplingError(
         f"no admissible sample after {MAX_REJECTIONS} rejections; "
-        "the constraint set is infeasible at this tau"
+        f"the constraint set is infeasible at this tau{fixed}"
     )
 
 

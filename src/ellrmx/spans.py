@@ -6,17 +6,17 @@ words.  A set of them therefore splits into the connected components of
 its nonzero pattern, with disjoint word supports.  A :class:`RelationSet`
 keeps only those components, each as a small dense block, so that no
 array runs over all words; the rank, mutual inclusion and principal
-angles of two spans, and the one-sided bound of :func:`span_bound`, all
-come from one small SVD per component.  The span functions stack those
-SVDs, one LAPACK call per block shape across every component of every set
-they are given, and compare sets over the joint components of their
-patterns with :func:`ellrmx.joints.compare`.  :func:`span_bound` is the
-one span certificate: ``rll`` bounds each defect set against the
-reference set, ``tv-reduce`` the TV set against the families.  No check
-calls :func:`span_equal` or :func:`span_gap`; they stay only because the
-benchmark's tracer wraps them.  Every relation set is built from its
-(row, word, value) terms with :meth:`RelationSet.from_terms`, the sets of
-many trials of the same terms together.  It is the one place that decides
+angles of two spans all come from one small SVD per component.  The span
+functions stack those SVDs, one LAPACK call per block shape across every
+component of every set they are given, and compare sets over the joint
+components of their patterns with :func:`ellrmx.joints.compare`.
+:func:`span_bound` is the one span certificate: ``rll`` bounds each
+defect set against the reference set, ``tv-reduce`` the TV set against
+the families.  No check calls :func:`span_equal` or :func:`span_gap`;
+they stay only because the benchmark's tracer wraps them.  Every relation
+set is built from its (row, word, value) terms with
+:meth:`RelationSet.from_terms`, the sets of many trials of the same terms
+together.  It is the one place that decides
 which rows a set has: a row with no nonzero term is dropped, so callers
 hand it every row they build, exact zeros included.
 """
@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .joints import STACK, compare, distinct, group_by, join_columns, offsets
+from .joints import STACK, compare, distinct, group_by, join_columns, offsets, stacked_svd
 
 #: A sum whose modulus is at most this share of its terms' scale (their
 #: summed moduli, or the largest of them) cancels identically: a word of
@@ -53,9 +53,9 @@ class RelationSet:
     those columns, as views of ``data``, which holds the blocks one after
     another and then one zero.  Components have disjoint column supports,
     so the span is the direct sum of theirs; each takes one small thin
-    SVD, on first use, and is cached: values alone if only the rank and
-    its floor are read, and once more with vectors when the bases are
-    first needed.  An empty set (the 1 x 1 exchange relation is an exact
+    SVD, on first use, and is cached: values alone if only the rank is
+    read, and once more with vectors when the bases are first needed.
+    An empty set (the 1 x 1 exchange relation is an exact
     identity) has rank 0; it lies at gap 0 from another empty set and at
     gap 1 from any other (see :func:`span_equal`, :func:`span_gap` and
     :func:`span_bound`).
@@ -151,12 +151,6 @@ class RelationSet:
         _factor([self], vectors=False)
         return self.rank
 
-    @functools.cached_property
-    def floor(self) -> float:
-        """The smallest singular value that :attr:`rank` counts (0.0 at rank 0)."""
-        _factor([self], vectors=False)
-        return self.floor
-
 
 def term_norms(rows: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
     """2-norms of the ``size`` rows whose terms are given, over any leading
@@ -217,38 +211,19 @@ def _svds(blocks: Sequence[np.ndarray], vectors: bool) -> list:
         for start in range(0, len(members), step):
             part = members[start : start + step]
             stack = np.stack([blocks[k] for k in part]) if len(part) > 1 else blocks[part[0]][None]
-            for k, result in zip(part, _svd(stack, vectors)):
+            for k, result in zip(part, stacked_svd(stack, vectors)):
                 out[k] = result
     return out
 
 
-def _svd(stack: np.ndarray, vectors: bool) -> list:
-    """:func:`_svds` of a stack of blocks of one shape.  LAPACK's
-    divide-and-conquer SVD can fail to converge on a block and not on its
-    adjoint, whose left vectors are the block's right ones; a stack that
-    fails is taken a block at a time."""
-    try:
-        result = np.linalg.svd(stack, full_matrices=False, compute_uv=vectors)
-    except np.linalg.LinAlgError:
-        if len(stack) > 1:
-            return [r for block in stack for r in _svd(block[None], vectors)]
-        adjoint = stack.conj().swapaxes(1, 2)
-        if not vectors:
-            return list(np.linalg.svd(adjoint, compute_uv=False))
-        u, sv, _ = np.linalg.svd(adjoint, full_matrices=False)
-        return [(sv[0], u[0].conj().T)]
-    return list(zip(*result[1:])) if vectors else list(result)
-
-
-def _cutoff(values: Sequence[np.ndarray]) -> float:
+def _cutoff(values: np.ndarray) -> float:
     """The rank cutoff of a set whose blocks have these singular values."""
-    return 1e-8 * max((sv[0] for sv in values), default=0.0)
+    return 1e-8 * values.max(initial=0.0)
 
 
-def _cut_bases(svds: list) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+def _cut_bases(svds: list, cutoff: float) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     """The component bases of a set from its blocks' :func:`_svds`, and
     the buffer they are views of (see :attr:`RelationSet.bases`)."""
-    cutoff = _cutoff([sv for sv, _ in svds])
     bases = [vh[: int(np.sum(sv > cutoff))].T for sv, vh in svds]
     data = np.zeros(sum(q.size for q in bases) + 1, dtype=complex)
     views = _views(data, [q.shape for q in bases])
@@ -264,25 +239,19 @@ def _views(data: np.ndarray, shapes: Sequence[tuple[int, int]]) -> tuple[np.ndar
     return tuple(data[e - h * w : e].reshape(h, w) for e, (h, w) in zip(ends, shapes))
 
 
-def _cut(values: list) -> tuple[int, float]:
-    """The rank and floor of a set from its blocks' singular values."""
-    every = np.concatenate([[0.0], *values])
-    kept = every[every > _cutoff(values)]
-    return kept.size, float(kept.min()) if kept.size else 0.0
-
-
 def _factor(sets: Sequence[RelationSet], vectors: bool) -> None:
-    """Caches the bases (with ``vectors``), rank and floor of every set that
-    lacks them, from the SVDs of all their blocks stacked together."""
+    """Caches the bases (with ``vectors``) and rank of every set that lacks
+    them, from the SVDs of all their blocks stacked together."""
     todo = [s for s in sets if ("bases" if vectors else "rank") not in vars(s)]
     todo = list({id(s): s for s in todo}.values())
     results = iter(_svds([b for s in todo for b in s.blocks], vectors))
     for s in todo:
         own = [next(results) for _ in s.blocks]
+        values = np.concatenate([[0.0], *(sv for sv, _ in own)] if vectors else [[0.0], *own])
+        cutoff = _cutoff(values)
         if vectors:
-            vars(s)["bases"], vars(s)["basis_data"] = _cut_bases(own)
-        if "rank" not in vars(s):
-            vars(s)["rank"], vars(s)["floor"] = _cut([sv for sv, _ in own] if vectors else own)
+            vars(s)["bases"], vars(s)["basis_data"] = _cut_bases(own, cutoff)
+        vars(s).setdefault("rank", int(np.sum(values > cutoff)))
 
 
 def span_rank(vectors: RelationSet | Sequence[RelationSet]) -> int | list[int]:
@@ -299,7 +268,7 @@ def _worst(pairs: list[tuple[RelationSet, RelationSet]], bases: bool) -> list[fl
     """The largest :func:`ellrmx.joints.compare` value of each pair, taken
     both ways (0 if neither way has one)."""
     there, back = compare(pairs, bases), compare([(b, a) for a, b in pairs], bases)
-    return [float(np.concatenate([x, y]).max(initial=0.0)) for x, y in zip(there, back)]
+    return [float(np.concatenate([x, y]).max(initial=0.0)) for (x, _), (y, _) in zip(there, back)]
 
 
 def span_equal(
@@ -345,17 +314,23 @@ def span_gap(
 
 def span_bound(
     a: RelationSet | Sequence[RelationSet], b: RelationSet | Sequence[RelationSet]
-) -> float | list[float]:
-    """Wedin's bound on :func:`span_gap` from one side: the Frobenius norm
-    of ``a``'s unit rows off the span of ``b`` over ``a.floor`` if the ranks
-    agree, else exactly 1 (0 if both are empty).  Only ``b`` takes vectors.
-    Given two sequences of sets, stacked as in :func:`span_equal`."""
+) -> tuple[float, int] | list[tuple[float, int]]:
+    """Wedin's bound on :func:`span_gap` from one side, and the rank r of
+    C = A conj(Q), ``a``'s unit rows A on ``b``'s bases Q: the Frobenius
+    norm of A off ``b``'s span over sigma_r(C) <= sigma_r(A), at most 1,
+    if r is ``b``'s rank, else exactly 1 (0 if both are empty).  If A has
+    rank above r, it bounds the gap of A's top r right singular vectors.
+    Only ``b`` is factored: r and sigma_r(C) are cut, as a rank is, from
+    :func:`ellrmx.joints.compare`'s values.  Given two sequences of sets,
+    stacked as in :func:`span_equal`."""
     single = isinstance(a, RelationSet)
     pairs = [(a, b)] if single else list(zip(a, b, strict=True))
-    _factor([s for s, _ in pairs], vectors=False)
     _factor([r for _, r in pairs], vectors=True)
-    bounds = [
-        math.sqrt(math.fsum(v**2)) / s.floor if s.rank == r.rank > 0 else float(s.rank != r.rank)
-        for (s, r), v in zip(pairs, compare(pairs))
-    ]
-    return bounds[0] if single else bounds
+    out = []
+    for (_, r), (res, sv) in zip(pairs, compare(pairs)):
+        kept = sv[sv > _cutoff(sv)]
+        # at rank 0 ``b`` is empty, and each row of ``a`` reads 1
+        floor = float(kept.min()) if kept.size else 1.0
+        bound = min(1.0, math.sqrt(math.fsum(res**2)) / floor) if kept.size == r.rank else 1.0
+        out.append((bound, kept.size))
+    return out[0] if single else out

@@ -5,6 +5,7 @@ import math
 import numpy as np
 
 from ellrmx.elliptic import LatticeIndex
+from ellrmx.spans import RelationSet
 
 
 def all_indices(n: int) -> list[LatticeIndex]:
@@ -35,3 +36,21 @@ def theta_series_30(u, tau: complex) -> tuple[np.ndarray, ...]:
     fac = (-1.0) ** (m + n) * np.exp(-1j * math.pi * tau * n * n - 2j * math.pi * n * u_red)
     w = 2j * math.pi * n
     return fac * t0, fac * (t1 - w * t0), fac * (t2 - 2 * w * t1 + w * w * t0)
+
+
+def with_excess_row(s: RelationSet) -> RelationSet:
+    """The set with one more row: its first row plus 1e-7 on the first
+    word that no row of the set touches, normalized.  Where the set spans
+    a reference without that word, the new row is a unit row with a
+    component of about 1e-7 off the reference span, and the rank grows by
+    one."""
+    pieces = list(zip(s.components, s.blocks))
+    touched = np.concatenate([cols for (_, cols), _ in pieces])
+    free = np.setdiff1d(np.arange(s.width), touched)[0]
+    (rows, cols), block = pieces[0]
+    rows = [np.repeat(r, c.size) for (r, c), _ in pieces] + [np.full(cols.size + 1, s.size)]
+    words = [np.tile(c, r.size) for (r, c), _ in pieces] + [np.append(cols, free)]
+    values = [b.ravel() for _, b in pieces] + [np.append(block[0], 1e-7)]
+    return RelationSet.from_terms(
+        *(np.concatenate(x) for x in (rows, words, values)), s.size + 1, s.width
+    )

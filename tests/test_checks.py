@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ellrmx import checks, ncalgebra
+from ellrmx import checks, ncalgebra, spans
 from ellrmx.checks import (
     CHECK_NAMES,
     CheckConfig,
@@ -45,18 +45,18 @@ CORNERS = [
     ),
     (
         "rll", 1, 2,
-        "51fbb10fcd5c84a3280ca2c6fa8936129c9bc3faf9c38d9fc5db2c6e350f3864",
-        "0b6ed27c5c1a815f13a52a47749aa20f6b84fe26287f107122861bf2564fd66c",
+        "a200397147b618cff781d94c22e306002461ee88971eaea54bde496baecaab3d",
+        "02884ca33b2bdb9c66d5b9705ab844f9450992d8efc1ad594b95daac46b07be7",
     ),
     (
         "rll", 2, 1,
-        "85c6f9a11d1b362c86b7eb7fc4758831034581ed2c7c8f013d099b33c9a3cdd8",
-        "63e7d97bcf375ef2375cffa6eee6e146b91f08039b9d0c3b1fd274c717835bb0",
+        "38f068b1ed743217053c0c3fd5377cbde33957c8342a876d00462cfc9751b637",
+        "80537066fef2f402c60398de3e1c9a45c5b1a443236c1314c013e62508ed168e",
     ),
     (
         "rll", 3, 1,
-        "42039ed2a7d4dacc9647768f2528eabaddc61bbf5072d4d061cb1f610eb2dab4",
-        "6e3666a1bf06fff44a99bac2611dda137962b87d0c95de431be58798812107d1",
+        "9d73070717dbe374e82aeaae4acdcfe3f6d2616c06b2d3ff31c192f515b54998",
+        "e02777efeac26e8b62d12ec5452247d8d454b39d396e1b526ac67a78f769be9f",
     ),
     (
         "relations", 1, 1,
@@ -90,8 +90,8 @@ CORNERS = [
     ),
     (
         "tv-reduce", 2, 3,
-        "beb41a3be953292a2769c224e90c78cdada36dec1d36ee5423c3bccec2abe7c0",
-        "31882f495da595a88083483c55fbe91183c1b11f18f11ae921bf263cf2b49e8d",
+        "40c69ae1c94ada6b22d22eb2b48a1856d59328e9da2a53c14f71a41e8c1508ee",
+        "e49b70754700de8a08c6b719a0399dc0e1c5d194d24bece330f75d3bd08323b8",
     ),
     (
         "sklyanin-rep", 6, 2,
@@ -317,20 +317,28 @@ class TestSpanChecks:
     def test_each_relation_set_is_decomposed_once(self, monkeypatch, check, sets):
         # rll holds two defect sets and the reference set, tv-reduce the
         # families and the TV relations, relations the reference set.  Each
-        # component block of each set is factored once, in stacked SVD
+        # component block of a set is factored at most once, in stacked SVD
         # calls: with vectors where the check reads the set's bases (the
         # rll reference, the tv-reduce families), values alone where it
-        # reads only the rank and its floor (the rll defect sets, the TV
-        # relations, the relations set).  Every rank is read from those; a
-        # later inclusion or gap factors each values-only block once more,
-        # with vectors.
-        svd = np.linalg.svd
-        seen = []
+        # reads only the rank (the relations set).  The first sets of
+        # span_bound (the rll defect sets, the TV relations) are not
+        # factored: their rank and floor come from one values-only SVD of
+        # each joint's coefficients C, and here each joint holds one of
+        # their components.  A later rank factors those sets, values only,
+        # and a later inclusion or gap each set without bases, with vectors.
+        svd, svds = np.linalg.svd, spans._svds
+        seen, products = [], []
         compared: dict[int, RelationSet] = {}
 
         def counting(a, *args, **kwargs):
-            seen.append((a.shape, kwargs.get("compute_uv", True)))
+            products.append(math.prod(a.shape[:-2]))
             return svd(a, *args, **kwargs)
+
+        def factoring(blocks, vectors):
+            seen.append((len(blocks), vectors))
+            with monkeypatch.context() as m:
+                m.setattr(np.linalg, "svd", svd)
+                return svds(blocks, vectors)
 
         def recording(fn):
             def wrapped(*args):
@@ -344,22 +352,30 @@ class TestSpanChecks:
         for name in ("span_rank", "span_bound"):
             monkeypatch.setattr(checks, name, recording(getattr(checks, name)))
         monkeypatch.setattr(np.linalg, "svd", counting)
+        monkeypatch.setattr(spans, "_svds", factoring)
         run_one(check, trials=1)
         assert len(compared) == sets
-        with_vectors = [s for s in compared.values() if "bases" in vars(s)]
-        values_only = [s for s in compared.values() if "bases" not in vars(s)]
-        assert (len(with_vectors), len(values_only)) == {
-            "rll": (1, 2), "tv-reduce": (1, 1), "relations": (0, 1)
+        cached = {id(s): vars(s).keys() & {"rank", "bases"} for s in compared.values()}
+        with_vectors = [s for s in compared.values() if "bases" in cached[id(s)]]
+        values_only = [s for s in compared.values() if cached[id(s)] == {"rank"}]
+        unfactored = [s for s in compared.values() if not cached[id(s)]]
+        assert (len(with_vectors), len(values_only), len(unfactored)) == {
+            "rll": (1, 0, 2), "tv-reduce": (1, 0, 1), "relations": (0, 1, 0)
         }[check]
 
         def factored(calls, uv):
-            return sum(math.prod(shape[:-2]) for shape, v in calls if v == uv)
+            return sum(count for count, v in calls if v == uv)
+
+        def components(group):
+            return sum(len(s.components) for s in group)
 
         for uv, group in ((True, with_vectors), (False, values_only)):
-            assert factored(seen, uv) == sum(len(s.components) for s in group), seen
+            assert factored(seen, uv) == components(group), seen
+        assert sum(products) == components(unfactored)
         done = len(seen)
         ranks = [span_rank(a) for a in compared.values()]
-        assert len(seen) == done
+        assert factored(seen[done:], False) == components(unfactored)
+        done = len(seen)
         for a in compared.values():
             for b in compared.values():
                 span_equal(a, b, 1e-8)
@@ -369,7 +385,7 @@ class TestSpanChecks:
         later = seen[done:]
         assert [span_rank(a) for a in compared.values()] == ranks
         assert factored(later, False) == 0, later
-        assert factored(later, True) == sum(len(s.components) for s in values_only), later
+        assert factored(later, True) == components(values_only + unfactored), later
 
 
 def draws_of(check: str, count: int, **kw) -> tuple[CheckConfig, list, EllipticContext]:
@@ -610,8 +626,8 @@ class TestAllAndReports:
     @pytest.mark.parametrize(
         ("tau", "digest"),
         [
-            (0.3 + 0.8j, "4adefa5ff8e1cdd326a7987aa24439011f07a81a042cce274f12a02acb9ca921"),
-            (5.3 + 0.3j, "1d012dfb4e47220823b1004eaa2eb2e3439ef2f49a594b6f56429c40724f1fe2"),
+            (0.3 + 0.8j, "882345e20bf01ec821f15cade22494a38339d57c10582501053d3a95085e8706"),
+            (5.3 + 0.3j, "9b04e84962a441ac7b8caeeb030ef502f6a91442935ccdb716d1ce775c5af0ce"),
         ],
         ids=["default-tau", "skew-tau"],
     )

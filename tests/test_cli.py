@@ -57,6 +57,11 @@ class TestExitCodes:
             proc = run_cli("all", "--n", n, "--m", m, "--trials", "1")
             assert proc.returncode == 2 and "exceeds" in proc.stderr
 
+    def test_fixed_hbar_on_a_pole_is_two_and_named(self):
+        proc = run_cli("ybe", "--hbar", "0,0", "--trials", "1")
+        assert proc.returncode == 2
+        assert "sampling error" in proc.stderr and "fixed hbar=0+0j" in proc.stderr
+
     def test_shallow_tau_is_two(self):
         proc = run_cli("ybe", "--tau", "0.5,0.1")
         assert proc.returncode == 2

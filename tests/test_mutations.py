@@ -33,6 +33,11 @@ size repeats its first.
   ``rll_defect`` that ``checks`` binds).  The rows left lie exactly in
   the reference span, so only the rank half of the ``rll`` certificate
   sees the defect: it fails at (2, 2) and (3, 1).
+- One row appended to every defect set: its first row plus 1e-7 on a
+  word off the reference span, so the set's rank exceeds the reference's
+  by one.  Its coefficients on the reference keep the reference's rank,
+  and the bound reads the 1e-7 over their floor: it fails at (2, 2) and
+  (3, 1).
 
 ``bb-reduce`` is left out: it compares the composite R-matrix at m = 1
 with the vertex one, and both are built from ``_bb_blocks``, so every
@@ -47,6 +52,7 @@ import pytest
 from ellrmx import checks, elliptic, ncalgebra, relations, rmatrix, sklyanin
 from ellrmx.checks import CHECK_NAMES, CheckConfig, run_check
 from ellrmx.spans import RelationSet
+from support import with_excess_row
 
 DEFECT = 1 + 1e-6
 
@@ -130,6 +136,12 @@ def dropped_component(monkeypatch):
     monkeypatch.setattr(checks, "rll_defect", patched)
 
 
+def excess_row(monkeypatch):
+    """Every defect set with one more row, about 1e-7 off the reference."""
+    defects = checks.rll_defect
+    monkeypatch.setattr(checks, "rll_defect", lambda t: tuple(map(with_excess_row, defects(t))))
+
+
 # (check, n, m, defect): each check but bb-reduce at (2, 2) and at one
 # other size (rll and relations take theirs from FAMILY_CASES)
 CASES = [
@@ -203,6 +215,16 @@ def test_dropped_defect_rows_fail_rll_on_rank_alone(monkeypatch, n, m):
     [report] = run.reports
     assert not run.passed and set(report.residuals) == {2.0}
     assert report.rank < checks._flat_rank(n, m)
+
+
+@pytest.mark.parametrize("n, m", [(2, 2), (3, 1)])
+def test_a_defect_rank_excess_fails_rll_on_the_bound(monkeypatch, n, m):
+    assert verdict("rll", n, m)
+    excess_row(monkeypatch)
+    run = run_check(CheckConfig(check="rll", n=n, m=m, trials=2))
+    [report] = run.reports
+    assert not run.passed and report.rank == checks._flat_rank(n, m)
+    assert all(report.tol < r < 1 for r in report.residuals)
 
 
 @pytest.mark.parametrize(

@@ -40,7 +40,7 @@ from ellrmx.rmatrix import DynamicalParams, r_slnm
 from ellrmx.sampling import sample_params
 from ellrmx.spans import span_bound
 from ellrmx.tensor import basis_t
-from support import all_indices
+from support import all_indices, with_excess_row
 
 TAU = 0.3 + 0.8j
 CTX = EllipticContext(TAU)
@@ -539,7 +539,8 @@ class TestSpanHelpers:
         assert shapes == [(18, 5, 8)]
         got = span_equal([dense_set(r) for r in rows], [dense_set(o) for o in other], 1e-8)
         assert got == metrics
-        assert shapes[1:] == [(18, 5, 8), (18, 4, 8)]
+        # then the joints' coefficients C, values only
+        assert shapes[1:3] == [(18, 5, 8), (18, 4, 8)]
 
     def test_trials_share_a_layout_only_where_their_zeros_agree(self):
         # three trials of the same terms; the second has an exact zero that
@@ -1254,14 +1255,14 @@ def tv_trials(m: int, count: int = 4) -> tuple[list, list]:
 
 def dense_bound(a: RelationSet, b: RelationSet) -> float:
     """The one-sided bound from dense rows: the Frobenius norm of a's unit
-    rows off b's span over a's smallest kept singular value, 1.0 if the
-    ranks differ."""
+    rows off b's span over the smallest kept singular value of their
+    coefficients C on b's basis, at most 1; 1.0 if C's rank is not b's."""
     rows, qb = dense_rows(a), dense_basis(b)
-    sv = np.linalg.svd(rows, compute_uv=False)
+    sv = np.linalg.svd(rows @ qb.conj(), compute_uv=False)
     kept = sv[sv > 1e-8 * sv[0]]
     if kept.size != qb.shape[1]:
         return 1.0
-    return float(np.linalg.norm(rows.T - qb @ (qb.conj().T @ rows.T)) / kept[-1])
+    return min(1.0, float(np.linalg.norm(rows.T - qb @ (qb.conj().T @ rows.T)) / kept[-1]))
 
 
 #: The error of a computed gap between spans that agree to roundoff: the
@@ -1289,9 +1290,10 @@ def rotated(s: RelationSet, angle: float, rng) -> RelationSet:
 
 class TestSpanBound:
     """``span_bound``, the one-sided certificate of ``rll``: a defect set's
-    rows projected onto the reference bases, over its smallest kept
-    singular value.  By Wedin's theorem it bounds the principal-angle gap
-    to the reference, and two sets' bounds sum to at least their gap."""
+    rows projected onto the reference bases, over the smallest kept
+    singular value of the projection's coefficients.  By Wedin's theorem
+    it bounds the principal-angle gap to the reference, and two sets'
+    bounds sum to at least their gap."""
 
     BLOCKS = TestDenseOracleParity.BLOCKS
     HALVES = TestDenseOracleParity.HALVES
@@ -1308,7 +1310,10 @@ class TestSpanBound:
         turned = [rotated(d, 1e-6, rng) for d in defects]
         twice = [r for r in references for _ in (0, 1)]
         for sets, slack in ((defects, GAP_ROUNDOFF), (turned, 0.0)):
-            bounds = span_bound(sets, twice)
+            bounds, ranks = zip(*span_bound(sets, twice))
+            # the first sets are never factored
+            assert not any({"rank", "bases"} & vars(d).keys() for d in sets)
+            assert ranks == (flat_ranks(n, m),) * len(sets)
             for t, reference in enumerate(references):
                 (d1, b1), (d2, b2) = zip(sets[2 * t : 2 * t + 2], bounds[2 * t : 2 * t + 2])
                 assert span_rank(d1) == span_rank(d2) == span_rank(reference) == flat_ranks(n, m)
@@ -1324,9 +1329,10 @@ class TestSpanBound:
         rng = np.random.default_rng(5)
         full = dense_set(block_rows(rng, self.BLOCKS, 5, 3))
         empty, other = dense_set(np.zeros((0, 48))), dense_set(np.zeros((0, 48)))
-        assert span_bound(empty, other) == span_bound(empty, empty) == 0.0
-        assert span_bound(empty, full) == span_bound(full, empty) == 1.0
-        assert span_bound([empty, full, empty], [other, empty, full]) == [0.0, 1.0, 1.0]
+        assert span_bound(empty, other) == span_bound(empty, empty) == (0.0, 0)
+        assert span_bound(empty, full) == span_bound(full, empty) == (1.0, 0)
+        got = span_bound([empty, full, empty], [other, empty, full])
+        assert got == [(0.0, 0), (1.0, 0), (1.0, 0)]
 
     def test_a_rank_mismatch_reads_one(self):
         # rows of two of the six blocks lie exactly in the whole span, and
@@ -1337,7 +1343,9 @@ class TestSpanBound:
         basis, inside = dense_basis(whole), dense_rows(part).T
         assert np.linalg.norm(inside - basis @ (basis.conj().T @ inside)) < 1e-12
         assert span_rank(part) < span_rank(whole)
-        assert span_bound(part, whole) == span_bound(whole, part) == 1.0
+        # the whole set's coefficients on the part's basis have the part's
+        # rank, and its rows off the part clamp the bound to 1
+        assert span_bound(part, whole) == span_bound(whole, part) == (1.0, span_rank(part))
 
     @pytest.mark.parametrize("seed", range(3))
     def test_dense_oracle_and_wedin_on_equal_ranks(self, seed):
@@ -1356,22 +1364,33 @@ class TestSpanBound:
         for b in others:
             assert span_rank(a) == span_rank(b) == 12
             for x, y in ((a, b), (b, a)):
-                assert span_bound(x, y) == pytest.approx(dense_bound(x, y), rel=1e-9, abs=1e-13)
-                assert span_bound(x, y) >= span_gap(x, y)
-        assert span_bound(a, others[0]) < 1e-13
-        assert span_bound(a, others[1]) > 0.1
+                bound, rank = span_bound(x, y)
+                assert bound == pytest.approx(dense_bound(x, y), rel=1e-9, abs=1e-13)
+                assert bound >= span_gap(x, y) and rank == 12
+        assert span_bound(a, others[0])[0] < 1e-13
+        assert span_bound(a, others[1])[0] > 0.1
         got = span_bound([a] * 3 + others, others + [a] * 3)
         assert got == [span_bound(x, y) for x, y in zip([a] * 3 + others, others + [a] * 3)]
 
-    def test_floor_is_the_smallest_kept_singular_value(self):
-        rng = np.random.default_rng(8)
-        rows = block_rows(rng, self.BLOCKS, 5, 3)
-        ranked, factored = dense_set(rows), dense_set(rows)
-        sv = np.linalg.svd(dense_rows(ranked), compute_uv=False)
-        assert span_rank(ranked) == 18 and "bases" not in vars(ranked)
-        assert ranked.floor == pytest.approx(sv[17], rel=1e-12)
-        assert len(factored.bases) == 6 and factored.floor == pytest.approx(sv[17], rel=1e-12)
-        assert dense_set(np.zeros((0, 48))).floor == 0.0
+    @pytest.mark.parametrize("nm", [(2, 2), (3, 1), (1, 3)])
+    def test_a_rank_excess_reads_above_the_tolerance(self, nm):
+        # one more row with about 1e-7 off the reference: the defect set's
+        # rank is r + 1, but its coefficients on the reference keep rank r,
+        # so the bound reads the 1e-7 over sigma_r(C), not 1.0.  span_gap
+        # counts the extra direction and reads 1; the bound covers the gap
+        # of the set's top r right singular vectors instead (Wedin).
+        n, m = nm
+        (point, _), ctx = rll_points(n, m, 0.3 + 0.8j, draws=1)
+        excess = with_excess_row(defects_at(n, m, *point, ctx))
+        reference = relation_vectors_reference(n, m, point[0], ctx)
+        bound, rank = span_bound(excess, reference)
+        assert rank == span_rank(reference) == span_rank(excess) - 1 == flat_ranks(n, m)
+        assert SPAN_TOL < bound <= 1
+        assert bound == pytest.approx(dense_bound(excess, reference), rel=1e-6)
+        top = np.linalg.svd(dense_rows(excess))[2][:rank].T
+        qb = dense_basis(reference)
+        assert bound >= np.linalg.norm(top - qb @ (qb.conj().T @ top), 2)
+        assert span_gap(excess, reference) == pytest.approx(1.0)
 
 
 class TestTVCertificate:
@@ -1423,11 +1442,14 @@ class TestTVCertificate:
         turned = [rotated(tv, 1e-6, rng) for tv in tvs]
         for firsts, seconds in ((turned, families), (families, turned)):
             got = compare(list(zip(firsts, seconds)))
-            assert [v.shape for v in got] == [(len(a),) for a in firsts]
-            for values, a, b in zip(got, firsts, seconds):
+            assert [v.shape for v, _ in got] == [(len(a),) for a in firsts]
+            for (values, sv), a, b in zip(got, firsts, seconds):
                 rows, basis = dense_rows(a).T, dense_basis(b)
                 dense = np.linalg.norm(rows - basis @ (basis.conj().T @ rows), axis=0)
                 assert np.sort(values) == pytest.approx(np.sort(dense), rel=1e-6)
+                # beside them, the singular values of C = A Q^*, joint by joint
+                dense = np.linalg.svd(rows.T @ basis.conj(), compute_uv=False)
+                assert np.sort(sv)[::-1][: basis.shape[1]] == pytest.approx(dense, rel=1e-9)
 
 
 def traced_peak(fn, *args) -> int:

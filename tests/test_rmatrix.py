@@ -1,7 +1,9 @@
 """Oracle tests for the R-matrix builders and their exchange identities.
 
 The N=2 vertex matrix is compared against a fully written-out four-term sum
-whose kernel values come from mpmath, not from this package.  Exchange
+whose kernel values come from mpmath, not from this package, and against
+Baxter's eight-vertex weights in mpmath's four Jacobi thetas, which share
+no code with the characteristic sum.  Exchange
 identities are exercised at small sizes with pole-avoiding random draws;
 exhaustive trial counts live in the acceptance suite.
 """
@@ -63,6 +65,24 @@ def phi_oracle(u, x, tau):
     return complex(thp0 * th(u + x) / (th(u) * th(x)))
 
 
+def eight_vertex(h, u, tau) -> np.ndarray:
+    """Baxter's eight-vertex matrix at Planck parameter ``h`` and spectral
+    parameter ``u``: with phi_k = theta_1'(0) theta_k(u + h) / (theta_1(u)
+    theta_k(h)), a = phi_1 + phi_2 on (00,00) and (11,11), b = phi_1 - phi_2
+    on (01,01) and (10,10), c = phi_3 + phi_4 on (01,10) and (10,01), and
+    d = phi_4 - phi_3 on (00,11) and (11,00)."""
+    q = mpmath.exp(1j * mpmath.pi * mpmath.mpc(tau))
+    th = lambda k, v: mpmath.jtheta(k, mpmath.pi * mpmath.mpc(v), q)
+    thp0 = mpmath.pi * mpmath.jtheta(1, 0, q, derivative=1)
+    phi = [complex(thp0 * th(k, u + h) / (th(1, u) * th(k, h))) for k in (1, 2, 3, 4)]
+    out = np.zeros((4, 4), dtype=complex)
+    out[0, 0] = out[3, 3] = phi[0] + phi[1]
+    out[1, 1] = out[2, 2] = phi[0] - phi[1]
+    out[1, 2] = out[2, 1] = phi[2] + phi[3]
+    out[0, 3] = out[3, 0] = phi[3] - phi[2]
+    return out
+
+
 def draw(rng, tau=TAU):
     return rng.uniform(0, 1) + (0.1 + 0.8 * rng.uniform()) * tau
 
@@ -119,6 +139,21 @@ class TestRbbAgainstOracle:
             expect += coeff * np.kron(t, tneg)
         got = r_bb(h, u, 2, ctx)
         assert np.max(np.abs(got - expect)) <= 1e-10 * np.max(np.abs(expect))
+
+    @pytest.mark.parametrize("tau", [TAU, 5.3 + 0.3j], ids=["default", "skew"])
+    def test_n2_is_the_eight_vertex_matrix(self, tau):
+        ctx = EllipticContext(tau)
+        rng = np.random.default_rng(11)
+        half_periods = [omega(a, ctx) for a in all_indices(2)]
+        drawn = 0
+        while drawn < 20:
+            h, u = draw(rng, tau), draw(rng, tau)
+            near = [u, u + h] + [h + w for w in half_periods]
+            if min(lattice_distance(v, tau) for v in near) < DELTA_MIN:
+                continue
+            drawn += 1
+            want = eight_vertex(h, u, tau)
+            assert np.max(np.abs(r_bb(h, u, 2, ctx) - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_negated_characteristic_factor_n2(self):
         # For N=2 the negated representatives reproduce the same matrices;

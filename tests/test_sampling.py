@@ -105,7 +105,7 @@ class TestConstraints:
 
     def test_infeasible_fixed_hbar_raises(self):
         spec = SampleSpec(m=1, hbar=0j, expressions=lambda p, z: [(p.hbar, 1)])
-        with pytest.raises(SamplingError):
+        with pytest.raises(SamplingError, match="fixed hbar=0"):
             sample_params(0, spec, CTX)
 
 
