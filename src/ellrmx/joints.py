@@ -194,8 +194,10 @@ def _gap(q: np.ndarray, other: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def stacked_svd(stack: np.ndarray, vectors: bool) -> list:
     """Singular values of each matrix of a stack, with its right singular
-    vectors (as rows) if ``vectors``.  A stack that LAPACK fails to
-    converge on goes a matrix at a time, and such a matrix as its adjoint."""
+    vectors (as rows) if ``vectors``.  LAPACK's divide-and-conquer SVD can
+    fail to converge on a matrix and not on its adjoint, whose left vectors
+    are the matrix's right ones; a stack that fails goes a matrix at a
+    time, and such a matrix as its adjoint."""
     try:
         result = np.linalg.svd(stack, full_matrices=False, compute_uv=vectors)
     except np.linalg.LinAlgError:

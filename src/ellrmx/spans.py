@@ -315,11 +315,11 @@ def span_gap(
 def span_bound(
     a: RelationSet | Sequence[RelationSet], b: RelationSet | Sequence[RelationSet]
 ) -> tuple[float, int] | list[tuple[float, int]]:
-    """Wedin's bound on :func:`span_gap` from one side, and the rank r of
-    C = A conj(Q), ``a``'s unit rows A on ``b``'s bases Q: the Frobenius
-    norm of A off ``b``'s span over sigma_r(C) <= sigma_r(A), at most 1,
-    if r is ``b``'s rank, else exactly 1 (0 if both are empty).  If A has
-    rank above r, it bounds the gap of A's top r right singular vectors.
+    """Wedin's bound on the gap between ``b``'s span and the top r right
+    singular vectors of ``a``'s unit rows A (:func:`span_gap` if A has
+    rank r), and r, the rank of C = A conj(Q) on ``b``'s bases Q: the
+    Frobenius norm of A off ``b``'s span over sigma_r(C) <= sigma_r(A), at
+    most 1, if r is ``b``'s rank, else exactly 1 (0 if both are empty).
     Only ``b`` is factored: r and sigma_r(C) are cut, as a rank is, from
     :func:`ellrmx.joints.compare`'s values.  Given two sequences of sets,
     stacked as in :func:`span_equal`."""

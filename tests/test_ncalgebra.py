@@ -539,8 +539,22 @@ class TestSpanHelpers:
         assert shapes == [(18, 5, 8)]
         got = span_equal([dense_set(r) for r in rows], [dense_set(o) for o in other], 1e-8)
         assert got == metrics
-        # then the joints' coefficients C, values only
-        assert shapes[1:3] == [(18, 5, 8), (18, 4, 8)]
+        # then the joints' coefficients C: no two pairs share a layout, so
+        # each pair and direction is one call, rows on bases 3 wide one way
+        # and 4 rows on bases of each set's width the other
+        assert shapes[1:] == [
+            (18, 5, 8), (18, 4, 8),
+            (6, 5, 3), (6, 5, 3), (6, 5, 3), (6, 4, 2), (6, 4, 3), (6, 4, 3),
+        ]
+        # pairs that share their layouts share the one C call of a shape
+        del shapes[:]
+
+        def trials(stack):
+            r, c = np.nonzero(stack[0])
+            return RelationSet.from_terms(r, c, [s[r, c] for s in stack], *stack[0].shape)
+
+        span_bound(trials(rows), trials(other))
+        assert shapes == [(18, 4, 8), (18, 5, 3)]
 
     def test_trials_share_a_layout_only_where_their_zeros_agree(self):
         # three trials of the same terms; the second has an exact zero that
