@@ -7,8 +7,9 @@ Take a pair interleaved: run the file on the parent, then on the change,
 then on the parent and the change again, and keep each side's better
 reading (the lower median) per case.  Running one side's suite after the
 other's reads host drift as a change.  Time a slow case, such as the
-(3, 3) ``rll`` trial, alone with ``-k`` as well: inside a whole-file run
-it reads slower than alone, on either side.
+(3, 3) ``rll`` trial, alone with ``-k`` as well: neither a whole-file run
+nor a run alone reads it more steadily than the other, so take at least
+four runs a side of each.
 
 These cases sit outside the tier-1 suite (``testpaths``) and outside the
 benchmark's ``bench/`` directory.  Each times one layer on fixed inputs at
@@ -16,8 +17,9 @@ the default tau: theta at one argument (a 0-d call), theta over 1,000
 arguments, the Kronecker kernel over 5 argument pairs (a 15-argument theta stack), the
 second Eisenstein function over 1,000 arguments, the reference relation
 set at (n, m) = (2, 2), (2, 4) and (6, 1), the coordinate-exchange set at
-m = 4, one defect set (``rll_defect`` of a table built every round) at
-(2, 3), one defect table (``defect_table``) at (3, 3), one
+m = 4, one defect set (``rll_defect`` of a table of one point built
+every round) at (2, 3), one defect table of one point (``defect_table``)
+at (3, 3), one
 ``sklyanin-rep`` trial at n = 3, 6 and 8, one ``r_slnm`` at
 (n, m) = (3, 2), one ``dybe-slnm`` trial at (3, 2), (3, 3) and (4, 3),
 one ``dybe-felder`` trial at m = 3 and 6 and one ``ybe`` trial at n = 4.
@@ -59,8 +61,8 @@ SKEW_CTX = EllipticContext(5.3 + 0.3j)
 SEED = 42
 
 
-def defect_set(*point):
-    return rll_defect(defect_table(*point))
+def defect_set(n, m, params, z1, z2, ctx):
+    return rll_defect(defect_table(n, m, [params], [z1], [z2], ctx))
 
 
 def trial_draw(check, n, m=1):
@@ -126,7 +128,7 @@ def test_rll_defect_2x3(benchmark):
 
 def test_defect_table_3x3(benchmark):
     _, params, zs = trial_draw("rll", 3, 3)
-    benchmark(defect_table, 3, 3, params, zs[0], zs[1], CTX)
+    benchmark(defect_table, 3, 3, [params], [zs[0]], [zs[1]], CTX)
 
 
 def test_sklyanin_rep_trial_n3(benchmark):

@@ -72,6 +72,11 @@ DEFAULT_SEED = 42
 RESIDUAL_TOL = 1e-9
 SPAN_TOL = 1e-8
 MAX_SITES = 12
+# Above this Im tau the rll spans lose their margin to roundoff: at the
+# defaults and Re tau 0.3 and 5.3, rll read at most 1.2e-9 over seeds
+# 1-42 at Im tau 2, failed on one seed at 2.5 and two of twelve at 3, and
+# rll and relations miss ranks from 4.5.
+MAX_IM_TAU = 2.0
 RLL_MEMORY = 1 << 30
 
 
@@ -115,9 +120,10 @@ class CheckConfig:
             raise ConfigError(f"tau = {self.tau} is not finite")
         if self.hbar is not None and not cmath.isfinite(self.hbar):
             raise ConfigError(f"hbar = {self.hbar} is not finite")
-        if self.tau.imag < MIN_IM_TAU:
+        if not MIN_IM_TAU <= self.tau.imag <= MAX_IM_TAU:
             raise ConfigError(
-                f"Im tau = {self.tau.imag} below the convergence floor {MIN_IM_TAU}"
+                f"Im tau = {self.tau.imag} outside the convergence floor {MIN_IM_TAU}"
+                f" to the precision ceiling {MAX_IM_TAU}"
             )
         if self.trials < 1:
             raise ConfigError("at least one trial required")
@@ -252,23 +258,23 @@ def _rll_prefactor_poles(params: DynamicalParams, zs: tuple[complex, ...]) -> It
 def _rll_run(cfg: CheckConfig, draws: list[Draw], ctx: EllipticContext) -> list:
     n, m = cfg.n, cfg.m
     batch = [params for params, _ in draws]
-    # two tables a trial, at (z1, z2) and (z3, z4), from one gather
-    tables = defect_table(
+    # one table of every trial's two points, at (z1, z2) and (z3, z4)
+    table = defect_table(
         n, m, [p for p in batch for _ in (0, 1)],
         [zs[k] for _, zs in draws for k in (0, 2)],
         [zs[k] for _, zs in draws for k in (1, 3)], ctx,
     )
-    defects = rll_defect(tables)
+    defects = rll_defect(table)
     variations = [0.0] * len(draws)
     if m >= 2:
         alpha, beta = _factor_labels(n)
         variations = [
-            defect_factorization_check(tables[t : t + 2], 1, 1, 2, alpha, beta, ctx)
-            for t in range(0, len(tables), 2)
+            defect_factorization_check(table, (t, t + 1), 1, 1, 2, alpha, beta, ctx)
+            for t in range(0, len(defects), 2)
         ]
-    # the sets own their terms: no table is held through the span
+    # the sets own their terms: the table is not held through the span
     # comparisons, nor through the reference build
-    del tables
+    del table
     references = relation_vectors_reference(n, m, batch, ctx)
     # b(D) = ||(I - P_R) D^H||_F / sigma_r(D conj(Q_R)) bounds the gap of defect set D to
     # R (1.0 if that rank r is not R's), b(D1) + b(D2) that of D1 to D2; a trial reports D1's r
@@ -347,8 +353,8 @@ class Runner(NamedTuple):
     outcomes, in order, evaluating them together.  ``trial_terms`` sizes
     one trial's largest array (see :func:`batch_size`): the relation terms
     of a family build, the entries of an R-matrix stack, the
-    Eisenstein letters of the Sklyanin constants, or the terms of the two
-    defect tables of an rll trial.
+    Eisenstein letters of the Sklyanin constants, or the defect terms of
+    the two points of an rll trial.
 
     A draw holds ``points`` spectral points and one block of coordinates
     (two if ``two_sets``), of the configured m if ``dynamical``, else of
@@ -407,8 +413,8 @@ def _exchange_poles(z1: complex, z2: complex, z3: complex) -> tuple[complex, ...
 # composite sites and m^4 for Felder's.  Their sector contraction is
 # chunked apart, within ``rmatrix``'s own budget, so it does not size a
 # batch.
-# A Fay trial takes 17 kernel arguments.  An rll trial gathers two defect
-# tables of about d^4 n^3 terms each (see ``rll_trial_bytes``).  Append a
+# A Fay trial takes 17 kernel arguments.  An rll trial gathers two points
+# of about d^4 n^3 defect terms each (see ``rll_trial_bytes``).  Append a
 # new check last: a check's position seeds its trials.
 _RUNNERS: dict[str, Runner] = {
     "ybe": Runner(

@@ -100,7 +100,8 @@ class EllipticContext:
         ``2 exp(-pi Im tau (k+1/2)^2 + (2k+1) pi band)``; the second
         derivative multiplies it by ``((2k+1) pi)^2``.  Terms decay faster
         than geometrically, so the first dropped term times a geometric
-        slack factor bounds the whole tail.
+        slack factor bounds the whole tail.  A bound past the float range
+        reads infinity.
         """
         y = self.tau.imag
         log_term = (
@@ -110,7 +111,10 @@ class EllipticContext:
             + math.log(2.0)
         )
         ratio = math.exp(-math.pi * y)  # decay ratio between successive terms is smaller
-        return math.exp(log_term) / (1 - ratio)
+        try:
+            return math.exp(log_term) / (1 - ratio)
+        except OverflowError:
+            return math.inf
 
     @cached_property
     def terms(self) -> int:

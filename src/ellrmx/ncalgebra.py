@@ -12,19 +12,19 @@ nonzeros of the four factors, with its scale from the same pass.  One
 cancellation rule, applied once, to words: a word at most
 ``CANCELLATION`` of its products' summed moduli is an identical
 cancellation and holds 0.0.  The points of a batch of trials are gathered
-together, and their tables share the rows and words that any of them
-keeps; the tables of one (n, m) keep one nonzero pattern.  Which rows a
-set has is decided in one place, :meth:`ellrmx.spans.RelationSet.from_terms`,
-which drops a row with no nonzero term: an element that cancels
-identically, or a reference relation that is exactly zero.  The relations
-are graded, so almost every coefficient is zero: each set is built and
-held as its terms only, becomes a :class:`ellrmx.spans.RelationSet`, and
-is compared there against the closed-form relation families of
-:mod:`ellrmx.relations` by :func:`ellrmx.spans.span_bound`, which never
-factors the defect set.  A defect table is a plain value that carries the
-point it was built at: whoever builds it holds it for as long as the
-defect set and the factorization components are read from it, and
-nothing keeps it longer.
+together into one table, one row of values a point over the rows and
+words that any of them keeps; the points of one (n, m) keep one nonzero
+pattern.  Which rows a set has is decided in one place,
+:meth:`ellrmx.spans.RelationSet.from_terms`, which drops a row with no
+nonzero term: an element that cancels identically, or a reference relation
+that is exactly zero.  The relations are graded, so almost every
+coefficient is zero: each set is built and held as its terms only, becomes
+a :class:`ellrmx.spans.RelationSet`, and is compared there against the
+closed-form relation families of :mod:`ellrmx.relations` by
+:func:`ellrmx.spans.span_bound`, which never factors the defect set.  A
+defect table is a plain value that carries the points it was built at:
+whoever builds it holds it for as long as the defect sets and the
+factorization components are read from it, and nothing keeps it longer.
 """
 
 from __future__ import annotations
@@ -102,40 +102,42 @@ _CHUNK = 1 << 16
 
 
 class DefectTable(NamedTuple):
-    """The exchange defect at one numeric point, as its nonzero terms, with
-    the vertex block size and the point it was built at (see
-    :func:`defect_table`)."""
+    """The exchange defect at the points of a batch, as its nonzero terms,
+    one row of ``values`` a point, with the vertex block size and the
+    points it was built at (see :func:`defect_table`)."""
 
     rows: np.ndarray
     words: np.ndarray
     values: np.ndarray
     n: int
-    params: DynamicalParams
-    z1: complex
-    z2: complex
+    params: tuple[DynamicalParams, ...]
+    z1: tuple[complex, ...]
+    z2: tuple[complex, ...]
 
 
 def defect_table(
     n: int,
     m: int,
-    params: DynamicalParams | Sequence[DynamicalParams],
-    z1: complex | Sequence[complex],
-    z2: complex | Sequence[complex],
+    params: Sequence[DynamicalParams],
+    z1: Sequence[complex],
+    z2: Sequence[complex],
     ctx: EllipticContext,
-) -> DefectTable | tuple[DefectTable, ...]:
+) -> DefectTable:
     """Nonzero word coefficients of every matrix element of the exchange
-    defect R(z1-z2 | q2) L1(z1) L2(z2) minus L2(z2) L1(z1) R(z1-z2 | q1).
+    defect R(z1-z2 | q2) L1(z1) L2(z2) minus L2(z2) L1(z1) R(z1-z2 | q1),
+    at each point (params[t], z1[t], z2[t]) of a batch.
 
-    Returns the terms ``rows``, ``words``, ``values`` sorted by (row,
-    word), ``n``, and the point they were built at.  The element
-    with composite indices (a_out, b_out, a_in, b_in) is the row ``((ao d +
-    bo) d + ai) d + bi``; over ordered two-letter words
-    (:func:`ellrmx.relations.generator_slot` layout) it has ``values[k]``
-    on ``words[k]`` where ``rows[k]`` is that row, and nothing elsewhere.
-    In a word (a, a') the second letter's coefficient is shifted by
-    ``[a'.j == a.j] - [a'.i == a.i]`` hbar.  The right-hand R stands at
-    q1: the entries a word meets depend only on ``q1_{a.i} - q1_{a'.i}``,
-    which the word's shift ``hbar (e_{a.i} + e_{a'.i})`` leaves alone.
+    Returns the terms, ``rows`` and ``words`` of K entries and ``values``
+    of shape (T, K), sorted by (row, word), ``n``, and the T points they
+    were built at.  The element with composite indices (a_out, b_out,
+    a_in, b_in) is the row ``((ao d + bo) d + ai) d + bi``; over ordered
+    two-letter words (:func:`ellrmx.relations.generator_slot` layout) it
+    has ``values[t, k]`` at point t on ``words[k]`` where ``rows[k]`` is
+    that row, and nothing elsewhere.  In a word (a, a') the second
+    letter's coefficient is shifted by ``[a'.j == a.j] - [a'.i == a.i]``
+    hbar.  The right-hand R stands at q1: the entries a word meets depend
+    only on ``q1_{a.i} - q1_{a'.i}``, which the word's shift ``hbar
+    (e_{a.i} + e_{a'.i})`` leaves alone.
 
     An entry of L holds a few generators, and each generator stands in
     one entry per row and per column, so a word of an element meets one
@@ -148,15 +150,13 @@ def defect_table(
     products' summed moduli, summed in the same pass, is an identical
     cancellation and is dropped.  The arrays are read-only.
 
-    Given sequences of parameter sets and points, the tables of all points
-    come from one gather over the nonzeros of all their factors: one key
-    computation and one sort, the products with a leading point axis.  The
-    tables share their ``rows`` and ``words``, the words that any point
-    keeps; a word that a point drops holds an exact 0.0 there.  The
-    nonzero terms of each table equal its own gather bit for bit.
+    All points come from one gather over the nonzeros of all their
+    factors: one key computation and one sort, the products with a
+    leading point axis.  The table keeps the words that any point keeps;
+    a word that a point drops holds an exact 0.0 there.  The nonzero terms
+    of each point equal a gather of that point alone bit for bit.
     """
-    single = isinstance(params, DynamicalParams)
-    points = [(params, z1, z2)] if single else list(zip(params, z1, z2, strict=True))
+    points = list(zip(params, z1, z2, strict=True))
     if any(p.q2 is None for p, _, _ in points):
         raise ValueError("the exchange relation needs two coordinate blocks")
     if any(p.m != m for p, _, _ in points):
@@ -164,7 +164,7 @@ def defect_table(
     d = m * n
     g = m * m * n * n
     count = len(points)
-    # the ansatz at both points of each table, in turn
+    # the ansatz at both spectral parameters of each point, in turn
     la, lb = map(np.stack, zip(*[
         (l_operator(za, p, n, ctx), l_operator(zb, p, n, ctx)) for p, za, zb in points
     ]))
@@ -223,17 +223,16 @@ def defect_table(
         keep = np.abs(values) > CANCELLATION * moduli
         # the words any point keeps; a word that a point drops holds 0.0 there
         kept = keep.any(axis=0)
-        values = np.where(keep, values, 0.0)
-        chunks.append((rows[kept], words[kept], *(v[kept] for v in values)))
-    out = tuple(DefectTable(*terms, n, *point) for terms, point in zip(_joined(chunks), points))
-    return out[0] if single else out
+        chunks.append((rows[kept], words[kept], np.where(keep, values, 0.0)[:, kept]))
+        # no run's sort is held through the next run, nor through the join
+        del keys, order, values, moduli
+    return DefectTable(*_joined(chunks), n, *map(tuple, zip(*points)))
 
 
-def _joined(chunks: list[tuple]) -> list[tuple]:
-    """The (rows, words, values) of each point of a gather from its runs
-    of rows, every point sharing the rows and words.  A field is joined,
-    and its runs dropped, before the next, so that the table is never held
-    twice."""
+def _joined(chunks: list[tuple]) -> list[np.ndarray]:
+    """The (rows, words, values) of a gather from its runs of rows.  A
+    field is joined, and its runs dropped, before the next, so that the
+    table is never held twice."""
     fields = [list(field) for field in zip(*chunks)]
     chunks.clear()
     joined = []
@@ -241,8 +240,7 @@ def _joined(chunks: list[tuple]) -> list[tuple]:
         joined.append(np.concatenate(field, axis=-1))
         joined[-1].setflags(write=False)
         field.clear()
-    rows, words, *values = joined
-    return [(rows, words, point) for point in values]
+    return joined
 
 
 def _entries(l_table: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -270,51 +268,37 @@ def rll_trial_bytes(n: int, m: int) -> int:
     """Predicted peak memory of one ``rll`` trial at (n, m), in bytes.
 
     A defect element has nonzeros on about n^3 words (on every word of its
-    component at m == 1), so a table holds about d^4 n^3 terms.  A trial
-    gathers its two tables together, which share their rows and words (the
-    words that either point keeps), and keeps them and their two blocked
-    sets; blocking the terms of both, in one ``from_terms`` call, takes
-    about as much again.  The gather's temporaries took about 200 bytes
-    per product a side, for one run of rows: at most ``_CHUNK`` products a
-    side over both points, or one a_out's d^3 n^3 and the products of the
-    mixed R entries (256 bytes bounds both).  The reference set and the
-    span workspaces took up to 40 MB more at (2, 6) and (1, 12), where the
-    tables are small; 64 MB bounds that.  Beyond the interpreter, these two
-    and that allowance, peak RSS came to 150 to 270 bytes per d^4 n^3 at
-    (n, m) = (3, 4), (4, 3), (5, 2) and (8, 1), when each table was
-    gathered and blocked on its own; 300 bounds them.
+    component at m == 1), so a point holds about d^4 n^3 terms.  A trial
+    gathers one table of its two points, one row of values a point over
+    the rows and words that either point keeps, and keeps it and its two
+    blocked sets; blocking the terms of both, in one ``from_terms`` call,
+    takes about as much again.  The gather's temporaries took about 200
+    bytes per product a side, for one run of rows: at most ``_CHUNK``
+    products a side over both points, or one a_out's d^3 n^3 and the
+    products of the mixed R entries (256 bytes bounds both).  The
+    reference set and the span workspaces took up to 40 MB more at (2, 6)
+    and (1, 12), where the tables are small; 64 MB bounds that.  Beyond
+    the interpreter, these two and that allowance, peak RSS came to 150 to
+    270 bytes per d^4 n^3 at (n, m) = (3, 4), (4, 3), (5, 2) and (8, 1),
+    when each point was gathered and blocked on its own; 300 bounds them.
     """
     d = m * n
     return 300 * d**4 * n**3 + 256 * max(_CHUNK, d**3 * n**3) + (64 << 20)
 
 
-def rll_defect(
-    table: DefectTable | Sequence[DefectTable],
-) -> RelationSet | tuple[RelationSet, ...]:
-    """Defect vectors of the exchange relation for the L-ansatz.
+def rll_defect(table: DefectTable) -> tuple[RelationSet, ...]:
+    """Defect vectors of the exchange relation for the L-ansatz, one set
+    per point of the table.
 
-    One row per matrix element of LHS minus RHS that has a nonzero word in
-    the table: the table drops identical cancellations word by word, and
+    One row per matrix element of LHS minus RHS that has a nonzero word at
+    the point: the table drops identical cancellations word by word, and
     :meth:`ellrmx.spans.RelationSet.from_terms` drops an element left
     without one.  An exact identity (the 1 x 1 case) gives an empty set.
-    Given a sequence of tables, their sets: tables that share their rows
-    and words (those of one :func:`defect_table` gather) take one
-    ``from_terms`` call, and those with the same nonzero pattern share one
-    layout.
+    Points with the same nonzero pattern share one layout.
     """
-    tables = [table] if isinstance(table, DefectTable) else list(table)
-    sets: list[RelationSet] = [None] * len(tables)
-    shared: dict[tuple[int, int], list[int]] = {}
-    for t, own in enumerate(tables):
-        shared.setdefault((id(own.rows), id(own.words)), []).append(t)
-    for members in shared.values():
-        rows, words, _, n, params = tables[members[0]][:5]
-        # (m^2 n^2)^2 two-letter words, as many as the d^4 elements
-        size = (n * params.m) ** 4
-        values = [tables[t].values for t in members]
-        for t, vectors in zip(members, RelationSet.from_terms(rows, words, values, size, size)):
-            sets[t] = vectors
-    return sets[0] if isinstance(table, DefectTable) else tuple(sets)
+    # (m^2 n^2)^2 two-letter words, as many as the d^4 elements
+    size = (table.n * table.params[0].m) ** 4
+    return RelationSet.from_terms(table.rows, table.words, table.values, size, size)
 
 
 def reference_terms(n: int, m: int) -> int:
@@ -387,6 +371,7 @@ def relation_vectors_reference(
 
 def component_ratio(
     table: DefectTable,
+    point: int,
     i: int,
     j: int,
     k: int,
@@ -394,17 +379,19 @@ def component_ratio(
     beta: LatticeIndex,
     ctx: EllipticContext,
 ) -> np.ndarray:
-    """Defect component of the table with first-block steps i->j (one
-    auxiliary space) and i->k (the other), projected onto the operator-basis
-    pair (alpha, beta) and divided by its theta prefactors.
+    """Defect component of the table at one of its points with first-block
+    steps i->j (one auxiliary space) and i->k (the other), projected onto
+    the operator-basis pair (alpha, beta) and divided by its theta
+    prefactors.
 
     The divisor is the product of the two letters' coefficient functions
-    at the table's point: ``theta(z2 + q2_i - q1_k + omega_beta) *
+    at that point: ``theta(z2 + q2_i - q1_k + omega_beta) *
     theta(z1 + q2_i - q1_j + hbar + omega_alpha)`` times their exponential
     factors ``exp(2 pi i (alpha_2 z1 + beta_2 z2) / n)``.  If the
     extraction is consistent the result does not depend on (z1, z2).
     """
     rows, words, values, n, params, z1, z2 = table
+    values, params, z1, z2 = values[point], params[point], z1[point], z2[point]
     if j == k:
         raise ValueError("needs distinct first-block indices j != k")
     d = n * params.m
@@ -430,7 +417,8 @@ def component_ratio(
 
 
 def defect_factorization_check(
-    tables: Sequence[DefectTable],
+    table: DefectTable,
+    points: Sequence[int],
     i: int,
     j: int,
     k: int,
@@ -438,26 +426,24 @@ def defect_factorization_check(
     beta: LatticeIndex,
     ctx: EllipticContext,
 ) -> float | None:
-    """Worst relative variation of :func:`component_ratio` across tables
-    of one parameter set at different z-samples.
+    """Worst relative variation of :func:`component_ratio` across the
+    given points of the table, of one parameter set at different
+    z-samples.
 
     A small value certifies that the z-dependence of this defect component
     factorizes into the theta prefactors, leaving a z-free relation vector
     (proportional to the family-2 vector for the same labels).  Returns
     None at m == 1, where no pair j != k exists and the check is vacuous.
     """
-    if len(tables) < 2:
+    if len(points) < 2:
         raise ValueError("need at least two z-samples")
-    if len({t.params for t in tables}) != 1:
-        raise ValueError("the tables must share one parameter set")
-    if tables[0].params.m == 1:
+    if len({table.params[p] for p in points}) != 1:
+        raise ValueError("the points must share one parameter set")
+    if table.params[points[0]].m == 1:
         return None
-    ratios = [component_ratio(t, i, j, k, alpha, beta, ctx) for t in tables]
+    ratios = [component_ratio(table, p, i, j, k, alpha, beta, ctx) for p in points]
     ref = ratios[0]
     scale = float(np.max(np.abs(ref)))
     if scale == 0.0:
         return 0.0
-    worst = 0.0
-    for other in ratios[1:]:
-        worst = max(worst, float(np.max(np.abs(other - ref))) / scale)
-    return worst
+    return max(float(np.max(np.abs(other - ref))) for other in ratios[1:]) / scale

@@ -217,10 +217,7 @@ def test_criterion_08_rll_relation_equivalence():
         )
         params, zs = sample_params([108, n, m], spec, CTX)
         reference = relation_vectors_reference(n, m, params, CTX)
-        defects = [
-            rll_defect(defect_table(n, m, params, zs[i], zs[i + 1], CTX))
-            for i in range(0, 2 * pairs, 2)
-        ]
+        defects = rll_defect(defect_table(n, m, [params] * pairs, zs[0::2], zs[1::2], CTX))
         for d in defects:
             ok, metric = span_equal(d, reference, 1e-8)
             assert ok, f"(N,M)=({n},{m}): span mismatch {metric:.3e}"
@@ -245,14 +242,14 @@ def test_criterion_09_defect_factorization():
 
     spec = SampleSpec(m=m, two_sets=True, z_count=2 * pairs, expressions=exprs)
     params, zs = sample_params([109], spec, CTX)
-    tables = [defect_table(n, m, params, zs[i], zs[i + 1], CTX) for i in range(0, 2 * pairs, 2)]
+    table = defect_table(n, m, [params] * pairs, zs[0::2], zs[1::2], CTX)
     beta = LatticeIndex(0, 1, n)
     for idx in ((1, 1, 2), (2, 2, 1)):
         for a in ((0, 0), (0, 1), (1, 1)):
             alpha = LatticeIndex(a[0], a[1], n)
-            spread = defect_factorization_check(tables, *idx, alpha, beta, CTX)
+            spread = defect_factorization_check(table, range(pairs), *idx, alpha, beta, CTX)
             assert spread < 1e-9, f"{idx}/{a}: z-variation {spread:.3e}"
-            comp = component_ratio(tables[0], *idx, alpha, beta, CTX)
+            comp = component_ratio(table, 0, *idx, alpha, beta, CTX)
             fam = coords(slnm_family_coeffs(2, idx, alpha, beta, params, CTX), (m * n) ** 4)
             support = np.abs(fam) > 1e-12 * np.max(np.abs(fam))
             ratios = comp[support] / fam[support]

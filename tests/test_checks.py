@@ -12,6 +12,7 @@ import pytest
 from ellrmx import checks, ncalgebra, spans
 from ellrmx.checks import (
     CHECK_NAMES,
+    MAX_IM_TAU,
     CheckConfig,
     CheckReport,
     ConfigError,
@@ -145,6 +146,13 @@ class TestConfigValidation:
     def test_tau_floor_enforced(self):
         with pytest.raises(ConfigError, match="convergence floor"):
             CheckConfig(check="ybe", tau=0.5 + 0.1j).validate()
+
+    def test_tau_ceiling_enforced(self):
+        for re in (0.3, 5.3):
+            CheckConfig(check="all", tau=complex(re, MAX_IM_TAU)).validate()
+            for im in (MAX_IM_TAU + 0.01, 50.0, 1000.0):
+                with pytest.raises(ConfigError, match="precision ceiling"):
+                    CheckConfig(check="fay", tau=complex(re, im)).validate()
 
     def test_positive_tolerance_required(self):
         with pytest.raises(ConfigError, match="positive"):

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from ellrmx import cli
+from ellrmx.checks import MAX_IM_TAU
 
 BASE = [sys.executable, "-m", "ellrmx.cli"]
 
@@ -65,6 +66,20 @@ class TestExitCodes:
     def test_shallow_tau_is_two(self):
         proc = run_cli("ybe", "--tau", "0.5,0.1")
         assert proc.returncode == 2
+
+    def test_tau_above_the_ceiling_is_two(self):
+        # fay overflowed the tail bound at Im tau = 1000, and all met
+        # non-finite relation terms at 50
+        for check, tau in (("fay", "0,1000"), ("all", "0.3,50")):
+            proc = run_cli(check, "--tau", tau)
+            assert proc.returncode == 2, (check, tau)
+            [line] = proc.stderr.splitlines()
+            assert line.startswith("ellrmx: configuration error: ") and "ceiling" in line
+
+    def test_all_passes_at_the_tau_ceiling(self):
+        for re in ("0.3", "5.3"):
+            proc = run_cli("all", "--tau", f"{re},{MAX_IM_TAU}")
+            assert proc.returncode == 0, proc.stdout
 
     def test_non_finite_tau_or_hbar_is_two(self):
         for flag, value in (("--tau", "nan,0.8"), ("--tau", "0.3,inf"), ("--hbar", "nan,0")):

@@ -173,7 +173,10 @@ class TestContextValidation:
         for ctx in (CTX, EllipticContext(0.3j), EllipticContext(5.3 + 0.3j)):
             assert ctx.tail_bound(ctx.terms) <= elliptic.TAIL_TOL
 
-    @pytest.mark.parametrize(("tau", "terms"), [(0.3j, 8), (0.3 + 0.8j, 5), (5.3 + 0.3j, 8)])
+    @pytest.mark.parametrize(
+        ("tau", "terms"),
+        [(0.3j, 8), (0.3 + 0.8j, 5), (5.3 + 0.3j, 8), (2j, 3), (50j, 1), (1000j, 1)],
+    )
     def test_term_count_is_minimal(self, tau, terms):
         ctx = EllipticContext(tau)
         assert ctx.terms == terms

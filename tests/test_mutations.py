@@ -123,9 +123,9 @@ def dropped_component(monkeypatch):
     """Every defect set without the rows of its first component."""
     defects = checks.rll_defect
 
-    def patched(tables):
+    def patched(table):
         out = []
-        for s in defects(tables):
+        for s in defects(table):
             pieces = list(zip(s.components, s.blocks))[1:]
             rows = np.concatenate([np.repeat(r, c.size) for (r, c), _ in pieces])
             words = np.concatenate([np.tile(c, r.size) for (r, c), _ in pieces])

@@ -17,6 +17,7 @@ from ellrmx.elliptic import (
     theta,
 )
 from ellrmx.ncalgebra import (
+    DefectTable,
     RelationSet,
     component_ratio,
     defect_factorization_check,
@@ -66,14 +67,21 @@ def params_for(m: int) -> DynamicalParams:
     return DynamicalParams(hbar=HBAR, q1=q1, q2=q2)
 
 
+def point_table(n, m, params, z1, z2, ctx=CTX) -> DefectTable:
+    """The defect table of one point."""
+    return defect_table(n, m, [params], [z1], [z2], ctx)
+
+
 def defects_at(n, m, params, z1, z2, ctx=CTX) -> RelationSet:
     """The defect set of the table built at one point."""
-    return rll_defect(defect_table(n, m, params, z1, z2, ctx))
+    (defects,) = rll_defect(point_table(n, m, params, z1, z2, ctx))
+    return defects
 
 
-def tables_at(params, z_samples, n=2) -> list:
-    """The defect tables of one parameter set at each z-sample."""
-    return [defect_table(n, params.m, params, z1, z2, CTX) for z1, z2 in z_samples]
+def table_at(params, z_samples, n=2) -> DefectTable:
+    """The defect table of one parameter set at each z-sample."""
+    z1, z2 = zip(*z_samples)
+    return defect_table(n, params.m, [params] * len(z_samples), z1, z2, CTX)
 
 
 def flat_ranks(n: int, m: int) -> int:
@@ -121,11 +129,13 @@ def family_row(family, idx, alpha, beta, params) -> np.ndarray:
 
 
 def table_row(table, key, n: int, m: int) -> np.ndarray:
-    """One element of a sparse defect table over all of its words."""
+    """One element of a sparse one-point defect table over all of its
+    words."""
     row = np.ravel_multi_index(key, (m * n,) * 4)
     out = np.zeros((m * m * n * n) ** 2, dtype=complex)
     at = table.rows == row
-    out[table.words[at]] = table.values[at]
+    (values,) = table.values
+    out[table.words[at]] = values[at]
     return out
 
 
@@ -194,7 +204,7 @@ class TestShiftBookkeeping:
         for n, m in [(2, 1), (1, 2), (2, 2)]:
             d = m * n
             params = params_for(m)
-            table = defect_table(n, m, params, Z1, Z2, CTX)
+            table = point_table(n, m, params, Z1, Z2)
             assert table.n == n
             picks = rng.choice(d**4, size=8, replace=False)
             seen = 0.0
@@ -301,7 +311,8 @@ class TestDefectSpans:
 class TestFactorization:
     def test_single_site_returns_none(self):
         out = defect_factorization_check(
-            tables_at(params_for(1), Z_SAMPLES[:2]),
+            table_at(params_for(1), Z_SAMPLES[:2]),
+            (0, 1),
             1,
             1,
             2,
@@ -314,7 +325,8 @@ class TestFactorization:
     def test_two_samples_required(self):
         with pytest.raises(ValueError):
             defect_factorization_check(
-                tables_at(params_for(2), Z_SAMPLES[:1]),
+                table_at(params_for(2), Z_SAMPLES[:1]),
+                (0,),
                 1,
                 1,
                 2,
@@ -331,7 +343,7 @@ class TestFactorization:
         alpha = LatticeIndex(a[0], a[1], n)
         beta = LatticeIndex(0, 1, n)
         worst = defect_factorization_check(
-            tables_at(params, Z_SAMPLES), *idx, alpha, beta, CTX
+            table_at(params, Z_SAMPLES), range(len(Z_SAMPLES)), *idx, alpha, beta, CTX
         )
         assert worst < 1e-9
 
@@ -342,8 +354,8 @@ class TestFactorization:
         params = params_for(2)
         alpha = LatticeIndex(a[0], a[1], n)
         beta = LatticeIndex(0, 1, n)
-        (table,) = tables_at(params, Z_SAMPLES[:1])
-        comp = component_ratio(table, *idx, alpha, beta, CTX)
+        table = table_at(params, Z_SAMPLES[:1])
+        comp = component_ratio(table, 0, *idx, alpha, beta, CTX)
         fam = family_row(2, idx, alpha, beta, params)
         support = np.abs(fam) > 1e-12 * np.max(np.abs(fam))
         ratios = comp[support] / fam[support]
@@ -355,7 +367,8 @@ class TestFactorization:
         n = 2
         params = params_for(2)
         worst = defect_factorization_check(
-            tables_at(params, Z_SAMPLES[:2]),
+            table_at(params, Z_SAMPLES[:2]),
+            (0, 1),
             1,
             1,
             2,
@@ -370,16 +383,20 @@ class TestFactorization:
         params = params_for(2)
         # Put z2 + q2_1 - q1_2 within DELTA_MIN of the theta zero at 0.
         z2 = params.q1[1] - params.q2[0] + 0.01
-        table = defect_table(n, 2, params, Z1, z2, CTX)
+        # at the second point of the batch alone
+        table = table_at(params, [Z_SAMPLES[0], (Z1, z2)], n)
+        labels = (1, 1, 2, LatticeIndex(0, 0, n), LatticeIndex(0, 0, n), CTX)
+        component_ratio(table, 0, *labels)
         with pytest.raises(PoleProximityError):
-            component_ratio(table, 1, 1, 2, LatticeIndex(0, 0, n), LatticeIndex(0, 0, n), CTX)
+            component_ratio(table, 1, *labels)
 
-    def test_tables_of_other_parameters_are_refused(self):
+    def test_points_of_other_parameter_sets_are_refused(self):
         other = replace(params_for(2), hbar=0.17 + 0.21j)
-        tables = tables_at(params_for(2), Z_SAMPLES[:1]) + tables_at(other, Z_SAMPLES[1:2])
+        (z1, z2), (z3, z4) = Z_SAMPLES[:2]
+        table = defect_table(2, 2, [params_for(2), other], [z1, z3], [z2, z4], CTX)
         with pytest.raises(ValueError):
             defect_factorization_check(
-                tables, 1, 1, 2, LatticeIndex(0, 1, 2), LatticeIndex(0, 1, 2), CTX
+                table, (0, 1), 1, 1, 2, LatticeIndex(0, 1, 2), LatticeIndex(0, 1, 2), CTX
             )
 
 
@@ -940,7 +957,7 @@ def assert_gathered_matches(sparse, oracle):
     the gathered table expanded over all words and the oracle's kept
     elements."""
     table, mass, moduli = oracle
-    rows, words, values = sparse[:3]
+    rows, words, (values,) = sparse[:3]
     got = np.zeros(table.shape, dtype=complex)
     flat = got.reshape(-1, table.shape[-1])
     flat[rows, words] = values
@@ -975,7 +992,7 @@ class TestSparseParity:
                 _trial_seed(42, "rll", trial), _RUNNERS["rll"].spec(cfg), ctx
             )
             builds = (
-                (dense_defect_table, defect_table, (n, m, params, *zs[:2], ctx)),
+                (dense_defect_table, point_table, (n, m, params, *zs[:2], ctx)),
                 (dense_reference, relation_vectors_reference, (n, m, params, ctx)),
             )
             try:
@@ -987,10 +1004,10 @@ class TestSparseParity:
                     assert trips(dense, args) == trips(sparse, args)
         else:
             pytest.fail("no draw clear of the pole guards")
-        sparse = defect_table(n, m, params, zs[0], zs[1], ctx)
+        sparse = point_table(n, m, params, zs[0], zs[1], ctx)
         got, keep = assert_gathered_matches(sparse, oracle)
         dense = DenseSet(got[keep])
-        defects = rll_defect(sparse)
+        (defects,) = rll_defect(sparse)
         assert np.array_equal(dense_rows(defects), dense.rows)
         reference = relation_vectors_reference(n, m, params, ctx)
         assert np.array_equal(dense_rows(reference), dense_ref.rows)
@@ -1008,9 +1025,9 @@ class TestSparseParity:
     def test_one_a_out_at_a_time_gives_the_same_table(self, monkeypatch, nm):
         n, m = nm
         params = params_for(m)
-        whole = defect_table(n, m, params, Z1, Z2, CTX)
+        whole = point_table(n, m, params, Z1, Z2)
         monkeypatch.setattr(ncalgebra, "_CHUNK", 1)
-        runs = defect_table(n, m, params, Z1, Z2, CTX)
+        runs = point_table(n, m, params, Z1, Z2)
         for a, b in zip(whole[:4], runs[:4]):
             assert np.array_equal(a, b)
 
@@ -1032,7 +1049,7 @@ class TestSparseParity:
             return r
 
         monkeypatch.setattr(ncalgebra, "r_slnm", leaky)
-        sparse = defect_table(n, m, params, zs[0], zs[1], CTX)
+        sparse = point_table(n, m, params, zs[0], zs[1])
         oracle = dense_defect_table(n, m, params, zs[0], zs[1], CTX, r_matrix=leaky)
         assert_gathered_matches(sparse, oracle)
         [(residual, _)] = _RUNNERS["rll"].run(cfg, [(params, zs)], CTX)
@@ -1048,7 +1065,7 @@ def rll_points(n, m, tau, draws=3):
     for trial in range(20):
         params, zs = sample_params(_trial_seed(42, "rll", trial), _RUNNERS["rll"].spec(cfg), ctx)
         points = [(params, zs[0], zs[1]), (params, zs[2], zs[3])]
-        if not any(trips(defect_table, (n, m, *point, ctx)) for point in points):
+        if not any(trips(point_table, (n, m, *point, ctx)) for point in points):
             out += points
         if len(out) == 2 * draws:
             return out, ctx
@@ -1088,14 +1105,15 @@ class TestCancellationRule:
         points, ctx = rll_points(n, m, tau)
         g2 = (m * m * n * n) ** 2
         for point in points:
-            kept = defect_table(n, m, *point, ctx)
+            kept = point_table(n, m, *point, ctx)
             monkeypatch.setattr(ncalgebra, "CANCELLATION", 0.0)
-            every = defect_table(n, m, *point, ctx)
+            every = point_table(n, m, *point, ctx)
             monkeypatch.undo()
             moduli = dense_defect_table(n, m, *point, ctx)[2].reshape(-1, g2)
-            ratio = np.abs(every.values) / moduli[every.rows, every.words]
+            (values,), (kept_values,) = every.values, kept.values
+            ratio = np.abs(values) / moduli[every.rows, every.words]
             keep = np.isin(every.rows * g2 + every.words, kept.rows * g2 + kept.words)
-            assert np.array_equal(every.values[keep].view(float), kept.values.view(float))
+            assert np.array_equal(values[keep].view(float), kept_values.view(float))
             assert keep.sum() == len(kept.rows) and not keep.all()
             assert ratio[~keep].max() <= 1e-13
             assert ratio[keep].min() >= 1e-6
@@ -1106,18 +1124,21 @@ class TestCancellationRule:
         n, m = nm
         points, ctx = rll_points(n, m, tau)
         batch = defect_table(n, m, *zip(*points), ctx)
-        assert len(batch) == len(points) == 6
-        for table, point in zip(batch, points):
-            assert table.rows is batch[0].rows and table.words is batch[0].words
-            alone = defect_table(n, m, *point, ctx)
-            assert table[3:] == alone[3:] == (n, *point)
-            assert_same_bits(table[:3], alone[:3])
+        assert batch.values.shape == (len(points), len(batch.rows)) and len(points) == 6
+        assert batch[3:] == (n, *zip(*points))
+        # every point keeps every word of the batch
+        assert np.all(batch.values != 0)
+        for values, point in zip(batch.values, points):
+            alone = point_table(n, m, *point, ctx)
+            assert alone[3:] == (n, *zip(point))
+            assert_same_bits((batch.rows, batch.words, values), (*alone[:2], *alone.values))
 
     def test_points_that_keep_other_words_share_them_as_zeros(self, monkeypatch):
         # a patched R that moves an entry at the second point alone: that
-        # table keeps words that cancel identically at the first, where
+        # point keeps words that cancel identically at the first, where
         # they leave a roundoff residue and the first holds 0.0; the
-        # nonzero terms of each equal its own gather, and so does its set
+        # nonzero terms of each point equal its own gather, and so does
+        # its set
         points, ctx = rll_points(2, 2, 0.3 + 0.8j, draws=1)
 
         def moved(hbar, u, q, n, ctx):
@@ -1128,14 +1149,38 @@ class TestCancellationRule:
 
         monkeypatch.setattr(ncalgebra, "r_slnm", moved)
         batch = defect_table(2, 2, *zip(*points), ctx)
-        assert batch[1].rows is batch[0].rows and batch[1].words is batch[0].words
-        assert np.count_nonzero(batch[1].values) > np.count_nonzero(batch[0].values)
-        for table, point, vectors in zip(batch, points, rll_defect(batch)):
-            alone = defect_table(2, 2, *point, ctx)
-            assert table[3:] == alone[3:] == (2, *point)
-            nonzero = table.values != 0
-            assert_same_bits([a[nonzero] for a in table[:3]], alone[:3])
-            assert_same_set(vectors, rll_defect(alone))
+        assert np.count_nonzero(batch.values[1]) > np.count_nonzero(batch.values[0])
+        assert batch[3:] == (2, *zip(*points))
+        for values, point, vectors in zip(batch.values, points, rll_defect(batch)):
+            alone = point_table(2, 2, *point, ctx)
+            assert alone[3:] == (2, *zip(point))
+            nonzero = values != 0
+            terms = (batch.rows[nonzero], batch.words[nonzero], values[nonzero])
+            assert_same_bits(terms, (*alone[:2], *alone.values))
+            assert_same_set(vectors, *rll_defect(alone))
+
+    @TAUS
+    @pytest.mark.parametrize("nm", [(2, 2), (2, 3), (1, 3)])
+    def test_a_trials_variation_equals_that_of_its_one_point_tables(self, nm, tau):
+        # the factorization check of each trial in a batch reads the
+        # component ratios that tables of its points alone give, and trips
+        # the prefactor guard where they do
+        n, m = nm
+        points, ctx = rll_points(n, m, tau)
+        batch = defect_table(n, m, *zip(*points), ctx)
+        labels = (1, 1, 2, *checks._factor_labels(n), ctx)
+        compared = 0
+        for t in range(0, len(points), 2):
+            alone = [(point_table(n, m, *p, ctx), 0, *labels) for p in points[t : t + 2]]
+            if any(trips(component_ratio, args) for args in alone):
+                assert trips(defect_factorization_check, (batch, (t, t + 1), *labels))
+                continue
+            ratios = [component_ratio(*args) for args in alone]
+            assert_same_bits([component_ratio(batch, t + k, *labels) for k in (0, 1)], ratios)
+            worst = float(np.max(np.abs(ratios[1] - ratios[0]))) / float(np.max(np.abs(ratios[0])))
+            assert defect_factorization_check(batch, (t, t + 1), *labels) == worst > 0.0
+            compared += 1
+        assert compared
 
 
 def placed_joints(a: RelationSet, b: RelationSet):
