@@ -37,7 +37,8 @@ at (2, 3), (3, 3) and (4, 3) through the runner.  One times the sampling layer:
 the 80 draws of the ``skew-tau`` workload (the eight non-``rll`` checks'
 specs, ten trials each) through ``sample_params``.
 Trials are drawn and run through the check's runner (``_RUNNERS``), which
-takes a list of draws.
+takes a list of draws, and the builders are called on one-element batches
+(``[params]``, coordinates of shape (1, m)).
 """
 
 import numpy as np
@@ -103,22 +104,22 @@ def test_eisenstein_e2_1000_arguments(benchmark):
 
 def test_relation_vectors_reference_2x2(benchmark):
     _, params, _ = trial_draw("relations", 2, 2)
-    benchmark(relation_vectors_reference, 2, 2, params, CTX)
+    benchmark(relation_vectors_reference, 2, 2, [params], CTX)
 
 
 def test_relation_vectors_reference_2x4(benchmark):
     _, params, _ = trial_draw("relations", 2, 4)
-    benchmark(relation_vectors_reference, 2, 4, params, CTX)
+    benchmark(relation_vectors_reference, 2, 4, [params], CTX)
 
 
 def test_relation_vectors_reference_6x1(benchmark):
     _, params, _ = trial_draw("relations", 6, 1)
-    benchmark(relation_vectors_reference, 6, 1, params, CTX)
+    benchmark(relation_vectors_reference, 6, 1, [params], CTX)
 
 
 def test_tv_relations_m4(benchmark):
     _, params, _ = trial_draw("tv-reduce", 1, 4)
-    benchmark(tv_relations, 4, params.q1, params.q2, params.hbar, CTX)
+    benchmark(tv_relations, 4, [params.q1], [params.q2], [params.hbar], CTX)
 
 
 def test_rll_defect_2x3(benchmark):

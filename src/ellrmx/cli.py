@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import errno
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -56,6 +57,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Numerical checks for elliptic R-matrices and their "
         "quadratic exchange algebras.",
     )
+    # No option starts with a digit, so an argument that does after its
+    # minus is a value: --tau -0.5,0.8 as well as --tau=-0.5,0.8.
+    parser._negative_number_matcher = re.compile(r"^-\.?\d")
     parser.add_argument(
         "check",
         choices=CHECK_NAMES + ("all",),

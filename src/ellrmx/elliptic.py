@@ -325,13 +325,11 @@ def _scalar_product(a, b) -> np.ndarray:
 
 def _fay_defect(defect, *terms):
     """``|defect|`` over the largest of the term moduli and 1, each modulus
-    the hypot that ``abs`` of a complex scalar takes; a float for scalar
-    points."""
+    the hypot that ``abs`` of a complex scalar takes."""
     scale = 1.0
     for t in terms:
         scale = np.maximum(scale, np.hypot(t.real, t.imag))
-    out = np.hypot(defect.real, defect.imag) / scale
-    return out if np.ndim(out) else float(out)
+    return np.hypot(defect.real, defect.imag) / scale
 
 
 def fay_residual(z, w, x, y, ctx: EllipticContext):
@@ -341,7 +339,8 @@ def fay_residual(z, w, x, y, ctx: EllipticContext):
     ``phi(z-w,x) phi(w,x+y) + phi(w-z,y) phi(z,x+y)``; the defect is divided
     by the largest of the three term magnitudes (and 1).  1-d arrays of the
     points (one entry per trial, all of one shape) give one defect per
-    trial from one kernel call, equal bit for bit to the scalar calls.
+    trial from one kernel call; a trial's defect does not depend on the
+    batch it is in.
     """
     phi = kronecker_phi(
         np.array([z, w, z - w, w, w - z, z]), np.array([x, y, x, x + y, y, x + y]), ctx

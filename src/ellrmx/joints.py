@@ -70,12 +70,6 @@ def distinct(indices: np.ndarray) -> np.ndarray:
     return ordered[np.diff(ordered, prepend=-1) != 0]
 
 
-def _local(counts: np.ndarray) -> np.ndarray:
-    """Positions 0 to c - 1 in each of groups of ``counts`` members that
-    stand one after another."""
-    return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-
-
 def offsets(
     labels: np.ndarray, sizes: np.ndarray, count: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -96,11 +90,7 @@ def _joints(a: RelationSet, b: RelationSet) -> tuple[tuple, tuple, np.ndarray]:
     joint's sorted columns of each component's columns (component after
     component), and the joints' widths.  Both spans are the direct sums of
     their pieces in the joints.  Both sets have rows (:func:`compare` reads
-    a pair with an empty side without joints); sets with the same
-    components have those as their joints."""
-    if a.components is b.components:
-        widths = np.array([cols.size for _, cols in a.components], dtype=int)
-        return (np.arange(widths.size),) * 2, (_local(widths),) * 2, widths
+    a pair with an empty side without joints)."""
     pieces = [cols for s in (a, b) for _, cols in s.components]
     sizes = np.array([cols.size for cols in pieces], dtype=int)
     cols, at, root = join_columns(np.repeat(np.arange(sizes.size), sizes), np.concatenate(pieces))

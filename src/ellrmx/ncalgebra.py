@@ -311,11 +311,11 @@ def reference_terms(n: int, m: int) -> int:
 def relation_vectors_reference(
     n: int,
     m: int,
-    params: DynamicalParams | Sequence[DynamicalParams],
+    params: Sequence[DynamicalParams],
     ctx: EllipticContext,
-) -> RelationSet | tuple[RelationSet, ...]:
-    """Reference set of the four closed-form relation families of
-    :func:`ellrmx.relations.family_terms`.
+) -> tuple[RelationSet, ...]:
+    """Reference sets of the four closed-form relation families of
+    :func:`ellrmx.relations.family_terms`, one set per parameter set.
 
     Rows run over family 1 for every (j, i) (only for n >= 2), families 2
     and 3 in turn for every (i, j, k), and family 4 for every (i, k, j, l),
@@ -326,11 +326,10 @@ def relation_vectors_reference(
     that way, and the other families are single products.  Family 1 is
     built a chunk of label pairs at a time.
 
-    Given a sequence of parameter sets, the sets of all those trials are
-    built together, and trials with the same nonzero pattern share one
-    build of the set layout.
+    The sets of all the trials are built together, and trials with the
+    same nonzero pattern share one build of the set layout.
     """
-    batch = [params] if isinstance(params, DynamicalParams) else list(params)
+    batch = list(params)
     for trial in batch:
         if trial.q2 is None:
             raise ValueError("the families need two coordinate blocks")
@@ -365,8 +364,7 @@ def relation_vectors_reference(
         axis=-1,
     )
     del blocks
-    sets = RelationSet.from_terms(rows, words, values, size, (m * m * n * n) ** 2)
-    return sets[0] if isinstance(params, DynamicalParams) else sets
+    return RelationSet.from_terms(rows, words, values, size, (m * m * n * n) ** 2)
 
 
 def component_ratio(

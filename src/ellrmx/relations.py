@@ -62,9 +62,10 @@ def tv_relations(
     q2,
     hbar,
     ctx: EllipticContext,
-) -> RelationSet | tuple[RelationSet, ...]:
+) -> tuple[RelationSet, ...]:
     """All coordinate-exchange relations for an m-point coordinate pair, as
-    rows over the ordered words of the scalar (n == 1) generators.
+    rows over the ordered words of the scalar (n == 1) generators, for each
+    of T trials.
 
     Rows run over three kinds in turn: one commuting pair for each (i; j <
     k), one theta-ratio exchange for each (k; i < j) (the reversed pair is
@@ -77,8 +78,8 @@ def tv_relations(
     """
     p = np.asarray(q1, dtype=complex)
     s = np.asarray(q2, dtype=complex)
-    if p.shape[-1:] != (m,) or s.shape != p.shape:
-        raise ValueError("coordinate vectors must have length m")
+    if p.ndim != 2 or p.shape[1] != m or s.shape != p.shape:
+        raise ValueError("coordinates must be (T, m) arrays")
     h = np.asarray(hbar, dtype=complex)[..., None]
     tau = ctx.tau
     # 1-based index tuples in loop order, the first axis varying slowest
@@ -115,11 +116,10 @@ def tv_relations(
     ]
     i1, j1, i2, j2 = np.concatenate([np.stack(w) for _, w, _ in terms], axis=1)
     g = m * m
-    lead = p.shape[:-1]
     return RelationSet.from_terms(
         np.concatenate([r for r, _, _ in terms]),
         generator_slot(i1, j1, (0, 0), m, 1) * g + generator_slot(i2, j2, (0, 0), m, 1),
-        np.concatenate([np.broadcast_to(v, lead + r.shape) for r, _, v in terms], axis=-1),
+        np.concatenate([np.broadcast_to(v, (len(p), r.size)) for r, _, v in terms], axis=-1),
         2 * a.size + i.size,
         g * g,
     )
@@ -159,7 +159,7 @@ def family_terms(
     idx: Sequence[tuple[int, ...]],
     pairs: tuple,
     n: int,
-    params: DynamicalParams | Sequence[DynamicalParams],
+    params: Sequence[DynamicalParams],
     ctx: EllipticContext,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Coefficients and word columns (:func:`generator_slot` layout) of the
@@ -180,17 +180,16 @@ def family_terms(
     4. no shared coordinate role: i != k in the second set, j != l in the
        first.
 
-    Both arrays are shaped (tuples, P, terms), and a relation's terms sit
-    on distinct words.  Given a sequence of T parameter sets, the
-    coefficients gain a leading trial axis; the words depend on no
-    parameter and are shared.  Word labels are reduced to the canonical
-    cell with :func:`label_reduction_factor`, so the relations are
-    expressed over canonical generators.  Cross terms carrying the
+    The coefficients of T parameter sets are shaped (T, tuples, P, terms)
+    and the words (tuples, P, terms): they depend on no parameter and are
+    shared.  A relation's terms sit on distinct words.  Word labels are
+    reduced to the canonical cell with :func:`label_reduction_factor`, so
+    the relations are expressed over canonical generators.  Cross terms carrying the
     diagonal-diagonal scalar use :func:`ellrmx.rmatrix.mixed_scalar`,
     matching the composite R-matrix.  Each kernel runs once over the whole
     grid and every trial.
     """
-    batch = [params] if isinstance(params, DynamicalParams) else list(params)
+    batch = list(params)
     m, tau = batch[0].m, ctx.tau
     hbar = np.array([b.hbar for b in batch])
     p, s = np.array([b.q1 for b in batch]), np.array([b.q2 for b in batch])
@@ -261,7 +260,7 @@ def family_terms(
     for at, (v, w1, w2) in zip(spans, terms, strict=True):
         values[..., at] = v
         words[..., at] = generator_slot(*w1, m, n) * g + generator_slot(*w2, m, n)
-    return (values[0] if isinstance(params, DynamicalParams) else values), words
+    return values, words
 
 
 def family_width(family: int, n: int) -> int:
@@ -307,5 +306,5 @@ def slnm_family_coeffs(
         raise ValueError(f"family {family} does not take the indices {idx} at m = {m}")
     if family == 1 and n == 1:
         raise ValueError("no vertex-type relations at n = 1")
-    values, words = family_terms(family, [idx], pairs, n, params, ctx)
+    values, words = family_terms(family, [idx], pairs, n, [params], ctx)
     return words.ravel(), values.ravel()

@@ -13,9 +13,11 @@ on the weight components of the shifted site, so a shifted factor is
 ``sum_k R(q - hbar e_k) (x) P_k``: the M-weight of the spectator site's
 index picks the matrix.  The exchange residuals contract both sides
 sector by sector (see :func:`_sector_plan`) and never form the three-site
-space.  They take 1-d arrays of trial parameters as well: every trial's
-matrices for one identity come from one stacked build, and the sides from
-products with a leading trial axis, equal bit for bit to scalar calls.
+space.  They take 1-d arrays of trial parameters, one entry per trial
+(scalars broadcast), and return a 1-d array of one residual per trial:
+every trial's matrices for one identity come from one stacked build, and
+the sides from products with a leading trial axis, so that a trial's
+residual does not depend on the batch it is in.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elliptic import EllipticContext, kronecker_phi, varphi
-from .tensor import basis_t_raw, matrix_unit
+from .tensor import basis_t_raw
 
 QVector = tuple[complex, ...]
 
@@ -281,16 +283,17 @@ def _exchange_residuals(stack: np.ndarray) -> np.ndarray:
     return np.maximum(relative, norm[:, 3])
 
 
-def _trials(*values) -> tuple[list[np.ndarray], bool]:
-    """Per-trial arguments (scalars broadcast) as 1-d arrays of one length,
-    and whether every argument was a scalar."""
-    scalar = all(np.ndim(v) == 0 for v in values)
-    return [np.atleast_1d(v) for v in np.broadcast_arrays(*values)], scalar
+def _trials(*values) -> list[np.ndarray]:
+    """Per-trial arguments (scalars broadcast) as 1-d arrays of one length."""
+    return [np.atleast_1d(v) for v in np.broadcast_arrays(*values)]
 
 
-def _as_given(values: np.ndarray, scalar: bool):
-    """Per-trial results as a float for a scalar call, else as an array."""
-    return float(values[0]) if scalar else values
+def _dynamical_trials(q, *values) -> tuple[list[np.ndarray], np.ndarray]:
+    """:func:`_trials` of ``values``, and the trials' coordinates ``q`` as a
+    (K, M) array (one (M,) vector serves every trial)."""
+    q = np.asarray(q, dtype=complex)
+    values = _trials(*values, q[..., 0])[:-1]
+    return values, np.broadcast_to(q, (len(values[0]), q.shape[-1]))
 
 
 def _pair_points(z1, z2, z3) -> np.ndarray:
@@ -304,20 +307,20 @@ def ybe_residual(hbar, z1, z2, z3, n: int, ctx: EllipticContext):
     1-d arrays of the arguments (one entry per trial; scalars broadcast)
     give one residual per trial from one stacked build.
     """
-    (hbar, z1, z2, z3), scalar = _trials(hbar, z1, z2, z3)
+    hbar, z1, z2, z3 = _trials(hbar, z1, z2, z3)
     u = _pair_points(z1, z2, z3)
     r = r_bb(np.broadcast_to(hbar[:, None], u.shape), u, n, ctx)
     # every factor is its own shift at m = 1
-    return _as_given(_exchange_residuals(np.stack([r, r], axis=2)), scalar)
+    return _exchange_residuals(np.stack([r, r], axis=2))
 
 
 def _triple_points(hbar, z1, z2, z3, q) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Planck parameters, spectral parameters and coordinates of every
-    factor of K dynamical triples (1-d arrays, and ``q`` of shape (K, M)
-    or (M,)), for one stacked build: each trial's pairs 12, 13 and 23,
-    each at ``q`` and then at ``q - hbar e_k`` for every k."""
-    k, m = len(hbar), q.shape[-1]
-    qs = np.repeat(np.broadcast_to(q, (k, m))[:, None], m + 1, axis=1)
+    factor of K dynamical triples (1-d arrays, and ``q`` of shape (K, M)),
+    for one stacked build: each trial's pairs 12, 13 and 23, each at ``q``
+    and then at ``q - hbar e_k`` for every k."""
+    m = q.shape[-1]
+    qs = np.repeat(q[:, None], m + 1, axis=1)
     qs[:, np.arange(1, m + 1), np.arange(m)] -= hbar[:, None]
     u = np.repeat(_pair_points(z1, z2, z3), m + 1, axis=1)
     return np.repeat(hbar, u.shape[1]), u.ravel(), np.tile(qs, (1, 3, 1)).reshape(-1, m)
@@ -327,11 +330,10 @@ def _dynamical_residuals(build, hbar, z1, z2, z3, q):
     """Residuals of the dynamical triple exchange relation for the builder
     ``build(hbar, u, q)``, from one stacked build at :func:`_triple_points`.
     A (K, M) array of ``q`` goes with 1-d arrays of the other arguments."""
-    q = np.asarray(q, dtype=complex)
-    (hbar, z1, z2, z3, _), scalar = _trials(hbar, z1, z2, z3, q[..., 0])
+    (hbar, z1, z2, z3), q = _dynamical_trials(q, hbar, z1, z2, z3)
     stack = build(*_triple_points(hbar, z1, z2, z3, q))
     stack = stack.reshape(len(hbar), 3, q.shape[-1] + 1, *stack.shape[1:])
-    return _as_given(_exchange_residuals(stack), scalar)
+    return _exchange_residuals(stack)
 
 
 def dybe_residual_felder(hbar, z1, z2, z3, q, ctx: EllipticContext):
@@ -358,32 +360,23 @@ def dybe_residual_slnm(hbar, z1, z2, z3, q, n: int, ctx: EllipticContext):
 def zero_weight_residual(hbar, u, q, ctx: EllipticContext):
     """Weight-zero defect of the dynamical R-matrix.
 
-    Largest of: the commutator norms with the total weight projectors
-    (E_ii (x) 1 + 1 (x) E_ii), and the change under a global coordinate
-    translation q -> q + c (the matrix depends on q only through
-    differences).  1-d arrays of ``hbar`` and ``u`` with a (K, M) array of
-    ``q`` give one defect per trial.
+    Largest of: the norm of the entries that break weight conservation
+    (those outside the pattern of :func:`_sector_plan` at n = 1, where
+    the multisets of row and column indices differ; R commutes with every
+    total weight projector E_ii (x) 1 + 1 (x) E_ii exactly when they are
+    zero), and the change under a global coordinate translation
+    q -> q + c (the matrix depends on q only through differences), each
+    over the larger of the matrix's norm and 1.  1-d arrays of ``hbar``
+    and ``u`` with a (K, M) array of ``q`` give one defect per trial.
     """
-    q = np.asarray(q, dtype=complex)
-    (hbar, u, _), scalar = _trials(hbar, u, q[..., 0])
-    m = q.shape[-1]
-    q = np.broadcast_to(q, (len(u), m))
+    (hbar, u), q = _dynamical_trials(q, hbar, u)
     rf = r_felder(hbar, u, q, ctx)
     shift = 0.37 - 0.21j
     moved = np.max(np.abs(r_felder(hbar, u, q + shift, ctx) - rf), axis=(-2, -1))
-    eye_m = np.eye(m, dtype=complex)
-    totals = []
-    for i in range(1, m + 1):
-        eii = matrix_unit(i, i, m)
-        totals.append(np.kron(eii, eye_m) + np.kron(eye_m, eii))
-    out = np.empty(len(u))
-    for t, (r, gap) in enumerate(zip(rf, moved)):
-        scale = max(float(np.linalg.norm(r)), 1.0)
-        worst = 0.0
-        for total in totals:
-            worst = max(worst, float(np.linalg.norm(total @ r - r @ total)) / scale)
-        out[t] = max(worst, float(gap) / scale)
-    return _as_given(out, scalar)
+    _, outside = _sector_plan(q.shape[-1], 1)
+    leaked = np.sqrt(_squares(np.take(rf.reshape(len(rf), -1), outside, axis=1)))
+    scale = np.maximum([np.linalg.norm(r) for r in rf], 1.0)
+    return np.maximum(leaked, moved) / scale
 
 
 def bb_l_operator_rll_residual(hbar, z1, z2, n: int, ctx: EllipticContext):
@@ -408,17 +401,15 @@ def felder_dynamical_l_residual(hbar, z1, z2, q, ctx: EllipticContext):
 def slnm_reduction_residual_m1(hbar, u, q1, n: int, ctx: EllipticContext):
     """Elementwise gap between the composite matrix at M=1 and the vertex
     one.  1-d arrays of ``u``, ``hbar`` and ``q1`` give the trials' gaps."""
-    a = r_slnm(hbar, u, np.asarray(q1)[..., None], n, ctx)
-    b = r_bb(hbar, u, n, ctx)
-    gap = np.max(np.abs(a - b), axis=(-2, -1))
-    return gap if np.ndim(u) else float(gap)
+    hbar, u, q1 = _trials(hbar, u, q1)
+    a = r_slnm(hbar, u, q1[:, None], n, ctx)
+    return np.max(np.abs(a - r_bb(hbar, u, n, ctx)), axis=(-2, -1))
 
 
 def slnm_reduction_residual_n1(hbar, u, q, ctx: EllipticContext):
     """Elementwise gap between the composite matrix at N=1 and the dynamical
-    one.  A 1-d array of ``u``, with ``hbar`` of its shape and a (K, M)
-    array of ``q``, gives the K trials' gaps."""
+    one.  1-d arrays of ``u`` and ``hbar`` with a (K, M) array of ``q``
+    give the K trials' gaps."""
+    (hbar, u), q = _dynamical_trials(q, hbar, u)
     a = r_slnm(hbar, u, q, 1, ctx)
-    b = r_felder(hbar, u, q, ctx)
-    gap = np.max(np.abs(a - b), axis=(-2, -1))
-    return gap if np.ndim(u) else float(gap)
+    return np.max(np.abs(a - r_felder(hbar, u, q, ctx)), axis=(-2, -1))

@@ -7,18 +7,21 @@ its nonzero pattern, with disjoint word supports.  A :class:`RelationSet`
 keeps only those components, each as a small dense block, so that no
 array runs over all words; the rank, mutual inclusion and principal
 angles of two spans all come from one small SVD per component.  The span
-functions stack those SVDs, one LAPACK call per block shape across every
-component of every set they are given, and compare sets over the joint
-components of their patterns with :func:`ellrmx.joints.compare`.
+functions take sequences of sets, one entry per trial (two sequences of
+one length to compare pairs), and return a list of one result per entry;
+a single set is a one-element list.  They stack the SVDs, one LAPACK call per
+block shape across every component of every set they are given, and
+compare sets over the joint components of their patterns with
+:func:`ellrmx.joints.compare`.
 :func:`span_bound` is the one span certificate: ``rll`` bounds each
 defect set against the reference set, ``tv-reduce`` the TV set against
 the families.  No check calls :func:`span_equal` or :func:`span_gap`;
 they stay only because the benchmark's tracer wraps them.  Every relation
 set is built from its (row, word, value) terms with
-:meth:`RelationSet.from_terms`, the sets of many trials of the same terms
-together.  It is the one place that decides
-which rows a set has: a row with no nonzero term is dropped, so callers
-hand it every row they build, exact zeros included.
+:meth:`RelationSet.from_terms`, which takes the values of a batch of
+trials of the same terms and builds their sets together.  It is the one
+place that decides which rows a set has: a row with no nonzero term is
+dropped, so callers hand it every row they build, exact zeros included.
 """
 
 from __future__ import annotations
@@ -70,29 +73,28 @@ class RelationSet:
     @classmethod
     def from_terms(
         cls, rows: np.ndarray, words: np.ndarray, values: np.ndarray, size: int, width: int
-    ) -> RelationSet | tuple[RelationSet, ...]:
-        """The relations among ``size`` rows over ``width`` words in which
-        row ``rows[k]`` has the coefficient ``values[k]`` on word
-        ``words[k]``.  The (row, word) pairs are distinct, in any order,
-        and every term is finite.  A row with no nonzero term (its 2-norm
-        is zero) is dropped and the rows left are renumbered in order, so
-        the set's ``size`` counts the rows it keeps.  Rows join components
-        by exact nonzeros.
+    ) -> tuple[RelationSet, ...]:
+        """The sets of T trials of the same terms: in trial t, the
+        relations among ``size`` rows over ``width`` words in which row
+        ``rows[k]`` has the coefficient ``values[t, k]`` on word
+        ``words[k]``.  ``values`` has shape (T, K), one row a trial.  The
+        (row, word) pairs are distinct, in any order, and every term is
+        finite.  A row with no nonzero term (its 2-norm is zero) is
+        dropped and the rows left are renumbered in order, so a set's
+        ``size`` counts the rows it keeps.  Rows join components by exact
+        nonzeros.
 
-        ``values`` of shape (T, K) holds T trials of the same terms and
-        gives a tuple of T sets.  Trials with the same nonzero pattern
-        keep the same rows and share one layout: its components are found
-        once, and each trial's blocks are views of its own row of one
-        buffer.  Values that are not a complex array already (a list of
-        the trials' arrays, say) are copied once, and normalized in that
-        copy.
+        Trials with the same nonzero pattern keep the same rows and share
+        one layout: its components are found once, and each trial's blocks
+        are views of its own row of one buffer.  Values that are not a
+        complex array already (a list of the trials' arrays, say) are
+        copied once, and normalized in that copy.
         """
         rows, words = np.asarray(rows, dtype=int), np.asarray(words, dtype=int)
         stack = np.asarray(values, dtype=complex)
-        copied, batch, shape = stack is not values, stack.ndim == 2, stack.shape
-        stack = stack if batch else stack[None]
-        if rows.ndim != 1 or not rows.shape == words.shape == stack.shape[1:]:
-            raise ValueError(f"{rows.shape} rows, {words.shape} words and {shape} values")
+        copied = stack is not values
+        if stack.ndim != 2 or not rows.shape == words.shape == stack.shape[1:]:
+            raise ValueError(f"{rows.shape} rows, {words.shape} words and {stack.shape} values")
         for name, index, bound in (("row", rows, size), ("word", words, width)):
             if index.size and not (0 <= index.min() and index.max() < bound):
                 raise ValueError(f"a {name} index outside the {bound} {name}s")
@@ -124,7 +126,7 @@ class RelationSet:
             buffer.setflags(write=False)
             for own, t in zip(buffer, trials):
                 sets[t] = cls(kept, width, components, _views(own, shapes), own)
-        return tuple(sets) if batch else sets[0]
+        return tuple(sets)
 
     def __len__(self) -> int:
         return self.size
@@ -254,14 +256,13 @@ def _factor(sets: Sequence[RelationSet], vectors: bool) -> None:
         vars(s).setdefault("rank", int(np.sum(values > cutoff)))
 
 
-def span_rank(vectors: RelationSet | Sequence[RelationSet]) -> int | list[int]:
-    """Rank of the set (:attr:`RelationSet.rank`).  Given a sequence of
-    sets, their ranks: those of sets with neither rank nor bases yet come
-    from singular values alone, stacked across all their blocks."""
-    sets = [vectors] if isinstance(vectors, RelationSet) else list(vectors)
+def span_rank(sets: Sequence[RelationSet]) -> list[int]:
+    """The ranks of the sets (:attr:`RelationSet.rank`): those of sets with
+    neither rank nor bases yet come from singular values alone, stacked
+    across all their blocks."""
+    sets = list(sets)
     _factor(sets, vectors=False)
-    ranks = [s.rank for s in sets]
-    return ranks[0] if isinstance(vectors, RelationSet) else ranks
+    return [s.rank for s in sets]
 
 
 def _worst(pairs: list[tuple[RelationSet, RelationSet]], bases: bool) -> list[float]:
@@ -272,59 +273,49 @@ def _worst(pairs: list[tuple[RelationSet, RelationSet]], bases: bool) -> list[fl
 
 
 def span_equal(
-    a: RelationSet | Sequence[RelationSet], b: RelationSet | Sequence[RelationSet], tol: float
-) -> tuple[bool, float] | list[tuple[bool, float]]:
-    """Mutual-inclusion span test.
+    a: Sequence[RelationSet], b: Sequence[RelationSet], tol: float
+) -> list[tuple[bool, float]]:
+    """Mutual-inclusion span test of each pair of sets of ``a`` and ``b``.
 
     Projects every vector of each set onto the span of the other; the
     metric is the worst relative least-squares residual, and the verdict is
     ``metric < tol``.  A row and its projection both lie on the row's
     joint component, so each projection is taken there.  Against an empty
-    set the metric is exactly 1, or 0 if both are empty.  Given two
-    sequences of sets, the test of each pair: the SVDs of all their blocks
-    are stacked together, and so are the projections of all joints of one
-    shape (see :func:`ellrmx.joints.compare`).
+    set the metric is exactly 1, or 0 if both are empty.  The SVDs of all
+    the sets' blocks are stacked together, and so are the projections of
+    all joints of one shape (see :func:`ellrmx.joints.compare`).
     """
-    single = isinstance(a, RelationSet)
-    pairs = [(a, b)] if single else list(zip(a, b, strict=True))
+    pairs = list(zip(a, b, strict=True))
     _factor([s for pair in pairs for s in pair], vectors=True)
-    out = [(worst < tol, worst) for worst in _worst(pairs, bases=False)]
-    return out[0] if single else out
+    return [(worst < tol, worst) for worst in _worst(pairs, bases=False)]
 
 
-def span_gap(
-    a: RelationSet | Sequence[RelationSet], b: RelationSet | Sequence[RelationSet]
-) -> float | list[float]:
-    """Largest principal-angle sine between the two spans (symmetric).
+def span_gap(a: Sequence[RelationSet], b: Sequence[RelationSet]) -> list[float]:
+    """Largest principal-angle sine between the two spans of each pair of
+    sets of ``a`` and ``b`` (symmetric).
 
     Equals 0 for identical spans and reaches 1 when one span contains a
     direction orthogonal to the other, so rank mismatches surface as gaps
     of order one; between an empty set and another it is exactly 1, or 0
     if both are empty.  Both bases are block diagonal over the joint
-    components, so the 2-norm is the largest over the blocks.  Given two
-    sequences of sets, the gap of each pair, stacked as in
-    :func:`span_equal`.  No check calls it: :func:`span_bound` bounds it.
+    components, so the 2-norm is the largest over the blocks.  Stacked as
+    in :func:`span_equal`.  No check calls it: :func:`span_bound` bounds it.
     """
-    single = isinstance(a, RelationSet)
-    pairs = [(a, b)] if single else list(zip(a, b, strict=True))
+    pairs = list(zip(a, b, strict=True))
     _factor([s for pair in pairs for s in pair], vectors=True)
-    gaps = _worst(pairs, bases=True)
-    return gaps[0] if single else gaps
+    return _worst(pairs, bases=True)
 
 
-def span_bound(
-    a: RelationSet | Sequence[RelationSet], b: RelationSet | Sequence[RelationSet]
-) -> tuple[float, int] | list[tuple[float, int]]:
-    """Wedin's bound on the gap between ``b``'s span and the top r right
-    singular vectors of ``a``'s unit rows A (:func:`span_gap` if A has
-    rank r), and r, the rank of C = A conj(Q) on ``b``'s bases Q: the
-    Frobenius norm of A off ``b``'s span over sigma_r(C) <= sigma_r(A), at
-    most 1, if r is ``b``'s rank, else exactly 1 (0 if both are empty).
-    Only ``b`` is factored: r and sigma_r(C) are cut, as a rank is, from
-    :func:`ellrmx.joints.compare`'s values.  Given two sequences of sets,
-    stacked as in :func:`span_equal`."""
-    single = isinstance(a, RelationSet)
-    pairs = [(a, b)] if single else list(zip(a, b, strict=True))
+def span_bound(a: Sequence[RelationSet], b: Sequence[RelationSet]) -> list[tuple[float, int]]:
+    """For each pair of sets of ``a`` and ``b``: Wedin's bound on the gap
+    between ``b``'s span and the top r right singular vectors of ``a``'s
+    unit rows A (:func:`span_gap` if A has rank r), and r, the rank of
+    C = A conj(Q) on ``b``'s bases Q: the Frobenius norm of A off ``b``'s
+    span over sigma_r(C) <= sigma_r(A), at most 1, if r is ``b``'s rank,
+    else exactly 1 (0 if both are empty).  Only ``b`` is factored: r and
+    sigma_r(C) are cut, as a rank is, from :func:`ellrmx.joints.compare`'s
+    values.  Stacked as in :func:`span_equal`."""
+    pairs = list(zip(a, b, strict=True))
     _factor([r for _, r in pairs], vectors=True)
     out = []
     for (_, r), (res, sv) in zip(pairs, compare(pairs)):
@@ -333,4 +324,4 @@ def span_bound(
         floor = float(kept.min()) if kept.size else 1.0
         bound = min(1.0, math.sqrt(math.fsum(res**2)) / floor) if kept.size == r.rank else 1.0
         out.append((bound, kept.size))
-    return out[0] if single else out
+    return out

@@ -51,6 +51,6 @@ def with_excess_row(s: RelationSet) -> RelationSet:
     rows = [np.repeat(r, c.size) for (r, c), _ in pieces] + [np.full(cols.size + 1, s.size)]
     words = [np.tile(c, r.size) for (r, c), _ in pieces] + [np.append(cols, free)]
     values = [b.ravel() for _, b in pieces] + [np.append(block[0], 1e-7)]
-    return RelationSet.from_terms(
-        *(np.concatenate(x) for x in (rows, words, values)), s.size + 1, s.width
-    )
+    rows, words, values = (np.concatenate(x) for x in (rows, words, values))
+    (out,) = RelationSet.from_terms(rows, words, [values], s.size + 1, s.width)
+    return out

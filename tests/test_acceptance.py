@@ -216,13 +216,12 @@ def test_criterion_08_rll_relation_equivalence():
             m=m, two_sets=True, z_count=2 * pairs, expressions=rll_exprs(n)
         )
         params, zs = sample_params([108, n, m], spec, CTX)
-        reference = relation_vectors_reference(n, m, params, CTX)
+        references = relation_vectors_reference(n, m, [params], CTX) * pairs
         defects = rll_defect(defect_table(n, m, [params] * pairs, zs[0::2], zs[1::2], CTX))
-        for d in defects:
-            ok, metric = span_equal(d, reference, 1e-8)
+        for ok, metric in span_equal(defects, references, 1e-8):
             assert ok, f"(N,M)=({n},{m}): span mismatch {metric:.3e}"
         for da, db in itertools.combinations(defects, 2):
-            gap = span_gap(da, db)
+            (gap,) = span_gap([da], [db])
             assert gap < 1e-8, f"(N,M)=({n},{m}): z-dependent span, gap {gap:.3e}"
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0, f"criterion 8 took {elapsed:.2f}s"

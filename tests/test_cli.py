@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from ellrmx import cli
-from ellrmx.checks import MAX_IM_TAU
+from ellrmx.checks import MAX_IM_TAU, ConfigError
 
 BASE = [sys.executable, "-m", "ellrmx.cli"]
 
@@ -137,6 +137,26 @@ class TestExitCodes:
     def test_malformed_tau_is_two(self):
         proc = run_cli("ybe", "--tau", "0.3")
         assert proc.returncode == 2
+
+    def test_negative_real_parts_parse_in_both_spellings(self, monkeypatch, capsys):
+        seen = []
+
+        def record(cfg):
+            seen.append(cfg)
+            raise ConfigError("recorded")
+
+        monkeypatch.setattr(cli, "run_check", record)
+        for argv in (
+            ["all", "--tau", "-0.5,0.8", "--hbar", "-.1,0.2"],
+            ["all", "--tau=-0.5,0.8", "--hbar=-.1,0.2"],
+        ):
+            assert cli.main(argv) == 2
+        capsys.readouterr()
+        assert seen[0] == seen[1]
+        assert (seen[0].tau, seen[0].hbar) == (complex(-0.5, 0.8), complex(-0.1, 0.2))
+        proc = run_cli("ybe", "--hbar", "-0.1,0.2", "--trials", "1")
+        assert proc.returncode == 0, proc.stderr
+        assert "hbar=-0.1+0.2j" in proc.stdout
 
 
 class TestReports:

@@ -130,7 +130,7 @@ def dropped_component(monkeypatch):
             rows = np.concatenate([np.repeat(r, c.size) for (r, c), _ in pieces])
             words = np.concatenate([np.tile(c, r.size) for (r, c), _ in pieces])
             values = np.concatenate([block.ravel() for _, block in pieces])
-            out.append(RelationSet.from_terms(rows, words, values, s.size, s.width))
+            out += RelationSet.from_terms(rows, words, [values], s.size, s.width)
         return tuple(out)
 
     monkeypatch.setattr(checks, "rll_defect", patched)

@@ -78,6 +78,12 @@ def defects_at(n, m, params, z1, z2, ctx=CTX) -> RelationSet:
     return defects
 
 
+def reference_at(n, m, params, ctx=CTX) -> RelationSet:
+    """The reference set of one parameter set."""
+    (reference,) = relation_vectors_reference(n, m, [params], ctx)
+    return reference
+
+
 def table_at(params, z_samples, n=2) -> DefectTable:
     """The defect table of one parameter set at each z-sample."""
     z1, z2 = zip(*z_samples)
@@ -101,7 +107,8 @@ def dense_set(rows) -> RelationSet:
     """The set of the given dense rows."""
     rows = np.asarray(rows, dtype=complex)
     r, c = np.nonzero(rows)
-    return RelationSet.from_terms(r, c, rows[r, c], rows.shape[0], rows.shape[1])
+    (out,) = RelationSet.from_terms(r, c, [rows[r, c]], *rows.shape)
+    return out
 
 
 def dense_rows(s: RelationSet) -> np.ndarray:
@@ -266,8 +273,8 @@ class TestDefectSpans:
         n, m = nm
         params = params_for(m)
         defects = defects_at(n, m, params, Z1, Z2)
-        reference = relation_vectors_reference(n, m, params, CTX)
-        ok, metric = span_equal(defects, reference, 1e-8)
+        reference = relation_vectors_reference(n, m, [params], CTX)
+        [(ok, metric)] = span_equal([defects], reference, 1e-8)
         assert ok, f"span mismatch at (n, m) = {nm}: metric {metric:.3e}"
         assert metric < 1e-10
 
@@ -276,36 +283,36 @@ class TestDefectSpans:
         n, m = nm
         params = params_for(m)
         defects = defects_at(n, m, params, Z1, Z2)
-        reference = relation_vectors_reference(n, m, params, CTX)
-        assert span_rank(defects) == flat_ranks(n, m)
-        assert span_rank(reference) == flat_ranks(n, m)
+        reference = relation_vectors_reference(n, m, [params], CTX)
+        assert span_rank([defects]) == [flat_ranks(n, m)]
+        assert span_rank(reference) == [flat_ranks(n, m)]
 
     def test_dropping_the_exponential_factor_breaks_closure(self, no_exp_factor):
         # Without exp(2 pi i a2 z / n) the defect span inflates past the
         # flat count and no longer matches the reference relations.
         n, m = 2, 1
         params = params_for(m)
-        defects = defects_at(n, m, params, Z1, Z2)
-        reference = relation_vectors_reference(n, m, params, CTX)
-        assert span_rank(defects) > flat_ranks(n, m)
-        ok, metric = span_equal(defects, reference, 1e-8)
+        defects = [defects_at(n, m, params, Z1, Z2)]
+        reference = relation_vectors_reference(n, m, [params], CTX)
+        assert span_rank(defects)[0] > flat_ranks(n, m)
+        [(ok, metric)] = span_equal(defects, reference, 1e-8)
         assert not ok
         assert metric > 0.1
-        assert span_gap(defects, reference) > 0.5
+        assert span_gap(defects, reference)[0] > 0.5
 
     def test_defect_span_is_independent_of_spectral_parameters(self):
         n, m = 2, 2
         params = params_for(m)
-        reference = relation_vectors_reference(n, m, params, CTX)
+        reference = relation_vectors_reference(n, m, [params], CTX)
         first = None
         for z1, z2 in Z_SAMPLES:
-            defects = defects_at(n, m, params, z1, z2)
-            ok, metric = span_equal(defects, reference, 1e-8)
+            defects = [defects_at(n, m, params, z1, z2)]
+            [(ok, metric)] = span_equal(defects, reference, 1e-8)
             assert ok, f"z pair ({z1}, {z2}): metric {metric:.3e}"
             if first is None:
                 first = defects
             else:
-                assert span_gap(defects, first) < 1e-8
+                assert span_gap(defects, first)[0] < 1e-8
 
 
 class TestFactorization:
@@ -407,24 +414,24 @@ class TestSpanHelpers:
 
     def test_an_empty_set_has_rank_zero(self):
         # from singular values alone, and as the width of its bases
-        ranked, compared = dense_set(np.zeros((0, 16))), dense_set(np.zeros((0, 16)))
-        assert span_gap(compared, compared) == 0.0
-        assert compared.bases == ()
-        assert span_rank(ranked) == span_rank(compared) == 0
+        ranked, compared = [dense_set(np.zeros((0, 16)))], [dense_set(np.zeros((0, 16)))]
+        assert span_gap(compared, compared) == [0.0]
+        assert compared[0].bases == ()
+        assert span_rank(ranked) == span_rank(compared) == [0]
 
     def test_empty_sets_lie_at_zero_from_each_other(self):
         empty, other = dense_set(np.zeros((0, 16))), dense_set(np.zeros((0, 16)))
-        for a, b in ((empty, other), (empty, empty)):
-            assert span_equal(a, b, 1e-8) == (True, 0.0)
-            assert span_gap(a, b) == 0.0
+        for a, b in (([empty], [other]), ([empty], [empty])):
+            assert span_equal(a, b, 1e-8) == [(True, 0.0)]
+            assert span_gap(a, b) == [0.0]
 
     def test_an_empty_set_lies_at_one_from_any_other(self):
         empty = dense_set(np.zeros((0, 48)))
         rng = np.random.default_rng(13)
         full = dense_set(block_rows(rng, [list(range(k, k + 8)) for k in (0, 16)], 5, 3))
-        for a, b in ((empty, full), (full, empty)):
-            assert span_equal(a, b, 1e-8) == (False, 1.0)
-            assert span_gap(a, b) == 1.0
+        for a, b in (([empty], [full]), ([full], [empty])):
+            assert span_equal(a, b, 1e-8) == [(False, 1.0)]
+            assert span_gap(a, b) == [1.0]
 
     def test_sequences_mix_empty_and_nonempty_sets(self):
         rng = np.random.default_rng(11)
@@ -432,9 +439,10 @@ class TestSpanHelpers:
         a, b = (dense_set(block_rows(rng, blocks, 5, rank)) for rank in (3, 2))
         e, f = dense_set(np.zeros((0, 48))), dense_set(np.zeros((0, 48)))
         firsts, seconds = [e, a, f, b, a, e], [f, e, b, a, a, e]
-        want = [0.0, 1.0, 1.0, span_equal(b, a, 1e-8)[1], span_equal(a, a, 1e-8)[1], 0.0]
+        [(_, ba), (_, aa)] = span_equal([b, a], [a, a], 1e-8)
+        want = [0.0, 1.0, 1.0, ba, aa, 0.0]
         assert [metric for _, metric in span_equal(firsts, seconds, 1e-8)] == want
-        gaps = [0.0, 1.0, 1.0, span_gap(b, a), span_gap(a, a), 0.0]
+        gaps = [0.0, 1.0, 1.0, *span_gap([b, a], [a, a]), 0.0]
         assert span_gap(firsts, seconds) == gaps
         assert span_rank(firsts) == [0, 18, 0, 12, 18, 0]
         assert span_equal([], [], 1e-8) == span_gap([], []) == span_bound([], []) == []
@@ -445,7 +453,7 @@ class TestSpanHelpers:
         with pytest.raises(ValueError, match="finite"):
             dense_set(rows)
         empty = dense_set(np.zeros((1, 16), dtype=complex))
-        assert len(empty) == 0 and empty.components == () and span_rank(empty) == 0
+        assert len(empty) == 0 and empty.components == () and span_rank([empty]) == [0]
 
     def test_rows_without_a_nonzero_term_are_dropped(self):
         # six rows over twelve words, chained into components by shared
@@ -460,51 +468,51 @@ class TestSpanHelpers:
         sets = RelationSet.from_terms(rows, words, values, 6, 12)
         assert len({id(s.components) for s in sets}) == 3
         for got, own in zip(sets, values):
-            alone = RelationSet.from_terms(rows, words, own, 6, 12)
+            (alone,) = RelationSet.from_terms(rows, words, [own], 6, 12)
             live = np.unique(rows[own != 0])
             terms = np.isin(rows, live)
-            compact = RelationSet.from_terms(
-                np.searchsorted(live, rows[terms]), words[terms], own[terms], live.size, 12
+            (compact,) = RelationSet.from_terms(
+                np.searchsorted(live, rows[terms]), words[terms], [own[terms]], live.size, 12
             )
             assert got.size == alone.size == compact.size == live.size
             for s in (got, alone):
                 assert_same_set(s, compact)
-                assert span_rank(s) == span_rank(compact)
+                assert span_rank([s]) == span_rank([compact])
 
     def test_mixed_dimensions_raise(self):
         small = dense_set([self.vec(0, width=1)])
         for compare in (lambda a, b: span_equal(a, b, 1e-8), span_gap):
             for wide in (dense_set([self.vec(0)]), dense_set(np.zeros((0, 16)))):
                 with pytest.raises(ValueError, match="dimensions differ"):
-                    compare(wide, small)
+                    compare([wide], [small])
 
     def test_gap_vanishes_for_identical_spans(self):
-        a = dense_set([self.vec(0), self.vec(1)])
-        b = dense_set([self.vec(0, value=2.0 - 1.0j), self.vec(1, value=0.5j)])
-        assert span_gap(a, b) < 1e-12
-        ok, metric = span_equal(a, b, 1e-8)
+        a = [dense_set([self.vec(0), self.vec(1)])]
+        b = [dense_set([self.vec(0, value=2.0 - 1.0j), self.vec(1, value=0.5j)])]
+        assert span_gap(a, b)[0] < 1e-12
+        [(ok, metric)] = span_equal(a, b, 1e-8)
         assert ok and metric < 1e-12
 
     def test_gap_reaches_one_for_orthogonal_directions(self):
-        a = dense_set([self.vec(0)])
-        b = dense_set([self.vec(1)])
-        assert span_gap(a, b) == pytest.approx(1.0)
-        ok, _ = span_equal(a, b, 1e-8)
+        a = [dense_set([self.vec(0)])]
+        b = [dense_set([self.vec(1)])]
+        assert span_gap(a, b) == [pytest.approx(1.0)]
+        [(ok, _)] = span_equal(a, b, 1e-8)
         assert not ok
 
     def test_rank_ignores_dependent_rows(self):
         mixed = self.vec(0) + self.vec(1, value=1.0j)
         vectors = dense_set([self.vec(0), self.vec(1), mixed])
-        assert span_rank(vectors) == 2
+        assert span_rank([vectors]) == [2]
 
     def test_rank_after_a_comparison_is_the_basis_width(self):
         # Ranking a fresh set and comparing one both take the component
         # bases; the rank is their summed width either way.
         rows = [self.vec(0), self.vec(1), self.vec(0, value=3.0j)]
-        ranked, compared = dense_set(rows), dense_set(rows)
-        assert span_gap(compared, compared) < 1e-12
-        width = sum(q.shape[1] for q in compared.bases)
-        assert span_rank(ranked) == span_rank(compared) == width == 2
+        ranked, compared = [dense_set(rows)], [dense_set(rows)]
+        assert span_gap(compared, compared)[0] < 1e-12
+        width = sum(q.shape[1] for q in compared[0].bases)
+        assert span_rank(ranked) == span_rank(compared) == [width] == [2]
 
     def test_basis_survives_an_svd_that_does_not_converge(self, monkeypatch):
         # LAPACK's divide-and-conquer SVD failed on one 512 x 512 defect
@@ -525,24 +533,24 @@ class TestSpanHelpers:
                 return svd(a, *args, **kwargs)
 
             monkeypatch.setattr(np.linalg, "svd", failing)
-            got = stuck.bases if vectors else span_rank(stuck)
+            got = stuck.bases if vectors else span_rank([stuck])
             monkeypatch.setattr(np.linalg, "svd", svd)
             assert calls == [(2, 9, 12), (1, 9, 12), (1, 12, 9), (1, 9, 12)]
             if not vectors:
-                assert got == span_rank(fresh) == 8
+                assert got == span_rank([fresh]) == [8]
                 continue
             for q, want in zip(got, fresh.bases):
                 assert q.shape == want.shape == (12, 4)
                 assert np.allclose(q @ q.conj().T, want @ want.conj().T, atol=1e-12)
-            assert span_equal(stuck, fresh, 1e-8)[1] < 1e-12
+            assert span_equal([stuck], [fresh], 1e-8)[0][1] < 1e-12
 
     def test_sequences_give_each_sets_results_from_stacked_svds(self, monkeypatch):
         rng = np.random.default_rng(5)
         blocks = [list(range(k, k + 8)) for k in range(0, 48, 8)]
         rows = [block_rows(rng, blocks, 5, rank) for rank in (2, 3, 3)]
         other = [block_rows(rng, blocks, 4, 3) for _ in rows]
-        ranks = [span_rank(dense_set(r)) for r in rows]
-        metrics = [span_equal(dense_set(r), dense_set(o), 1e-8) for r, o in zip(rows, other)]
+        ranks = [span_rank([dense_set(r)])[0] for r in rows]
+        metrics = [span_equal([dense_set(r)], [dense_set(o)], 1e-8)[0] for r, o in zip(rows, other)]
         shapes = []
         svd = np.linalg.svd
 
@@ -581,7 +589,7 @@ class TestSpanHelpers:
             [[1, 2j, 3, 4, 5], [1, 2j, 0, 4, 5], [6, 7, 8j, 9, 1]], dtype=complex
         )
         sets = RelationSet.from_terms(rows, words, values, 3, 4)
-        alone = [RelationSet.from_terms(rows, words, v, 3, 4) for v in values]
+        alone = [RelationSet.from_terms(rows, words, [v], 3, 4)[0] for v in values]
         assert [len(s.components) for s in sets] == [2, 3, 2]
         assert sets[0].components is sets[2].components
         for got, want in zip(sets, alone):
@@ -592,9 +600,30 @@ class TestSpanHelpers:
         # Residuals must use the row space itself, not its conjugate.
         n, m = 2, 2
         params = params_for(m)
-        vectors = relation_vectors_reference(n, m, params, CTX)
-        ok, metric = span_equal(vectors, vectors, 1e-8)
+        vectors = relation_vectors_reference(n, m, [params], CTX)
+        [(ok, metric)] = span_equal(vectors, vectors, 1e-8)
         assert ok and metric < 1e-12
+
+
+# Each batch function called on one bare set or parameter set, or on one
+# trial's terms or coordinates without their trial axis
+BARE_CALLS = {
+    "span_rank": lambda s, p: span_rank(s),
+    "span_equal": lambda s, p: span_equal(s, s, 1e-8),
+    "span_gap": lambda s, p: span_gap(s, s),
+    "span_bound": lambda s, p: span_bound(s, s),
+    "from_terms": lambda s, p: RelationSet.from_terms([0, 0], [0, 1], [1.0, 2.0], 1, 4),
+    "relation_vectors_reference": lambda s, p: relation_vectors_reference(2, 2, p, CTX),
+    "family_terms": lambda s, p: family_terms(2, [(1, 1, 2)], (np.zeros(1, int),) * 4, 1, p, CTX),
+    "tv_relations": lambda s, p: tv_relations(2, p.q1, p.q2, p.hbar, CTX),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BARE_CALLS))
+def test_batch_functions_refuse_a_single_item(name):
+    # one item is a batch of one: [s], [params], values of shape (1, K)
+    with pytest.raises((TypeError, ValueError)):
+        BARE_CALLS[name](dense_set(np.eye(2, 4, dtype=complex)), params_for(2))
 
 
 def dense_basis(s: RelationSet) -> np.ndarray:
@@ -640,10 +669,10 @@ class TestDenseOracleParity:
     HALVES = [list(range(k, k + 4)) for k in range(0, 48, 4)]
 
     def assert_parity(self, a: RelationSet, b: RelationSet) -> None:
-        for s in (a, b):
-            assert span_rank(s) == dense_basis(s).shape[1]
-        assert span_equal(a, b, 1e-8)[1] == pytest.approx(dense_equal(a, b), abs=1e-12)
-        assert span_gap(a, b) == pytest.approx(dense_gap(a, b), abs=1e-12)
+        assert span_rank([a, b]) == [dense_basis(s).shape[1] for s in (a, b)]
+        [(_, metric)] = span_equal([a], [b], 1e-8)
+        assert metric == pytest.approx(dense_equal(a, b), abs=1e-12)
+        assert span_gap([a], [b]) == [pytest.approx(dense_gap(a, b), abs=1e-12)]
 
     @pytest.mark.parametrize("seed", range(4))
     def test_random_block_structured_sets(self, seed):
@@ -655,11 +684,11 @@ class TestDenseOracleParity:
         mix = mix * (rng.normal(size=mix.shape) + 1j * rng.normal(size=mix.shape))
         same = dense_set(mix @ rows)
         self.assert_parity(a, same)
-        assert span_gap(a, same) < 1e-12
+        assert span_gap([a], [same])[0] < 1e-12
         # unrelated spans of another rank: metrics of order one
         other = dense_set(block_rows(rng, self.BLOCKS, 3, 2))
         self.assert_parity(a, other)
-        assert span_gap(a, other) > 0.1
+        assert span_gap([a], [other])[0] > 0.1
         assert len(a.components) == len(self.BLOCKS)
 
     @pytest.mark.parametrize("seed", range(3))
@@ -696,7 +725,7 @@ class TestDenseOracleParity:
         rows[100, 1] = 1.0
         rows[101, 1:3] = 1.0, 5e-8
         a = dense_set(rows)
-        assert span_rank(a) == dense_basis(a).shape[1] == 2
+        assert span_rank([a]) == [dense_basis(a).shape[1]] == [2]
         self.assert_parity(a, dense_set(np.eye(3, 4, dtype=complex)))
 
     def test_gap_needs_the_joint_components(self):
@@ -706,8 +735,9 @@ class TestDenseOracleParity:
         b = dense_set(np.array([[1.0, 1.0, 0.0, 0.0]], dtype=complex))
         assert (len(a.components), len(b.components)) == (2, 1)
         self.assert_parity(a, b)
-        assert span_gap(a, b) == pytest.approx(1.0)
-        assert span_equal(a, b, 1e-8)[1] == pytest.approx(2**-0.5)
+        assert span_gap([a], [b]) == [pytest.approx(1.0)]
+        [(_, metric)] = span_equal([a], [b], 1e-8)
+        assert metric == pytest.approx(2**-0.5)
 
 
 class TestSectorDimensions:
@@ -728,10 +758,10 @@ class TestSectorDimensions:
         params = params_for(m)
         sets = (
             defects_at(n, m, params, Z1, Z2),
-            relation_vectors_reference(n, m, params, CTX),
+            *relation_vectors_reference(n, m, [params], CTX),
         )
+        assert span_rank(sets) == [flat_ranks(n, m)] * 2
         for s in sets:
-            assert span_rank(s) == flat_ranks(n, m)
             for (_, cols), basis in zip(s.components, s.bases):
                 assert len({self.sector(int(w), n, m) for w in cols}) == 1
                 first, second = np.divmod(cols, g)
@@ -746,18 +776,18 @@ class TestReferenceVectors:
         # their coordinate pair; at n = 2 it is there.
         for n in (1, 2):
             g = 4 * n * n
-            rows = dense_rows(relation_vectors_reference(n, 2, params_for(2), CTX))
+            rows = dense_rows(*relation_vectors_reference(n, 2, [params_for(2)], CTX))
             first, second = np.divmod(np.arange(g * g), g)
             same_pair = first // (n * n) == second // (n * n)
             assert np.any(rows[:, same_pair]) == (n > 1)
 
     def test_scalar_case_has_no_relations(self):
-        assert len(relation_vectors_reference(1, 1, params_for(1), CTX)) == 0
+        assert [len(s) for s in relation_vectors_reference(1, 1, [params_for(1)], CTX)] == [0]
 
     def test_requires_two_coordinate_blocks(self):
         single = DynamicalParams(params_for(2).q1, None, HBAR)
         with pytest.raises(ValueError):
-            relation_vectors_reference(2, 2, single, CTX)
+            relation_vectors_reference(2, 2, [single], CTX)
 
 
     def test_trials_that_drop_other_rows_get_their_own_layout(self, monkeypatch):
@@ -922,7 +952,8 @@ def dense_reference(n, m, params, ctx) -> DenseSet:
     pairs = (ia // n, ia % n, ib // n, ib % n)
 
     def block(family):
-        return family_terms(family, family_tuples(family, m), pairs, n, params, ctx)
+        values, words = family_terms(family, family_tuples(family, m), pairs, n, [params], ctx)
+        return values[0], words
 
     blocks = [block(1)] if n > 1 else []
     if m > 1:
@@ -993,7 +1024,7 @@ class TestSparseParity:
             )
             builds = (
                 (dense_defect_table, point_table, (n, m, params, *zs[:2], ctx)),
-                (dense_reference, relation_vectors_reference, (n, m, params, ctx)),
+                (dense_reference, reference_at, (n, m, params, ctx)),
             )
             try:
                 oracle = dense_defect_table(*builds[0][2])
@@ -1009,16 +1040,18 @@ class TestSparseParity:
         dense = DenseSet(got[keep])
         (defects,) = rll_defect(sparse)
         assert np.array_equal(dense_rows(defects), dense.rows)
-        reference = relation_vectors_reference(n, m, params, ctx)
+        reference = reference_at(n, m, params, ctx)
         assert np.array_equal(dense_rows(reference), dense_ref.rows)
-        for s, o in ((defects, dense), (reference, dense_ref)):
+        pairs = ((defects, dense), (reference, dense_ref))
+        for s, o in pairs:
             assert len(s.components) == len(o.components)
             for (r, c), (ro, co) in zip(s.components, o.components):
                 assert np.array_equal(r, ro) and np.array_equal(c, co)
-            assert span_rank(s) == sum(q.shape[1] for q in o.bases)
-        metric = span_equal(defects, reference, 1e-8)[1]
+        ranks = [sum(q.shape[1] for q in o.bases) for _, o in pairs]
+        assert span_rank([defects, reference]) == ranks
+        [(_, metric)] = span_equal([defects], [reference], 1e-8)
         assert abs(metric - dense_span_equal(dense, dense_ref)) <= 1e-15
-        gap = span_gap(defects, reference)
+        [gap] = span_gap([defects], [reference])
         assert abs(gap - dense_span_gap(dense, dense_ref)) <= 1e-15
 
     @pytest.mark.parametrize("nm", [(2, 3), (4, 1)])
@@ -1344,7 +1377,8 @@ def rotated(s: RelationSet, angle: float, rng) -> RelationSet:
         words.append(np.tile(c, r.size))
         values.append(turned.ravel())
     rows, words, values = (np.concatenate(x) for x in (rows, words, values))
-    return RelationSet.from_terms(rows, words, values, s.size, s.width)
+    (out,) = RelationSet.from_terms(rows, words, [values], s.size, s.width)
+    return out
 
 
 class TestSpanBound:
@@ -1375,7 +1409,7 @@ class TestSpanBound:
             assert ranks == (flat_ranks(n, m),) * len(sets)
             for t, reference in enumerate(references):
                 (d1, b1), (d2, b2) = zip(sets[2 * t : 2 * t + 2], bounds[2 * t : 2 * t + 2])
-                assert span_rank(d1) == span_rank(d2) == span_rank(reference) == flat_ranks(n, m)
+                assert span_rank([d1, d2, reference]) == [flat_ranks(n, m)] * 3
                 gaps = span_gap([d1, d2, d1], [reference, reference, d2])
                 assert b1 + slack >= gaps[0] and b2 + slack >= gaps[1]
                 assert b1 + b2 + slack >= gaps[2]
@@ -1388,8 +1422,8 @@ class TestSpanBound:
         rng = np.random.default_rng(5)
         full = dense_set(block_rows(rng, self.BLOCKS, 5, 3))
         empty, other = dense_set(np.zeros((0, 48))), dense_set(np.zeros((0, 48)))
-        assert span_bound(empty, other) == span_bound(empty, empty) == (0.0, 0)
-        assert span_bound(empty, full) == span_bound(full, empty) == (1.0, 0)
+        assert span_bound([empty], [other]) == span_bound([empty], [empty]) == [(0.0, 0)]
+        assert span_bound([empty], [full]) == span_bound([full], [empty]) == [(1.0, 0)]
         got = span_bound([empty, full, empty], [other, empty, full])
         assert got == [(0.0, 0), (1.0, 0), (1.0, 0)]
 
@@ -1401,10 +1435,11 @@ class TestSpanBound:
         whole, part = dense_set(rows), dense_set(rows[:10])
         basis, inside = dense_basis(whole), dense_rows(part).T
         assert np.linalg.norm(inside - basis @ (basis.conj().T @ inside)) < 1e-12
-        assert span_rank(part) < span_rank(whole)
+        part_rank, whole_rank = span_rank([part, whole])
+        assert part_rank < whole_rank
         # the whole set's coefficients on the part's basis have the part's
         # rank, and its rows off the part clamp the bound to 1
-        assert span_bound(part, whole) == span_bound(whole, part) == (1.0, span_rank(part))
+        assert span_bound([part], [whole]) == span_bound([whole], [part]) == [(1.0, part_rank)]
 
     @pytest.mark.parametrize("seed", range(3))
     def test_dense_oracle_and_wedin_on_equal_ranks(self, seed):
@@ -1421,15 +1456,17 @@ class TestSpanBound:
             dense_set(block_rows(rng, self.HALVES, 3, 1)),
         ]
         for b in others:
-            assert span_rank(a) == span_rank(b) == 12
+            assert span_rank([a, b]) == [12, 12]
             for x, y in ((a, b), (b, a)):
-                bound, rank = span_bound(x, y)
+                [(bound, rank)] = span_bound([x], [y])
                 assert bound == pytest.approx(dense_bound(x, y), rel=1e-9, abs=1e-13)
-                assert bound >= span_gap(x, y) and rank == 12
-        assert span_bound(a, others[0])[0] < 1e-13
-        assert span_bound(a, others[1])[0] > 0.1
-        got = span_bound([a] * 3 + others, others + [a] * 3)
-        assert got == [span_bound(x, y) for x, y in zip([a] * 3 + others, others + [a] * 3)]
+                assert bound >= span_gap([x], [y])[0] and rank == 12
+        [(same, _), (apart, _)] = span_bound([a, a], others[:2])
+        assert same < 1e-13 and apart > 0.1
+        # each pair of a batch reads what it reads in a batch of its own
+        firsts, seconds = [a] * 3 + others, others + [a] * 3
+        got = span_bound(firsts, seconds)
+        assert got == [span_bound([x], [y])[0] for x, y in zip(firsts, seconds)]
 
     @pytest.mark.parametrize("nm", [(2, 2), (3, 1), (1, 3)])
     def test_a_rank_excess_reads_above_the_tolerance(self, nm):
@@ -1441,15 +1478,16 @@ class TestSpanBound:
         n, m = nm
         (point, _), ctx = rll_points(n, m, 0.3 + 0.8j, draws=1)
         excess = with_excess_row(defects_at(n, m, *point, ctx))
-        reference = relation_vectors_reference(n, m, point[0], ctx)
-        bound, rank = span_bound(excess, reference)
-        assert rank == span_rank(reference) == span_rank(excess) - 1 == flat_ranks(n, m)
+        reference = reference_at(n, m, point[0], ctx)
+        [(bound, rank)] = span_bound([excess], [reference])
+        reference_rank, excess_rank = span_rank([reference, excess])
+        assert rank == reference_rank == excess_rank - 1 == flat_ranks(n, m)
         assert SPAN_TOL < bound <= 1
         assert bound == pytest.approx(dense_bound(excess, reference), rel=1e-6)
         top = np.linalg.svd(dense_rows(excess))[2][:rank].T
         qb = dense_basis(reference)
         assert bound >= np.linalg.norm(top - qb @ (qb.conj().T @ top), 2)
-        assert span_gap(excess, reference) == pytest.approx(1.0)
+        assert span_gap([excess], [reference]) == [pytest.approx(1.0)]
 
 
 class TestTVCertificate:
@@ -1483,7 +1521,7 @@ class TestTVCertificate:
 
         rep, families, _ = self.run_with(monkeypatch, m, drop)
         assert rep.residuals == (1.0,) * 3 and not rep.passed
-        assert rep.rank == span_rank(families[0]) == flat_ranks(1, m)
+        assert [rep.rank] == span_rank(families[:1]) == [flat_ranks(1, m)]
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_a_turned_span_reads_at_least_its_gap(self, monkeypatch, m):
@@ -1549,5 +1587,5 @@ class TestMemory:
         params, _ = sample_params(
             _trial_seed(42, "relations", 0), _RUNNERS["relations"].spec(cfg), CTX
         )
-        peak = traced_peak(relation_vectors_reference, 2, 4, params, CTX)
+        peak = traced_peak(relation_vectors_reference, 2, 4, [params], CTX)
         assert peak <= 40 * 2**20

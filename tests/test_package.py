@@ -1,9 +1,14 @@
 """The package namespace and what a run imports."""
 
+import importlib
+import importlib.util
 import subprocess
 import sys
+from pathlib import Path
 
 import ellrmx
+
+TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
 
 def test_every_exported_name_resolves():
@@ -24,3 +29,20 @@ def test_a_run_does_not_import_numpy_random():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_every_name_the_tracer_wraps_resolves(monkeypatch):
+    # The benchmark's tracer wraps functions by name in the module that
+    # defines them, and a name it cannot find fails the benchmark.
+    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracer)
+    spec.loader.exec_module(tracer)
+    wrapped = [(g.module, f) for g in tracer.GROUPS for f in g.functions]
+    assert len(wrapped) > 40
+    missing = [
+        f"{module}.{name}"
+        for module, name in wrapped
+        if not callable(getattr(importlib.import_module(f"ellrmx.{module}"), name, None))
+    ]
+    assert missing == []

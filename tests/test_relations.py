@@ -162,7 +162,8 @@ def set_of(vectors) -> RelationSet:
     words = np.concatenate([np.zeros(0, dtype=int)] + [v.words for v in vectors])
     values = np.concatenate([np.zeros(0, dtype=complex)] + [v.values for v in vectors])
     width = vectors[0].width if vectors else 0
-    return RelationSet.from_terms(rows, words, values, len(vectors), width)
+    (out,) = RelationSet.from_terms(rows, words, [values], len(vectors), width)
+    return out
 
 
 @dataclass(frozen=True)
@@ -559,30 +560,30 @@ class TestRelationVector:
         assert coords(vec)[word_slot(word_b, 2, 1)] == -2.0
         # the set takes the terms in any order, and holds the unit row
         rows = np.zeros(2, dtype=int)
-        s = RelationSet.from_terms(rows, vec.words[::-1], vec.values[::-1], 1, 16)
+        (s,) = RelationSet.from_terms(rows, vec.words[::-1], [vec.values[::-1]], 1, 16)
         assert np.array_equal(dense_rows(s)[0], coords(vec) / 2.5)
         assert not s.blocks[0].flags.writeable
 
     def test_zero_vector_dropped(self):
-        s = RelationSet.from_terms(np.array([0, 1]), np.array([0, 2]), np.array([0j, 3]), 2, 4)
-        assert len(s) == 1 and span_rank(s) == 1
+        (s,) = RelationSet.from_terms(np.array([0, 1]), np.array([0, 2]), [[0j, 3]], 2, 4)
+        assert len(s) == 1 and span_rank([s]) == [1]
         assert np.array_equal(dense_rows(s), [[0, 0, 1, 0]])
 
     def test_nonfinite_rejected(self):
         values = np.array([1.0, complex("nan")])
         with pytest.raises(ValueError, match="must be finite"):
-            RelationSet.from_terms(np.array([0, 0]), np.array([0, 3]), values, 1, 16)
+            RelationSet.from_terms(np.array([0, 0]), np.array([0, 3]), [values], 1, 16)
 
     def test_wrong_length_rejected(self):
         ones = np.ones(4, dtype=complex)
         with pytest.raises(ValueError, match="values"):
-            RelationSet.from_terms(np.zeros(5, dtype=int), np.arange(5), ones, 1, 16)
+            RelationSet.from_terms(np.zeros(5, dtype=int), np.arange(5), [ones], 1, 16)
         with pytest.raises(ValueError, match="word index outside the 16 words"):
-            RelationSet.from_terms(np.array([0]), np.array([20]), ones[:1], 1, 16)
+            RelationSet.from_terms(np.array([0]), np.array([20]), [ones[:1]], 1, 16)
         with pytest.raises(ValueError, match="row index outside the 1 rows"):
-            RelationSet.from_terms(np.array([1]), np.array([3]), ones[:1], 1, 16)
+            RelationSet.from_terms(np.array([1]), np.array([3]), [ones[:1]], 1, 16)
         with pytest.raises(ValueError, match="repeats a word"):
-            RelationSet.from_terms(np.array([0, 0]), np.array([3, 3]), ones[:2], 1, 16)
+            RelationSet.from_terms(np.array([0, 0]), np.array([3, 3]), [ones[:2]], 1, 16)
 
 
 class TestSklyaninBare:
@@ -963,16 +964,16 @@ class TestTVRelations:
     def test_counts_and_kinds(self):
         rels = oracle_tv_relations(2, Q1, Q2, HBAR, CTX)
         assert kinds_of(rels) == {"commuting-pair": 2, "same-second-index": 2, "mixed": 4}
-        assert len(tv_relations(2, Q1, Q2, HBAR, CTX)) == 8
+        assert [len(s) for s in tv_relations(2, [Q1], [Q2], [HBAR], CTX)] == [8]
 
         q1 = (0.11 + 0.07j, 0.43 + 0.36j, 0.74 + 0.68j)
         q2 = (0.29 + 0.55j, 0.61 + 0.22j, 0.07 + 0.49j)
         rels3 = oracle_tv_relations(3, q1, q2, HBAR, CTX)
         assert kinds_of(rels3) == {"commuting-pair": 9, "same-second-index": 9, "mixed": 36}
-        assert len(tv_relations(3, q1, q2, HBAR, CTX)) == 54
+        assert [len(s) for s in tv_relations(3, [q1], [q2], [HBAR], CTX)] == [54]
 
     def test_m1_is_empty(self):
-        tv = tv_relations(1, (0.2 + 0.3j,), (0.4 + 0.5j,), HBAR, CTX)
+        (tv,) = tv_relations(1, [(0.2 + 0.3j,)], [(0.4 + 0.5j,)], [HBAR], CTX)
         assert len(tv) == 0 and not tv.components
         assert oracle_tv_relations(1, (0.2 + 0.3j,), (0.4 + 0.5j,), HBAR, CTX) == []
 
@@ -986,7 +987,7 @@ class TestTVRelations:
             outcome = []
             args = (m, params.q1, params.q2, params.hbar, ctx)
             for build in (
-                lambda: tv_relations(*args),
+                lambda: tv_relations(m, [params.q1], [params.q2], [params.hbar], ctx)[0],
                 lambda: set_of([r.vector(m) for r in oracle_tv_relations(*args)]),
             ):
                 try:
@@ -998,7 +999,7 @@ class TestTVRelations:
             if got is not None:
                 built += 1
                 assert same_sets(got, want), seed
-                assert span_rank(got) == span_rank(want)
+                assert span_rank([got]) == span_rank([want])
         assert built
 
     def test_theta_ratio_coefficient(self):
@@ -1045,15 +1046,15 @@ class TestTVRelations:
     def test_pole_guard_on_denominators(self):
         q1 = (0.2 + 0.3j, 0.2 + 0.3j + 0.01)
         with pytest.raises(PoleProximityError):
-            tv_relations(2, q1, Q2, HBAR, CTX)
+            tv_relations(2, [q1], [Q2], [HBAR], CTX)
 
     def test_pole_guard_on_shifted_and_second_set_differences(self):
         q1 = (0.2 + 0.3j, 0.2 + 0.3j + HBAR + 0.01)
         with pytest.raises(PoleProximityError, match="shifted first-set difference"):
-            tv_relations(2, q1, Q2, HBAR, CTX)
+            tv_relations(2, [q1], [Q2], [HBAR], CTX)
         q2 = (0.31 + 0.63j, 0.31 + 0.63j + 0.01)
         with pytest.raises(PoleProximityError, match="second-set difference"):
-            tv_relations(2, Q1, q2, HBAR, CTX)
+            tv_relations(2, [Q1], [q2], [HBAR], CTX)
 
 
 class TestFamilyCoefficients:
@@ -1148,7 +1149,7 @@ class TestArrayBuildParity:
     def test_reference_rows_match_the_oracle(self, nm, seed):
         n, m = nm
         params = trial_params(seed, n, m)
-        got = dense_rows(relation_vectors_reference(n, m, params, CTX))
+        got = dense_rows(*relation_vectors_reference(n, m, [params], CTX))
         want = oracle_reference(n, m, params, CTX)
         assert got.shape == want.shape
         scale = np.abs(want).max(axis=1, keepdims=True)
@@ -1161,9 +1162,12 @@ class TestArrayBuildParity:
         for seed in range(10):
             params = trial_params(seed, 2, 2, tau)
             outcome = []
-            for build in (relation_vectors_reference, oracle_reference):
+            for build in (
+                lambda: relation_vectors_reference(2, 2, [params], ctx),
+                lambda: oracle_reference(2, 2, params, ctx),
+            ):
                 try:
-                    build(2, 2, params, ctx)
+                    build()
                     outcome.append(False)
                 except PoleProximityError:
                     outcome.append(True)
@@ -1215,25 +1219,25 @@ class TestArrayBuildParity:
         pairs = (ia // n, ia % n, ib // n, ib % n)
         for family in ((1,) if n > 1 else ()) + (2, 3, 4):
             idx = family_tuples(family, m)
-            _, words = family_terms(family, idx, pairs, n, trial_params(0, n, m), CTX)
+            _, words = family_terms(family, idx, pairs, n, [trial_params(0, n, m)], CTX)
             assert words.shape[:2] == (len(idx), n**4)
             assert np.all(np.diff(np.sort(words, axis=-1), axis=-1) > 0)
 
     def test_family_one_chunks_give_identical_rows(self, monkeypatch):
         n, m = 3, 2
-        params = trial_params(0, n, m)
-        whole = relation_vectors_reference(n, m, params, CTX)
+        params = [trial_params(0, n, m)]
+        (whole,) = relation_vectors_reference(n, m, params, CTX)
         # 7 of the 81 label pairs per chunk, m^2 n^2 terms each
         monkeypatch.setattr(sklyanin, "_CHUNK", 7 * m * m * n * n)
         assert len(list(label_pair_chunks(n, m * m * n * n))) == 12
-        assert same_sets(relation_vectors_reference(n, m, params, CTX), whole)
+        assert same_sets(*relation_vectors_reference(n, m, params, CTX), whole)
 
     @pytest.mark.parametrize("family", [2, 3, 4])
     def test_family_digits_do_not_depend_on_the_grid_size(self, family):
         # At (3, 4) each family's kernel result passes 256 KB, where numpy
         # may multiply in place into a temporary with the operands swapped.
         n, m = 3, 4
-        params = trial_params(0, n, m)
+        params = [trial_params(0, n, m)]
         idx = family_tuples(family, m)
         ia, ib = np.divmod(np.arange(n**4), n * n)
         pairs = (ia // n, ia % n, ib // n, ib % n)
@@ -1243,7 +1247,7 @@ class TestArrayBuildParity:
             part, part_words = family_terms(
                 family, idx[t : t + 1], tuple(v[p] for v in pairs), n, params, CTX
             )
-            assert np.array_equal(part[0], whole[t, p])
+            assert np.array_equal(part[0, 0], whole[0, t, p])
             assert np.array_equal(part_words[0], words[t, p])
 
     def test_family_one_temporaries_stay_bounded(self):
@@ -1252,7 +1256,7 @@ class TestArrayBuildParity:
         params = trial_params(42, n, m)
         tracemalloc.start()
         try:
-            vectors = relation_vectors_reference(n, m, params, CTX)
+            (vectors,) = relation_vectors_reference(n, m, [params], CTX)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

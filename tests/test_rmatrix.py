@@ -32,6 +32,7 @@ from ellrmx.tensor import (
     matrix_unit,
     permute_components,
 )
+from ellrmx import rmatrix
 from ellrmx.rmatrix import (
     DynamicalParams,
     _sector_plan,
@@ -310,6 +311,34 @@ class TestFelder:
         assert zero_weight_residual(hbar, z[0] - z[1], q, CTX) <= 1e-12
 
     @pytest.mark.parametrize("m", [2, 3])
+    def test_zero_weight_reads_an_entry_off_the_weight_pattern(self, monkeypatch, m):
+        # Every total weight projector E_ii (x) 1 + 1 (x) E_ii commutes
+        # with R exactly, and an entry that moves weight breaks that; the
+        # weight half of the residual is the mass of such entries.
+        rng = np.random.default_rng(123 + m)
+        hbar, q, z = sample_point_set(rng, m, 1)
+        u, eye = z[0] - z[1], np.eye(m)
+        totals = [
+            np.kron(matrix_unit(i, i, m), eye) + np.kron(eye, matrix_unit(i, i, m))
+            for i in range(1, m + 1)
+        ]
+        build = rmatrix.r_felder
+
+        def leaked(*args):
+            out = build(*args).copy()
+            # row (1, 1), column (1, 2): the second site's weight moves
+            out[..., 0, 1] += 1e-6
+            return out
+
+        r = build(hbar, u, q, CTX)
+        assert max(np.linalg.norm(t @ r - r @ t) for t in totals) == 0.0
+        monkeypatch.setattr(rmatrix, "r_felder", leaked)
+        r = leaked(hbar, u, q, CTX)
+        assert min(np.linalg.norm(t @ r - r @ t) for t in totals[:2]) > 0.0
+        got = zero_weight_residual(hbar, u, q, CTX)
+        assert got == pytest.approx(1e-6 / max(np.linalg.norm(r), 1.0), rel=1e-6)
+
+    @pytest.mark.parametrize("m", [2, 3])
     def test_dynamical_l_operator_reading(self, m):
         rng = np.random.default_rng(116 + m)
         hbar, q, z = sample_point_set(rng, m, 1)
@@ -476,7 +505,7 @@ def dense_sides(kind, hbar, z, q, n, ctx):
 
 def triple_points(hbar, z, q):
     """``_triple_points`` of one trial."""
-    return _triple_points(np.array([hbar]), *(np.array([v]) for v in z), np.array(q))
+    return _triple_points(np.array([hbar]), *(np.array([v]) for v in z), np.array([q]))
 
 
 def exchange_stack(kind, hbar, z, q, n, ctx):
@@ -707,8 +736,9 @@ class TestStackedBuilds:
         assert peak <= bound_mib * 2**20
 
 
-# Each public residual as a call on (hbar, z, q) for one trial or for a
-# stack of trials (hbar and the rows of z one entry per trial, q one row).
+# Each public residual as a call on (hbar, z, q) for a batch of trials
+# (hbar and the rows of z one entry per trial, q one row), or for one
+# trial's scalars, which broadcast.
 RESIDUALS = {
     "ybe_residual": (3, 1, lambda h, z, q, n, ctx: ybe_residual(h, *z, n, ctx)),
     "bb_l_operator_rll_residual": (
@@ -747,16 +777,19 @@ def trial_sets(seed, count, m, n, tau=TAU):
 class TestTrialArrays:
     @pytest.mark.parametrize("tau", [TAU, SKEW], ids=["default-tau", "skew-tau"])
     @pytest.mark.parametrize("name", sorted(RESIDUALS))
-    def test_scalar_calls_equal_the_array_call_bit_for_bit(self, name, tau):
+    def test_one_trial_batches_equal_their_entries_bit_for_bit(self, name, tau):
         n, m, residual = RESIDUALS[name]
         ctx = EllipticContext(tau)
         hbar, z, q = trial_sets(290 + len(name), 5, m, n, tau)
         got = residual(hbar, z, q, n, ctx)
         assert isinstance(got, np.ndarray) and got.shape == (5,)
         for t in range(5):
-            one = residual(complex(hbar[t]), [complex(v) for v in z[:, t]], tuple(q[t]), n, ctx)
-            assert isinstance(one, float)
-            assert np.float64(one).tobytes() == got[t].tobytes(), t
+            at = slice(t, t + 1)
+            one = residual(hbar[at], z[:, at], q[at], n, ctx)
+            scalars = residual(complex(hbar[t]), [complex(v) for v in z[:, t]], tuple(q[t]), n, ctx)
+            for single in (one, scalars):
+                assert isinstance(single, np.ndarray) and single.shape == (1,)
+                assert single.tobytes() == got[at].tobytes(), t
 
     @pytest.mark.parametrize("n,m", SIDE_SIZES)
     def test_trial_arrays_of_hbar_and_q_equal_single_builds(self, n, m):
