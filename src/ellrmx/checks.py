@@ -24,7 +24,6 @@ import numpy as np
 from .elliptic import (
     MIN_IM_TAU,
     EllipticContext,
-    LatticeIndex,
     PoleProximityError,
     fay_coincident_residual,
     fay_pair_residual,
@@ -239,9 +238,9 @@ def _slnm_run(cfg: CheckConfig, draws: list[Draw], ctx: EllipticContext) -> list
     return _residuals(dybe_residual_slnm(hbar, z1, z2, z3, q, cfg.n, ctx))
 
 
-def _factor_labels(n: int) -> tuple[LatticeIndex, LatticeIndex]:
+def _factor_labels(n: int) -> tuple[tuple[int, int], tuple[int, int]]:
     a2 = 1 if n > 1 else 0
-    return LatticeIndex(0, a2, n), LatticeIndex(0, a2, n)
+    return (0, a2), (0, a2)
 
 
 def _rll_prefactor_poles(params: DynamicalParams, zs: tuple[complex, ...]) -> Iterator:

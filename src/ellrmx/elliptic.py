@@ -338,10 +338,11 @@ def fay_residual(z, w, x, y, ctx: EllipticContext):
     ``phi(z,x) phi(w,y)`` should equal
     ``phi(z-w,x) phi(w,x+y) + phi(w-z,y) phi(z,x+y)``; the defect is divided
     by the largest of the three term magnitudes (and 1).  1-d arrays of the
-    points (one entry per trial, all of one shape) give one defect per
-    trial from one kernel call; a trial's defect does not depend on the
-    batch it is in.
+    points (one entry per trial, all of one shape) give a 1-d array of one
+    defect per trial from one kernel call, and scalar points a 1-d array of
+    one; a trial's defect does not depend on the batch it is in.
     """
+    z, w, x, y = np.atleast_1d(z, w, x, y)
     phi = kronecker_phi(
         np.array([z, w, z - w, w, w - z, z]), np.array([x, y, x, x + y, y, x + y]), ctx
     )
@@ -356,6 +357,7 @@ def fay_coincident_residual(z, x, y, ctx: EllipticContext):
     ``phi(z,x+y) (E1(z) + E1(x) + E1(y) - E1(x+y+z))``.  Arrays as for
     :func:`fay_residual`.
     """
+    z, x, y = np.atleast_1d(z, x, y)
     phi = kronecker_phi(z, np.array([x, y, x + y]), ctx)
     e1 = eisenstein_e1(np.array([z, x, y, x + y + z]), ctx)
     lhs = _scalar_product(phi[0], phi[1])
@@ -366,6 +368,7 @@ def fay_coincident_residual(z, x, y, ctx: EllipticContext):
 def fay_pair_residual(z, x, ctx: EllipticContext):
     """Normalized defect of the fully degenerate form: ``phi(z,x) phi(z,-x)``
     against ``E2(z) - E2(x)``.  Arrays as for :func:`fay_residual`."""
+    z, x = np.atleast_1d(z, x)
     phi = kronecker_phi(z, np.array([x, -x]), ctx)
     e2 = eisenstein_e2(np.array([z, x]), ctx)
     lhs = _scalar_product(phi[0], phi[1])
@@ -396,8 +399,3 @@ class LatticeIndex:
     @property
     def pair(self) -> tuple[int, int]:
         return (self.a1, self.a2)
-
-
-def omega(alpha: LatticeIndex, ctx: EllipticContext) -> complex:
-    """Lattice fraction attached to a canonical characteristic."""
-    return omega_raw(alpha.a1, alpha.a2, alpha.n, ctx.tau)

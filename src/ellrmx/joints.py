@@ -30,14 +30,16 @@ STACK = 1 << 18
 
 def join_columns(
     groups: np.ndarray, cols: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Connected components of columns, where the columns of each group
-    (``groups`` sorted, one entry per member column) are connected.
+    (``groups`` sorted, one entry per member column) are connected,
+    labelled in the order of their smallest columns.
 
     Returns the sorted distinct columns, the position among them of every
-    entry of ``cols``, and for each distinct column the position of the
-    smallest column of its component.  Hooks roots onto smaller ones
-    until no pair of connected columns has two roots.
+    entry of ``cols``, and for each distinct column its component's label
+    and its position among that component's sorted columns; then the
+    components' widths.  Hooks roots onto smaller ones until no pair of
+    connected columns has two roots.
     """
     columns = distinct(cols)
     at = np.searchsorted(columns, cols)
@@ -50,8 +52,12 @@ def join_columns(
         ru, rv = root[u], root[v]
         split = ru != rv
         if not split.any():
-            return columns, at, root
+            break
         np.minimum.at(root, np.maximum(ru, rv)[split], np.minimum(ru, rv)[split])
+    roots = distinct(root)
+    label = np.searchsorted(roots, root)
+    place, widths = offsets(label, np.ones_like(label), roots.size)
+    return columns, at, label, place, widths
 
 
 def group_by(labels: np.ndarray) -> list[np.ndarray]:
@@ -93,9 +99,8 @@ def _joints(a: RelationSet, b: RelationSet) -> tuple[tuple, tuple, np.ndarray]:
     a pair with an empty side without joints)."""
     pieces = [cols for s in (a, b) for _, cols in s.components]
     sizes = np.array([cols.size for cols in pieces], dtype=int)
-    cols, at, root = join_columns(np.repeat(np.arange(sizes.size), sizes), np.concatenate(pieces))
-    label = np.searchsorted(distinct(root), root)
-    place, widths = offsets(label, np.ones_like(label), label.max() + 1)
+    groups = np.repeat(np.arange(sizes.size), sizes)
+    _, at, label, place, widths = join_columns(groups, np.concatenate(pieces))
     joint, position = label[at[np.cumsum(sizes) - sizes]], place[at]
     k, c = len(a.components), sizes[: len(a.components)].sum()
     return (joint[:k], joint[k:]), (position[:c], position[c:]), widths

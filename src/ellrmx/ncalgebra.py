@@ -34,23 +34,14 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .elliptic import (
-    EllipticContext,
-    LatticeIndex,
-    guard_denominator,
-    omega,
-    omega_raw,
-    theta,
-)
+from .elliptic import TWO_PI_I, EllipticContext, guard_denominator, omega_raw, theta
 from .relations import family_terms, family_tuples, family_width, generator_slot
 from .rmatrix import DynamicalParams, r_slnm
 from .sklyanin import label_pair_chunks
 # The span functions are re-exported: bench/tracer.py looks them up here,
 # with the defect and reference builds they compare.
 from .spans import CANCELLATION, RelationSet, span_equal, span_gap, span_rank
-from .tensor import basis_t, basis_t_raw
-
-TWO_PI_I = 2j * cmath.pi
+from .tensor import basis_t_raw
 
 SHIFTS = (-1, 0, 1)
 
@@ -373,14 +364,15 @@ def component_ratio(
     i: int,
     j: int,
     k: int,
-    alpha: LatticeIndex,
-    beta: LatticeIndex,
+    alpha: tuple[int, int],
+    beta: tuple[int, int],
     ctx: EllipticContext,
 ) -> np.ndarray:
     """Defect component of the table at one of its points with first-block
     steps i->j (one auxiliary space) and i->k (the other), projected onto
-    the operator-basis pair (alpha, beta) and divided by its theta
-    prefactors.
+    the operator-basis pair (alpha, beta), canonical integer
+    characteristics (a1, a2) of the table's modulus, and divided by its
+    theta prefactors.
 
     The divisor is the product of the two letters' coefficient functions
     at that point: ``theta(z2 + q2_i - q1_k + omega_beta) *
@@ -393,8 +385,8 @@ def component_ratio(
     if j == k:
         raise ValueError("needs distinct first-block indices j != k")
     d = n * params.m
-    ta = basis_t(alpha)
-    tb = basis_t(beta)
+    ta = basis_t_raw(*alpha, n)
+    tb = basis_t_raw(*beta, n)
     # the d^4 elements' (m^2 n^2)^2 words
     comp = np.zeros(d**4, dtype=complex)
     # the nonzero entries of each basis element, row by row
@@ -405,12 +397,12 @@ def component_ratio(
             weight = np.conj(ta[r_out, r_in]) * np.conj(tb[s_out, s_in])
             comp[words[lo:hi]] += weight * values[lo:hi]
     comp /= n * n
-    d_b = z2 + params.q2[i - 1] - params.q1[k - 1] + omega(beta, ctx)
-    d_a = z1 + params.q2[i - 1] - params.q1[j - 1] + params.hbar + omega(alpha, ctx)
+    d_b = z2 + params.q2[i - 1] - params.q1[k - 1] + omega_raw(*beta, n, ctx.tau)
+    d_a = z1 + params.q2[i - 1] - params.q1[j - 1] + params.hbar + omega_raw(*alpha, n, ctx.tau)
     args = np.array([d_b, d_a])
     guard_denominator("(beta, alpha) prefactor argument", args, ctx.tau)
     th_b, th_a = theta(args, ctx)
-    twist = cmath.exp(TWO_PI_I * (alpha.a2 * z1 + beta.a2 * z2) / n)
+    twist = cmath.exp(TWO_PI_I * (alpha[1] * z1 + beta[1] * z2) / n)
     return comp / (th_b * th_a * twist)
 
 
@@ -420,8 +412,8 @@ def defect_factorization_check(
     i: int,
     j: int,
     k: int,
-    alpha: LatticeIndex,
-    beta: LatticeIndex,
+    alpha: tuple[int, int],
+    beta: tuple[int, int],
     ctx: EllipticContext,
 ) -> float | None:
     """Worst relative variation of :func:`component_ratio` across the

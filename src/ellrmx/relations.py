@@ -18,6 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .elliptic import (
+    TWO_PI_I,
     EllipticContext,
     LatticeIndex,
     guard_denominator,
@@ -29,18 +30,14 @@ from .rmatrix import DynamicalParams, mixed_scalar
 # The sklyanin_* functions are re-exported: bench/tracer.py looks them up
 # here, with the other relation tables.
 from .sklyanin import (
-    bare_constants,
     characteristics,
     label_arrays,
     sklyanin_coeffs,
     sklyanin_coeffs_eta,
     sklyanin_representation_residual,
-    theta_prefactors,
 )
 from .spans import CANCELLATION, RelationSet
 from .tensor import kappa_raw
-
-TWO_PI_I = 2j * cmath.pi
 
 
 def generator_slot(i, j, alpha: tuple, m: int, n: int):
@@ -169,9 +166,10 @@ def family_terms(
     Families:
 
     1. both generators share the coordinate pair (j, i); the relation is
-       the shifted-parameter vertex-type exchange at ``eta = q2_i - q1_j``,
-       which the generators' own coordinate shifts leave invariant (only
-       for n >= 2: there are no vertex-type relations at n == 1).  A label
+       the shifted-parameter vertex-type exchange
+       (:func:`ellrmx.sklyanin.sklyanin_coeffs_eta`) at ``eta = q2_i -
+       q1_j``, which the generators' own coordinate shifts leave invariant
+       (only for n >= 2: there are no vertex-type relations at n == 1).  A label
        pair whose bare constants all cancel to at most
        :data:`ellrmx.spans.CANCELLATION` of their assembly scale is an
        identity, and its relations come out exactly zero;
@@ -209,13 +207,10 @@ def family_terms(
     # call takes.
     if family == 1:
         j, i = cols
-        bare, scale = bare_constants(pairs, hbar, n, ctx)
-        bare[np.abs(bare).max(axis=-1) <= CANCELLATION * scale] = 0.0
-        pref = theta_prefactors(pairs, hbar, n, ctx)
-        arg = s[:, i - 1] - p[:, j - 1] - h
-        phase = np.exp(-TWO_PI_I * (a2 + b2) * arg / n)
-        constants = bare * pref
-        value = constants[:, None] * phase
+        bare = sklyanin_coeffs(pairs, n, hbar, ctx)
+        bare.values[np.abs(bare.values).max(axis=-1) <= CANCELLATION * bare.scale] = 0.0
+        eta = (s[:, i - 1] - p[:, j - 1]).reshape(len(batch), -1)
+        value = sklyanin_coeffs_eta(bare, eta, hbar, ctx).values
         letters = (j, i), (j, i)
     elif family == 2:
         i, j, k = cols

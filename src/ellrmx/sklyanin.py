@@ -4,22 +4,22 @@ Each relation is labelled by a characteristic pair (alpha, beta) and sums
 over a third characteristic gamma.  Its constants come in a bare form
 (first or second Eisenstein values at hbar-shifted lattice fractions) and
 a theta-rescaled, shifted-parameter form; both are built as arrays over
-gamma and over many label pairs at once, here and by the composite
-families of :mod:`ellrmx.relations`.  The finite-dimensional basis
+gamma and over many label pairs at once.  The vertex-type block of the
+composite families of :mod:`ellrmx.relations` is the shifted form, at one
+parameter per coordinate pair.  The finite-dimensional basis
 representation checks them, for many pairs at once, without matrices.
 """
 
 from __future__ import annotations
 
-import cmath
 from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .elliptic import (
+    TWO_PI_I,
     EllipticContext,
-    PoleProximityError,
     eisenstein_e1,
     eisenstein_e2,
     guard_denominator,
@@ -27,8 +27,6 @@ from .elliptic import (
     theta,
 )
 from .tensor import kappa_raw
-
-TWO_PI_I = 2j * cmath.pi
 
 #: Array entries that one chunk of label pairs stacks (see
 #: :func:`label_pair_chunks`); bounds the complex temporaries of a chunk to
@@ -203,17 +201,24 @@ def sklyanin_coeffs_eta(base: SklyaninTable, eta, hbar, ctx: EllipticContext) ->
     phase in ``eta - hbar`` (the per-word phases collapse because the
     words all share the integer column sum ``alpha + beta``).  At
     ``eta == hbar`` only the rescaling remains.  Arrays of ``eta`` and
-    ``hbar`` go with a table built at that ``hbar``.
+    ``hbar`` go with a table built at that ``hbar``.  An ``eta`` may have
+    axes of its own after those of ``hbar`` (one eta per coordinate pair,
+    say): the table then holds one table per entry of ``eta``, with those
+    axes in front of the pairs' in ``values`` and as unit axes in
+    ``scale``.
     """
     if base.n == 1:
         return base
     pairs = base.pairs
     pref = theta_prefactors(pairs, hbar, base.n, ctx)
-    phase = np.exp(-TWO_PI_I * (pairs[1] + pairs[3]) * _with_axes(eta - hbar, 1) / base.n)
-    values = base.values * pref
-    values *= phase[..., None]
+    # eta's own axes, which stand between hbar's and the pairs'
+    own = tuple(range(np.ndim(hbar), np.ndim(eta)))
+    shift = eta - _with_axes(hbar, len(own))
+    phase = np.exp(-TWO_PI_I * (pairs[1] + pairs[3]) * _with_axes(shift, 1) / base.n)
+    rescaled = base.values * pref
+    values = np.expand_dims(rescaled, own) * phase[..., None]
     scale = base.scale * np.abs(pref).max(axis=-1)
-    return SklyaninTable(base.n, pairs, values, scale)
+    return SklyaninTable(base.n, pairs, values, np.expand_dims(scale, own))
 
 
 def sklyanin_representation_residual(
@@ -248,20 +253,10 @@ def sklyanin_representation_residual(
     bounds = np.abs(values)
     if shift is not None:
         hbar, eta = shift
-        # the distinct letters are guarded; if one fails, the guard over
-        # every letter names the first offending one by its index
-        letters = _distinct_letters(d1, d2)
-        c1, c2, _ = letters
-        try:
-            guard_denominator(
-                "hbar + omega_d", _with_axes(hbar, 1) + omega_raw(c1, c2, n, ctx.tau), ctx.tau
-            )
-        except PoleProximityError:
-            guard_denominator(
-                "hbar + omega_d", _with_axes(hbar, 3) + omega_raw(d1, d2, n, ctx.tau), ctx.tau
-            )
-            raise
-        thetas = _at_letters(theta, letters, hbar, n, ctx)
+        guard_denominator(
+            "hbar + omega_d", _with_axes(hbar, 3) + omega_raw(d1, d2, n, ctx.tau), ctx.tau
+        )
+        thetas = _at_letters(theta, _distinct_letters(d1, d2), hbar, n, ctx)
         factors = []
         for d in d2:
             # in place, so that each letter's factors take one array

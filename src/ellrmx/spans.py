@@ -33,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .joints import STACK, compare, distinct, group_by, join_columns, offsets, stacked_svd
+from .joints import STACK, compare, group_by, join_columns, offsets, stacked_svd
 
 #: A sum whose modulus is at most this share of its terms' scale (their
 #: summed moduli, or the largest of them) cancels identically: a word of
@@ -186,12 +186,9 @@ def _layout(
     order of their first columns; the position of every term in a buffer
     that holds the components' dense blocks one after another; and the
     blocks' (height, width)."""
-    cols, at, root = join_columns(rows, words)
-    roots = distinct(root)
-    label = np.searchsorted(roots, root)
+    cols, at, label, col_in, widths = join_columns(rows, words)
     row_label = label[at[np.searchsorted(rows, np.arange(size))]]
-    row_in, heights = offsets(row_label, np.ones(size, dtype=int), roots.size)
-    col_in, widths = offsets(label, np.ones_like(label), roots.size)
+    row_in, heights = offsets(row_label, np.ones(size, dtype=int), widths.size)
     own = label[at]
     starts = np.cumsum(heights * widths) - heights * widths
     cell = starts[own] + row_in[rows] * widths[own] + col_in[at]

@@ -4,13 +4,18 @@ import math
 
 import numpy as np
 
-from ellrmx.elliptic import LatticeIndex
+from ellrmx.elliptic import EllipticContext, LatticeIndex, omega_raw
 from ellrmx.spans import RelationSet
 
 
 def all_indices(n: int) -> list[LatticeIndex]:
     """All ``n^2`` canonical characteristics, row-major."""
     return [LatticeIndex(a1, a2, n) for a1 in range(n) for a2 in range(n)]
+
+
+def omega(alpha: LatticeIndex, ctx: EllipticContext) -> complex:
+    """Lattice fraction attached to a canonical characteristic."""
+    return omega_raw(alpha.a1, alpha.a2, alpha.n, ctx.tau)
 
 
 def theta_series_30(u, tau: complex) -> tuple[np.ndarray, ...]:

@@ -96,9 +96,9 @@ def test_criterion_01_kernel_identity_and_theta_structure():
             _, (z, w, x, y) = sample_params([101, trial], spec, ctx)
             worst_fay = max(
                 worst_fay,
-                fay_residual(z, w, x, y, ctx),
-                fay_coincident_residual(z, x, y, ctx),
-                fay_pair_residual(z, x, ctx),
+                *fay_residual(z, w, x, y, ctx),
+                *fay_coincident_residual(z, x, y, ctx),
+                *fay_pair_residual(z, x, ctx),
             )
     worst_theta = 0.0
     for tau in (1j, 0.3 + 0.8j):
@@ -242,14 +242,14 @@ def test_criterion_09_defect_factorization():
     spec = SampleSpec(m=m, two_sets=True, z_count=2 * pairs, expressions=exprs)
     params, zs = sample_params([109], spec, CTX)
     table = defect_table(n, m, [params] * pairs, zs[0::2], zs[1::2], CTX)
-    beta = LatticeIndex(0, 1, n)
+    beta = (0, 1)
     for idx in ((1, 1, 2), (2, 2, 1)):
         for a in ((0, 0), (0, 1), (1, 1)):
-            alpha = LatticeIndex(a[0], a[1], n)
-            spread = defect_factorization_check(table, range(pairs), *idx, alpha, beta, CTX)
+            spread = defect_factorization_check(table, range(pairs), *idx, a, beta, CTX)
             assert spread < 1e-9, f"{idx}/{a}: z-variation {spread:.3e}"
-            comp = component_ratio(table, 0, *idx, alpha, beta, CTX)
-            fam = coords(slnm_family_coeffs(2, idx, alpha, beta, params, CTX), (m * n) ** 4)
+            comp = component_ratio(table, 0, *idx, a, beta, CTX)
+            labels = LatticeIndex(*a, n), LatticeIndex(*beta, n)
+            fam = coords(slnm_family_coeffs(2, idx, *labels, params, CTX), (m * n) ** 4)
             support = np.abs(fam) > 1e-12 * np.max(np.abs(fam))
             ratios = comp[support] / fam[support]
             center = ratios.mean()

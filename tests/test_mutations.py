@@ -24,7 +24,9 @@ size repeats its first.
   lower bound, the mass of every matrix outside its pattern, fails each
   case.
 - The first gamma of the Sklyanin theta prefactors scaled by 1 + 1e-6.  A
-  uniform scale of E1 cancels and does not fail ``sklyanin-rep``.
+  uniform scale of E1 cancels and does not fail ``sklyanin-rep``.  The
+  reference family 1 is built from the same prefactors (through
+  ``sklyanin_coeffs_eta``), so ``rll`` fails at (2, 2) and (3, 1) as well.
 - The first term of every relation of one reference family
   (``ncalgebra.family_terms``) scaled by 1 + 1e-6.  Both ``rll`` and
   ``relations`` read the reference set, and both fail for each family at
@@ -143,7 +145,8 @@ def excess_row(monkeypatch):
 
 
 # (check, n, m, defect): each check but bb-reduce at (2, 2) and at one
-# other size (rll and relations take theirs from FAMILY_CASES)
+# other size (relations takes its from FAMILY_CASES); a second defect of a
+# (check, n, m) is named in its id
 CASES = [
     ("ybe", 2, 2, scaled_bb_entry),
     ("ybe", 3, 2, scaled_bb_entry),
@@ -152,6 +155,8 @@ CASES = [
     ("dybe-slnm", 2, 2, scaled_kernel),
     ("dybe-slnm", 3, 2, scaled_kernel),
     ("rll", 2, 2, scaled_kernel),
+    ("rll", 2, 2, scaled_prefactor),
+    ("rll", 3, 1, scaled_prefactor),
     ("relations", 2, 2, scaled_kernel),
     ("fay", 2, 2, scaled_kernel),
     ("fay", 3, 2, scaled_kernel),
@@ -189,10 +194,16 @@ def test_every_check_but_bb_reduce_has_a_defect():
     assert other == set(CHECK_NAMES) - {"bb-reduce"}
 
 
+def case_id(k: int) -> str:
+    check, n, m, defect = CASES[k]
+    name = f"{check}-n{n}" if m == 2 else f"{check}-{n}x{m}"
+    if any(case[:3] == (check, n, m) for case in CASES[:k]):
+        name += f"-{defect.__name__}"
+    return name
+
+
 @pytest.mark.parametrize(
-    "check,n,m,defect",
-    CASES,
-    ids=[f"{c}-n{n}" if m == 2 else f"{c}-{n}x{m}" for c, n, m, _ in CASES],
+    "check,n,m,defect", CASES, ids=[case_id(k) for k in range(len(CASES))]
 )
 def test_defect_fails_the_check(monkeypatch, check, n, m, defect):
     assert verdict(check, n, m)

@@ -9,13 +9,7 @@ import pytest
 
 from ellrmx import checks, ncalgebra
 from ellrmx.checks import _RUNNERS, SPAN_TOL, CheckConfig, _trial_seed
-from ellrmx.elliptic import (
-    EllipticContext,
-    LatticeIndex,
-    PoleProximityError,
-    omega,
-    theta,
-)
+from ellrmx.elliptic import EllipticContext, LatticeIndex, PoleProximityError, theta
 from ellrmx.ncalgebra import (
     DefectTable,
     RelationSet,
@@ -41,7 +35,7 @@ from ellrmx.rmatrix import DynamicalParams, r_slnm
 from ellrmx.sampling import sample_params
 from ellrmx.spans import span_bound
 from ellrmx.tensor import basis_t
-from support import all_indices, with_excess_row
+from support import all_indices, omega, with_excess_row
 
 TAU = 0.3 + 0.8j
 CTX = EllipticContext(TAU)
@@ -317,40 +311,20 @@ class TestDefectSpans:
 
 class TestFactorization:
     def test_single_site_returns_none(self):
-        out = defect_factorization_check(
-            table_at(params_for(1), Z_SAMPLES[:2]),
-            (0, 1),
-            1,
-            1,
-            2,
-            LatticeIndex(0, 0, 2),
-            LatticeIndex(0, 1, 2),
-            CTX,
-        )
-        assert out is None
+        table = table_at(params_for(1), Z_SAMPLES[:2])
+        assert defect_factorization_check(table, (0, 1), 1, 1, 2, (0, 0), (0, 1), CTX) is None
 
     def test_two_samples_required(self):
+        table = table_at(params_for(2), Z_SAMPLES[:1])
         with pytest.raises(ValueError):
-            defect_factorization_check(
-                table_at(params_for(2), Z_SAMPLES[:1]),
-                (0,),
-                1,
-                1,
-                2,
-                LatticeIndex(0, 0, 2),
-                LatticeIndex(0, 1, 2),
-                CTX,
-            )
+            defect_factorization_check(table, (0,), 1, 1, 2, (0, 0), (0, 1), CTX)
 
     @pytest.mark.parametrize("idx", [(1, 1, 2), (2, 2, 1)])
     @pytest.mark.parametrize("a", [(0, 0), (0, 1), (1, 1)])
     def test_component_ratio_is_z_free(self, idx, a):
-        n = 2
         params = params_for(2)
-        alpha = LatticeIndex(a[0], a[1], n)
-        beta = LatticeIndex(0, 1, n)
         worst = defect_factorization_check(
-            table_at(params, Z_SAMPLES), range(len(Z_SAMPLES)), *idx, alpha, beta, CTX
+            table_at(params, Z_SAMPLES), range(len(Z_SAMPLES)), *idx, a, (0, 1), CTX
         )
         assert worst < 1e-9
 
@@ -359,11 +333,9 @@ class TestFactorization:
     def test_component_ratio_is_proportional_to_family_two(self, idx, a):
         n = 2
         params = params_for(2)
-        alpha = LatticeIndex(a[0], a[1], n)
-        beta = LatticeIndex(0, 1, n)
         table = table_at(params, Z_SAMPLES[:1])
-        comp = component_ratio(table, 0, *idx, alpha, beta, CTX)
-        fam = family_row(2, idx, alpha, beta, params)
+        comp = component_ratio(table, 0, *idx, a, (0, 1), CTX)
+        fam = family_row(2, idx, LatticeIndex(*a, n), LatticeIndex(0, 1, n), params)
         support = np.abs(fam) > 1e-12 * np.max(np.abs(fam))
         ratios = comp[support] / fam[support]
         center = ratios.mean()
@@ -371,18 +343,8 @@ class TestFactorization:
         assert np.max(np.abs(comp[~support])) / np.max(np.abs(comp)) < 1e-9
 
     def test_missing_exponential_breaks_factorization(self, no_exp_factor):
-        n = 2
-        params = params_for(2)
-        worst = defect_factorization_check(
-            table_at(params, Z_SAMPLES[:2]),
-            (0, 1),
-            1,
-            1,
-            2,
-            LatticeIndex(0, 1, n),
-            LatticeIndex(0, 1, n),
-            CTX,
-        )
+        table = table_at(params_for(2), Z_SAMPLES[:2])
+        worst = defect_factorization_check(table, (0, 1), 1, 1, 2, (0, 1), (0, 1), CTX)
         assert worst > 1e-3
 
     def test_prefactor_near_a_zero_raises(self):
@@ -392,7 +354,7 @@ class TestFactorization:
         z2 = params.q1[1] - params.q2[0] + 0.01
         # at the second point of the batch alone
         table = table_at(params, [Z_SAMPLES[0], (Z1, z2)], n)
-        labels = (1, 1, 2, LatticeIndex(0, 0, n), LatticeIndex(0, 0, n), CTX)
+        labels = (1, 1, 2, (0, 0), (0, 0), CTX)
         component_ratio(table, 0, *labels)
         with pytest.raises(PoleProximityError):
             component_ratio(table, 1, *labels)
@@ -402,9 +364,7 @@ class TestFactorization:
         (z1, z2), (z3, z4) = Z_SAMPLES[:2]
         table = defect_table(2, 2, [params_for(2), other], [z1, z3], [z2, z4], CTX)
         with pytest.raises(ValueError):
-            defect_factorization_check(
-                table, (0, 1), 1, 1, 2, LatticeIndex(0, 1, 2), LatticeIndex(0, 1, 2), CTX
-            )
+            defect_factorization_check(table, (0, 1), 1, 1, 2, (0, 1), (0, 1), CTX)
 
 
 class TestSpanHelpers:

@@ -774,6 +774,9 @@ class TestSklyaninTable:
         pairs = next(label_pair_chunks(n, 4 * n**2))
         bare = sklyanin_coeffs(pairs, n, hbar, CTX)
         shifted = sklyanin_coeffs_eta(bare, eta, hbar, CTX)
+        # two etas per trial, as family 1 passes one per coordinate pair
+        etas = np.stack([eta, eta + 0.07 - 0.02j], axis=1)
+        per_pair = sklyanin_coeffs_eta(bare, etas, hbar, CTX)
         assert bare.values.shape == (5, n**4, n * n if n > 1 else 0)
         got = (
             bare,
@@ -795,6 +798,10 @@ class TestSklyaninTable:
                 assert np.array_equal(table.scale[t], single.scale)
             for rows, single in zip(got[2:], want[2:]):
                 assert np.array_equal(rows[t], single)
+            for k, e in enumerate(etas[t].tolist() if n > 1 else []):
+                single = sklyanin_coeffs_eta(one, e, h, CTX)
+                assert np.array_equal(per_pair.values[t, k], single.values)
+                assert np.array_equal(per_pair.scale[t, 0], single.scale)
 
     def test_n1_table_is_empty(self):
         one = LatticeIndex(0, 0, 1)
@@ -906,10 +913,9 @@ class TestSklyaninTable:
         with pytest.raises(PoleProximityError, match=r"hbar \+ omega_d\[0, 0, 2\]"):
             sklyanin_representation_residual(table, CTX, shift=(0.01 + 0.01j,) * 2)
 
-    def test_residual_guards_distinct_letters_and_names_the_first_bad_one(self, monkeypatch):
-        # The guard sees each distinct letter once; a failure names the
-        # first offending letter of the [letter, pair, gamma] array, in the
-        # words a guard over every letter gives.
+    def test_residual_guards_every_letter_once_and_names_the_first_bad_one(self, monkeypatch):
+        # One guard pass over every letter; a failure names the first
+        # offending letter of the [letter, pair, gamma] array.
         n = 2
         table = SklyaninTable(
             n, next(label_pair_chunks(n, 1)), np.ones((16, 4), dtype=complex), np.zeros(16)
@@ -938,9 +944,8 @@ class TestSklyaninTable:
             lambda name, z, tau: sizes.append(np.size(z)) or guard(name, z, tau),
         )
         sklyanin_representation_residual(table, CTX, shift=(HBAR, 0.3 + 0.2j))
-        # alpha - gamma lies in [-1, 1]^2 and beta + gamma in [0, 2]^2: 14
-        # distinct letters among the 2 * 16 * 4 of the table
-        assert sizes == [14]
+        # the 2 * 16 * 4 letters of the table, in one call
+        assert sizes == [128]
 
 
 def kinds_of(rels) -> dict[str, int]:

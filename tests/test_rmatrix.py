@@ -22,7 +22,6 @@ from ellrmx.elliptic import (
     PoleProximityError,
     kronecker_phi,
     lattice_distance,
-    omega,
     varphi,
 )
 from ellrmx.tensor import (
@@ -52,7 +51,7 @@ from ellrmx.rmatrix import (
     ybe_residual,
     zero_weight_residual,
 )
-from support import all_indices
+from support import all_indices, omega
 
 TAU = 0.3 + 0.8j
 CTX = EllipticContext(TAU)
